@@ -15,28 +15,18 @@ comparator (Figure 17) and as FireLedger's own recovery-layer consensus:
 Replica authentication uses MAC vectors (cheap) plus one leader signature per
 batch, which matches BFT-SMaRt's cost profile.
 
-Like the HotStuff baseline, replicas expose the duck-typed workload surface
-(``submit_transaction`` / ``delivered_transactions``) backed by a
-:class:`~repro.protocols.base.SharedTxPool`; the stable leader drains the
-pool when saturated blocks are disabled.  Leader re-election is not modelled
-— a crashed or silent node 0 halts the ordering service, which is the
-documented behaviour of the comparison figures (the paper's fault figures
-exercise FireLedger, not the baselines).  Cluster wiring lives in
-:func:`repro.core.cluster.run_cluster` via
-:class:`repro.protocols.bftsmart.BFTSmartProtocol`.
+Leader re-election is not modelled — a crashed or silent node 0 halts the
+ordering service, which is the documented behaviour of the comparison figures
+(the paper's fault figures exercise FireLedger, not the baselines).  The
+workload surface, shared pending pool and commit step come from
+:mod:`repro.baselines.replica`; cluster wiring lives in
+:func:`repro.core.cluster.run_cluster` via :class:`BFTSmartProtocol`,
+registered as ``"bftsmart"``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.baselines.replica import PooledReplicaMixin
-from repro.core.context import ProtocolContext
-from repro.crypto.cost_model import CryptoCostModel
-from repro.crypto.keys import KeyStore
-from repro.ledger.delivery import Delivery, DeliveryStream
-from repro.net.network import Network
-from repro.sim import Environment, Store
+from repro.baselines.replica import LeaderDrivenProtocol, PooledReplicaMixin
 
 PROPOSE = "SMART_PROPOSE"
 WRITE = "SMART_WRITE"
@@ -49,50 +39,22 @@ _HEADER_OVERHEAD = 224
 PIPELINE_WINDOW = 1
 
 
-@dataclass
-class _CommittedBatch:
-    seq: int
-    tx_count: int
-    proposed_at: float
-    committed_at: float
-
-
 class BFTSmartReplica(PooledReplicaMixin):
     """One replica of the BFT-SMaRt-style ordering service."""
 
+    CHANNEL = "bftsmart"
+    TAG = "smart"
     HEADER_OVERHEAD = _HEADER_OVERHEAD
 
-    def __init__(self, env: Environment, network: Network, node_id: int,
-                 keystore: KeyStore, f: int, batch_size: int, tx_size: int,
-                 cost: CryptoCostModel, instance_timeout: float = 1.0,
-                 channel: str = "bftsmart", pool=None,
-                 fill_blocks: bool = True) -> None:
-        self.env = env
-        self.network = network
-        self.node_id = node_id
-        self.keystore = keystore
-        self.keys = keystore.key_for(node_id)
-        self.f = f
-        self.batch_size = batch_size
-        self.tx_size = tx_size
-        self.cost = cost
-        self.instance_timeout = instance_timeout
-        self.channel = channel
-        self.pool = pool
-        self.fill_blocks = fill_blocks
-        self.context = ProtocolContext(env, network, node_id, channel,
-                                       inbox=Store(env))
-        network.endpoint(node_id).router = self.context.inbox.put
-        self.committed: list[_CommittedBatch] = []
-        self.leader = 0
-        #: Delivery seam: one Delivery per committed instance, in sequence
-        #: order.  The cluster runner subscribes the execution layer here.
-        self.delivery_stream = DeliveryStream()
-        #: Execution layer, attached by the cluster runner (None otherwise).
-        self.executor = None
-        self.instances_timed_out = 0
-        self.signatures = 0
-        self.measure_start = 0.0
+    #: The stable leader (re-election is not modelled).
+    leader = 0
+    instances_timed_out = 0
+
+    def processes(self):
+        """The replica loop, plus the batching loop on the stable leader."""
+        if self.node_id == self.leader:
+            return (self.run_replica(), self.run_leader())
+        return (self.run_replica(),)
 
     # ---------------------------------------------------------------- leader
     def run_leader(self):
@@ -115,9 +77,10 @@ class BFTSmartReplica(PooledReplicaMixin):
                 seq += 1
             # Wait for the oldest in-flight instance to commit locally before
             # opening a new slot (the commit is observed by the replica loop).
+            # Sequence numbers commit contiguously from 0, so ``seq`` has
+            # committed exactly when the committed list is longer than it.
             oldest = min(inflight)
-            committed_seqs = {batch.seq for batch in self.committed}
-            if oldest in committed_seqs:
+            if oldest < len(self.committed):
                 del inflight[oldest]
                 continue
             yield self.env.timeout(0.0005)
@@ -131,7 +94,7 @@ class BFTSmartReplica(PooledReplicaMixin):
             proposal = yield from self.context.wait_message(
                 lambda m, s=next_seq: (m.kind == PROPOSE and m.payload["seq"] == s
                                        and m.sender == self.leader),
-                timeout=self.instance_timeout)
+                timeout=self.timeout)
             if proposal is None:
                 self.instances_timed_out += 1
                 continue
@@ -143,27 +106,32 @@ class BFTSmartReplica(PooledReplicaMixin):
                                    include_self=True)
             writes = yield from self.context.collect_messages(
                 lambda m, s=next_seq: m.kind == WRITE and m.payload["seq"] == s,
-                count=quorum, timeout=self.instance_timeout)
+                count=quorum, timeout=self.timeout)
             if len(writes) < quorum:
                 continue
             self.context.broadcast(ACCEPT, {"seq": next_seq}, size_bytes=_ACK_SIZE,
                                    include_self=True)
             accepts = yield from self.context.collect_messages(
                 lambda m, s=next_seq: m.kind == ACCEPT and m.payload["seq"] == s,
-                count=quorum, timeout=self.instance_timeout)
+                count=quorum, timeout=self.timeout)
             if len(accepts) < quorum:
                 continue
-            self.committed.append(_CommittedBatch(
-                seq=next_seq,
-                tx_count=proposal.payload["tx_count"],
-                proposed_at=proposal.payload["proposed_at"],
-                committed_at=self.env.now))
-            self.delivery_stream.deliver(Delivery(
-                tag=("smart", next_seq, proposal.payload["tx_count"]),
-                transactions=proposal.payload.get("transactions", ()),
-                tx_count=proposal.payload["tx_count"],
-                proposer=self.leader,
-                proposed_at=proposal.payload["proposed_at"],
-                time=self.env.now,
-                sequence=next_seq))
+            self._commit(next_seq, proposal.payload["tx_count"],
+                         proposal.payload.get("transactions", ()),
+                         self.leader, proposal.payload["proposed_at"])
             next_seq += 1
+
+
+class BFTSmartProtocol(LeaderDrivenProtocol):
+    """Stable-leader PBFT-family ordering under the pluggable-protocol contract.
+
+    A silent node 0 halts the service because leader re-election is not
+    modelled.
+    """
+
+    name = "bftsmart"
+    replica_class = BFTSmartReplica
+    timeout_counter = "instances_timed_out"
+
+    def __init__(self, instance_timeout: float = 1.0) -> None:
+        super().__init__(instance_timeout)

@@ -19,26 +19,15 @@ QC it has, without waiting a further vote round — the model's equivalent of
 HotStuff's NEW-VIEW interrupt, which keeps the chain live across skipped
 views instead of cascading timeouts forever.
 
-The replica implements the duck-typed workload surface
-(``submit_transaction`` / ``delivered_transactions``), feeding a
-:class:`~repro.protocols.base.SharedTxPool` that the proposing leader drains
-when the config disables saturated blocks, so client-driven scenarios run
-unchanged against HotStuff.  Cluster wiring (environment, network, keystore,
-faults, workloads, metrics) lives in :func:`repro.core.cluster.run_cluster`
-via :class:`repro.protocols.hotstuff.HotStuffProtocol`.
+The workload surface, shared pending pool and commit step come from
+:mod:`repro.baselines.replica`; cluster wiring lives in
+:func:`repro.core.cluster.run_cluster` via :class:`HotStuffProtocol`,
+registered as ``"hotstuff"``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.baselines.replica import PooledReplicaMixin
-from repro.core.context import ProtocolContext
-from repro.crypto.cost_model import CryptoCostModel
-from repro.crypto.keys import KeyStore
-from repro.ledger.delivery import Delivery, DeliveryStream
-from repro.net.network import Network
-from repro.sim import Environment, Store
+from repro.baselines.replica import LeaderDrivenProtocol, PooledReplicaMixin
 
 PROPOSAL = "HS_PROPOSAL"
 VOTE = "HS_VOTE"
@@ -49,52 +38,15 @@ _HEADER_OVERHEAD = 256
 COMMIT_DEPTH = 3
 
 
-@dataclass
-class _CommittedBlock:
-    view: int
-    tx_count: int
-    proposed_at: float
-    committed_at: float
-
-
 class HotStuffReplica(PooledReplicaMixin):
     """One HotStuff replica."""
 
+    CHANNEL = "hotstuff"
+    TAG = "hs"
     HEADER_OVERHEAD = _HEADER_OVERHEAD
 
-    def __init__(self, env: Environment, network: Network, node_id: int,
-                 keystore: KeyStore, f: int, batch_size: int, tx_size: int,
-                 cost: CryptoCostModel, view_timeout: float = 1.0,
-                 channel: str = "hotstuff", pool=None,
-                 fill_blocks: bool = True) -> None:
-        self.env = env
-        self.network = network
-        self.node_id = node_id
-        self.keystore = keystore
-        self.keys = keystore.key_for(node_id)
-        self.f = f
-        self.batch_size = batch_size
-        self.tx_size = tx_size
-        self.cost = cost
-        self.view_timeout = view_timeout
-        self.channel = channel
-        self.pool = pool
-        self.fill_blocks = fill_blocks
-        self.context = ProtocolContext(env, network, node_id, channel,
-                                       inbox=Store(env))
-        network.endpoint(node_id).router = self.context.inbox.put
-        self.committed: list[_CommittedBlock] = []
-        self._proposals: dict[int, tuple[float, int, tuple]] = {}
-        self._seen_proposal_view = -1
-        #: Delivery seam: one Delivery per three-chain commit, in view order.
-        #: The cluster runner subscribes the execution layer here.
-        self.delivery_stream = DeliveryStream()
-        #: Execution layer, attached by the cluster runner (None otherwise).
-        self.executor = None
-        self.view = 0
-        self.views_timed_out = 0
-        self.signatures = 0
-        self.measure_start = 0.0
+    view = 0
+    views_timed_out = 0
 
     # ----------------------------------------------------------------- roles
     def _leader_of(self, view: int) -> int:
@@ -102,8 +54,9 @@ class HotStuffReplica(PooledReplicaMixin):
 
     def run(self):
         """Main replica process: one iteration per view."""
-        n = self.network.n_nodes
-        quorum = n - self.f
+        quorum = self.network.n_nodes - self.f
+        proposals: dict[int, tuple[float, int, tuple]] = {}
+        seen_proposal_view = -1
         while True:
             view = self.view
             leader = self._leader_of(view)
@@ -113,10 +66,10 @@ class HotStuffReplica(PooledReplicaMixin):
                 # us as the incoming leader) — but only if that view actually
                 # produced a proposal; after a timed-out view nobody voted, so
                 # the leader proposes immediately (the NEW-VIEW path).
-                if view > 0 and self._seen_proposal_view == view - 1:
+                if view > 0 and seen_proposal_view == view - 1:
                     votes = yield from self.context.collect_messages(
                         lambda m, v=view: m.kind == VOTE and m.payload["view"] == v - 1,
-                        count=quorum, timeout=self.view_timeout)
+                        count=quorum, timeout=self.timeout)
                     if len(votes) >= quorum:
                         # Aggregate-signature verification of the QC.
                         yield from self.context.use_cpu(self.cost.verify_time(0))
@@ -134,12 +87,12 @@ class HotStuffReplica(PooledReplicaMixin):
             proposal = yield from self.context.wait_message(
                 lambda m, v=view: (m.kind == PROPOSAL and m.payload["view"] == v
                                    and m.sender == self._leader_of(v)),
-                timeout=self.view_timeout)
+                timeout=self.timeout)
             if proposal is None:
                 self.views_timed_out += 1
                 self.view += 1
                 continue
-            self._seen_proposal_view = view
+            seen_proposal_view = view
 
             # Verify the proposal (hash the body, check the leader signature
             # and the embedded QC) and vote.
@@ -148,7 +101,7 @@ class HotStuffReplica(PooledReplicaMixin):
                                             self.tx_size))
             yield from self.context.use_cpu(self.cost.sign_time(0))
             self.signatures += 1
-            self._proposals[view] = (proposal.payload["proposed_at"],
+            proposals[view] = (proposal.payload["proposed_at"],
                                      proposal.payload["tx_count"],
                                      proposal.payload.get("transactions", ()))
             next_leader = self._leader_of(view + 1)
@@ -157,19 +110,22 @@ class HotStuffReplica(PooledReplicaMixin):
             # Three-chain commit: the proposal for view v carries the QC chain
             # that finalises the block proposed COMMIT_DEPTH views earlier.
             commit_view = view - COMMIT_DEPTH
-            if commit_view in self._proposals:
-                proposed_at, tx_count, transactions = self._proposals.pop(commit_view)
-                self.committed.append(_CommittedBlock(
-                    view=commit_view,
-                    tx_count=tx_count,
-                    proposed_at=proposed_at,
-                    committed_at=self.env.now))
-                self.delivery_stream.deliver(Delivery(
-                    tag=("hs", commit_view, tx_count),
-                    transactions=transactions,
-                    tx_count=tx_count,
-                    proposer=self._leader_of(commit_view),
-                    proposed_at=proposed_at,
-                    time=self.env.now,
-                    sequence=commit_view))
+            if commit_view in proposals:
+                proposed_at, tx_count, transactions = proposals.pop(commit_view)
+                self._commit(commit_view, tx_count, transactions,
+                             self._leader_of(commit_view), proposed_at)
             self.view += 1
+
+
+class HotStuffProtocol(LeaderDrivenProtocol):
+    """Rotating-leader chained HotStuff under the pluggable-protocol contract.
+
+    A silent leader's views time out and exercise the NEW-VIEW skip path.
+    """
+
+    name = "hotstuff"
+    replica_class = HotStuffReplica
+    timeout_counter = "views_timed_out"
+
+    def __init__(self, view_timeout: float = 1.0) -> None:
+        super().__init__(view_timeout)

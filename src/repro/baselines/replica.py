@@ -1,34 +1,98 @@
-"""Shared replica surface for the leader-driven baseline protocols.
+"""What the leader-driven baseline protocols (HotStuff, BFT-SMaRt) share.
 
-Both baselines (HotStuff, BFT-SMaRt) expose the same duck-typed workload
-surface the clients in :mod:`repro.workload.clients` drive — a
-``submit_transaction`` feeding the cluster-wide
-:class:`~repro.protocols.base.SharedTxPool` plus delivered-work counters —
-and the same batch-draining rule for ``fill_blocks=False`` configs.  The
-mixin keeps that surface in one place; a concrete replica provides
-``env``, ``tx_size``, ``batch_size``, ``fill_blocks``, ``pool``, a
-``delivery_stream`` (its :class:`~repro.ledger.delivery.DeliveryStream`,
-whose counters back the delivered-work properties), and sets
-``HEADER_OVERHEAD`` to its wire format's per-batch framing bytes.
+:class:`PooledReplicaMixin` is the replica side: constructor state, the
+commit step, the duck-typed workload surface the clients in
+:mod:`repro.workload.clients` drive — a ``submit_transaction`` feeding the
+cluster-wide :class:`~repro.protocols.base.SharedTxPool` plus delivered-work
+counters — and the batch-draining rule for ``fill_blocks=False`` configs.
+:class:`LeaderDrivenProtocol` is the protocol side: pool, cost model,
+replica construction, adversary silencing and the commit-record metrics.
+The two replica *loops* (a rotating-leader view loop, a stable-leader
+three-phase instance loop) share no control flow and stay in their modules.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
+from repro.core.context import ProtocolContext
+from repro.crypto.cost_model import CryptoCostModel
+from repro.ledger.delivery import Delivery, DeliveryStream
 from repro.ledger.transaction import Transaction
+from repro.net.network import Network
+from repro.protocols.base import ConsensusProtocol, NodeMetrics, SharedTxPool
+from repro.sim import Environment, Store
+
+
+@dataclass
+class CommitRecord:
+    """One committed batch: its slot in the total order and its timing."""
+
+    sequence: int
+    tx_count: int
+    proposed_at: float
+    committed_at: float
 
 
 class PooledReplicaMixin:
-    """Workload duck-type + batch draining shared by the baseline replicas."""
+    """A concrete replica sets :attr:`CHANNEL`, :attr:`TAG` and
+    :attr:`HEADER_OVERHEAD`, calls :meth:`_commit` from its loop (``run``,
+    or whatever :meth:`processes` names)."""
 
+    #: Network channel of the concrete protocol's traffic.
+    CHANNEL = ""
+    #: Leading element of the protocol's delivery tags.
+    TAG = ""
     #: Per-batch framing bytes of the concrete protocol's wire format.
     HEADER_OVERHEAD = 0
 
     #: Fail-stop adversary model: a silent replica never runs its process.
-    #: Set by :meth:`silence`; the protocol adapters skip silent replicas
-    #: in ``start()``.
+    #: Set by :meth:`silence`; :meth:`LeaderDrivenProtocol.start` skips
+    #: silent replicas.
     silent = False
+
+    def __init__(self, env: Environment, network: Network, node_id: int,
+                 f: int, batch_size: int, tx_size: int, cost: CryptoCostModel,
+                 timeout: float = 1.0, pool=None,
+                 fill_blocks: bool = True) -> None:
+        self.env = env
+        self.network = network
+        self.node_id = node_id
+        self.f = f
+        self.batch_size = batch_size
+        self.tx_size = tx_size
+        self.cost = cost
+        #: How long a replica waits for the leader (a view, an instance).
+        self.timeout = timeout
+        self.pool = pool
+        self.fill_blocks = fill_blocks
+        self.context = ProtocolContext(env, network, node_id, self.CHANNEL,
+                                       inbox=Store(env))
+        network.endpoint(node_id).router = self.context.inbox.put
+        self.committed: list[CommitRecord] = []
+        #: Delivery seam: one Delivery per commit, in the protocol's total
+        #: order.  The cluster runner subscribes the execution layer here.
+        self.delivery_stream = DeliveryStream()
+        #: Execution layer, attached by the cluster runner (None otherwise).
+        self.executor = None
+        self.signatures = 0
+        self.measure_start = 0.0
+
+    def processes(self) -> Sequence:
+        """The generator(s) to run as this replica's simulation processes."""
+        return (self.run(),)
+
+    def _commit(self, sequence: int, tx_count: int, transactions: tuple,
+                proposer: int, proposed_at: float) -> None:
+        """Record one commit and publish it on the delivery stream."""
+        now = self.env.now
+        self.committed.append(
+            CommitRecord(sequence, tx_count, proposed_at, committed_at=now))
+        self.delivery_stream.deliver(Delivery(
+            tag=(self.TAG, sequence, tx_count), transactions=transactions,
+            tx_count=tx_count, proposer=proposer, proposed_at=proposed_at,
+            time=now, sequence=sequence))
 
     def silence(self, network) -> None:
         """Turn this replica into a fail-stop (silent) node.
@@ -85,3 +149,70 @@ class PooledReplicaMixin:
 
     def _batch_bytes(self, tx_count: int) -> int:
         return tx_count * self.tx_size + self.HEADER_OVERHEAD
+
+
+class LeaderDrivenProtocol(ConsensusProtocol):
+    """``ConsensusProtocol`` over one :class:`PooledReplicaMixin` subclass.
+
+    A subclass names its replica class and timeout counter, and takes the
+    timeout under the protocol's own name (``view_timeout`` ...).  The run's
+    adversary strategy decides which replicas stay silent (the equivocation
+    strategies degrade to fail-stop here); traffic-shaping strategies act
+    at the network seam without touching the protocol.
+    """
+
+    #: The :class:`PooledReplicaMixin` subclass to build per node.
+    replica_class: type = PooledReplicaMixin
+    #: Replica attribute (and breakdown key) counting leader timeouts.
+    timeout_counter = ""
+
+    def __init__(self, timeout: float) -> None:
+        if timeout <= 0:
+            raise ValueError("the protocol timeout must be positive")
+        self.timeout = timeout
+
+    def build_nodes(self, env, network, keystore, config, rng,
+                    adversary=None) -> list:
+        cost = CryptoCostModel(config.machine)
+        pool = SharedTxPool(max_pending=config.pool_max_pending,
+                            carry_transactions=config.execute_transactions)
+        replicas = [
+            self.replica_class(env, network, node_id, config.f,
+                               config.batch_size, config.tx_size, cost,
+                               timeout=self.timeout, pool=pool,
+                               fill_blocks=config.fill_blocks)
+            for node_id in range(config.n_nodes)
+        ]
+        if adversary is not None:
+            for replica in replicas:
+                if adversary.is_silent(replica.node_id, self.name):
+                    replica.silence(network)
+        return replicas
+
+    def start(self, nodes: Sequence) -> None:
+        for replica in nodes:
+            if not replica.silent:
+                for generator in replica.processes():
+                    replica.env.process(generator)
+
+    def node_metrics(self, node, duration: float) -> NodeMetrics:
+        """Rates, latency samples and counters from the commit records that
+        fall inside the node's measurement window."""
+        window = max(duration - node.measure_start, 1e-9)
+        committed = [record for record in node.committed
+                     if record.committed_at >= node.measure_start]
+        transactions = sum(record.tx_count for record in committed)
+        means = {"blocks_committed": len(committed),
+                 "transactions_committed": transactions}
+        if node.pool is not None and node.pool.max_pending is not None:
+            # The pool is cluster-wide shared state: every replica reports the
+            # same figure, so it averages (not sums) across correct nodes.
+            means["tx_rejected"] = node.pool.rejected
+        return NodeMetrics(
+            tps=transactions / window,
+            bps=len(committed) / window,
+            latency_samples=[record.committed_at - record.proposed_at
+                             for record in committed],
+            totals={self.timeout_counter: getattr(node, self.timeout_counter),
+                    "signatures": node.signatures},
+            means=means)

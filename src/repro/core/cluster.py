@@ -4,10 +4,11 @@ This is the entry point every benchmark, example and scenario uses.
 :func:`run_cluster` wires the simulation environment, network, key store and
 the chosen protocol's nodes together identically for **every** registered
 :class:`~repro.protocols.base.ConsensusProtocol` (FireLedger, HotStuff,
-BFT-SMaRt, and any future plugin): it optionally injects crash/recover
-schedules, Byzantine membership, network fault controllers and client
-workloads, runs the simulation for a configured duration and aggregates the
-protocol's per-node metric hooks into one unified :class:`ClusterResult`.
+BFT-SMaRt, and any future plugin): it optionally installs one fault schedule
+(timed crashes and recoveries, partition / loss / slow-link windows, Byzantine
+membership) and client workloads, runs the simulation for a configured
+duration and aggregates the protocol's per-node metric hooks into one unified
+:class:`ClusterResult`.
 
 The runner owns the delivery seam end-to-end: after the protocol builds its
 nodes, the runner subscribes each node's
@@ -22,14 +23,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 from repro.core.config import FireLedgerConfig
 from repro.crypto.keys import KeyStore
-from repro.faults.crash import CrashSchedule
 from repro.metrics.summary import LatencyHistogram, LatencySummary, ThroughputSummary
-from repro.net.faults import FaultController
-from repro.net.latency import GeoDistributedLatency, LatencyModel, SingleDatacenterLatency
+from repro.net.latency import LatencyModel, SingleDatacenterLatency
 from repro.net.network import Network, NetworkStats
 from repro.sim import Environment
 
@@ -44,9 +43,8 @@ class ClusterResult:
     Protocol-specific counters (FireLedger's round outcomes and recoveries,
     a baseline's committed block counts and skipped views, every protocol's
     signature totals) live in :attr:`breakdown` next to the per-round stage
-    timings; the convenience properties below read the well-known keys so
-    existing FireLedger callers and the retired ``BaselineResult``'s users
-    keep working against the one unified shape.
+    timings; the convenience properties below read the well-known keys for
+    the figure drivers, the scenario rows and the benchmark harness.
     """
 
     protocol: str
@@ -143,14 +141,10 @@ def run_cluster(config: FireLedgerConfig,
                 warmup: float = 0.5,
                 seed: int = 0,
                 latency_model: Optional[LatencyModel] = None,
-                geo_distributed: bool = False,
-                crash_schedule: Optional[CrashSchedule] = None,
-                byzantine_nodes: Optional[frozenset[int]] = None,
+                faults=None,
                 adversary: "Optional[str | object]" = None,
-                fault_controller: Optional[FaultController] = None,
                 latency_trim: float = 0.0,
                 setup: Optional[Callable[[Environment, Network, list], None]] = None,
-                excluded_nodes: Optional[Iterable[int]] = None,
                 backend: str = "sim") -> ClusterResult:
     """Build, run and summarise one cluster under any registered protocol.
 
@@ -158,27 +152,30 @@ def run_cluster(config: FireLedgerConfig,
     ``"bftsmart"``) or a :class:`~repro.protocols.base.ConsensusProtocol`
     instance.  The remaining parameters mirror the paper's evaluation levers
     and apply to every protocol: ``config`` carries the Table 2 parameters,
-    ``geo_distributed`` switches to the ten-region latency matrix of Section
-    7.5, ``crash_schedule`` and ``byzantine_nodes`` reproduce Sections
-    7.4.1/7.4.2, ``warmup`` excludes start-up effects from the measured
-    window.
+    ``latency_model`` the deployment (single data-center by default;
+    :class:`~repro.net.latency.GeoDistributedLatency` is Section 7.5's
+    ten-region matrix), ``warmup`` excludes start-up effects from the
+    measured window.
+
+    ``faults`` is the run's one fault timeline, a
+    :class:`~repro.scenarios.faultplan.FaultSchedule` (timed crash/recover
+    events, partition / loss / slow-link windows, Byzantine membership);
+    nodes that end the timeline crashed or Byzantine are left out of the
+    aggregated metrics.  Sections 7.4.1/7.4.2 are
+    ``FaultSchedule((crash(nodes, at=t),))`` and
+    ``FaultSchedule((byzantine(nodes),))``.
 
     ``adversary`` selects how the Byzantine nodes misbehave: a registered
     :mod:`repro.adversary` strategy name, or a bound
     :class:`~repro.adversary.base.AdversaryStrategy` instance (the scenario
-    runner passes one carrying the fault schedule's timed windows).  With
+    runner passes one carrying its spec's strategy parameters).  With
     Byzantine nodes and no explicit adversary the default strategy is
-    ``equivocate`` — the pre-adversary-layer behaviour (Section 7.4.2's
-    equivocating proposer on FireLedger, fail-stop silence on the
-    baselines).
+    ``equivocate`` — Section 7.4.2's equivocating proposer on FireLedger,
+    fail-stop silence on the baselines.
 
-    ``setup`` is a hook invoked after the nodes are built and started but
-    before the simulation runs; the declarative scenario layer uses it to
-    attach client workloads and install timed fault events (crash *and*
-    recover, partitions, loss windows).  ``excluded_nodes`` extends the set
-    of nodes left out of the aggregated metrics beyond the crash schedule's
-    victims and the Byzantine nodes — e.g. nodes a fault timeline crashes
-    without ever recovering.
+    ``setup`` is a hook invoked after the nodes are built and started and
+    the fault schedule is installed, but before the simulation runs; the
+    declarative scenario layer uses it to attach client workloads.
 
     ``backend`` selects the Environment/Network implementation pair:
     ``"sim"`` (the default) is the deterministic discrete-event kernel;
@@ -205,27 +202,29 @@ def run_cluster(config: FireLedgerConfig,
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
 
+    # Duck-typed: core does not import the scenario layer that defines it.
+    byzantine = frozenset()
+    fault_controller = windows = None
+    if faults is not None:
+        faults.validate(config.n_nodes)
+        byzantine = faults.byzantine_nodes
+        windows = faults.byzantine_windows()
+        fault_controller = faults.controller()
+
     rng = random.Random(seed)
     if latency_model is None:
-        latency_model = (GeoDistributedLatency() if geo_distributed
-                         else SingleDatacenterLatency())
+        latency_model = SingleDatacenterLatency()
     network_rng = random.Random(rng.randrange(2 ** 62))
+    env_class, network_class = Environment, Network
     if backend == "realtime":
-        from repro.runtime import RealtimeEnvironment, RealtimeNetwork
-
-        env = RealtimeEnvironment()
-        network = RealtimeNetwork(env, config.n_nodes,
-                                  latency_model=latency_model,
-                                  machine=config.machine, rng=network_rng,
-                                  fault_controller=fault_controller)
-    else:
-        env = Environment()
-        network = Network(env, config.n_nodes, latency_model=latency_model,
-                          machine=config.machine, rng=network_rng,
-                          fault_controller=fault_controller)
+        from repro.runtime import RealtimeEnvironment as env_class
+        from repro.runtime import RealtimeNetwork as network_class
+    env = env_class()
+    network = network_class(env, config.n_nodes, latency_model=latency_model,
+                            machine=config.machine, rng=network_rng,
+                            fault_controller=fault_controller)
     keystore = KeyStore(config.n_nodes)
 
-    byzantine = frozenset(byzantine_nodes or ())
     strategy = None
     if adversary is not None or byzantine:
         from repro import adversary as adversary_lib
@@ -234,14 +233,15 @@ def run_cluster(config: FireLedgerConfig,
             strategy = adversary
         else:
             strategy = adversary_lib.build(
-                adversary or adversary_lib.DEFAULT_STRATEGY, nodes=byzantine)
+                adversary or adversary_lib.DEFAULT_STRATEGY, nodes=byzantine,
+                windows=windows)
         if not byzantine:
             byzantine = strategy.nodes
         # Traffic-shaping strategies wrap the network before any node is
         # built, so every protocol message crosses the strategy's proxy.
         network = strategy.wrap_network(network)
     nodes = impl.build_nodes(env, network, keystore, config, rng,
-                             byzantine_nodes=byzantine, adversary=strategy)
+                             adversary=strategy)
     # The delivery seam: attach one executor per node by subscribing it to
     # the node's stream — uniformly, whatever the protocol.  Protocols keep
     # their streams' earlier subscribers (metric recorders, lane merges)
@@ -263,8 +263,8 @@ def run_cluster(config: FireLedgerConfig,
 
     if strategy is not None:
         strategy.install(env, network)
-    if crash_schedule is not None:
-        crash_schedule.install(env, network)
+    if faults is not None:
+        faults.install(env, network)
     if setup is not None:
         setup(env, network, nodes)
 
@@ -277,12 +277,9 @@ def run_cluster(config: FireLedgerConfig,
         if closer is not None:
             closer()
 
-    excluded = set()
-    if crash_schedule is not None:
-        excluded |= set(crash_schedule.crashed_nodes)
-    excluded |= byzantine
-    if excluded_nodes is not None:
-        excluded |= set(excluded_nodes)
+    excluded = set(byzantine)
+    if faults is not None:
+        excluded |= faults.excluded_nodes()
     honest_nodes = [node for node in nodes if node.node_id not in excluded]
     correct_nodes = honest_nodes or nodes
 

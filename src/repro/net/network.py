@@ -1,4 +1,5 @@
-"""The simulated cluster network."""
+"""The network contract (:class:`BaseNetwork`) and its simulated backend
+(:class:`Network`); :mod:`repro.runtime.network` is the loopback-TCP one."""
 
 from __future__ import annotations
 
@@ -45,12 +46,16 @@ class NetworkStats:
         return total
 
 
-class Endpoint:
-    """Per-node attachment point: mailbox, NIC serialisation state, CPU."""
+class BaseEndpoint:
+    """Per-node attachment point: mailbox, CPU, crash flag, byte counters.
+
+    A backend's endpoint adds its NIC model: ``reset_lanes()`` (the recover
+    contract's empty-NIC guarantee) and the occupancy views FireLedger's flow
+    control reads — ``nic_backlog`` and ``bulk_egress_completion``.
+    """
 
     __slots__ = ("env", "node_id", "machine", "mailbox", "cpu", "crashed",
-                 "bytes_sent", "bytes_received", "_tx_free_at", "_rx_free_at",
-                 "router")
+                 "bytes_sent", "bytes_received", "router")
 
     def __init__(self, env: Environment, node_id: int, machine: MachineSpec) -> None:
         self.env = env
@@ -61,12 +66,6 @@ class Endpoint:
         self.crashed = False
         self.bytes_sent = 0
         self.bytes_received = 0
-        # The data path (block bodies) and the consensus path (headers, votes)
-        # travel over independent gRPC streams in the paper's implementation,
-        # so bulk transfers do not head-of-line-block small control messages.
-        # We model that with two independent occupancy lanes per direction.
-        self._tx_free_at = {"bulk": 0.0, "ctrl": 0.0}
-        self._rx_free_at = {"bulk": 0.0, "ctrl": 0.0}
         #: Optional callable that replaces the default mailbox delivery; nodes
         #: install a dispatcher here to route traffic to per-protocol inboxes.
         self.router = None
@@ -77,6 +76,21 @@ class Endpoint:
             self.router(message)
         else:
             self.mailbox.put(message)
+
+
+class Endpoint(BaseEndpoint):
+    """Simulated endpoint: NIC serialisation as reserved lane time."""
+
+    __slots__ = ("_tx_free_at", "_rx_free_at")
+
+    def __init__(self, env: Environment, node_id: int, machine: MachineSpec) -> None:
+        super().__init__(env, node_id, machine)
+        # The data path (block bodies) and the consensus path (headers, votes)
+        # travel over independent gRPC streams in the paper's implementation,
+        # so bulk transfers do not head-of-line-block small control messages.
+        # We model that with two independent occupancy lanes per direction.
+        self._tx_free_at = {"bulk": 0.0, "ctrl": 0.0}
+        self._rx_free_at = {"bulk": 0.0, "ctrl": 0.0}
 
     def reset_lanes(self) -> None:
         """Clear all queued NIC occupancy (both directions, both lanes).
@@ -130,26 +144,28 @@ class Endpoint:
         return self._tx_free_at["bulk"]
 
 
-class Network:
+class BaseNetwork:
     """Fully connected message-passing network between ``n_nodes`` endpoints.
 
-    Delivery of one message goes through, in order: sender-side RPC stack cost
-    and NIC serialisation (shared across all protocol instances on the node),
-    link propagation latency drawn from the latency model plus the model's
-    size-dependent :meth:`~repro.net.latency.LatencyModel.transfer_delay`
-    (non-zero only on bandwidth-capped WAN links), receiver-side RPC stack
-    cost, then the message is handed to the receiver endpoint's installed
-    ``router`` (FLO nodes route to per-protocol inboxes) or, absent one, its
-    default mailbox.  A fault controller may drop the message or add delay;
-    both :meth:`send` and :meth:`broadcast` decide drops *before* reserving
-    NIC time, so injected losses never consume egress capacity — see the
-    per-method docstrings for the exact return contracts.  Crashed endpoints
-    neither send nor receive: sends from a crashed node return ``None``
-    (broadcasts return ``[]``), and in-flight messages to a node that crashes
-    before delivery are counted as dropped.  Links are otherwise reliable (no
-    loss, no duplication, no reordering beyond what differing latencies
-    produce), matching the system model of Section 3.1.
+    The contract, stated once for every backend: endpoint lookup and crash
+    state, the ``send`` / ``broadcast`` return contracts, the fault-drop
+    decision and rng draw order, the ``stats`` accounting and the final
+    delivery step.  A backend supplies its endpoint class plus "move these
+    messages after these delays" (:meth:`_transmit`,
+    :meth:`_transmit_copies`) and may hook :meth:`_on_crash` /
+    :meth:`_on_recover`.
+
+    A fault controller may drop a message or add delay; drops are decided
+    *before* anything reaches the backend, so injected losses never consume
+    egress capacity.  Crashed endpoints neither send nor receive, and
+    in-flight messages to a node that crashes before delivery are counted as
+    dropped.  Links are otherwise reliable (no loss, no duplication, no
+    reordering beyond what differing latencies produce), matching the system
+    model of Section 3.1.
     """
+
+    #: Endpoint type the backend attaches per node.
+    endpoint_class: type = BaseEndpoint
 
     def __init__(self, env: Environment, n_nodes: int,
                  latency_model: Optional[LatencyModel] = None,
@@ -165,25 +181,29 @@ class Network:
         self.rng = rng or random.Random(0)
         self.fault_controller = fault_controller
         self.stats = NetworkStats()
-        self.endpoints = [Endpoint(env, node_id, machine) for node_id in range(n_nodes)]
-        # Broadcast fast-path caches: the per-endpoint ingress lane dicts
-        # (stable for an endpoint's lifetime — reset_lanes mutates in place)
-        # and a delivery completer closed over the hot instance state.
-        self._rx_lanes = [endpoint._rx_free_at for endpoint in self.endpoints]
-        self._deliver = self._make_completer()
+        self.endpoints = [self.endpoint_class(env, node_id, machine)
+                          for node_id in range(n_nodes)]
 
     # ----------------------------------------------------------------- nodes
-    def endpoint(self, node_id: int) -> Endpoint:
+    def endpoint(self, node_id: int):
         """The endpoint of ``node_id``."""
         return self.endpoints[node_id]
+
+    def is_crashed(self, node_id: int) -> bool:
+        """Whether ``node_id`` has crashed."""
+        return self.endpoints[node_id].crashed
 
     def crash(self, node_id: int) -> None:
         """Crash a node: it stops sending and receiving until recovered.
 
         Idempotent — re-crashing a crashed node is a no-op, so overlapping
-        fault sources (a crash schedule plus a churn adversary) compose.
+        fault sources (a fault schedule plus a churn adversary) compose.
         """
-        self.endpoints[node_id].crashed = True
+        endpoint = self.endpoints[node_id]
+        if endpoint.crashed:
+            return
+        endpoint.crashed = True
+        self._on_crash(node_id)
 
     def recover(self, node_id: int) -> None:
         """Undo a crash (no-op when the node is already up).
@@ -197,10 +217,7 @@ class Network:
             return
         endpoint.crashed = False
         endpoint.reset_lanes()
-
-    def is_crashed(self, node_id: int) -> bool:
-        """Whether ``node_id`` has crashed."""
-        return self.endpoints[node_id].crashed
+        self._on_recover(node_id)
 
     # ------------------------------------------------------------------ send
     def send(self, sender: int, receiver: int, channel: str, kind: str,
@@ -210,44 +227,33 @@ class Network:
         ``None`` means the message never left: either the sender has crashed
         (nothing is recorded in ``stats``) or the fault controller dropped it
         (recorded as one message sent *and* one dropped).  A fault-controller
-        drop is decided *before* the sender's NIC lane is reserved: dropped
-        traffic consumes neither egress nor ingress time, so an injected loss
-        cannot delay the sender's subsequent messages.  A non-``None`` return
-        only promises the message is in flight — the receiver may still crash
-        before the delivery completes.
+        drop is decided *before* the backend reserves or queues anything:
+        dropped traffic consumes neither egress nor ingress time, so an
+        injected loss cannot delay the sender's subsequent messages.  A
+        non-``None`` return only promises the message is in flight — the
+        receiver may still crash before the delivery completes.
         """
         if not 0 <= sender < self.n_nodes or not 0 <= receiver < self.n_nodes:
             raise ValueError(f"invalid endpoint ids sender={sender} receiver={receiver}")
-        source = self.endpoints[sender]
-        if source.crashed:
+        if self.endpoints[sender].crashed:
             return None
+        env = self.env
+        now = env.now
         message = Message(sender=sender, receiver=receiver, channel=channel,
                           kind=kind, payload=payload, size_bytes=size_bytes,
-                          sent_at=self.env.now)
+                          sent_at=now)
         self.stats.record_send(message)
 
         if sender == receiver:
             # Local loopback: no NIC, no propagation, delivered immediately.
-            self.env.call_later(0.0, self._deliver, message)
+            env.call_later(0.0, self._deliver, message)
             return message
 
-        if self.fault_controller is not None and self.fault_controller.should_drop(
-                message, self.env.now, self.rng):
+        delay = self._link_delay(message, now)
+        if delay is None:
             self.stats.messages_dropped += 1
             return None
-
-        serialisation_done = source.reserve_nic(message.size_bytes)
-        propagation = (self.latency_model.sample(sender, receiver, self.rng)
-                       + self.latency_model.transfer_delay(sender, receiver,
-                                                           message.size_bytes))
-        extra = 0.0
-        if self.fault_controller is not None:
-            extra = self.fault_controller.extra_delay(message, self.env.now, self.rng)
-
-        destination = self.endpoints[receiver]
-        received_at = destination.reserve_ingress(
-            message.size_bytes, not_before=serialisation_done + propagation + extra)
-        self.env.call_later(received_at - self.env.now, self._deliver, message)
+        self._transmit(message, delay)
         return message
 
     def broadcast(self, sender: int, channel: str, kind: str, payload: Any,
@@ -255,20 +261,159 @@ class Network:
                   include_self: bool = False) -> list[Message]:
         """Send the same payload to every other node (clique dissemination).
 
-        Fan-out fast path: instead of ``n`` independent :meth:`send` calls the
-        fan-out builds every :class:`Message`, reserves the sender's NIC lane
-        by one precomputed increment per copy (all copies are the same size,
-        and every endpoint runs the same machine spec, so ingress costs match
-        too), samples all link latencies in one
+        One copy per receiver, in receiver order, each drawing from the
+        shared rng in the fixed ``should_drop`` / ``sample`` /
+        ``extra_delay`` order.  Crashed senders return ``[]``.  Dropped
+        copies are excluded from the returned list and, as in :meth:`send`,
+        count as sent *and* dropped without reaching the backend.  With
+        ``include_self`` the loopback copy sits at its receiver-order slot.
+        """
+        if not 0 <= sender < self.n_nodes:
+            raise ValueError(f"invalid endpoint id sender={sender}")
+        if self.endpoints[sender].crashed:
+            return []
+        env = self.env
+        now = env.now
+        messages: list[Message] = []
+        in_flight: list[Message] = []
+        delays: list[float] = []
+        sent = dropped = 0
+        for receiver in range(self.n_nodes):
+            if receiver == sender and not include_self:
+                continue
+            message = Message(sender=sender, receiver=receiver, channel=channel,
+                              kind=kind, payload=payload, size_bytes=size_bytes,
+                              sent_at=now)
+            sent += 1
+            if receiver == sender:
+                env.call_later(0.0, self._deliver, message)
+                messages.append(message)
+                continue
+            delay = self._link_delay(message, now)
+            if delay is None:
+                dropped += 1
+                continue
+            in_flight.append(message)
+            delays.append(delay)
+            messages.append(message)
+        if in_flight:
+            self._transmit_copies(in_flight, delays)
+        stats = self.stats
+        stats.messages_dropped += dropped
+        if sent:
+            # Dropped copies count as sent bytes too, matching send().
+            stats.messages_sent += sent
+            stats.bytes_sent += sent * max(size_bytes, MESSAGE_OVERHEAD_BYTES)
+            key = (channel, kind)
+            stats.per_kind[key] = stats.per_kind.get(key, 0) + sent
+        return messages
+
+    def _link_delay(self, message: Message, now: float) -> Optional[float]:
+        """One copy's fate: ``None`` if the fault controller drops it, else
+        its link delay.  Draws from the shared rng in the fixed
+        ``should_drop`` / ``sample`` / ``extra_delay`` order."""
+        fault = self.fault_controller
+        rng = self.rng
+        if fault is not None and fault.should_drop(message, now, rng):
+            return None
+        model = self.latency_model
+        delay = (model.sample(message.sender, message.receiver, rng)
+                 + model.transfer_delay(message.sender, message.receiver,
+                                        message.size_bytes))
+        if fault is not None:
+            delay += fault.extra_delay(message, now, rng)
+        return delay
+
+    def _deliver(self, message: Message) -> None:
+        """Final delivery step: counters, timestamps, router or mailbox."""
+        destination = self.endpoints[message.receiver]
+        if destination.crashed:
+            self.stats.messages_dropped += 1
+            return
+        message.delivered_at = self.env.now
+        destination.bytes_received += message.size_bytes
+        self.stats.messages_delivered += 1
+        destination.deliver(message)
+
+    # --------------------------------------------------------- backend hooks
+    def _transmit(self, message: Message, delay: float) -> None:
+        """Move one unicast ``message``; it is due ``delay`` seconds from now."""
+        raise NotImplementedError
+
+    def _transmit_copies(self, messages: list[Message],
+                         delays: list[float]) -> None:
+        """Move one broadcast's surviving copies (same sender, payload, size)."""
+        raise NotImplementedError
+
+    def _on_crash(self, node_id: int) -> None:
+        """Backend side of a crash (called once per up -> down transition)."""
+
+    def _on_recover(self, node_id: int) -> None:
+        """Backend side of a recovery (called once per down -> up transition)."""
+
+
+class Network(BaseNetwork):
+    """The simulated network: :class:`BaseNetwork` over the event kernel.
+
+    Delivery of one message goes through, in order: sender-side RPC stack cost
+    and NIC serialisation (shared across all protocol instances on the node),
+    link propagation latency drawn from the latency model plus the model's
+    size-dependent :meth:`~repro.net.latency.LatencyModel.transfer_delay`
+    (non-zero only on bandwidth-capped WAN links), receiver-side RPC stack
+    cost, then the message is handed to the receiver endpoint's installed
+    ``router`` (FLO nodes route to per-protocol inboxes) or, absent one, its
+    default mailbox.
+    """
+
+    endpoint_class = Endpoint
+
+    def __init__(self, env: Environment, n_nodes: int, **options) -> None:
+        super().__init__(env, n_nodes, **options)
+        # Broadcast fast-path caches: the per-endpoint ingress lane dicts
+        # (stable for an endpoint's lifetime — reset_lanes mutates in place)
+        # and a delivery completer closed over the hot instance state.
+        self._rx_lanes = [endpoint._rx_free_at for endpoint in self.endpoints]
+        self._deliver = self._make_completer()
+
+    def _arrival(self, message: Message, delay: float) -> float:
+        """Reserve the sender's NIC lane, then the receiver's ingress lane."""
+        size = message.size_bytes
+        serialisation_done = self.endpoints[message.sender].reserve_nic(size)
+        return self.endpoints[message.receiver].reserve_ingress(
+            size, not_before=serialisation_done + delay)
+
+    def _transmit(self, message: Message, delay: float) -> None:
+        self.env.call_later(self._arrival(message, delay) - self.env.now,
+                            self._deliver, message)
+
+    def _transmit_copies(self, messages: list[Message],
+                         delays: list[float]) -> None:
+        """One delivery train for all copies of the broadcast."""
+        times = [self._arrival(message, delay)
+                 for message, delay in zip(messages, delays)]
+        self.env.schedule_batch(times, messages, self._deliver)
+
+    def broadcast(self, sender: int, channel: str, kind: str, payload: Any,
+                  size_bytes: int = MESSAGE_OVERHEAD_BYTES,
+                  include_self: bool = False) -> list[Message]:
+        """:meth:`BaseNetwork.broadcast`, with a fan-out fast path.
+
+        Without a fault controller, instead of ``n`` independent per-copy
+        steps the fan-out builds every :class:`Message`, reserves the
+        sender's NIC lane by one precomputed increment per copy (all copies
+        are the same size, and every endpoint runs the same machine spec, so
+        ingress costs match too), samples all link latencies in one
         :meth:`~repro.net.latency.LatencyModel.sample_block` call, and hands
         the whole fan-out to the kernel as a single
         :meth:`~repro.sim.environment.Environment.schedule_batch` delivery
-        train — one queue entry per broadcast instead of one per copy.  With a
-        fault controller installed the loop falls back to per-copy sampling so
-        the ``should_drop`` / ``sample`` / ``extra_delay`` interleaving on the
-        shared rng is unchanged.  Dropped copies are excluded from the
-        returned list and, as in :meth:`send`, consume no egress.
+        train — one queue entry per broadcast instead of one per copy.  With
+        a fault controller installed the shared per-copy loop runs, so the
+        ``should_drop`` / ``sample`` / ``extra_delay`` interleaving on the
+        shared rng is unchanged.
         """
+        if self.fault_controller is not None:
+            return super().broadcast(sender, channel, kind, payload,
+                                     size_bytes, include_self)
         if not 0 <= sender < self.n_nodes:
             raise ValueError(f"invalid endpoint id sender={sender}")
         source = self.endpoints[sender]
@@ -277,7 +422,6 @@ class Network:
         env = self.env
         now = env.now
         stats = self.stats
-        fault = self.fault_controller
         model = self.latency_model
         # Skip the per-copy transfer_delay call entirely for models that keep
         # the base class's zero-cost default (every link latency-bound only).
@@ -285,7 +429,6 @@ class Network:
         if type(model).transfer_delay is not LatencyModel.transfer_delay:
             transfer = model.transfer_delay
         rng = self.rng
-        endpoints = self.endpoints
         n = self.n_nodes
         complete = self._deliver
 
@@ -297,108 +440,60 @@ class Network:
         if free_at < now:
             free_at = now
 
-        if fault is None:
-            receivers = list(range(sender)) + list(range(sender + 1, n))
-            delays = model.sample_block(sender, receivers, rng)
-            new = Message.__new__
-            next_id = _message_counter.__next__
-            rx_lanes = self._rx_lanes
-            # Per-copy arrival floors in two C-level passes: the sender's NIC
-            # frees one `cost` later per copy (a prefix sum), then each copy
-            # adds its sampled link delay (and per-link transfer time on
-            # bandwidth-capped WAN models).
-            floors = list(accumulate(repeat(cost, n - 1), initial=free_at))
-            del floors[0]
-            free_at = floors[-1]
-            if transfer is None:
-                floors = [f + d for f, d in zip(floors, delays)]
-            else:
-                floors = [f + d + transfer(sender, r, wire_bytes)
-                          for f, d, r in zip(floors, delays, receivers)]
-            times: list[float] = []
-            messages = []
-            times_append = times.append
-            append = messages.append
-            for receiver, not_before in zip(receivers, floors):
-                rx = rx_lanes[receiver]
-                prior = rx[lane]
-                if not_before < prior:
-                    not_before = prior
-                received_at = not_before + cost
-                rx[lane] = received_at
-                message = new(Message)
-                message.sender = sender
-                message.receiver = receiver
-                message.channel = channel
-                message.kind = kind
-                message.payload = payload
-                message.size_bytes = wire_bytes
-                message.sent_at = now
-                message.delivered_at = None
-                message.message_id = next_id()
-                times_append(received_at)
-                append(message)
-            env.schedule_batch(times, messages, complete)
-            sent = n - 1
-            if include_self:
-                message = Message(sender=sender, receiver=sender, channel=channel,
-                                  kind=kind, payload=payload, size_bytes=size_bytes,
-                                  sent_at=now)
-                env.call_later(0.0, complete, message)
-                # The self copy sits at its receiver-order slot in the result.
-                messages.insert(sender, message)
-                sent += 1
-            tx_free[lane] = free_at
-            source.bytes_sent += (n - 1) * wire_bytes
-            if sent:
-                stats.messages_sent += sent
-                stats.bytes_sent += sent * wire_bytes
-                key = (channel, kind)
-                stats.per_kind[key] = stats.per_kind.get(key, 0) + sent
-            return messages
-
+        receivers = list(range(sender)) + list(range(sender + 1, n))
+        delays = model.sample_block(sender, receivers, rng)
+        new = Message.__new__
+        next_id = _message_counter.__next__
+        rx_lanes = self._rx_lanes
+        # Per-copy arrival floors in two C-level passes: the sender's NIC
+        # frees one `cost` later per copy (a prefix sum), then each copy
+        # adds its sampled link delay (and per-link transfer time on
+        # bandwidth-capped WAN models).
+        floors = list(accumulate(repeat(cost, n - 1), initial=free_at))
+        del floors[0]
+        free_at = floors[-1]
+        if transfer is None:
+            floors = [f + d for f, d in zip(floors, delays)]
+        else:
+            floors = [f + d + transfer(sender, r, wire_bytes)
+                      for f, d, r in zip(floors, delays, receivers)]
+        times: list[float] = []
         messages = []
-        times = []
-        in_flight = []
-        sent = dropped = 0
-        egress_copies = 0
-        for receiver in range(n):
-            if receiver == sender:
-                if not include_self:
-                    continue
-                message = Message(sender=sender, receiver=sender, channel=channel,
-                                  kind=kind, payload=payload, size_bytes=size_bytes,
-                                  sent_at=now)
-                sent += 1
-                env.call_later(0.0, complete, message)
-                messages.append(message)
-                continue
-            message = Message(sender=sender, receiver=receiver, channel=channel,
+        times_append = times.append
+        append = messages.append
+        for receiver, not_before in zip(receivers, floors):
+            rx = rx_lanes[receiver]
+            prior = rx[lane]
+            if not_before < prior:
+                not_before = prior
+            received_at = not_before + cost
+            rx[lane] = received_at
+            message = new(Message)
+            message.sender = sender
+            message.receiver = receiver
+            message.channel = channel
+            message.kind = kind
+            message.payload = payload
+            message.size_bytes = wire_bytes
+            message.sent_at = now
+            message.delivered_at = None
+            message.message_id = next_id()
+            times_append(received_at)
+            append(message)
+        env.schedule_batch(times, messages, complete)
+        sent = n - 1
+        if include_self:
+            message = Message(sender=sender, receiver=sender, channel=channel,
                               kind=kind, payload=payload, size_bytes=size_bytes,
                               sent_at=now)
+            env.call_later(0.0, complete, message)
+            # The self copy sits at its receiver-order slot in the result.
+            messages.insert(sender, message)
             sent += 1
-            if fault.should_drop(message, now, rng):
-                dropped += 1
-                continue
-            free_at += cost
-            egress_copies += 1
-            not_before = free_at + model.sample(sender, receiver, rng)
-            if transfer is not None:
-                not_before += transfer(sender, receiver, wire_bytes)
-            not_before += fault.extra_delay(message, now, rng)
-            received_at = endpoints[receiver].reserve_ingress(
-                wire_bytes, not_before=not_before)
-            times.append(received_at)
-            in_flight.append(message)
-            messages.append(message)
-
-        env.schedule_batch(times, in_flight, complete)
         tx_free[lane] = free_at
-        source.bytes_sent += egress_copies * wire_bytes
-        stats.messages_sent += sent
-        stats.messages_dropped += dropped
+        source.bytes_sent += (n - 1) * wire_bytes
         if sent:
-            # Dropped copies count as sent bytes too, matching send().
+            stats.messages_sent += sent
             stats.bytes_sent += sent * wire_bytes
             key = (channel, kind)
             stats.per_kind[key] = stats.per_kind.get(key, 0) + sent
@@ -437,7 +532,3 @@ class Network:
                 mailbox._items.append(message)  # noqa: SLF001
 
         return complete
-
-    def _complete_delivery(self, message: Message) -> None:
-        """Deliver ``message`` to its destination endpoint (or drop it)."""
-        self._deliver(message)

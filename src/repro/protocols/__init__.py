@@ -7,8 +7,10 @@ all resolve through the same registry.  Shipped protocols:
 
 * ``fireledger`` — the paper's protocol (FLO nodes running FireLedger
   worker instances);
-* ``hotstuff``   — chained HotStuff with rotating leaders (Section 7.6);
-* ``bftsmart``   — a BFT-SMaRt-style stable-leader ordering service.
+* ``hotstuff``   — chained HotStuff with rotating leaders (Section 7.6),
+  :mod:`repro.baselines.hotstuff`;
+* ``bftsmart``   — a BFT-SMaRt-style stable-leader ordering service,
+  :mod:`repro.baselines.bftsmart`.
 
 On top of the registered names, the dynamic spelling
 ``multiplexed(<base>, lanes=<M>)`` composes M independent lanes of any base
@@ -31,9 +33,11 @@ from repro.protocols.base import (
     register,
     resolve,
 )
-from repro.protocols.bftsmart import BFTSmartProtocol
+# After protocols.base, which the baselines subclass: see the import order
+# note in repro/baselines/__init__.py.
+from repro.baselines.bftsmart import BFTSmartProtocol
+from repro.baselines.hotstuff import HotStuffProtocol
 from repro.protocols.fireledger import FireLedgerProtocol
-from repro.protocols.hotstuff import HotStuffProtocol
 from repro.protocols.multiplexed import LaneNetwork, MultiplexedNode, MultiplexedProtocol
 
 register(FireLedgerProtocol())

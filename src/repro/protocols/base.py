@@ -12,14 +12,12 @@ needs to evaluate one BFT ordering protocol on the shared simulated substrate:
   :class:`NodeMetrics` shape the runner aggregates into a
   :class:`~repro.core.cluster.ClusterResult`.
 
-The runner owns *all* the wiring that used to be copy-pasted between the
-retired per-protocol cluster helpers: seeding, latency model selection, the
+The runner owns *all* the wiring: seeding, latency model selection, the
 :class:`~repro.net.network.Network`, the :class:`~repro.crypto.keys.KeyStore`,
-crash/recover schedules, network fault controllers, workload attachment and
-metric aggregation.  A new protocol is therefore a ~200-line module
-implementing this contract plus a :func:`register` call — it immediately
-gains WAN topologies, fault timelines, client workloads, ``--jobs`` sweeps
-and the EXPERIMENTS.md report.
+the fault schedule, workload attachment and metric aggregation.  A new
+protocol is therefore one module implementing this contract plus a
+:func:`register` call — it immediately gains WAN topologies, fault timelines,
+client workloads, ``--jobs`` sweeps and the EXPERIMENTS.md report.
 
 Delivery flows through an explicit seam: every node exposes a
 :class:`DeliveryStream` (via :meth:`ConsensusProtocol.delivery_stream`) onto
@@ -54,8 +52,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "ConsensusProtocol", "Delivery", "DeliveryStream", "NodeMetrics",
-    "SharedTxPool", "committed_node_metrics", "get", "names", "register",
-    "resolve",
+    "SharedTxPool", "get", "names", "register", "resolve",
 ]
 
 
@@ -106,9 +103,7 @@ class ConsensusProtocol(abc.ABC):
     @abc.abstractmethod
     def build_nodes(self, env: "Environment", network: "Network",
                     keystore: "KeyStore", config: "FireLedgerConfig",
-                    rng: random.Random,
-                    byzantine_nodes: frozenset[int] = frozenset(),
-                    adversary=None) -> list:
+                    rng: random.Random, adversary=None) -> list:
         """Create one node object per ``config.n_nodes``.
 
         ``rng`` is the run's root random source — draw per-node seeds from it
@@ -117,9 +112,8 @@ class ConsensusProtocol(abc.ABC):
         :class:`~repro.adversary.base.AdversaryStrategy` (None on fault-free
         runs); implementations consult its ``worker_factory(self.name)`` for
         misbehaving worker substitution and ``is_silent(node_id, self.name)``
-        for nodes whose process must never start.  ``byzantine_nodes`` is the
-        same membership as ``adversary.nodes``, kept as a plain set for
-        implementations that only need the ids.
+        for nodes whose process must never start; ``adversary.nodes`` is the
+        Byzantine membership.
         """
 
     @abc.abstractmethod
@@ -215,36 +209,6 @@ class SharedTxPool:
         batch = tuple(self._transactions[:taken])
         del self._transactions[:taken]
         return taken, batch
-
-
-def committed_node_metrics(node, duration: float,
-                           totals: Optional[dict] = None) -> NodeMetrics:
-    """Build :class:`NodeMetrics` from a replica's ``committed`` record list.
-
-    Shared by the leader-driven baselines: filters the records (anything with
-    ``tx_count`` / ``proposed_at`` / ``committed_at`` fields) to the node's
-    measurement window and derives rates, latency samples and the
-    ``blocks_committed`` / ``transactions_committed`` means.
-    """
-    window = max(duration - node.measure_start, 1e-9)
-    committed = [record for record in node.committed
-                 if record.committed_at >= node.measure_start]
-    transactions = sum(record.tx_count for record in committed)
-    means = {"blocks_committed": len(committed),
-             "transactions_committed": transactions}
-    pool = getattr(node, "pool", None)
-    if pool is not None and getattr(pool, "max_pending", None) is not None:
-        # The pool is cluster-wide shared state: every replica reports the
-        # same figure, so it averages (not sums) across correct nodes.
-        means["tx_rejected"] = pool.rejected
-    return NodeMetrics(
-        tps=transactions / window,
-        bps=len(committed) / window,
-        latency_samples=[record.committed_at - record.proposed_at
-                         for record in committed],
-        totals=dict(totals or {}),
-        means=means,
-    )
 
 
 _PROTOCOLS: dict[str, ConsensusProtocol] = {}

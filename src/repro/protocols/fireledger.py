@@ -1,12 +1,10 @@
 """FireLedger under the pluggable-protocol contract.
 
-The node factory builds the classic :class:`~repro.core.flo.FLONode`
-deployment (consulting the run's adversary strategy for misbehaving worker
-substitution and silenced nodes); the metric hook reads the node's
-:class:`~repro.metrics.recorder.MetricsRecorder` exactly as the old
-FireLedger-only aggregation loop did, so results are unchanged — they just
-flow through the protocol-agnostic :class:`~repro.protocols.base.NodeMetrics`
-shape now.
+The node factory builds the :class:`~repro.core.flo.FLONode` deployment
+(consulting the run's adversary strategy for misbehaving worker substitution
+and silenced nodes); the metric hook maps the node's
+:class:`~repro.metrics.recorder.MetricsRecorder` onto the protocol-agnostic
+:class:`~repro.protocols.base.NodeMetrics` shape.
 """
 
 from __future__ import annotations
@@ -30,7 +28,6 @@ class FireLedgerProtocol(ConsensusProtocol):
     min_nodes = 4
 
     def build_nodes(self, env, network, keystore, config, rng,
-                    byzantine_nodes: frozenset[int] = frozenset(),
                     adversary=None) -> list[FLONode]:
         worker_factory = None
         if adversary is not None:

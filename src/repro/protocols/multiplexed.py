@@ -269,7 +269,6 @@ class MultiplexedProtocol(ConsensusProtocol):
                 for share in shares]
 
     def build_nodes(self, env, network, keystore, config, rng,
-                    byzantine_nodes: frozenset[int] = frozenset(),
                     adversary=None) -> list[MultiplexedNode]:
         dispatchers = []
         for node_id in range(config.n_nodes):
@@ -283,7 +282,7 @@ class MultiplexedProtocol(ConsensusProtocol):
             lane_rng = random.Random(rng.randrange(2 ** 62))
             per_lane_nodes.append(self.base.build_nodes(
                 env, lane_network, keystore, lane_config, lane_rng,
-                byzantine_nodes=byzantine_nodes, adversary=adversary))
+                adversary=adversary))
         return [MultiplexedNode(node_id,
                                 [lane[node_id] for lane in per_lane_nodes])
                 for node_id in range(config.n_nodes)]

@@ -50,7 +50,7 @@ class RealtimeEnvironment(Environment):
     def __init__(self, initial_time: float = 0.0,
                  strict_errors: bool = True) -> None:
         super().__init__(initial_time=initial_time,
-                         strict_errors=strict_errors, reference=False)
+                         strict_errors=strict_errors)
         self._loop = asyncio.new_event_loop()
         self._loop.set_exception_handler(self._on_loop_exception)
         self._origin = self._loop.time() - float(initial_time)

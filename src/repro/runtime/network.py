@@ -1,13 +1,11 @@
-"""Real TCP network implementing the simulated ``Network`` contract.
+"""Real TCP network: :class:`~repro.net.network.BaseNetwork` over sockets.
 
-Same surface, real sockets: :class:`RealtimeNetwork` exposes the exact
-attribute set protocols and the cluster runner consume from
-:class:`~repro.net.network.Network` — ``endpoints`` / ``endpoint()``,
-``send`` / ``broadcast`` with the documented drop contracts, ``crash`` /
-``recover`` / ``is_crashed``, ``stats``, ``machine``, ``rng``,
-``latency_model``, ``fault_controller`` — but a message physically crosses a
-loopback TCP connection between two asyncio tasks (see
-:mod:`repro.runtime.transport`) instead of riding the simulator's queue.
+Same contract as the simulated :class:`~repro.net.network.Network` — the
+send/broadcast return contracts, fault-drop decision, stats accounting,
+crash state and final delivery step are inherited, one statement for both
+backends — but a message physically crosses a loopback TCP connection
+between two asyncio tasks (see :mod:`repro.runtime.transport`) instead of
+riding the simulator's queue.
 
 What stays modeled and what becomes real:
 
@@ -28,75 +26,45 @@ What stays modeled and what becomes real:
   and the Python work of running the protocol occupies the loop for however
   long it actually takes.
 
-Drop contracts match the simulator's docstrings: a crashed sender's ``send``
-returns ``None`` with nothing recorded (``broadcast`` returns ``[]``); a
-fault-controller drop is decided before anything is queued and counts as one
-sent and one dropped; copies bound for a crashed receiver count as dropped at
-the transport.  ``crash`` closes the node's sockets and discards queued
-frames; ``recover`` rebinds the same port with an empty backlog.
+This module only moves bytes: it frames a message with its sampled delay
+(pickling a broadcast's payload once), queues it on the sender's link, and on
+arrival holds it until the delay is up.  Copies bound for a crashed receiver
+count as dropped at the transport.  ``crash`` closes the node's sockets and
+discards queued frames; ``recover`` rebinds the same port with an empty
+backlog.
 """
 
 from __future__ import annotations
 
 import pickle
-import random
-from typing import Any, Optional
+from typing import Optional
 
-from repro.crypto.cost_model import M5_XLARGE, MachineSpec
-from repro.net.faults import FaultController
-from repro.net.latency import LatencyModel, SingleDatacenterLatency
-from repro.net.message import MESSAGE_OVERHEAD_BYTES, Message
-from repro.net.network import NetworkStats
+from repro.net.message import Message
+from repro.net.network import BaseEndpoint, BaseNetwork
 from repro.runtime.environment import RealtimeEnvironment
 from repro.runtime.transport import NodeTransport
-from repro.sim import Resource, Store
 
 _PICKLE = pickle.HIGHEST_PROTOCOL
 
 
-class RealtimeEndpoint:
+class RealtimeEndpoint(BaseEndpoint):
     """Per-node attachment point backed by a TCP transport.
 
-    Mirrors :class:`~repro.net.network.Endpoint`: same mailbox / ``cpu`` /
-    ``router`` / ``crashed`` / byte counters, but the NIC occupancy views are
-    computed from real queued socket traffic instead of reserved lane time.
+    The NIC occupancy views are computed from real queued socket traffic
+    instead of the simulator's reserved lane time.  ``transport`` is the
+    node's :class:`NodeTransport`, attached by :class:`RealtimeNetwork` as
+    it builds its endpoints.
     """
 
-    __slots__ = ("env", "node_id", "machine", "mailbox", "cpu", "crashed",
-                 "bytes_sent", "bytes_received", "router", "transport")
-
-    def __init__(self, env: RealtimeEnvironment, node_id: int,
-                 machine: MachineSpec) -> None:
-        self.env = env
-        self.node_id = node_id
-        self.machine = machine
-        self.mailbox = Store(env)
-        self.cpu = Resource(env, capacity=machine.cores)
-        self.crashed = False
-        self.bytes_sent = 0
-        self.bytes_received = 0
-        #: Optional callable replacing default mailbox delivery (FLO routers).
-        self.router = None
-        #: Attached by :class:`RealtimeNetwork` right after construction.
-        self.transport: Optional[NodeTransport] = None
-
-    def deliver(self, message: Message) -> None:
-        """Hand an incoming message to the router (or the default mailbox)."""
-        if self.router is not None:
-            self.router(message)
-        else:
-            self.mailbox.put(message)
+    __slots__ = ("transport",)
 
     def reset_lanes(self) -> None:
         """Discard queued egress: the recover contract's empty-NIC guarantee."""
-        if self.transport is not None:
-            self.transport.clear_backlog()
+        self.transport.clear_backlog()
 
     @property
     def nic_backlog(self) -> float:
         """Seconds of queued egress at the machine spec's NIC bandwidth."""
-        if self.transport is None:
-            return 0.0
         return self.transport.queued_bytes / self.machine.egress_bandwidth
 
     @property
@@ -110,25 +78,14 @@ class RealtimeEndpoint:
         return self.env.now + self.nic_backlog
 
 
-class RealtimeNetwork:
+class RealtimeNetwork(BaseNetwork):
     """Fully connected loopback-TCP network between ``n_nodes`` endpoints."""
 
+    endpoint_class = RealtimeEndpoint
+
     def __init__(self, env: RealtimeEnvironment, n_nodes: int,
-                 latency_model: Optional[LatencyModel] = None,
-                 machine: MachineSpec = M5_XLARGE,
-                 rng: Optional[random.Random] = None,
-                 fault_controller: Optional[FaultController] = None) -> None:
-        if n_nodes < 1:
-            raise ValueError("n_nodes must be >= 1")
-        self.env = env
-        self.n_nodes = n_nodes
-        self.latency_model = latency_model or SingleDatacenterLatency()
-        self.machine = machine
-        self.rng = rng or random.Random(0)
-        self.fault_controller = fault_controller
-        self.stats = NetworkStats()
-        self.endpoints = [RealtimeEndpoint(env, node_id, machine)
-                          for node_id in range(n_nodes)]
+                 **options) -> None:
+        super().__init__(env, n_nodes, **options)
         self.transports = [NodeTransport(self, node_id)
                            for node_id in range(n_nodes)]
         for endpoint, transport in zip(self.endpoints, self.transports):
@@ -137,26 +94,13 @@ class RealtimeNetwork:
         env.add_startup_hook(self._start)
         env.add_shutdown_hook(self._stop)
 
-    # ----------------------------------------------------------------- nodes
-    def endpoint(self, node_id: int) -> RealtimeEndpoint:
-        """The endpoint of ``node_id``."""
-        return self.endpoints[node_id]
-
     def port_of(self, node_id: int) -> Optional[int]:
         """The TCP port ``node_id`` listens on, or ``None`` while down."""
         return self._ports[node_id]
 
-    def crash(self, node_id: int) -> None:
-        """Crash a node: close its sockets, drop everything queued for it.
-
-        Idempotent — re-crashing a crashed node is a no-op, so overlapping
-        fault sources (a crash schedule plus a churn adversary) compose
-        without double-closing sockets.
-        """
-        endpoint = self.endpoints[node_id]
-        if endpoint.crashed:
-            return
-        endpoint.crashed = True
+    # ------------------------------------------------------------ crash hooks
+    def _on_crash(self, node_id: int) -> None:
+        """Close the node's sockets and drop everything queued for it."""
         dropped = self.transports[node_id].clear_backlog()
         for transport in self.transports:
             if transport.node_id == node_id:
@@ -167,123 +111,20 @@ class RealtimeNetwork:
         self.stats.messages_dropped += dropped
         self._spawn(self.transports[node_id].stop())
 
-    def recover(self, node_id: int) -> None:
-        """Undo a crash: rebind the same port with an empty egress backlog.
-
-        No-op when the node is already up (mirrors the simulator's guard).
-        """
-        endpoint = self.endpoints[node_id]
-        if not endpoint.crashed:
-            return
-        endpoint.crashed = False
-        endpoint.reset_lanes()
+    def _on_recover(self, node_id: int) -> None:
+        """Rebind the same port (the endpoint's backlog is already empty)."""
         self._spawn(self.transports[node_id].start())
 
-    def is_crashed(self, node_id: int) -> bool:
-        """Whether ``node_id`` has crashed."""
-        return self.endpoints[node_id].crashed
-
-    # ------------------------------------------------------------------ send
-    def send(self, sender: int, receiver: int, channel: str, kind: str,
-             payload: Any,
-             size_bytes: int = MESSAGE_OVERHEAD_BYTES) -> Optional[Message]:
-        """Send one message; returns it, or ``None`` if it was dropped.
-
-        Same contract as the simulator: ``None`` means the sender has
-        crashed (nothing recorded) or the fault controller dropped the
-        message before it was queued (one sent, one dropped in ``stats``).
-        A non-``None`` return only promises the message is in flight.
-        """
-        if not 0 <= sender < self.n_nodes or not 0 <= receiver < self.n_nodes:
-            raise ValueError(
-                f"invalid endpoint ids sender={sender} receiver={receiver}")
-        source = self.endpoints[sender]
-        if source.crashed:
-            return None
-        now = self.env.now
-        message = Message(sender=sender, receiver=receiver, channel=channel,
-                          kind=kind, payload=payload, size_bytes=size_bytes,
-                          sent_at=now)
-        self.stats.record_send(message)
-
-        if sender == receiver:
-            # Local loopback: no socket, delivered on the next loop pass.
-            self.env.call_later(0.0, self._deliver_local, message)
-            return message
-
-        if self.fault_controller is not None and self.fault_controller.should_drop(
-                message, now, self.rng):
-            self.stats.messages_dropped += 1
-            return None
-
-        delay = (self.latency_model.sample(sender, receiver, self.rng)
-                 + self.latency_model.transfer_delay(sender, receiver,
-                                                     message.size_bytes))
-        if self.fault_controller is not None:
-            delay += self.fault_controller.extra_delay(message, now, self.rng)
-        self._transmit(message, delay)
-        return message
-
-    def broadcast(self, sender: int, channel: str, kind: str, payload: Any,
-                  size_bytes: int = MESSAGE_OVERHEAD_BYTES,
-                  include_self: bool = False) -> list[Message]:
-        """Send the same payload to every other node over real sockets.
-
-        The payload is pickled once and the bytes shared across all frames;
-        each receiver unpickles its own copy, so — unlike the simulator's
-        shared-object delivery — no two nodes can alias mutable state.
-        Crashed senders return ``[]``; fault-dropped copies are excluded
-        from the returned list, as documented on the simulated network.
-        """
-        if not 0 <= sender < self.n_nodes:
-            raise ValueError(f"invalid endpoint id sender={sender}")
-        source = self.endpoints[sender]
-        if source.crashed:
-            return []
-        env = self.env
-        now = env.now
-        fault = self.fault_controller
-        model = self.latency_model
-        rng = self.rng
-        payload_bytes: Optional[bytes] = None
-        messages: list[Message] = []
-        sent = dropped = 0
-        for receiver in range(self.n_nodes):
-            if receiver == sender:
-                if not include_self:
-                    continue
-                message = Message(sender=sender, receiver=sender,
-                                  channel=channel, kind=kind, payload=payload,
-                                  size_bytes=size_bytes, sent_at=now)
-                sent += 1
-                env.call_later(0.0, self._deliver_local, message)
-                messages.append(message)
-                continue
-            message = Message(sender=sender, receiver=receiver,
-                              channel=channel, kind=kind, payload=payload,
-                              size_bytes=size_bytes, sent_at=now)
-            sent += 1
-            if fault is not None and fault.should_drop(message, now, rng):
-                dropped += 1
-                continue
-            delay = model.sample(sender, receiver, rng) + model.transfer_delay(
-                sender, receiver, message.size_bytes)
-            if fault is not None:
-                delay += fault.extra_delay(message, now, rng)
-            if payload_bytes is None:
-                payload_bytes = pickle.dumps(payload, _PICKLE)
-            self._transmit(message, delay, payload_bytes)
-            messages.append(message)
-        self.stats.messages_sent += sent
-        self.stats.messages_dropped += dropped
-        if sent:
-            wire_bytes = max(size_bytes, MESSAGE_OVERHEAD_BYTES)
-            self.stats.bytes_sent += sent * wire_bytes
-            key = (channel, kind)
-            self.stats.per_kind[key] = self.stats.per_kind.get(key, 0) + sent
-        return messages
-
     # -------------------------------------------------------------- transport
+    def _transmit_copies(self, messages: list[Message],
+                         delays: list[float]) -> None:
+        """Pickle the shared payload once; each receiver unpickles its own
+        copy, so — unlike the simulator's shared-object delivery — no two
+        nodes can alias mutable state."""
+        payload_bytes = pickle.dumps(messages[0].payload, _PICKLE)
+        for message, delay in zip(messages, delays):
+            self._transmit(message, delay, payload_bytes)
+
     def _transmit(self, message: Message, delay: float,
                   payload_bytes: Optional[bytes] = None) -> None:
         """Frame ``message`` and queue it on the sender's link to the peer."""
@@ -314,18 +155,7 @@ class RealtimeNetwork:
                           kind=kind, payload=pickle.loads(payload_bytes),
                           size_bytes=size_bytes, sent_at=sent_at)
         remaining = (sent_at + delay) - self.env.now
-        self.env.call_later(max(0.0, remaining), self._deliver_local, message)
-
-    def _deliver_local(self, message: Message) -> None:
-        """Final delivery step: counters, timestamps, router or mailbox."""
-        destination = self.endpoints[message.receiver]
-        if destination.crashed:
-            self.stats.messages_dropped += 1
-            return
-        message.delivered_at = self.env.now
-        destination.bytes_received += message.size_bytes
-        self.stats.messages_delivered += 1
-        destination.deliver(message)
+        self.env.call_later(max(0.0, remaining), self._deliver, message)
 
     def _count_transport_drop(self) -> None:
         """A frame died on the wire (peer crash or wedged connection)."""

@@ -1,13 +1,11 @@
-"""One fault timeline for a whole scenario.
+"""One fault timeline for a whole run.
 
-Before this module existed the repo had two disjoint fault mechanisms: the
-timed-but-permanent :class:`~repro.faults.crash.CrashSchedule` and the
-windowed-but-static network :mod:`~repro.net.faults` controllers, plus a
-``byzantine_nodes`` argument on the cluster runner.  A :class:`FaultSchedule`
-unifies all three into a single ordered list of :class:`FaultPhase` events —
-timed crashes *and recoveries*, partition / loss / slow-link windows, and
-Byzantine membership — that a scenario spec can declare and the runner can
-install in one call.
+A :class:`FaultSchedule` is a single ordered list of :class:`FaultPhase`
+events — timed crashes *and recoveries*, partition / loss / slow-link
+windows, and Byzantine membership — that a scenario spec or a figure driver
+declares and :func:`repro.core.cluster.run_cluster` takes as its one
+``faults=`` argument (Section 7.4.1 is ``FaultSchedule((crash(nodes, at),))``,
+Section 7.4.2 ``FaultSchedule((byzantine(nodes),))``).
 """
 
 from __future__ import annotations
@@ -116,14 +114,15 @@ class FaultPhase:
 class FaultSchedule:
     """An ordered collection of :class:`FaultPhase` entries.
 
-    The schedule splits into three mechanisms at install time:
+    ``run_cluster`` splits the schedule into three mechanisms:
 
-    * crash/recover events are scheduled on the simulation clock
+    * crash/recover events are scheduled on the run's clock
       (:meth:`install`), so the same node can crash, recover and crash again;
     * windowed network phases compile into one composite
       :class:`~repro.net.faults.FaultController` (:meth:`controller`);
-    * :attr:`byzantine_nodes` / :meth:`byzantine_windows` bind the
-      scenario's adversary strategy at cluster build.
+    * :attr:`byzantine_nodes` / :meth:`byzantine_windows` bind the run's
+      adversary strategy at cluster build, and :meth:`excluded_nodes` keeps
+      faulty nodes out of the correct-node metrics.
     """
 
     phases: tuple[FaultPhase, ...] = ()
@@ -132,23 +131,12 @@ class FaultSchedule:
         object.__setattr__(self, "phases", tuple(
             phase if isinstance(phase, FaultPhase) else FaultPhase.from_dict(phase)
             for phase in self.phases))
-        spans: dict[int, list[tuple[float, float]]] = {}
-        for phase in self.phases:
-            if phase.kind != "byzantine":
-                continue
-            for node in phase.nodes:
-                spans.setdefault(node, []).append((phase.at, phase.until))
-        for node, windows in spans.items():
-            windows.sort()
+        for node, windows in self.byzantine_windows().items():
             for (_, prev_until), (next_at, _) in zip(windows, windows[1:]):
                 if next_at < prev_until:
                     raise ValueError(
                         f"overlapping byzantine windows for node {node}; "
                         f"merge them into one phase")
-
-    @classmethod
-    def from_dicts(cls, phases: Iterable[Mapping]) -> "FaultSchedule":
-        return cls(phases=tuple(FaultPhase.from_dict(p) for p in phases))
 
     def validate(self, n_nodes: int) -> None:
         """Check every referenced node id fits a cluster of ``n_nodes``."""
@@ -168,8 +156,7 @@ class FaultSchedule:
     @property
     def byzantine_nodes(self) -> frozenset[int]:
         """All nodes listed by any byzantine phase (window or full-run)."""
-        return frozenset(node for phase in self.phases
-                         if phase.kind == "byzantine" for node in phase.nodes)
+        return frozenset(self.byzantine_windows())
 
     def byzantine_windows(self) -> dict[int, tuple[tuple[float, float], ...]]:
         """Per-node activity windows: ``{node: ((at, until), ...)}``.

@@ -4,17 +4,15 @@ The runner translates the declarative spec into the concrete knobs of
 :func:`~repro.core.cluster.run_cluster`: protocol -> registered
 :class:`~repro.protocols.base.ConsensusProtocol`, topology -> latency
 model, workload -> ``fill_blocks`` / client population, fault schedule ->
-timed crash/recover events + fault controller + Byzantine membership +
-metric-exclusion set.  It returns plain result-row dicts shaped like the
-figure drivers', so scenarios plug into the experiment registry, the sweep
-engine and the report renderer unchanged — for any protocol.
+``faults=`` (plus the spec's adversary bound to its Byzantine membership).
+It returns plain result-row dicts shaped like the figure drivers', so
+scenarios plug into the experiment registry, the sweep engine and the report
+renderer unchanged — for any protocol.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Optional
 
 from repro.core.cluster import run_cluster
 from repro.core.config import FireLedgerConfig
@@ -116,7 +114,6 @@ def run_scenario(spec: ScenarioSpec,
     workload_box: list = []
 
     def _setup(env, network, nodes) -> None:
-        schedule.install(env, network)
         # Clients avoid known-Byzantine endpoints: under the baselines those
         # replicas are silent (fail-stop model) and would never advance a
         # closed-loop client's delivered_transactions counter.
@@ -141,11 +138,9 @@ def run_scenario(spec: ScenarioSpec,
         warmup=spec.warmup,
         seed=seed,
         latency_model=spec.topology.build(spec.n_nodes),
-        byzantine_nodes=schedule.byzantine_nodes or None,
+        faults=schedule,
         adversary=strategy,
-        fault_controller=schedule.controller(),
         setup=_setup,
-        excluded_nodes=schedule.excluded_nodes(),
         backend=backend,
     )
 

@@ -607,7 +607,7 @@ class ScenarioSpec:
         if faults is not None and not isinstance(faults, FaultSchedule):
             # Accept both {"phases": [...]} and a bare phase list.
             phases = faults["phases"] if isinstance(faults, Mapping) else faults
-            kwargs["faults"] = FaultSchedule.from_dicts(phases)
+            kwargs["faults"] = FaultSchedule(tuple(phases))
         if "adversary" in kwargs and not isinstance(kwargs["adversary"],
                                                     AdversarySpec):
             kwargs["adversary"] = AdversarySpec.from_dict(kwargs["adversary"])

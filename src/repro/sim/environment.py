@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import heapq
-import os
 from collections import deque
 from typing import Any, Callable, Generator, Iterable, Optional
 
@@ -20,14 +19,6 @@ from repro.sim.process import Process
 
 #: Upper bound on the recycled :class:`ScheduledCallback` free pool.
 _CALLBACK_POOL_MAX = 4096
-
-#: Environment variable forcing the pre-batching reference kernel.
-KERNEL_REFERENCE_ENV = "KERNEL_REFERENCE"
-
-
-def _reference_default() -> bool:
-    """Whether ``KERNEL_REFERENCE`` requests the reference (slow) kernel."""
-    return os.environ.get(KERNEL_REFERENCE_ENV, "").strip() not in ("", "0")
 
 
 class EmptySchedule(Exception):
@@ -63,25 +54,23 @@ class Environment:
       sequence block for all entries of one broadcast and keeps them in a
       single sorted :class:`ScheduledBatch`; see its docstring.
 
-    Constructing with ``reference=True`` — or setting the
-    ``KERNEL_REFERENCE=1`` environment variable — disables both
-    specialisations: every entry is heap-scheduled individually, which is
-    the pre-batching kernel.  The differential test suite runs every
-    scenario under both kernels and asserts byte-identical outcomes.
+    The pre-batching kernel — every entry heap-scheduled individually —
+    lives on as ``tests/reference_kernel.py::ReferenceEnvironment``, a
+    subclass overriding the three scheduling methods; the differential test
+    suite runs every scenario under both and asserts byte-identical outcomes.
     """
 
     __slots__ = ("_now", "_queue", "_bucket", "_sequence", "_active_process",
-                 "_callback_pool", "reference", "strict_errors")
+                 "_callback_pool", "strict_errors")
 
-    def __init__(self, initial_time: float = 0.0, strict_errors: bool = True,
-                 reference: Optional[bool] = None) -> None:
+    def __init__(self, initial_time: float = 0.0,
+                 strict_errors: bool = True) -> None:
         self._now = float(initial_time)
         self._queue: list[tuple[float, int, int, Any]] = []
         self._bucket: deque[Any] = deque()
         self._sequence = 0
         self._active_process: Optional[Process] = None
         self._callback_pool: list[ScheduledCallback] = []
-        self.reference = _reference_default() if reference is None else bool(reference)
         #: When True, exceptions escaping a process propagate out of ``run``.
         self.strict_errors = strict_errors
 
@@ -137,7 +126,7 @@ class Environment:
             timer = ScheduledCallback(fn, arg)
         now = self._now
         when = now + delay
-        if when <= now and not self.reference:
+        if when <= now:
             self._bucket.append(timer)
             return
         self._sequence += 1
@@ -171,7 +160,7 @@ class Environment:
             raise ValueError(f"negative delay {delay!r}")
         now = self._now
         when = now + delay
-        if when <= now and priority == 1 and not self.reference:
+        if when <= now and priority == 1:
             # Same-instant default-priority entries keep FIFO order in the
             # bucket; everything already heap-queued for this instant has a
             # smaller sequence number, so heap-first dispatch preserves the
@@ -188,9 +177,8 @@ class Environment:
         All entries must lie strictly in the future.  A contiguous sequence
         block is reserved in ``args`` order, so the fire order (and every tie
         with unrelated queue entries) is exactly what per-entry
-        :meth:`call_later` calls would have produced.  On the batched kernel
-        the entries ride one :class:`ScheduledBatch` heap slot; the reference
-        kernel expands them into per-copy pooled timers.
+        :meth:`call_later` calls would have produced.  The entries ride one
+        :class:`ScheduledBatch` heap slot.
         """
         k = len(times)
         if k == 0:
@@ -198,18 +186,6 @@ class Environment:
         base = self._sequence + 1
         self._sequence = base + k - 1
         queue = self._queue
-        if self.reference:
-            pool = self._callback_pool
-            push = heapq.heappush
-            for i in range(k):
-                if pool:
-                    timer = pool.pop()
-                    timer.fn = fn
-                    timer.arg = args[i]
-                else:
-                    timer = ScheduledCallback(fn, args[i])
-                push(queue, (times[i], 1, base + i, timer))
-            return
         batch = ScheduledBatch(fn)
         pairs = sorted(zip(times, range(k)))
         batch.entries = [(t, 1, base + i, batch, j)

@@ -58,9 +58,7 @@ def cluster_result():
     *fresh* runs should call ``run_cluster`` directly.
     """
     run_params = ("protocol", "duration", "warmup", "seed", "latency_model",
-                  "geo_distributed", "crash_schedule", "byzantine_nodes",
-                  "adversary", "fault_controller", "latency_trim", "setup",
-                  "excluded_nodes", "backend")
+                  "faults", "adversary", "latency_trim", "setup", "backend")
     defaults = dict(n_nodes=4, workers=1, batch_size=10, tx_size=512,
                     duration=0.6, warmup=0.1, seed=3)
     cache: dict = {}

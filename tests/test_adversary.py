@@ -47,10 +47,10 @@ def _run(strategy: str, protocol: str = "fireledger", lanes: int = 1,
     if protocol == "hotstuff":
         # Stock 1.0s view timeout would eat the whole run waiting out the
         # Byzantine leader's views; shorten it so progress fits the test.
-        from repro.protocols.hotstuff import HotStuffProtocol
+        from repro.baselines.hotstuff import HotStuffProtocol
         protocol = HotStuffProtocol(view_timeout=0.15)
     return run_cluster(config, protocol=protocol, duration=1.0, warmup=0.1,
-                       seed=seed, byzantine_nodes=frozenset({3}),
+                       seed=seed, faults=FaultSchedule((byzantine(3),)),
                        adversary=strategy, **kwargs)
 
 

@@ -46,6 +46,16 @@ class DropEverything(FaultController):
         return True
 
 
+class DropTo(FaultController):
+    """Drops every message addressed to one receiver."""
+
+    def __init__(self, receiver):
+        self.receiver = receiver
+
+    def should_drop(self, message, now, rng):
+        return message.receiver == self.receiver
+
+
 # ------------------------------------------------------------------- timers
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_timers_fire_in_delay_order(backend):
@@ -151,6 +161,91 @@ def test_recover_resets_nic_backlog(backend):
         network.crash(0)
         network.recover(0)
         assert network.endpoint(0).nic_backlog == 0.0
+    finally:
+        close_env(env)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_broadcast_excludes_and_counts_fault_dropped_copies(backend):
+    env = make_env(backend)
+    try:
+        network = make_network(backend, env, 4, fault_controller=DropTo(2))
+        messages = network.broadcast(0, "consensus", "vote", payload=b"v",
+                                     size_bytes=64)
+        assert [message.receiver for message in messages] == [1, 3]
+        # The dropped copy counts as sent (bytes too) *and* dropped.
+        assert network.stats.messages_sent == 3
+        assert network.stats.messages_dropped == 1
+        assert network.stats.bytes_sent == 3 * messages[0].size_bytes
+        assert network.stats.messages_of_kind("vote") == 3
+    finally:
+        close_env(env)
+
+
+@pytest.mark.parametrize("fault_controller", [None, FaultController()],
+                         ids=["fault-free", "no-op-controller"])
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_broadcast_include_self_sits_at_receiver_slot(backend,
+                                                      fault_controller):
+    """Both broadcast paths (the sim's fault-free fan-out and the shared
+    per-copy loop) return the loopback copy in receiver order."""
+    env = make_env(backend)
+    try:
+        network = make_network(backend, env, 4,
+                               fault_controller=fault_controller)
+        inbox = []
+        network.endpoint(2).router = inbox.append
+        sent = []
+        env.call_later(0.0, lambda _arg: sent.extend(network.broadcast(
+            2, "consensus", "vote", payload=b"v", include_self=True)))
+        env.run(until=HORIZON)
+        assert [message.receiver for message in sent] == [0, 1, 2, 3]
+        assert network.stats.messages_sent == 4
+        assert [message.sender for message in inbox] == [2]
+        assert network.stats.messages_delivered == 4
+    finally:
+        close_env(env)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_crash_and_recover_are_idempotent(backend):
+    env = make_env(backend)
+    try:
+        network = make_network(backend, env, 2)
+        network.send(0, 1, "blocks", "block", payload=b"x" * (1 << 20),
+                     size_bytes=1 << 20)
+        # Recovering a node that is up is a no-op: its backlog survives.
+        network.recover(0)
+        assert not network.is_crashed(0)
+        assert network.endpoint(0).nic_backlog > 0.0
+        network.crash(0)
+        dropped = network.stats.messages_dropped
+        network.crash(0)
+        assert network.is_crashed(0)
+        assert network.stats.messages_dropped == dropped
+        network.recover(0)
+        network.recover(0)
+        assert not network.is_crashed(0)
+        assert network.send(0, 1, "consensus", "vote", payload=b"v") is not None
+    finally:
+        close_env(env)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_message_to_crashed_receiver_counts_a_drop(backend):
+    env = make_env(backend)
+    try:
+        network = make_network(backend, env, 2)
+        inbox = []
+        network.endpoint(1).router = inbox.append
+        network.crash(1)
+        # The sender cannot know: the message leaves, then dies undelivered.
+        assert network.send(0, 1, "consensus", "vote", payload=b"v") is not None
+        env.run(until=HORIZON)
+        assert inbox == []
+        assert network.stats.messages_sent == 1
+        assert network.stats.messages_dropped == 1
+        assert network.stats.messages_delivered == 0
     finally:
         close_env(env)
 

@@ -114,6 +114,7 @@ def test_list_shows_every_registered_experiment(capsys):
     out = capsys.readouterr().out
     for name in registry.names():
         assert name in out
+    assert "adversary strategies" in out and "targeted-equivocate" in out
 
 
 def test_run_prints_rows_and_records(tmp_path, capsys):

@@ -1,12 +1,13 @@
-"""Differential tests: batched kernel vs the KERNEL_REFERENCE slow path.
+"""Differential tests: the shipped kernel vs the test-tree reference oracle.
 
 The batched delivery train, the same-instant bucket and the block latency
 sampler are pure optimisations — the tentpole claim is *observational
 equivalence*: for every protocol and scenario the batched kernel must
 produce the exact delivery sequence, chain contents and state roots the
-pre-batching per-copy-timer kernel produces.  These tests run full
-scenarios under both kernels and compare every metric row field exactly
-(floats included: zero tolerance), plus the cross-node state root.
+pre-batching per-copy-timer kernel
+(:class:`tests.reference_kernel.ReferenceEnvironment`) produces.  These tests
+run full scenarios under both kernels and compare every metric row field
+exactly (floats included: zero tolerance), plus the cross-node state root.
 """
 
 from __future__ import annotations
@@ -16,12 +17,14 @@ import pytest
 from repro.scenarios.library import SCENARIOS
 from repro.scenarios.runner import run_scenario
 from repro.sim import Environment
-from repro.sim.environment import KERNEL_REFERENCE_ENV
+from tests.reference_kernel import ReferenceEnvironment, use_reference
 
 
 def _rows(monkeypatch, name: str, reference: bool, **kwargs) -> list[dict]:
-    monkeypatch.setenv(KERNEL_REFERENCE_ENV, "1" if reference else "0")
-    return run_scenario(SCENARIOS[name], **kwargs)
+    with monkeypatch.context() as patch:
+        if reference:
+            use_reference(patch)
+        return run_scenario(SCENARIOS[name], **kwargs)
 
 
 def _assert_identical(batched: list[dict], reference: list[dict]) -> None:
@@ -76,26 +79,13 @@ def test_adversary_strategies_identical_across_kernels(monkeypatch, adversary):
     assert batched[0]["state_root"]
 
 
-def test_reference_env_var_forces_slow_kernel(monkeypatch):
-    monkeypatch.setenv(KERNEL_REFERENCE_ENV, "1")
-    assert Environment().reference
-    monkeypatch.setenv(KERNEL_REFERENCE_ENV, "0")
-    assert not Environment().reference
-    monkeypatch.delenv(KERNEL_REFERENCE_ENV)
-    assert not Environment().reference
-    # The constructor argument wins over the environment variable.
-    monkeypatch.setenv(KERNEL_REFERENCE_ENV, "1")
-    assert not Environment(reference=False).reference
-
-
-def test_reference_kernel_expands_batches_per_copy(monkeypatch):
+def test_reference_kernel_expands_batches_per_copy():
     """On the reference kernel a fan-out occupies one heap slot per copy."""
-    monkeypatch.delenv(KERNEL_REFERENCE_ENV, raising=False)
     fired = []
     batched = Environment()
     batched.schedule_batch([1.0, 2.0, 3.0], ["a", "b", "c"], fired.append)
     assert len(batched._queue) == 1  # noqa: SLF001 - one train slot
-    reference = Environment(reference=True)
+    reference = ReferenceEnvironment()
     reference.schedule_batch([1.0, 2.0, 3.0], ["a", "b", "c"], fired.append)
     assert len(reference._queue) == 3  # noqa: SLF001 - per-copy timers
     batched.run()

@@ -252,6 +252,20 @@ def test_lanes_survive_crash_recover_with_state_agreement():
     assert "lane_skew" in row
 
 
+def test_lanes_win_where_ordering_is_the_bottleneck():
+    """The overloaded flash-crowd point is ordering-bound, so four lanes
+    commit strictly more transactions than one (the ALDER-style claim)."""
+    from repro.scenarios import library
+    from repro.scenarios.runner import run_scenario
+
+    spec = library.get("flash-crowd")
+    (one,) = run_scenario(spec, lanes=1)
+    (four,) = run_scenario(spec, lanes=4)
+    assert one["state_root"] and four["state_root"]
+    assert four["tps"] > one["tps"]
+    assert four["lane_skew"] >= 1.0
+
+
 # -------------------------------------------------------------- sweep axis
 def test_lanes_axis_on_scenarios_and_config_id_canonicalization():
     from repro.experiments import registry

@@ -5,7 +5,10 @@ wiring, cross-protocol determinism, the HotStuff view-timeout regression,
 the protocol sweep axis, and the head-to-head report table.
 """
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -16,9 +19,9 @@ from repro.crypto.cost_model import C5_4XLARGE
 from repro.experiments import registry
 from repro.experiments.harness import ExperimentScale
 from repro.experiments.sweep import config_id
-from repro.faults.crash import CrashSchedule
 from repro.metrics import report
 from repro.scenarios import library
+from repro.scenarios.faultplan import FaultSchedule, byzantine, crash
 from repro.scenarios.runner import run_scenario
 
 PROTOCOLS = ("fireledger", "hotstuff", "bftsmart")
@@ -32,6 +35,21 @@ def test_registry_ships_all_three_protocols():
         assert impl.name == name
         assert protocols.resolve(name) is impl
         assert protocols.resolve(impl) is impl
+
+
+@pytest.mark.parametrize("module", [
+    "repro.baselines.hotstuff", "repro.baselines.bftsmart",
+    "repro.protocols.base", "repro.net.network", "repro.runtime.network",
+    "repro.core.cluster"])
+def test_module_imports_first_in_a_fresh_interpreter(module):
+    """``protocols`` registers the baselines and the baselines subclass
+    ``protocols.base``: either side of that cycle must work as the entry
+    point, and the registry must come up complete and in order."""
+    code = (f"import {module}; import repro.protocols as p; "
+            f"assert p.names() == {list(PROTOCOLS)!r}, p.names()")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env,
+                   timeout=60)
 
 
 def test_registry_rejects_unknown_protocol():
@@ -108,21 +126,21 @@ def test_hotstuff_skips_crashed_leaders_views_and_stays_live():
     from repro.protocols import HotStuffProtocol
 
     n_nodes, crash_at, duration = 4, 1.0, 3.0
-    victim = n_nodes - 1  # crash_f_nodes crashes the last f nodes
+    victim = n_nodes - 1
     config = FireLedgerConfig(n_nodes=n_nodes, batch_size=10, tx_size=256)
-    crash = CrashSchedule.crash_f_nodes(n_nodes, 1, at=crash_at)
     # A protocol *instance* plugs in too — here with a tighter view timeout
     # so the crashed leader's rotations cost 0.1s, not the 1s default.
     result = run_cluster(config, protocol=HotStuffProtocol(view_timeout=0.1),
                          duration=duration, warmup=0.2, seed=3,
-                         crash_schedule=crash)
+                         faults=FaultSchedule((crash(victim, at=crash_at),)))
 
     survivor = result.nodes[0]
     committed_after = [block for block in survivor.committed
                       if block.proposed_at > crash_at + 0.1]
     assert committed_after, "chain must stay live after the leader crash"
     # The victim's views never produce a proposal after the crash...
-    assert all(block.view % n_nodes != victim for block in committed_after)
+    assert all(block.sequence % n_nodes != victim
+               for block in committed_after)
     # ...and every survivor observed at least one view timeout.
     assert result.breakdown["views_timed_out"] >= 1
     # Commits continue until the end of the run, not just once.
@@ -133,12 +151,12 @@ def test_hotstuff_skips_crashed_leaders_views_and_stays_live():
 def test_hotstuff_silent_byzantine_node_exercises_view_skip(cluster_result):
     result = cluster_result(batch_size=10, tx_size=256, protocol="hotstuff",
                             duration=3.0, warmup=0.2, seed=3,
-                            byzantine_nodes=frozenset({2}))
+                            faults=FaultSchedule((byzantine(2),)))
     assert result.blocks_committed > 0
     assert result.breakdown["views_timed_out"] >= 1
     # The silent node never runs, so it commits nothing.
     assert result.nodes[2].committed == []
-    committed_views = {block.view for block in result.nodes[0].committed}
+    committed_views = {block.sequence for block in result.nodes[0].committed}
     assert committed_views and all(view % 4 != 2 for view in committed_views)
 
 

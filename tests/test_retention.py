@@ -19,6 +19,7 @@ from repro.metrics.recorder import (
     EVENT_TENTATIVE_DECISION,
 )
 from repro.protocols.base import SharedTxPool
+from repro.scenarios.faultplan import FaultSchedule, byzantine
 from repro.scenarios.spec import PoolSpec, RetentionSpec, ScenarioSpec
 
 
@@ -486,11 +487,11 @@ def test_byzantine_recovery_still_works_with_retention(cluster_result):
     result = cluster_result(**BASE, retention_rounds=32,
                             metrics_horizon_rounds=32,
                             duration=1.0, warmup=0.2, seed=7,
-                            byzantine_nodes=frozenset({3}))
+                            faults=FaultSchedule((byzantine(3),)))
     assert result.recoveries > 0
     assert result.tps > 0
     exact = cluster_result(**BASE, duration=1.0, warmup=0.2, seed=7,
-                           byzantine_nodes=frozenset({3}))
+                           faults=FaultSchedule((byzantine(3),)))
     span_keys = {k for k in exact.breakdown if "->" in k}
     assert {"C->D", "D->E"} <= span_keys
     assert {k for k in result.breakdown if "->" in k} == span_keys

@@ -305,9 +305,11 @@ def test_zero_delay_call_later_runs_now(env):
 # --------------------------------------------------------------------------
 # Property tests: the bucketed/batched event queue must behave exactly like
 # a stable sort of (time, priority, sequence) — and exactly like the
-# KERNEL_REFERENCE per-entry heap kernel.
+# per-entry heap oracle (tests/reference_kernel.py).
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from tests.reference_kernel import ReferenceEnvironment  # noqa: E402
 
 _DELAYS = st.sampled_from([0.0, 0.0, 0.25, 0.5, 1.0, 1.0 + 2**-40])
 _KINDS = st.sampled_from(["call_later", "timeout", "event"])
@@ -342,8 +344,8 @@ def test_fire_order_matches_stable_sort_oracle(ops):
 @given(ops=st.lists(st.tuples(_KINDS, _DELAYS), max_size=24))
 def test_batched_and_reference_kernels_fire_identically(ops):
     logs = []
-    for reference in (False, True):
-        env = Environment(reference=reference)
+    for kernel in (Environment, ReferenceEnvironment):
+        env = kernel()
         log = []
         _schedule(env, ops, log)
         env.run()
@@ -372,8 +374,8 @@ def test_same_instant_priorities_respected(priorities):
 def test_delivery_trains_interleave_like_per_copy_timers(trains, singles):
     """schedule_batch must fire exactly like per-entry call_later timers."""
     logs = []
-    for reference in (False, True):
-        env = Environment(reference=reference)
+    for kernel in (Environment, ReferenceEnvironment):
+        env = kernel()
         log = []
         for train_id, times in enumerate(trains):
             env.schedule_batch([t for t in times],
@@ -392,8 +394,8 @@ def test_delivery_trains_interleave_like_per_copy_timers(trains, singles):
 def test_nested_scheduling_matches_reference_kernel(data):
     """Callbacks that schedule further work mid-run stay kernel-agnostic."""
     logs = []
-    for reference in (False, True):
-        env = Environment(reference=reference)
+    for kernel in (Environment, ReferenceEnvironment):
+        env = kernel()
         log = []
         for index, (outer, inner) in enumerate(data):
             def fire(arg, inner=inner):

@@ -317,3 +317,18 @@ def test_backend_sim_sweep_resumes_against_committed_records(tmp_path):
                         results_dir=tmp_path, scale_label="default")
     assert outcome == {"ran": 0, "skipped": 1,
                        "path": str(results_path(tmp_path, spec.name))}
+
+
+def test_committed_report_is_what_the_committed_results_render():
+    """EXPERIMENTS.md is a pure function of ``results/*.jsonl``: every
+    section (head-to-head comparison, lanes, adversary strategies, ...)
+    renders, byte for byte, from the records in the tree."""
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[1]
+    rendered = report.render_experiments_md(
+        report.load_results(root / "results"))
+    assert rendered == (root / "EXPERIMENTS.md").read_text()
+    for heading in ("Head-to-head protocol comparison",
+                    "## Adversary strategies"):
+        assert heading in rendered
