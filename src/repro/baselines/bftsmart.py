@@ -43,6 +43,8 @@ class BFTSmartReplica(PooledReplicaMixin):
     """One replica of the BFT-SMaRt-style ordering service."""
 
     CHANNEL = "bftsmart"
+    #: Mailbox key table: every message belongs to one consensus instance.
+    KEY_FIELDS = {PROPOSE: "seq", WRITE: "seq", ACCEPT: "seq"}
     TAG = "smart"
     HEADER_OVERHEAD = _HEADER_OVERHEAD
 
@@ -92,9 +94,7 @@ class BFTSmartReplica(PooledReplicaMixin):
         next_seq = 0
         while True:
             proposal = yield from self.context.wait_message(
-                lambda m, s=next_seq: (m.kind == PROPOSE and m.payload["seq"] == s
-                                       and m.sender == self.leader),
-                timeout=self.timeout)
+                PROPOSE, next_seq, sender=self.leader, timeout=self.timeout)
             if proposal is None:
                 self.instances_timed_out += 1
                 continue
@@ -105,21 +105,21 @@ class BFTSmartReplica(PooledReplicaMixin):
             self.context.broadcast(WRITE, {"seq": next_seq}, size_bytes=_ACK_SIZE,
                                    include_self=True)
             writes = yield from self.context.collect_messages(
-                lambda m, s=next_seq: m.kind == WRITE and m.payload["seq"] == s,
-                count=quorum, timeout=self.timeout)
+                WRITE, next_seq, count=quorum, timeout=self.timeout)
             if len(writes) < quorum:
                 continue
             self.context.broadcast(ACCEPT, {"seq": next_seq}, size_bytes=_ACK_SIZE,
                                    include_self=True)
             accepts = yield from self.context.collect_messages(
-                lambda m, s=next_seq: m.kind == ACCEPT and m.payload["seq"] == s,
-                count=quorum, timeout=self.timeout)
+                ACCEPT, next_seq, count=quorum, timeout=self.timeout)
             if len(accepts) < quorum:
                 continue
             self._commit(next_seq, proposal.payload["tx_count"],
                          proposal.payload.get("transactions", ()),
                          self.leader, proposal.payload["proposed_at"])
             next_seq += 1
+            # The f stragglers of every quorum step arrive after it completed.
+            self.context.inbox.discard_below(next_seq)
 
 
 class BFTSmartProtocol(LeaderDrivenProtocol):

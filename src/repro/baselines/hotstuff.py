@@ -42,6 +42,8 @@ class HotStuffReplica(PooledReplicaMixin):
     """One HotStuff replica."""
 
     CHANNEL = "hotstuff"
+    #: Mailbox key table: proposals and votes belong to one view.
+    KEY_FIELDS = {PROPOSAL: "view", VOTE: "view"}
     TAG = "hs"
     HEADER_OVERHEAD = _HEADER_OVERHEAD
 
@@ -60,6 +62,8 @@ class HotStuffReplica(PooledReplicaMixin):
         while True:
             view = self.view
             leader = self._leader_of(view)
+            # Votes for view v - 1 are collected by the leader of view v.
+            self.context.inbox.discard_below(view - 1)
 
             if leader == self.node_id:
                 # Wait for the QC of the previous view (the votes addressed to
@@ -68,8 +72,7 @@ class HotStuffReplica(PooledReplicaMixin):
                 # the leader proposes immediately (the NEW-VIEW path).
                 if view > 0 and seen_proposal_view == view - 1:
                     votes = yield from self.context.collect_messages(
-                        lambda m, v=view: m.kind == VOTE and m.payload["view"] == v - 1,
-                        count=quorum, timeout=self.timeout)
+                        VOTE, view - 1, count=quorum, timeout=self.timeout)
                     if len(votes) >= quorum:
                         # Aggregate-signature verification of the QC.
                         yield from self.context.use_cpu(self.cost.verify_time(0))
@@ -85,9 +88,7 @@ class HotStuffReplica(PooledReplicaMixin):
                                        include_self=True)
 
             proposal = yield from self.context.wait_message(
-                lambda m, v=view: (m.kind == PROPOSAL and m.payload["view"] == v
-                                   and m.sender == self._leader_of(v)),
-                timeout=self.timeout)
+                PROPOSAL, view, sender=leader, timeout=self.timeout)
             if proposal is None:
                 self.views_timed_out += 1
                 self.view += 1

@@ -20,9 +20,9 @@ from repro.core.context import ProtocolContext
 from repro.crypto.cost_model import CryptoCostModel
 from repro.ledger.delivery import Delivery, DeliveryStream
 from repro.ledger.transaction import Transaction
-from repro.net.network import Network
+from repro.net.network import Network, discard
 from repro.protocols.base import ConsensusProtocol, NodeMetrics, SharedTxPool
-from repro.sim import Environment, Store
+from repro.sim import Environment
 
 
 @dataclass
@@ -36,12 +36,14 @@ class CommitRecord:
 
 
 class PooledReplicaMixin:
-    """A concrete replica sets :attr:`CHANNEL`, :attr:`TAG` and
-    :attr:`HEADER_OVERHEAD`, calls :meth:`_commit` from its loop (``run``,
+    """A concrete replica sets :attr:`CHANNEL`, :attr:`KEY_FIELDS`, :attr:`TAG`
+    and :attr:`HEADER_OVERHEAD`, calls :meth:`_commit` from its loop (``run``,
     or whatever :meth:`processes` names)."""
 
     #: Network channel of the concrete protocol's traffic.
     CHANNEL = ""
+    #: Mailbox key table of the concrete protocol's message kinds.
+    KEY_FIELDS: dict = {}
     #: Leading element of the protocol's delivery tags.
     TAG = ""
     #: Per-batch framing bytes of the concrete protocol's wire format.
@@ -68,7 +70,7 @@ class PooledReplicaMixin:
         self.pool = pool
         self.fill_blocks = fill_blocks
         self.context = ProtocolContext(env, network, node_id, self.CHANNEL,
-                                       inbox=Store(env))
+                                       self.KEY_FIELDS)
         network.endpoint(node_id).router = self.context.inbox.put
         self.committed: list[CommitRecord] = []
         #: Delivery seam: one Delivery per commit, in the protocol's total
@@ -102,7 +104,7 @@ class PooledReplicaMixin:
         inbox would only grow memory.
         """
         self.silent = True
-        network.endpoint(self.node_id).router = lambda message: None
+        network.endpoint(self.node_id).router = discard
 
     def submit_transaction(self, size_bytes: Optional[int] = None,
                            client_id: int = 0,

@@ -33,6 +33,11 @@ BBC_COORD = "BBC_COORD"
 BBC_AUX = "BBC_AUX"
 BBC_DECIDED = "BBC_DECIDED"
 
+#: Mailbox key table: the step messages are keyed per phase, ``DECIDED``
+#: per instance (it terminates whatever phase the receiver is in).
+KEY_FIELDS = {BBC_EST: ("tag", "phase"), BBC_COORD: ("tag", "phase"),
+              BBC_AUX: ("tag", "phase"), BBC_DECIDED: "tag"}
+
 #: Small wire size of a binary-consensus control message.
 _CONTROL_SIZE = 112
 
@@ -57,17 +62,10 @@ class BinaryConsensus:
     def _payload(self, phase: int, value: int) -> dict:
         return {"tag": self.tag, "phase": phase, "value": value}
 
-    def _matcher(self, kind: str, phase: Optional[int] = None):
-        def _match(message) -> bool:
-            if message.kind not in (kind, BBC_DECIDED):
-                return False
-            payload = message.payload
-            if payload.get("tag") != self.tag:
-                return False
-            if message.kind == BBC_DECIDED:
-                return True
-            return phase is None or payload.get("phase") == phase
-        return _match
+    def _wait_step(self, kind: str, phase: int, timeout: float):
+        """Next ``kind`` message of ``phase`` or ``DECIDED``, whichever arrived first."""
+        return self.context.wait_message(kind, (self.tag, phase), timeout=timeout,
+                                         alt=(BBC_DECIDED, self.tag))
 
     # ------------------------------------------------------------------- run
     def propose(self, value: int):
@@ -160,8 +158,8 @@ class BinaryConsensus:
         values: list[int] = []
         senders: set[int] = set()
         while len(values) < quorum:
-            message = yield from self.context.wait_message(
-                self._matcher(kind, phase), timeout=self.phase_timeout * 4)
+            message = yield from self._wait_step(kind, phase,
+                                                 self.phase_timeout * 4)
             if message is None:
                 # Timed out: return what we have; the caller tolerates short
                 # collections (it only uses them for counting).
@@ -184,8 +182,7 @@ class BinaryConsensus:
             remaining = deadline - self.context.now
             if remaining <= 0:
                 return None, None
-            message = yield from self.context.wait_message(
-                self._matcher(BBC_COORD, phase), timeout=remaining)
+            message = yield from self._wait_step(BBC_COORD, phase, remaining)
             if message is None:
                 return None, None
             decision = self._check_decided(message, decided_votes)

@@ -15,12 +15,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
-from repro.consensus.bbc import BinaryConsensus
+from repro.consensus.bbc import KEY_FIELDS as BBC_KEY_FIELDS, BinaryConsensus
 from repro.core.context import ProtocolContext
 
 OBBC_VOTE = "OBBC_VOTE"
 OBBC_EV_REQ = "OBBC_EV_REQ"
 OBBC_EV_RESP = "OBBC_EV_RESP"
+
+#: Mailbox key table (``OBBC_EV_REQ`` is served by the node's dispatcher and
+#: never buffered); includes the fallback's kinds.
+KEY_FIELDS = {**BBC_KEY_FIELDS, OBBC_VOTE: "tag", OBBC_EV_RESP: "tag"}
 
 _VOTE_BASE_SIZE = 112
 _EV_REQ_SIZE = 100
@@ -54,11 +58,6 @@ class OptimisticBinaryConsensus:
         self.favoured_value = 1
 
     # -------------------------------------------------------------- messaging
-    def _match_kind(self, kind: str):
-        def _match(message) -> bool:
-            return message.kind == kind and message.payload.get("tag") == self.tag
-        return _match
-
     def broadcast_vote(self, value: int, piggyback: Any = None,
                        piggyback_size: int = 0) -> None:
         """Broadcast this node's vote (with optional piggybacked data)."""
@@ -106,7 +105,7 @@ class OptimisticBinaryConsensus:
         votes: dict[int, int] = {}
         while len(votes) < quorum:
             message = yield from self.context.wait_message(
-                self._match_kind(OBBC_VOTE), timeout=self.collect_timeout)
+                OBBC_VOTE, self.tag, timeout=self.collect_timeout)
             if message is None:
                 break
             votes.setdefault(message.sender, message.payload["value"])
@@ -123,7 +122,7 @@ class OptimisticBinaryConsensus:
         evidences: dict[int, Any] = {self.context.node_id: evidence}
         while len(evidences) < quorum:
             message = yield from self.context.wait_message(
-                self._match_kind(OBBC_EV_RESP), timeout=self.collect_timeout)
+                OBBC_EV_RESP, self.tag, timeout=self.collect_timeout)
             if message is None:
                 break
             evidences.setdefault(message.sender, message.payload.get("evidence"))

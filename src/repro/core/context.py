@@ -12,12 +12,12 @@ recovery procedure (Section 6.1.2).
 
 from __future__ import annotations
 
-import random
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Mapping, Optional
 
+from repro.core.mailbox import Mailbox
 from repro.net.message import MESSAGE_OVERHEAD_BYTES, Message
 from repro.net.network import Network
-from repro.sim import Environment, Store
+from repro.sim import Environment
 
 
 class PanicInterrupt(Exception):
@@ -39,30 +39,26 @@ class ProtocolContext:
         The local node.
     channel:
         Channel name namespacing this protocol's traffic.
-    inbox:
-        Store receiving this channel's round-trip traffic (filled by the node's
-        dispatcher).
-    rng:
-        Per-node deterministic random source.
+    key_fields:
+        The protocol's ``KEY_FIELDS`` table; ``inbox`` is the keyed
+        :class:`~repro.core.mailbox.Mailbox` over it, filled by the node's
+        dispatcher through ``inbox.put``.
     interrupt_check:
         Optional callable returning a truthy "panic" object when the protocol
         should abandon its current wait.
     """
 
     def __init__(self, env: Environment, network: Network, node_id: int,
-                 channel: str, inbox: Optional[Store] = None,
-                 rng: Optional[random.Random] = None,
+                 channel: str, key_fields: Mapping[str, Any],
                  interrupt_check: Optional[Callable[[], Any]] = None) -> None:
         self.env = env
         self.network = network
         self.node_id = node_id
         self.channel = channel
-        self.inbox = inbox if inbox is not None else Store(env)
-        self.rng = rng or random.Random(node_id)
+        self.inbox = Mailbox(env, key_fields)
         self.interrupt_check = interrupt_check
         #: Event triggered whenever a panic becomes pending; waits watch it.
         self._wake_event = env.event()
-        self.signature_operations = 0
         # Hot-path constants: the endpoint never changes for a node's
         # lifetime and the machine spec is frozen, so resolve both once
         # instead of per received message.
@@ -112,30 +108,32 @@ class ProtocolContext:
             return
         yield from self._endpoint.cpu.use(duration)
 
-    def count_signature(self, operations: int = 1) -> None:
-        """Record asymmetric signature operations (Table 1 accounting)."""
-        self.signature_operations += operations
-
     # ----------------------------------------------------------------- waits
-    def wait_message(self, predicate: Callable[[Message], bool],
-                     timeout: Optional[float] = None):
-        """Wait for a matching message; return it, or ``None`` on timeout.
+    def wait_message(self, kind: str, key: Any, sender: Optional[int] = None,
+                     timeout: Optional[float] = None,
+                     alt: Optional[tuple] = None):
+        """Wait for the next ``kind`` message of instance ``key`` (from
+        ``sender``, if given); return it, or ``None`` on timeout.
 
-        Raises :class:`PanicInterrupt` if the interrupt check fires while
-        waiting (or is already pending on entry).
+        ``alt`` names a second ``(kind, key)`` bucket: whichever of the two
+        holds the older arrival is served first.  Raises
+        :class:`PanicInterrupt` if the interrupt check fires while waiting
+        (or is already pending on entry).
         """
         panic = self._pending_interrupt()
         if panic:
             raise PanicInterrupt(panic)
-        message = self.inbox.try_get(predicate)
+        keys = ((kind, key),) if alt is None else ((kind, key), alt)
+        inbox = self.inbox
+        message = inbox.take(keys, sender)
         if message is not None:
             # Fast path: the message is already buffered — skip the
-            # get-event/AnyOf/timeout machinery entirely.
+            # wait-event/AnyOf/timeout machinery entirely.
             yield from self.use_cpu(self._message_cpu)
             return message
         deadline = None if timeout is None else self.env.now + timeout
         while True:
-            get_event = self.inbox.get(predicate)
+            get_event = inbox.wait(keys, sender)
             waits = [get_event, self._wake_event]
             if deadline is not None:
                 remaining = max(0.0, deadline - self.env.now)
@@ -147,9 +145,9 @@ class ProtocolContext:
                 # worker's thread (deserialisation, dispatch, bookkeeping).
                 yield from self.use_cpu(self._message_cpu)
                 return message
-            # The get is still registered with the store; withdraw it so a
+            # The wait is still registered with the mailbox; withdraw it so a
             # later message does not vanish into an abandoned event.
-            self._withdraw_getter(get_event)
+            inbox.cancel(get_event)
             panic = self._pending_interrupt()
             if panic:
                 raise PanicInterrupt(panic)
@@ -157,55 +155,18 @@ class ProtocolContext:
                 return None
             # Otherwise we were woken spuriously; loop and wait again.
 
-    def collect_messages(self, predicate: Callable[[Message], bool], count: int,
+    def collect_messages(self, kind: str, key: Any, count: int,
                          timeout: Optional[float] = None):
-        """Collect up to ``count`` matching messages (stops early on timeout)."""
-        collected: list[Message] = []
+        """Collect ``kind`` messages of instance ``key`` from ``count``
+        distinct senders (stops early on timeout): a sender's repeats are
+        consumed uncounted, so no replica completes a quorum by itself."""
+        collected: dict[int, Message] = {}
         deadline = None if timeout is None else self.env.now + timeout
         while len(collected) < count:
-            remaining = None
-            if deadline is not None:
-                remaining = max(0.0, deadline - self.env.now)
-            message = yield from self.wait_message(predicate, timeout=remaining)
+            remaining = (None if deadline is None
+                         else max(0.0, deadline - self.env.now))
+            message = yield from self.wait_message(kind, key, timeout=remaining)
             if message is None:
                 break
-            collected.append(message)
-        return collected
-
-    def sleep(self, duration: float):
-        """Interruptible sleep."""
-        panic = self._pending_interrupt()
-        if panic:
-            raise PanicInterrupt(panic)
-        result = yield self.env.any_of([self.env.timeout(duration), self._wake_event])
-        panic = self._pending_interrupt()
-        if panic:
-            raise PanicInterrupt(panic)
-        return result
-
-    # -------------------------------------------------------------- internal
-    def _withdraw_getter(self, get_event) -> None:
-        """Remove an unsatisfied getter from the inbox (avoids losing messages)."""
-        if get_event.triggered:
-            # The message arrived between the AnyOf firing and now: requeue it
-            # so the next wait sees it.
-            self.inbox.put(get_event.value)
-            return
-        self.inbox._getters = type(self.inbox._getters)(  # noqa: SLF001
-            (event, pred) for event, pred in self.inbox._getters  # noqa: SLF001
-            if event is not get_event
-        )
-
-    def purge_inbox(self, predicate: Callable[[Message], bool]) -> int:
-        """Drop buffered messages matching ``predicate``; returns the count."""
-        kept = []
-        dropped = 0
-        for item in self.inbox.items:
-            if predicate(item):
-                dropped += 1
-            else:
-                kept.append(item)
-        self.inbox.clear()
-        for item in kept:
-            self.inbox.put(item)
-        return dropped
+            collected.setdefault(message.sender, message)
+        return list(collected.values())

@@ -25,12 +25,19 @@ from typing import Any, Callable, Optional
 
 from repro.broadcast.atomic import AB_KINDS, AtomicBroadcast
 from repro.broadcast.reliable import RB_KINDS, ReliableBroadcast
-from repro.consensus.obbc import OBBC_EV_REQ, OBBC_EV_RESP
+from repro.consensus.obbc import OBBC_EV_REQ, OBBC_EV_RESP, OBBC_VOTE
 from repro.core.config import FireLedgerConfig
 from repro.core.context import PanicInterrupt, ProtocolContext
 from repro.core.failure_detector import BenignFailureDetector
+from repro.core.mailbox import round_of
 from repro.core.timers import AdaptiveTimer
-from repro.core.wrb import WRB_HEADER, WRB_PULL_REQ, WRB_PULL_RESP, WeakReliableBroadcast
+from repro.core.wrb import (
+    KEY_FIELDS,
+    WRB_HEADER,
+    WRB_PULL_REQ,
+    WRB_PULL_RESP,
+    WeakReliableBroadcast,
+)
 from repro.crypto.cost_model import CryptoCostModel
 from repro.crypto.keys import KeyStore
 from repro.crypto.vrf import proposer_permutation
@@ -48,12 +55,11 @@ from repro.metrics.recorder import (
 )
 from repro.net.message import Message
 from repro.net.network import Network
-from repro.sim import Environment, Store
+from repro.sim import Environment
 
 BODY = "BODY"
 BODY_REQ = "BODY_REQ"
 BODY_RESP = "BODY_RESP"
-OBBC_VOTE = "OBBC_VOTE"
 
 
 class FireLedgerWorker:
@@ -94,7 +100,7 @@ class FireLedgerWorker:
                                               config.suspect_after_timeouts,
                                               enabled=config.failure_detector)
         self.context = ProtocolContext(env, network, node_id, self.channel,
-                                       inbox=Store(env), rng=self.rng,
+                                       KEY_FIELDS,
                                        interrupt_check=self._pending_panic)
         self.wrb = WeakReliableBroadcast(
             self.context, config.f, self.timer,
@@ -247,12 +253,7 @@ class FireLedgerWorker:
         payload = message.payload
         if not isinstance(payload, dict):
             return
-        tag = payload.get("tag")
-        round_number = None
-        if isinstance(tag, int):
-            round_number = tag
-        elif isinstance(tag, tuple) and len(tag) == 2 and isinstance(tag[1], int):
-            round_number = tag[1]
+        round_number = round_of(payload.get("tag"))
         if round_number is None:
             return
         certificate = self._fast_certs.get(round_number)
@@ -605,7 +606,8 @@ class FireLedgerWorker:
         self.recent_proposers.append(proposer)
         self._advance_proposer()
         self.round += 1
-        self._purge_stale()
+        self._bound_caches()
+        self.context.inbox.discard_below(self.round)
 
     def _piggyback_provider(self, current_round: int):
         def _provide(delivered_payload):
@@ -711,26 +713,6 @@ class FireLedgerWorker:
         self._bodies.pop(root, None)
         self._body_ready_at.pop(root, None)
 
-    def _purge_stale(self) -> None:
-        self._bound_caches()
-        current = self.round
-
-        def _is_stale(message: Message) -> bool:
-            payload = message.payload
-            if not isinstance(payload, dict):
-                return False
-            tag = payload.get("tag")
-            if isinstance(tag, int):
-                return tag < current
-            if isinstance(tag, tuple) and len(tag) == 2 and isinstance(tag[1], int):
-                return tag[1] < current
-            round_number = payload.get("round")
-            if isinstance(round_number, int):
-                return round_number < current
-            return False
-
-        self.context.purge_inbox(_is_stale)
-
     # ======================================================================
     # recovery (Algorithm 3)
     # ======================================================================
@@ -779,7 +761,8 @@ class FireLedgerWorker:
         self._recovered_through = recovery_round
         self._pending_panics = [entry for entry in self._pending_panics
                                 if entry[0] > recovery_round]
-        self._purge_stale()
+        self._bound_caches()
+        self.context.inbox.discard_below(self.round)
 
     def _version_valid(self, version: ChainVersion) -> bool:
         """Objective validity of a recovery version (Algorithm 3, line 11)."""

@@ -20,7 +20,7 @@ from repro.ledger.block import Block
 from repro.ledger.transaction import Transaction
 from repro.metrics.recorder import MetricsRecorder
 from repro.net.message import Message
-from repro.net.network import Network
+from repro.net.network import Network, discard
 from repro.ledger.delivery import Delivery, DeliveryStream
 from repro.sim import Environment
 
@@ -61,8 +61,7 @@ class FLONode:
         # A silent node drops traffic at the network layer (like a crashed
         # node would); buffering a whole run's broadcasts in a never-drained
         # inbox would only grow memory.
-        network.endpoint(node_id).router = (
-            (lambda message: None) if silent else self._route)
+        network.endpoint(node_id).router = discard if silent else self._route
 
         # Round-robin delivery state.
         self._delivery_cursor = 0

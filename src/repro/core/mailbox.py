@@ -1,0 +1,133 @@
+"""Keyed protocol mailbox: O(1) message matching, stale rounds dropped whole.
+
+Every quorum step waits for ``n - f`` of ``n`` messages, so ``f`` valid
+stragglers arrive after every step.  The mailbox files each message under
+``(kind, key)`` on arrival — no predicate ever runs over what is buffered —
+and drops the buckets of finished rounds when the protocol says so.
+"""
+
+from __future__ import annotations
+
+from collections import deque
+from typing import Any, Mapping, Optional
+
+from repro.sim.events import Event
+
+
+def round_of(instance: Any) -> Optional[int]:
+    """Round ordinal of an instance: an ``int`` is its own, a ``(label, int)``
+    pair (BBC's ``("bbc", round)``) orders by the ``int``; else ``None``."""
+    if type(instance) is int:
+        return instance
+    if type(instance) is tuple and len(instance) == 2 and type(instance[1]) is int:
+        return instance[1]
+    return None
+
+
+class Mailbox:
+    """A protocol context's inbox, bucketed by ``(kind, key)``.
+
+    ``key_fields`` (each protocol module's ``KEY_FIELDS``) maps a kind to the
+    payload field holding its instance — OBBC/BBC ``tag``, WRB ``round``,
+    BFT-SMaRt ``seq``, HotStuff ``view`` — or to ``(instance field, step
+    field)`` where one instance runs several steps of a kind (BBC ``phase``).
+    ``put`` is the router entry point.  ``take`` / ``wait`` serve the oldest
+    message of one bucket, or of two (BBC waits for "this step's message *or*
+    a ``DECIDED``, whichever arrived first": bucket heads are compared by an
+    arrival counter).  A ``sender`` filter leaves other senders' messages in
+    the bucket.  A context has one waiting process, hence one waiter slot.
+
+    ``discard_below(r)`` drops every buffered instance whose round is under
+    ``r``; protocols call it whenever they advance.  The watermark is *not*
+    remembered — a straggler arriving under it is filed and goes with the
+    next call.  FireLedger's recovery can rewind the round while peers that
+    recovered earlier already send for the re-opened rounds: the call ending
+    the recovery carries the rewound round and must find that traffic.
+    """
+
+    __slots__ = ("env", "_key_fields", "_buckets", "_rounds", "_arrivals", "_waiter")
+
+    def __init__(self, env, key_fields: Mapping[str, Any]) -> None:
+        self.env = env
+        self._key_fields = key_fields
+        #: (kind, key) -> deque[(arrival, message)], oldest first.
+        self._buckets: dict[tuple, deque] = {}
+        #: round ordinal -> the bucket keys filed under it.
+        self._rounds: dict[int, list[tuple]] = {}
+        self._arrivals = 0
+        #: (event, bucket keys, sender filter) of the blocked wait, if any.
+        self._waiter: Optional[tuple[Event, tuple, Optional[int]]] = None
+
+    def __len__(self) -> int:
+        return sum(len(bucket) for bucket in self._buckets.values())
+
+    def put(self, message) -> None:
+        """File ``message``, or hand it to the blocked wait it satisfies.
+
+        A message of an undeclared kind is dropped: nothing can wait for it.
+        """
+        fields = self._key_fields.get(message.kind)
+        if fields is None:
+            return
+        payload = message.payload
+        if type(fields) is str:
+            key = instance = payload[fields]
+        else:
+            instance = payload[fields[0]]
+            key = (instance, payload[fields[1]])
+        bucket_key = (message.kind, key)
+        if self._waiter is not None:
+            event, keys, sender = self._waiter
+            if bucket_key in keys and sender in (None, message.sender):
+                self._waiter = None
+                event.succeed(message)
+                return
+        bucket = self._buckets.get(bucket_key)
+        if bucket is None:
+            bucket = self._buckets[bucket_key] = deque()
+            ordinal = round_of(instance)
+            if ordinal is not None:
+                self._rounds.setdefault(ordinal, []).append(bucket_key)
+        self._arrivals += 1
+        bucket.append((self._arrivals, message))
+
+    def take(self, keys: tuple, sender: Optional[int] = None):
+        """Pop the oldest buffered message under any of ``keys``, or ``None``."""
+        oldest = None
+        for bucket_key in keys:
+            for entry in self._buckets.get(bucket_key, ()):
+                if sender is None or entry[1].sender == sender:
+                    if oldest is None or entry < oldest:
+                        oldest, source = entry, bucket_key
+                    break
+        if oldest is None:
+            return None
+        self._buckets[source].remove(oldest)
+        return oldest[1]
+
+    def wait(self, keys: tuple, sender: Optional[int] = None) -> Event:
+        """An event firing with the next message under any of ``keys``; the
+        caller consumes its value or hands the event back to :meth:`cancel`."""
+        if self._waiter is not None:
+            raise RuntimeError("a mailbox serves one waiting process at a time")
+        event = Event(self.env)
+        message = self.take(keys, sender)
+        if message is not None:
+            event.succeed(message)
+        else:
+            self._waiter = (event, keys, sender)
+        return event
+
+    def cancel(self, event: Event) -> None:
+        """Withdraw an abandoned wait; a message that raced the cancel is
+        re-filed as the newest arrival, so the next wait sees it."""
+        if event.triggered:
+            self.put(event.value)
+        elif self._waiter is not None and self._waiter[0] is event:
+            self._waiter = None
+
+    def discard_below(self, ordinal: int) -> None:
+        """Drop every buffered instance whose round is under ``ordinal``."""
+        for stale in [r for r in self._rounds if r < ordinal]:
+            for bucket_key in self._rounds.pop(stale):
+                del self._buckets[bucket_key]

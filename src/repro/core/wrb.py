@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
+from repro.consensus.obbc import KEY_FIELDS as OBBC_KEY_FIELDS
 from repro.consensus.obbc import OBBCResult, OptimisticBinaryConsensus
 from repro.core.context import ProtocolContext
 from repro.core.timers import AdaptiveTimer
@@ -21,6 +22,10 @@ from repro.core.timers import AdaptiveTimer
 WRB_HEADER = "HEADER"
 WRB_PULL_REQ = "WRB_REQ"
 WRB_PULL_RESP = "WRB_RESP"
+
+#: Mailbox key table (``WRB_REQ`` is served by the node's dispatcher and never
+#: buffered); includes the delivery vote's OBBC/BBC kinds.
+KEY_FIELDS = {**OBBC_KEY_FIELDS, WRB_HEADER: "round", WRB_PULL_RESP: "round"}
 
 
 @dataclass
@@ -94,19 +99,13 @@ class WeakReliableBroadcast:
         for a suspected proposer.
         """
         payload = None
-
-        def _match_header(message) -> bool:
-            return (message.kind == WRB_HEADER
-                    and message.payload.get("round") == round_number
-                    and message.sender == proposer)
-
         wait_started = self.context.now
         if not skip_wait:
             deadline = self.context.now + self.timer.current
             while payload is None and self.context.now < deadline:
                 remaining = deadline - self.context.now
-                message = yield from self.context.wait_message(_match_header,
-                                                               timeout=remaining)
+                message = yield from self.context.wait_message(
+                    WRB_HEADER, round_number, sender=proposer, timeout=remaining)
                 if message is None:
                     break
                 candidate = message.payload["payload"]
@@ -163,14 +162,8 @@ class WeakReliableBroadcast:
         while True:
             attempt += 1
             self.context.broadcast(WRB_PULL_REQ, {"round": round_number})
-
-            def _match_resp(message) -> bool:
-                return (message.kind == WRB_PULL_RESP
-                        and message.payload.get("round") == round_number
-                        and message.payload.get("payload") is not None)
-
             message = yield from self.context.wait_message(
-                _match_resp, timeout=self.timer.current * attempt)
+                WRB_PULL_RESP, round_number, timeout=self.timer.current * attempt)
             if message is None:
                 continue
             candidate = message.payload["payload"]

@@ -8,7 +8,8 @@ Merkle root and to the chain history through ``previous_digest``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Optional, Sequence
 
 from repro.crypto.hashing import GENESIS_DIGEST, hash_fields
@@ -32,13 +33,20 @@ class BlockHeader:
     worker_id: int = 0
     created_at: float = 0.0
 
-    @property
+    @cached_property
     def digest(self) -> str:
-        """Digest of the header; this is what the proposer signs."""
+        """Digest of the header; this is what the proposer signs.  Memoised
+        per instance (frozen, and shared by every simulated node); not a field,
+        so ``==`` / ``hash`` / ``repr`` / ``dataclasses.replace`` never see it."""
         return hash_fields(
             "header", self.round_number, self.proposer, self.previous_digest,
             self.tx_root, self.tx_count, self.body_size_bytes, self.worker_id,
         )
+
+    def __reduce__(self):
+        # Pickle the fields only: a peer on the realtime backend must never
+        # ship a pre-filled digest, and frames must not carry the cache.
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
     @property
     def size_bytes(self) -> int:

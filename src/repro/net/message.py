@@ -42,11 +42,3 @@ class Message:
         if self.delivered_at is None:
             return None
         return self.delivered_at - self.sent_at
-
-    def matches(self, channel: Optional[str] = None, kind: Optional[str] = None) -> bool:
-        """Filter helper used by mailbox ``get`` predicates."""
-        if channel is not None and self.channel != channel:
-            return False
-        if kind is not None and self.kind != kind:
-            return False
-        return True

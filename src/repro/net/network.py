@@ -46,6 +46,10 @@ class NetworkStats:
         return total
 
 
+def discard(message) -> None:
+    """Router of a silent (fail-stop) node: traffic is dropped, not buffered."""
+
+
 class BaseEndpoint:
     """Per-node attachment point: mailbox, CPU, crash flag, byte counters.
 

@@ -7,7 +7,7 @@ loop's monotonic clock, re-based so ``now`` starts at ``initial_time`` when
 the environment is constructed; timers (``call_later`` / ``schedule_event`` /
 ``timeout``) become ``loop.call_later`` handles.  Everything layered on the
 kernel primitives — :class:`~repro.sim.process.Process` generators,
-:class:`~repro.sim.store.Store` mailboxes, :class:`~repro.sim.resource.Resource`
+:class:`~repro.sim.store.Store` queues, :class:`~repro.sim.resource.Resource`
 CPU slots, ``any_of``/``all_of`` conditions — is inherited unchanged: those
 classes only ever talk to ``schedule_event``/``timeout``/``now``, so the same
 protocol code drives either backend.

@@ -3,7 +3,7 @@
 This subpackage provides the minimal process-based simulation machinery that
 the rest of the library is built on: an :class:`~repro.sim.environment.Environment`
 that advances virtual time, generator-based processes, triggerable events,
-timeouts, composite wait conditions, mailboxes (:class:`~repro.sim.store.Store`)
+timeouts, composite wait conditions, FIFO queues (:class:`~repro.sim.store.Store`)
 and counted resources (:class:`~repro.sim.resource.Resource`).
 
 The design intentionally mirrors the small core of SimPy so that protocol code

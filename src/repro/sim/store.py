@@ -1,9 +1,11 @@
-"""Unbounded FIFO mailbox used for message delivery between processes."""
+"""Unbounded FIFO queue between processes: the kernel's generic hand-off (an
+endpoint without a router buffers its deliveries in one).  Protocol traffic is
+matched by instance through :class:`repro.core.mailbox.Mailbox` instead."""
 
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Any, Callable, Optional
+from typing import TYPE_CHECKING, Any
 
 from repro.sim.events import Event
 
@@ -12,22 +14,14 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class Store:
-    """A FIFO queue whose ``get`` returns an event.
-
-    Items are delivered to getters in FIFO order.  An optional filter function
-    may be supplied to ``get`` so that a process only wakes up for matching
-    items; non-matching items remain available for other getters.
-    """
+    """A FIFO queue whose ``get`` returns an event; getters are served in order."""
 
     __slots__ = ("env", "_items", "_getters")
 
     def __init__(self, env: "Environment") -> None:
         self.env = env
         self._items: deque[Any] = deque()
-        self._getters: deque[tuple[Event, Optional[Callable[[Any], bool]]]] = deque()
-
-    def __len__(self) -> int:
-        return len(self._items)
+        self._getters: deque[Event] = deque()
 
     @property
     def items(self) -> list[Any]:
@@ -35,36 +29,17 @@ class Store:
         return list(self._items)
 
     def put(self, item: Any) -> None:
-        """Add ``item`` to the store, waking a matching getter if one waits."""
-        # Try to satisfy a waiting getter directly (FIFO over getters).
-        for index, (event, predicate) in enumerate(self._getters):
-            if event.triggered:
-                continue
-            if predicate is None or predicate(item):
-                del self._getters[index]
-                event.succeed(item)
-                return
-        self._items.append(item)
+        """Add ``item`` to the store, waking the oldest waiting getter."""
+        if self._getters:
+            self._getters.popleft().succeed(item)
+        else:
+            self._items.append(item)
 
-    def get(self, predicate: Optional[Callable[[Any], bool]] = None) -> Event:
-        """Return an event that fires with the next (matching) item."""
+    def get(self) -> Event:
+        """Return an event that fires with the next item."""
         event = Event(self.env)
-        for index, item in enumerate(self._items):
-            if predicate is None or predicate(item):
-                del self._items[index]
-                event.succeed(item)
-                return event
-        self._getters.append((event, predicate))
+        if self._items:
+            event.succeed(self._items.popleft())
+        else:
+            self._getters.append(event)
         return event
-
-    def try_get(self, predicate: Optional[Callable[[Any], bool]] = None) -> Any:
-        """Pop and return a matching item immediately, or ``None``."""
-        for index, item in enumerate(self._items):
-            if predicate is None or predicate(item):
-                del self._items[index]
-                return item
-        return None
-
-    def clear(self) -> None:
-        """Drop all buffered items (waiting getters are left pending)."""
-        self._items.clear()

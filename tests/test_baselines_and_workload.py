@@ -2,10 +2,11 @@
 
 import pytest
 
+from repro.baselines.bftsmart import ACCEPT, PROPOSE, WRITE, BFTSmartReplica
 from repro.core.cluster import run_cluster
 from repro.core.config import FireLedgerConfig
 from repro.core.flo import FLONode
-from repro.crypto.cost_model import C5_4XLARGE
+from repro.crypto.cost_model import C5_4XLARGE, CryptoCostModel
 from repro.crypto.keys import KeyStore
 from repro.net.latency import SingleDatacenterLatency
 from repro.net.network import Network
@@ -50,6 +51,24 @@ def test_hotstuff_latency_spans_three_chain(hotstuff_result):
 def test_bftsmart_commits_blocks(bftsmart_result):
     assert bftsmart_result.blocks_committed > 10
     assert bftsmart_result.tps > 0
+
+
+@pytest.mark.parametrize("write_senders, accepts", [((2, 2), 0), ((2, 3), 1)])
+def test_bftsmart_write_quorum_counts_distinct_senders(write_senders, accepts):
+    """With its own WRITE, a replica needs two *other* writers for 2f+1: one
+    peer sending twice must not complete the quorum (no ACCEPT goes out)."""
+    env = Environment()
+    network = Network(env, 4, latency_model=SingleDatacenterLatency(),
+                      rng=random.Random(0))
+    replica = BFTSmartReplica(env, network, 1, f=1, batch_size=10, tx_size=512,
+                              cost=CryptoCostModel(C5_4XLARGE), timeout=0.5)
+    env.process(replica.run_replica())
+    network.send(0, 1, replica.CHANNEL, PROPOSE,
+                 {"seq": 0, "tx_count": 10, "transactions": (), "proposed_at": 0.0})
+    for sender in write_senders:
+        network.send(sender, 1, replica.CHANNEL, WRITE, {"seq": 0})
+    env.run(until=0.4)
+    assert network.stats.messages_of_kind(ACCEPT) == accepts * 4
 
 
 def test_baseline_throughput_ordering_matches_paper():

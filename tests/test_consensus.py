@@ -5,8 +5,9 @@ import random
 import pytest
 
 from repro.consensus import BinaryConsensus, OptimisticBinaryConsensus
+from repro.consensus.obbc import KEY_FIELDS
 from repro.core.context import ProtocolContext
-from repro.sim import Environment, Store
+from repro.sim import Environment
 from tests.conftest import make_network
 
 
@@ -14,7 +15,7 @@ def build_contexts(env, network, channel="obbc"):
     """One ProtocolContext per node, routed through the endpoint router."""
     contexts = []
     for node_id in range(network.n_nodes):
-        context = ProtocolContext(env, network, node_id, channel, inbox=Store(env))
+        context = ProtocolContext(env, network, node_id, channel, KEY_FIELDS)
         network.endpoint(node_id).router = context.inbox.put
         contexts.append(context)
     return contexts
@@ -115,22 +116,24 @@ def test_obbc_evidence_fallback_converges_on_favoured_value():
                                          fallback_phase_timeout=0.05)
         results[node_id] = yield from obbc.propose(value, evidence=evidence)
 
-    def evidence_server(node_id):
-        # Serve EV_REQs the way WRB does for a header it holds evidence for.
-        while True:
-            request = yield from contexts[node_id].wait_message(
-                lambda m: m.kind == "OBBC_EV_REQ", timeout=1.0)
-            if request is None:
-                return
-            contexts[node_id].send(request.sender, "OBBC_EV_RESP",
-                                   {"tag": request.payload["tag"],
-                                    "evidence": "proof"})
+    def serve_evidence(node_id):
+        # Serve EV_REQs from the router, the way the worker's dispatcher does
+        # for a header it holds evidence for; everything else is filed.
+        context = contexts[node_id]
+
+        def route(message):
+            if message.kind == "OBBC_EV_REQ":
+                context.send(message.sender, "OBBC_EV_RESP",
+                             {"tag": message.payload["tag"], "evidence": "proof"})
+            else:
+                context.inbox.put(message)
+        return route
 
     votes = [1, 1, 0, 0]
     for node_id in range(4):
+        network.endpoint(node_id).router = serve_evidence(node_id)
         evidence = "proof" if votes[node_id] == 1 else None
         env.process(node_process(node_id, votes[node_id], evidence))
-        env.process(evidence_server(node_id))
     env.run(until=20.0)
 
     assert all(r is not None for r in results)
@@ -160,7 +163,7 @@ def test_obbc_fallback_without_served_evidence_still_agrees():
 def test_obbc_rejects_invalid_proposals():
     env = Environment()
     network = make_network(env, 4)
-    context = ProtocolContext(env, network, 0, "x", inbox=Store(env))
+    context = ProtocolContext(env, network, 0, "x", KEY_FIELDS)
     obbc = OptimisticBinaryConsensus(context, 1, tag=0)
     with pytest.raises(ValueError):
         env.run_process(obbc.propose(2))
@@ -211,7 +214,7 @@ def test_bbc_certificate_terminates_late_joiner():
     """A node that missed the fast path can decide from a single certificate."""
     env = Environment()
     network = make_network(env, 4)
-    context = ProtocolContext(env, network, 0, "bbc", inbox=Store(env))
+    context = ProtocolContext(env, network, 0, "bbc", KEY_FIELDS)
     network.endpoint(0).router = context.inbox.put
 
     def certificate_sender(_event):
@@ -233,7 +236,7 @@ def test_bbc_certificate_terminates_late_joiner():
 def test_bbc_rejects_non_binary_value():
     env = Environment()
     network = make_network(env, 4)
-    context = ProtocolContext(env, network, 0, "bbc", inbox=Store(env))
+    context = ProtocolContext(env, network, 0, "bbc", KEY_FIELDS)
     bbc = BinaryConsensus(context, f=1, tag="r4")
     with pytest.raises(ValueError):
         env.run_process(bbc.propose(5))

@@ -71,6 +71,31 @@ def test_block_body_matches_header():
     assert not tampered.body_matches_header()
 
 
+def test_header_digest_is_memoised_outside_the_value():
+    """The digest cache is an optimisation, not part of the header: equality,
+    hashing, repr, ``replace`` and the wire format never see it."""
+    import dataclasses
+    import pickle
+
+    fresh = build_block(0, 1, make_genesis().digest).header
+    warm = build_block(0, 1, make_genesis().digest).header
+    cold_frame = pickle.dumps(fresh)
+    digest = warm.digest
+    assert warm.digest is digest                      # computed once
+    assert warm == fresh and hash(warm) == hash(fresh)
+    assert repr(warm) == repr(fresh)
+    # replace() builds a new header: the cache must not follow it.
+    moved = dataclasses.replace(warm, round_number=5)
+    assert "digest" not in vars(moved)
+    assert moved.digest != digest
+    # Frames neither carry the cache nor grow because of it, and a received
+    # header recomputes its digest from its own fields.
+    assert pickle.dumps(warm) == cold_frame
+    received = pickle.loads(pickle.dumps(warm))
+    assert received == warm and "digest" not in vars(received)
+    assert received.digest == digest
+
+
 def test_validate_block_signature_and_linkage():
     blocks, keystore = make_chain_blocks(2)
     genesis = make_genesis()

@@ -326,6 +326,36 @@ def test_fig16_fig17_reproduce_pre_refactor_numbers():
         assert row["flo_over_bftsmart"] > 1.0
 
 
+# ------------------------------------------------- baselines' paper-lan rows
+#: ``scenario:paper-lan`` under the two baselines at the spec's own seed,
+#: recorded from the predicate-scan inbox before the keyed mailbox replaced
+#: it.  Message matching is host work only: every field must reproduce.
+PINNED_PAPER_LAN = {
+    "hotstuff": {
+        "tps": 36111.1, "bps": 36.11, "latency_p50_ms": 99.9,
+        "latency_p95_ms": 110.0, "blocks_committed": 16.25,
+        "signatures": 108.0, "transactions_committed": 16250.0,
+        "views_timed_out": 0.0, "msgs_dropped": 0,
+        "state_root": "0aca8c20738a", "state_deliveries": 18,
+        "proposer_bias": 1.053},
+    "bftsmart": {
+        "tps": 40000.0, "bps": 40.0, "latency_p50_ms": 21.6,
+        "latency_p95_ms": 26.7, "blocks_committed": 18.0,
+        "instances_timed_out": 0.0, "signatures": 24.0,
+        "transactions_committed": 18000.0, "msgs_dropped": 0,
+        "state_root": "1e480a281c1d", "state_deliveries": 23,
+        "proposer_bias": 4.0},
+}
+
+
+@pytest.mark.parametrize("protocol", sorted(PINNED_PAPER_LAN))
+def test_paper_lan_baseline_rows_are_pinned(protocol):
+    spec = library.get("paper-lan").with_overrides(protocol=protocol)
+    (row,) = run_scenario(spec)
+    expected = PINNED_PAPER_LAN[protocol]
+    assert {key: row[key] for key in expected} == expected
+
+
 # ----------------------------------------------------------- scenario column
 def test_scenario_rows_carry_protocol_counters():
     spec = library.get("paper-lan").with_overrides(duration=0.4, warmup=0.1)

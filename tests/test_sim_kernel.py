@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.core.mailbox import Mailbox
+from repro.net.message import Message
 from repro.sim import AllOf, AnyOf, Environment, Event, Interrupt, Resource, Store, Timeout
 
 
@@ -161,20 +163,22 @@ def test_store_fifo_order(env):
     assert proc.value == ["a", "b"]
 
 
-def test_store_predicate_skips_non_matching(env):
-    store = Store(env)
-    store.put(1)
-    store.put(2)
-    store.put(3)
+def test_mailbox_key_skips_non_matching(env):
+    mailbox = Mailbox(env, {"N": "parity"})
+    numbers = [Message(sender=value, receiver=0, channel="c", kind="N",
+                       payload={"parity": value % 2}) for value in (1, 2, 3)]
+    for message in numbers:
+        mailbox.put(message)
 
     def consumer():
-        even = yield store.get(lambda x: x % 2 == 0)
+        even = yield mailbox.wait((("N", 0),))
         return even
 
     proc = env.process(consumer())
     env.run()
-    assert proc.value == 2
-    assert store.items == [1, 3]
+    assert proc.value is numbers[1]
+    assert len(mailbox) == 2
+    assert [mailbox.take((("N", 1),)) for _ in range(3)] == [numbers[0], numbers[2], None]
 
 
 def test_store_getter_woken_by_later_put(env):
@@ -194,12 +198,17 @@ def test_store_getter_woken_by_later_put(env):
     assert proc.value == (2.0, "late")
 
 
-def test_store_try_get(env):
-    store = Store(env)
-    assert store.try_get() is None
-    store.put(5)
-    assert store.try_get(lambda x: x > 10) is None
-    assert store.try_get() == 5
+def test_mailbox_take_serves_the_older_of_two_buckets(env):
+    mailbox = Mailbox(env, {"X": "k", "Y": "k"})
+    keys = (("X", 1), ("Y", 1))
+    assert mailbox.take(keys) is None
+    first = Message(sender=1, receiver=0, channel="c", kind="Y", payload={"k": 1})
+    second = Message(sender=2, receiver=0, channel="c", kind="X", payload={"k": 1})
+    mailbox.put(first)
+    mailbox.put(second)
+    assert mailbox.take(keys, sender=3) is None
+    assert mailbox.take(keys) is first
+    assert mailbox.take(keys) is second
 
 
 def test_resource_limits_concurrency(env):

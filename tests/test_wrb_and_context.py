@@ -4,13 +4,18 @@ import pytest
 
 from repro.core.context import PanicInterrupt, ProtocolContext
 from repro.core.timers import AdaptiveTimer
-from repro.core.wrb import WeakReliableBroadcast
-from repro.sim import Environment, Store
+from repro.core.wrb import KEY_FIELDS, WeakReliableBroadcast
+from repro.net.message import Message
+from repro.sim import Environment
 from tests.conftest import make_network
 
+#: Key table of the ad-hoc kinds the context tests send.
+TEST_KEYS = {"A": "v", "B": "v", "VOTE": "round", "OLD": "round", "NEW": "round"}
 
-def build_context(env, network, node_id, channel="wrb", interrupt_check=None):
-    context = ProtocolContext(env, network, node_id, channel, inbox=Store(env),
+
+def build_context(env, network, node_id, channel="wrb", interrupt_check=None,
+                  key_fields=KEY_FIELDS):
+    context = ProtocolContext(env, network, node_id, channel, key_fields,
                               interrupt_check=interrupt_check)
     network.endpoint(node_id).router = context.inbox.put
     return context
@@ -20,39 +25,54 @@ def build_context(env, network, node_id, channel="wrb", interrupt_check=None):
 def test_wait_message_timeout_returns_none():
     env = Environment()
     network = make_network(env, 4)
-    context = build_context(env, network, 0)
+    context = build_context(env, network, 0, key_fields=TEST_KEYS)
 
     def waiter():
-        return (yield from context.wait_message(lambda m: True, timeout=0.5))
+        return (yield from context.wait_message("A", 1, timeout=0.5))
 
     assert env.run_process(waiter()) is None
     assert env.now >= 0.5
 
 
-def test_wait_message_filters_by_predicate():
+def test_wait_message_matches_kind_key_and_sender():
     env = Environment()
     network = make_network(env, 4)
-    context = build_context(env, network, 0)
-    network.send(1, 0, "wrb", "A", {"v": 1})
+    context = build_context(env, network, 0, key_fields=TEST_KEYS)
+    network.send(1, 0, "wrb", "A", {"v": 2})
+    network.send(1, 0, "wrb", "B", {"v": 1})
     network.send(2, 0, "wrb", "B", {"v": 2})
+    network.send(3, 0, "wrb", "B", {"v": 2})
 
     def waiter():
-        message = yield from context.wait_message(lambda m: m.kind == "B", timeout=1.0)
-        return message.kind
+        message = yield from context.wait_message("B", 2, sender=3, timeout=1.0)
+        return message.kind, message.payload["v"], message.sender
 
-    assert env.run_process(waiter()) == "B"
+    assert env.run_process(waiter()) == ("B", 2, 3)
+    # The wrong-sender message of the same bucket stays buffered, like the
+    # other kinds and keys.
+    assert len(context.inbox) == 3
+    assert context.inbox.take((("B", 2),)).sender == 2
+
+
+def test_undeclared_kinds_are_dropped_at_put():
+    env = Environment()
+    network = make_network(env, 4)
+    context = build_context(env, network, 0, key_fields=TEST_KEYS)
+    network.send(1, 0, "wrb", "NOISE", {"v": 1})
+    env.run()
+    assert len(context.inbox) == 0
 
 
 def test_wait_message_raises_panic_interrupt():
     env = Environment()
     network = make_network(env, 4)
     pending = []
-    context = build_context(env, network, 0,
+    context = build_context(env, network, 0, key_fields=TEST_KEYS,
                             interrupt_check=lambda: pending[-1] if pending else None)
 
     def waiter():
         try:
-            yield from context.wait_message(lambda m: False, timeout=5.0)
+            yield from context.wait_message("A", 0, timeout=5.0)
         except PanicInterrupt as interrupt:
             return ("panic", interrupt.panic, env.now)
         return "no-panic"
@@ -69,31 +89,31 @@ def test_wait_message_raises_panic_interrupt():
 
 
 def test_wait_message_requeues_message_racing_the_timeout():
-    """A message landing between the timeout firing and the getter withdrawal
-    must not vanish into the abandoned get event (the ``_withdraw_getter``
-    requeue path): the wait still times out, but the next wait sees it."""
+    """A message landing between the timeout firing and the wait's withdrawal
+    must not vanish into the abandoned event (``Mailbox.cancel`` re-files
+    it): the wait still times out, but the next wait sees it."""
     env = Environment()
     network = make_network(env, 4)
-    context = build_context(env, network, 0)
+    context = build_context(env, network, 0, key_fields=TEST_KEYS)
     outcomes = []
 
     def waiter():
-        first = yield from context.wait_message(lambda m: True, timeout=1.0)
+        first = yield from context.wait_message("A", 1, timeout=1.0)
         outcomes.append(("first", first))
-        second = yield from context.wait_message(lambda m: True, timeout=1.0)
+        second = yield from context.wait_message("A", 1, timeout=1.0)
         outcomes.append(("second", second))
 
     env.process(waiter())
     env.run(until=0.5)  # the wait (and its internal timeout) is registered
 
-    racer = object()  # wait_message treats inbox items opaquely
+    racer = Message(sender=1, receiver=0, channel="wrb", kind="A", payload={"v": 1})
 
     def racing_put(_event):
         context.inbox.put(racer)
 
     # This timer is created *after* the wait's own timeout, so at t=1.0 the
     # heap pops the wait timeout first (the AnyOf fires empty-handed), then
-    # this put satisfies the still-registered getter — exactly the race.
+    # this put satisfies the still-registered wait — exactly the race.
     env.timeout(0.5).add_callback(racing_put)
     env.run(until=3.0)
 
@@ -101,33 +121,64 @@ def test_wait_message_requeues_message_racing_the_timeout():
     assert outcomes[1] == ("second", racer)        # ...but the message survived
 
 
+def test_mailbox_refuses_a_second_concurrent_waiter():
+    env = Environment()
+    network = make_network(env, 4)
+    context = build_context(env, network, 0, key_fields=TEST_KEYS)
+    context.inbox.wait((("A", 1),))
+    with pytest.raises(RuntimeError):
+        context.inbox.wait((("B", 1),))
+
+
 def test_collect_messages_stops_at_count_or_timeout():
     env = Environment()
     network = make_network(env, 4)
-    context = build_context(env, network, 0)
+    context = build_context(env, network, 0, key_fields=TEST_KEYS)
     for sender in (1, 2, 3):
-        network.send(sender, 0, "wrb", "VOTE", {"v": sender})
+        network.send(sender, 0, "wrb", "VOTE", {"round": 0})
 
     def collector():
-        votes = yield from context.collect_messages(
-            lambda m: m.kind == "VOTE", count=3, timeout=1.0)
-        late = yield from context.collect_messages(
-            lambda m: m.kind == "VOTE", count=2, timeout=0.2)
+        votes = yield from context.collect_messages("VOTE", 0, count=3, timeout=1.0)
+        late = yield from context.collect_messages("VOTE", 0, count=2, timeout=0.2)
         return len(votes), len(late)
 
     assert env.run_process(collector()) == (3, 0)
 
 
-def test_purge_inbox_drops_matching_messages():
+def test_collect_messages_counts_distinct_senders():
+    """One replica sending twice must not complete a quorum by itself."""
     env = Environment()
     network = make_network(env, 4)
-    context = build_context(env, network, 0)
+    context = build_context(env, network, 0, key_fields=TEST_KEYS)
+    for sender in (1, 1, 1, 2):
+        network.send(sender, 0, "wrb", "VOTE", {"round": 0})
+
+    def collector():
+        votes = yield from context.collect_messages("VOTE", 0, count=3, timeout=1.0)
+        return sorted(message.sender for message in votes)
+
+    assert env.run_process(collector()) == [1, 2]
+
+
+def test_discard_below_drops_buffered_rounds_under_the_watermark():
+    env = Environment()
+    network = make_network(env, 4)
+    context = build_context(env, network, 0, key_fields=TEST_KEYS)
     network.send(1, 0, "wrb", "OLD", {"round": 1})
     network.send(2, 0, "wrb", "NEW", {"round": 9})
     env.run()
-    dropped = context.purge_inbox(lambda m: m.payload["round"] < 5)
-    assert dropped == 1
-    assert [m.kind for m in context.inbox.items] == ["NEW"]
+    context.inbox.discard_below(5)
+    assert len(context.inbox) == 1
+    # A straggler under the watermark is filed until the next call: after a
+    # rewind (FireLedger recovery) the call carries a lower round and must
+    # still find the re-opened rounds' traffic.
+    network.send(1, 0, "wrb", "OLD", {"round": 3})
+    network.send(1, 0, "wrb", "OLD", {"round": 4})
+    env.run()
+    context.inbox.discard_below(4)
+    assert len(context.inbox) == 2
+    assert context.inbox.take((("OLD", 4),)).sender == 1
+    assert context.inbox.take((("NEW", 9),)).sender == 2
 
 
 # -------------------------------------------------------------------- timers
