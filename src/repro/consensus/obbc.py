@@ -17,6 +17,7 @@ from typing import Any, Callable, Optional
 
 from repro.consensus.bbc import KEY_FIELDS as BBC_KEY_FIELDS, BinaryConsensus
 from repro.core.context import ProtocolContext
+from repro.net.message import Message
 
 OBBC_VOTE = "OBBC_VOTE"
 OBBC_EV_REQ = "OBBC_EV_REQ"
@@ -66,6 +67,23 @@ class OptimisticBinaryConsensus:
                                size_bytes=_VOTE_BASE_SIZE + piggyback_size,
                                include_self=True)
 
+    def _collect(self, kind: str, count: int):
+        """Collect this instance's ``kind`` messages from ``count`` distinct
+        senders: drain what is buffered, then wait (at most
+        ``collect_timeout``) for one more, until the count or a timeout."""
+        context = self.context
+        received: dict[int, Message] = {}
+        while True:
+            yield from context.drain_messages(kind, self.tag, received, count)
+            if len(received) >= count:
+                break
+            message = yield from context.wait_message(
+                kind, self.tag, timeout=self.collect_timeout)
+            if message is None:
+                break
+            received.setdefault(message.sender, message)
+        return received
+
     # ------------------------------------------------------------------- run
     def propose(self, value: int, evidence: Any = None, piggyback: Any = None,
                 piggyback_size: int = 0):
@@ -102,13 +120,9 @@ class OptimisticBinaryConsensus:
 
         # --- fast path: collect n - f votes -------------------------------
         quorum = self.context.n_nodes - self.f
-        votes: dict[int, int] = {}
-        while len(votes) < quorum:
-            message = yield from self.context.wait_message(
-                OBBC_VOTE, self.tag, timeout=self.collect_timeout)
-            if message is None:
-                break
-            votes.setdefault(message.sender, message.payload["value"])
+        ballots = yield from self._collect(OBBC_VOTE, quorum)
+        votes = {sender: message.payload["value"]
+                 for sender, message in ballots.items()}
         if len(votes) >= quorum and set(votes.values()) == {value}:
             # Fast decision.  The unanimous vote set doubles as a certificate
             # that lets any peer that later falls back to the full BBC
@@ -119,16 +133,13 @@ class OptimisticBinaryConsensus:
         # --- evidence exchange (lines OB11-OB18) ---------------------------
         self.context.broadcast(OBBC_EV_REQ, {"tag": self.tag},
                                size_bytes=_EV_REQ_SIZE, include_self=False)
-        evidences: dict[int, Any] = {self.context.node_id: evidence}
-        while len(evidences) < quorum:
-            message = yield from self.context.wait_message(
-                OBBC_EV_RESP, self.tag, timeout=self.collect_timeout)
-            if message is None:
-                break
-            evidences.setdefault(message.sender, message.payload.get("evidence"))
+        # This node's own evidence is the first of the n - f.
+        responses = yield from self._collect(OBBC_EV_RESP, quorum - 1)
+        evidences = [evidence] + [message.payload.get("evidence")
+                                  for message in responses.values()]
 
         new_value = value
-        if any(self.evidence_validator(candidate) for candidate in evidences.values()
+        if any(self.evidence_validator(candidate) for candidate in evidences
                if candidate is not None):
             # Only the favoured value can have valid evidence (note at OB17).
             new_value = self.favoured_value

@@ -17,7 +17,7 @@ from typing import Any, Callable, Mapping, Optional
 from repro.core.mailbox import Mailbox
 from repro.net.message import MESSAGE_OVERHEAD_BYTES, Message
 from repro.net.network import Network
-from repro.sim import Environment
+from repro.sim import Environment, Event
 
 
 class PanicInterrupt(Exception):
@@ -26,6 +26,73 @@ class PanicInterrupt(Exception):
     def __init__(self, panic: Any = None) -> None:
         super().__init__("panic interrupt")
         self.panic = panic
+
+
+class _QuorumDrain:
+    """Consume what one mailbox bucket already holds, waking the collecting
+    process once — not once per message.
+
+    A quorum step collects ``count`` distinct senders.  Through
+    :meth:`ProtocolContext.wait_message` every message already buffered costs
+    a process wake-up only to end its ``message_processing_cpu`` hold.  The
+    drain replays those iterations from kernel callbacks, step for step:
+    interrupt check, ``inbox.take``, CPU slot (a free one, else the acquire
+    queue), one :meth:`~repro.sim.Environment.call_later` timer where the
+    process created a ``Timeout`` — same delay, priority and single sequence
+    number, so every same-instant tie resolves as before — then release the
+    slot and record the sender.  Each message keeps its own hold: one hold of
+    ``k * message_cpu`` would stop the worker re-queueing behind its
+    siblings at every boundary and moves contended runs.  It ends when
+    ``count`` is reached, the bucket is empty or an interrupt is pending; the
+    caller's next ``wait_message`` deals with the latter two.
+    """
+
+    __slots__ = ("context", "keys", "collected", "count", "message", "done")
+
+    def __init__(self, context: "ProtocolContext", keys: tuple,
+                 collected: dict, count: int) -> None:
+        self.context = context
+        self.keys = keys
+        self.collected = collected
+        self.count = count
+        #: The message whose CPU hold is in flight.
+        self.message: Optional[Message] = None
+        #: What the collecting process waits on once a hold is in flight.
+        self.done: Optional[Event] = None
+
+    def advance(self) -> bool:
+        """Consume buffered messages until one's CPU hold has to elapse
+        (``True``: :meth:`_held` carries on) or the drain is over (``False``)."""
+        context = self.context
+        collected = self.collected
+        hold = context._message_cpu
+        interrupted = context.interrupt_check
+        while len(collected) < self.count:
+            if interrupted is not None and interrupted():
+                break
+            message = context.inbox.take(self.keys)
+            if message is None:
+                break
+            if hold > 0:
+                self.message = message
+                cpu = context._endpoint.cpu
+                if cpu.try_acquire():
+                    context.env.call_later(hold, self._held)
+                else:
+                    cpu.acquire().add_callback(self._granted)
+                return True
+            collected.setdefault(message.sender, message)
+        return False
+
+    def _granted(self, _event: Event) -> None:
+        self.context.env.call_later(self.context._message_cpu, self._held)
+
+    def _held(self, _arg: Any) -> None:
+        self.context._endpoint.cpu.release()
+        message = self.message
+        self.collected.setdefault(message.sender, message)
+        if not self.advance():
+            self.done.succeed_now()
 
 
 class ProtocolContext:
@@ -155,6 +222,18 @@ class ProtocolContext:
                 return None
             # Otherwise we were woken spuriously; loop and wait again.
 
+    def drain_messages(self, kind: str, key: Any,
+                       collected: dict[int, Message], count: int):
+        """Consume the ``kind`` messages of instance ``key`` that are already
+        buffered into ``collected`` (first message per sender) until it holds
+        ``count`` senders; returns early when the bucket runs empty or an
+        interrupt is pending, which the caller's next :meth:`wait_message`
+        handles.  One process wake-up however many messages were buffered."""
+        drain = _QuorumDrain(self, ((kind, key),), collected, count)
+        if drain.advance():
+            drain.done = self.env.event()
+            yield drain.done
+
     def collect_messages(self, kind: str, key: Any, count: int,
                          timeout: Optional[float] = None):
         """Collect ``kind`` messages of instance ``key`` from ``count``
@@ -162,7 +241,10 @@ class ProtocolContext:
         consumed uncounted, so no replica completes a quorum by itself."""
         collected: dict[int, Message] = {}
         deadline = None if timeout is None else self.env.now + timeout
-        while len(collected) < count:
+        while True:
+            yield from self.drain_messages(kind, key, collected, count)
+            if len(collected) >= count:
+                break
             remaining = (None if deadline is None
                          else max(0.0, deadline - self.env.now))
             message = yield from self.wait_message(kind, key, timeout=remaining)

@@ -151,6 +151,13 @@ class FireLedgerWorker:
     def dispatch(self, message: Message) -> None:
         """Route one incoming message for this worker's channel."""
         kind = message.kind
+        if kind == OBBC_VOTE:
+            # First: one vote per peer per round is nearly all the traffic.
+            piggyback = message.payload.get("piggyback")
+            if piggyback is not None:
+                self._ingest_piggyback(message.sender, piggyback)
+            self.context.inbox.put(message)
+            return
         if kind in RB_KINDS:
             self.rb.on_message(message)
             return
@@ -170,10 +177,6 @@ class FireLedgerWorker:
         if kind == WRB_PULL_REQ:
             self._serve_pull(message)
             return
-        if kind == OBBC_VOTE:
-            piggyback = message.payload.get("piggyback")
-            if piggyback is not None:
-                self._ingest_piggyback(message.sender, piggyback)
         if kind.startswith("BBC_") and kind != "BBC_DECIDED":
             self._serve_fast_certificate(message)
         self.context.inbox.put(message)

@@ -93,10 +93,18 @@ class Mailbox:
 
     def take(self, keys: tuple, sender: Optional[int] = None):
         """Pop the oldest buffered message under any of ``keys``, or ``None``."""
+        if sender is None:
+            # Any sender (every quorum collection): the oldest bucket head.
+            source = None
+            for bucket_key in keys:
+                bucket = self._buckets.get(bucket_key)
+                if bucket and (source is None or bucket[0] < source[0]):
+                    source = bucket
+            return source.popleft()[1] if source else None
         oldest = None
         for bucket_key in keys:
             for entry in self._buckets.get(bucket_key, ()):
-                if sender is None or entry[1].sender == sender:
+                if entry[1].sender == sender:
                     if oldest is None or entry < oldest:
                         oldest, source = entry, bucket_key
                     break

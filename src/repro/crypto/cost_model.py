@@ -129,7 +129,6 @@ class CryptoCostModel:
         self._block_sign_cache: dict[tuple[int, int], float] = {}
         self._block_verify_cache: dict[tuple[int, int], float] = {}
         self._round_profile_cache: dict[tuple[int, int], RoundCostProfile] = {}
-        self._message_time_cache: dict[int, float] = {}
 
     # ------------------------------------------------------------- primitives
     def hash_time(self, size_bytes: int) -> float:
@@ -164,22 +163,6 @@ class CryptoCostModel:
         return cached
 
     # -------------------------------------------------------------- rounds
-    def message_processing_time(self, count: int = 1) -> float:
-        """CPU time to handle ``count`` received control messages.
-
-        The per-round replacement for charging ``message_processing_cpu``
-        once per message: a vote-collection phase that knows it handled
-        ``count`` messages charges them in one call.  Memoised per count —
-        rounds see the same few quorum sizes over and over.
-        """
-        cached = self._message_time_cache.get(count)
-        if cached is None:
-            if count < 0:
-                raise ValueError("count must be non-negative")
-            cached = self._message_time_cache[count] = (
-                count * self.machine.message_processing_cpu)
-        return cached
-
     def round_profile(self, batch_size: int, tx_size: int) -> RoundCostProfile:
         """The :class:`RoundCostProfile` for one block shape (memoised)."""
         key = (batch_size, tx_size)

@@ -26,16 +26,14 @@ def hash_fields(*fields: Any) -> str:
     Each field is folded into the hash via its ``repr``; containers are
     flattened one level so that lists of transaction ids hash stably.
     """
-    hasher = hashlib.sha256()
+    parts: list[str] = []
     for field in fields:
         if isinstance(field, (list, tuple)):
-            for element in field:
-                hasher.update(repr(element).encode("utf-8"))
-            hasher.update(b"|")
+            parts.extend(map(repr, field))
         else:
-            hasher.update(repr(field).encode("utf-8"))
-            hasher.update(b"|")
-    return hasher.hexdigest()
+            parts.append(repr(field))
+        parts.append("|")
+    return hashlib.sha256("".join(parts).encode("utf-8")).hexdigest()
 
 
 def merkle_root(leaves: Iterable[str]) -> str:

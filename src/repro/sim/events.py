@@ -67,6 +67,21 @@ class Event:
         self.env.schedule_event(self)
         return self
 
+    def succeed_now(self, value: Any = None) -> None:
+        """Fire successfully and run the callbacks before returning.
+
+        :meth:`succeed` queues the event, so its waiters run behind everything
+        already queued for this instant.  A timer callback standing in for a
+        process's own timeout (the quorum drain) must resume that process at
+        the timer's queue position — here, not one queue hop later.
+        """
+        if self.triggered:
+            raise RuntimeError("event already triggered")
+        self._value = value
+        callbacks, self.callbacks = self.callbacks, None
+        for callback in callbacks:
+            callback(self)
+
     def add_callback(self, callback: Callable[["Event"], None]) -> None:
         """Register ``callback`` to run when the event is processed."""
         if self.callbacks is None:

@@ -44,6 +44,13 @@ class Resource:
         """Number of acquirers waiting for a slot."""
         return len(self._waiters)
 
+    def try_acquire(self) -> bool:
+        """Take a slot if one is free right now: no event, no queueing."""
+        if self._in_use < self.capacity and not self._waiters:
+            self._in_use += 1
+            return True
+        return False
+
     def acquire(self) -> Event:
         """Request a slot; the returned event fires once the slot is granted."""
         event = Event(self.env)
@@ -71,11 +78,8 @@ class Resource:
 
             yield from cpu.use(t_sign)
         """
-        if self._in_use < self.capacity and not self._waiters:
-            # Fast path: a slot is free right now — take it without the
-            # acquire-event round-trip through the scheduler.
-            self._in_use += 1
-        else:
+        if not self.try_acquire():
+            # No slot free right now: queue through the scheduler.
             yield self.acquire()
         try:
             yield self.env.timeout(duration)

@@ -27,6 +27,19 @@ def test_hash_fields_sensitive_to_order_and_content():
     assert hash_fields("a", [1, 2]) != hash_fields("a", [2, 1])
 
 
+def test_hash_fields_digests_are_pinned():
+    """The canonical byte string is part of every block digest and state
+    root: these literals were recorded before ``hash_fields`` was rewritten
+    to build it with one join and one ``sha256`` call."""
+    assert hash_fields("exec", "0" * 64, 3, 1.5, None, True) == (
+        "f67d33cef7a5d17f8d30f03758db32cd3503599c59e0289f03a166750afb63a9")
+    assert hash_fields("block", 7, ["a", ("x", 2), 3], (), "tail") == (
+        "50310bbeb4c879a70537fb08782661ca609b9122f2a78e292ce85639383b962c")
+    # A transfer transaction's field list (ledger/transaction.py).
+    assert hash_fields("tx", 41, 3, 512, 5, 9, 250, 17) == (
+        "498cde4620f5363a7265096dab8010a7779d421f8a5354515adfb3e56960e970")
+
+
 def test_merkle_root_empty_and_singleton():
     assert merkle_root([]) == "0" * 64
     leaf = hash_bytes(b"leaf")

@@ -6,6 +6,7 @@ from repro import FireLedgerConfig, run_cluster
 from repro.net.latency import GeoDistributedLatency
 from repro.scenarios.faultplan import FaultSchedule, crash
 from repro.metrics.recorder import EVENT_TENTATIVE_DECISION
+from repro.sim import Process
 
 DURATION = 0.6
 WARMUP = 0.1
@@ -154,3 +155,50 @@ def test_recorder_block_events_cover_all_rounds(fault_free_result):
     recorder = fault_free_result.recorders[0]
     tentative = recorder.blocks_with_event(EVENT_TENTATIVE_DECISION, DURATION)
     assert len(tentative) > 10
+
+
+def _wakeups_per_node_round(monkeypatch, n_nodes: int) -> float:
+    """``Process._resume`` calls per node per decided round, fault-free."""
+    calls = 0
+    resume = Process._resume  # noqa: SLF001 - the wake-up is what is gated
+
+    def counting(process, event):
+        nonlocal calls
+        calls += 1
+        resume(process, event)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Process, "_resume", counting)
+        result = run_cluster(
+            FireLedgerConfig(n_nodes=n_nodes, workers=1, batch_size=10,
+                             tx_size=512),
+            duration=0.4, warmup=0.1, seed=3)
+    assert result.failed_rounds == 0
+    # Both counters are summed over the nodes.
+    return calls / (result.fast_path_rounds + result.fallback_rounds)
+
+
+def test_process_wakeups_per_round_do_not_grow_with_the_quorum(monkeypatch):
+    """A round costs a node one wake-up per *quorum*, not one per vote.
+
+    A deterministic work counter (it repeats exactly for a seed), so it is
+    gated where wall-clock cannot be.  Wake-ups per node per decided round:
+
+    ==================================  =====  ======
+    commit                              n = 8  n = 32
+    ==================================  =====  ======
+    per-message loop (PR 14, fc822e7)   12.22   30.74
+    quorum drain (this test's commit)    8.91   11.07
+    ==================================  =====  ======
+
+    The per-message loop woke the round's process once per collected vote
+    (quorum n - f: 6 -> 22 votes), so its figure is linear in n; with the
+    drain what is left is the arrivals that find the mailbox empty.
+    """
+    small = _wakeups_per_node_round(monkeypatch, 8)
+    assert small == _wakeups_per_node_round(monkeypatch, 8)
+    large = _wakeups_per_node_round(monkeypatch, 32)
+    assert large <= 16.0, f"{large:.2f} wake-ups per node-round at n = 32"
+    assert large - small <= 6.0, (
+        f"wake-ups per node-round grow with n: {small:.2f} at n = 8, "
+        f"{large:.2f} at n = 32")

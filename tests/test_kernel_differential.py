@@ -17,6 +17,7 @@ import pytest
 from repro.scenarios.library import SCENARIOS
 from repro.scenarios.runner import run_scenario
 from repro.sim import Environment
+from tests.reference_collect import use_reference as use_reference_collect
 from tests.reference_kernel import ReferenceEnvironment, use_reference
 
 
@@ -42,6 +43,21 @@ def test_paper_lan_identical_across_kernels(monkeypatch, protocol):
     batched = _rows(monkeypatch, "paper-lan", False, protocol=protocol)
     reference = _rows(monkeypatch, "paper-lan", True, protocol=protocol)
     _assert_identical(batched, reference)
+    assert batched[0]["state_root"]
+
+
+def test_n16_quorum_drains_identical_across_kernels_and_loops(monkeypatch):
+    """At n = 4 the quorum is 3 and most engagements of the quorum drain
+    consume a single vote; at n = 16 (quorum 11, 4 workers on 4 cores) they
+    chain several pooled timers and contend for CPU slots.  Both kernels
+    must agree, and so must the per-message loop the drain replaced."""
+    batched = _rows(monkeypatch, "paper-lan", False, n_nodes=16)
+    reference = _rows(monkeypatch, "paper-lan", True, n_nodes=16)
+    _assert_identical(batched, reference)
+    with monkeypatch.context() as patch:
+        use_reference_collect(patch)
+        looped = run_scenario(SCENARIOS["paper-lan"], n_nodes=16)
+    _assert_identical(batched, looped)
     assert batched[0]["state_root"]
 
 

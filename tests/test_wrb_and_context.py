@@ -1,13 +1,21 @@
 """Tests of the protocol context helpers and the Weak Reliable Broadcast."""
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.context import PanicInterrupt, ProtocolContext
 from repro.core.timers import AdaptiveTimer
 from repro.core.wrb import KEY_FIELDS, WeakReliableBroadcast
+from repro.crypto.cost_model import M5_XLARGE
+from repro.net.latency import SingleDatacenterLatency
 from repro.net.message import Message
+from repro.net.network import Network
 from repro.sim import Environment
 from tests.conftest import make_network
+from tests.reference_collect import reference_collect
 
 #: Key table of the ad-hoc kinds the context tests send.
 TEST_KEYS = {"A": "v", "B": "v", "VOTE": "round", "OLD": "round", "NEW": "round"}
@@ -158,6 +166,133 @@ def test_collect_messages_counts_distinct_senders():
         return sorted(message.sender for message in votes)
 
     assert env.run_process(collector()) == [1, 2]
+
+
+def test_collecting_buffered_messages_wakes_the_process_once():
+    """Five buffered votes cost five CPU holds but one wake-up (plus the
+    process start), not one wake-up per vote."""
+    env = Environment()
+    network = make_network(env, 8)
+    context = build_context(env, network, 0, key_fields=TEST_KEYS)
+    for sender in range(1, 6):
+        context.inbox.put(Message(sender=sender, receiver=0, channel="wrb",
+                                  kind="VOTE", payload={"round": 0}))
+
+    def collector():
+        votes = yield from context.collect_messages("VOTE", 0, count=5)
+        return [message.sender for message in votes], env.now
+
+    process = env.process(collector())
+    wakeups = []
+    resume = process._resume  # noqa: SLF001 - counting resumptions is the test
+    process._resume = lambda event: (wakeups.append(env.now), resume(event))  # noqa: SLF001
+    env.run()
+    senders, finished = process.value
+    assert senders == [1, 2, 3, 4, 5]
+    assert finished == pytest.approx(5 * network.machine.message_processing_cpu)
+    assert wakeups == [finished]
+
+
+# One tick of the schedules below: arrivals, competitors and the panic land
+# on multiples of it and a CPU hold is three ticks, so "a message arrives /
+# a sibling queues / the panic lands at the very instant a hold ends" — the
+# ties the drain must resolve like the loop did — are common, not rare.
+_TICK = 1e-4
+_SCHEDULES = st.fixed_dictionaries({
+    "cores": st.integers(1, 2),
+    "message_cpu": st.sampled_from([0.0, 3 * _TICK]),
+    "count": st.integers(0, 5),
+    "timeout": st.one_of(st.none(), st.integers(0, 30).map(lambda t: t * _TICK)),
+    # (arrival tick, sender, instance): few senders, so duplicates are
+    # common; instance 1 is another bucket and must stay buffered.
+    "arrivals": st.lists(st.tuples(st.integers(0, 25), st.integers(1, 5),
+                                   st.sampled_from([0, 0, 0, 1])), max_size=14),
+    # (start tick, ticks of CPU) of sibling processes on the same cores.
+    "siblings": st.lists(st.tuples(st.integers(0, 25), st.integers(1, 7)),
+                         max_size=5),
+    "panic_at": st.one_of(st.none(), st.integers(0, 25)),
+})
+
+
+def _run_collection(schedule, collect):
+    """Play ``schedule`` against one collection; return everything observable:
+    the outcome, the mailbox leftovers and a step-by-step occupancy trace."""
+    env = Environment()
+    machine = M5_XLARGE.scaled(cores=schedule["cores"],
+                               message_processing_cpu=schedule["message_cpu"])
+    network = Network(env, 4, latency_model=SingleDatacenterLatency(),
+                      machine=machine, rng=random.Random(0))
+    panics = []
+    context = build_context(env, network, 0, key_fields=TEST_KEYS,
+                            interrupt_check=lambda: panics[-1] if panics else None)
+    cpu = network.endpoint(0).cpu
+    trace = []
+
+    def observe(label):
+        trace.append((label, env.now, cpu.in_use, cpu.queue_length,
+                      len(context.inbox)))
+
+    def arrive(arrival):
+        _, sender, instance = arrival
+        context.inbox.put(Message(sender=sender, receiver=0, channel="wrb",
+                                  kind="VOTE", payload={"round": instance}))
+        observe("arrival")
+
+    def sibling(start, ticks):
+        yield env.timeout(start * _TICK)
+        observe("sibling-queues")
+        yield from context.use_cpu(ticks * _TICK)
+        observe("sibling-done")
+
+    def panic(_arg):
+        panics.append("proof")
+        context.notify_interrupt()
+        observe("panic")
+
+    def tick(remaining):
+        observe("tick")
+        if remaining:
+            env.call_later(_TICK, tick, remaining - 1)
+
+    def collector():
+        try:
+            messages = yield from collect(context, "VOTE", 0, schedule["count"],
+                                          schedule["timeout"])
+            outcome = [message.sender for message in messages]
+        except PanicInterrupt as interrupt:
+            outcome = ("panic", interrupt.panic)
+        observe("collected")
+        # What the protocol does next must start from the same queue position.
+        yield from context.use_cpu(2 * _TICK)
+        observe("moved-on")
+        return outcome
+
+    process = env.process(collector())
+    for arrival in schedule["arrivals"]:
+        env.call_later(arrival[0] * _TICK, arrive, arrival)
+    for start, ticks in schedule["siblings"]:
+        env.process(sibling(start, ticks))
+    if schedule["panic_at"] is not None:
+        env.call_later(schedule["panic_at"] * _TICK, panic)
+    env.call_later(0.0, tick, 80)
+    env.run()
+    leftovers = []
+    for instance in (0, 1):
+        while (message := context.inbox.take((("VOTE", instance),))) is not None:
+            leftovers.append((instance, message.sender))
+    return (process.value if process.triggered else "blocked"), leftovers, trace
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SCHEDULES)
+def test_quorum_drain_is_unobservable(schedule):
+    """``collect_messages`` (drain, then wait) against the per-message loop
+    it replaced: same senders in the same order, same finish time, same
+    leftovers, same CPU occupancy and mailbox size at every step."""
+    drained = _run_collection(
+        schedule, lambda context, *args: context.collect_messages(*args))
+    looped = _run_collection(schedule, reference_collect)
+    assert drained == looped
 
 
 def test_discard_below_drops_buffered_rounds_under_the_watermark():
