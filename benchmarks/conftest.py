@@ -14,7 +14,7 @@ import os
 
 import pytest
 
-from repro.experiments import ExperimentScale, format_rows, registry
+from repro.experiments import ExperimentScale, figures, format_rows, registry
 
 
 @pytest.fixture(scope="session")
@@ -23,6 +23,14 @@ def bench_scale() -> ExperimentScale:
     if os.environ.get("FIRELEDGER_BENCH_SCALE", "quick") == "full":
         return ExperimentScale.full()
     return ExperimentScale.quick()
+
+
+@pytest.fixture(scope="session")
+def c5_rows(bench_scale) -> dict:
+    """Figures 16 and 17 from one pass: both plot the same nine FireLedger
+    c5.4xlarge runs (same configurations, same seed) against a different
+    baseline, and those runs are >90% of either figure's cost."""
+    return figures.c5_comparison(("hotstuff", "bftsmart"), bench_scale)
 
 
 def run_and_report(benchmark, experiment, scale, title=None, **kwargs):

@@ -1,7 +1,6 @@
 """Figure 16: FLO vs HotStuff on c5.4xlarge machines."""
 
-from benchmarks.conftest import run_and_report
-from repro.experiments import ExperimentScale
+from repro.experiments import ExperimentScale, format_rows
 
 #: (n, tx_size, flo_tps, hotstuff_tps, flo_over_hotstuff, flo_latency_s,
 #: hotstuff_latency_s) at quick scale, seed 7, recorded from the
@@ -20,9 +19,11 @@ PINNED_QUICK = [
 ]
 
 
-def test_fig16_vs_hotstuff(benchmark, bench_scale):
+def test_fig16_vs_hotstuff(c5_rows, bench_scale):
     """Figure 16: FLO vs HotStuff on c5.4xlarge machines."""
-    rows = run_and_report(benchmark, "fig16", bench_scale)
+    rows = c5_rows["hotstuff"]
+    print("\n=== Figure 16 — FLO vs HotStuff ===")
+    print(format_rows(rows))
     assert rows
     if bench_scale == ExperimentScale.quick():
         keys = ("n", "tx_size", "flo_tps", "hotstuff_tps", "flo_over_hotstuff",

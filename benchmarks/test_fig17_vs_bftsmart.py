@@ -1,7 +1,6 @@
 """Figure 17: FLO vs BFT-SMaRt on c5.4xlarge machines."""
 
-from benchmarks.conftest import run_and_report
-from repro.experiments import ExperimentScale
+from repro.experiments import ExperimentScale, format_rows
 
 #: (n, tx_size, flo_tps, bftsmart_tps, flo_over_bftsmart, flo_latency_s,
 #: bftsmart_latency_s) at quick scale, seed 7, recorded from the
@@ -20,9 +19,11 @@ PINNED_QUICK = [
 ]
 
 
-def test_fig17_vs_bftsmart(benchmark, bench_scale):
+def test_fig17_vs_bftsmart(c5_rows, bench_scale):
     """Figure 17: FLO vs BFT-SMaRt on c5.4xlarge machines."""
-    rows = run_and_report(benchmark, "fig17", bench_scale)
+    rows = c5_rows["bftsmart"]
+    print("\n=== Figure 17 — FLO vs BFT-SMaRt ===")
+    print(format_rows(rows))
     assert rows
     if bench_scale == ExperimentScale.quick():
         keys = ("n", "tx_size", "flo_tps", "bftsmart_tps", "flo_over_bftsmart",

@@ -18,8 +18,8 @@ The contract hooks the three seams every protocol already has:
 * **process liveness** — :meth:`AdversaryStrategy.is_silent` marks nodes
   whose protocol process never runs and whose inbound traffic is dropped
   at the network layer (the fail-stop under-approximation the baselines
-  used to hardcode), and :meth:`AdversaryStrategy.install` may schedule
-  timed liveness events (churn) against the live network.
+  used to hardcode), and :meth:`AdversaryStrategy.timeline` may add timed
+  crash/recover phases (churn) to the run's fault timeline.
 
 Strategies are registered by name (:func:`register` / :func:`get` /
 :func:`names`) and built either directly or from a scenario's
@@ -81,8 +81,15 @@ class AdversaryStrategy:
         """
         return False
 
-    def install(self, env, network) -> None:
-        """Schedule timed adversary activity (churn cycles) on the run."""
+    def timeline(self, duration: float):
+        """Timed liveness events the strategy injects into a run.
+
+        A :class:`~repro.scenarios.faultplan.FaultSchedule` of
+        ``crash``/``recover`` phases (churn cycles) for a run lasting
+        ``duration`` seconds, installed like the run's own fault schedule;
+        ``None`` (the default) injects nothing.
+        """
+        return None
 
     # ------------------------------------------------------------- reporting
     def counters(self) -> dict[str, float]:

@@ -7,9 +7,10 @@ ROADMAP's attacker library calls "continuous join/leave".  Cycles are
 staggered per node so the cluster never loses every churning node at the
 same instant.
 
-The cycle drives the network's ``crash``/``recover`` directly (both the
-simulated and the realtime implementation treat them as idempotent), so
-every protocol sees churn the same way it sees a scheduled outage.  Note
+The cycle compiles to ``crash``/``recover`` phases of a
+:class:`~repro.scenarios.faultplan.FaultSchedule` (:meth:`timeline`), so a
+run has one source of crash events and every protocol sees churn the same
+way it sees a scheduled outage.  Note
 the FireLedger worker semantics: a worker that observes its node crashed
 exits permanently, so for FireLedger a churned node's *processes* do not
 resume on rejoin (matching the rolling-crash scenario's behaviour) —
@@ -44,33 +45,26 @@ class ChurnStrategy(AdversaryStrategy):
         self.departures = 0
         self.rejoins = 0
 
-    def install(self, env, network) -> None:
+    def timeline(self, duration: float):
+        # Lazy: the scenario package imports this one to validate specs.
+        from repro.scenarios.faultplan import FaultSchedule, crash, recover
+
+        phases = []
+        self.departures = self.rejoins = 0
         for offset, node in enumerate(sorted(self.nodes)):
             for at, until in self.windows.get(node, ((0.0, math.inf),)):
-                first = max(at - env.now, 0.0) + offset * self.stagger
-                env.call_later(
-                    first,
-                    lambda _arg, node=node, until=until:
-                        self._depart(env, network, node, until))
-
-    def _depart(self, env, network, node: int, until: float) -> None:
-        if env.now >= until:
-            return
-        if not network.is_crashed(node):
-            network.crash(node)
-            self.departures += 1
-        env.call_later(
-            self.down_time,
-            lambda _arg: self._rejoin(env, network, node, until))
-
-    def _rejoin(self, env, network, node: int, until: float) -> None:
-        if network.is_crashed(node):
-            network.recover(node)
-            self.rejoins += 1
-        if env.now + self.up_time < until:
-            env.call_later(
-                self.up_time,
-                lambda _arg: self._depart(env, network, node, until))
+                leave = at + offset * self.stagger
+                # A node leaves only inside its window; it always returns,
+                # even if that is after the window (or the run) has ended.
+                # The run executes every event up to and including
+                # ``duration``, which is what the counters report.
+                while leave < until and leave <= duration:
+                    back = leave + self.down_time
+                    phases += [crash(node, at=leave), recover(node, at=back)]
+                    self.departures += 1
+                    self.rejoins += back <= duration
+                    leave = back + self.up_time
+        return FaultSchedule(tuple(phases))
 
     def counters(self) -> dict[str, float]:
         return {"adversary_departures": self.departures,

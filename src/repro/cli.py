@@ -33,46 +33,32 @@ SCALES = {
     "full": ExperimentScale.full,
 }
 
-# CLI flag -> canonical axis name (registry.AXES order).
-_AXIS_FLAGS = {
-    "cluster_sizes": registry.AXIS_CLUSTER,
-    "batch_sizes": registry.AXIS_BATCH,
-    "tx_sizes": registry.AXIS_TX,
-    "workers": registry.AXIS_WORKERS,
-    "protocol": registry.AXIS_PROTOCOL,
-    "lanes": registry.AXIS_LANES,
-    "backend": registry.AXIS_BACKEND,
-    "adversary": registry.AXIS_ADVERSARY,
-}
+
+def _value_list(parse: type):
+    """``argparse`` type for ``"4,7,10"`` / ``"fireledger,hotstuff"`` lists."""
+    def parse_list(text: str) -> tuple:
+        try:
+            values = tuple(parse(part.strip()) for part in text.split(",")
+                           if part.strip())
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated {parse.__name__} values, "
+                f"got {text!r}") from None
+        if not values:
+            raise argparse.ArgumentTypeError("expected at least one value")
+        return values
+    return parse_list
 
 
-def _int_list(text: str) -> tuple[int, ...]:
-    """Parse ``"4,7,10"`` into ``(4, 7, 10)``."""
-    try:
-        values = tuple(int(part) for part in text.split(",") if part.strip())
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated integers, got {text!r}") from None
-    if not values:
-        raise argparse.ArgumentTypeError("expected at least one integer")
-    return values
-
-
-def _str_list(text: str) -> tuple[str, ...]:
-    """Parse ``"fireledger,hotstuff"`` into ``("fireledger", "hotstuff")``."""
-    values = tuple(part.strip() for part in text.split(",") if part.strip())
-    if not values:
-        raise argparse.ArgumentTypeError("expected at least one name")
-    return values
+_int_list = _value_list(int)
 
 
 def _axis_assignment(text: str) -> tuple[str, tuple]:
     """Parse a generic ``--axis NAME=V1,V2`` assignment.
 
-    ``NAME`` is a canonical axis name (dashes allowed); values are parsed as
-    integers where possible and kept as strings otherwise, so
-    ``--axis protocol=fireledger,hotstuff`` and ``--axis cluster-size=4,7``
-    both work.
+    ``NAME`` is a canonical axis name (dashes allowed); the values go
+    through that axis's own parser, so ``--axis protocol=fireledger,hotstuff``
+    and ``--axis cluster-size=4,7`` both work.
     """
     name, sep, rest = text.partition("=")
     name = name.strip().replace("-", "_")
@@ -82,11 +68,7 @@ def _axis_assignment(text: str) -> tuple[str, tuple]:
     if name not in registry.AXES:
         raise argparse.ArgumentTypeError(
             f"unknown axis {name!r}; known: {', '.join(registry.AXES)}")
-    values = tuple(part.strip() for part in rest.split(",") if part.strip())
-    if not values:
-        raise argparse.ArgumentTypeError(f"axis {name!r} needs at least one value")
-    parsed = tuple(int(v) if v.lstrip("+-").isdigit() else v for v in values)
-    return name, parsed
+    return name, _value_list(registry.AXES[name].parse)(rest)
 
 
 def _add_scale_options(parser: argparse.ArgumentParser) -> None:
@@ -108,32 +90,10 @@ def _add_jobs_option(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_axis_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--cluster-sizes", type=_int_list, default=None,
-                        metavar="N,N", help="cluster sizes, e.g. 4,7,10")
-    parser.add_argument("--batch-sizes", type=_int_list, default=None,
-                        metavar="B,B", help="block batch sizes, e.g. 10,1000")
-    parser.add_argument("--tx-sizes", type=_int_list, default=None,
-                        metavar="S,S", help="transaction sizes in bytes")
-    parser.add_argument("--workers", type=_int_list, default=None,
-                        metavar="W,W", help="FireLedger workers per node")
-    parser.add_argument("--protocol", type=_str_list, default=None,
-                        metavar="P,P",
-                        help="consensus protocol(s) to run, e.g. "
-                             "fireledger,hotstuff,bftsmart (scenarios)")
-    parser.add_argument("--lanes", type=_int_list, default=None,
-                        metavar="M,M",
-                        help="multiplexed consensus lane counts, e.g. 1,4 "
-                             "(scenarios)")
-    parser.add_argument("--backend", type=_str_list, default=None,
-                        metavar="B,B",
-                        help="execution backend(s): sim (discrete-event, "
-                             "default) and/or realtime (live asyncio over "
-                             "loopback TCP; scenarios)")
-    parser.add_argument("--adversary", type=_str_list, default=None,
-                        metavar="A,A",
-                        help="adversary strategy(ies) for a scenario's "
-                             "Byzantine nodes, e.g. equivocate,churn "
-                             "(see 'list'; scenarios)")
+    for axis in registry.AXES.values():
+        parser.add_argument(axis.flag, type=_value_list(axis.parse),
+                            default=None, metavar=axis.metavar,
+                            help=axis.help)
     parser.add_argument("--axis", type=_axis_assignment, action="append",
                         default=None, metavar="NAME=V,V",
                         help="generic axis assignment, e.g. "
@@ -193,25 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--stdout", action="store_true",
                      help="print the markdown instead of writing a file")
 
-    spd = sub.add_parser(
-        "simspeed", help="benchmark the simulator's wall-clock speed and "
-                         "optionally gate against the committed baseline")
-    spd.add_argument("--check", action="store_true",
-                     help="compare the fresh measurement against the baseline "
-                          "rows in the result store and exit nonzero on a "
-                          "regression")
-    spd.add_argument("--tolerance", type=float, default=0.2, metavar="F",
-                     help="allowed fractional throughput drop before the gate "
-                          "fails (default: 0.2)")
-    spd.add_argument("--repeats", type=int, default=3, metavar="N",
-                     help="timed runs per case; best run is kept (default: 3)")
-    spd.add_argument("--variant", default="current",
-                     help="variant label stamped on the fresh rows "
-                          "(default: current)")
-    spd.add_argument("--results-dir", default=sweep.RESULTS_DIR_DEFAULT,
-                     help="JSONL result store holding the baseline "
-                          "(default: results/)")
-
     sub.add_parser("list", help="list registered experiments and their axes")
     return parser
 
@@ -244,10 +185,10 @@ def _effective_scale(spec, scale: ExperimentScale,
 
 def _axis_values(args: argparse.Namespace) -> dict[str, tuple]:
     values = {}
-    for flag, axis in _AXIS_FLAGS.items():
-        given = getattr(args, flag)
+    for name, axis in registry.AXES.items():
+        given = getattr(args, axis.dest)
         if given is not None:
-            values[axis] = given
+            values[name] = given
     for name, axis_values in (args.axis or ()):
         values[name] = axis_values
     return values
@@ -297,9 +238,9 @@ def _cmd_run(args: argparse.Namespace, out) -> int:
 
     precomputed: dict = {}
     if args.jobs > 1 and len(plan) > 1:
-        # Wall-clock benchmarks (simspeed) stay out of the pool: timing them
-        # while sibling workers saturate the cores would record inflated
-        # numbers as real data.  They run inline in the loop below instead.
+        # Host-measuring drivers (memfootprint, calibrate) stay out of the
+        # pool: measuring them while sibling workers saturate the cores would
+        # record inflated numbers as real data.  They run inline below.
         poolable = [(spec.name, spec_scale, applicable)
                     for spec, spec_scale, applicable, _, _ in plan
                     if not spec.wall_clock]
@@ -349,7 +290,7 @@ def _cmd_sweep(args: argparse.Namespace, out) -> int:
         return 2
     axes = _axis_values(args)
     if not axes and not args.seeds:
-        flags = " ".join(f"--{flag.replace('_', '-')}" for flag in _AXIS_FLAGS)
+        flags = " ".join(axis.flag for axis in registry.AXES.values())
         print(f"error: sweep needs at least one grid axis ({flags} or --seeds)",
               file=sys.stderr)
         return 2
@@ -357,8 +298,8 @@ def _cmd_sweep(args: argparse.Namespace, out) -> int:
     progress = lambda msg: print(msg, file=out)  # noqa: E731
     jobs = args.jobs
     if jobs > 1 and spec.wall_clock:
-        # Timing the simulator while sibling workers saturate the cores
-        # would record inflated wall-clock rows as real data.
+        # Measuring the host while sibling workers saturate the cores would
+        # record inflated rows as real data.
         print(f"note: {spec.name} measures host wall-clock time; "
               f"running serially despite --jobs {jobs}", file=out)
         jobs = 1
@@ -403,33 +344,6 @@ def _cmd_report(args: argparse.Namespace, out) -> int:
     return 0
 
 
-def _cmd_simspeed(args: argparse.Namespace, out) -> int:
-    from repro.experiments.speed import check_simspeed, load_baselines, sim_speed
-
-    rows = sim_speed(repeats=args.repeats, variant=args.variant)
-    columns = list(dict.fromkeys(key for row in rows for key in row))
-    print(format_rows(rows, columns=columns), file=out)
-    if not args.check:
-        return 0
-    baseline_path = sweep.results_path(args.results_dir, "simspeed")
-    if not Path(baseline_path).exists():
-        print(f"error: no baseline store at {baseline_path}", file=sys.stderr)
-        return 2
-    try:
-        failures = check_simspeed(rows, load_baselines(baseline_path),
-                                  tolerance=args.tolerance)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if failures:
-        for failure in failures:
-            print(f"simspeed regression: {failure}", file=sys.stderr)
-        return 1
-    print(f"simspeed gate passed (tolerance {args.tolerance:.0%} "
-          f"vs {baseline_path})", file=out)
-    return 0
-
-
 def _cmd_list(out) -> int:
     rows = [{"name": spec.name,
              "axes": ", ".join(sorted(spec.axes)) or "-",
@@ -453,8 +367,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return _cmd_sweep(args, out)
         if args.command == "report":
             return _cmd_report(args, out)
-        if args.command == "simspeed":
-            return _cmd_simspeed(args, out)
         if args.command == "list":
             return _cmd_list(out)
     except BrokenPipeError:  # e.g. `python -m repro list | head`

@@ -261,10 +261,11 @@ def run_cluster(config: FireLedgerConfig,
     impl.set_measurement_window(nodes, warmup)
     impl.start(nodes)
 
-    if strategy is not None:
-        strategy.install(env, network)
-    if faults is not None:
-        faults.install(env, network)
+    # One source of crash events: the adversary's timed liveness phases
+    # (churn) and the run's own schedule install the same way.
+    for schedule in (strategy and strategy.timeline(duration), faults):
+        if schedule is not None:
+            schedule.install(env, network)
     if setup is not None:
         setup(env, network, nodes)
 

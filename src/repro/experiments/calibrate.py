@@ -27,10 +27,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 def calibrate_backends(scale: "Optional[ExperimentScale]" = None,
                        scenario: str = "paper-lan",
-                       n_nodes: Optional[int] = None,
-                       workers: Optional[int] = None,
-                       protocol: Optional[str] = None,
-                       lanes: Optional[int] = None) -> list[dict]:
+                       **axis_overrides) -> list[dict]:
     """Measure live-vs-sim throughput and latency deltas for one scenario.
 
     Runs ``scenario`` (default ``paper-lan``) once on the discrete-event
@@ -42,10 +39,8 @@ def calibrate_backends(scale: "Optional[ExperimentScale]" = None,
     from repro.scenarios.runner import run_scenario
 
     spec = library.get(scenario)
-    kwargs = dict(scale=scale, n_nodes=n_nodes, workers=workers,
-                  protocol=protocol, lanes=lanes)
-    (sim,) = run_scenario(spec, backend="sim", **kwargs)
-    (live,) = run_scenario(spec, backend="realtime", **kwargs)
+    (sim,) = run_scenario(spec, scale, backend="sim", **axis_overrides)
+    (live,) = run_scenario(spec, scale, backend="realtime", **axis_overrides)
 
     def _ratio(live_value: float, sim_value: float) -> Optional[float]:
         return round(live_value / sim_value, 3) if sim_value else None

@@ -19,7 +19,7 @@ once with retention **on**, and records
 
 Live-object counts are deterministic simulated quantities; the two memory
 columns are host measurements, so the driver is registered ``wall_clock``
-(kept out of ``--jobs`` worker pools like ``simspeed``).
+(kept out of ``--jobs`` worker pools).
 """
 
 from __future__ import annotations

@@ -29,7 +29,6 @@ import os
 import signal
 import threading
 import time
-from dataclasses import replace
 from pathlib import Path
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -38,21 +37,30 @@ from repro.experiments.harness import ExperimentScale
 from repro.experiments.registry import ExperimentSpec
 from repro.experiments.sweep import (
     RESULTS_DIR_DEFAULT,
-    config_id,
     file_stem,
-    grid_points,
-    make_record,
+    plan_sweep,
     recorded_ids,
     results_path,
+    run_point,
 )
 
 SHARD_DIR_NAME = ".shards"
 
 
 def _pool_context() -> multiprocessing.context.BaseContext:
-    """Prefer ``fork`` (cheap, Linux) and fall back to ``spawn`` elsewhere."""
+    """``forkserver`` where the platform has it, else ``spawn`` — never ``fork``.
+
+    The parent may have threads (the realtime backend's event loops, a test
+    runner's); a forked child inherits their locks held and can deadlock
+    before it runs a task.  Both methods start workers from a fresh import,
+    which is all a task needs: it names its driver and the worker resolves
+    it through the registry.  Workers re-import the parent's main module,
+    so a script that drives a pool must guard its entry point with
+    ``if __name__ == "__main__":`` (``python -m repro`` does).
+    """
     methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
+    return multiprocessing.get_context(
+        "forkserver" if "forkserver" in methods else "spawn")
 
 
 def shard_dir(results_dir: "str | Path") -> Path:
@@ -146,20 +154,15 @@ def _append_shard_line(shard: Path, payload: dict) -> None:
         os.close(fd)
 
 
-def _run_sweep_task(task: tuple) -> tuple[int, str, int, float, str]:
+def _run_sweep_task(task: tuple) -> tuple[int, float, str]:
     """Worker body: run one grid point, append it to this worker's shard."""
-    idx, spec_name, scale, point, params, scale_label, shard_base = task
-    spec = registry.get(spec_name)
-    started = time.perf_counter()
-    rows = spec.run(scale, axis_values={k: (v,) for k, v in point.items()})
-    elapsed = time.perf_counter() - started
-    record = make_record(spec, scale, scale_label, params, rows,
-                         elapsed_s=elapsed)
+    idx, spec_name, scale, point, params, label, scale_label, shard_base = task
+    record = run_point(registry.get(spec_name), scale, point, params,
+                       scale_label)
     shard = Path(shard_base) / f"{file_stem(spec_name)}.{os.getpid()}.jsonl"
     shard.parent.mkdir(parents=True, exist_ok=True)
     _append_shard_line(shard, {"idx": idx, "record": record})
-    label = ", ".join(f"{k}={v}" for k, v in sorted(params.items())) or "(base)"
-    return idx, record["config_id"], len(rows), elapsed, label
+    return len(record["rows"]), record["elapsed_s"], label
 
 
 def run_parallel_sweep(spec: ExperimentSpec,
@@ -189,23 +192,14 @@ def run_parallel_sweep(spec: ExperimentSpec,
 
     tasks = []
     skipped = 0
-    enqueued: set[str] = set()
-    for seed in (seeds if seeds else (scale.seed,)):
-        seeded = replace(scale, seed=seed)
-        for point in grid_points(axes):
-            params = dict(point)
-            if seeds:
-                params["seed"] = seed
-            cid = config_id(spec.name, seeded, params,
-                            defaults=spec.axis_defaults)
-            if cid in done or cid in enqueued:
-                skipped += 1
-                label = ", ".join(f"{k}={v}" for k, v in sorted(params.items())) or "(base)"
-                emit(f"skip {spec.name} [{label}] (already recorded)")
-                continue
-            enqueued.add(cid)
-            tasks.append((len(tasks), spec.name, seeded, point, params,
-                          scale_label, str(shard_dir(results_dir))))
+    for seeded, point, params, label, fresh in plan_sweep(
+            spec, scale, axes, seeds, done):
+        if not fresh:
+            skipped += 1
+            emit(f"skip {spec.name} [{label}] (already recorded)")
+            continue
+        tasks.append((len(tasks), spec.name, seeded, point, params, label,
+                      scale_label, str(shard_dir(results_dir))))
 
     ran = 0
     if tasks:
@@ -225,7 +219,7 @@ def run_parallel_sweep(spec: ExperimentSpec,
         try:
             with context.Pool(processes=jobs,
                               initializer=_ignore_sigint) as pool:
-                for _idx, _cid, n_rows, elapsed, label in pool.imap_unordered(
+                for n_rows, elapsed, label in pool.imap_unordered(
                         _run_sweep_task, tasks):
                     ran += 1
                     emit(f"ran  {spec.name} [{label}] -> {n_rows} rows "

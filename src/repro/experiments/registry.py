@@ -1,73 +1,145 @@
-"""Registry of experiment drivers: name -> callable + parameter schema.
+"""Registry of experiment drivers, and the one table of sweep axes.
 
 Every table/figure driver in :mod:`repro.experiments.figures` is registered
-here under a short stable name (``table1``, ``fig05`` ... ``fig17``).  The
-registry is the single front door used by the CLI (``python -m repro``), the
-sweep engine, the pytest benchmarks and the examples, replacing the ad-hoc
-``figureNN_*`` naming convention as the way to find and run an experiment.
+here under a short stable name (``table1``, ``fig05`` ... ``fig17``), next
+to the host-side drivers and one ``scenario:<name>`` entry per shipped
+scenario.  The registry is the single front door used by the CLI
+(``python -m repro``), the sweep engine, the pytest benchmarks and the
+examples.
 
-Each :class:`ExperimentSpec` also declares which *axes* the driver can sweep
-(cluster size, batch size, transaction size, workers) and how a value on that
-axis reaches the driver: most drivers read the sweep tuples off
-:class:`~repro.experiments.harness.ExperimentScale`, but e.g. ``fig10`` takes
-``n_nodes`` as a scalar keyword and ``fig16``/``fig17`` take ``cluster_sizes``
-/ ``tx_sizes`` tuples directly.  The spec hides that difference so callers can
-say "cluster_size = 7" uniformly.
+:data:`AXES` is the one declaration of what a sweep axis *is*: the CLI flags,
+``--axis NAME=`` parsing, the scenario drivers' overrides and ``config_id``
+defaults, and the report's echo suppression and identity columns are all
+loops or lookups over it.  Which axes a given driver sweeps is read off the
+driver itself (:func:`driver_axes`) — its declared figure grid and its
+signature — so callers can say "cluster_size = 7" uniformly whether the
+driver iterates ``ExperimentScale.cluster_sizes``, takes ``n_nodes`` as a
+scalar keyword (``fig10``) or takes a ``cluster_sizes`` tuple (``fig16``).
 """
 
 from __future__ import annotations
 
+import inspect
 import itertools
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
-from repro.experiments import calibrate, figures, memory, speed
+from repro.experiments import calibrate, figures, memory
 from repro.experiments.harness import ExperimentScale
-
-# Canonical axis names, shared by the CLI flags and the sweep engine.
-AXIS_CLUSTER = "cluster_size"
-AXIS_BATCH = "batch_size"
-AXIS_TX = "tx_size"
-AXIS_WORKERS = "workers"
-#: Consensus protocol axis — string-valued (names from :mod:`repro.protocols`).
-AXIS_PROTOCOL = "protocol"
-#: Multiplexed-consensus lane count (scenario drivers only).
-AXIS_LANES = "lanes"
-#: Execution backend — ``"sim"`` (discrete-event) or ``"realtime"`` (live
-#: asyncio/TCP runtime).  Scenario drivers only; string-valued like protocol.
-AXIS_BACKEND = "backend"
-#: Adversary strategy for a scenario's Byzantine nodes — string-valued
-#: (names from :mod:`repro.adversary`).  Scenario drivers only.
-AXIS_ADVERSARY = "adversary"
-AXES = (AXIS_CLUSTER, AXIS_BATCH, AXIS_TX, AXIS_WORKERS, AXIS_PROTOCOL,
-        AXIS_LANES, AXIS_BACKEND, AXIS_ADVERSARY)
 
 
 @dataclass(frozen=True)
-class AxisBinding:
-    """How one sweep axis reaches a driver.
+class Axis:
+    """One sweepable dimension of the evaluation grid."""
 
-    ``kind`` is ``"scale"`` (set the named tuple field on ``ExperimentScale``)
-    or ``"kwarg"`` (pass directly to the driver).  Keyword axes are scalar by
-    default (``fig10``'s ``n_nodes``); ``tuple_valued`` marks keywords that
-    expect the whole tuple (``fig16``'s ``cluster_sizes``).  ``limit`` caps
-    how many values the driver actually consumes (fig10/11/12 iterate
-    ``workers_sweep[:2]`` to bound cost), so overrides are truncated up front
-    and the recorded parameters match what really ran.
+    #: Canonical name: the ``params`` key of a record, ``--axis NAME=``.
+    name: str
+    #: Dedicated CLI flag (its ``dest`` is the flag with dashes folded).
+    flag: str
+    metavar: str
+    help: str
+    #: Value parser: ``int`` for sizes and counts, ``str`` for names.
+    parse: Callable = int
+    #: The ``ExperimentScale`` tuple a figure grid iterates for this axis;
+    #: a driver parameter of the same name takes the whole tuple.
+    scale_field: Optional[str] = None
+    #: The scalar keyword a driver takes for this axis (run once per value).
+    #: For a scenario it names the ``ScenarioSpec`` field it overrides.
+    keyword: Optional[str] = None
+    #: Value a scenario uses when the axis is not given and ``keyword`` is
+    #: not a ``ScenarioSpec`` field (``backend`` belongs to the run, not to
+    #: the spec); ``config_id`` drops an override equal to the default.
+    default: object = None
+    #: Row columns the axis shows up under.  They identify a configuration
+    #: in the report's comparison table.
+    columns: tuple[str, ...] = ()
+    #: Whether a record's rows always carry one of ``columns`` when the axis
+    #: is swept, so the report need not repeat the param as a prefix column.
+    #: ``backend`` is only recorded off its default, so it always prefixes.
+    echoed: bool = True
+
+    @property
+    def dest(self) -> str:
+        return self.flag.lstrip("-").replace("-", "_")
+
+    def scenario_default(self, spec) -> object:
+        """The value ``spec`` runs with when this axis is not overridden."""
+        if self.keyword in spec.__dataclass_fields__:
+            return spec.scalar(self.keyword)
+        return self.default
+
+
+CLUSTER = Axis(
+    "cluster_size", "--cluster-sizes", "N,N", "cluster sizes, e.g. 4,7,10",
+    scale_field="cluster_sizes", keyword="n_nodes",
+    columns=("cluster_size", "n"))
+BATCH = Axis(
+    "batch_size", "--batch-sizes", "B,B", "block batch sizes, e.g. 10,1000",
+    scale_field="batch_sizes", columns=("batch_size", "batch"))
+TX = Axis(
+    "tx_size", "--tx-sizes", "S,S", "transaction sizes in bytes",
+    scale_field="tx_sizes", columns=("tx_size",))
+WORKERS = Axis(
+    "workers", "--workers", "W,W", "FireLedger workers per node",
+    scale_field="workers_sweep", keyword="workers", columns=("workers",))
+PROTOCOL = Axis(
+    "protocol", "--protocol", "P,P",
+    "consensus protocol(s) to run, e.g. fireledger,hotstuff,bftsmart "
+    "(scenarios)",
+    parse=str, keyword="protocol", columns=("protocol",))
+LANES = Axis(
+    "lanes", "--lanes", "M,M",
+    "multiplexed consensus lane counts, e.g. 1,4 (scenarios)",
+    keyword="lanes", columns=("lanes",))
+BACKEND = Axis(
+    "backend", "--backend", "B,B",
+    "execution backend(s): sim (discrete-event, default) and/or realtime "
+    "(live asyncio over loopback TCP; scenarios)",
+    parse=str, keyword="backend", default="sim", columns=("backend",),
+    echoed=False)
+ADVERSARY = Axis(
+    "adversary", "--adversary", "A,A",
+    "adversary strategy(ies) for a scenario's Byzantine nodes, e.g. "
+    "equivocate,churn (see 'list'; scenarios)",
+    parse=str, keyword="adversary", columns=("adversary",))
+
+#: The axis table, in CLI / ``--help`` order.  Everything that needs "every
+#: axis" iterates this; adding an entry is all it takes to add an axis.
+AXES: dict[str, Axis] = {axis.name: axis for axis in (
+    CLUSTER, BATCH, TX, WORKERS, PROTOCOL, LANES, BACKEND, ADVERSARY)}
+
+
+def keyword_axes(*axes: Axis) -> dict[str, str]:
+    """Bindings of a driver that forwards ``**overrides`` to a scenario.
+
+    Such a driver's signature names no axis, so its registration says which
+    it takes: every axis with a scalar keyword by default.
     """
-
-    kind: str
-    target: str
-    tuple_valued: bool = False
-    limit: Optional[int] = None
+    return {axis.name: "scalar" for axis in axes or AXES.values()
+            if axis.keyword}
 
 
-def _scale_axis(target: str) -> AxisBinding:
-    return AxisBinding(kind="scale", target=target)
+def driver_axes(func: Callable) -> dict[str, str]:
+    """The axes ``func`` sweeps and how a value reaches it, read off ``func``.
 
-
-def _kwarg_axis(target: str, tuple_valued: bool = False) -> AxisBinding:
-    return AxisBinding(kind="kwarg", target=target, tuple_valued=tuple_valued)
+    ``"scalar"`` — a parameter named like the axis keyword (``fig10``'s
+    ``n_nodes``): run once per value and concatenate the rows;
+    ``"tuple"`` — a parameter named like the scale tuple (``fig16``'s
+    ``cluster_sizes``): pass every value at once; ``"scale"`` — the driver's
+    declared figure grid (``func.grid``) iterates the scale tuple: replace
+    it on the ``ExperimentScale``.
+    """
+    params = inspect.signature(func).parameters
+    grid = getattr(func, "grid", ())
+    bound: dict[str, str] = {}
+    for name, axis in AXES.items():
+        if axis.keyword in params:
+            bound[name] = "scalar"
+        elif axis.scale_field in params:
+            bound[name] = "tuple"
+        elif axis.scale_field in grid:
+            bound[name] = "scale"
+    return bound
 
 
 @dataclass(frozen=True)
@@ -77,10 +149,12 @@ class ExperimentSpec:
     name: str
     func: Callable[..., list]
     title: str
-    axes: Mapping[str, AxisBinding] = field(default_factory=dict)
-    #: True for drivers that measure host wall-clock time (``simspeed``).
-    #: Such drivers must not share the machine with concurrent workers, so
-    #: ``run --all --jobs N`` keeps them out of the worker pool.
+    #: Axis name -> binding kind; read off the driver unless given.
+    axes: Optional[Mapping[str, str]] = None
+    #: True for drivers that measure host quantities (``memfootprint``'s
+    #: peak memory, ``calibrate``'s live half).  Such drivers must not share
+    #: the machine with concurrent workers, so ``run --all --jobs N`` keeps
+    #: them out of the worker pool.
     wall_clock: bool = False
     #: True for drivers that pin their own simulated duration/warmup
     #: (scenarios: fault phase times are absolute simulated seconds).  The
@@ -93,6 +167,10 @@ class ExperimentSpec:
     #: never double-records) the bare run of a fireledger-default scenario.
     axis_defaults: Mapping[str, object] = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        if self.axes is None:
+            object.__setattr__(self, "axes", driver_axes(self.func))
+
     @property
     def description(self) -> str:
         """First docstring line of the underlying driver."""
@@ -102,17 +180,18 @@ class ExperimentSpec:
     def normalize_axis_values(
             self, axis_values: Optional[Mapping[str, Sequence]],
     ) -> dict[str, tuple]:
-        """Validate axis names and truncate values past a binding's limit.
+        """Validate axis names and truncate values past the grid's cap.
 
         Returns the values that will actually reach the driver, which is what
-        callers should record.  Axis values are usually ints; the ``protocol``
-        axis carries protocol-name strings (a bare string counts as one value,
-        not a character sequence).
+        callers should record: fig10/11/12 consume at most two worker counts
+        (``func.caps``), so overrides are truncated up front.  Axis values
+        are usually ints; the ``protocol`` axis carries protocol-name strings
+        (a bare string counts as one value, not a character sequence).
         """
+        caps = getattr(self.func, "caps", {})
         normalized: dict[str, tuple] = {}
         for axis, values in sorted((axis_values or {}).items()):
-            binding = self.axes.get(axis)
-            if binding is None:
+            if axis not in self.axes:
                 supported = ", ".join(sorted(self.axes)) or "(none)"
                 raise ValueError(
                     f"experiment {self.name!r} has no {axis!r} axis; "
@@ -120,7 +199,7 @@ class ExperimentSpec:
             values = (values,) if isinstance(values, str) else tuple(values)
             if not values:
                 raise ValueError(f"axis {axis!r} needs at least one value")
-            normalized[axis] = values[:binding.limit] if binding.limit else values
+            normalized[axis] = values[:caps.get(AXES[axis].scale_field)]
         return normalized
 
     def run(self, scale: Optional[ExperimentScale] = None,
@@ -133,21 +212,18 @@ class ExperimentSpec:
         """
         scale = scale or ExperimentScale()
         kwargs: dict = {}
-        scalar_axes: list[tuple[str, tuple]] = []
-        for axis, values in self.normalize_axis_values(axis_values).items():
-            binding = self.axes[axis]
-            if binding.kind == "scale":
-                scale = replace(scale, **{binding.target: values})
-            elif binding.tuple_valued:
-                kwargs[binding.target] = values
+        scalars: dict[str, tuple] = {}
+        for name, values in self.normalize_axis_values(axis_values).items():
+            axis, kind = AXES[name], self.axes[name]
+            if kind == "scale":
+                scale = replace(scale, **{axis.scale_field: values})
+            elif kind == "tuple":
+                kwargs[axis.scale_field] = values
             else:
-                scalar_axes.append((binding.target, values))
-        if not scalar_axes:
-            return self.func(scale, **kwargs)
+                scalars[axis.keyword] = values
         rows: list[dict] = []
-        names = [name for name, _ in scalar_axes]
-        for combo in itertools.product(*(vals for _, vals in scalar_axes)):
-            rows.extend(self.func(scale, **kwargs, **dict(zip(names, combo))))
+        for combo in itertools.product(*scalars.values()):
+            rows.extend(self.func(scale, **kwargs, **dict(zip(scalars, combo))))
         return rows
 
 
@@ -189,91 +265,44 @@ def resolve(driver: "str | Callable") -> ExperimentSpec:
     return get(driver)
 
 
-_CLUSTER_SCALE = {AXIS_CLUSTER: _scale_axis("cluster_sizes")}
-_BATCH_SCALE = {AXIS_BATCH: _scale_axis("batch_sizes")}
-_TX_SCALE = {AXIS_TX: _scale_axis("tx_sizes")}
-_WORKERS_SCALE = {AXIS_WORKERS: _scale_axis("workers_sweep")}
-# fig10/11/12 iterate workers_sweep[:2] to bound simulation cost.
-_WORKERS_SCALE_2 = {AXIS_WORKERS: AxisBinding(kind="scale",
-                                              target="workers_sweep", limit=2)}
-
-
 def _register_all() -> None:
-    register(ExperimentSpec(
-        name="table1", func=figures.table1_costs,
-        title="Table 1 — protocol costs per operating mode"))
-    register(ExperimentSpec(
-        name="fig05", func=figures.figure05_signature_rate,
-        title="Figure 5 — signature generation rate",
-        axes={**_BATCH_SCALE, **_TX_SCALE, **_WORKERS_SCALE}))
-    register(ExperimentSpec(
-        name="fig06", func=figures.figure06_bps_single_dc,
-        title="Figure 6 — blocks/sec, single data center",
-        axes={**_CLUSTER_SCALE, **_WORKERS_SCALE}))
-    register(ExperimentSpec(
-        name="fig07", func=figures.figure07_tps_single_dc,
-        title="Figure 7 — transactions/sec, single data center",
-        axes={**_CLUSTER_SCALE, **_BATCH_SCALE, **_TX_SCALE, **_WORKERS_SCALE}))
-    register(ExperimentSpec(
-        name="fig08", func=figures.figure08_latency_cdf,
-        title="Figure 8 — block delivery latency",
-        axes={**_CLUSTER_SCALE, **_BATCH_SCALE, **_WORKERS_SCALE}))
-    register(ExperimentSpec(
-        name="fig09", func=figures.figure09_latency_breakdown,
-        title="Figure 9 — latency breakdown across round events",
-        axes={**_CLUSTER_SCALE, **_WORKERS_SCALE}))
-    register(ExperimentSpec(
-        name="fig10", func=figures.figure10_scalability,
-        title="Figure 10 — scalability to large clusters",
-        axes={AXIS_CLUSTER: _kwarg_axis("n_nodes"),
-              **_BATCH_SCALE, **_WORKERS_SCALE_2}))
-    register(ExperimentSpec(
-        name="fig11", func=figures.figure11_crash_failures,
-        title="Figure 11 — throughput under crash failures",
-        axes={**_CLUSTER_SCALE, **_BATCH_SCALE, **_WORKERS_SCALE_2}))
-    register(ExperimentSpec(
-        name="fig12", func=figures.figure12_byzantine_failures,
-        title="Figure 12 — throughput under Byzantine equivocation",
-        axes={**_CLUSTER_SCALE, **_BATCH_SCALE, **_WORKERS_SCALE_2}))
-    register(ExperimentSpec(
-        name="fig13", func=figures.figure13_bps_multi_dc,
-        title="Figure 13 — blocks/sec, geo-distributed",
-        axes={**_CLUSTER_SCALE, **_WORKERS_SCALE}))
-    register(ExperimentSpec(
-        name="fig14", func=figures.figure14_tps_multi_dc,
-        title="Figure 14 — transactions/sec, geo-distributed",
-        axes={**_CLUSTER_SCALE, **_BATCH_SCALE, **_WORKERS_SCALE}))
-    register(ExperimentSpec(
-        name="fig15", func=figures.figure15_latency_multi_dc,
-        title="Figure 15 — block latency, geo-distributed",
-        axes={**_CLUSTER_SCALE, **_BATCH_SCALE, **_WORKERS_SCALE}))
-    register(ExperimentSpec(
-        name="fig16", func=figures.figure16_vs_hotstuff,
-        title="Figure 16 — FLO vs HotStuff",
-        axes={AXIS_CLUSTER: _kwarg_axis("cluster_sizes", tuple_valued=True),
-              AXIS_TX: _kwarg_axis("tx_sizes", tuple_valued=True)}))
-    register(ExperimentSpec(
-        name="fig17", func=figures.figure17_vs_bftsmart,
-        title="Figure 17 — FLO vs BFT-SMaRt",
-        axes={AXIS_CLUSTER: _kwarg_axis("cluster_sizes", tuple_valued=True),
-              AXIS_TX: _kwarg_axis("tx_sizes", tuple_valued=True)}))
-    register(ExperimentSpec(
-        name="simspeed", func=speed.sim_speed,
-        title="Simulator speed — wall-clock microbenchmark",
-        axes={AXIS_CLUSTER: _kwarg_axis("n_nodes")},
-        wall_clock=True))
+    for name, func, title in (
+        ("table1", figures.table1_costs,
+         "Table 1 — protocol costs per operating mode"),
+        ("fig05", figures.figure05_signature_rate,
+         "Figure 5 — signature generation rate"),
+        ("fig06", figures.figure06_bps_single_dc,
+         "Figure 6 — blocks/sec, single data center"),
+        ("fig07", figures.figure07_tps_single_dc,
+         "Figure 7 — transactions/sec, single data center"),
+        ("fig08", figures.figure08_latency_cdf,
+         "Figure 8 — block delivery latency"),
+        ("fig09", figures.figure09_latency_breakdown,
+         "Figure 9 — latency breakdown across round events"),
+        ("fig10", figures.figure10_scalability,
+         "Figure 10 — scalability to large clusters"),
+        ("fig11", figures.figure11_crash_failures,
+         "Figure 11 — throughput under crash failures"),
+        ("fig12", figures.figure12_byzantine_failures,
+         "Figure 12 — throughput under Byzantine equivocation"),
+        ("fig13", figures.figure13_bps_multi_dc,
+         "Figure 13 — blocks/sec, geo-distributed"),
+        ("fig14", figures.figure14_tps_multi_dc,
+         "Figure 14 — transactions/sec, geo-distributed"),
+        ("fig15", figures.figure15_latency_multi_dc,
+         "Figure 15 — block latency, geo-distributed"),
+        ("fig16", figures.figure16_vs_hotstuff, "Figure 16 — FLO vs HotStuff"),
+        ("fig17", figures.figure17_vs_bftsmart, "Figure 17 — FLO vs BFT-SMaRt"),
+    ):
+        register(ExperimentSpec(name=name, func=func, title=title))
     register(ExperimentSpec(
         name="memfootprint", func=memory.memory_footprint,
         title="Memory footprint — bounded retention vs keep-everything",
-        axes={AXIS_CLUSTER: _kwarg_axis("n_nodes")},
         wall_clock=True))
     register(ExperimentSpec(
         name="calibrate", func=calibrate.calibrate_backends,
         title="Calibration — live realtime backend vs the simulator",
-        axes={AXIS_CLUSTER: _kwarg_axis("n_nodes"),
-              AXIS_WORKERS: _kwarg_axis("workers"),
-              AXIS_PROTOCOL: _kwarg_axis("protocol"),
-              AXIS_LANES: _kwarg_axis("lanes")},
+        axes=keyword_axes(CLUSTER, WORKERS, PROTOCOL, LANES),
         wall_clock=True, pins_duration=True))
     _register_scenarios()
 
@@ -281,8 +310,7 @@ def _register_all() -> None:
 def _register_scenarios() -> None:
     """Register every shipped declarative scenario as ``scenario:<name>``.
 
-    Scenario drivers take ``n_nodes`` / ``workers`` / ``protocol`` /
-    ``lanes`` / ``adversary`` as scalar keyword axes, so ``repro sweep
+    Scenario drivers take every keyword axis, so ``repro sweep
     scenario:<name> --cluster-sizes 4,7``, ``--protocol
     fireledger,hotstuff``, ``--lanes 1,4`` and ``--adversary
     equivocate,churn`` sweep the same spec with the usual resume/--jobs
@@ -290,29 +318,21 @@ def _register_scenarios() -> None:
     """
     from repro.scenarios import library as scenario_library
 
+    axes = keyword_axes()
     for name in scenario_library.names():
         spec = scenario_library.get(name)
         register(ExperimentSpec(
             name=scenario_library.PREFIX + name,
             func=scenario_library.driver_for(spec),
             title=f"Scenario — {name}",
-            axes={AXIS_CLUSTER: _kwarg_axis("n_nodes"),
-                  AXIS_WORKERS: _kwarg_axis("workers"),
-                  AXIS_PROTOCOL: _kwarg_axis("protocol"),
-                  AXIS_LANES: _kwarg_axis("lanes"),
-                  AXIS_BACKEND: _kwarg_axis("backend"),
-                  AXIS_ADVERSARY: _kwarg_axis("adversary")},
+            axes=axes,
             pins_duration=True,
-            # backend=sim (and the spec's own adversary strategy) are
-            # canonicalized out of config_id so committed records (which
-            # predate the axes) resume unchanged against explicit
+            # What the spec itself (and backend=sim) already says is
+            # canonicalized out of config_id, so committed records (which
+            # predate several axes) resume unchanged against explicit
             # ``--backend sim`` / default-adversary spellings.
-            axis_defaults={AXIS_CLUSTER: spec.n_nodes,
-                           AXIS_WORKERS: spec.workers,
-                           AXIS_PROTOCOL: spec.protocol,
-                           AXIS_LANES: spec.lanes.count,
-                           AXIS_BACKEND: "sim",
-                           AXIS_ADVERSARY: spec.adversary.strategy}))
+            axis_defaults={axis: AXES[axis].scenario_default(spec)
+                           for axis in axes}))
 
 
 _register_all()

@@ -129,6 +129,41 @@ def make_record(spec: ExperimentSpec, scale: ExperimentScale, scale_label: str,
     return record
 
 
+def plan_sweep(spec: ExperimentSpec, scale: ExperimentScale,
+               axes: Mapping[str, Sequence],
+               seeds: Optional[Sequence[int]],
+               done: set[str]) -> Iterator[tuple]:
+    """Enumerate a sweep: seed x grid, in the order both engines run it.
+
+    Yields ``(seeded_scale, point, params, label, fresh)`` per configuration;
+    ``params`` is the point plus the seed when seeds are swept, ``label`` its
+    progress-line spelling and ``fresh`` False when the configuration's
+    ``config_id`` is in ``done`` or was already yielded (two spellings of one
+    configuration in the same grid).
+    """
+    seen = set(done)
+    for seed in (seeds if seeds else (scale.seed,)):
+        seeded = replace(scale, seed=seed)
+        for point in grid_points(axes):
+            params = dict(point)
+            if seeds:
+                params["seed"] = seed
+            cid = config_id(spec.name, seeded, params,
+                            defaults=spec.axis_defaults)
+            label = ", ".join(f"{k}={v}" for k, v in sorted(params.items())) or "(base)"
+            yield seeded, point, params, label, cid not in seen
+            seen.add(cid)
+
+
+def run_point(spec: ExperimentSpec, scale: ExperimentScale, point: Mapping,
+              params: Mapping, scale_label: str) -> dict:
+    """Run one planned grid point and build its record."""
+    started = time.perf_counter()
+    rows = spec.run(scale, axis_values={k: (v,) for k, v in point.items()})
+    return make_record(spec, scale, scale_label, params, rows,
+                       elapsed_s=time.perf_counter() - started)
+
+
 def run_sweep(spec: ExperimentSpec,
               scale: ExperimentScale,
               axes: Mapping[str, Sequence[int]],
@@ -149,25 +184,15 @@ def run_sweep(spec: ExperimentSpec,
     done = recorded_ids(path) if resume else set()
     emit = progress or (lambda _msg: None)
     ran = skipped = 0
-    for seed in (seeds if seeds else (scale.seed,)):
-        seeded = replace(scale, seed=seed)
-        for point in grid_points(axes):
-            params = dict(point)
-            if seeds:
-                params["seed"] = seed
-            cid = config_id(spec.name, seeded, params,
-                            defaults=spec.axis_defaults)
-            label = ", ".join(f"{k}={v}" for k, v in sorted(params.items())) or "(base)"
-            if cid in done:
-                skipped += 1
-                emit(f"skip {spec.name} [{label}] (already recorded)")
-                continue
-            started = time.perf_counter()
-            rows = spec.run(seeded, axis_values={k: (v,) for k, v in point.items()})
-            elapsed = time.perf_counter() - started
-            append_record(path, make_record(spec, seeded, scale_label, params,
-                                            rows, elapsed_s=elapsed))
-            done.add(cid)
-            ran += 1
-            emit(f"ran  {spec.name} [{label}] -> {len(rows)} rows in {elapsed:.1f}s")
+    for seeded, point, params, label, fresh in plan_sweep(
+            spec, scale, axes, seeds, done):
+        if not fresh:
+            skipped += 1
+            emit(f"skip {spec.name} [{label}] (already recorded)")
+            continue
+        record = run_point(spec, seeded, point, params, scale_label)
+        append_record(path, record)
+        ran += 1
+        emit(f"ran  {spec.name} [{label}] -> {len(record['rows'])} rows "
+             f"in {record['elapsed_s']:.1f}s")
     return {"ran": ran, "skipped": skipped, "path": str(path)}

@@ -31,19 +31,6 @@ _EXECUTION_COLUMNS = (
     "sender_p50_spread_ms", "sender_p99_spread_ms",
 )
 
-# Driver rows echo the swept axes under these column names; a grid param
-# whose value is already visible in the rows is not repeated as a prefix
-# column (e.g. a fig10 sweep's cluster_size duplicating the rows' 'n').
-_PARAM_ROW_ECHOES = {
-    "cluster_size": ("cluster_size", "n"),
-    "batch_size": ("batch_size", "batch"),
-    "tx_size": ("tx_size",),
-    "workers": ("workers",),
-    "protocol": ("protocol",),
-    "lanes": ("lanes",),
-    "adversary": ("adversary",),
-}
-
 #: Per-strategy counters the adversary strategies surface on their rows
 #: (``adversary_`` prefix stripped by the scenario runner).
 _ADVERSARY_COUNTER_COLUMNS = (
@@ -132,8 +119,12 @@ def merged_rows(records: Sequence[Mapping]) -> list[dict]:
             # own per-value columns, which the prefix must not shadow.
             if isinstance(value, (list, tuple)):
                 continue
-            if record_rows and any(echo in record_rows[0]
-                                   for echo in _PARAM_ROW_ECHOES.get(key, ())):
+            # Driver rows echo a swept axis under its own column(s); a
+            # param already visible there is not repeated as a prefix column
+            # (e.g. a fig10 sweep's cluster_size duplicating the rows' 'n').
+            axis = registry.AXES.get(key)
+            if (record_rows and axis is not None and axis.echoed
+                    and any(echo in record_rows[0] for echo in axis.columns)):
                 continue
             prefix[key] = value
         for row in record.get("rows", []):
@@ -183,12 +174,13 @@ def markdown_table(rows: Sequence[Mapping],
     return "\n".join(lines)
 
 
-# Identifying columns a protocol-comparison row is grouped by, and the
-# metrics it pivots per protocol.  ``lanes`` is identifying: a lanes=4 run
-# is a different configuration from the lanes=1 run of the same scenario.
-_COMPARISON_ID_COLUMNS = ("scenario", "n", "workers", "batch", "tx_size",
-                          "workload", "lanes", "adversary", "seed")
+#: Non-axis columns that, with every axis's own columns, identify the
+#: configuration a protocol-comparison row is grouped by: a lanes=4 or a
+#: realtime run is a different configuration from the lanes=1 simulated run
+#: of the same scenario.
+_COMPARISON_ID_COLUMNS = ("scenario", "workload", "seed")
 _COMPARISON_BASELINE = "fireledger"
+_PROTOCOL = registry.PROTOCOL.columns[0]
 
 
 def protocol_comparison_rows(rows: Sequence[Mapping]) -> list[dict]:
@@ -203,7 +195,7 @@ def protocol_comparison_rows(rows: Sequence[Mapping]) -> list[dict]:
     """
     protocols: list[str] = []
     for row in rows:
-        name = row.get("protocol")
+        name = row.get(_PROTOCOL)
         if name and name not in protocols:
             protocols.append(name)
     if len(protocols) < 2:
@@ -211,12 +203,15 @@ def protocol_comparison_rows(rows: Sequence[Mapping]) -> list[dict]:
     if _COMPARISON_BASELINE in protocols:  # the paper's protocol leads
         protocols.remove(_COMPARISON_BASELINE)
         protocols.insert(0, _COMPARISON_BASELINE)
-    id_columns = [column for column in _COMPARISON_ID_COLUMNS
-                  if any(column in row for row in rows)]
+    identifying = set(_COMPARISON_ID_COLUMNS).union(
+        *(axis.columns for axis in registry.AXES.values()
+          if axis is not registry.PROTOCOL))
+    id_columns = [column for column in table_columns(rows)
+                  if column in identifying]
     grouped: dict[tuple, dict[str, Mapping]] = {}
     order: list[tuple] = []
     for row in rows:
-        name = row.get("protocol")
+        name = row.get(_PROTOCOL)
         if not name:
             continue
         key = tuple(row.get(column) for column in id_columns)
@@ -281,23 +276,12 @@ def render_experiment_section(name: str, records: Sequence[Mapping]) -> str:
         lines += [description, ""]
     scenario = _scenario_spec(name)
     if scenario is not None:
-        summary = scenario.summary()
-        lines += [
-            f"- **Protocol:** {summary['protocol']} (default; sweep with "
-            f"`--protocol`)",
-            f"- **Topology:** {summary['topology']}",
-            f"- **Workload:** {summary['workload']}",
-            f"- **Faults:** {summary['faults']}",
-        ]
-        if "adversary" in summary:
-            lines.append(f"- **Adversary:** {summary['adversary']} "
-                         f"(default; sweep with `--adversary`)")
-        if "execution" in summary:
-            lines.append(f"- **Execution:** {summary['execution']}")
-        if "retention" in summary:
-            lines.append(f"- **Retention:** {summary['retention']}")
-        if "pool" in summary:
-            lines.append(f"- **Pool:** {summary['pool']}")
+        swept = {axis.keyword: axis for axis in registry.AXES.values()
+                 if axis.keyword}
+        for key, text in scenario.summary().items():
+            note = (f" (default; sweep with `{swept[key].flag}`)"
+                    if key in swept else "")
+            lines.append(f"- **{key.capitalize()}:** {text}{note}")
         lines += [
             f"- **Run:** {scenario.duration:g}s simulated "
             f"({scenario.warmup:g}s warmup), defaults n={scenario.n_nodes}, "
@@ -325,32 +309,37 @@ def render_experiment_section(name: str, records: Sequence[Mapping]) -> str:
     return "\n".join(lines)
 
 
-def fairness_rows(results: Mapping[str, Sequence[Mapping]]) -> list[dict]:
-    """Execution/fairness columns of every row that reports a state root.
+def _projected_rows(results: Mapping[str, Sequence[Mapping]], having: str,
+                    columns: Sequence[str]) -> list[dict]:
+    """Every merged row that has column ``having``, projected onto ``columns``.
 
-    Feeds the dedicated "Fairness & execution" section: one line per
-    (experiment, configuration) with the agreed cross-node ``state_root``,
-    the account-machine outcome counters and the fairness metrics.
+    Feeds the cross-experiment sections: one line per (experiment,
+    configuration), led by the experiment name.
     """
     out: list[dict] = []
     for name, records in results.items():
         for row in merged_rows(records):
-            if "state_root" not in row:
-                continue
-            picked: dict = {"experiment": name}
-            for key in ("protocol", "lanes", "n", "workers", "workload"):
-                if key in row:
-                    picked[key] = row[key]
-            for key in _EXECUTION_COLUMNS:
-                if key in row:
-                    picked[key] = row[key]
-            out.append(picked)
+            if having in row:
+                out.append({"experiment": name,
+                            **{key: row[key] for key in columns if key in row}})
     return out
 
 
+def _columns_of(*axes: registry.Axis) -> tuple[str, ...]:
+    return tuple(column for axis in axes for column in axis.columns)
+
+
 def render_fairness_section(results: Mapping[str, Sequence[Mapping]]) -> str:
-    """The cross-experiment "Fairness & execution" section (or '')."""
-    rows = fairness_rows(results)
+    """The cross-experiment "Fairness & execution" section (or '').
+
+    One line per row that reports a state root: the agreed cross-node
+    ``state_root``, the account-machine outcome counters and the fairness
+    metrics.
+    """
+    rows = _projected_rows(
+        results, "state_root",
+        _columns_of(registry.PROTOCOL, registry.LANES, registry.CLUSTER,
+                    registry.WORKERS) + ("workload",) + _EXECUTION_COLUMNS)
     if not rows:
         return ""
     lines = [
@@ -382,36 +371,19 @@ def render_fairness_section(results: Mapping[str, Sequence[Mapping]]) -> str:
     return "\n".join(lines)
 
 
-def adversary_rows(results: Mapping[str, Sequence[Mapping]]) -> list[dict]:
-    """One line per row recorded under an explicitly-swept adversary.
-
-    Feeds the "Adversary strategies" section: the strategy, the protocol it
-    ran against, headline throughput/latency, the strategy's own counters
-    and the state-agreement oracle columns.
-    """
-    out: list[dict] = []
-    for name, records in results.items():
-        for row in merged_rows(records):
-            if "adversary" not in row:
-                continue
-            picked: dict = {"experiment": name, "adversary": row["adversary"]}
-            for key in ("protocol", "lanes", "n", "tps", "bps",
-                        "latency_p50_ms", "latency_p95_ms"):
-                if key in row:
-                    picked[key] = row[key]
-            for key in _ADVERSARY_COUNTER_COLUMNS:
-                if key in row:
-                    picked[key] = row[key]
-            for key in ("state_root", "state_deliveries"):
-                if key in row:
-                    picked[key] = row[key]
-            out.append(picked)
-    return out
-
-
 def render_adversary_section(results: Mapping[str, Sequence[Mapping]]) -> str:
-    """The cross-experiment "Adversary strategies" section (or '')."""
-    rows = adversary_rows(results)
+    """The cross-experiment "Adversary strategies" section (or '').
+
+    One line per row recorded under an explicitly-swept adversary: the
+    strategy, the protocol it ran against, headline throughput/latency, the
+    strategy's own counters and the state-agreement oracle columns.
+    """
+    rows = _projected_rows(
+        results, registry.ADVERSARY.columns[0],
+        _columns_of(registry.ADVERSARY, registry.PROTOCOL, registry.LANES,
+                    registry.CLUSTER)
+        + ("tps", "bps", "latency_p50_ms", "latency_p95_ms")
+        + _ADVERSARY_COUNTER_COLUMNS + ("state_root", "state_deliveries"))
     if not rows:
         return ""
     lines = [
@@ -496,11 +468,7 @@ def render_experiments_md(results: Mapping[str, Sequence[Mapping]]) -> str:
         "and are smaller than the paper's three-minute cluster runs; the",
         "*shapes* (what grows, what saturates, what collapses) are the point",
         "of comparison.  Each section quotes the paper's expected shape.",
-        "The `simspeed` section is different: it benchmarks the simulator",
-        "itself (wall-clock, host-dependent) — its committed",
-        "`pre-pr-baseline` rows pin the cost before the broadcast fan-out /",
-        "pooled-timer optimisations, and `current` rows record the speedup.",
-        "`memfootprint` likewise measures the host side: it contrasts live",
+        "`memfootprint` is different: it measures the host side, contrasting live",
         "blocks/records and peak memory with the bounded-memory retention",
         "policy off vs on — flat in run length when on, linear when off, at",
         "identical throughput (see \"Memory model & retention\" in",

@@ -228,11 +228,6 @@ def names() -> list[str]:
     return list(SCENARIOS)
 
 
-def registry_names() -> list[str]:
-    """The names scenarios are registered under (``scenario:<name>``)."""
-    return [PREFIX + name for name in SCENARIOS]
-
-
 def get(name: str) -> ScenarioSpec:
     """Look up a scenario by bare or ``scenario:``-prefixed name."""
     key = name[len(PREFIX):] if name.startswith(PREFIX) else name
@@ -256,15 +251,8 @@ def driver_for(spec: ScenarioSpec) -> Callable[..., list]:
     function-name lookup and the report's description line.
     """
     def _driver(scale: "Optional[ExperimentScale]" = None,
-                n_nodes: Optional[int] = None,
-                workers: Optional[int] = None,
-                protocol: Optional[str] = None,
-                lanes: Optional[int] = None,
-                adversary: Optional[str] = None,
-                backend: Optional[str] = None) -> list[dict]:
-        return run_scenario(spec, scale=scale, n_nodes=n_nodes,
-                            workers=workers, protocol=protocol, lanes=lanes,
-                            adversary=adversary, backend=backend)
+                **axis_overrides) -> list[dict]:
+        return run_scenario(spec, scale=scale, **axis_overrides)
 
     _driver.__name__ = "scenario_" + spec.name.replace("-", "_")
     _driver.__qualname__ = _driver.__name__

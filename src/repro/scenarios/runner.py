@@ -36,21 +36,18 @@ _FAIRNESS_METRICS = ("proposer_bias", "sender_p50_spread_ms",
 
 def run_scenario(spec: ScenarioSpec,
                  scale: "Optional[ExperimentScale]" = None,
-                 n_nodes: Optional[int] = None,
-                 workers: Optional[int] = None,
-                 protocol: Optional[str] = None,
-                 lanes: Optional[int] = None,
-                 adversary: Optional[str] = None,
                  seed: Optional[int] = None,
-                 backend: Optional[str] = None) -> list[dict]:
+                 backend: Optional[str] = None,
+                 **overrides) -> list[dict]:
     """Run one scenario; returns one result row (as a single-item list).
 
-    ``n_nodes`` / ``workers`` / ``protocol`` / ``lanes`` / ``adversary``
-    override the spec (that is how the registry's ``cluster_size`` /
-    ``workers`` / ``protocol`` / ``lanes`` / ``adversary`` sweep axes reach
-    a scenario); ``seed`` defaults to the scale's seed.  Durations come
-    from the spec, not the scale — fault phase times are absolute simulated
-    seconds, so shrinking the run would silently skip scheduled faults.
+    ``overrides`` replace ``ScenarioSpec`` fields by name — ``n_nodes`` /
+    ``workers`` / ``protocol`` / ``lanes`` / ``adversary`` is how the
+    registry's sweep axes reach a scenario (a block takes its shorthand:
+    ``lanes=4``, ``adversary="churn"``); ``None`` means "not overridden".
+    ``seed`` defaults to the scale's seed.  Durations come from the spec,
+    not the scale — fault phase times are absolute simulated seconds, so
+    shrinking the run would silently skip scheduled faults.
 
     ``adversary`` names a registered :mod:`repro.adversary` strategy for
     the spec's Byzantine nodes.  Only explicitly-swept strategies surface
@@ -67,20 +64,9 @@ def run_scenario(spec: ScenarioSpec,
         # turn imports this package to register the scenario library.
         from repro.experiments.harness import ExperimentScale
         scale = ExperimentScale()
-    from repro.scenarios.spec import AdversarySpec, LanesSpec
-
-    adversary_explicit = adversary is not None
-    overrides = {}
-    if n_nodes is not None:
-        overrides["n_nodes"] = n_nodes
-    if workers is not None:
-        overrides["workers"] = workers
-    if protocol is not None:
-        overrides["protocol"] = protocol
-    if lanes is not None:
-        overrides["lanes"] = LanesSpec(count=lanes)
-    if adversary_explicit:
-        overrides["adversary"] = AdversarySpec(strategy=adversary)
+    overrides = {name: value for name, value in overrides.items()
+                 if value is not None}
+    adversary_explicit = "adversary" in overrides
     if overrides:
         spec = spec.with_overrides(**overrides)  # re-validates fault node ids
     seed = scale.seed if seed is None else seed

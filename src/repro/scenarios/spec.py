@@ -16,12 +16,17 @@ A :class:`ScenarioSpec` composes three orthogonal dimensions —
 Every spec is a frozen dataclass buildable from plain dicts
 (:meth:`ScenarioSpec.from_dict`) or TOML text (:meth:`ScenarioSpec.from_toml`,
 Python >= 3.11), so adding a scenario is spec-writing, not code-writing.
+Parsing is field-driven (:func:`_coerce`): a block's annotations say which
+fields hold a nested block, a tuple of blocks or key/value pairs, so adding
+a field or a block needs no parsing code — only its ``__post_init__`` range
+checks, which validate outside input and stay hand-written.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
-from typing import Any, Mapping, Optional
+import functools
+from dataclasses import dataclass, field, fields, is_dataclass, replace
+from typing import Any, Callable, Mapping, Optional, get_args, get_type_hints
 
 from repro.net.latency import (
     GeoDistributedLatency,
@@ -45,15 +50,91 @@ TOPOLOGY_KINDS = ("lan", "paper-geo", "regions")
 WORKLOAD_SHAPES = ("saturated", "open-loop", "closed-loop", "bursty", "ramp")
 
 
-def _check_unknown(data: Mapping, cls) -> None:
-    unknown = sorted(set(data) - {f.name for f in fields(cls)})
+def _block_parser(cls, shorthand: Optional[str]) -> Callable:
+    """Parser of one nested block: an instance, a mapping or a shorthand.
+
+    A bare (non-mapping) value stands for the block's ``shorthand`` field —
+    ``lanes = 4``, ``adversary = "churn"``, ``faults = [...]``.
+    """
+    build = getattr(cls, "from_dict", None) or functools.partial(_parse, cls)
+
+    def parse(value):
+        if isinstance(value, cls):
+            return value
+        if shorthand is not None and not isinstance(value, Mapping):
+            value = {shorthand: value}
+        return build(value)
+
+    return parse
+
+
+def _each(parse: Callable, values) -> tuple:
+    return tuple(map(parse, values))
+
+
+def _pairs(value) -> tuple:
+    """Key/value pairs from a mapping (sorted) or an iterable of pairs."""
+    if isinstance(value, Mapping):
+        return tuple(sorted(value.items()))
+    return tuple((key, item) for key, item in value)
+
+
+@functools.cache
+def _schema(cls) -> dict[str, Optional[Callable]]:
+    """Field name -> value parser (None = take as is), built once per class.
+
+    Read off the annotations: a dataclass-typed field is a nested block (its
+    ``shorthand`` metadata names the field a bare value stands for),
+    ``tuple[Block, ...]`` a tuple of blocks and ``tuple[tuple[str, Any],
+    ...]`` key/value pairs.
+    """
+    hints = get_type_hints(cls)
+    schema: dict[str, Optional[Callable]] = {}
+    for spec_field in fields(cls):
+        hint = hints[spec_field.name]
+        item = get_args(hint)[0] if get_args(hint)[1:] == (Ellipsis,) else None
+        if is_dataclass(hint):
+            parser = _block_parser(hint, spec_field.metadata.get("shorthand"))
+        elif is_dataclass(item):
+            parser = functools.partial(_each, _block_parser(item, None))
+        elif item is not None and get_args(item):
+            parser = _pairs
+        else:
+            parser = None
+        schema[spec_field.name] = parser
+    return schema
+
+
+def _coerce(cls, data: Mapping) -> dict:
+    """``data`` as constructor keywords of dataclass ``cls``.
+
+    Rejects keys that are not fields and parses nested values per
+    :func:`_schema`; range checks are the constructor's (``__post_init__``).
+    """
+    schema = _schema(cls)
+    unknown = sorted(set(data) - set(schema))
     if unknown:
         raise ValueError(f"unknown {cls.__name__} keys: {unknown}")
+    return {key: value if schema[key] is None else schema[key](value)
+            for key, value in data.items()}
+
+
+def _parse(cls, data: Mapping):
+    return cls(**_coerce(cls, data))
+
+
+class _Block:
+    """A spec block: a frozen dataclass buildable from a plain mapping."""
+
+    @classmethod
+    def from_dict(cls, data: Mapping):
+        """Build the block from nested plain dicts (the TOML document shape)."""
+        return _parse(cls, data)
 
 
 # ------------------------------------------------------------------ topology
 @dataclass(frozen=True)
-class RegionSpec:
+class RegionSpec(_Block):
     """One region of a WAN topology."""
 
     name: str
@@ -70,7 +151,7 @@ class RegionSpec:
 
 
 @dataclass(frozen=True)
-class LinkSpec:
+class LinkSpec(_Block):
     """One inter-region link: symmetric one-way delay, optional bandwidth."""
 
     a: str
@@ -86,7 +167,7 @@ class LinkSpec:
 
 
 @dataclass(frozen=True)
-class TopologySpec:
+class TopologySpec(_Block):
     """Where the cluster's nodes are placed and what links cost.
 
     ``kind``:
@@ -137,20 +218,6 @@ class TopologySpec:
                         f"(links are symmetric; specify each pair once)")
                 seen_pairs.add(pair)
 
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "TopologySpec":
-        _check_unknown(data, cls)
-        kwargs = dict(data)
-        if "regions" in kwargs:
-            kwargs["regions"] = tuple(
-                region if isinstance(region, RegionSpec) else RegionSpec(**region)
-                for region in kwargs["regions"])
-        if "links" in kwargs:
-            kwargs["links"] = tuple(
-                link if isinstance(link, LinkSpec) else LinkSpec(**link)
-                for link in kwargs["links"])
-        return cls(**kwargs)
-
     def assignment(self, n_nodes: int) -> tuple[str, ...]:
         """Region name per node id for a cluster of ``n_nodes``."""
         if self.kind != "regions":
@@ -198,7 +265,7 @@ class TopologySpec:
 
 # ------------------------------------------------------------------ workload
 @dataclass(frozen=True)
-class WorkloadSpec:
+class WorkloadSpec(_Block):
     """How transactions arrive at the cluster.
 
     ``shape``:
@@ -242,11 +309,6 @@ class WorkloadSpec:
             raise ValueError("tx_size must be positive")
         if self.hotspot_skew < 0:
             raise ValueError("hotspot_skew must be non-negative")
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "WorkloadSpec":
-        _check_unknown(data, cls)
-        return cls(**data)
 
     @property
     def fill_blocks(self) -> bool:
@@ -321,7 +383,7 @@ class WorkloadSpec:
 
 # ----------------------------------------------------------------- execution
 @dataclass(frozen=True)
-class ExecutionSpec:
+class ExecutionSpec(_Block):
     """Execution-layer knobs: the account state machine applied at delivery.
 
     ``enabled`` turns on per-node execution and the cross-node ``state_root``
@@ -352,11 +414,6 @@ class ExecutionSpec:
         if self.recipient_skew < 0:
             raise ValueError("recipient_skew must be non-negative")
 
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "ExecutionSpec":
-        _check_unknown(data, cls)
-        return cls(**data)
-
     def transfer_model(self, client_id: int, rng) -> TransferModel:
         """The transfer stream of one client under this spec."""
         return TransferModel(client_id, self.n_accounts, rng,
@@ -374,7 +431,7 @@ class ExecutionSpec:
 
 # ----------------------------------------------------------------- retention
 @dataclass(frozen=True)
-class RetentionSpec:
+class RetentionSpec(_Block):
     """Memory-bounding knobs for long-horizon (soak) runs.
 
     * ``chain_rounds`` — rounds of definite chain each worker keeps; older
@@ -399,11 +456,6 @@ class RetentionSpec:
                 and self.metrics_horizon_rounds < 0):
             raise ValueError("metrics_horizon_rounds must be >= 0 (or None)")
 
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "RetentionSpec":
-        _check_unknown(data, cls)
-        return cls(**data)
-
     @property
     def bounded(self) -> bool:
         """Whether any memory bound is active."""
@@ -424,7 +476,7 @@ class RetentionSpec:
 
 # ---------------------------------------------------------------------- pool
 @dataclass(frozen=True)
-class PoolSpec:
+class PoolSpec(_Block):
     """Transaction-pool admission knobs.
 
     ``max_pending`` caps the pending backlog (per worker for FireLedger, for
@@ -439,11 +491,6 @@ class PoolSpec:
         if self.max_pending is not None and self.max_pending < 1:
             raise ValueError("max_pending must be >= 1 (or None)")
 
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "PoolSpec":
-        _check_unknown(data, cls)
-        return cls(**data)
-
     def summary(self) -> str:
         if self.max_pending is None:
             return "unbounded"
@@ -452,7 +499,7 @@ class PoolSpec:
 
 # --------------------------------------------------------------------- lanes
 @dataclass(frozen=True)
-class LanesSpec:
+class LanesSpec(_Block):
     """Multiplexed consensus lanes (see :mod:`repro.protocols.multiplexed`).
 
     ``count`` independent instances of the scenario's protocol share the one
@@ -467,18 +514,13 @@ class LanesSpec:
         if self.count < 1:
             raise ValueError("lanes count must be >= 1")
 
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "LanesSpec":
-        _check_unknown(data, cls)
-        return cls(**data)
-
     def summary(self) -> str:
         return f"{self.count} multiplexed lane(s)"
 
 
 # ----------------------------------------------------------------- adversary
 @dataclass(frozen=True)
-class AdversarySpec:
+class AdversarySpec(_Block):
     """How the fault schedule's Byzantine nodes misbehave.
 
     ``strategy`` names a registered :mod:`repro.adversary` strategy; the
@@ -500,20 +542,6 @@ class AdversarySpec:
             raise ValueError(f"unknown adversary strategy {self.strategy!r}; "
                              f"known: {', '.join(adversary.names())}")
 
-    @classmethod
-    def from_dict(cls, data) -> "AdversarySpec":
-        """Accept a bare strategy name or ``{"strategy": ..., "params": ...}``."""
-        if isinstance(data, str):
-            return cls(strategy=data)
-        _check_unknown(data, cls)
-        kwargs = dict(data)
-        params = kwargs.get("params")
-        if isinstance(params, Mapping):
-            kwargs["params"] = tuple(sorted(params.items()))
-        elif params is not None:
-            kwargs["params"] = tuple((key, value) for key, value in params)
-        return cls(**kwargs)
-
     def build(self, nodes, windows=None):
         """Bind this spec to a Byzantine membership and its timed windows."""
         from repro import adversary
@@ -530,7 +558,7 @@ class AdversarySpec:
 
 # ------------------------------------------------------------------ scenario
 @dataclass(frozen=True)
-class ScenarioSpec:
+class ScenarioSpec(_Block):
     """One named, fully declarative experiment scenario."""
 
     name: str
@@ -550,9 +578,14 @@ class ScenarioSpec:
     warmup: float = 0.2
     topology: TopologySpec = field(default_factory=TopologySpec)
     workload: WorkloadSpec = field(default_factory=WorkloadSpec)
-    faults: FaultSchedule = field(default_factory=FaultSchedule)
+    #: ``shorthand``: the block field a bare value stands for (``faults =
+    #: [...]``, ``adversary = "churn"``, ``lanes = 4``), which is also the
+    #: field a sweep axis reads and overrides (:meth:`scalar`).
+    faults: FaultSchedule = field(default_factory=FaultSchedule,
+                                  metadata={"shorthand": "phases"})
     #: How the fault schedule's Byzantine nodes misbehave (inert without any).
-    adversary: AdversarySpec = field(default_factory=AdversarySpec)
+    adversary: AdversarySpec = field(default_factory=AdversarySpec,
+                                     metadata={"shorthand": "strategy"})
     #: Account state machine applied at delivery (plus the state-root oracle).
     execution: ExecutionSpec = field(default_factory=ExecutionSpec)
     #: Memory bounds for long-horizon runs (chain pruning, streamed metrics).
@@ -560,7 +593,8 @@ class ScenarioSpec:
     #: Transaction-pool admission control (backlog cap + rejection counting).
     pool: PoolSpec = field(default_factory=PoolSpec)
     #: Multiplexed consensus lanes (1 = run the protocol unwrapped).
-    lanes: LanesSpec = field(default_factory=LanesSpec)
+    lanes: LanesSpec = field(default_factory=LanesSpec,
+                             metadata={"shorthand": "count"})
     #: Extra ``FireLedgerConfig`` fields, e.g. ``(("permute_every", 16),)``.
     config_overrides: tuple[tuple[str, Any], ...] = ()
 
@@ -584,42 +618,6 @@ class ScenarioSpec:
         self.faults.validate(self.n_nodes)
 
     @classmethod
-    def from_dict(cls, data: Mapping) -> "ScenarioSpec":
-        """Build a spec from nested plain dicts (the TOML document shape)."""
-        _check_unknown(data, cls)
-        kwargs = dict(data)
-        if "topology" in kwargs and not isinstance(kwargs["topology"], TopologySpec):
-            kwargs["topology"] = TopologySpec.from_dict(kwargs["topology"])
-        if "workload" in kwargs and not isinstance(kwargs["workload"], WorkloadSpec):
-            kwargs["workload"] = WorkloadSpec.from_dict(kwargs["workload"])
-        if "execution" in kwargs and not isinstance(kwargs["execution"], ExecutionSpec):
-            kwargs["execution"] = ExecutionSpec.from_dict(kwargs["execution"])
-        if "retention" in kwargs and not isinstance(kwargs["retention"], RetentionSpec):
-            kwargs["retention"] = RetentionSpec.from_dict(kwargs["retention"])
-        if "pool" in kwargs and not isinstance(kwargs["pool"], PoolSpec):
-            kwargs["pool"] = PoolSpec.from_dict(kwargs["pool"])
-        if "lanes" in kwargs and not isinstance(kwargs["lanes"], LanesSpec):
-            lanes = kwargs["lanes"]
-            # Accept both [lanes] count = M and a bare integer.
-            kwargs["lanes"] = (LanesSpec(count=lanes) if isinstance(lanes, int)
-                               else LanesSpec.from_dict(lanes))
-        faults = kwargs.get("faults")
-        if faults is not None and not isinstance(faults, FaultSchedule):
-            # Accept both {"phases": [...]} and a bare phase list.
-            phases = faults["phases"] if isinstance(faults, Mapping) else faults
-            kwargs["faults"] = FaultSchedule(tuple(phases))
-        if "adversary" in kwargs and not isinstance(kwargs["adversary"],
-                                                    AdversarySpec):
-            kwargs["adversary"] = AdversarySpec.from_dict(kwargs["adversary"])
-        if "config_overrides" in kwargs:
-            overrides = kwargs["config_overrides"]
-            if isinstance(overrides, Mapping):
-                overrides = tuple(sorted(overrides.items()))
-            kwargs["config_overrides"] = tuple(
-                (key, value) for key, value in overrides)
-        return cls(**kwargs)
-
-    @classmethod
     def from_toml(cls, text: str) -> "ScenarioSpec":
         """Parse a TOML document (top-level scenario keys) into a spec.
 
@@ -635,25 +633,36 @@ class ScenarioSpec:
         return cls.from_dict(tomllib.loads(text))
 
     def with_overrides(self, **overrides) -> "ScenarioSpec":
-        """Copy with selected fields replaced (used by sweep axes)."""
-        return replace(self, **overrides)
+        """Copy with selected fields replaced (used by sweep axes).
+
+        Values are parsed like :meth:`from_dict` values, so a block takes
+        its shorthand: ``with_overrides(lanes=4, adversary="churn")``.
+        """
+        return replace(self, **_coerce(type(self), overrides))
+
+    def scalar(self, name: str):
+        """Field ``name`` as one value: a block's shorthand field, else it."""
+        shorthand = self.__dataclass_fields__[name].metadata.get("shorthand")
+        value = getattr(self, name)
+        return getattr(value, shorthand) if shorthand else value
 
     def summary(self) -> dict[str, str]:
-        """The scenario dimensions as short strings, for the report renderer."""
-        summary = {
-            "protocol": self.protocol,
-            "topology": self.topology.summary(),
-            "workload": self.workload.summary(),
-            "faults": self.faults.summary(),
-        }
-        if self.faults.byzantine_nodes:
-            summary["adversary"] = self.adversary.summary()
-        if self.execution.enabled:
-            summary["execution"] = self.execution.summary()
-        if self.retention.bounded:
-            summary["retention"] = self.retention.summary()
-        if self.pool.max_pending is not None:
-            summary["pool"] = self.pool.summary()
-        if self.lanes.count > 1:
-            summary["lanes"] = self.lanes.summary()
+        """The scenario dimensions as short strings, for the report renderer.
+
+        The protocol, the three dimensions every scenario has, then every
+        other block that differs from its default — except the adversary,
+        which shows exactly when there are Byzantine nodes for it to drive.
+        """
+        summary = {"protocol": self.protocol}
+        for spec_field in fields(self):
+            block = getattr(self, spec_field.name)
+            if not hasattr(block, "summary"):
+                continue
+            if spec_field.name == "adversary":
+                shown = bool(self.faults.byzantine_nodes)
+            else:
+                shown = (spec_field.name in ("topology", "workload", "faults")
+                         or block != spec_field.default_factory())
+            if shown:
+                summary[spec_field.name] = block.summary()
         return summary

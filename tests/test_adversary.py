@@ -241,8 +241,8 @@ def test_adversary_axis_canonicalises_to_committed_config_id():
 
 def test_registry_exposes_adversary_axis():
     spec = registry.get("scenario:adversary-gauntlet")
-    assert registry.AXIS_ADVERSARY in spec.axes
-    assert spec.axis_defaults[registry.AXIS_ADVERSARY] == "equivocate"
+    assert registry.ADVERSARY.name in spec.axes
+    assert spec.axis_defaults[registry.ADVERSARY.name] == "equivocate"
 
 
 # ------------------------------------------------------------ live backend

@@ -236,10 +236,15 @@ def test_sweep_jobs_merges_without_duplicates_and_resumes(tmp_path, capsys):
     assert "0 ran, 4 skipped" in capsys.readouterr().out
 
 
-def test_sweep_wall_clock_experiment_refuses_worker_pool(tmp_path, capsys):
-    """simspeed rows are host wall-clock measurements: pooling them would
-    record contention-inflated numbers, so --jobs falls back to serial."""
-    rc = main(["sweep", "simspeed", "--cluster-sizes", "4", "--jobs", "4",
+def test_sweep_wall_clock_experiment_refuses_worker_pool(tmp_path, capsys,
+                                                         monkeypatch):
+    """memfootprint rows are host measurements (peak memory): pooling them
+    would record contention-inflated numbers, so --jobs falls back to
+    serial."""
+    from repro.experiments import memory
+
+    monkeypatch.setattr(memory, "DURATIONS", (0.2,))  # keep the run short
+    rc = main(["sweep", "memfootprint", "--cluster-sizes", "4", "--jobs", "4",
                "--results-dir", str(tmp_path)])
     assert rc == 0
     out = capsys.readouterr().out
@@ -279,101 +284,86 @@ def test_report_stdout_mode(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# simspeed perf-regression gate
+# One declaration per axis: the CLI is derived from registry.AXES
 # ---------------------------------------------------------------------------
-from repro.experiments.speed import (  # noqa: E402
-    GATE_VARIANT,
-    check_simspeed,
-    load_baselines,
-)
+_AXIS_FLAGS = [("--cluster-sizes", "N,N"), ("--batch-sizes", "B,B"),
+               ("--tx-sizes", "S,S"), ("--workers", "W,W"),
+               ("--protocol", "P,P"), ("--lanes", "M,M"),
+               ("--backend", "B,B"), ("--adversary", "A,A"),
+               ("--axis", "NAME=V,V")]
+_SCALE_FLAGS = [("--scale", None), ("--seed", None), ("--duration", None),
+                ("--warmup", None)]
+#: Every subcommand's (flag, metavar) list, written out by hand: the axis
+#: flags are generated from ``registry.AXES``, and this is what pins them.
+FLAG_SET = {
+    "run": [("experiment", None), ("--all", None), *_SCALE_FLAGS,
+            *_AXIS_FLAGS, ("--jobs", "N"), ("--results-dir", None),
+            ("--no-record", None), ("--force", None), ("--markdown", None)],
+    "sweep": [("experiment", None), *_SCALE_FLAGS, *_AXIS_FLAGS,
+              ("--jobs", "N"), ("--seeds", "S,S"), ("--results-dir", None),
+              ("--fresh", None)],
+    "report": [("--results-dir", None), ("--output", None),
+               ("--csv-dir", None), ("--stdout", None)],
+    "list": [],
+}
 
 
-def _speed_rows(storm=400000, fig10=0.5, variant="current"):
-    return [
-        {"case": "fig10_large_n", "n": 40, "sim_s": 0.3, "wall_s": 0.6,
-         "sim_x_realtime": fig10, "variant": variant},
-        {"case": "broadcast_storm", "n": 100, "sim_s": 0.04, "wall_s": 0.1,
-         "deliveries_per_wall_s": storm, "variant": variant},
-    ]
+def _flag_set(parser):
+    import argparse
+
+    sub = next(action for action in parser._actions  # noqa: SLF001
+               if isinstance(action, argparse._SubParsersAction))  # noqa: SLF001
+    return {name: [(action.option_strings[0] if action.option_strings
+                    else action.dest, action.metavar)
+                   for action in command._actions  # noqa: SLF001
+                   if not isinstance(action, argparse._HelpAction)]  # noqa: SLF001
+            for name, command in sub.choices.items()}
 
 
-def _write_baseline_store(path, rows):
-    record = {"experiment": "simspeed", "config_id": "x", "params": {},
-              "rows": rows}
-    with open(path, "a") as handle:
-        handle.write(json.dumps(record) + "\n")
+def test_parser_exposes_exactly_the_recorded_flag_set():
+    assert _flag_set(build_parser()) == FLAG_SET
 
 
-def test_gate_passes_when_fresh_matches_baseline():
-    baselines = {row["case"]: row for row in _speed_rows()}
-    assert check_simspeed(_speed_rows(), baselines) == []
-    # A drop inside the tolerance also passes.
-    assert check_simspeed(_speed_rows(storm=330000, fig10=0.42),
-                          baselines, tolerance=0.2) == []
+def test_one_axis_declaration_reaches_cli_registry_and_report(
+        tmp_path, capsys, monkeypatch):
+    """A throw-away axis added to ``registry.AXES`` — nothing else edited —
+    gets its flag, its ``--axis`` spelling, its ``list`` column entry, a
+    default-canonicalised ``config_id`` and the report's echo suppression."""
+    from repro.experiments import sweep
+    from repro.experiments.harness import ExperimentScale
+    from repro.metrics import report
 
+    # Bound to an existing ScenarioSpec field; echoed under the 'batch' column.
+    monkeypatch.setitem(registry.AXES, "block_batch", registry.Axis(
+        "block_batch", "--block-batches", "K,K", "throw-away test axis",
+        keyword="batch_size", columns=("batch",)))
+    monkeypatch.setattr(registry, "_REGISTRY", {})
+    monkeypatch.setattr(registry, "_BY_FUNC_NAME", {})
+    registry._register_all()  # noqa: SLF001 - re-derive from the patched table
 
-def test_gate_fails_on_injected_regression_row():
-    baselines = {row["case"]: row for row in _speed_rows()}
-    # Synthetic regression: the storm throughput collapses to half.
-    failures = check_simspeed(_speed_rows(storm=200000), baselines)
-    assert len(failures) == 1
-    assert "broadcast_storm" in failures[0]
-    assert "deliveries_per_wall_s" in failures[0]
-    # Both cases regressed -> both reported.
-    failures = check_simspeed(_speed_rows(storm=1000, fig10=0.01), baselines)
-    assert len(failures) == 2
+    args = build_parser().parse_args(
+        ["sweep", "scenario:paper-lan", "--block-batches", "10,20"])
+    assert args.block_batches == (10, 20)
+    args = build_parser().parse_args(
+        ["sweep", "scenario:paper-lan", "--axis", "block-batch=10"])
+    assert args.axis == [("block_batch", (10,))]
 
+    assert main(["list"]) == 0
+    listing = capsys.readouterr().out
+    assert "adversary, backend, block_batch, cluster_size" in listing
 
-def test_gate_fails_when_baselined_case_is_missing():
-    baselines = {row["case"]: row for row in _speed_rows()}
-    failures = check_simspeed(_speed_rows()[:1], baselines)
-    assert failures == ["broadcast_storm: no fresh measurement for baselined case"]
+    spec = registry.get("scenario:paper-lan")
+    assert "block_batch" not in registry.get("fig07").axes
+    scale = ExperimentScale()
+    bare = sweep.config_id(spec.name, scale, {}, defaults=spec.axis_defaults)
+    assert sweep.config_id(spec.name, scale, {"block_batch": 1000},
+                           defaults=spec.axis_defaults) == bare
+    assert sweep.config_id(spec.name, scale, {"block_batch": 10},
+                           defaults=spec.axis_defaults) != bare
 
-
-def test_gate_rejects_nonsense_tolerance():
-    with pytest.raises(ValueError):
-        check_simspeed([], {}, tolerance=1.0)
-    with pytest.raises(ValueError):
-        check_simspeed([], {}, tolerance=-0.1)
-
-
-def test_load_baselines_prefers_gate_variant_over_newer_rows(tmp_path):
-    path = tmp_path / "simspeed.jsonl"
-    _write_baseline_store(path, _speed_rows(storm=250000, variant=GATE_VARIANT))
-    _write_baseline_store(path, _speed_rows(storm=700000, variant="current"))
-    baselines = load_baselines(path)
-    # The newer, faster "current" rows do NOT raise the gate's floor: the
-    # committed gate-baseline rows win even though they are older.
-    assert baselines["broadcast_storm"]["deliveries_per_wall_s"] == 250000
-    # Without any gate-variant rows the newest row per case is used.
-    plain = tmp_path / "plain.jsonl"
-    _write_baseline_store(plain, _speed_rows(storm=100000))
-    _write_baseline_store(plain, _speed_rows(storm=120000))
-    assert load_baselines(plain)["broadcast_storm"]["deliveries_per_wall_s"] == 120000
-
-
-def test_simspeed_check_cli_passes_and_fails(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr("repro.experiments.speed.sim_speed",
-                        lambda repeats=3, variant="current":
-                        _speed_rows(variant=variant))
-    _write_baseline_store(tmp_path / "simspeed.jsonl",
-                          _speed_rows(variant=GATE_VARIANT))
-    argv = ["simspeed", "--check", "--repeats", "1",
-            "--results-dir", str(tmp_path)]
-    assert main(argv) == 0
-    assert "simspeed gate passed" in capsys.readouterr().out
-    # Inject a synthetic regression baseline far above the measurement:
-    # the gate must exit nonzero and name the regressed case.
-    _write_baseline_store(tmp_path / "simspeed.jsonl",
-                          _speed_rows(storm=10**9, fig10=1000.0,
-                                      variant=GATE_VARIANT))
-    assert main(argv) == 1
-    assert "simspeed regression: broadcast_storm" in capsys.readouterr().err
-
-
-def test_simspeed_check_requires_a_baseline_store(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr("repro.experiments.speed.sim_speed",
-                        lambda repeats=3, variant="current": _speed_rows())
-    rc = main(["simspeed", "--check", "--results-dir", str(tmp_path)])
-    assert rc == 2
-    assert "no baseline store" in capsys.readouterr().err
+    assert main(["sweep", "scenario:paper-lan", "--block-batches", "10",
+                 "--results-dir", str(tmp_path)]) == 0
+    (record,) = report.load_results(tmp_path)[spec.name]
+    assert record["params"] == {"block_batch": 10}
+    (row,) = report.merged_rows([record])
+    assert row["batch"] == 10 and "block_batch" not in row

@@ -1,5 +1,7 @@
 """End-to-end tests of the FireLedger protocol and the FLO orchestrator."""
 
+from contextlib import contextmanager
+
 import pytest
 
 from repro import FireLedgerConfig, run_cluster
@@ -157,25 +159,31 @@ def test_recorder_block_events_cover_all_rounds(fault_free_result):
     assert len(tentative) > 10
 
 
-def _wakeups_per_node_round(monkeypatch, n_nodes: int) -> float:
-    """``Process._resume`` calls per node per decided round, fault-free."""
-    calls = 0
+@contextmanager
+def _counted_resumes(monkeypatch):
+    """Count ``Process._resume`` calls made inside the block (``[0]``)."""
+    calls = [0]
     resume = Process._resume  # noqa: SLF001 - the wake-up is what is gated
 
     def counting(process, event):
-        nonlocal calls
-        calls += 1
+        calls[0] += 1
         resume(process, event)
 
     with monkeypatch.context() as patch:
         patch.setattr(Process, "_resume", counting)
+        yield calls
+
+
+def _wakeups_per_node_round(monkeypatch, n_nodes: int) -> float:
+    """``Process._resume`` calls per node per decided round, fault-free."""
+    with _counted_resumes(monkeypatch) as calls:
         result = run_cluster(
             FireLedgerConfig(n_nodes=n_nodes, workers=1, batch_size=10,
                              tx_size=512),
             duration=0.4, warmup=0.1, seed=3)
     assert result.failed_rounds == 0
     # Both counters are summed over the nodes.
-    return calls / (result.fast_path_rounds + result.fallback_rounds)
+    return calls[0] / (result.fast_path_rounds + result.fallback_rounds)
 
 
 def test_process_wakeups_per_round_do_not_grow_with_the_quorum(monkeypatch):
@@ -202,3 +210,57 @@ def test_process_wakeups_per_round_do_not_grow_with_the_quorum(monkeypatch):
     assert large - small <= 6.0, (
         f"wake-ups per node-round grow with n: {small:.2f} at n = 8, "
         f"{large:.2f} at n = 32")
+
+
+def _fig10_point_work(monkeypatch) -> tuple[int, int, int]:
+    """Figure 10's large-n point: n = 40, w = 1, b = 1000, 0.3 sim-s."""
+    kernel = []
+    with _counted_resumes(monkeypatch) as calls:
+        result = run_cluster(
+            FireLedgerConfig(n_nodes=40, workers=1, batch_size=1000,
+                             tx_size=512),
+            duration=0.3, warmup=0.1, seed=7,
+            setup=lambda env, network, nodes: kernel.append(env))
+    return (kernel[0]._sequence,  # noqa: SLF001 - kernel entries scheduled
+            result.network.messages_sent, calls[0])
+
+
+def _broadcast_storm_work(monkeypatch) -> tuple[int, int, int]:
+    """400 back-to-back control broadcasts over a 40-node clique."""
+    from repro.net.latency import SingleDatacenterLatency
+    from repro.net.network import Network
+    from repro.sim import Environment
+
+    env = Environment()
+    network = Network(env, 40, latency_model=SingleDatacenterLatency())
+
+    def storm():
+        for round_number in range(400):
+            network.broadcast(round_number % 40, "bench", "PING", None,
+                              size_bytes=256)
+            yield env.timeout(1e-4)
+
+    with _counted_resumes(monkeypatch) as calls:
+        env.process(storm())
+        env.run()
+    return (env._sequence,  # noqa: SLF001 - kernel entries scheduled
+            network.stats.messages_sent, calls[0])
+
+
+@pytest.mark.parametrize("work,pinned", [
+    (_fig10_point_work, (83410, 49811, 10311)),
+    (_broadcast_storm_work, (16000, 15600, 401)),
+])
+def test_simulator_work_counters_are_pinned(monkeypatch, work, pinned):
+    """Host work for a fixed seed, gated where wall-clock cannot be.
+
+    ``(kernel entries scheduled, network.messages_sent, Process._resume
+    calls)`` for the kernel's two stress cases.  They repeat exactly, and a
+    hot-path change that does more work per simulated second moves them, so
+    the tolerance is zero; values recorded at commit 2d4b15f (quorum drain,
+    PR 15).  A change that moves them on purpose updates them here and says
+    why.
+    """
+    first = work(monkeypatch)
+    assert first == work(monkeypatch)
+    assert first == pinned

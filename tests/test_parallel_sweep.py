@@ -187,9 +187,10 @@ def test_sigterm_mid_sweep_leaves_shards_merged_and_resumable(tmp_path):
         "                        workers_sweep=(1,), cluster_sizes=(4,),\n"
         "                        batch_sizes=(10,), tx_sizes=(512,))\n"
         f"axes = {axes!r}\n"
-        "run_parallel_sweep(registry.get('fig06'), scale, axes,\n"
-        "                   results_dir=sys.argv[1], scale_label='tiny',\n"
-        "                   jobs=2)\n")
+        "if __name__ == '__main__':  # pool workers re-import this module\n"
+        "    run_parallel_sweep(registry.get('fig06'), scale, axes,\n"
+        "                       results_dir=sys.argv[1], scale_label='tiny',\n"
+        "                       jobs=2)\n")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in ("src", env.get("PYTHONPATH")) if p)

@@ -254,3 +254,89 @@ def test_pruned_history_never_changes_the_root(stream, block_seed, limit):
     # The bounded executor really pruned once past its window.
     if unbounded.deliveries > limit:
         assert bounded.oldest_recorded > 1
+
+
+# ------------------------------------------------------- scenario spec parsing
+def _scenario_specs():
+    """Valid ``ScenarioSpec`` objects exercising every block and field kind."""
+    from repro import adversary
+    from repro.scenarios import faultplan
+    from repro.scenarios.spec import (
+        AdversarySpec, ExecutionSpec, LanesSpec, LinkSpec, PoolSpec,
+        RegionSpec, RetentionSpec, ScenarioSpec, TopologySpec, WorkloadSpec,
+        WORKLOAD_SHAPES)
+
+    regions = st.lists(st.sampled_from(["a", "b", "c"]), min_size=2,
+                       max_size=3, unique=True)
+    wan = regions.map(lambda names: TopologySpec(
+        kind="regions",
+        regions=tuple(RegionSpec(name, nodes=index + 1, local_ms=0.5)
+                      for index, name in enumerate(names)),
+        links=(LinkSpec(names[0], names[1], 12.5, bandwidth_mbps=100.0),)))
+    topology = st.one_of(st.just(TopologySpec()),
+                         st.just(TopologySpec(kind="paper-geo", jitter=0.1)),
+                         wan)
+    workload = st.builds(
+        WorkloadSpec, shape=st.sampled_from(WORKLOAD_SHAPES),
+        n_clients=st.integers(1, 8),
+        rate_per_client=st.floats(1.0, 500.0), tx_size=st.integers(1, 4096),
+        hotspot_skew=st.floats(0.0, 2.0))
+    execution = st.builds(ExecutionSpec, enabled=st.booleans(),
+                          n_accounts=st.integers(1, 64),
+                          recipient_skew=st.floats(0.0, 2.0))
+    retention = st.builds(RetentionSpec,
+                          chain_rounds=st.none() | st.integers(1, 99),
+                          metrics_horizon_rounds=st.none() | st.integers(0, 99))
+    pool = st.builds(PoolSpec, max_pending=st.none() | st.integers(1, 999))
+    lanes = st.builds(LanesSpec, count=st.integers(1, 4))
+    params = st.sampled_from([(), (("delay", 0.1),),
+                              (("down_time", 0.2), ("up_time", 0.3))])
+    attacker = st.builds(AdversarySpec,
+                         strategy=st.sampled_from(adversary.names()),
+                         params=params)
+    phases = st.lists(st.sampled_from([
+        faultplan.byzantine(3), faultplan.crash((1, 2), at=0.3),
+        faultplan.recover(1, at=0.6), faultplan.loss(0.1, start=0.1, end=0.4),
+        faultplan.partition(((0, 1), (2, 3)), start=0.2, end=0.5),
+    ]), max_size=3, unique=True).map(
+        lambda chosen: faultplan.FaultSchedule(tuple(chosen)))
+    overrides = st.sampled_from([(), (("permute_every", 16),),
+                                 (("finality_depth", 3), ("permute_every", 8))])
+    return st.builds(
+        ScenarioSpec, name=st.sampled_from(["x", "soak-2"]),
+        protocol=st.sampled_from(["fireledger", "hotstuff", "bftsmart"]),
+        n_nodes=st.integers(4, 10), workers=st.integers(1, 4),
+        duration=st.floats(1.0, 3.0), warmup=st.floats(0.0, 0.5),
+        topology=topology, workload=workload, faults=phases,
+        adversary=attacker, execution=execution, retention=retention,
+        pool=pool, lanes=lanes, config_overrides=overrides)
+
+
+@common_settings
+@given(st.data())
+def test_scenario_spec_round_trips_through_its_dict_shape(data):
+    """``from_dict(asdict(spec)) == spec`` over every block, with each of the
+    three shorthands and the mapping spelling of key/value pairs mixed in."""
+    from dataclasses import asdict
+
+    from repro.scenarios.spec import ScenarioSpec
+
+    spec = data.draw(_scenario_specs())
+    document = asdict(spec)
+    assert ScenarioSpec.from_dict(document) == spec
+    if data.draw(st.booleans()):
+        document["lanes"] = spec.lanes.count
+    if data.draw(st.booleans()):
+        document["faults"] = document["faults"]["phases"]
+    if not spec.adversary.params and data.draw(st.booleans()):
+        document["adversary"] = spec.adversary.strategy
+    if data.draw(st.booleans()):
+        document["config_overrides"] = dict(spec.config_overrides)
+        document["adversary"] = (document["adversary"]
+                                 if isinstance(document["adversary"], str)
+                                 else {**document["adversary"],
+                                       "params": dict(spec.adversary.params)})
+    assert ScenarioSpec.from_dict(document) == spec
+    # Already-built blocks pass through untouched.
+    assert ScenarioSpec.from_dict({**document, "topology": spec.topology,
+                                   "pool": spec.pool}) == spec

@@ -332,3 +332,24 @@ def test_experiments_md_scenario_names_resolve():
     assert names, "EXPERIMENTS.md should mention the shipped scenarios"
     for name in names:
         registry.get(name)  # raises KeyError on a dangling reference
+
+
+@pytest.mark.parametrize("path", [
+    (), ("topology",), ("topology", "regions", 0), ("topology", "links", 0),
+    ("workload",), ("execution",), ("retention",), ("pool",), ("lanes",),
+    ("adversary",), ("faults",), ("faults", "phases", 0),
+])
+def test_every_block_rejects_unknown_keys(path):
+    """One field-driven parser: a misspelt key fails loudly at any depth."""
+    from dataclasses import asdict
+
+    document = asdict(library.get("byzantine-minority").with_overrides(
+        topology=library.get("geo-5region").topology, n_nodes=10))
+    block = document
+    for step in path:
+        block[step] = (list(block[step]) if isinstance(block[step], tuple)
+                       else block[step])
+        block = block[step]
+    block["bogus"] = 1
+    with pytest.raises(ValueError, match="unknown .* keys.*bogus"):
+        ScenarioSpec.from_dict(document)

@@ -32,8 +32,8 @@ def test_registry_covers_every_driver_in_figures():
     registered_from_figures = {spec.func.__name__ for spec in registry.specs()
                                if spec.func.__module__ == figures.__name__}
     assert drivers == registered_from_figures
-    # Non-figure drivers (the simspeed microbenchmark) ride the same registry.
-    assert "simspeed" in registry.names()
+    # Non-figure drivers (the memory-footprint driver) ride the same registry.
+    assert "memfootprint" in registry.names()
 
 
 def test_registry_lookup_by_name_and_function_name():
@@ -317,6 +317,93 @@ def test_backend_sim_sweep_resumes_against_committed_records(tmp_path):
                         results_dir=tmp_path, scale_label="default")
     assert outcome == {"ran": 0, "skipped": 1,
                        "path": str(results_path(tmp_path, spec.name))}
+
+
+def test_comparison_renders_one_line_per_backend():
+    """A protocol x backend record set: the realtime pair is a different
+    configuration from the simulated pair, not a duplicate to drop."""
+    records = [
+        {"config_id": f"{protocol}-{backend}", "scale": "default", "seed": 7,
+         "params": {"protocol": protocol, "backend": backend},
+         "rows": [{"scenario": "paper-lan", "protocol": protocol, "n": 4,
+                   "tps": tps, "latency_p50_ms": 1.0,
+                   **({"backend": backend} if backend != "sim" else {})}]}
+        for backend, protocol, tps in (("sim", "fireledger", 200000.0),
+                                       ("sim", "hotstuff", 40000.0),
+                                       ("realtime", "fireledger", 9000.0),
+                                       ("realtime", "hotstuff", 3000.0))]
+    comparison = report.protocol_comparison_rows(report.merged_rows(records))
+    assert [(line["backend"], line["fireledger_over_hotstuff"])
+            for line in comparison] == [("sim", 5.0), ("realtime", 3.0)]
+
+
+# (experiment, scale preset, seed, params) -> config_id, recorded from commit
+# 2d4b15f (before the axis table): figure, scenario, seeded-sweep and
+# default-canonicalised spellings.  Ids name committed records; they must
+# never move.
+CONFIG_IDS = [
+    ("fig05", "quick", 7, {}, "a779cc3375425f27"),
+    ("fig07", "default", 7, {}, "3e5898341ed380c0"),
+    ("table1", "full", 7, {}, "c1af322a788e72ac"),
+    ("fig10", "quick", 7, {"cluster_size": 40, "workers": 1},
+     "16b623bff9d12e32"),
+    ("fig10", "default", 7, {"cluster_size": [4, 7]}, "ffe31befe0b0a784"),
+    ("fig16", "default", 3, {"tx_size": 512}, "a925a889117b860c"),
+    ("fig05", "quick", 7, {"batch_size": 10, "seed": 3}, "8f379f2628f7d3d4"),
+    ("fig05", "quick", 3, {"batch_size": 10}, "8f379f2628f7d3d4"),
+    ("scenario:paper-lan", "default", 7, {}, "017884c53686c3d5"),
+    ("scenario:paper-lan", "default", 7, {"protocol": "fireledger"},
+     "017884c53686c3d5"),
+    ("scenario:paper-lan", "default", 7,
+     {"backend": "sim", "cluster_size": 4, "workers": 4, "lanes": 1,
+      "adversary": "equivocate"}, "017884c53686c3d5"),
+    ("scenario:paper-lan", "default", 7, {"protocol": "hotstuff"},
+     "5579257c1d80420f"),
+    ("scenario:paper-lan", "default", 7, {"backend": "realtime"},
+     "33e982bb4e1ecd7a"),
+    ("scenario:hotspot-lanes", "default", 7, {"lanes": 4},
+     "cb6b4d17a821d0dc"),
+    ("scenario:hotspot-lanes", "default", 7, {"lanes": 1},
+     "6203914265332426"),
+    ("scenario:adversary-gauntlet", "default", 7,
+     {"adversary": "churn", "protocol": "bftsmart"}, "21bbd66967757122"),
+    ("scenario:adversary-gauntlet", "default", 7,
+     {"adversary": "equivocate", "protocol": "fireledger", "seed": 11},
+     "ac83619038369112"),
+    ("memfootprint", "default", 7, {"cluster_size": 4}, "62f6d90bd2484fd5"),
+    ("calibrate", "default", 7, {"lanes": 2, "protocol": "hotstuff"},
+     "64638346088e345b"),
+]
+
+
+def _preset(label, seed):
+    from dataclasses import replace
+
+    from repro.cli import SCALES
+
+    return replace(SCALES[label](), seed=seed)
+
+
+@pytest.mark.parametrize("name,label,seed,params,expected", CONFIG_IDS)
+def test_config_ids_do_not_move(name, label, seed, params, expected):
+    spec = registry.get(name)
+    assert config_id(name, _preset(label, seed), params,
+                     defaults=spec.axis_defaults) == expected
+
+
+def test_every_committed_record_id_is_recomputed():
+    """Resume works against the tree's own ``results/``: every committed
+    record's id is what its (experiment, scale, seed, params) hashes to."""
+    from pathlib import Path
+
+    results = report.load_results(Path(__file__).resolve().parents[1] / "results")
+    assert sum(map(len, results.values())) >= 60
+    for name, records in results.items():
+        spec = registry.get(name)
+        for record in records:
+            assert config_id(name, _preset(record["scale"], record["seed"]),
+                             record["params"],
+                             defaults=spec.axis_defaults) == record["config_id"]
 
 
 def test_committed_report_is_what_the_committed_results_render():
