@@ -69,9 +69,11 @@ class PooledReplicaMixin:
         self.timeout = timeout
         self.pool = pool
         self.fill_blocks = fill_blocks
+        # The context binds the protocol's kinds to its inbox; traffic for
+        # anything else is nobody's.
         self.context = ProtocolContext(env, network, node_id, self.CHANNEL,
                                        self.KEY_FIELDS)
-        network.endpoint(node_id).router = self.context.inbox.put
+        network.endpoint(node_id).router = discard
         self.committed: list[CommitRecord] = []
         #: Delivery seam: one Delivery per commit, in the protocol's total
         #: order.  The cluster runner subscribes the execution layer here.
@@ -104,7 +106,7 @@ class PooledReplicaMixin:
         inbox would only grow memory.
         """
         self.silent = True
-        network.endpoint(self.node_id).router = discard
+        network.endpoint(self.node_id).handlers.clear()
 
     def submit_transaction(self, size_bytes: Optional[int] = None,
                            client_id: int = 0,

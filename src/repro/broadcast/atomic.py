@@ -104,10 +104,6 @@ class AtomicBroadcast:
         if self.node_id == self.leader:
             self._propose_pending()
 
-    def handles(self, message: Message) -> bool:
-        """Whether ``message`` belongs to this primitive."""
-        return message.channel == self.channel and message.kind in AB_KINDS
-
     # -------------------------------------------------------------- handlers
     def on_message(self, message: Message) -> None:
         """Feed an incoming atomic-broadcast protocol message."""

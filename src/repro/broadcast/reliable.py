@@ -65,10 +65,6 @@ class ReliableBroadcast:
         self.network.broadcast(self.node_id, self.channel, RB_SEND, body,
                                size_bytes=size_bytes, include_self=True)
 
-    def handles(self, message: Message) -> bool:
-        """Whether ``message`` belongs to this primitive."""
-        return message.channel == self.channel and message.kind in RB_KINDS
-
     # -------------------------------------------------------------- handlers
     def on_message(self, message: Message) -> None:
         """Feed an incoming RB protocol message into the state machine."""

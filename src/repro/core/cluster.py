@@ -209,7 +209,11 @@ def run_cluster(config: FireLedgerConfig,
         faults.validate(config.n_nodes)
         byzantine = faults.byzantine_nodes
         windows = faults.byzantine_windows()
-        fault_controller = faults.controller()
+        if faults.link_phases:
+            # The network asks the schedule itself about every message.  A
+            # crash/recover- or membership-only timeline has nothing to say
+            # per message and leaves broadcasts on the fan-out fast path.
+            fault_controller = faults
 
     rng = random.Random(seed)
     if latency_model is None:

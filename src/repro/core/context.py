@@ -108,8 +108,10 @@ class ProtocolContext:
         Channel name namespacing this protocol's traffic.
     key_fields:
         The protocol's ``KEY_FIELDS`` table; ``inbox`` is the keyed
-        :class:`~repro.core.mailbox.Mailbox` over it, filled by the node's
-        dispatcher through ``inbox.put``.
+        :class:`~repro.core.mailbox.Mailbox` over it.  The context binds
+        every kind of the table on its channel to ``inbox.put``; a protocol
+        that serves a kind itself binds that kind again
+        (:meth:`~repro.net.network.BaseNetwork.bind`).
     interrupt_check:
         Optional callable returning a truthy "panic" object when the protocol
         should abandon its current wait.
@@ -123,6 +125,7 @@ class ProtocolContext:
         self.node_id = node_id
         self.channel = channel
         self.inbox = Mailbox(env, key_fields)
+        network.bind(node_id, channel, dict.fromkeys(key_fields, self.inbox.put))
         self.interrupt_check = interrupt_check
         #: Event triggered whenever a panic becomes pending; waits watch it.
         self._wake_event = env.event()

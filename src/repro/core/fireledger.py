@@ -25,6 +25,7 @@ from typing import Any, Callable, Optional
 
 from repro.broadcast.atomic import AB_KINDS, AtomicBroadcast
 from repro.broadcast.reliable import RB_KINDS, ReliableBroadcast
+from repro.consensus.bbc import BBC_AUX, BBC_COORD, BBC_DECIDED, BBC_EST
 from repro.consensus.obbc import OBBC_EV_REQ, OBBC_EV_RESP, OBBC_VOTE
 from repro.core.config import FireLedgerConfig
 from repro.core.context import PanicInterrupt, ProtocolContext
@@ -69,8 +70,7 @@ class FireLedgerWorker:
                  worker_id: int, config: FireLedgerConfig, keystore: KeyStore,
                  recorder: Optional[MetricsRecorder] = None,
                  rng: Optional[random.Random] = None,
-                 on_definite: Optional[Callable[[int, Block, float], None]] = None,
-                 channel_prefix: str = "fl") -> None:
+                 on_definite: Optional[Callable[[int, Block, float], None]] = None) -> None:
         self.env = env
         self.network = network
         self.node_id = node_id
@@ -82,7 +82,7 @@ class FireLedgerWorker:
             node_id, horizon_rounds=config.effective_metrics_horizon)
         self.rng = rng or random.Random(node_id * 1009 + worker_id)
         self.on_definite = on_definite
-        self.channel = f"{channel_prefix}/{worker_id}"
+        self.channel = f"fl/{worker_id}"
 
         self.cost = CryptoCostModel(config.machine)
         # Per-round CPU constants for the configured block shape, resolved
@@ -112,6 +112,22 @@ class FireLedgerWorker:
         self.ab = AtomicBroadcast(env, network, node_id, self.channel, config.f,
                                   self._on_version_delivered,
                                   request_timeout=config.recovery_timeout)
+        # Everything arriving on this worker's channel, by kind.  The context
+        # already bound its KEY_FIELDS kinds (WRB headers, pull and evidence
+        # responses, BBC_DECIDED ...) straight to the inbox; the kinds below
+        # are served by the worker or pass through it on the way there.
+        network.bind(node_id, self.channel, {
+            OBBC_VOTE: self._on_vote,
+            **dict.fromkeys(RB_KINDS, self.rb.on_message),
+            **dict.fromkeys(AB_KINDS, self.ab.on_message),
+            BODY: self._on_body,
+            BODY_RESP: self._on_body,
+            BODY_REQ: self._serve_body,
+            OBBC_EV_REQ: self._on_evidence_request,
+            WRB_PULL_REQ: self._serve_pull,
+            **dict.fromkeys((BBC_EST, BBC_COORD, BBC_AUX),
+                            self._on_fallback_step),
+        })
 
         # --- data path state -------------------------------------------------
         self._bodies: dict[str, Batch] = {}
@@ -146,39 +162,25 @@ class FireLedgerWorker:
         self.empty_blocks_proposed = 0
 
     # ======================================================================
-    # message dispatch (called synchronously by the node's router)
+    # message handlers (bound by kind in __init__, called by the network's
+    # final delivery step)
     # ======================================================================
-    def dispatch(self, message: Message) -> None:
-        """Route one incoming message for this worker's channel."""
-        kind = message.kind
-        if kind == OBBC_VOTE:
-            # First: one vote per peer per round is nearly all the traffic.
-            piggyback = message.payload.get("piggyback")
-            if piggyback is not None:
-                self._ingest_piggyback(message.sender, piggyback)
-            self.context.inbox.put(message)
-            return
-        if kind in RB_KINDS:
-            self.rb.on_message(message)
-            return
-        if kind in AB_KINDS:
-            self.ab.on_message(message)
-            return
-        if kind == BODY or kind == BODY_RESP:
-            self._on_body(message)
-            return
-        if kind == BODY_REQ:
-            self._serve_body(message)
-            return
-        if kind == OBBC_EV_REQ:
-            self._serve_evidence(message)
-            self._serve_fast_certificate(message)
-            return
-        if kind == WRB_PULL_REQ:
-            self._serve_pull(message)
-            return
-        if kind.startswith("BBC_") and kind != "BBC_DECIDED":
-            self._serve_fast_certificate(message)
+    def _on_vote(self, message: Message) -> None:
+        """An OBBC vote — one per peer per round, nearly all the traffic; the
+        next proposer's header may ride on it."""
+        piggyback = message.payload.get("piggyback")
+        if piggyback is not None:
+            self._ingest_piggyback(message.sender, piggyback)
+        self.context.inbox.put(message)
+
+    def _on_evidence_request(self, message: Message) -> None:
+        self._serve_evidence(message)
+        self._serve_fast_certificate(message)
+
+    def _on_fallback_step(self, message: Message) -> None:
+        """A peer's fallback BBC step: offer it the fast-path certificate (if
+        this node decided the round that way), then file the message."""
+        self._serve_fast_certificate(message)
         self.context.inbox.put(message)
 
     def _ingest_piggyback(self, sender: int, piggyback: dict) -> None:
@@ -266,7 +268,7 @@ class FireLedgerWorker:
         if message.sender in served:
             return
         served.add(message.sender)
-        self.network.send(self.node_id, message.sender, self.channel, "BBC_DECIDED",
+        self.network.send(self.node_id, message.sender, self.channel, BBC_DECIDED,
                           {"tag": ("bbc", round_number),
                            "value": certificate["value"],
                            "certificate": certificate["votes"]},
@@ -448,13 +450,10 @@ class FireLedgerWorker:
         if not self._valid_proof(proof):
             return
         round_number = proof["round"]
-        if round_number <= self._last_recovered_round():
+        if round_number <= self._recovered_through:
             return
         self._pending_panics.append((round_number, proof))
         self.context.notify_interrupt()
-
-    def _last_recovered_round(self) -> int:
-        return getattr(self, "_recovered_through", -1)
 
     def _valid_proof(self, proof: Any) -> bool:
         """Check a panic proof: two validly signed, conflicting headers."""

@@ -19,7 +19,6 @@ from repro.crypto.keys import KeyStore
 from repro.ledger.block import Block
 from repro.ledger.transaction import Transaction
 from repro.metrics.recorder import MetricsRecorder
-from repro.net.message import Message
 from repro.net.network import Network, discard
 from repro.ledger.delivery import Delivery, DeliveryStream
 from repro.sim import Environment
@@ -56,12 +55,15 @@ class FLONode:
             # only after FLO has released it to clients (head-of-line blocked
             # rounds stay live even past the retention window).
             worker.chain.released_through = -1
-        self._channel_map = {worker.channel: worker for worker in self.workers}
-        self._extra_handlers: dict[str, Callable[[Message], None]] = {}
-        # A silent node drops traffic at the network layer (like a crashed
-        # node would); buffering a whole run's broadcasts in a never-drained
-        # inbox would only grow memory.
-        network.endpoint(node_id).router = discard if silent else self._route
+        # The workers bound their channels' kinds as they were built; traffic
+        # for anything else is nobody's.  A silent node keeps no bindings
+        # either: it drops everything at the network layer (like a crashed
+        # node would) instead of buffering a whole run's broadcasts in
+        # inboxes that are never drained.
+        endpoint = network.endpoint(node_id)
+        endpoint.router = discard
+        if silent:
+            endpoint.handlers.clear()
 
         # Round-robin delivery state.
         self._delivery_cursor = 0
@@ -78,21 +80,6 @@ class FLONode:
         self.executor = None
 
     # ------------------------------------------------------------------ wiring
-    def _route(self, message: Message) -> None:
-        worker = self._channel_map.get(message.channel)
-        if worker is not None:
-            worker.dispatch(message)
-            return
-        handler = self._extra_handlers.get(message.channel)
-        if handler is not None:
-            handler(message)
-            return
-        self.network.endpoint(self.node_id).mailbox.put(message)
-
-    def register_channel(self, channel: str, handler: Callable[[Message], None]) -> None:
-        """Attach an extra protocol (e.g. a baseline) to this node's router."""
-        self._extra_handlers[channel] = handler
-
     def start(self) -> None:
         """Launch every worker's main process (no-op for a silent node)."""
         if self.silent:
@@ -122,7 +109,7 @@ class FLONode:
             sender=sender, recipient=recipient, amount=amount, nonce=nonce)
         target = min(self.workers, key=lambda worker: worker.txpool.pending)
         if not target.txpool.submit(transaction):
-            return None  # counted by the pool (see rejected_transactions)
+            return None  # counted by the pool (``txpool.rejected``)
         self.submitted_transactions += 1
         return transaction
 
@@ -170,16 +157,6 @@ class FLONode:
         return self.delivery_stream.transactions
 
     @property
-    def rejected_transactions(self) -> int:
-        """Pool-cap rejections across this node's workers."""
-        return sum(worker.txpool.rejected for worker in self.workers)
-
-    @property
     def total_recoveries(self) -> int:
         """Recovery invocations across all workers."""
         return sum(worker.recovery_count for worker in self.workers)
-
-    @property
-    def chain_heights(self) -> list[int]:
-        """Current chain height of each worker."""
-        return [worker.chain.height for worker in self.workers]

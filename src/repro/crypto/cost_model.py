@@ -110,10 +110,6 @@ class RoundCostProfile:
     #: CPU cost of handling one received control message.
     message_cpu: float
 
-    def message_processing(self, count: int) -> float:
-        """Aggregate CPU time for handling ``count`` received messages."""
-        return count * self.message_cpu
-
 
 class CryptoCostModel:
     """Computes simulated CPU durations for hashing, signing and verifying.

@@ -20,7 +20,7 @@ slots and Conflux applies to its pivot chain.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 from repro.crypto.hashing import hash_bytes
 from repro.ledger.block import Block, make_genesis
@@ -330,7 +330,3 @@ class Blockchain:
         self._advance_finality()
         self._prune()
         return removed
-
-    def iter_rounds(self) -> Iterable[int]:
-        """Round numbers of all live non-genesis blocks, oldest first."""
-        return (block.round_number for block in self._blocks if block.round_number >= 0)

@@ -82,10 +82,6 @@ class LedgerState:
     def balance_of(self, account: int) -> int:
         return self._balances.get(account, self.initial_balance)
 
-    def nonce_of(self, account: int) -> int:
-        """The next nonce this sender is expected to use (floor, see below)."""
-        return self._nonces.get(account, 0)
-
     def apply_transaction(self, transaction) -> str:
         """Apply one delivered transaction; returns its outcome.
 

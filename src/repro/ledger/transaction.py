@@ -75,11 +75,6 @@ class Transaction:
                    recipient=recipient, amount=amount, nonce=nonce)
 
     @property
-    def is_transfer(self) -> bool:
-        """Whether the execution layer can interpret this payload."""
-        return self.sender is not None
-
-    @property
     def digest(self) -> str:
         """Digest identifying this transaction (Merkle leaf)."""
         return self.payload_digest

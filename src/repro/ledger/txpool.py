@@ -41,6 +41,7 @@ class TxPool:
         self.rejected = 0
         self.requeue_dropped = 0
         self.synthetic_generated = 0
+        self._batch_counter = 0
 
     def __len__(self) -> int:
         return len(self._pending)
@@ -84,7 +85,7 @@ class TxPool:
         if fill_random:
             filler = batch_size - len(explicit)
             self.synthetic_generated += filler
-        self._batch_counter = getattr(self, "_batch_counter", 0) + 1
+        self._batch_counter += 1
         nonce = self._batch_counter * (2 ** 48) + self.rng.randrange(2 ** 48)
         return Batch(transactions=tuple(explicit), filler_count=filler,
                      filler_tx_size=self.default_tx_size,

@@ -2,7 +2,8 @@
 
 Models a fully connected cluster of nodes with per-link propagation latency,
 per-node egress bandwidth (NIC serialisation), a per-message/per-byte RPC
-stack cost and pluggable fault controllers (drops, partitions, slow links).
+stack cost and a pluggable fault controller (drops, partitions, slow links:
+a run's :class:`~repro.scenarios.faultplan.FaultSchedule`).
 Two latency models mirror the paper's deployments (a single Amazon
 data-center and a ten-region geo-distributed cluster);
 :class:`~repro.net.latency.WanTopologyLatency` generalises them to arbitrary
@@ -15,18 +16,10 @@ from repro.net.latency import (
     GeoDistributedLatency,
     LatencyModel,
     SingleDatacenterLatency,
-    UniformLatency,
     WanTopologyLatency,
 )
 from repro.net.message import Message
 from repro.net.network import Endpoint, Network, NetworkStats
-from repro.net.faults import (
-    CompositeFaultController,
-    FaultController,
-    LinkDelayFault,
-    MessageLossFault,
-    PartitionFault,
-)
 
 __all__ = [
     "Message",
@@ -36,12 +29,6 @@ __all__ = [
     "LatencyModel",
     "SingleDatacenterLatency",
     "GeoDistributedLatency",
-    "UniformLatency",
     "WanTopologyLatency",
     "GEO_REGIONS",
-    "FaultController",
-    "MessageLossFault",
-    "PartitionFault",
-    "LinkDelayFault",
-    "CompositeFaultController",
 ]

@@ -53,29 +53,56 @@ def _abs_gauss_block(rng: random.Random, count: int) -> list[float]:
     return out
 
 
+class _LazyTable(dict):
+    """A dict that fills a missing key from ``fill(key)``, once: a base-delay
+    row (or a table of rows) whose size is not known up front.  Hits are
+    plain C-level dict lookups."""
+
+    def __init__(self, fill) -> None:
+        super().__init__()
+        self._fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self._fill(key)
+        return value
+
+
 class LatencyModel:
-    """Base class: per-link one-way propagation delay in seconds."""
+    """Base class: per-link one-way propagation delay in seconds.
+
+    Every model is "base delay of the link, times a jitter factor": a
+    subclass provides ``jitter`` and ``_rows`` — ``_rows[src][dst]`` is the
+    deterministic one-way delay of the ``src -> dst`` link — and inherits the
+    sampling.
+    """
+
+    jitter: float
+    #: ``_rows[src][dst]``: base delay in seconds (lists, or lazily filled).
+    _rows: "Sequence[Sequence[float]] | Mapping[int, Mapping[int, float]]"
 
     def sample(self, src: int, dst: int, rng: random.Random) -> float:
         """One-way delay for a message from ``src`` to ``dst``."""
-        raise NotImplementedError
+        # Lognormal-ish jitter: mostly near base, occasional slower delivery.
+        return self._rows[src][dst] * (1.0 + self.jitter * abs(rng.gauss(0.0, 1.0)))
 
     def sample_block(self, src: int, receivers: Sequence[int],
                      rng: random.Random) -> list[float]:
         """One-way delays for one broadcast: one entry per receiver, in order.
 
-        Must consume ``rng`` exactly as the equivalent sequence of
-        :meth:`sample` calls would — the batched delivery path relies on the
-        stream being identical so that batched and per-copy runs stay
-        bit-for-bit equivalent.  Subclasses override this purely to hoist
-        per-call attribute lookups out of the fan-out loop.
+        Consumes ``rng`` exactly as the equivalent sequence of :meth:`sample`
+        calls would — the batched delivery path relies on the stream being
+        identical so that batched and per-copy runs stay bit-for-bit
+        equivalent — with the per-call overhead hoisted out of the fan-out
+        loop.
         """
-        sample = self.sample
-        return [sample(src, dst, rng) for dst in receivers]
+        row = self._rows[src]
+        jitter = self.jitter
+        return [row[dst] * (1.0 + jitter * g)
+                for dst, g in zip(receivers, _abs_gauss_block(rng, len(receivers)))]
 
     def base_delay(self, src: int, dst: int) -> float:
         """Deterministic component of the link delay (no jitter)."""
-        raise NotImplementedError
+        return self._rows[src][dst]
 
     def transfer_delay(self, src: int, dst: int, size_bytes: int) -> float:
         """Size-dependent serialisation time on the ``src -> dst`` path.
@@ -87,28 +114,6 @@ class LatencyModel:
         :class:`WanTopologyLatency` derives it from per-link bandwidth.
         """
         return 0.0
-
-
-class UniformLatency(LatencyModel):
-    """Every link has the same delay drawn uniformly from ``[low, high]``."""
-
-    def __init__(self, low: float, high: float) -> None:
-        if low < 0 or high < low:
-            raise ValueError("require 0 <= low <= high")
-        self.low = low
-        self.high = high
-
-    def base_delay(self, src: int, dst: int) -> float:
-        return (self.low + self.high) / 2.0
-
-    def sample(self, src: int, dst: int, rng: random.Random) -> float:
-        return rng.uniform(self.low, self.high)
-
-    def sample_block(self, src: int, receivers: Sequence[int],
-                     rng: random.Random) -> list[float]:
-        uniform = rng.uniform
-        low, high = self.low, self.high
-        return [uniform(low, high) for _ in receivers]
 
 
 class SingleDatacenterLatency(LatencyModel):
@@ -123,20 +128,9 @@ class SingleDatacenterLatency(LatencyModel):
             raise ValueError("base latency must be positive")
         self.base = base
         self.jitter = jitter
-
-    def base_delay(self, src: int, dst: int) -> float:
-        return self.base
-
-    def sample(self, src: int, dst: int, rng: random.Random) -> float:
-        # Lognormal-ish jitter: mostly near base, occasional slower delivery.
-        factor = 1.0 + self.jitter * abs(rng.gauss(0.0, 1.0))
-        return self.base * factor
-
-    def sample_block(self, src: int, receivers: Sequence[int],
-                     rng: random.Random) -> list[float]:
-        base, jitter = self.base, self.jitter
-        return [base * (1.0 + jitter * g)
-                for g in _abs_gauss_block(rng, len(receivers))]
+        # One constant row, shared by every source.
+        row = _LazyTable(lambda dst: base)
+        self._rows = _LazyTable(lambda src: row)
 
 
 #: The ten AWS regions of the geo-distributed deployment (Section 7.5), in the
@@ -225,10 +219,11 @@ class GeoDistributedLatency(LatencyModel):
         self.regions = tuple(regions)
         self.jitter = jitter
         self.local_one_way = local_one_way
-        # Lazily grown per-source rows of base delays: the frozenset matrix
+        # Lazily filled per-source rows of base delays: the frozenset matrix
         # lookup is too slow for the broadcast fan-out loop, and n is not
-        # known up front (region_of wraps modulo), so rows extend on demand.
-        self._row_cache: dict[int, list[float]] = {}
+        # known up front (region_of wraps modulo), so rows fill on demand.
+        self._rows = _LazyTable(lambda src: _LazyTable(
+            lambda dst: self._lookup_delay(src, dst)))
 
     def region_of(self, node_id: int) -> str:
         """Region hosting ``node_id`` (wraps around for very large clusters)."""
@@ -240,33 +235,6 @@ class GeoDistributedLatency(LatencyModel):
         if region_src == region_dst:
             return self.local_one_way
         return _GEO_ONE_WAY_MS[frozenset((region_src, region_dst))] * 1e-3
-
-    def _base_row(self, src: int, size: int) -> list[float]:
-        """Base delays from ``src`` to every dst below ``size`` (cached)."""
-        row = self._row_cache.get(src)
-        if row is None:
-            row = self._row_cache[src] = []
-        if len(row) < size:
-            lookup = self._lookup_delay
-            row.extend(lookup(src, dst) for dst in range(len(row), size))
-        return row
-
-    def base_delay(self, src: int, dst: int) -> float:
-        return self._base_row(src, dst + 1)[dst]
-
-    def sample(self, src: int, dst: int, rng: random.Random) -> float:
-        base = self._base_row(src, dst + 1)[dst]
-        factor = 1.0 + self.jitter * abs(rng.gauss(0.0, 1.0))
-        return base * factor
-
-    def sample_block(self, src: int, receivers: Sequence[int],
-                     rng: random.Random) -> list[float]:
-        if not receivers:
-            return []
-        row = self._base_row(src, max(receivers) + 1)
-        jitter = self.jitter
-        return [row[dst] * (1.0 + jitter * g)
-                for dst, g in zip(receivers, _abs_gauss_block(rng, len(receivers)))]
 
 
 class WanTopologyLatency(LatencyModel):
@@ -302,17 +270,17 @@ class WanTopologyLatency(LatencyModel):
         local_one_way = dict(local_one_way or {})
         bandwidth_bps = dict(bandwidth_bps or {})
         n = len(self.assignment)
-        self._delay = [[0.0] * n for _ in range(n)]
+        self._rows = [[0.0] * n for _ in range(n)]
         self._inv_bandwidth = [[0.0] * n for _ in range(n)]
         for src in range(n):
             for dst in range(n):
                 a, b = self.assignment[src], self.assignment[dst]
                 if a == b:
-                    self._delay[src][dst] = local_one_way.get(
+                    self._rows[src][dst] = local_one_way.get(
                         a, default_local_one_way)
                     continue  # intra-region links are never bandwidth-capped
                 key = frozenset((a, b))
-                self._delay[src][dst] = one_way_s.get(key, default_one_way)
+                self._rows[src][dst] = one_way_s.get(key, default_one_way)
                 bandwidth = bandwidth_bps.get(key, default_bandwidth_bps)
                 if bandwidth is not None:
                     if bandwidth <= 0:
@@ -322,20 +290,6 @@ class WanTopologyLatency(LatencyModel):
     def region_of(self, node_id: int) -> str:
         """Region hosting ``node_id``."""
         return self.assignment[node_id]
-
-    def base_delay(self, src: int, dst: int) -> float:
-        return self._delay[src][dst]
-
-    def sample(self, src: int, dst: int, rng: random.Random) -> float:
-        factor = 1.0 + self.jitter * abs(rng.gauss(0.0, 1.0))
-        return self._delay[src][dst] * factor
-
-    def sample_block(self, src: int, receivers: Sequence[int],
-                     rng: random.Random) -> list[float]:
-        row = self._delay[src]
-        jitter = self.jitter
-        return [row[dst] * (1.0 + jitter * g)
-                for dst, g in zip(receivers, _abs_gauss_block(rng, len(receivers)))]
 
     def transfer_delay(self, src: int, dst: int, size_bytes: int) -> float:
         return size_bytes * self._inv_bandwidth[src][dst]

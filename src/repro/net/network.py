@@ -4,15 +4,15 @@
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import accumulate, repeat
-from typing import Any, Optional
+from typing import Any, Callable, Mapping, Optional
 
 from repro.crypto.cost_model import M5_XLARGE, MachineSpec
-from repro.net.faults import FaultController
 from repro.net.latency import LatencyModel, SingleDatacenterLatency
 from repro.net.message import MESSAGE_OVERHEAD_BYTES, Message, _message_counter
-from repro.sim import Environment, Resource, Store
+from repro.sim import Environment, Resource
 
 #: Messages above this size travel on the bulk (data-path) lane.
 BULK_MESSAGE_THRESHOLD = 8 * 1024
@@ -26,13 +26,15 @@ class NetworkStats:
     messages_delivered: int = 0
     messages_dropped: int = 0
     bytes_sent: int = 0
-    per_kind: dict = field(default_factory=dict)
+    per_kind: dict = field(default_factory=lambda: defaultdict(int))
 
-    def record_send(self, message: Message) -> None:
-        self.messages_sent += 1
-        self.bytes_sent += message.size_bytes
-        key = (message.channel, message.kind)
-        self.per_kind[key] = self.per_kind.get(key, 0) + 1
+    def record_send(self, channel: str, kind: str, wire_bytes: int,
+                    copies: int = 1) -> None:
+        """Count ``copies`` messages of ``wire_bytes`` each leaving a sender
+        (fault-dropped copies included: they are sent *and* dropped)."""
+        self.messages_sent += copies
+        self.bytes_sent += copies * wire_bytes
+        self.per_kind[channel, kind] += copies
 
     def messages_of_kind(self, kind: str, channel: Optional[str] = None) -> int:
         """Number of messages sent with ``kind`` (optionally on one channel)."""
@@ -47,11 +49,19 @@ class NetworkStats:
 
 
 def discard(message) -> None:
-    """Router of a silent (fail-stop) node: traffic is dropped, not buffered."""
+    """Catch-all of a protocol node: traffic no binding claims is dropped,
+    not buffered (nothing would ever drain it).  With its bindings cleared
+    as well, this is a silent (fail-stop) node."""
 
 
 class BaseEndpoint:
-    """Per-node attachment point: mailbox, CPU, crash flag, byte counters.
+    """Per-node attachment point: routing table, CPU, crash flag, byte counters.
+
+    Where a delivered message goes is decided here, once: ``handlers`` maps
+    ``(channel, kind)`` to the callable that takes the message
+    (:meth:`BaseNetwork.bind` fills it while the node is built); what no
+    binding matches goes to the ``router`` catch-all if one is set, else it
+    is appended to ``mailbox``.
 
     A backend's endpoint adds its NIC model: ``reset_lanes()`` (the recover
     contract's empty-NIC guarantee) and the occupancy views FireLedger's flow
@@ -59,27 +69,22 @@ class BaseEndpoint:
     """
 
     __slots__ = ("env", "node_id", "machine", "mailbox", "cpu", "crashed",
-                 "bytes_sent", "bytes_received", "router")
+                 "bytes_sent", "bytes_received", "handlers", "router")
 
     def __init__(self, env: Environment, node_id: int, machine: MachineSpec) -> None:
         self.env = env
         self.node_id = node_id
         self.machine = machine
-        self.mailbox = Store(env)
+        #: Deliveries nothing claimed, oldest first.
+        self.mailbox: list[Message] = []
         self.cpu = Resource(env, capacity=machine.cores)
         self.crashed = False
         self.bytes_sent = 0
         self.bytes_received = 0
-        #: Optional callable that replaces the default mailbox delivery; nodes
-        #: install a dispatcher here to route traffic to per-protocol inboxes.
-        self.router = None
-
-    def deliver(self, message) -> None:
-        """Hand an incoming message to the router (or the default mailbox)."""
-        if self.router is not None:
-            self.router(message)
-        else:
-            self.mailbox.put(message)
+        self.handlers: dict[tuple[str, str], Callable[[Message], None]] = {}
+        #: Optional catch-all for unbound traffic (tests and probes record
+        #: through it; protocol nodes install :func:`discard`).
+        self.router: Optional[Callable[[Message], None]] = None
 
 
 class Endpoint(BaseEndpoint):
@@ -153,19 +158,21 @@ class BaseNetwork:
 
     The contract, stated once for every backend: endpoint lookup and crash
     state, the ``send`` / ``broadcast`` return contracts, the fault-drop
-    decision and rng draw order, the ``stats`` accounting and the final
-    delivery step.  A backend supplies its endpoint class plus "move these
+    decision and rng draw order, the ``stats`` accounting, the routing
+    table (:meth:`bind`) and the final delivery step.  A backend supplies its endpoint class plus "move these
     messages after these delays" (:meth:`_transmit`,
     :meth:`_transmit_copies`) and may hook :meth:`_on_crash` /
     :meth:`_on_recover`.
 
-    A fault controller may drop a message or add delay; drops are decided
-    *before* anything reaches the backend, so injected losses never consume
-    egress capacity.  Crashed endpoints neither send nor receive, and
-    in-flight messages to a node that crashes before delivery are counted as
-    dropped.  Links are otherwise reliable (no loss, no duplication, no
-    reordering beyond what differing latencies produce), matching the system
-    model of Section 3.1.
+    A fault controller — anything answering ``should_drop(message, now,
+    rng)`` and ``extra_delay(message, now, rng)``; a run's
+    :class:`~repro.scenarios.faultplan.FaultSchedule` is one — may drop a
+    message or add delay; drops are decided *before* anything reaches the
+    backend, so injected losses never consume egress capacity.  Crashed
+    endpoints neither send nor receive, and in-flight messages to a node
+    that crashes before delivery are counted as dropped.  Links are
+    otherwise reliable (no loss, no duplication, no reordering beyond what
+    differing latencies produce), matching the system model of Section 3.1.
     """
 
     #: Endpoint type the backend attaches per node.
@@ -175,7 +182,7 @@ class BaseNetwork:
                  latency_model: Optional[LatencyModel] = None,
                  machine: MachineSpec = M5_XLARGE,
                  rng: Optional[random.Random] = None,
-                 fault_controller: Optional[FaultController] = None) -> None:
+                 fault_controller: Optional[Any] = None) -> None:
         if n_nodes < 1:
             raise ValueError("n_nodes must be >= 1")
         self.env = env
@@ -187,11 +194,21 @@ class BaseNetwork:
         self.stats = NetworkStats()
         self.endpoints = [self.endpoint_class(env, node_id, machine)
                           for node_id in range(n_nodes)]
+        self._deliver = self._make_completer()
 
     # ----------------------------------------------------------------- nodes
     def endpoint(self, node_id: int):
         """The endpoint of ``node_id``."""
         return self.endpoints[node_id]
+
+    def bind(self, node_id: int, channel: str,
+             handlers: Mapping[str, Callable[[Message], None]]) -> None:
+        """Route ``node_id``'s incoming ``channel`` traffic: a message of
+        kind ``K`` is handed to ``handlers[K]``.  Binding a kind again
+        replaces its handler."""
+        table = self.endpoints[node_id].handlers
+        for kind, handler in handlers.items():
+            table[channel, kind] = handler
 
     def is_crashed(self, node_id: int) -> bool:
         """Whether ``node_id`` has crashed."""
@@ -246,7 +263,7 @@ class BaseNetwork:
         message = Message(sender=sender, receiver=receiver, channel=channel,
                           kind=kind, payload=payload, size_bytes=size_bytes,
                           sent_at=now)
-        self.stats.record_send(message)
+        self.stats.record_send(channel, kind, message.size_bytes)
 
         if sender == receiver:
             # Local loopback: no NIC, no propagation, delivered immediately.
@@ -281,35 +298,30 @@ class BaseNetwork:
         messages: list[Message] = []
         in_flight: list[Message] = []
         delays: list[float] = []
-        sent = dropped = 0
         for receiver in range(self.n_nodes):
             if receiver == sender and not include_self:
                 continue
             message = Message(sender=sender, receiver=receiver, channel=channel,
                               kind=kind, payload=payload, size_bytes=size_bytes,
                               sent_at=now)
-            sent += 1
             if receiver == sender:
                 env.call_later(0.0, self._deliver, message)
                 messages.append(message)
                 continue
             delay = self._link_delay(message, now)
             if delay is None:
-                dropped += 1
+                self.stats.messages_dropped += 1
                 continue
             in_flight.append(message)
             delays.append(delay)
             messages.append(message)
         if in_flight:
             self._transmit_copies(in_flight, delays)
-        stats = self.stats
-        stats.messages_dropped += dropped
-        if sent:
-            # Dropped copies count as sent bytes too, matching send().
-            stats.messages_sent += sent
-            stats.bytes_sent += sent * max(size_bytes, MESSAGE_OVERHEAD_BYTES)
-            key = (channel, kind)
-            stats.per_kind[key] = stats.per_kind.get(key, 0) + sent
+        copies = self.n_nodes if include_self else self.n_nodes - 1
+        if copies:
+            self.stats.record_send(channel, kind,
+                                   max(size_bytes, MESSAGE_OVERHEAD_BYTES),
+                                   copies)
         return messages
 
     def _link_delay(self, message: Message, now: float) -> Optional[float]:
@@ -328,16 +340,38 @@ class BaseNetwork:
             delay += fault.extra_delay(message, now, rng)
         return delay
 
-    def _deliver(self, message: Message) -> None:
-        """Final delivery step: counters, timestamps, router or mailbox."""
-        destination = self.endpoints[message.receiver]
-        if destination.crashed:
-            self.stats.messages_dropped += 1
-            return
-        message.delivered_at = self.env.now
-        destination.bytes_received += message.size_bytes
-        self.stats.messages_delivered += 1
-        destination.deliver(message)
+    def _make_completer(self) -> Callable[[Message], None]:
+        """Build the final delivery step, the same for every backend.
+
+        One call per delivered message — the hottest function in the
+        simulator — hence a closure: the endpoint list, the stats and the
+        environment are cell loads, and the clock is read without the
+        ``env.now`` property round-trip.  A crashed receiver counts a drop;
+        otherwise the message is stamped, counted and handed to the
+        receiver's ``(channel, kind)`` binding, else to its catch-all
+        ``router``, else appended to its ``mailbox``.
+        """
+        endpoints = self.endpoints
+        stats = self.stats
+        env = self.env
+
+        def complete(message: Message) -> None:
+            destination = endpoints[message.receiver]
+            if destination.crashed:
+                stats.messages_dropped += 1
+                return
+            message.delivered_at = env._now  # noqa: SLF001
+            destination.bytes_received += message.size_bytes
+            stats.messages_delivered += 1
+            try:
+                handler = destination.handlers[message.channel, message.kind]
+            except KeyError:
+                handler = destination.router
+                if handler is None:
+                    handler = destination.mailbox.append
+            handler(message)
+
+        return complete
 
     # --------------------------------------------------------- backend hooks
     def _transmit(self, message: Message, delay: float) -> None:
@@ -364,20 +398,17 @@ class Network(BaseNetwork):
     link propagation latency drawn from the latency model plus the model's
     size-dependent :meth:`~repro.net.latency.LatencyModel.transfer_delay`
     (non-zero only on bandwidth-capped WAN links), receiver-side RPC stack
-    cost, then the message is handed to the receiver endpoint's installed
-    ``router`` (FLO nodes route to per-protocol inboxes) or, absent one, its
-    default mailbox.
+    cost, then the shared final delivery step (see
+    :meth:`BaseNetwork._make_completer`) routes it at the receiver endpoint.
     """
 
     endpoint_class = Endpoint
 
     def __init__(self, env: Environment, n_nodes: int, **options) -> None:
         super().__init__(env, n_nodes, **options)
-        # Broadcast fast-path caches: the per-endpoint ingress lane dicts
-        # (stable for an endpoint's lifetime — reset_lanes mutates in place)
-        # and a delivery completer closed over the hot instance state.
+        # Broadcast fast-path cache: the per-endpoint ingress lane dicts
+        # (stable for an endpoint's lifetime — reset_lanes mutates in place).
         self._rx_lanes = [endpoint._rx_free_at for endpoint in self.endpoints]
-        self._deliver = self._make_completer()
 
     def _arrival(self, message: Message, delay: float) -> float:
         """Reserve the sender's NIC lane, then the receiver's ingress lane."""
@@ -413,9 +444,10 @@ class Network(BaseNetwork):
         train — one queue entry per broadcast instead of one per copy.  With
         a fault controller installed the shared per-copy loop runs, so the
         ``should_drop`` / ``sample`` / ``extra_delay`` interleaving on the
-        shared rng is unchanged.
+        shared rng is unchanged; so it does on a one-node network, where
+        there is no fan-out to batch.
         """
-        if self.fault_controller is not None:
+        if self.fault_controller is not None or self.n_nodes == 1:
             return super().broadcast(sender, channel, kind, payload,
                                      size_bytes, include_self)
         if not 0 <= sender < self.n_nodes:
@@ -425,7 +457,6 @@ class Network(BaseNetwork):
             return []
         env = self.env
         now = env.now
-        stats = self.stats
         model = self.latency_model
         # Skip the per-copy transfer_delay call entirely for models that keep
         # the base class's zero-cost default (every link latency-bound only).
@@ -485,7 +516,6 @@ class Network(BaseNetwork):
             times_append(received_at)
             append(message)
         env.schedule_batch(times, messages, complete)
-        sent = n - 1
         if include_self:
             message = Message(sender=sender, receiver=sender, channel=channel,
                               kind=kind, payload=payload, size_bytes=size_bytes,
@@ -493,46 +523,8 @@ class Network(BaseNetwork):
             env.call_later(0.0, complete, message)
             # The self copy sits at its receiver-order slot in the result.
             messages.insert(sender, message)
-            sent += 1
         tx_free[lane] = free_at
         source.bytes_sent += (n - 1) * wire_bytes
-        if sent:
-            stats.messages_sent += sent
-            stats.bytes_sent += sent * wire_bytes
-            key = (channel, kind)
-            stats.per_kind[key] = stats.per_kind.get(key, 0) + sent
+        self.stats.record_send(channel, kind, wire_bytes,
+                               n if include_self else n - 1)
         return messages
-
-    def _make_completer(self):
-        """Build the per-delivery completion callback as a closure.
-
-        The hottest function in the simulator: one call per delivered
-        message.  Endpoint.deliver and Store.put are inlined (router
-        installed / no waiting getter are the overwhelmingly common cases),
-        the clock is read without the ``env.now`` property round-trip, and
-        closing over the endpoint list / stats / environment turns three
-        attribute chains per delivery into cell loads.
-        """
-        endpoints = self.endpoints
-        stats = self.stats
-        env = self.env
-
-        def complete(message: Message) -> None:
-            destination = endpoints[message.receiver]
-            if destination.crashed:
-                stats.messages_dropped += 1
-                return
-            message.delivered_at = env._now  # noqa: SLF001
-            destination.bytes_received += message.size_bytes
-            stats.messages_delivered += 1
-            router = destination.router
-            if router is not None:
-                router(message)
-                return
-            mailbox = destination.mailbox
-            if mailbox._getters:  # noqa: SLF001
-                mailbox.put(message)
-            else:
-                mailbox._items.append(message)  # noqa: SLF001
-
-        return complete

@@ -11,13 +11,12 @@ delivery streams back into a single total order that feeds execution.
 Three pieces make that composition safe:
 
 * **Channel namespacing** (:class:`LaneNetwork`).  Each lane sees a proxy
-  network that prefixes every channel with ``l<lane>!`` on send/broadcast and
-  a per-lane endpoint view whose ``router`` assignment lands in a shared
-  per-node :class:`_LaneDispatcher` (the real endpoint's router), which strips
-  the prefix and routes to the owning lane.  NIC serialisation, ingress
-  queues, CPU and crash state stay per *node* — a crashed node is crashed in
-  every lane, and a busy lane's bulk traffic delays the others' exactly as M
-  co-located processes would.
+  network that prefixes every channel with ``l<lane>!`` on send, broadcast
+  *and* bind, so a lane's traffic finds the lane's handlers in the node's one
+  ``(channel, kind)`` table with no per-message work.  NIC serialisation,
+  ingress queues, CPU and crash state stay per *node* — a crashed node is
+  crashed in every lane, and a busy lane's bulk traffic delays the others'
+  exactly as M co-located processes would.
 
 * **Deterministic workload slicing**.  A client write is assigned to lane
   ``hash(sender) % M`` (Knuth multiplicative hash; ``client_id`` when no
@@ -50,7 +49,7 @@ from collections import deque
 from typing import Optional, Sequence
 
 from repro.ledger.delivery import Delivery, DeliveryStream
-from repro.net.message import MESSAGE_OVERHEAD_BYTES, Message
+from repro.net.message import MESSAGE_OVERHEAD_BYTES
 from repro.protocols.base import ConsensusProtocol, NodeMetrics
 
 #: Knuth's multiplicative hash constant (2^32 / phi); spreads consecutive
@@ -69,74 +68,22 @@ def lane_of(sender: Optional[int], client_id: int, lanes: int) -> int:
     return ((key * _HASH_MULTIPLIER) & _HASH_MASK) % lanes
 
 
-class _LaneDispatcher:
-    """The real endpoint router of a multiplexed node.
-
-    Strips the ``l<lane>!`` channel prefix and hands the message to the
-    owning lane's registered router; unprefixed traffic falls through to the
-    endpoint's default mailbox (nothing else shares the node).
-    """
-
-    def __init__(self, endpoint) -> None:
-        self.endpoint = endpoint
-        self.lane_routers: dict[int, object] = {}
-
-    def __call__(self, message: Message) -> None:
-        prefix, sep, channel = message.channel.partition("!")
-        if sep and prefix.startswith("l") and prefix[1:].isdigit():
-            # Restore the lane-local channel name the inner protocol expects.
-            message.channel = channel
-            router = self.lane_routers.get(int(prefix[1:]))
-            if router is not None:
-                router(message)
-                return
-        self.endpoint.mailbox.put(message)
-
-
-class _LaneEndpoint:
-    """One lane's view of a node's endpoint.
-
-    ``router`` assignments register with the node's shared
-    :class:`_LaneDispatcher` instead of clobbering the other lanes; every
-    other attribute (mailbox, cpu, crashed, NIC reservations, backlogs) is
-    the real endpoint's — the lanes genuinely share the hardware model.
-    """
-
-    def __init__(self, dispatcher: _LaneDispatcher, lane: int) -> None:
-        self._dispatcher = dispatcher
-        self._lane = lane
-
-    @property
-    def router(self):
-        return self._dispatcher.lane_routers.get(self._lane)
-
-    @router.setter
-    def router(self, value) -> None:
-        self._dispatcher.lane_routers[self._lane] = value
-
-    def __getattr__(self, name):
-        return getattr(self._dispatcher.endpoint, name)
-
-
 class LaneNetwork:
     """One lane's view of the shared :class:`~repro.net.network.Network`.
 
-    Send/broadcast prefix the channel with ``l<lane>!``; ``endpoint`` returns
-    the lane's endpoint view.  Everything else — crash state, stats, latency
-    model, fault controller, ``n_nodes`` — is delegated to the real network,
-    so protocol code runs byte-for-byte unchanged inside a lane.
+    Send, broadcast and bind prefix the channel with ``l<lane>!``.
+    Everything else — endpoints, crash state, stats, latency model, fault
+    controller, ``n_nodes`` — is delegated to the real network, so protocol
+    code runs byte-for-byte unchanged inside a lane (it sees the prefixed
+    name only in ``message.channel``, which no protocol reads).
     """
 
-    def __init__(self, network, lane: int,
-                 dispatchers: Sequence[_LaneDispatcher]) -> None:
+    def __init__(self, network, lane: int) -> None:
         self._network = network
-        self._lane = lane
         self._prefix = f"l{lane}!"
-        self._endpoints = [_LaneEndpoint(dispatcher, lane)
-                           for dispatcher in dispatchers]
 
-    def endpoint(self, node_id: int) -> _LaneEndpoint:
-        return self._endpoints[node_id]
+    def bind(self, node_id: int, channel: str, handlers) -> None:
+        self._network.bind(node_id, self._prefix + channel, handlers)
 
     def send(self, sender: int, receiver: int, channel: str, kind: str,
              payload, size_bytes: int = MESSAGE_OVERHEAD_BYTES):
@@ -270,15 +217,9 @@ class MultiplexedProtocol(ConsensusProtocol):
 
     def build_nodes(self, env, network, keystore, config, rng,
                     adversary=None) -> list[MultiplexedNode]:
-        dispatchers = []
-        for node_id in range(config.n_nodes):
-            endpoint = network.endpoint(node_id)
-            dispatcher = _LaneDispatcher(endpoint)
-            endpoint.router = dispatcher
-            dispatchers.append(dispatcher)
         per_lane_nodes = []
         for lane, lane_config in enumerate(self._lane_configs(config)):
-            lane_network = LaneNetwork(network, lane, dispatchers)
+            lane_network = LaneNetwork(network, lane)
             lane_rng = random.Random(rng.randrange(2 ** 62))
             per_lane_nodes.append(self.base.build_nodes(
                 env, lane_network, keystore, lane_config, lane_rng,

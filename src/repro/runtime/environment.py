@@ -7,10 +7,10 @@ loop's monotonic clock, re-based so ``now`` starts at ``initial_time`` when
 the environment is constructed; timers (``call_later`` / ``schedule_event`` /
 ``timeout``) become ``loop.call_later`` handles.  Everything layered on the
 kernel primitives — :class:`~repro.sim.process.Process` generators,
-:class:`~repro.sim.store.Store` queues, :class:`~repro.sim.resource.Resource`
-CPU slots, ``any_of``/``all_of`` conditions — is inherited unchanged: those
-classes only ever talk to ``schedule_event``/``timeout``/``now``, so the same
-protocol code drives either backend.
+:class:`~repro.sim.resource.Resource` CPU slots, ``any_of``/``all_of``
+conditions, the network's final delivery step — is inherited unchanged: those
+only ever talk to ``schedule_event``/``timeout``/``now`` (or its cell
+``_now``), so the same protocol code drives either backend.
 
 Differences from the simulated kernel, by necessity:
 
@@ -49,12 +49,12 @@ class RealtimeEnvironment(Environment):
 
     def __init__(self, initial_time: float = 0.0,
                  strict_errors: bool = True) -> None:
-        super().__init__(initial_time=initial_time,
-                         strict_errors=strict_errors)
         self._loop = asyncio.new_event_loop()
         self._loop.set_exception_handler(self._on_loop_exception)
-        self._origin = self._loop.time() - float(initial_time)
         self._frozen_now: Optional[float] = None
+        # Assigns ``_now``, which re-bases the wall clock (``_origin``).
+        super().__init__(initial_time=initial_time,
+                         strict_errors=strict_errors)
         self._startup_hooks: list[Callable[[], Awaitable[None]]] = []
         self._shutdown_hooks: list[Callable[[], Awaitable[None]]] = []
         self._error: Optional[BaseException] = None
@@ -63,17 +63,26 @@ class RealtimeEnvironment(Environment):
 
     # ------------------------------------------------------------------ time
     @property
-    def now(self) -> float:
+    def _now(self) -> float:
         """Wall-clock seconds since the environment was constructed.
 
-        Frozen at the ``until`` deadline once :meth:`run` returns, so
-        post-run summarisation (metric windows, backlog formulas) sees the
-        same stable end-of-run clock the simulator provides.
+        The simulator's clock cell, here computed on every read, so code
+        that reads the cell directly (the network's final delivery step)
+        runs on either backend.  Frozen at the ``until`` deadline once
+        :meth:`run` returns, so post-run summarisation (metric windows,
+        backlog formulas) sees the same stable end-of-run clock the
+        simulator provides.
         """
         frozen = self._frozen_now
         if frozen is not None:
             return frozen
         return self._loop.time() - self._origin
+
+    @_now.setter
+    def _now(self, value: float) -> None:
+        self._origin = self._loop.time() - value
+
+    now = property(_now.fget, doc=_now.__doc__)
 
     @property
     def loop(self) -> asyncio.AbstractEventLoop:

@@ -10,16 +10,11 @@ Section 7.4.2 ``FaultSchedule((byzantine(nodes),))``).
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
-from repro.net.faults import (
-    CompositeFaultController,
-    FaultController,
-    LinkDelayFault,
-    MessageLossFault,
-    PartitionFault,
-)
 from repro.net.network import Network
 from repro.sim import Environment
 
@@ -29,6 +24,8 @@ from repro.sim import Environment
 PHASE_KINDS = ("crash", "recover", "partition", "loss", "slow", "byzantine")
 _WINDOW_KINDS = frozenset({"partition", "loss", "slow", "byzantine"})
 _NODE_KINDS = frozenset({"crash", "recover", "byzantine"})
+#: The window kinds the network consults per message.
+_LINK_KINDS = frozenset({"partition", "loss", "slow"})
 
 
 @dataclass(frozen=True)
@@ -90,6 +87,34 @@ class FaultPhase:
                                      for group in kwargs["groups"])
         return cls(**kwargs)
 
+    # ------------------------------------------------------ per-message tests
+    def _applies(self, message, now: float) -> bool:
+        """Whether the window is open (both ends inclusive) and ``message``
+        passes the ``senders`` / ``receivers`` filters."""
+        if not self.at <= now <= self.until:
+            return False
+        if self.senders is not None and message.sender not in self.senders:
+            return False
+        return self.receivers is None or message.receiver in self.receivers
+
+    def drops(self, message, now: float, rng: random.Random) -> bool:
+        """Whether this phase drops ``message``: a ``partition`` drops what
+        crosses its groups, a ``loss`` window draws once from ``rng`` per
+        matching message; nothing else drops."""
+        if self.kind == "partition":
+            return (self._applies(message, now)
+                    and not any(message.sender in group
+                                and message.receiver in group
+                                for group in self.groups))
+        return (self.kind == "loss" and self._applies(message, now)
+                and rng.random() < self.loss_rate)
+
+    def delay(self, message, now: float) -> float:
+        """Seconds a ``slow`` window adds to ``message`` (else 0)."""
+        if self.kind == "slow" and self._applies(message, now):
+            return self.extra_delay
+        return 0.0
+
     def summary(self) -> str:
         """One human-readable clause for reports."""
         if self.kind in ("crash", "recover"):
@@ -118,8 +143,9 @@ class FaultSchedule:
 
     * crash/recover events are scheduled on the run's clock
       (:meth:`install`), so the same node can crash, recover and crash again;
-    * windowed network phases compile into one composite
-      :class:`~repro.net.faults.FaultController` (:meth:`controller`);
+    * the network asks the schedule itself about every message while a
+      partition / loss / slow window exists (:meth:`should_drop`,
+      :meth:`extra_delay`, each a walk over :attr:`link_phases`);
     * :attr:`byzantine_nodes` / :meth:`byzantine_windows` bind the run's
       adversary strategy at cluster build, and :meth:`excluded_nodes` keeps
       faulty nodes out of the correct-node metrics.
@@ -191,28 +217,26 @@ class FaultSchedule:
                 crashed.difference_update(phase.nodes)
         return frozenset(crashed) | self.byzantine_nodes
 
-    # ------------------------------------------------------------ installation
-    def controller(self) -> Optional[FaultController]:
-        """Compile the windowed phases into one fault controller (or None)."""
-        controllers: list[FaultController] = []
-        for phase in self.phases:
-            if phase.kind == "partition":
-                controllers.append(PartitionFault(
-                    phase.groups, start=phase.at, end=phase.until))
-            elif phase.kind == "loss":
-                controllers.append(MessageLossFault(
-                    phase.loss_rate, senders=phase.senders,
-                    receivers=phase.receivers, start=phase.at, end=phase.until))
-            elif phase.kind == "slow":
-                controllers.append(LinkDelayFault(
-                    phase.extra_delay, senders=phase.senders,
-                    receivers=phase.receivers, start=phase.at, end=phase.until))
-        if not controllers:
-            return None
-        if len(controllers) == 1:
-            return controllers[0]
-        return CompositeFaultController(controllers)
+    # ------------------------------------------------- the network's questions
+    @cached_property
+    def link_phases(self) -> tuple[FaultPhase, ...]:
+        """The partition / loss / slow windows, in declaration order.  A
+        schedule without one has nothing to say per message, and
+        ``run_cluster`` then leaves the network on its fault-free path."""
+        return tuple(phase for phase in self.phases
+                     if phase.kind in _LINK_KINDS)
 
+    def should_drop(self, message, now: float, rng: random.Random) -> bool:
+        """Whether any window drops ``message``.  The first drop wins: later
+        loss windows do not draw from ``rng`` for a message already lost."""
+        return any(phase.drops(message, now, rng)
+                   for phase in self.link_phases)
+
+    def extra_delay(self, message, now: float, rng: random.Random) -> float:
+        """Seconds the slow windows add to ``message`` (they add up)."""
+        return sum(phase.delay(message, now) for phase in self.link_phases)
+
+    # ------------------------------------------------------------ installation
     def install(self, env: Environment, network: Network) -> None:
         """Schedule the timed crash/recover events on the simulation clock."""
         for phase in self.phases:

@@ -3,8 +3,8 @@
 This subpackage provides the minimal process-based simulation machinery that
 the rest of the library is built on: an :class:`~repro.sim.environment.Environment`
 that advances virtual time, generator-based processes, triggerable events,
-timeouts, composite wait conditions, FIFO queues (:class:`~repro.sim.store.Store`)
-and counted resources (:class:`~repro.sim.resource.Resource`).
+timeouts, composite wait conditions and counted resources
+(:class:`~repro.sim.resource.Resource`).
 
 The design intentionally mirrors the small core of SimPy so that protocol code
 reads like straight-line pseudo-code ("wait until a valid message has been
@@ -17,7 +17,6 @@ from repro.sim.environment import Environment
 from repro.sim.events import AllOf, AnyOf, Event, Interrupt, Timeout
 from repro.sim.process import Process
 from repro.sim.resource import Resource
-from repro.sim.store import Store
 
 __all__ = [
     "Environment",
@@ -27,6 +26,5 @@ __all__ = [
     "AllOf",
     "Interrupt",
     "Process",
-    "Store",
     "Resource",
 ]

@@ -60,8 +60,8 @@ class Environment:
     suite runs every scenario under both and asserts byte-identical outcomes.
     """
 
-    __slots__ = ("_now", "_queue", "_bucket", "_sequence", "_active_process",
-                 "_callback_pool", "strict_errors")
+    __slots__ = ("_now", "_queue", "_bucket", "_sequence", "_callback_pool",
+                 "strict_errors")
 
     def __init__(self, initial_time: float = 0.0,
                  strict_errors: bool = True) -> None:
@@ -69,7 +69,6 @@ class Environment:
         self._queue: list[tuple[float, int, int, Any]] = []
         self._bucket: deque[Any] = deque()
         self._sequence = 0
-        self._active_process: Optional[Process] = None
         self._callback_pool: list[ScheduledCallback] = []
         #: When True, exceptions escaping a process propagate out of ``run``.
         self.strict_errors = strict_errors
@@ -79,15 +78,6 @@ class Environment:
     def now(self) -> float:
         """Current simulation time in seconds."""
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently being resumed, if any."""
-        return self._active_process
-
-    def set_active_process(self, process: Optional[Process]) -> None:
-        """Record which process is executing (used by the kernel only)."""
-        self._active_process = process
 
     # ------------------------------------------------------------- factories
     def event(self) -> Event:

@@ -33,11 +33,6 @@ class Process(Event):
         init.add_callback(self._resume)
 
     @property
-    def is_alive(self) -> bool:
-        """Whether the process is still running."""
-        return not self.triggered
-
-    @property
     def target(self) -> Optional[Event]:
         """The event the process is currently waiting on, if any."""
         return self._target
@@ -57,28 +52,23 @@ class Process(Event):
         if self.triggered:
             return
         self._target = None
-        self.env.set_active_process(self)
         try:
             if event.ok:
                 next_event = self._generator.send(event.value)
             else:
                 next_event = self._generator.throw(event.value)
         except StopIteration as stop:
-            self.env.set_active_process(None)
             self.succeed(stop.value)
             return
         except Interrupt as interrupt:
             # Uncaught interrupt terminates the process quietly.
-            self.env.set_active_process(None)
             self.succeed(interrupt.cause)
             return
         except Exception as exc:
-            self.env.set_active_process(None)
             if self.env.strict_errors:
                 raise
             self.fail(exc)
             return
-        self.env.set_active_process(None)
         if not isinstance(next_event, Event):
             raise TypeError(
                 f"process yielded {next_event!r}, expected an Event"

@@ -326,11 +326,6 @@ class ClientWorkload:
         return sum(client.submitted_count for client in self.clients)
 
     @property
-    def total_rejected(self) -> int:
-        """Submissions declined by a full pool across all clients."""
-        return sum(getattr(client, "rejected_count", 0) for client in self.clients)
-
-    @property
     def total_completed(self) -> int:
         """Closed-loop completions observed (0 for open-loop populations)."""
         return sum(getattr(client, "completed", 0) for client in self.clients)

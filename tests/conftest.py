@@ -11,6 +11,7 @@ from repro.core.config import FireLedgerConfig
 from repro.crypto.keys import KeyStore
 from repro.net.latency import SingleDatacenterLatency
 from repro.net.network import Network
+from repro.scenarios import runner
 from repro.sim import Environment
 
 
@@ -30,6 +31,25 @@ def make_network(env: Environment, n_nodes: int = 4, seed: int = 0) -> Network:
     """A single data-center network with a deterministic RNG."""
     return Network(env, n_nodes, latency_model=SingleDatacenterLatency(),
                    rng=random.Random(seed))
+
+
+def observe_run_cluster(monkeypatch, on_setup) -> list:
+    """Make ``run_scenario`` call ``on_setup(env, network, nodes)`` right
+    before the scenario's own setup hook — the way the benchmark harness
+    observes a run.  Returns the list its ``ClusterResult``s are appended to.
+    """
+    run_cluster_ = runner.run_cluster
+    results: list = []
+
+    def observed(config, setup=None, **kwargs):
+        def chained(env, network, nodes):
+            on_setup(env, network, nodes)
+            setup(env, network, nodes)
+        results.append(run_cluster_(config, setup=chained, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(runner, "run_cluster", observed)
+    return results
 
 
 @pytest.fixture

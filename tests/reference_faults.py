@@ -1,8 +1,11 @@
-"""Network fault controllers: message loss, partitions and slow links.
+"""Reference fault controllers: the per-window classes the network consulted
+before :class:`~repro.scenarios.faultplan.FaultSchedule` answered
+``should_drop`` / ``extra_delay`` itself.
 
-A fault controller inspects every message the network is about to deliver and
-may drop it or add delay.  Controllers compose, so an experiment can combine,
-e.g., a partition with random omission faults.
+The former ``repro.net.faults`` (four controller classes) and
+``FaultSchedule.controller()`` (the compile step joining a schedule to them),
+kept verbatim as the oracle of ``tests/test_scenarios.py``'s differential
+test: same drop decisions, same delays, same rng stream.
 """
 
 from __future__ import annotations
@@ -113,3 +116,25 @@ class CompositeFaultController(FaultController):
 
     def extra_delay(self, message: Message, now: float, rng: random.Random) -> float:
         return sum(c.extra_delay(message, now, rng) for c in self.controllers)
+
+
+def controller(schedule) -> Optional[FaultController]:
+    """Compile the windowed phases into one fault controller (or None)."""
+    controllers: list[FaultController] = []
+    for phase in schedule.phases:
+        if phase.kind == "partition":
+            controllers.append(PartitionFault(
+                phase.groups, start=phase.at, end=phase.until))
+        elif phase.kind == "loss":
+            controllers.append(MessageLossFault(
+                phase.loss_rate, senders=phase.senders,
+                receivers=phase.receivers, start=phase.at, end=phase.until))
+        elif phase.kind == "slow":
+            controllers.append(LinkDelayFault(
+                phase.extra_delay, senders=phase.senders,
+                receivers=phase.receivers, start=phase.at, end=phase.until))
+    if not controllers:
+        return None
+    if len(controllers) == 1:
+        return controllers[0]
+    return CompositeFaultController(controllers)

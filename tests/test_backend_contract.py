@@ -12,10 +12,11 @@ import random
 
 import pytest
 
-from repro.net.faults import FaultController
+from repro.core.mailbox import Mailbox
+from repro.net.message import Message
 from repro.net.network import Network
 from repro.runtime import RealtimeEnvironment, RealtimeNetwork
-from repro.sim import Environment, Process, Store
+from repro.sim import Environment, Process
 
 BACKENDS = ("sim", "realtime")
 
@@ -41,19 +42,19 @@ def close_env(env):
         closer()
 
 
-class DropEverything(FaultController):
-    def should_drop(self, message, now, rng):
-        return True
+class DropTo:
+    """A fault controller is duck-typed — ``should_drop`` and ``extra_delay``
+    are the whole contract.  Drops every message addressed to the given
+    receivers; adds no delay."""
 
-
-class DropTo(FaultController):
-    """Drops every message addressed to one receiver."""
-
-    def __init__(self, receiver):
-        self.receiver = receiver
+    def __init__(self, *receivers):
+        self.receivers = receivers
 
     def should_drop(self, message, now, rng):
-        return message.receiver == self.receiver
+        return message.receiver in self.receivers
+
+    def extra_delay(self, message, now, rng):
+        return 0.0
 
 
 # ------------------------------------------------------------------- timers
@@ -91,25 +92,27 @@ def test_negative_delay_is_rejected(backend):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_store_roundtrip_through_kernel_primitives(backend):
-    """Process/Store code written against the sim kernel runs on either
-    backend — the seam every protocol depends on."""
+    """Process/mailbox code written against the sim kernel — one process
+    files a message, another is blocked waiting for it — runs on either
+    backend: the seam every protocol depends on."""
     env = make_env(backend)
     try:
-        store = Store(env)
+        store = Mailbox(env, {"BLOCK": "round"})
         got = []
 
         def producer(env, store):
             yield env.timeout(HORIZON * 0.2)
-            store.put("block")
+            store.put(Message(sender=0, receiver=1, channel="c", kind="BLOCK",
+                              payload={"round": 3}))
 
         def consumer(env, store, got):
-            item = yield store.get()
+            item = yield store.wait((("BLOCK", 3),))
             got.append((item, env.now))
 
         Process(env, producer(env, store))
         Process(env, consumer(env, store, got))
         env.run(until=HORIZON)
-        assert got and got[0][0] == "block"
+        assert got and got[0][0].payload == {"round": 3}
         assert got[0][1] >= HORIZON * 0.2
     finally:
         close_env(env)
@@ -121,7 +124,7 @@ def test_send_returns_none_on_fault_drop(backend):
     env = make_env(backend)
     try:
         network = make_network(backend, env, 2,
-                               fault_controller=DropEverything())
+                               fault_controller=DropTo(0, 1))
         result = network.send(0, 1, "consensus", "vote", payload=b"v",
                               size_bytes=64)
         assert result is None
@@ -182,7 +185,7 @@ def test_broadcast_excludes_and_counts_fault_dropped_copies(backend):
         close_env(env)
 
 
-@pytest.mark.parametrize("fault_controller", [None, FaultController()],
+@pytest.mark.parametrize("fault_controller", [None, DropTo()],
                          ids=["fault-free", "no-op-controller"])
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_broadcast_include_self_sits_at_receiver_slot(backend,
@@ -203,6 +206,32 @@ def test_broadcast_include_self_sits_at_receiver_slot(backend,
         assert network.stats.messages_sent == 4
         assert [message.sender for message in inbox] == [2]
         assert network.stats.messages_delivered == 4
+    finally:
+        close_env(env)
+
+
+@pytest.mark.parametrize("include_self", [False, True],
+                         ids=["others-only", "include-self"])
+@pytest.mark.parametrize("fault_controller", [None, DropTo()],
+                         ids=["fault-free", "no-op-controller"])
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_broadcast_on_a_one_node_network(backend, fault_controller,
+                                         include_self):
+    """No remote receiver: both broadcast paths return ``[]``, or just the
+    loopback copy, and account for exactly that."""
+    env = make_env(backend)
+    try:
+        network = make_network(backend, env, 1,
+                               fault_controller=fault_controller)
+        sent = network.broadcast(0, "consensus", "vote", payload=b"v",
+                                 include_self=include_self)
+        copies = 1 if include_self else 0
+        assert [message.receiver for message in sent] == [0] * copies
+        env.run(until=HORIZON)
+        assert network.stats.messages_sent == copies
+        assert network.stats.messages_delivered == copies
+        assert network.stats.messages_of_kind("vote") == copies
+        assert len(network.endpoint(0).mailbox) == copies
     finally:
         close_env(env)
 

@@ -5,6 +5,7 @@ Everything runs through :func:`repro.cli.main` with an explicit argv, using
 whole file stays fast.
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -181,9 +182,19 @@ def test_run_single_value_override_matches_sweep_point(tmp_path, capsys):
     assert "0 ran, 1 skipped" in capsys.readouterr().out
 
 
-def test_run_all_skips_inapplicable_axes(tmp_path, capsys):
-    # table1 has no batch_size axis; --all must not abort on it.  Restrict
-    # every other axis to keep the cluster drivers tiny and fast.
+def test_run_all_skips_inapplicable_axes(monkeypatch, tmp_path, capsys):
+    """``run --all`` hands every driver only the axis overrides it has:
+    table1 has no batch_size axis and must run at its fixed configuration,
+    not abort the batch.  An argument-routing rule, so the drivers are stubs
+    recording what reached them."""
+    calls: dict[str, list] = {}
+    for spec in registry.specs():
+        def stub(scale, _name=spec.name, **kwargs):
+            calls.setdefault(_name, []).append((scale, kwargs))
+            return [{"driver": _name}]
+        monkeypatch.setitem(registry._REGISTRY, spec.name,  # noqa: SLF001
+                            dataclasses.replace(spec, func=stub,
+                                                axes=spec.axes))
     rc = main(["run", "--all", "--scale", "quick", "--no-record",
                "--duration", "0.2", "--warmup", "0.05",
                "--cluster-sizes", "4", "--batch-sizes", "10",
@@ -192,6 +203,18 @@ def test_run_all_skips_inapplicable_axes(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "Table 1" in out and "Figure 17" in out
+    # Every registered driver ran, once.
+    assert sorted(calls) == sorted(registry.names())
+    assert all(len(received) == 1 for received in calls.values())
+    (table_scale, table_kwargs), = calls["table1"]
+    assert table_kwargs == {} and table_scale.batch_sizes != (10,)
+    (fig07_scale, fig07_kwargs), = calls["fig07"]
+    assert fig07_kwargs == {}
+    assert (fig07_scale.cluster_sizes, fig07_scale.batch_sizes,
+            fig07_scale.tx_sizes, fig07_scale.workers_sweep) == (
+                (4,), (10,), (512,), (1,))
+    (_, scenario_kwargs), = calls["scenario:paper-lan"]
+    assert scenario_kwargs == {"n_nodes": 4, "workers": 1}
 
 
 def test_run_requires_exactly_one_target(tmp_path, capsys):

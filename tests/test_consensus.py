@@ -12,13 +12,9 @@ from tests.conftest import make_network
 
 
 def build_contexts(env, network, channel="obbc"):
-    """One ProtocolContext per node, routed through the endpoint router."""
-    contexts = []
-    for node_id in range(network.n_nodes):
-        context = ProtocolContext(env, network, node_id, channel, KEY_FIELDS)
-        network.endpoint(node_id).router = context.inbox.put
-        contexts.append(context)
-    return contexts
+    """One ProtocolContext per node (each binds its kinds to its inbox)."""
+    return [ProtocolContext(env, network, node_id, channel, KEY_FIELDS)
+            for node_id in range(network.n_nodes)]
 
 
 def run_obbc(env, network, votes, evidence_for=frozenset(), f=1, tag=0):
@@ -117,21 +113,18 @@ def test_obbc_evidence_fallback_converges_on_favoured_value():
         results[node_id] = yield from obbc.propose(value, evidence=evidence)
 
     def serve_evidence(node_id):
-        # Serve EV_REQs from the router, the way the worker's dispatcher does
-        # for a header it holds evidence for; everything else is filed.
+        # Serve EV_REQs the way the worker does for a header it holds
+        # evidence for; everything else is filed by the context's bindings.
         context = contexts[node_id]
 
-        def route(message):
-            if message.kind == "OBBC_EV_REQ":
-                context.send(message.sender, "OBBC_EV_RESP",
-                             {"tag": message.payload["tag"], "evidence": "proof"})
-            else:
-                context.inbox.put(message)
-        return route
+        def serve(message):
+            context.send(message.sender, "OBBC_EV_RESP",
+                         {"tag": message.payload["tag"], "evidence": "proof"})
+        return serve
 
     votes = [1, 1, 0, 0]
     for node_id in range(4):
-        network.endpoint(node_id).router = serve_evidence(node_id)
+        network.bind(node_id, "obbc", {"OBBC_EV_REQ": serve_evidence(node_id)})
         evidence = "proof" if votes[node_id] == 1 else None
         env.process(node_process(node_id, votes[node_id], evidence))
     env.run(until=20.0)
@@ -215,7 +208,6 @@ def test_bbc_certificate_terminates_late_joiner():
     env = Environment()
     network = make_network(env, 4)
     context = ProtocolContext(env, network, 0, "bbc", KEY_FIELDS)
-    network.endpoint(0).router = context.inbox.put
 
     def certificate_sender(_event):
         network.send(1, 0, "bbc", "BBC_DECIDED",

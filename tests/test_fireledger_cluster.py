@@ -1,14 +1,21 @@
 """End-to-end tests of the FireLedger protocol and the FLO orchestrator."""
 
+import importlib.util
+import sys
 from contextlib import contextmanager
+from dataclasses import replace
+from functools import cache
+from pathlib import Path
 
 import pytest
 
 from repro import FireLedgerConfig, run_cluster
 from repro.net.latency import GeoDistributedLatency
+from repro.scenarios import runner
 from repro.scenarios.faultplan import FaultSchedule, crash
 from repro.metrics.recorder import EVENT_TENTATIVE_DECISION
 from repro.sim import Process
+from tests.conftest import observe_run_cluster
 
 DURATION = 0.6
 WARMUP = 0.1
@@ -263,4 +270,56 @@ def test_simulator_work_counters_are_pinned(monkeypatch, work, pinned):
     """
     first = work(monkeypatch)
     assert first == work(monkeypatch)
+    assert first == pinned
+
+
+@cache
+def _benchmark_workloads():
+    """The repo benchmark's workload table, read (never edited) from
+    ``benchmarks/perf/workloads.py``."""
+    path = Path(__file__).resolve().parents[1] / "benchmarks/perf/workloads.py"
+    spec = importlib.util.spec_from_file_location("_perf_workloads", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)  # its dataclasses look the module up
+    return module.BY_NAME
+
+
+def _benchmark_workload_work(monkeypatch, name, duration, warmup) -> tuple:
+    """One sim benchmark spec, cut to ``duration`` sim-s, seed 7."""
+    spec = replace(_benchmark_workloads()[name].spec, duration=duration,
+                   warmup=warmup)
+    kernel = []
+    with monkeypatch.context() as patch, \
+            _counted_resumes(monkeypatch) as calls:
+        results = observe_run_cluster(
+            patch, lambda env, network, nodes: kernel.append(env))
+        runner.run_scenario(spec, seed=7)
+    stats = results[0].network
+    return (kernel[0]._sequence,  # noqa: SLF001 - kernel entries scheduled
+            stats.messages_sent, stats.messages_delivered,
+            stats.messages_dropped, calls[0])
+
+
+@pytest.mark.parametrize("name,duration,warmup,pinned", [
+    pytest.param(name, *rest, id=name) for name, *rest in (
+        ("lan-saturated", 0.4, 0.1, (25897, 11125, 11111, 0, 25312)),
+        ("scale-n64", 0.4, 0.1, (214927, 124265, 124216, 0, 29464)),
+        ("flash-crowd-lanes4", 0.3, 0.1, (34665, 9164, 9138, 0, 32364)),
+        ("bftsmart-lan", 2.0, 0.5, (9068, 2804, 2801, 0, 6323)),
+        ("crash-recover", 2.2, 0.2, (39375, 16765, 14976, 1787, 28821)),
+    )])
+def test_benchmark_workload_counters_are_pinned(monkeypatch, name, duration,
+                                                warmup, pinned):
+    """``(kernel entries scheduled, messages sent, delivered, dropped,
+    Process._resume calls)`` for the benchmark's five simulated workloads at
+    reduced length (ROADMAP item 1a): the exact form of "this change moved
+    no event".  They repeat exactly, so the tolerance is zero; values
+    recorded at commit 969ec3c (PR 16), before the message path was
+    rewritten, and unchanged by it.  ``crash-recover`` covers one crash ->
+    recover -> crash cycle and the drop path.  A change that moves them on
+    purpose updates them here and says why.
+    """
+    first = _benchmark_workload_work(monkeypatch, name, duration, warmup)
+    assert first == _benchmark_workload_work(monkeypatch, name, duration,
+                                             warmup)
     assert first == pinned

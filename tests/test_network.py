@@ -4,21 +4,15 @@ import random
 
 import pytest
 
-from repro.net import (
-    GeoDistributedLatency,
-    LinkDelayFault,
-    MessageLossFault,
-    PartitionFault,
-    SingleDatacenterLatency,
-    UniformLatency,
-)
-from repro.net.network import BULK_MESSAGE_THRESHOLD, Network
+from repro.net import GeoDistributedLatency, SingleDatacenterLatency
+from repro.net.network import BULK_MESSAGE_THRESHOLD
+from repro.scenarios.faultplan import FaultSchedule, loss, partition, slow
 from repro.sim import Environment
 from tests.conftest import make_network
 
 
 def collect_inbox(network, node_id):
-    return network.endpoint(node_id).mailbox.items
+    return network.endpoint(node_id).mailbox
 
 
 def test_message_delivered_with_latency(env, network):
@@ -94,7 +88,22 @@ def test_router_receives_messages(env, network):
     network.send(0, 1, "test", "PING", None)
     env.run()
     assert len(received) == 1
-    assert network.endpoint(1).mailbox.items == []
+    assert network.endpoint(1).mailbox == []
+
+
+def test_bound_kind_bypasses_the_catch_all(env, network):
+    """A ``(channel, kind)`` binding takes its messages; the ``router``
+    catch-all sees only what no binding matches."""
+    bound, unbound = [], []
+    network.bind(1, "test", {"PING": bound.append})
+    network.endpoint(1).router = unbound.append
+    network.send(0, 1, "test", "PING", None)
+    network.send(0, 1, "test", "PONG", None)
+    network.send(0, 1, "other", "PING", None)
+    env.run()
+    assert [(m.channel, m.kind) for m in bound] == [("test", "PING")]
+    assert [(m.channel, m.kind) for m in unbound] == [("test", "PONG"),
+                                                      ("other", "PING")]
 
 
 def test_invalid_endpoints_rejected(env, network):
@@ -125,14 +134,14 @@ def test_send_returns_none_when_source_crashed(env, network):
 
 
 def test_send_returns_none_on_fault_drop(env, network):
-    network.fault_controller = MessageLossFault(loss_rate=1.0)
+    network.fault_controller = FaultSchedule((loss(1.0),))
     assert network.send(0, 1, "test", "X", None) is None
     assert network.stats.messages_dropped == 1
     assert network.stats.messages_sent == 1
 
 
 def test_dropped_message_consumes_no_egress(env, network):
-    network.fault_controller = MessageLossFault(loss_rate=1.0)
+    network.fault_controller = FaultSchedule((loss(1.0),))
     before = dict(network.endpoint(0)._tx_free_at)
     assert network.send(0, 1, "test", "X", None,
                         size_bytes=BULK_MESSAGE_THRESHOLD * 10) is None
@@ -141,7 +150,7 @@ def test_dropped_message_consumes_no_egress(env, network):
 
 
 def test_broadcast_excludes_dropped_messages(env, network):
-    network.fault_controller = MessageLossFault(loss_rate=1.0, receivers={2})
+    network.fault_controller = FaultSchedule((loss(1.0, receivers={2}),))
     messages = network.broadcast(0, "test", "HELLO", None)
     assert {m.receiver for m in messages} == {1, 3}
     assert network.stats.messages_dropped == 1
@@ -212,54 +221,47 @@ def test_geo_latency_symmetry():
     assert model.base_delay(1, 5) == model.base_delay(5, 1)
 
 
-def test_uniform_latency_bounds():
-    model = UniformLatency(0.01, 0.02)
-    rng = random.Random(1)
-    for _ in range(100):
-        assert 0.01 <= model.sample(0, 1, rng) <= 0.02
-    with pytest.raises(ValueError):
-        UniformLatency(0.05, 0.01)
-
-
 # ------------------------------------------------------------ fault injection
 def test_message_loss_fault_drops_messages():
     env = Environment()
     network = make_network(env, 4)
-    network.fault_controller = MessageLossFault(loss_rate=1.0, senders={0})
+    network.fault_controller = FaultSchedule((loss(1.0, senders={0}),))
     network.send(0, 1, "t", "X", None)
     network.send(2, 1, "t", "Y", None)
     env.run()
-    kinds = [m.kind for m in network.endpoint(1).mailbox.items]
+    kinds = [m.kind for m in network.endpoint(1).mailbox]
     assert kinds == ["Y"]
 
 
 def test_partition_fault_blocks_cross_group_traffic():
     env = Environment()
     network = make_network(env, 4)
-    network.fault_controller = PartitionFault(groups=[{0, 1}, {2, 3}])
+    network.fault_controller = FaultSchedule((
+        partition([{0, 1}, {2, 3}], start=0.0, end=float("inf")),))
     network.send(0, 1, "t", "SAME", None)
     network.send(0, 2, "t", "CROSS", None)
     env.run()
-    assert [m.kind for m in network.endpoint(1).mailbox.items] == ["SAME"]
-    assert network.endpoint(2).mailbox.items == []
+    assert [m.kind for m in network.endpoint(1).mailbox] == ["SAME"]
+    assert network.endpoint(2).mailbox == []
 
 
 def test_link_delay_fault_adds_latency():
     env = Environment()
     network = make_network(env, 4)
-    network.fault_controller = LinkDelayFault(delay=0.5, senders={0})
+    network.fault_controller = FaultSchedule((slow(0.5, senders={0}),))
     network.send(0, 1, "t", "SLOW", None)
     env.run()
-    assert network.endpoint(1).mailbox.items[0].latency > 0.5
+    assert network.endpoint(1).mailbox[0].latency > 0.5
 
 
 def test_partition_fault_time_window():
     env = Environment()
     network = make_network(env, 4)
-    network.fault_controller = PartitionFault(groups=[{0}, {1, 2, 3}], start=10.0)
+    network.fault_controller = FaultSchedule((
+        partition([{0}, {1, 2, 3}], start=10.0, end=float("inf")),))
     network.send(0, 1, "t", "BEFORE", None)
     env.run()
-    assert [m.kind for m in network.endpoint(1).mailbox.items] == ["BEFORE"]
+    assert [m.kind for m in network.endpoint(1).mailbox] == ["BEFORE"]
 
 
 def test_abs_gauss_block_matches_stdlib_draw_for_draw():
@@ -292,13 +294,11 @@ def test_sample_block_matches_sequential_samples():
     from repro.net.latency import (
         GeoDistributedLatency,
         SingleDatacenterLatency,
-        UniformLatency,
         WanTopologyLatency,
     )
 
     models = [
         SingleDatacenterLatency(),
-        UniformLatency(0.001, 0.005),
         GeoDistributedLatency(),
         WanTopologyLatency(["us", "us", "eu", "eu", "ap", "ap", "ap"]),
     ]

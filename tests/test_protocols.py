@@ -23,6 +23,7 @@ from repro.metrics import report
 from repro.scenarios import library
 from repro.scenarios.faultplan import FaultSchedule, byzantine, crash
 from repro.scenarios.runner import run_scenario
+from tests.conftest import observe_run_cluster
 
 PROTOCOLS = ("fireledger", "hotstuff", "bftsmart")
 
@@ -366,3 +367,79 @@ def test_scenario_rows_carry_protocol_counters():
     assert hot["protocol"] == "hotstuff"
     assert "blocks_committed" in hot and "views_timed_out" in hot
     assert "fast_rounds" not in hot
+
+
+# ------------------------------------------------------- one routing table
+@pytest.mark.parametrize("scenario,overrides", [
+    ("paper-lan", {"protocol": "fireledger"}),
+    ("paper-lan", {"protocol": "hotstuff"}),
+    ("paper-lan", {"protocol": "bftsmart"}),
+    ("hotspot-lanes", {"lanes": 4}),
+    # RB / AB / recovery / evidence kinds under an equivocator and a loss
+    # window; then crash -> recover cycles.
+    ("byzantine-minority", {}),
+    ("rolling-crash", {}),
+])
+def test_every_delivered_kind_has_a_binding(monkeypatch, scenario, overrides):
+    """Routing is the endpoints' ``(channel, kind)`` table and nothing else:
+    with a recording catch-all on every endpoint, no message of a whole run
+    falls through to it."""
+    unbound = set()
+
+    def record_unbound(env, network, nodes):
+        for endpoint in network.endpoints:
+            endpoint.router = lambda message: unbound.add(
+                (message.channel, message.kind))
+
+    observe_run_cluster(monkeypatch, record_unbound)
+    (row,) = run_scenario(library.get(scenario), **overrides)
+    assert row["tps"] > 0
+    assert unbound == set()
+
+
+def _kind_constants(module, prefix):
+    return {value for name, value in vars(module).items()
+            if name.startswith(prefix) and isinstance(value, str)}
+
+
+def test_a_worker_binds_every_kind_its_layers_define(keystore):
+    """Every message kind of WRB, OBBC, BBC, the two reactive broadcasts and
+    the body path is bound on the worker's channel — under a lane, on the
+    lane's prefixed channel."""
+    from repro.broadcast import atomic, reliable
+    from repro.consensus import bbc, obbc
+    from repro.core import fireledger, wrb
+    from repro.net.network import Network
+    from repro.protocols.multiplexed import LaneNetwork
+    from repro.sim import Environment
+
+    kinds = (_kind_constants(wrb, "WRB_") | _kind_constants(obbc, "OBBC_")
+             | _kind_constants(bbc, "BBC_") | _kind_constants(fireledger, "BODY")
+             | set(reliable.RB_KINDS) | set(atomic.AB_KINDS))
+    assert len(kinds) == 21
+    env = Environment()
+    network = Network(env, 4)
+    config = FireLedgerConfig(n_nodes=4, workers=2)
+    fireledger.FireLedgerWorker(env, network, 0, 1, config, keystore)
+    fireledger.FireLedgerWorker(env, LaneNetwork(network, 2), 0, 1, config,
+                                keystore)
+    assert set(network.endpoint(0).handlers) == (
+        {("fl/1", kind) for kind in kinds}
+        | {("l2!fl/1", kind) for kind in kinds})
+
+
+@pytest.mark.parametrize("protocol", ["hotstuff", "bftsmart"])
+def test_a_baseline_replica_binds_its_key_fields(protocol, keystore):
+    from repro.net.network import Network, discard
+    from repro.sim import Environment
+
+    env = Environment()
+    network = Network(env, 4)
+    replicas = protocols.get(protocol).build_nodes(
+        env, network, keystore, FireLedgerConfig(n_nodes=4), random.Random(1))
+    for replica in replicas:
+        endpoint = network.endpoint(replica.node_id)
+        assert replica.KEY_FIELDS
+        assert set(endpoint.handlers) == {
+            (replica.CHANNEL, kind) for kind in replica.KEY_FIELDS}
+        assert endpoint.router is discard

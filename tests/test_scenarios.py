@@ -14,10 +14,13 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.experiments import registry
 from repro.experiments.harness import ExperimentScale
 from repro.net.latency import WanTopologyLatency
+from repro.net.message import Message
 from repro.scenarios import (
     FaultPhase,
     FaultSchedule,
@@ -29,6 +32,7 @@ from repro.scenarios import (
     partition,
     recover,
     run_scenario,
+    slow,
 )
 from repro.scenarios.spec import TopologySpec, WorkloadSpec
 from repro.sim import Environment
@@ -38,6 +42,7 @@ from repro.workload.clients import (
     RampRate,
     hotspot_weights,
 )
+from tests import reference_faults
 from tests.conftest import make_network
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -182,6 +187,94 @@ def test_phase_validation():
     schedule = FaultSchedule(phases=(crash(9, at=0.1),))
     with pytest.raises(ValueError, match="outside a 4-node cluster"):
         schedule.validate(4)
+
+
+# ------------------------------------------- the schedule is the controller
+#: A coarse grid, so ``now == at`` and ``now == until`` (both inside the
+#: window) and overlapping windows are the common case, not the rare one.
+_INSTANTS = (0.0, 0.25, 0.5, 0.75, 1.0, 1.25)
+_NODES = st.integers(min_value=0, max_value=4)
+_FILTERS = st.none() | st.lists(_NODES, max_size=3, unique=True)
+
+
+@st.composite
+def _timeline_phases(draw):
+    """Any phase a timeline may hold: the three link windows (with sender /
+    receiver filters) and the kinds the network must not be asked about."""
+    at = draw(st.sampled_from(_INSTANTS[:-1]))
+    until = draw(st.sampled_from([t for t in _INSTANTS if t > at]
+                                 + [float("inf")]))
+    kind = draw(st.sampled_from(["partition", "loss", "slow", "crash",
+                                 "byzantine"]))
+    if kind == "partition":
+        # Groups need not cover the cluster: an unlisted node is cut off.
+        labels = draw(st.lists(st.integers(0, 2), min_size=5, max_size=5))
+        groups = [[node for node, label in enumerate(labels) if label == g]
+                  for g in (0, 1)]
+        return partition(groups, start=at, end=until)
+    if kind == "loss":
+        return loss(draw(st.sampled_from([0.3, 0.7, 1.0])), start=at,
+                    end=until, senders=draw(_FILTERS),
+                    receivers=draw(_FILTERS))
+    if kind == "slow":
+        return slow(draw(st.sampled_from([0.001, 0.25])), start=at, end=until,
+                    senders=draw(_FILTERS), receivers=draw(_FILTERS))
+    if kind == "crash":
+        return crash(draw(_NODES), at=at)
+    return byzantine(draw(_NODES), at=at, until=until)
+
+
+@settings(max_examples=200, deadline=None)
+@given(phases=st.lists(_timeline_phases(), max_size=6),
+       stream=st.lists(st.tuples(_NODES, _NODES, st.sampled_from(_INSTANTS)),
+                       max_size=30),
+       seed=st.integers(0, 2 ** 16))
+def test_fault_schedule_answers_like_the_reference_controllers(
+        phases, stream, seed):
+    """``FaultSchedule.should_drop`` / ``extra_delay`` against the controller
+    classes they replaced (``tests/reference_faults.py``): same drops, same
+    delays, and the same rng stream — a loss window draws once per matching
+    message, and not at all once an earlier window has dropped it."""
+    try:
+        schedule = FaultSchedule(tuple(phases))
+    except ValueError:  # overlapping byzantine windows for one node
+        return
+    reference = reference_faults.controller(schedule)
+    assert bool(schedule.link_phases) == (reference is not None)
+    if reference is None:
+        reference = reference_faults.FaultController()
+    ours, theirs = random.Random(seed), random.Random(seed)
+    for sender, receiver, now in stream:
+        message = Message(sender=sender, receiver=receiver, channel="c",
+                          kind="K", payload=None)
+        dropped = schedule.should_drop(message, now, ours)
+        assert dropped == reference.should_drop(message, now, theirs)
+        assert (schedule.extra_delay(message, now, ours)
+                == reference.extra_delay(message, now, theirs))
+        assert ours.getstate() == theirs.getstate()
+
+
+def test_run_cluster_consults_the_schedule_only_for_link_windows(monkeypatch):
+    """A crash/recover- or membership-only timeline leaves the network
+    without a fault controller (broadcasts stay on the fan-out fast path); a
+    partition / loss / slow window makes the schedule itself the controller."""
+    from repro.core import cluster
+
+    seen = []
+    network_class = cluster.Network
+
+    def recording(env, n_nodes, **options):
+        seen.append(options["fault_controller"])
+        return network_class(env, n_nodes, **options)
+
+    monkeypatch.setattr(cluster, "Network", recording)
+    config = cluster.FireLedgerConfig(n_nodes=4, batch_size=10)
+    timeline = FaultSchedule((crash(3, at=0.05), recover(3, at=0.1),
+                              byzantine(2)))
+    windowed = FaultSchedule(timeline.phases + (loss(0.1, start=0.05),))
+    for faults in (None, timeline, windowed):
+        cluster.run_cluster(config, duration=0.15, warmup=0.0, faults=faults)
+    assert seen == [None, None, windowed]
 
 
 def test_overlapping_partition_and_byzantine_phases():

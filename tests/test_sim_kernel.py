@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.mailbox import Mailbox
 from repro.net.message import Message
-from repro.sim import AllOf, AnyOf, Environment, Event, Interrupt, Resource, Store, Timeout
+from repro.sim import AllOf, AnyOf, Environment, Event, Interrupt, Resource, Timeout
 
 
 def test_timeout_fires_at_the_right_time(env):
@@ -148,21 +148,6 @@ def test_process_interrupt(env):
     assert proc.value == ("interrupted", "wake up")
 
 
-def test_store_fifo_order(env):
-    store = Store(env)
-    store.put("a")
-    store.put("b")
-
-    def consumer():
-        first = yield store.get()
-        second = yield store.get()
-        return [first, second]
-
-    proc = env.process(consumer())
-    env.run()
-    assert proc.value == ["a", "b"]
-
-
 def test_mailbox_key_skips_non_matching(env):
     mailbox = Mailbox(env, {"N": "parity"})
     numbers = [Message(sender=value, receiver=0, channel="c", kind="N",
@@ -179,23 +164,6 @@ def test_mailbox_key_skips_non_matching(env):
     assert proc.value is numbers[1]
     assert len(mailbox) == 2
     assert [mailbox.take((("N", 1),)) for _ in range(3)] == [numbers[0], numbers[2], None]
-
-
-def test_store_getter_woken_by_later_put(env):
-    store = Store(env)
-
-    def consumer():
-        value = yield store.get()
-        return (env.now, value)
-
-    def producer():
-        yield env.timeout(2.0)
-        store.put("late")
-
-    proc = env.process(consumer())
-    env.process(producer())
-    env.run()
-    assert proc.value == (2.0, "late")
 
 
 def test_mailbox_take_serves_the_older_of_two_buckets(env):

@@ -23,10 +23,8 @@ TEST_KEYS = {"A": "v", "B": "v", "VOTE": "round", "OLD": "round", "NEW": "round"
 
 def build_context(env, network, node_id, channel="wrb", interrupt_check=None,
                   key_fields=KEY_FIELDS):
-    context = ProtocolContext(env, network, node_id, channel, key_fields,
-                              interrupt_check=interrupt_check)
-    network.endpoint(node_id).router = context.inbox.put
-    return context
+    return ProtocolContext(env, network, node_id, channel, key_fields,
+                           interrupt_check=interrupt_check)
 
 
 # ------------------------------------------------------------------- context
@@ -415,24 +413,14 @@ def test_wrb_pull_phase_fetches_missing_payload():
 
     served = {"count": 0}
 
-    def serve_pull(message, node_id):
-        if message.kind == "WRB_REQ":
-            served["count"] += 1
-            network.send(node_id, message.sender, "wrb", "WRB_RESP",
-                         {"round": 0, "payload": payload})
-            return True
-        return False
+    def serve_pull(message):
+        served["count"] += 1
+        network.send(message.receiver, message.sender, "wrb", "WRB_RESP",
+                     {"round": 0, "payload": payload})
 
-    # Wrap routers of nodes 0-2 so they answer pull requests like the worker
-    # dispatcher does.
+    # Nodes 0-2 answer pull requests like the worker does.
     for node_id in (0, 1, 2):
-        inbox_put = network.endpoint(node_id).router
-
-        def router(message, node_id=node_id, inbox_put=inbox_put):
-            if not serve_pull(message, node_id):
-                inbox_put(message)
-
-        network.endpoint(node_id).router = router
+        network.bind(node_id, "wrb", {"WRB_REQ": serve_pull})
 
     def node(node_id):
         delivery = yield from endpoints[node_id].deliver(0, proposer=0)
