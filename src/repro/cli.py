@@ -7,7 +7,8 @@ evaluation system:
   (``scenario:<name>``), or ``--all``, at a chosen scale, print its rows and
   append them to the JSONL result store;
 * ``sweep``  — run a cartesian grid of configurations for one driver,
-  one JSONL record per grid point, resumable;
+  resumable; both write one JSONL record per grid point, planned and
+  executed by the same two functions, so each resumes against the other;
 * ``report`` — read the result store and regenerate EXPERIMENTS.md (and
   optionally per-experiment CSVs) deterministically;
 * ``list``   — show every registered experiment and its sweepable axes.
@@ -16,9 +17,9 @@ evaluation system:
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
-import time
 from dataclasses import replace
 from pathlib import Path
 from typing import Optional, Sequence
@@ -201,6 +202,8 @@ def _cmd_run(args: argparse.Namespace, out) -> int:
     names = registry.names() if args.run_all else [args.experiment]
     scale = _resolve_scale(args)
     axis_values = _axis_values(args)
+    # One plan for both commands: ``run`` is a sweep of every named driver
+    # that also prints what it ran, one record per grid point either way.
     plan: list[tuple] = []
     for name in names:
         try:
@@ -221,63 +224,52 @@ def _cmd_run(args: argparse.Namespace, out) -> int:
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        # Single-value overrides are recorded in the same scalar form the
-        # sweep engine uses, so a later sweep over that point resumes-skips.
-        params = {axis: (vals[0] if len(vals) == 1 else list(vals))
-                  for axis, vals in sorted(applicable.items())}
-        spec_scale = _effective_scale(spec, scale, args, out)
         record_path = sweep.results_path(args.results_dir, spec.name)
-        cid = sweep.config_id(spec.name, spec_scale, params,
-                              defaults=spec.axis_defaults)
-        if (not args.no_record and not args.force
-                and cid in sweep.recorded_ids(record_path)):
-            print(f"{spec.name}: already recorded at this configuration in "
-                  f"{record_path} (use --force to re-run)", file=out)
-            continue
-        plan.append((spec, spec_scale, applicable, params, record_path))
+        done = (set() if args.force or args.no_record
+                else sweep.recorded_ids(record_path))
+        points = []
+        for seeded, point, params, label, fresh in sweep.plan_sweep(
+                spec, _effective_scale(spec, scale, args, out), applicable,
+                None, done):
+            if fresh:
+                points.append((spec.name, seeded, point, params, args.scale))
+            else:
+                print(f"{spec.name} [{label}]: already recorded in "
+                      f"{record_path} (use --force to re-run)", file=out)
+        if points:
+            plan.append((spec, record_path, points))
 
-    precomputed: dict = {}
-    if args.jobs > 1 and len(plan) > 1:
-        # Host-measuring drivers (memfootprint, calibrate) stay out of the
-        # pool: measuring them while sibling workers saturate the cores would
-        # record inflated numbers as real data.  They run inline below.
-        poolable = [(spec.name, spec_scale, applicable)
-                    for spec, spec_scale, applicable, _, _ in plan
-                    if not spec.wall_clock]
-        try:
-            precomputed = parallel.run_specs(poolable, jobs=args.jobs)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-
-    for spec, spec_scale, applicable, params, record_path in plan:
-        if spec.name in precomputed:
-            rows, elapsed = precomputed[spec.name]
-            if isinstance(rows, ValueError):
-                print(f"{spec.name}: skipped ({rows})", file=out)
+    # Host-measuring drivers (memfootprint, calibrate) stay out of the pool:
+    # measuring them while sibling workers saturate the cores would record
+    # inflated numbers as real data.  They run inline, once it has drained.
+    plan.sort(key=lambda entry: entry[0].wall_clock)
+    pooled = parallel.run_specs(
+        [task for spec, _, points in plan if not spec.wall_clock
+         for task in points], jobs=args.jobs)
+    for spec, record_path, points in plan:
+        records = list(parallel.run_specs(points, jobs=1) if spec.wall_clock
+                       else itertools.islice(pooled, len(points)))
+        rejected = next((record for record in records
+                         if isinstance(record, ValueError)), None)
+        if rejected is not None:
+            if args.run_all:
+                # e.g. a scenario whose fault schedule references nodes
+                # outside an overridden cluster size: skip it rather than
+                # aborting every other driver in the batch.
+                print(f"{spec.name}: skipped ({rejected})", file=out)
                 continue
-        else:
-            started = time.perf_counter()
-            try:
-                rows = spec.run(spec_scale, axis_values=applicable)
-            except ValueError as exc:
-                if args.run_all:
-                    # e.g. a scenario whose fault schedule references nodes
-                    # outside an overridden cluster size: skip it rather than
-                    # aborting every other driver in the batch.
-                    print(f"{spec.name}: skipped ({exc})", file=out)
-                    continue
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-            elapsed = time.perf_counter() - started
+            print(f"error: {rejected}", file=sys.stderr)
+            return 2
+        rows = [row for record in records for row in record["rows"]]
         print(f"=== {spec.title} ===", file=out)
         renderer = report.markdown_table if args.markdown else format_rows
         print(renderer(rows), file=out)
+        elapsed = sum(record["elapsed_s"] for record in records)
         print(f"({len(rows)} rows, scale={args.scale}, seed={scale.seed}, "
               f"{elapsed:.1f}s)", file=out)
         if not args.no_record:
-            sweep.append_record(record_path, sweep.make_record(
-                spec, spec_scale, args.scale, params, rows, elapsed_s=elapsed))
+            for record in records:
+                sweep.append_record(record_path, record)
             print(f"recorded -> {record_path}", file=out)
     return 0
 

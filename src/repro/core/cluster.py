@@ -27,7 +27,7 @@ from typing import Callable, Optional
 
 from repro.core.config import FireLedgerConfig
 from repro.crypto.keys import KeyStore
-from repro.metrics.summary import LatencyHistogram, LatencySummary, ThroughputSummary
+from repro.metrics.summary import LatencySummary, ThroughputSummary
 from repro.net.latency import LatencyModel, SingleDatacenterLatency
 from repro.net.network import Network, NetworkStats
 from repro.sim import Environment
@@ -56,7 +56,6 @@ class ClusterResult:
     per_node_bps: list[float]
     breakdown: dict[str, float]
     network: NetworkStats
-    recorders: list = field(default_factory=list, repr=False)
     nodes: list = field(default_factory=list, repr=False)
     #: Execution-layer oracle (``config.execute_transactions``): the account
     #: state root at the longest common delivered prefix, asserted identical
@@ -256,12 +255,8 @@ def run_cluster(config: FireLedgerConfig,
         from repro.ledger.state import LedgerExecutor
 
         for node in nodes:
-            stream = impl.delivery_stream(node)
-            if stream is None or getattr(node, "executor", None) is not None:
-                continue
-            executor = LedgerExecutor.from_config(config)
-            node.executor = executor
-            stream.subscribe(executor.on_delivery)
+            node.executor = LedgerExecutor.from_config(config)
+            node.delivery_stream.subscribe(node.executor.on_delivery)
     impl.set_measurement_window(nodes, warmup)
     impl.start(nodes)
 
@@ -288,58 +283,24 @@ def run_cluster(config: FireLedgerConfig,
     honest_nodes = [node for node in nodes if node.node_id not in excluded]
     correct_nodes = honest_nodes or nodes
 
-    per_node_tps: list[float] = []
-    per_node_bps: list[float] = []
-    summaries: list[ThroughputSummary] = []
-    latency_samples: list[float] = []
-    latency_histograms: list[LatencyHistogram] = []
-    stage_totals: dict[str, float] = {}
-    stage_counts: dict[str, int] = {}
-    counter_totals: dict[str, float] = {}
-    mean_totals: dict[str, float] = {}
-    mean_counts: dict[str, int] = {}
-
-    for node in correct_nodes:
-        metrics = impl.node_metrics(node, duration)
-        per_node_tps.append(metrics.tps)
-        per_node_bps.append(metrics.bps)
-        summaries.append(ThroughputSummary(
-            tps=metrics.tps, bps=metrics.bps,
-            recoveries_per_second=metrics.recoveries_per_second))
-        latency_samples.extend(metrics.latency_samples)
-        if metrics.latency_histogram is not None:
-            latency_histograms.append(metrics.latency_histogram)
-        for key, value in metrics.stage_breakdown.items():
-            stage_totals[key] = stage_totals.get(key, 0.0) + value
-            stage_counts[key] = stage_counts.get(key, 0) + 1
-        for key, value in metrics.totals.items():
-            counter_totals[key] = counter_totals.get(key, 0.0) + value
-        for key, value in metrics.means.items():
-            mean_totals[key] = mean_totals.get(key, 0.0) + value
-            mean_counts[key] = mean_counts.get(key, 0) + 1
-
-    throughput = ThroughputSummary.average(summaries)
-    if latency_histograms:
+    # The paper reports every number "averaged over nodes": one fold of the
+    # correct nodes' metrics (a multiplexed node has already folded its lanes
+    # with the same function).
+    per_node = [impl.node_metrics(node, duration) for node in correct_nodes]
+    merged = protocol_registry.NodeMetrics.combine(per_node, average=True)
+    if merged.latency_histogram is not None:
         # Streaming (bounded-memory) runs: part of the distribution was
-        # folded into per-node histograms; merge them with every node's
-        # still-live raw samples into one histogram-backed summary.
-        merged = LatencyHistogram(bin_width=latency_histograms[0].bin_width)
-        for histogram in latency_histograms:
-            merged.merge(histogram)
-        merged.extend(latency_samples)
-        latency = LatencySummary.from_histogram(merged,
-                                                trim_extreme_fraction=latency_trim)
+        # folded into per-node histograms; their merge plus every node's
+        # still-live raw samples is one histogram-backed summary.
+        merged.latency_histogram.extend(merged.latency_samples)
+        latency = LatencySummary.from_histogram(
+            merged.latency_histogram, trim_extreme_fraction=latency_trim)
     else:
-        latency = LatencySummary.from_samples(latency_samples,
-                                              trim_extreme_fraction=latency_trim)
-    breakdown = {key: stage_totals[key] / stage_counts[key]
-                 for key in stage_totals}
-    breakdown.update(counter_totals)
-    breakdown.update({key: mean_totals[key] / mean_counts[key]
-                      for key in mean_totals})
+        latency = LatencySummary.from_samples(
+            merged.latency_samples, trim_extreme_fraction=latency_trim)
+    breakdown = {**merged.stage_breakdown, **merged.totals, **merged.means}
     if strategy is not None:
-        # Per-strategy counters arrive under the ``adversary_`` prefix; the
-        # scenario runner keeps them out of pre-existing recorded row shapes.
+        # Per-strategy counters, under the ``adversary_`` prefix.
         breakdown.update(strategy.counters())
 
     # Execution-layer oracle: every honest node must have executed the common
@@ -351,9 +312,7 @@ def run_cluster(config: FireLedgerConfig,
     if config.execute_transactions:
         from repro.ledger.state import verify_state_agreement
 
-        executors = [executor for executor in
-                     (impl.executor_of(node) for node in honest_nodes)
-                     if executor is not None]
+        executors = [node.executor for node in honest_nodes]
         if executors:
             state_deliveries, state_root = verify_state_agreement(executors)
             # Counters / fairness come from the most-advanced executor (the
@@ -366,21 +325,18 @@ def run_cluster(config: FireLedgerConfig,
             breakdown["tx_conflicts"] = float(reporter.conflicts)
             breakdown.update(reporter.fairness())
 
-    recorders = [recorder for recorder in
-                 (impl.recorder_of(node) for node in nodes)
-                 if recorder is not None]
-
     return ClusterResult(
         protocol=impl.name,
         config=config,
         duration=duration,
-        throughput=throughput,
+        throughput=ThroughputSummary(
+            tps=merged.tps, bps=merged.bps,
+            recoveries_per_second=merged.recoveries_per_second),
         latency=latency,
-        per_node_tps=per_node_tps,
-        per_node_bps=per_node_bps,
+        per_node_tps=[metrics.tps for metrics in per_node],
+        per_node_bps=[metrics.bps for metrics in per_node],
         breakdown=breakdown,
         network=network.stats,
-        recorders=recorders,
         nodes=nodes,
         state_root=state_root,
         state_deliveries=state_deliveries,

@@ -377,7 +377,6 @@ class FireLedgerWorker:
         signature = self.keys.sign(header.digest)
         self._charge_background(self._round_costs.header_sign)
         self.signatures_created += 1
-        self.recorder.signature_operations += 1
         payload = {"header": header, "signature": signature}
         self._evidence_by_round[round_number] = payload
         self.recorder.record_event(self.worker_id, round_number,
@@ -405,24 +404,26 @@ class FireLedgerWorker:
             return False
         return self.keystore.verify(signature, proposer, header.digest)
 
+    def _stamp_proposal(self, header) -> None:
+        """Record A and B for a received proposal: both at acceptance time
+        (a receiver sees the body and the header arrive, not being made)."""
+        now = self.env.now
+        self.recorder.record_event(self.worker_id, header.round_number,
+                                   EVENT_BLOCK_PROPOSAL, now,
+                                   tx_count=header.tx_count)
+        self.recorder.record_event(self.worker_id, header.round_number,
+                                   EVENT_HEADER_PROPOSAL, now)
+
     def _await_body(self, payload: Any, deadline: float):
         """Generator acceptance check: charge verification CPU, wait for the body."""
         header = payload["header"]
         yield from self.context.use_cpu(self._round_costs.header_verify)
         self.signatures_verified += 1
         if not self.config.separate_headers or header.tx_count == 0:
-            self.recorder.record_event(self.worker_id, header.round_number,
-                                       EVENT_BLOCK_PROPOSAL, self.env.now,
-                                       tx_count=header.tx_count)
-            self.recorder.record_event(self.worker_id, header.round_number,
-                                       EVENT_HEADER_PROPOSAL, self.env.now)
+            self._stamp_proposal(header)
             return True
         if self.has_body(header.tx_root):
-            self.recorder.record_event(self.worker_id, header.round_number,
-                                       EVENT_BLOCK_PROPOSAL, self.env.now,
-                                       tx_count=header.tx_count)
-            self.recorder.record_event(self.worker_id, header.round_number,
-                                       EVENT_HEADER_PROPOSAL, self.env.now)
+            self._stamp_proposal(header)
             return True
         remaining = deadline - self.env.now
         if remaining <= 0:
@@ -431,11 +432,7 @@ class FireLedgerWorker:
         yield self.env.any_of([event, self.env.timeout(remaining)])
         available = self.has_body(header.tx_root)
         if available:
-            self.recorder.record_event(self.worker_id, header.round_number,
-                                       EVENT_BLOCK_PROPOSAL, self.env.now,
-                                       tx_count=header.tx_count)
-            self.recorder.record_event(self.worker_id, header.round_number,
-                                       EVENT_HEADER_PROPOSAL, self.env.now)
+            self._stamp_proposal(header)
         return available
 
     # ======================================================================

@@ -28,9 +28,8 @@ import multiprocessing
 import os
 import signal
 import threading
-import time
 from pathlib import Path
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 from repro.experiments import registry
 from repro.experiments.harness import ExperimentScale
@@ -236,41 +235,34 @@ def run_parallel_sweep(spec: ExperimentSpec,
     return {"ran": ran, "skipped": skipped, "path": str(path)}
 
 
-def _run_spec_task(task: tuple) -> tuple[str, "list | ValueError", float]:
-    """Worker body for ``repro run --all --jobs N``: run one full driver.
+def _run_point_task(task: tuple) -> "dict | ValueError":
+    """``repro run``'s unit of work: one planned point -> its record.
 
-    A driver that rejects its configuration (e.g. a scenario whose fault
-    schedule references nodes outside an overridden cluster size) returns
-    the ``ValueError`` in the rows slot instead of poisoning the pool, so
+    ``task`` is ``(spec_name, scale, point, params, scale_label)``.  A driver
+    that rejects its configuration (e.g. a scenario whose fault schedule
+    references nodes outside an overridden cluster size) returns the
+    ``ValueError`` in place of the record instead of poisoning the pool, so
     the caller can skip just that driver.
     """
-    name, scale, axis_values = task
-    spec = registry.get(name)
-    started = time.perf_counter()
+    spec_name, scale, point, params, scale_label = task
     try:
-        rows = spec.run(scale, axis_values=axis_values)
+        return run_point(registry.get(spec_name), scale, point, params,
+                         scale_label)
     except ValueError as exc:
-        return name, exc, time.perf_counter() - started
-    return name, rows, time.perf_counter() - started
+        return exc
 
 
-def run_specs(tasks: Sequence[tuple[str, ExperimentScale, Mapping]],
-              jobs: int) -> dict[str, tuple[list, float]]:
-    """Run several experiment drivers concurrently.
+def run_specs(tasks: Sequence[tuple], jobs: int) -> Iterator:
+    """Run planned points of several drivers: one outcome per task, in order.
 
-    ``tasks`` is a list of ``(name, scale, axis_values)``; returns
-    ``{name: (rows, elapsed_s)}``, where ``rows`` is the driver's
-    configuration ``ValueError`` instead of a row list if it rejected the
-    overrides.  Used by ``repro run --all --jobs N`` to spread independent
-    drivers over worker processes.
+    ``repro run`` prints and records what this yields (see
+    :func:`_run_point_task` for the task and outcome); ``--all --jobs N``
+    spreads independent drivers' points over worker processes.  Serially a
+    point runs when its outcome is asked for, so an interrupted ``run --all``
+    keeps every driver it finished.
     """
-    if not tasks:
-        return {}
-    jobs = max(1, min(jobs, len(tasks)))
-    if jobs == 1:
-        return {name: (rows, elapsed) for name, rows, elapsed in
-                (_run_spec_task(task) for task in tasks)}
-    context = _pool_context()
-    with context.Pool(processes=jobs) as pool:
-        return {name: (rows, elapsed)
-                for name, rows, elapsed in pool.imap(_run_spec_task, tasks)}
+    if min(jobs, len(tasks)) <= 1:
+        yield from map(_run_point_task, tasks)
+        return
+    with _pool_context().Pool(processes=min(jobs, len(tasks))) as pool:
+        yield from pool.imap(_run_point_task, tasks)

@@ -53,10 +53,6 @@ class Axis:
     #: Row columns the axis shows up under.  They identify a configuration
     #: in the report's comparison table.
     columns: tuple[str, ...] = ()
-    #: Whether a record's rows always carry one of ``columns`` when the axis
-    #: is swept, so the report need not repeat the param as a prefix column.
-    #: ``backend`` is only recorded off its default, so it always prefixes.
-    echoed: bool = True
 
     @property
     def dest(self) -> str:
@@ -95,8 +91,7 @@ BACKEND = Axis(
     "backend", "--backend", "B,B",
     "execution backend(s): sim (discrete-event, default) and/or realtime "
     "(live asyncio over loopback TCP; scenarios)",
-    parse=str, keyword="backend", default="sim", columns=("backend",),
-    echoed=False)
+    parse=str, keyword="backend", default="sim", columns=("backend",))
 ADVERSARY = Axis(
     "adversary", "--adversary", "A,A",
     "adversary strategy(ies) for a scenario's Byzantine nodes, e.g. "
@@ -328,9 +323,9 @@ def _register_scenarios() -> None:
             axes=axes,
             pins_duration=True,
             # What the spec itself (and backend=sim) already says is
-            # canonicalized out of config_id, so committed records (which
-            # predate several axes) resume unchanged against explicit
-            # ``--backend sim`` / default-adversary spellings.
+            # canonicalized out of config_id, so the bare run and the
+            # explicit ``--backend sim`` / default-adversary spellings are
+            # one configuration.
             axis_defaults={axis: AXES[axis].scenario_default(spec)
                            for axis in axes}))
 

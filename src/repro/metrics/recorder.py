@@ -95,9 +95,6 @@ class RecoveryLog:
     def __len__(self) -> int:
         return self.count
 
-    def __iter__(self):
-        return iter(self.recent)
-
     def append(self, time: float) -> None:
         self.count += 1
         self.recent.append(time)
@@ -123,9 +120,9 @@ class MetricsRecorder:
         self.fast_path_rounds = 0
         self.fallback_rounds = 0
         self.failed_rounds = 0
-        self.signature_operations = 0
+        #: Measured window: ``[measure_start, end_time]``, ``end_time`` being
+        #: the run's end, which every summary method takes as an argument.
         self.measure_start: float = 0.0
-        self.measure_end: Optional[float] = None
         # --- streaming aggregates (populated only when horizon_rounds set) ---
         self.records_folded = 0
         #: Stale folds that later saw their E event (their A->E latency
@@ -208,8 +205,7 @@ class MetricsRecorder:
     def record_recovery(self, time: float) -> None:
         """Count one invocation of the recovery procedure."""
         self.recoveries.append(time)
-        end = self.measure_end if self.measure_end is not None else float("inf")
-        if self.measure_start <= time <= end:
+        if self.measure_start <= time:
             self._recoveries_in_window += 1
 
     def record_round_outcome(self, fast_path: bool, delivered: bool) -> None:
@@ -266,8 +262,7 @@ class MetricsRecorder:
         else:
             self.records_folded += 1
         for event, timestamp in record.events.items():
-            end = self.measure_end if self.measure_end is not None else float("inf")
-            if self.measure_start <= timestamp <= end:
+            if self.measure_start <= timestamp:
                 self._folded_event_count[event] += 1
                 self._folded_event_tx[event] += record.tx_count
         for start_event, end_event in _EVENT_PAIRS:
@@ -294,13 +289,10 @@ class MetricsRecorder:
         return tuple(self._blocks.values())
 
     def _window(self, end_time: float) -> float:
-        start = self.measure_start
-        end = self.measure_end if self.measure_end is not None else end_time
-        return max(end - start, 1e-9)
+        return max(end_time - self.measure_start, 1e-9)
 
     def _in_window(self, timestamp: float, end_time: float) -> bool:
-        end = self.measure_end if self.measure_end is not None else end_time
-        return self.measure_start <= timestamp <= end
+        return self.measure_start <= timestamp <= end_time
 
     def blocks_with_event(self, event: str, end_time: float) -> list[BlockRecord]:
         """Live records whose ``event`` timestamp falls in the window."""
@@ -341,9 +333,8 @@ class MetricsRecorder:
         window = self._window(end_time)
         log = self.recoveries
         if log.count <= len(log.recent):
-            end = self.measure_end if self.measure_end is not None else end_time
             in_window = sum(1 for t in log.recent
-                            if self.measure_start <= t <= end)
+                            if self._in_window(t, end_time))
         else:
             in_window = self._recoveries_in_window
         return in_window / window

@@ -16,7 +16,7 @@ import io
 import json
 import math
 from pathlib import Path
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from repro.experiments import registry
 from repro.experiments.sweep import experiment_from_stem
@@ -31,12 +31,11 @@ _EXECUTION_COLUMNS = (
     "sender_p50_spread_ms", "sender_p99_spread_ms",
 )
 
-#: Per-strategy counters the adversary strategies surface on their rows
-#: (``adversary_`` prefix stripped by the scenario runner).
-_ADVERSARY_COUNTER_COLUMNS = (
-    "equivocations", "silenced_nodes", "delayed_msgs", "withheld_msgs",
-    "departures", "rejoins",
-)
+#: What the "Adversary strategies" section shows of a row: the headline
+#: numbers, the oracle, and every per-strategy counter (by prefix).
+_ADVERSARY_COLUMNS = ("tps", "bps", "latency_p50_ms", "latency_p95_ms",
+                      "state_root", "state_deliveries")
+_ADVERSARY_COUNTER_PREFIX = "adversary_"
 
 
 def load_results(results_dir: "str | Path") -> dict[str, list[dict]]:
@@ -113,21 +112,15 @@ def merged_rows(records: Sequence[Mapping]) -> list[dict]:
             prefix["seed"] = record.get("seed")
         record_rows = record.get("rows", [])
         for key in sorted(record.get("params", {})):
-            value = record["params"][key]
-            # Multi-value overrides (a `run` across several axis values)
-            # describe the whole record, not one row — the rows carry their
-            # own per-value columns, which the prefix must not shadow.
-            if isinstance(value, (list, tuple)):
-                continue
             # Driver rows echo a swept axis under its own column(s); a
             # param already visible there is not repeated as a prefix column
             # (e.g. a fig10 sweep's cluster_size duplicating the rows' 'n').
             axis = registry.AXES.get(key)
-            if (record_rows and axis is not None and axis.echoed
+            if (record_rows and axis is not None
                     and any(echo in record_rows[0] for echo in axis.columns)):
                 continue
-            prefix[key] = value
-        for row in record.get("rows", []):
+            prefix[key] = record["params"][key]
+        for row in record_rows:
             merged = dict(prefix)
             for key, value in row.items():
                 merged.setdefault(key, value)
@@ -174,13 +167,21 @@ def markdown_table(rows: Sequence[Mapping],
     return "\n".join(lines)
 
 
-#: Non-axis columns that, with every axis's own columns, identify the
-#: configuration a protocol-comparison row is grouped by: a lanes=4 or a
-#: realtime run is a different configuration from the lanes=1 simulated run
-#: of the same scenario.
-_COMPARISON_ID_COLUMNS = ("scenario", "workload", "seed")
 _COMPARISON_BASELINE = "fireledger"
 _PROTOCOL = registry.PROTOCOL.columns[0]
+
+
+def _identity_columns() -> frozenset[str]:
+    """The row columns that say *which configuration* a row is.
+
+    Every axis's own columns plus the non-axis ``scenario``, ``workload`` and
+    ``seed``: a lanes=4 or a realtime run is a different configuration from
+    the lanes=1 simulated run of the same scenario.  The protocol comparison
+    groups by them (minus the protocol it pivots on) and the cross-experiment
+    sections lead with them.
+    """
+    return frozenset(("scenario", "workload", "seed")).union(
+        *(axis.columns for axis in registry.AXES.values()))
 
 
 def protocol_comparison_rows(rows: Sequence[Mapping]) -> list[dict]:
@@ -203,9 +204,7 @@ def protocol_comparison_rows(rows: Sequence[Mapping]) -> list[dict]:
     if _COMPARISON_BASELINE in protocols:  # the paper's protocol leads
         protocols.remove(_COMPARISON_BASELINE)
         protocols.insert(0, _COMPARISON_BASELINE)
-    identifying = set(_COMPARISON_ID_COLUMNS).union(
-        *(axis.columns for axis in registry.AXES.values()
-          if axis is not registry.PROTOCOL))
+    identifying = _identity_columns() - {_PROTOCOL}
     id_columns = [column for column in table_columns(rows)
                   if column in identifying]
     grouped: dict[tuple, dict[str, Mapping]] = {}
@@ -310,23 +309,22 @@ def render_experiment_section(name: str, records: Sequence[Mapping]) -> str:
 
 
 def _projected_rows(results: Mapping[str, Sequence[Mapping]], having: str,
-                    columns: Sequence[str]) -> list[dict]:
-    """Every merged row that has column ``having``, projected onto ``columns``.
+                    wanted: Callable[[str], bool]) -> list[dict]:
+    """Every merged row that has column ``having``, projected.
 
     Feeds the cross-experiment sections: one line per (experiment,
-    configuration), led by the experiment name.
+    configuration), led by the experiment name (in ``scenario``'s place) and
+    every identity column any of the rows has (``adversary`` exists on
+    Byzantine rows only, and must not trail the metrics for it), then the
+    columns ``wanted`` picks in the row's own order.
     """
-    out: list[dict] = []
-    for name, records in results.items():
-        for row in merged_rows(records):
-            if having in row:
-                out.append({"experiment": name,
-                            **{key: row[key] for key in columns if key in row}})
-    return out
-
-
-def _columns_of(*axes: registry.Axis) -> tuple[str, ...]:
-    return tuple(column for axis in axes for column in axis.columns)
+    identity = (_identity_columns() - {"scenario"}) | {"experiment"}
+    rows = [{"experiment": name, **row} for name, records in results.items()
+            for row in merged_rows(records) if having in row]
+    lead = [column for column in table_columns(rows) if column in identity]
+    return [{**{column: row.get(column) for column in lead},
+             **{key: value for key, value in row.items() if wanted(key)}}
+            for row in rows]
 
 
 def render_fairness_section(results: Mapping[str, Sequence[Mapping]]) -> str:
@@ -336,10 +334,8 @@ def render_fairness_section(results: Mapping[str, Sequence[Mapping]]) -> str:
     ``state_root``, the account-machine outcome counters and the fairness
     metrics.
     """
-    rows = _projected_rows(
-        results, "state_root",
-        _columns_of(registry.PROTOCOL, registry.LANES, registry.CLUSTER,
-                    registry.WORKERS) + ("workload",) + _EXECUTION_COLUMNS)
+    rows = _projected_rows(results, "state_root",
+                           _EXECUTION_COLUMNS.__contains__)
     if not rows:
         return ""
     lines = [
@@ -374,32 +370,33 @@ def render_fairness_section(results: Mapping[str, Sequence[Mapping]]) -> str:
 def render_adversary_section(results: Mapping[str, Sequence[Mapping]]) -> str:
     """The cross-experiment "Adversary strategies" section (or '').
 
-    One line per row recorded under an explicitly-swept adversary: the
-    strategy, the protocol it ran against, headline throughput/latency, the
-    strategy's own counters and the state-agreement oracle columns.
+    One line per row of a scenario with Byzantine nodes: the strategy
+    driving them, the protocol it ran against, headline throughput/latency,
+    the strategy's own ``adversary_*`` counters and the state-agreement
+    oracle columns.
     """
     rows = _projected_rows(
         results, registry.ADVERSARY.columns[0],
-        _columns_of(registry.ADVERSARY, registry.PROTOCOL, registry.LANES,
-                    registry.CLUSTER)
-        + ("tps", "bps", "latency_p50_ms", "latency_p95_ms")
-        + _ADVERSARY_COUNTER_COLUMNS + ("state_root", "state_deliveries"))
+        lambda key: (key in _ADVERSARY_COLUMNS
+                     or key.startswith(_ADVERSARY_COUNTER_PREFIX)))
     if not rows:
         return ""
     lines = [
         "## Adversary strategies",
         "",
-        "Rows recorded under an explicit `--adversary` sweep: the named",
-        "strategy (`src/repro/adversary/`) controls how the scenario's",
-        "Byzantine nodes misbehave, and composes with every registered",
-        "protocol — `equivocate`/`targeted-equivocate` substitute a",
+        "Every row of a scenario whose fault schedule has Byzantine nodes:",
+        "the named strategy (`src/repro/adversary/`; the spec's own unless",
+        "`--adversary` swept another) controls how they misbehave, and",
+        "composes with every registered protocol —",
+        "`equivocate`/`targeted-equivocate` substitute a",
         "conflicting-header proposer on FireLedger (degrading to fail-stop",
         "silence on the leader-driven baselines), `silent` is fail-stop,",
         "`delayed-release` holds the adversary's outbound traffic,",
         "`selective-omission` starves a victim set, and `churn` cycles the",
         "adversary's nodes through crash/recover.  Per-strategy counters",
-        "(`equivocations`, `delayed_msgs`, `withheld_msgs`, `departures`...)",
-        "quantify the injected misbehaviour; `state_root` is the cross-node",
+        "(`adversary_equivocations`, `adversary_delayed_msgs`,",
+        "`adversary_withheld_msgs`, `adversary_departures`...) quantify the",
+        "injected misbehaviour; `state_root` is the cross-node",
         "state-agreement oracle over the honest majority — identical roots",
         "mean safety held under the attack.",
         "",
@@ -449,20 +446,22 @@ def render_experiments_md(results: Mapping[str, Sequence[Mapping]]) -> str:
         "Throughput Blockchain Consensus Protocol* (Buchnik & Friedman, VLDB",
         "2020), Section 7, on the deterministic simulator in `src/repro/`.",
         "",
-        "This file is generated — do not edit by hand.  Regenerate with:",
+        "This file is generated — do not edit by hand.  Every record under",
+        "`results/` was written by one recipe at default scale, seed 7:",
         "",
         "```bash",
-        "python -m repro run --all --scale default   # populate results/",
-        "python -m repro report                      # rewrite EXPERIMENTS.md",
+        "results/rerecord.sh          # delete results/*.jsonl, `run --all`, the",
+        "                             # protocol / lanes / adversary sweeps, `report`",
+        "python -m repro report       # or only rewrite this file from results/",
         "```",
         "",
-        "`run` and `sweep` accept `--jobs N` to spread grid points (or, with",
-        "`run --all`, whole drivers) over N worker processes: each worker",
-        "streams finished configurations to a private shard file under",
-        "`results/.shards/`, and the parent merges the shards into the",
-        "canonical `results/<experiment>.jsonl` deduplicated by `config_id`",
-        "and in deterministic grid order, so parallel, interrupted and serial",
-        "sweeps all resume from (and append to) the same record.",
+        "`run` and `sweep` write the same thing — one record per grid point,",
+        "identified by its `config_id` — so either resumes against the other,",
+        "serially or over `--jobs N` worker processes.  The simulator is",
+        "deterministic by seed: re-running the recipe reproduces every",
+        "simulated row exactly, which is how a refactor proves itself",
+        "result-neutral against this tree (`memfootprint`, `calibrate` and",
+        "`backend = realtime` rows are host measurements and do not).",
         "",
         "Absolute numbers depend on the calibrated crypto/network cost models",
         "and are smaller than the paper's three-minute cluster runs; the",

@@ -120,19 +120,6 @@ class ThroughputSummary:
     bps: float
     recoveries_per_second: float = 0.0
 
-    @classmethod
-    def average(cls, summaries: Iterable["ThroughputSummary"]) -> "ThroughputSummary":
-        """Average several per-node summaries (the paper averages over nodes)."""
-        summaries = list(summaries)
-        if not summaries:
-            return cls(tps=0.0, bps=0.0)
-        count = len(summaries)
-        return cls(
-            tps=sum(s.tps for s in summaries) / count,
-            bps=sum(s.bps for s in summaries) / count,
-            recoveries_per_second=sum(s.recoveries_per_second for s in summaries) / count,
-        )
-
 
 @dataclass(frozen=True)
 class LatencySummary:

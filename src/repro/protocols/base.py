@@ -20,9 +20,10 @@ protocol is therefore one module implementing this contract plus a
 client workloads, ``--jobs`` sweeps and the EXPERIMENTS.md report.
 
 Delivery flows through an explicit seam: every node exposes a
-:class:`DeliveryStream` (via :meth:`ConsensusProtocol.delivery_stream`) onto
-which it pushes one :class:`Delivery` per committed block, in its local total
-order.  Consumers — the per-node :class:`~repro.ledger.state.LedgerExecutor`,
+:class:`DeliveryStream` (its ``delivery_stream`` attribute, next to an
+``executor`` slot the runner fills) onto which it pushes one
+:class:`Delivery` per committed block, in its local total order.
+Consumers — the per-node :class:`~repro.ledger.state.LedgerExecutor`,
 metric counters, and the lane merge of :mod:`repro.protocols.multiplexed` —
 subscribe to the stream instead of being hand-called from inside each
 protocol's commit callback.  Single-lane protocols are the trivial one-stream
@@ -40,9 +41,10 @@ import abc
 import random
 import re
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from repro.ledger.delivery import Delivery, DeliveryStream
+from repro.metrics.summary import LatencyHistogram
 
 if TYPE_CHECKING:
     from repro.core.config import FireLedgerConfig
@@ -63,7 +65,7 @@ class NodeMetrics:
     ``tps``/``bps``/``recoveries_per_second`` are rates over the node's
     measurement window.  ``latency_samples`` are per-block commit latencies in
     seconds.  The three dicts all end up in ``ClusterResult.breakdown`` but
-    aggregate differently across correct nodes:
+    aggregate differently (:meth:`combine`):
 
     * ``stage_breakdown`` — per-round stage timings (FireLedger's ``A->B`` ...
       ``D->E`` spans), averaged per key;
@@ -71,7 +73,7 @@ class NodeMetrics:
       views, signature counts), summed per key;
     * ``means`` — per-node quantities that every correct node observes
       identically (a baseline's committed block/transaction counts), averaged
-      per key.
+      per key across nodes.
     """
 
     tps: float = 0.0
@@ -81,10 +83,60 @@ class NodeMetrics:
     #: Folded share of the latency distribution when the node's recorder ran
     #: in streaming (bounded-memory) mode; merged with every node's raw
     #: samples into one histogram-backed cluster summary.
-    latency_histogram: Optional[object] = None
+    latency_histogram: Optional[LatencyHistogram] = None
     stage_breakdown: dict[str, float] = field(default_factory=dict)
     totals: dict[str, float] = field(default_factory=dict)
     means: dict[str, float] = field(default_factory=dict)
+
+    @classmethod
+    def combine(cls, parts: "Iterable[NodeMetrics]",
+                average: bool) -> "NodeMetrics":
+        """Fold several ``NodeMetrics`` into one — the only such fold.
+
+        ``average=True`` folds the correct nodes of a cluster (the paper
+        reports every number "averaged over nodes"): rates and ``means``
+        average.  ``average=False`` folds the lanes of one node, which are
+        parallel pipelines: rates and ``means`` add.  Either way
+        ``stage_breakdown`` spans average per key over the parts reporting
+        the key (they describe one protocol round, whoever ran it),
+        ``totals`` sum, raw latency samples concatenate and the parts'
+        histograms merge into a fresh one (None when no part streamed).
+        Every sum adds its terms in ``parts`` order, so a result is a pure
+        function of the run, not of the interpreter's ``sum``.
+        """
+        merged = cls()
+        count = 0
+        stage_counts: dict[str, int] = {}
+        mean_counts: dict[str, int] = {}
+        for part in parts:
+            count += 1
+            merged.tps += part.tps
+            merged.bps += part.bps
+            merged.recoveries_per_second += part.recoveries_per_second
+            merged.latency_samples.extend(part.latency_samples)
+            if part.latency_histogram is not None:
+                if merged.latency_histogram is None:
+                    merged.latency_histogram = LatencyHistogram(
+                        bin_width=part.latency_histogram.bin_width)
+                merged.latency_histogram.merge(part.latency_histogram)
+            for key, value in part.stage_breakdown.items():
+                merged.stage_breakdown[key] = (
+                    merged.stage_breakdown.get(key, 0.0) + value)
+                stage_counts[key] = stage_counts.get(key, 0) + 1
+            for key, value in part.totals.items():
+                merged.totals[key] = merged.totals.get(key, 0.0) + value
+            for key, value in part.means.items():
+                merged.means[key] = merged.means.get(key, 0.0) + value
+                mean_counts[key] = mean_counts.get(key, 0) + 1
+        for key, reporting in stage_counts.items():
+            merged.stage_breakdown[key] /= reporting
+        if average and count:
+            merged.tps /= count
+            merged.bps /= count
+            merged.recoveries_per_second /= count
+            for key, reporting in mean_counts.items():
+                merged.means[key] /= reporting
+        return merged
 
 
 class ConsensusProtocol(abc.ABC):
@@ -131,29 +183,6 @@ class ConsensusProtocol(abc.ABC):
     @abc.abstractmethod
     def node_metrics(self, node, duration: float) -> NodeMetrics:
         """Summarise one node's run over its measurement window."""
-
-    def recorder_of(self, node) -> Optional[object]:
-        """The node's :class:`~repro.metrics.recorder.MetricsRecorder`, if any."""
-        return getattr(node, "recorder", None)
-
-    def delivery_stream(self, node) -> Optional[DeliveryStream]:
-        """The node's :class:`DeliveryStream`, if it exposes one.
-
-        The cluster runner subscribes the per-node execution layer here
-        (uniformly, for every protocol) and the ``multiplexed`` meta-protocol
-        merges the lanes' streams through it.  None means the node does not
-        publish deliveries (no execution, no lane composition).
-        """
-        return getattr(node, "delivery_stream", None)
-
-    def executor_of(self, node) -> Optional[object]:
-        """The node's :class:`~repro.ledger.state.LedgerExecutor`, if any.
-
-        The cluster runner compares the executors of all correct nodes after
-        a run (the cross-node state-root oracle); None means the node did not
-        execute (execution disabled, or a protocol without the hook).
-        """
-        return getattr(node, "executor", None)
 
 
 class SharedTxPool:

@@ -111,7 +111,6 @@ class MultiplexedNode:
         self.delivery_stream = DeliveryStream()
         #: Execution layer, attached by the cluster runner (None otherwise).
         self.executor = None
-        self.measure_start = 0.0
         self.submitted_transactions = 0
         self._buffers = [deque() for _ in lanes]
         self._cursor = 0
@@ -234,61 +233,29 @@ class MultiplexedProtocol(ConsensusProtocol):
 
     def set_measurement_window(self, nodes: Sequence[MultiplexedNode],
                                warmup: float) -> None:
-        for node in nodes:
-            node.measure_start = warmup
         for lane in range(self.lanes):
             self.base.set_measurement_window(
                 [node.lanes[lane] for node in nodes], warmup)
 
     def node_metrics(self, node: MultiplexedNode, duration: float) -> NodeMetrics:
-        """Sum the lanes' rates and counters; expose per-lane rejections.
+        """The lanes' metrics, added up; plus per-lane rejections and skew.
 
-        Rates (tps/bps/recoveries) add across lanes — they are parallel
-        pipelines on one node.  ``stage_breakdown`` spans average (they
-        describe one protocol round, whichever lane ran it); ``totals`` and
-        ``means`` sum, keeping each key in the dict the base protocol chose
-        so cross-node aggregation (sum vs average) stays correct.
+        The lanes are parallel pipelines on one node, so they fold with
+        :meth:`NodeMetrics.combine` ``average=False``: rates, ``totals`` and
+        ``means`` add (each key stays in the dict the base protocol chose,
+        so the cross-node fold still sums or averages it correctly).
         """
         per_lane = [self.base.node_metrics(inner, duration)
                     for inner in node.lanes]
-        merged = NodeMetrics()
-        stage_totals: dict[str, float] = {}
-        stage_counts: dict[str, int] = {}
-        histograms = []
+        merged = NodeMetrics.combine(per_lane, average=False)
         for lane, metrics in enumerate(per_lane):
-            merged.tps += metrics.tps
-            merged.bps += metrics.bps
-            merged.recoveries_per_second += metrics.recoveries_per_second
-            merged.latency_samples.extend(metrics.latency_samples)
-            if metrics.latency_histogram is not None:
-                histograms.append(metrics.latency_histogram)
-            for key, value in metrics.stage_breakdown.items():
-                stage_totals[key] = stage_totals.get(key, 0.0) + value
-                stage_counts[key] = stage_counts.get(key, 0) + 1
-            for key, value in metrics.totals.items():
-                merged.totals[key] = merged.totals.get(key, 0.0) + value
-                if key == "tx_rejected":
-                    merged.totals[f"lane{lane}_tx_rejected"] = value
-            for key, value in metrics.means.items():
-                merged.means[key] = merged.means.get(key, 0.0) + value
-                if key == "tx_rejected":
-                    merged.means[f"lane{lane}_tx_rejected"] = value
-        merged.stage_breakdown = {key: stage_totals[key] / stage_counts[key]
-                                  for key in stage_totals}
-        if histograms:
-            from repro.metrics.summary import LatencyHistogram
-
-            combined = LatencyHistogram(bin_width=histograms[0].bin_width)
-            for histogram in histograms:
-                combined.merge(histogram)
-            merged.latency_histogram = combined
+            for source, target in ((metrics.totals, merged.totals),
+                                   (metrics.means, merged.means)):
+                if "tx_rejected" in source:
+                    target[f"lane{lane}_tx_rejected"] = source["tx_rejected"]
         lane_tx = [metrics.means.get("transactions_committed", 0.0)
                    for metrics in per_lane]
         total_tx = sum(lane_tx)
         if total_tx > 0:
             merged.means["lane_skew"] = max(lane_tx) / total_tx * self.lanes
         return merged
-
-    def recorder_of(self, node: MultiplexedNode) -> Optional[object]:
-        """Lane 0's recorder (the merged node keeps none of its own)."""
-        return self.base.recorder_of(node.lanes[0])

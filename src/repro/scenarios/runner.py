@@ -5,9 +5,10 @@ The runner translates the declarative spec into the concrete knobs of
 :class:`~repro.protocols.base.ConsensusProtocol`, topology -> latency
 model, workload -> ``fill_blocks`` / client population, fault schedule ->
 ``faults=`` (plus the spec's adversary bound to its Byzantine membership).
-It returns plain result-row dicts shaped like the figure drivers', so
-scenarios plug into the experiment registry, the sweep engine and the report
-renderer unchanged — for any protocol.
+It returns plain result-row dicts, so scenarios plug into the experiment
+registry, the sweep engine and the report renderer like the figure drivers —
+and every row has the one shape :func:`run_scenario` documents, for any
+protocol, lane count, backend and adversary.
 """
 
 from __future__ import annotations
@@ -20,18 +21,6 @@ from repro.scenarios.spec import ScenarioSpec
 
 if TYPE_CHECKING:  # imported lazily at run time to avoid a registry cycle
     from repro.experiments.harness import ExperimentScale
-
-#: Breakdown keys the row already reports through dedicated columns.
-_ROW_COVERED_COUNTERS = frozenset({
-    "fast_path_rounds", "fallback_rounds", "failed_rounds", "recoveries",
-    "tx_rejected",
-})
-
-#: Execution-layer counters, reported through the dedicated block below
-#: (same columns for every protocol) rather than the generic breakdown loop.
-_EXECUTION_COUNTERS = ("tx_applied", "tx_stale", "tx_invalid", "tx_conflicts")
-_FAIRNESS_METRICS = ("proposer_bias", "sender_p50_spread_ms",
-                     "sender_p99_spread_ms")
 
 
 def run_scenario(spec: ScenarioSpec,
@@ -50,14 +39,28 @@ def run_scenario(spec: ScenarioSpec,
     shrinking the run would silently skip scheduled faults.
 
     ``adversary`` names a registered :mod:`repro.adversary` strategy for
-    the spec's Byzantine nodes.  Only explicitly-swept strategies surface
-    as an ``adversary`` row column (plus the strategy's own counters):
-    committed Byzantine rows predate the column and keep their shape.
+    the spec's Byzantine nodes (inert without any).  ``backend`` selects the
+    Environment/Network pair (``"sim"`` default, ``"realtime"`` for the live
+    asyncio/TCP runtime); fault phase times then mean real seconds.
 
-    ``backend`` selects the Environment/Network pair (``"sim"`` default,
-    ``"realtime"`` for the live asyncio/TCP runtime); fault phase times then
-    mean real seconds, and the row gains a ``backend`` column so live rows
-    never collide with recorded simulated ones.
+    **The row contract** — the same for every protocol, lane count, backend
+    and adversary, in this order:
+
+    1. identity: ``scenario``, then every axis column (``protocol``, ``n``,
+       ``workers``, ``batch``, ``tx_size``, ``lanes``, ``backend``), and
+       ``adversary`` exactly when the fault schedule has Byzantine nodes
+       (the rule :meth:`ScenarioSpec.summary` uses); then ``workload``;
+    2. the headline numbers ``tps``, ``bps``, ``latency_p50_ms``,
+       ``latency_p95_ms``, and ``msgs_dropped``;
+    3. every ``ClusterResult.breakdown`` counter the run produced, under its
+       breakdown name, sorted, ``round(value, 3)`` (the fold's sums and means
+       are floats: ``2182.0``) — round outcomes, ``signatures``,
+       ``blocks_committed``, ``adversary_*``, ``lane_skew``, execution and
+       fairness counters alike; only the ``->`` stage spans (Figure 9's
+       business) stay out;
+    4. with execution on, the agreed ``state_root`` / ``state_deliveries``;
+       with retention on, FLO's live-state watermarks; with clients, the
+       workload's ``submitted_tx`` / ``completed_req``.
     """
     if scale is None:
         # Local import: repro.experiments pulls in the registry, which in
@@ -66,7 +69,6 @@ def run_scenario(spec: ScenarioSpec,
         scale = ExperimentScale()
     overrides = {name: value for name, value in overrides.items()
                  if value is not None}
-    adversary_explicit = "adversary" in overrides
     if overrides:
         spec = spec.with_overrides(**overrides)  # re-validates fault node ids
     seed = scale.seed if seed is None else seed
@@ -137,79 +139,41 @@ def run_scenario(spec: ScenarioSpec,
         "workers": spec.workers,
         "batch": spec.batch_size,
         "tx_size": spec.workload.tx_size if not spec.workload.fill_blocks else spec.tx_size,
-        "workload": spec.workload.shape,
         "lanes": spec.lanes.count,
+        "backend": backend,
+    }
+    if strategy is not None:
+        row["adversary"] = spec.adversary.strategy
+    row.update({
+        "workload": spec.workload.shape,
         "tps": round(result.tps, 1),
         "bps": round(result.bps, 2),
         "latency_p50_ms": round(result.latency.p50 * 1000, 1),
         "latency_p95_ms": round(result.latency.p95 * 1000, 1),
-    }
-    if backend != "sim":
-        # Only non-default backends are recorded: committed simulated rows
-        # predate the column and must keep their exact shape.
-        row["backend"] = backend
-    if spec.protocol == "fireledger" and spec.lanes.count == 1:
-        # Historical column names, kept stable for recorded results.
-        row["fast_rounds"] = result.fast_path_rounds
-        row["fallback_rounds"] = result.fallback_rounds
-        row["failed_rounds"] = result.failed_rounds
-        row["recoveries"] = result.recoveries
-    else:
-        # Other protocols report their own counters (skipped views, committed
-        # blocks...) straight from the unified breakdown.  Lane-qualified
-        # counters get their dedicated block below.
-        for key, value in sorted(result.breakdown.items()):
-            # adversary_* counters get their dedicated block below (only for
-            # explicitly-swept strategies — committed rows keep their shape).
-            if ("->" in key or key.startswith("lane")
-                    or key.startswith("adversary")
-                    or key in _ROW_COVERED_COUNTERS
-                    or key in _EXECUTION_COUNTERS or key in _FAIRNESS_METRICS):
-                continue
-            row[key] = round(value, 2)
-    if spec.lanes.count > 1:
-        if "lane_skew" in result.breakdown:
-            row["lane_skew"] = round(result.breakdown["lane_skew"], 3)
-        for lane in range(spec.lanes.count):
-            key = f"lane{lane}_tx_rejected"
-            if key in result.breakdown:
-                row[key] = int(round(result.breakdown[key]))
-    row["msgs_dropped"] = result.network.messages_dropped
+        "msgs_dropped": result.network.messages_dropped,
+    })
+    for key, value in sorted(result.breakdown.items()):
+        if "->" not in key:
+            row[key] = round(value, 3)
     if spec.execution.enabled:
         # The agreed common-prefix root (the oracle already raised if any two
-        # honest nodes disagreed) plus the execution / fairness counters.
+        # honest nodes disagreed).
         row["state_root"] = (result.state_root or "")[:12]
         row["state_deliveries"] = result.state_deliveries
-        for key in _EXECUTION_COUNTERS:
-            if key in result.breakdown:
-                row[key] = int(result.breakdown[key])
-        for key in _FAIRNESS_METRICS:
-            if key in result.breakdown:
-                row[key] = round(result.breakdown[key], 3)
-    if "tx_rejected" in result.breakdown:
-        row["tx_rejected"] = result.transactions_rejected
-    if adversary_explicit:
-        # Surfaced only for explicitly-swept strategies: committed Byzantine
-        # rows predate the adversary layer and must keep their exact shape.
-        row["adversary"] = spec.adversary.strategy
-        for key, value in sorted(result.breakdown.items()):
-            if key.startswith("adversary_"):
-                row[key[len("adversary_"):]] = int(round(value))
     if spec.retention.bounded and spec.protocol == "fireledger":
         # Live-state watermarks for the soak/memfootprint accounting: the
         # largest per-worker live chain and per-node live record counts at
-        # run end, which the retention window must bound.  Lanes > 1 wraps
-        # each FLO node in a MultiplexedNode; unwrap for the inner view.
+        # run end, which the retention window must bound.  Only FLO nodes
+        # keep chains and recorders (a baseline replica has neither); lanes
+        # > 1 wraps each in a MultiplexedNode, unwrapped for the inner view.
         flo_nodes = [inner for node in result.nodes
                      for inner in getattr(node, "lanes", [node])]
-        row["live_blocks"] = max(
-            (len(worker.chain) for node in flo_nodes
-             for worker in node.workers), default=0)
+        workers = [worker for node in flo_nodes for worker in node.workers]
+        row["live_blocks"] = max(len(worker.chain) for worker in workers)
         row["live_records"] = max(
-            (node.recorder.live_records for node in flo_nodes), default=0)
+            node.recorder.live_records for node in flo_nodes)
         row["pruned_blocks"] = max(
-            (worker.chain.summary.blocks for node in flo_nodes
-             for worker in node.workers), default=0)
+            worker.chain.summary.blocks for worker in workers)
     if workload_box:
         workload = workload_box[0]
         row["submitted_tx"] = workload.total_submitted

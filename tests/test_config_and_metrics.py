@@ -11,7 +11,7 @@ from repro.metrics.recorder import (
     EVENT_HEADER_PROPOSAL,
     EVENT_TENTATIVE_DECISION,
 )
-from repro.metrics.summary import LatencySummary, ThroughputSummary, cdf_points, percentile
+from repro.metrics.summary import LatencySummary, cdf_points, percentile
 
 
 # --------------------------------------------------------------------- config
@@ -133,11 +133,12 @@ def test_latency_summary_trimming():
 
 
 def test_throughput_summary_average():
-    average = ThroughputSummary.average([
-        ThroughputSummary(tps=100, bps=1),
-        ThroughputSummary(tps=300, bps=3),
-    ])
+    """A cluster's rates are the average over its nodes (the one fold)."""
+    from repro.protocols.base import NodeMetrics
+
+    average = NodeMetrics.combine([NodeMetrics(tps=100, bps=1),
+                                   NodeMetrics(tps=300, bps=3)], average=True)
     assert average.tps == 200
     assert average.bps == 2
-    empty = ThroughputSummary.average([])
+    empty = NodeMetrics.combine([], average=True)
     assert empty.tps == 0

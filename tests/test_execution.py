@@ -11,7 +11,6 @@ import random as global_random
 
 import pytest
 
-from repro import protocols
 from repro.core.config import FireLedgerConfig
 from repro.ledger import Transaction
 from repro.ledger.state import (
@@ -53,8 +52,7 @@ def test_recovered_node_replays_to_the_identical_root(cluster_result):
         batch_size=50, execute_transactions=True,
         duration=0.8, warmup=0.1, seed=7,
         setup=lambda env, network, nodes: schedule.install(env, network))
-    impl = protocols.get("fireledger")
-    executors = [impl.executor_of(node) for node in result.nodes]
+    executors = [node.executor for node in result.nodes]
     assert all(executor is not None for executor in executors)
     deliveries, root = verify_state_agreement(executors)
     # The crashed node's frozen history bounds the common prefix, which must

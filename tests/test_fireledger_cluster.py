@@ -161,7 +161,7 @@ def test_non_triviality_under_client_load_only():
 
 
 def test_recorder_block_events_cover_all_rounds(fault_free_result):
-    recorder = fault_free_result.recorders[0]
+    recorder = fault_free_result.nodes[0].recorder
     tentative = recorder.blocks_with_event(EVENT_TENTATIVE_DECISION, DURATION)
     assert len(tentative) > 10
 

@@ -142,13 +142,28 @@ def test_merge_shards_skips_ids_already_in_canonical(tmp_path):
 
 
 def test_run_specs_parallel_matches_serial(tmp_path):
-    tasks = [("fig05", TINY, {"batch_size": (10,)}),
-             ("table1", TINY, {})]
-    serial = run_specs(tasks, jobs=1)
-    parallel_result = run_specs(tasks, jobs=2)
-    assert set(serial) == set(parallel_result) == {"fig05", "table1"}
-    assert serial["fig05"][0] == parallel_result["fig05"][0]  # identical rows
-    assert all(elapsed >= 0 for _rows, elapsed in parallel_result.values())
+    """``run --all --jobs N`` pools planned points: each outcome is the
+    record ``run_point`` builds, in task order, whichever worker ran it."""
+    tasks = [("fig05", TINY, {"batch_size": 10}, {"batch_size": 10}, "tiny"),
+             ("table1", TINY, {}, {}, "tiny")]
+    serial = list(run_specs(tasks, jobs=1))
+    pooled = list(run_specs(tasks, jobs=2))
+    assert [record["experiment"] for record in pooled] == ["fig05", "table1"]
+    for one, other in zip(serial, pooled):
+        assert one["elapsed_s"] >= 0 and other["elapsed_s"] >= 0
+        del one["elapsed_s"], other["elapsed_s"]
+    assert serial == pooled  # identical ids, params and rows
+    assert pooled[0]["config_id"] == config_id("fig05", TINY,
+                                               {"batch_size": 10})
+
+
+def test_run_specs_returns_a_rejected_configuration(tmp_path):
+    """A driver's configuration ``ValueError`` comes back in its record's
+    place instead of poisoning the pool: ``run --all`` skips that driver."""
+    outcome, = run_specs([("scenario:rolling-crash", TINY,
+                           {"cluster_size": 2}, {"cluster_size": 2}, "tiny")],
+                         jobs=1)
+    assert isinstance(outcome, ValueError)
 
 
 def test_append_shard_line_survives_as_whole_lines(tmp_path):

@@ -1,6 +1,7 @@
 """Property-based tests (hypothesis) of core data structures and invariants."""
 
 import random
+from types import SimpleNamespace
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -12,7 +13,10 @@ from repro.crypto.vrf import proposer_permutation
 from repro.ledger import Batch, Blockchain, ChainVersion, Transaction, build_block
 from repro.ledger.state import LedgerExecutor, verify_state_agreement
 from repro.crypto.keys import KeyStore
-from repro.metrics.summary import percentile
+from repro.metrics.summary import LatencyHistogram, percentile
+from repro.protocols.base import NodeMetrics
+from repro.protocols.multiplexed import MultiplexedProtocol
+from tests.reference_fold import cluster_fold, lane_fold
 
 common_settings = settings(max_examples=50,
                            suppress_health_check=[HealthCheck.too_slow],
@@ -151,6 +155,87 @@ def test_adaptive_timer_always_within_bounds(events):
 def test_percentile_within_range(samples, q):
     value = percentile(samples, q)
     assert min(samples) <= value <= max(samples)
+
+
+# ----------------------------------------------------------------- metric fold
+#: Values whose float sum depends on the order of the additions (0.1 + 0.2 +
+#: 0.3 != 0.3 + 0.2 + 0.1; 1e16 swallows a following 1.0), next to ordinary
+#: magnitudes: a fold that regroups or reorders its terms cannot hide.
+_ORDER_SENSITIVE = st.sampled_from([0.1, 0.2, 0.3, 0.7, 1.0, 1e16, 1e-9, 3.0])
+_VALUES = _ORDER_SENSITIVE | st.floats(min_value=0, max_value=1e9,
+                                       allow_nan=False)
+
+
+def _keyed(*keys):
+    """Dicts over a small key pool: parts overlap, miss keys, disagree on
+    first-seen order."""
+    return st.dictionaries(st.sampled_from(keys), _VALUES, max_size=len(keys))
+
+
+def _histogram(samples):
+    histogram = LatencyHistogram()
+    histogram.extend(samples)
+    return histogram
+
+
+node_metrics = st.builds(
+    NodeMetrics, tps=_VALUES, bps=_VALUES, recoveries_per_second=_VALUES,
+    latency_samples=st.lists(_VALUES, max_size=4),
+    latency_histogram=st.none() | st.lists(
+        st.floats(min_value=0, max_value=6.0), max_size=4).map(_histogram),
+    stage_breakdown=_keyed("A->B", "B->C", "C->D", "D->E"),
+    totals=_keyed("signatures", "recoveries", "tx_rejected", "views_timed_out"),
+    means=_keyed("blocks_committed", "transactions_committed", "tx_rejected"))
+
+
+class _Canned:
+    """A base protocol whose lane nodes already are their ``NodeMetrics``."""
+
+    name, min_nodes = "canned", 4
+
+    def node_metrics(self, node, duration):
+        return node
+
+
+def _same_dict(new, old):
+    """Equal with ``==`` on every value *and* in key order."""
+    return new == old and list(new) == list(old)
+
+
+@common_settings
+@given(st.lists(node_metrics, max_size=5))
+def test_combine_average_is_the_old_cluster_fold(parts):
+    merged = NodeMetrics.combine(parts, average=True)
+    old = cluster_fold(parts)
+    assert (merged.tps, merged.bps, merged.recoveries_per_second) == (
+        old["tps"], old["bps"], old["recoveries_per_second"])
+    assert merged.latency_samples == old["latency_samples"]
+    assert _same_dict({**merged.stage_breakdown, **merged.totals,
+                       **merged.means}, old["breakdown"])
+    if merged.latency_histogram is not None:
+        # run_cluster pools the still-live raw samples into the merge.
+        merged.latency_histogram.extend(merged.latency_samples)
+    assert merged.latency_histogram == old["latency_histogram"]
+
+
+@common_settings
+@given(st.lists(node_metrics, max_size=5))
+def test_combine_sum_is_the_old_lane_fold(parts):
+    merged = NodeMetrics.combine(parts, average=False)
+    old = lane_fold(parts, lanes=len(parts))
+    if parts:
+        # The whole hook: the fold plus the lane<i>_tx_rejected / lane_skew
+        # lines multiplexed.py appends (after the fold's keys, where the old
+        # loop interleaved them — so key order is compared on the fold only).
+        hook = MultiplexedProtocol(_Canned(), lanes=len(parts)).node_metrics
+        assert hook(SimpleNamespace(lanes=parts), duration=1.0) == old
+    for name in ("totals", "means"):
+        fold_only = {key: value for key, value in getattr(old, name).items()
+                     if not key.startswith("lane")}
+        assert _same_dict(getattr(merged, name), fold_only)
+        setattr(old, name, fold_only)
+    assert _same_dict(merged.stage_breakdown, old.stage_breakdown)
+    assert merged == old
 
 
 # ------------------------------------------------------------ execution layer

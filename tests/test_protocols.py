@@ -23,7 +23,7 @@ from repro.metrics import report
 from repro.scenarios import library
 from repro.scenarios.faultplan import FaultSchedule, byzantine, crash
 from repro.scenarios.runner import run_scenario
-from tests.conftest import observe_run_cluster
+from tests.conftest import SCENARIO_ROW_LEAD, observe_run_cluster
 
 PROTOCOLS = ("fireledger", "hotstuff", "bftsmart")
 
@@ -357,16 +357,27 @@ def test_paper_lan_baseline_rows_are_pinned(protocol):
     assert {key: row[key] for key in expected} == expected
 
 
-# ----------------------------------------------------------- scenario column
-def test_scenario_rows_carry_protocol_counters():
+# ----------------------------------------------------------- one row shape
+def test_scenario_rows_carry_protocol_counters(monkeypatch):
+    """Every protocol and lane count builds its row the same way: the same
+    identity and headline columns in the same order, then *every* counter
+    the run's breakdown holds (only the ``->`` stage spans stay out), under
+    its breakdown name, sorted."""
+    results = observe_run_cluster(monkeypatch, lambda env, network, nodes: None)
     spec = library.get("paper-lan").with_overrides(duration=0.4, warmup=0.1)
-    fire = run_scenario(spec, seed=3)[0]
-    assert fire["protocol"] == "fireledger"
-    assert "fast_rounds" in fire and "recoveries" in fire
-    hot = run_scenario(spec.with_overrides(protocol="hotstuff"), seed=3)[0]
-    assert hot["protocol"] == "hotstuff"
-    assert "blocks_committed" in hot and "views_timed_out" in hot
-    assert "fast_rounds" not in hot
+    for protocol, own in (("fireledger", "fast_path_rounds"),
+                          ("hotstuff", "views_timed_out"),
+                          ("bftsmart", "instances_timed_out")):
+        for lanes in (1, 2):
+            (row,) = run_scenario(spec, seed=3, protocol=protocol, lanes=lanes)
+            assert tuple(row)[:len(SCENARIO_ROW_LEAD)] == SCENARIO_ROW_LEAD
+            assert (row["protocol"], row["lanes"]) == (protocol, lanes)
+            counters = sorted(key for key in results[-1].breakdown
+                              if "->" not in key)
+            assert own in counters and "blocks_committed" in counters
+            assert ("lane_skew" in counters) == (lanes > 1)
+            assert list(row)[len(SCENARIO_ROW_LEAD):][:len(counters)] == counters
+            assert not any("->" in key for key in row)
 
 
 # ------------------------------------------------------- one routing table

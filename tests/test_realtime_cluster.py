@@ -40,10 +40,12 @@ def test_rolling_crash_live_survives_socket_teardown():
 
 
 def test_sim_rows_keep_their_shape():
-    """The default backend records no ``backend`` column, so committed
-    result files and their config_ids are untouched by the new axis."""
-    (row,) = run_scenario(library.get("paper-lan"), backend="sim")
-    assert "backend" not in row
+    """``backend`` is an identity column of every row: a simulated and a
+    live run of one spec differ in values, never in columns."""
+    (sim,) = run_scenario(library.get("paper-lan"), backend="sim")
+    (live,) = run_scenario(library.get("paper-lan"), backend="realtime")
+    assert (sim["backend"], live["backend"]) == ("sim", "realtime")
+    assert list(sim) == list(live)
 
 
 def test_calibrate_driver_reports_live_vs_sim_deltas():

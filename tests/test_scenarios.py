@@ -292,7 +292,7 @@ def test_overlapping_partition_and_byzantine_phases():
     rows = run_scenario(spec, scale=ExperimentScale(seed=11))
     (row,) = rows
     assert row["msgs_dropped"] > 0          # the partition really dropped traffic
-    assert row["fast_rounds"] > 0           # and the cluster still made progress
+    assert row["fast_path_rounds"] > 0           # and the cluster still made progress
 
 
 def test_scenario_rows_deterministic_under_fixed_seed():

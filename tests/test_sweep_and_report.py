@@ -2,9 +2,11 @@
 
 import inspect
 import json
+from pathlib import Path
 
 import pytest
 
+from repro.cli import main
 from repro.experiments import figures, registry
 from repro.experiments.harness import ExperimentScale
 from repro.experiments.sweep import (
@@ -14,9 +16,11 @@ from repro.experiments.sweep import (
     make_record,
     recorded_ids,
     results_path,
+    run_point,
     run_sweep,
 )
 from repro.metrics import report
+from tests.conftest import SCENARIO_ROW_LEAD
 
 TINY = ExperimentScale(duration=0.3, warmup=0.05, workers_sweep=(1,),
                        cluster_sizes=(4,), batch_sizes=(10,), tx_sizes=(512,))
@@ -270,17 +274,6 @@ def test_report_dedups_forced_reruns_keeping_last(tmp_path):
     assert loaded["fig05"][0]["rows"] == [{"sps": 2.0}]
 
 
-def test_report_multi_value_run_params_do_not_shadow_row_columns(tmp_path):
-    results = tmp_path / "results"
-    spec = registry.get("fig05")
-    append_record(results_path(results, "fig05"),
-                  make_record(spec, TINY, "tiny", {"batch_size": [10, 1000]},
-                              [{"batch_size": 10, "sps": 1.0},
-                               {"batch_size": 1000, "sps": 2.0}]))
-    rows = report.merged_rows(report.load_results(results)["fig05"])
-    assert [row["batch_size"] for row in rows] == [10, 1000]
-
-
 def test_report_csv_round_trip(tmp_path):
     results = _canned_results_dir(tmp_path)
     loaded = report.load_results(results)
@@ -306,11 +299,11 @@ def test_backend_sim_axis_canonicalizes_out_of_config_id():
 
 
 def test_backend_sim_sweep_resumes_against_committed_records(tmp_path):
-    """A record committed before the backend axis existed is skipped, not
-    re-run, by a sweep that spells out ``--backend sim``."""
+    """The bare run's record is skipped, not re-run, by a sweep that spells
+    out ``--backend sim``."""
     spec = registry.get("scenario:paper-lan")
     scale = ExperimentScale()
-    # A pre-axis record: no backend param anywhere in its payload.
+    # The bare record: no backend param anywhere in its payload.
     append_record(results_path(tmp_path, spec.name),
                   make_record(spec, scale, "default", {}, [{"tps": 1.0}]))
     outcome = run_sweep(spec, scale, {"backend": ("sim",)},
@@ -326,8 +319,7 @@ def test_comparison_renders_one_line_per_backend():
         {"config_id": f"{protocol}-{backend}", "scale": "default", "seed": 7,
          "params": {"protocol": protocol, "backend": backend},
          "rows": [{"scenario": "paper-lan", "protocol": protocol, "n": 4,
-                   "tps": tps, "latency_p50_ms": 1.0,
-                   **({"backend": backend} if backend != "sim" else {})}]}
+                   "backend": backend, "tps": tps, "latency_p50_ms": 1.0}]}
         for backend, protocol, tps in (("sim", "fireledger", 200000.0),
                                        ("sim", "hotstuff", 40000.0),
                                        ("realtime", "fireledger", 9000.0),
@@ -391,13 +383,76 @@ def test_config_ids_do_not_move(name, label, seed, params, expected):
                      defaults=spec.axis_defaults) == expected
 
 
+RESULTS = Path(__file__).resolve().parents[1] / "results"
+
+
+def _no_configuration_twice(results):
+    """No rendered scenario section has two rows equal on (scenario, every
+    axis column, workload, seed): one configuration, one line."""
+    identity = sorted(report._identity_columns())  # noqa: SLF001
+    for name, records in results.items():
+        if not name.startswith("scenario:"):
+            continue
+        seen = set()
+        for record in records:
+            # merged_rows only shows a seed column when records disagree.
+            for row in report.merged_rows([record]):
+                key = (record["seed"],
+                       *(row.get(column) for column in identity))
+                assert key not in seen, f"{name} shows {key} twice"
+                seen.add(key)
+
+
+def test_run_and_sweep_record_one_grain(tmp_path, capsys):
+    """``run X --workers 1,2`` writes what ``sweep X --workers 1,2`` writes:
+    one record per grid point, scalar params, the same config_ids — so the
+    sweep resumes against the run and nothing renders twice."""
+    flags = ["scenario:paper-lan", "--workers", "1,2",
+             "--results-dir", str(tmp_path)]
+    assert main(["run", *flags]) == 0
+    assert "(2 rows" in capsys.readouterr().out  # printed per driver
+    assert main(["sweep", *flags]) == 0
+    assert "0 ran, 2 skipped" in capsys.readouterr().out
+    records = [json.loads(line) for line in results_path(
+        tmp_path, "scenario:paper-lan").read_text().splitlines()]
+    assert [record["params"] for record in records] == [{"workers": 1},
+                                                        {"workers": 2}]
+    assert [len(record["rows"]) for record in records] == [1, 1]
+    results = report.load_results(tmp_path)
+    _no_configuration_twice(results)
+    assert "*2 configuration(s), 2 row(s)" in report.render_experiments_md(results)
+    # --force is the same plan with an empty resume set.
+    assert main(["run", *flags, "--force", "--workers", "2"]) == 0
+    assert len(results_path(tmp_path, "scenario:paper-lan")
+               .read_text().splitlines()) == 3
+
+
+def test_committed_results_are_one_record_per_configuration():
+    """``results/`` is one run's output, not an append history: one line per
+    config_id per file, scalar params, every scenario row in the one shape
+    and no configuration rendered twice."""
+    for path in sorted(RESULTS.glob("*.jsonl")):
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        ids = [record["config_id"] for record in records]
+        assert len(ids) == len(set(ids)), f"{path.name} re-records a config_id"
+        for record in records:
+            assert not any(isinstance(value, (list, dict))
+                           for value in record["params"].values()), path.name
+            if record["experiment"].startswith("scenario:"):
+                for row in record["rows"]:
+                    named = [key for key in row if key != "adversary"]
+                    assert (tuple(named[:len(SCENARIO_ROW_LEAD)])
+                            == SCENARIO_ROW_LEAD), path.name
+    _no_configuration_twice(report.load_results(RESULTS))
+
+
 def test_every_committed_record_id_is_recomputed():
     """Resume works against the tree's own ``results/``: every committed
-    record's id is what its (experiment, scale, seed, params) hashes to."""
-    from pathlib import Path
-
-    results = report.load_results(Path(__file__).resolve().parents[1] / "results")
-    assert sum(map(len, results.values())) >= 60
+    record's id is what its (experiment, scale, seed, params) hashes to.
+    59 = the 26 drivers of ``run --all`` + the 33 sweep points of
+    ``results/rerecord.sh`` that are not a driver's bare configuration."""
+    results = report.load_results(RESULTS)
+    assert sum(map(len, results.values())) >= 59
     for name, records in results.items():
         spec = registry.get(name)
         for record in records:
@@ -406,16 +461,43 @@ def test_every_committed_record_id_is_recomputed():
                              defaults=spec.axis_defaults) == record["config_id"]
 
 
+#: The cheap committed records tier-1 regenerates (the ``results-fresh`` CI
+#: job regenerates all of them): (experiment, params).
+REGENERATED = [
+    ("table1", {}), ("fig05", {}), ("fig13", {}),
+    ("scenario:paper-wan", {}), ("scenario:paper-lan", {}),
+    ("scenario:paper-lan", {"protocol": "hotstuff"}),
+    ("scenario:paper-lan", {"protocol": "bftsmart"}),
+    ("scenario:rolling-crash", {}), ("scenario:byzantine-minority", {}),
+]
+
+
+@pytest.mark.parametrize("name,params", REGENERATED, ids=[
+    "-".join((name, *map(str, params.values()))) for name, params in REGENERATED])
+def test_committed_records_regenerate(name, params):
+    """Neutrality is proved against the tree: a committed record's
+    ``(scale, seed, params)`` regenerates, through the path ``run`` and
+    ``sweep`` take, to rows ``==`` the committed ones, key order included."""
+    (committed,) = [record for record in report.load_results(RESULTS)[name]
+                    if record["params"] == params]
+    fresh = run_point(registry.get(name),
+                      _preset(committed["scale"], committed["seed"]),
+                      params, params, committed["scale"])
+    assert fresh["config_id"] == committed["config_id"]
+    rows = json.loads(json.dumps(fresh["rows"], default=str))  # as on disk
+    assert rows == committed["rows"]
+    assert [list(row) for row in rows] == [list(row)
+                                           for row in committed["rows"]]
+
+
 def test_committed_report_is_what_the_committed_results_render():
     """EXPERIMENTS.md is a pure function of ``results/*.jsonl``: every
     section (head-to-head comparison, lanes, adversary strategies, ...)
     renders, byte for byte, from the records in the tree."""
-    from pathlib import Path
-
-    root = Path(__file__).resolve().parents[1]
-    rendered = report.render_experiments_md(
-        report.load_results(root / "results"))
-    assert rendered == (root / "EXPERIMENTS.md").read_text()
-    for heading in ("Head-to-head protocol comparison",
-                    "## Adversary strategies"):
+    rendered = report.render_experiments_md(report.load_results(RESULTS))
+    assert rendered == (RESULTS.parent / "EXPERIMENTS.md").read_text()
+    for heading in ("Head-to-head protocol comparison", "| lane_skew |",
+                    "## Adversary strategies", "## Fairness & execution",
+                    # identity columns lead, though only later rows have one
+                    "| workload | adversary | proposer_bias |"):
         assert heading in rendered
