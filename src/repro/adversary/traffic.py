@@ -161,18 +161,17 @@ class SelectiveOmissionStrategy(_TrafficStrategy):
 
     def shape_broadcast(self, network, sender, channel, kind, payload,
                         size_bytes, include_self):
-        messages = []
+        reached = []
         for receiver in range(network.n_nodes):
             if receiver == sender and not include_self:
                 continue
             if receiver in self.victims:
                 self.withheld_messages += 1
                 continue
-            message = network.send(sender, receiver, channel, kind, payload,
-                                   size_bytes)
-            if message is not None:
-                messages.append(message)
-        return messages
+            if network.send(sender, receiver, channel, kind, payload,
+                            size_bytes) is not None:
+                reached.append(receiver)
+        return reached
 
     def counters(self) -> dict[str, float]:
         return {"adversary_withheld_msgs": self.withheld_messages}

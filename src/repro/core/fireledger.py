@@ -185,13 +185,10 @@ class FireLedgerWorker:
 
     def _ingest_piggyback(self, sender: int, piggyback: dict) -> None:
         """Re-file a piggybacked header as a synthetic WRB HEADER message."""
-        synthetic = Message(sender=sender, receiver=self.node_id,
-                            channel=self.channel, kind=WRB_HEADER,
-                            payload={"round": piggyback["round"],
-                                     "payload": piggyback["payload"]},
-                            sent_at=self.env.now)
-        synthetic.delivered_at = self.env.now
-        self.context.inbox.put(synthetic)
+        self.context.inbox.put(Message(
+            sender, self.channel, WRB_HEADER,
+            {"round": piggyback["round"], "payload": piggyback["payload"]},
+            sent_at=self.env.now))
 
     # ----------------------------------------------------------- data path
     def _on_body(self, message: Message) -> None:

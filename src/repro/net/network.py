@@ -6,12 +6,13 @@ from __future__ import annotations
 import random
 from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import accumulate, repeat
 from typing import Any, Callable, Mapping, Optional
 
 from repro.crypto.cost_model import M5_XLARGE, MachineSpec
 from repro.net.latency import LatencyModel, SingleDatacenterLatency
-from repro.net.message import MESSAGE_OVERHEAD_BYTES, Message, _message_counter
+from repro.net.message import MESSAGE_OVERHEAD_BYTES, Message
 from repro.sim import Environment, Resource
 
 #: Messages above this size travel on the bulk (data-path) lane.
@@ -143,11 +144,6 @@ class Endpoint(BaseEndpoint):
         return max(0.0, self._tx_free_at["bulk"] - self.env.now)
 
     @property
-    def ingress_backlog(self) -> float:
-        """Seconds of queued bulk ingress traffic on this node's NIC."""
-        return max(0.0, self._rx_free_at["bulk"] - self.env.now)
-
-    @property
     def bulk_egress_completion(self) -> float:
         """Time at which everything queued on the bulk egress lane is sent."""
         return self._tx_free_at["bulk"]
@@ -159,15 +155,21 @@ class BaseNetwork:
     The contract, stated once for every backend: endpoint lookup and crash
     state, the ``send`` / ``broadcast`` return contracts, the fault-drop
     decision and rng draw order, the ``stats`` accounting, the routing
-    table (:meth:`bind`) and the final delivery step.  A backend supplies its endpoint class plus "move these
-    messages after these delays" (:meth:`_transmit`,
-    :meth:`_transmit_copies`) and may hook :meth:`_on_crash` /
-    :meth:`_on_recover`.
+    table (:meth:`bind`) and the final delivery step.  A backend supplies its
+    endpoint class plus "move this envelope to these receivers after these
+    delays" (:meth:`_transmit`, :meth:`_transmit_copies`) and may hook
+    :meth:`_on_crash` / :meth:`_on_recover`.
 
-    A fault controller — anything answering ``should_drop(message, now,
-    rng)`` and ``extra_delay(message, now, rng)``; a run's
+    One :class:`~repro.net.message.Message` envelope is built per ``send``
+    or ``broadcast``; it names no receiver, so the receiver id rides beside
+    it on every path — to the fault controller, to the backend's movers and
+    to the final delivery step — and every receiver of a broadcast is handed
+    the same immutable object.
+
+    A fault controller — anything answering ``should_drop(message, receiver,
+    now, rng)`` and ``extra_delay(message, receiver, now, rng)``; a run's
     :class:`~repro.scenarios.faultplan.FaultSchedule` is one — may drop a
-    message or add delay; drops are decided *before* anything reaches the
+    copy or add delay; drops are decided *before* anything reaches the
     backend, so injected losses never consume egress capacity.  Crashed
     endpoints neither send nor receive, and in-flight messages to a node
     that crashes before delivery are counted as dropped.  Links are
@@ -243,7 +245,7 @@ class BaseNetwork:
     # ------------------------------------------------------------------ send
     def send(self, sender: int, receiver: int, channel: str, kind: str,
              payload: Any, size_bytes: int = MESSAGE_OVERHEAD_BYTES) -> Optional[Message]:
-        """Send one message; returns it, or ``None`` if it was dropped.
+        """Send one message; returns its envelope, or ``None`` if dropped.
 
         ``None`` means the message never left: either the sender has crashed
         (nothing is recorded in ``stats``) or the fault controller dropped it
@@ -260,34 +262,33 @@ class BaseNetwork:
             return None
         env = self.env
         now = env.now
-        message = Message(sender=sender, receiver=receiver, channel=channel,
-                          kind=kind, payload=payload, size_bytes=size_bytes,
-                          sent_at=now)
+        message = Message(sender, channel, kind, payload, size_bytes, now)
         self.stats.record_send(channel, kind, message.size_bytes)
 
         if sender == receiver:
             # Local loopback: no NIC, no propagation, delivered immediately.
-            env.call_later(0.0, self._deliver, message)
+            env.call_later(0.0, partial(self._deliver, message), receiver)
             return message
 
-        delay = self._link_delay(message, now)
+        delay = self._link_delay(message, receiver, now)
         if delay is None:
             self.stats.messages_dropped += 1
             return None
-        self._transmit(message, delay)
+        self._transmit(message, receiver, delay)
         return message
 
     def broadcast(self, sender: int, channel: str, kind: str, payload: Any,
                   size_bytes: int = MESSAGE_OVERHEAD_BYTES,
-                  include_self: bool = False) -> list[Message]:
+                  include_self: bool = False) -> list[int]:
         """Send the same payload to every other node (clique dissemination).
 
-        One copy per receiver, in receiver order, each drawing from the
-        shared rng in the fixed ``should_drop`` / ``sample`` /
-        ``extra_delay`` order.  Crashed senders return ``[]``.  Dropped
-        copies are excluded from the returned list and, as in :meth:`send`,
-        count as sent *and* dropped without reaching the backend.  With
-        ``include_self`` the loopback copy sits at its receiver-order slot.
+        One envelope, one copy per receiver, in receiver order, each drawing
+        from the shared rng in the fixed ``should_drop`` / ``sample`` /
+        ``extra_delay`` order.  Returns the ids of the receivers whose copy
+        is in flight: crashed senders return ``[]``; dropped copies are
+        excluded and, as in :meth:`send`, count as sent *and* dropped without
+        reaching the backend.  With ``include_self`` the loopback copy sits
+        at its receiver-order slot.
         """
         if not 0 <= sender < self.n_nodes:
             raise ValueError(f"invalid endpoint id sender={sender}")
@@ -295,76 +296,73 @@ class BaseNetwork:
             return []
         env = self.env
         now = env.now
-        messages: list[Message] = []
-        in_flight: list[Message] = []
+        message = Message(sender, channel, kind, payload, size_bytes, now)
+        reached: list[int] = []
+        remote: list[int] = []
         delays: list[float] = []
         for receiver in range(self.n_nodes):
-            if receiver == sender and not include_self:
-                continue
-            message = Message(sender=sender, receiver=receiver, channel=channel,
-                              kind=kind, payload=payload, size_bytes=size_bytes,
-                              sent_at=now)
             if receiver == sender:
-                env.call_later(0.0, self._deliver, message)
-                messages.append(message)
+                if include_self:
+                    env.call_later(0.0, partial(self._deliver, message),
+                                   receiver)
+                    reached.append(receiver)
                 continue
-            delay = self._link_delay(message, now)
+            delay = self._link_delay(message, receiver, now)
             if delay is None:
                 self.stats.messages_dropped += 1
                 continue
-            in_flight.append(message)
+            remote.append(receiver)
             delays.append(delay)
-            messages.append(message)
-        if in_flight:
-            self._transmit_copies(in_flight, delays)
+            reached.append(receiver)
+        if remote:
+            self._transmit_copies(message, remote, delays)
         copies = self.n_nodes if include_self else self.n_nodes - 1
         if copies:
-            self.stats.record_send(channel, kind,
-                                   max(size_bytes, MESSAGE_OVERHEAD_BYTES),
-                                   copies)
-        return messages
+            self.stats.record_send(channel, kind, message.size_bytes, copies)
+        return reached
 
-    def _link_delay(self, message: Message, now: float) -> Optional[float]:
+    def _link_delay(self, message: Message, receiver: int,
+                    now: float) -> Optional[float]:
         """One copy's fate: ``None`` if the fault controller drops it, else
         its link delay.  Draws from the shared rng in the fixed
         ``should_drop`` / ``sample`` / ``extra_delay`` order."""
         fault = self.fault_controller
         rng = self.rng
-        if fault is not None and fault.should_drop(message, now, rng):
+        if fault is not None and fault.should_drop(message, receiver, now, rng):
             return None
         model = self.latency_model
-        delay = (model.sample(message.sender, message.receiver, rng)
-                 + model.transfer_delay(message.sender, message.receiver,
-                                        message.size_bytes))
+        sender = message.sender
+        delay = (model.sample(sender, receiver, rng)
+                 + model.transfer_delay(sender, receiver, message.size_bytes))
         if fault is not None:
-            delay += fault.extra_delay(message, now, rng)
+            delay += fault.extra_delay(message, receiver, now, rng)
         return delay
 
-    def _make_completer(self) -> Callable[[Message], None]:
-        """Build the final delivery step, the same for every backend.
+    def _make_completer(self) -> Callable[[Message, int], None]:
+        """Build the final delivery step, the same for every backend and
+        every send shape (unicast, loopback, both fan-out paths).
 
-        One call per delivered message — the hottest function in the
-        simulator — hence a closure: the endpoint list, the stats and the
-        environment are cell loads, and the clock is read without the
-        ``env.now`` property round-trip.  A crashed receiver counts a drop;
-        otherwise the message is stamped, counted and handed to the
-        receiver's ``(channel, kind)`` binding, else to its catch-all
-        ``router``, else appended to its ``mailbox``.
+        One call per delivered copy — the hottest function in the simulator
+        — hence a closure: the endpoint list and the stats are cell loads.
+        Callers schedule it bound to the envelope (``partial(complete,
+        message)``) with the receiver id as the kernel's one argument, so a
+        broadcast's copies share one envelope and one bound callable.  A
+        crashed receiver counts a drop; otherwise the copy is counted and
+        the envelope handed to the receiver's ``(channel, kind)`` binding,
+        else to its catch-all ``router``, else appended to its ``mailbox``.
         """
         endpoints = self.endpoints
         stats = self.stats
-        env = self.env
 
-        def complete(message: Message) -> None:
-            destination = endpoints[message.receiver]
+        def complete(message: Message, receiver: int) -> None:
+            destination = endpoints[receiver]
             if destination.crashed:
                 stats.messages_dropped += 1
                 return
-            message.delivered_at = env._now  # noqa: SLF001
             destination.bytes_received += message.size_bytes
             stats.messages_delivered += 1
             try:
-                handler = destination.handlers[message.channel, message.kind]
+                handler = destination.handlers[message.route]
             except KeyError:
                 handler = destination.router
                 if handler is None:
@@ -374,13 +372,13 @@ class BaseNetwork:
         return complete
 
     # --------------------------------------------------------- backend hooks
-    def _transmit(self, message: Message, delay: float) -> None:
+    def _transmit(self, message: Message, receiver: int, delay: float) -> None:
         """Move one unicast ``message``; it is due ``delay`` seconds from now."""
         raise NotImplementedError
 
-    def _transmit_copies(self, messages: list[Message],
+    def _transmit_copies(self, message: Message, receivers: list[int],
                          delays: list[float]) -> None:
-        """Move one broadcast's surviving copies (same sender, payload, size)."""
+        """Move one broadcast's surviving copies (one envelope)."""
         raise NotImplementedError
 
     def _on_crash(self, node_id: int) -> None:
@@ -406,46 +404,52 @@ class Network(BaseNetwork):
 
     def __init__(self, env: Environment, n_nodes: int, **options) -> None:
         super().__init__(env, n_nodes, **options)
-        # Broadcast fast-path cache: the per-endpoint ingress lane dicts
-        # (stable for an endpoint's lifetime — reset_lanes mutates in place).
+        # Broadcast fast-path caches: the per-endpoint ingress lane dicts
+        # (stable for an endpoint's lifetime — reset_lanes mutates in place)
+        # and each sender's receiver sequence (everyone else, in id order).
         self._rx_lanes = [endpoint._rx_free_at for endpoint in self.endpoints]
+        ids = tuple(range(n_nodes))
+        self._receivers = [ids[:sender] + ids[sender + 1:] for sender in ids]
 
-    def _arrival(self, message: Message, delay: float) -> float:
+    def _arrival(self, message: Message, receiver: int, delay: float) -> float:
         """Reserve the sender's NIC lane, then the receiver's ingress lane."""
         size = message.size_bytes
         serialisation_done = self.endpoints[message.sender].reserve_nic(size)
-        return self.endpoints[message.receiver].reserve_ingress(
+        return self.endpoints[receiver].reserve_ingress(
             size, not_before=serialisation_done + delay)
 
-    def _transmit(self, message: Message, delay: float) -> None:
-        self.env.call_later(self._arrival(message, delay) - self.env.now,
-                            self._deliver, message)
+    def _transmit(self, message: Message, receiver: int, delay: float) -> None:
+        self.env.call_later(
+            self._arrival(message, receiver, delay) - self.env.now,
+            partial(self._deliver, message), receiver)
 
-    def _transmit_copies(self, messages: list[Message],
+    def _transmit_copies(self, message: Message, receivers: list[int],
                          delays: list[float]) -> None:
         """One delivery train for all copies of the broadcast."""
-        times = [self._arrival(message, delay)
-                 for message, delay in zip(messages, delays)]
-        self.env.schedule_batch(times, messages, self._deliver)
+        times = [self._arrival(message, receiver, delay)
+                 for receiver, delay in zip(receivers, delays)]
+        self.env.schedule_batch(times, receivers,
+                                partial(self._deliver, message))
 
     def broadcast(self, sender: int, channel: str, kind: str, payload: Any,
                   size_bytes: int = MESSAGE_OVERHEAD_BYTES,
-                  include_self: bool = False) -> list[Message]:
+                  include_self: bool = False) -> list[int]:
         """:meth:`BaseNetwork.broadcast`, with a fan-out fast path.
 
         Without a fault controller, instead of ``n`` independent per-copy
-        steps the fan-out builds every :class:`Message`, reserves the
-        sender's NIC lane by one precomputed increment per copy (all copies
-        are the same size, and every endpoint runs the same machine spec, so
-        ingress costs match too), samples all link latencies in one
+        steps the fan-out builds the one envelope, reserves the sender's NIC
+        lane by one precomputed increment per copy (all copies are the same
+        size, and every endpoint runs the same machine spec, so ingress
+        costs match too), samples all link latencies in one
         :meth:`~repro.net.latency.LatencyModel.sample_block` call, and hands
         the whole fan-out to the kernel as a single
         :meth:`~repro.sim.environment.Environment.schedule_batch` delivery
-        train — one queue entry per broadcast instead of one per copy.  With
-        a fault controller installed the shared per-copy loop runs, so the
-        ``should_drop`` / ``sample`` / ``extra_delay`` interleaving on the
-        shared rng is unchanged; so it does on a one-node network, where
-        there is no fan-out to batch.
+        train over the receiver ids — one queue entry per broadcast instead
+        of one per copy, and nothing allocated per copy but its arrival
+        time.  With a fault controller installed the shared per-copy loop
+        runs, so the ``should_drop`` / ``sample`` / ``extra_delay``
+        interleaving on the shared rng is unchanged; so it does on a
+        one-node network, where there is no fan-out to batch.
         """
         if self.fault_controller is not None or self.n_nodes == 1:
             return super().broadcast(sender, channel, kind, payload,
@@ -463,11 +467,10 @@ class Network(BaseNetwork):
         transfer = None
         if type(model).transfer_delay is not LatencyModel.transfer_delay:
             transfer = model.transfer_delay
-        rng = self.rng
         n = self.n_nodes
-        complete = self._deliver
 
-        wire_bytes = max(size_bytes, MESSAGE_OVERHEAD_BYTES)  # Message clamps too
+        message = Message(sender, channel, kind, payload, size_bytes, now)
+        wire_bytes = message.size_bytes
         lane = "bulk" if wire_bytes > BULK_MESSAGE_THRESHOLD else "ctrl"
         cost = source._transfer_cost(wire_bytes)
         tx_free = source._tx_free_at
@@ -475,10 +478,8 @@ class Network(BaseNetwork):
         if free_at < now:
             free_at = now
 
-        receivers = list(range(sender)) + list(range(sender + 1, n))
-        delays = model.sample_block(sender, receivers, rng)
-        new = Message.__new__
-        next_id = _message_counter.__next__
+        receivers = self._receivers[sender]
+        delays = model.sample_block(sender, receivers, self.rng)
         rx_lanes = self._rx_lanes
         # Per-copy arrival floors in two C-level passes: the sender's NIC
         # frees one `cost` later per copy (a prefix sum), then each copy
@@ -486,16 +487,16 @@ class Network(BaseNetwork):
         # bandwidth-capped WAN models).
         floors = list(accumulate(repeat(cost, n - 1), initial=free_at))
         del floors[0]
-        free_at = floors[-1]
+        tx_free[lane] = floors[-1]
         if transfer is None:
             floors = [f + d for f, d in zip(floors, delays)]
         else:
             floors = [f + d + transfer(sender, r, wire_bytes)
                       for f, d, r in zip(floors, delays, receivers)]
+        # What is left per copy is the model itself: the receiver's ingress
+        # lane is reserved, which fixes the arrival time.
         times: list[float] = []
-        messages = []
         times_append = times.append
-        append = messages.append
         for receiver, not_before in zip(receivers, floors):
             rx = rx_lanes[receiver]
             prior = rx[lane]
@@ -503,28 +504,13 @@ class Network(BaseNetwork):
                 not_before = prior
             received_at = not_before + cost
             rx[lane] = received_at
-            message = new(Message)
-            message.sender = sender
-            message.receiver = receiver
-            message.channel = channel
-            message.kind = kind
-            message.payload = payload
-            message.size_bytes = wire_bytes
-            message.sent_at = now
-            message.delivered_at = None
-            message.message_id = next_id()
             times_append(received_at)
-            append(message)
-        env.schedule_batch(times, messages, complete)
+        deliver = partial(self._deliver, message)
+        env.schedule_batch(times, receivers, deliver)
         if include_self:
-            message = Message(sender=sender, receiver=sender, channel=channel,
-                              kind=kind, payload=payload, size_bytes=size_bytes,
-                              sent_at=now)
-            env.call_later(0.0, complete, message)
-            # The self copy sits at its receiver-order slot in the result.
-            messages.insert(sender, message)
-        tx_free[lane] = free_at
+            env.call_later(0.0, deliver, sender)
         source.bytes_sent += (n - 1) * wire_bytes
         self.stats.record_send(channel, kind, wire_bytes,
                                n if include_self else n - 1)
-        return messages
+        # The self copy sits at its receiver-order slot in the result.
+        return list(range(n)) if include_self else list(receivers)

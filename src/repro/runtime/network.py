@@ -37,6 +37,7 @@ backlog.
 from __future__ import annotations
 
 import pickle
+from functools import partial
 from typing import Optional
 
 from repro.net.message import Message
@@ -66,11 +67,6 @@ class RealtimeEndpoint(BaseEndpoint):
     def nic_backlog(self) -> float:
         """Seconds of queued egress at the machine spec's NIC bandwidth."""
         return self.transport.queued_bytes / self.machine.egress_bandwidth
-
-    @property
-    def ingress_backlog(self) -> float:
-        """Receive-side queueing is the kernel's, not ours: report none."""
-        return 0.0
 
     @property
     def bulk_egress_completion(self) -> float:
@@ -116,32 +112,32 @@ class RealtimeNetwork(BaseNetwork):
         self._spawn(self.transports[node_id].start())
 
     # -------------------------------------------------------------- transport
-    def _transmit_copies(self, messages: list[Message],
+    def _transmit_copies(self, message: Message, receivers: list[int],
                          delays: list[float]) -> None:
         """Pickle the shared payload once; each receiver unpickles its own
-        copy, so — unlike the simulator's shared-object delivery — no two
+        copy, so — unlike the simulator's shared-envelope delivery — no two
         nodes can alias mutable state."""
-        payload_bytes = pickle.dumps(messages[0].payload, _PICKLE)
-        for message, delay in zip(messages, delays):
-            self._transmit(message, delay, payload_bytes)
+        payload_bytes = pickle.dumps(message.payload, _PICKLE)
+        for receiver, delay in zip(receivers, delays):
+            self._transmit(message, receiver, delay, payload_bytes)
 
-    def _transmit(self, message: Message, delay: float,
+    def _transmit(self, message: Message, receiver: int, delay: float,
                   payload_bytes: Optional[bytes] = None) -> None:
         """Frame ``message`` and queue it on the sender's link to the peer."""
         if self.env.stopping:
             return  # the run is over: nothing new goes on the wire
-        if self.endpoints[message.receiver].crashed:
+        if self.endpoints[receiver].crashed:
             # In-flight copy to a crashed node: dropped, as in the simulator.
             self.stats.messages_dropped += 1
             return
         if payload_bytes is None:
             payload_bytes = pickle.dumps(message.payload, _PICKLE)
         frame = pickle.dumps(
-            (message.sender, message.receiver, message.channel, message.kind,
+            (message.sender, receiver, message.channel, message.kind,
              message.size_bytes, message.sent_at, delay, payload_bytes),
             _PICKLE)
         self.endpoints[message.sender].bytes_sent += message.size_bytes
-        self.transports[message.sender].link_to(message.receiver).enqueue(frame)
+        self.transports[message.sender].link_to(receiver).enqueue(frame)
 
     def _on_frame(self, data: bytes) -> None:
         """Reassemble an arriving frame; deliver once its modeled delay is up."""
@@ -151,11 +147,11 @@ class RealtimeNetwork(BaseNetwork):
         if endpoint.crashed:
             self.stats.messages_dropped += 1
             return
-        message = Message(sender=sender, receiver=receiver, channel=channel,
-                          kind=kind, payload=pickle.loads(payload_bytes),
-                          size_bytes=size_bytes, sent_at=sent_at)
+        message = Message(sender, channel, kind, pickle.loads(payload_bytes),
+                          size_bytes, sent_at)
         remaining = (sent_at + delay) - self.env.now
-        self.env.call_later(max(0.0, remaining), self._deliver, message)
+        self.env.call_later(max(0.0, remaining),
+                            partial(self._deliver, message), receiver)
 
     def _count_transport_drop(self) -> None:
         """A frame died on the wire (peer crash or wedged connection)."""

@@ -88,30 +88,31 @@ class FaultPhase:
         return cls(**kwargs)
 
     # ------------------------------------------------------ per-message tests
-    def _applies(self, message, now: float) -> bool:
+    def _applies(self, message, receiver: int, now: float) -> bool:
         """Whether the window is open (both ends inclusive) and ``message``
-        passes the ``senders`` / ``receivers`` filters."""
+        to ``receiver`` passes the ``senders`` / ``receivers`` filters."""
         if not self.at <= now <= self.until:
             return False
         if self.senders is not None and message.sender not in self.senders:
             return False
-        return self.receivers is None or message.receiver in self.receivers
+        return self.receivers is None or receiver in self.receivers
 
-    def drops(self, message, now: float, rng: random.Random) -> bool:
-        """Whether this phase drops ``message``: a ``partition`` drops what
-        crosses its groups, a ``loss`` window draws once from ``rng`` per
-        matching message; nothing else drops."""
+    def drops(self, message, receiver: int, now: float,
+              rng: random.Random) -> bool:
+        """Whether this phase drops ``message`` to ``receiver``: a
+        ``partition`` drops what crosses its groups, a ``loss`` window draws
+        once from ``rng`` per matching copy; nothing else drops."""
         if self.kind == "partition":
-            return (self._applies(message, now)
+            return (self._applies(message, receiver, now)
                     and not any(message.sender in group
-                                and message.receiver in group
+                                and receiver in group
                                 for group in self.groups))
-        return (self.kind == "loss" and self._applies(message, now)
+        return (self.kind == "loss" and self._applies(message, receiver, now)
                 and rng.random() < self.loss_rate)
 
-    def delay(self, message, now: float) -> float:
+    def delay(self, message, receiver: int, now: float) -> float:
         """Seconds a ``slow`` window adds to ``message`` (else 0)."""
-        if self.kind == "slow" and self._applies(message, now):
+        if self.kind == "slow" and self._applies(message, receiver, now):
             return self.extra_delay
         return 0.0
 
@@ -226,15 +227,20 @@ class FaultSchedule:
         return tuple(phase for phase in self.phases
                      if phase.kind in _LINK_KINDS)
 
-    def should_drop(self, message, now: float, rng: random.Random) -> bool:
-        """Whether any window drops ``message``.  The first drop wins: later
-        loss windows do not draw from ``rng`` for a message already lost."""
-        return any(phase.drops(message, now, rng)
+    def should_drop(self, message, receiver: int, now: float,
+                    rng: random.Random) -> bool:
+        """Whether any window drops ``message``'s copy to ``receiver``.  The
+        first drop wins: later loss windows do not draw from ``rng`` for a
+        copy already lost."""
+        return any(phase.drops(message, receiver, now, rng)
                    for phase in self.link_phases)
 
-    def extra_delay(self, message, now: float, rng: random.Random) -> float:
-        """Seconds the slow windows add to ``message`` (they add up)."""
-        return sum(phase.delay(message, now) for phase in self.link_phases)
+    def extra_delay(self, message, receiver: int, now: float,
+                    rng: random.Random) -> float:
+        """Seconds the slow windows add to ``message``'s copy to ``receiver``
+        (they add up)."""
+        return sum(phase.delay(message, receiver, now)
+                   for phase in self.link_phases)
 
     # ------------------------------------------------------------ installation
     def install(self, env: Environment, network: Network) -> None:

@@ -168,20 +168,19 @@ class Environment:
         block is reserved in ``args`` order, so the fire order (and every tie
         with unrelated queue entries) is exactly what per-entry
         :meth:`call_later` calls would have produced.  The entries ride one
-        :class:`ScheduledBatch` heap slot.
+        :class:`ScheduledBatch` heap slot, linked in fire order; neither
+        sequence is kept, and each entry is freed as it fires.
         """
         k = len(times)
         if k == 0:
             return
         base = self._sequence + 1
         self._sequence = base + k - 1
-        queue = self._queue
         batch = ScheduledBatch(fn)
-        pairs = sorted(zip(times, range(k)))
-        batch.entries = [(t, 1, base + i, batch, j)
-                         for j, (t, i) in enumerate(pairs)]
-        batch.args = [args[i] for _, i in pairs]
-        heapq.heappush(queue, batch.entries[0])
+        entry = None
+        for when, i in sorted(zip(times, range(k)), reverse=True):
+            entry = (when, 1, base + i, batch, args[i], entry)
+        heapq.heappush(self._queue, entry)
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none remain."""
@@ -237,11 +236,9 @@ class Environment:
         self._now = entry[0]
         event = entry[3]
         if type(event) is ScheduledBatch:
-            index = entry[4]
-            entries = event.entries
-            if index + 1 < len(entries):
-                heapq.heappush(queue, entries[index + 1])
-            event.fn(event.args[index])
+            if entry[5] is not None:
+                heapq.heappush(queue, entry[5])
+            event.fn(entry[4])
             return
         self._dispatch(event)
 
@@ -284,14 +281,12 @@ class Environment:
                 # contiguous) sequence numbers, so the fire order is exactly
                 # what per-copy timers would produce, including ties.
                 self._now = head[0]
-                index = head[4]
-                try:
-                    # Zero-cost when it doesn't raise; only the last entry of
-                    # a train takes the IndexError path.
-                    replace(queue, event.entries[index + 1])
-                except IndexError:
+                following = head[5]
+                if following is None:
                     pop(queue)
-                event.fn(event.args[index])
+                else:
+                    replace(queue, following)
+                event.fn(head[4])
                 continue
             pop(queue)
             self._now = head[0]

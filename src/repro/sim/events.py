@@ -137,14 +137,19 @@ class ScheduledBatch:
 
     ``Network.broadcast`` used to schedule one pooled timer per copy — for a
     200-node clique that is 199 heap pushes per broadcast and a heap whose
-    size grows with the whole in-flight fan-out.  A :class:`ScheduledBatch`
-    carries every copy of one broadcast as pre-built heap entries
-    ``(time, priority, sequence, self, index)`` sorted by fire order (with
-    the ``fn`` argument for each entry in the parallel ``args`` list) and
-    occupies a *single* heap slot: the kernel fires the head entry and
-    swaps in the next pre-built entry with one ``heapreplace`` — no
-    per-delivery tuple allocation, and the trailing ``index`` element makes
-    each entry self-describing so the train itself holds no mutable cursor.
+    size grows with the whole in-flight fan-out.  A train carries every copy
+    of one broadcast as pre-built heap entries ``(time, priority, sequence,
+    train, arg, next entry)`` linked in fire order, and occupies a *single*
+    heap slot: the kernel fires the head entry and swaps in the entry it
+    links to with one ``heapreplace`` — no per-delivery allocation, no index
+    arithmetic, and the train itself holds no mutable cursor.
+
+    Lifetime: the train object holds only ``fn``, and references run one way
+    (heap -> entry -> next entry, entry -> train), so there is no cycle: a
+    fired entry is freed by reference count the moment the kernel moves on,
+    taking its ``arg`` with it, and the last one takes the train and ``fn``
+    — with the cyclic GC paused nothing a broadcast allocated outlives its
+    delivery, and an abandoned train dies with the queue that held it.
 
     Keying re-insertions by each entry's original sequence — reserved as a
     contiguous block when the batch was scheduled — makes the fire order
@@ -156,11 +161,9 @@ class ScheduledBatch:
     ``Environment.schedule_batch``.
     """
 
-    __slots__ = ("entries", "args", "fn")
+    __slots__ = ("fn",)
 
     def __init__(self, fn: Callable[[Any], None]) -> None:
-        self.entries: list = []  # [(time, priority, sequence, self, index)]
-        self.args: list = []  # fn argument for each entry, same order
         self.fn = fn
 
 

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import random
+from contextlib import contextmanager
 
 import pytest
 
@@ -31,6 +33,20 @@ def make_network(env: Environment, n_nodes: int = 4, seed: int = 0) -> Network:
     """A single data-center network with a deterministic RNG."""
     return Network(env, n_nodes, latency_model=SingleDatacenterLatency(),
                    rng=random.Random(seed))
+
+
+@contextmanager
+def gc_paused():
+    """Sweep, then pause the cyclic GC for the block (as the benchmark does
+    around every timed repeat); its previous state is restored on exit."""
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 #: How every scenario row starts (``adversary`` slots in before ``workload``

@@ -5,7 +5,9 @@ before :class:`~repro.scenarios.faultplan.FaultSchedule` answered
 The former ``repro.net.faults`` (four controller classes) and
 ``FaultSchedule.controller()`` (the compile step joining a schedule to them),
 kept verbatim as the oracle of ``tests/test_scenarios.py``'s differential
-test: same drop decisions, same delays, same rng stream.
+test: same drop decisions, same delays, same rng stream.  One mechanical
+edit since: an envelope no longer names a receiver, so each method takes
+``receiver`` as an argument where it read ``message.receiver``.
 """
 
 from __future__ import annotations
@@ -19,11 +21,13 @@ from repro.net.message import Message
 class FaultController:
     """Base controller: by default delivers everything unchanged."""
 
-    def should_drop(self, message: Message, now: float, rng: random.Random) -> bool:
+    def should_drop(self, message: Message, receiver: int, now: float,
+                    rng: random.Random) -> bool:
         """Whether to silently drop ``message``."""
         return False
 
-    def extra_delay(self, message: Message, now: float, rng: random.Random) -> float:
+    def extra_delay(self, message: Message, receiver: int, now: float,
+                    rng: random.Random) -> float:
         """Additional one-way delay (seconds) to impose on ``message``."""
         return 0.0
 
@@ -46,12 +50,13 @@ class MessageLossFault(FaultController):
         self.start = start
         self.end = end
 
-    def should_drop(self, message: Message, now: float, rng: random.Random) -> bool:
+    def should_drop(self, message: Message, receiver: int, now: float,
+                    rng: random.Random) -> bool:
         if not self.start <= now <= self.end:
             return False
         if self.senders is not None and message.sender not in self.senders:
             return False
-        if self.receivers is not None and message.receiver not in self.receivers:
+        if self.receivers is not None and receiver not in self.receivers:
             return False
         return rng.random() < self.loss_rate
 
@@ -71,10 +76,11 @@ class PartitionFault(FaultController):
                 return True
         return False
 
-    def should_drop(self, message: Message, now: float, rng: random.Random) -> bool:
+    def should_drop(self, message: Message, receiver: int, now: float,
+                    rng: random.Random) -> bool:
         if not self.start <= now <= self.end:
             return False
-        return not self._same_group(message.sender, message.receiver)
+        return not self._same_group(message.sender, receiver)
 
 
 class LinkDelayFault(FaultController):
@@ -91,12 +97,13 @@ class LinkDelayFault(FaultController):
         self.start = start
         self.end = end
 
-    def extra_delay(self, message: Message, now: float, rng: random.Random) -> float:
+    def extra_delay(self, message: Message, receiver: int, now: float,
+                    rng: random.Random) -> float:
         if not self.start <= now <= self.end:
             return 0.0
         if self.senders is not None and message.sender not in self.senders:
             return 0.0
-        if self.receivers is not None and message.receiver not in self.receivers:
+        if self.receivers is not None and receiver not in self.receivers:
             return 0.0
         return self.delay
 
@@ -111,11 +118,13 @@ class CompositeFaultController(FaultController):
         """Register an additional controller."""
         self.controllers.append(controller)
 
-    def should_drop(self, message: Message, now: float, rng: random.Random) -> bool:
-        return any(c.should_drop(message, now, rng) for c in self.controllers)
+    def should_drop(self, message: Message, receiver: int, now: float,
+                    rng: random.Random) -> bool:
+        return any(c.should_drop(message, receiver, now, rng) for c in self.controllers)
 
-    def extra_delay(self, message: Message, now: float, rng: random.Random) -> float:
-        return sum(c.extra_delay(message, now, rng) for c in self.controllers)
+    def extra_delay(self, message: Message, receiver: int, now: float,
+                    rng: random.Random) -> float:
+        return sum(c.extra_delay(message, receiver, now, rng) for c in self.controllers)
 
 
 def controller(schedule) -> Optional[FaultController]:

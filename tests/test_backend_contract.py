@@ -8,12 +8,13 @@ same assertions; realtime cases use short real deadlines (tens of
 milliseconds) so the suite stays fast.
 """
 
+import dataclasses
 import random
 
 import pytest
 
 from repro.core.mailbox import Mailbox
-from repro.net.message import Message
+from repro.net.message import MESSAGE_OVERHEAD_BYTES, Message
 from repro.net.network import Network
 from repro.runtime import RealtimeEnvironment, RealtimeNetwork
 from repro.sim import Environment, Process
@@ -44,16 +45,17 @@ def close_env(env):
 
 class DropTo:
     """A fault controller is duck-typed — ``should_drop`` and ``extra_delay``
-    are the whole contract.  Drops every message addressed to the given
+    are the whole contract, and the receiver is an argument of both (an
+    envelope names none).  Drops every message addressed to the given
     receivers; adds no delay."""
 
     def __init__(self, *receivers):
         self.receivers = receivers
 
-    def should_drop(self, message, now, rng):
-        return message.receiver in self.receivers
+    def should_drop(self, message, receiver, now, rng):
+        return receiver in self.receivers
 
-    def extra_delay(self, message, now, rng):
+    def extra_delay(self, message, receiver, now, rng):
         return 0.0
 
 
@@ -102,7 +104,7 @@ def test_store_roundtrip_through_kernel_primitives(backend):
 
         def producer(env, store):
             yield env.timeout(HORIZON * 0.2)
-            store.put(Message(sender=0, receiver=1, channel="c", kind="BLOCK",
+            store.put(Message(sender=0, channel="c", kind="BLOCK",
                               payload={"round": 3}))
 
         def consumer(env, store, got):
@@ -173,13 +175,13 @@ def test_broadcast_excludes_and_counts_fault_dropped_copies(backend):
     env = make_env(backend)
     try:
         network = make_network(backend, env, 4, fault_controller=DropTo(2))
-        messages = network.broadcast(0, "consensus", "vote", payload=b"v",
-                                     size_bytes=64)
-        assert [message.receiver for message in messages] == [1, 3]
+        reached = network.broadcast(0, "consensus", "vote", payload=b"v",
+                                    size_bytes=64)
+        assert reached == [1, 3]
         # The dropped copy counts as sent (bytes too) *and* dropped.
         assert network.stats.messages_sent == 3
         assert network.stats.messages_dropped == 1
-        assert network.stats.bytes_sent == 3 * messages[0].size_bytes
+        assert network.stats.bytes_sent == 3 * MESSAGE_OVERHEAD_BYTES
         assert network.stats.messages_of_kind("vote") == 3
     finally:
         close_env(env)
@@ -202,10 +204,74 @@ def test_broadcast_include_self_sits_at_receiver_slot(backend,
         env.call_later(0.0, lambda _arg: sent.extend(network.broadcast(
             2, "consensus", "vote", payload=b"v", include_self=True)))
         env.run(until=HORIZON)
-        assert [message.receiver for message in sent] == [0, 1, 2, 3]
+        assert sent == [0, 1, 2, 3]
         assert network.stats.messages_sent == 4
         assert [message.sender for message in inbox] == [2]
         assert network.stats.messages_delivered == 4
+    finally:
+        close_env(env)
+
+
+@pytest.mark.parametrize("fault_controller", [None, DropTo()],
+                         ids=["fault-free", "no-op-controller"])
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_one_broadcast_is_one_immutable_envelope(backend, fault_controller):
+    """Every receiver of a broadcast — loopback included, on both broadcast
+    paths — is handed the same envelope, and no field of it can be assigned.
+    On the simulator "the same" is object identity; over TCP each remote
+    receiver unpickles its own payload, so there it is field equality."""
+    env = make_env(backend)
+    try:
+        network = make_network(backend, env, 4,
+                               fault_controller=fault_controller)
+        got = {}
+        for node_id in range(4):
+            network.endpoint(node_id).router = (
+                lambda message, node_id=node_id: got.setdefault(node_id,
+                                                                message))
+        env.call_later(0.0, lambda _arg: network.broadcast(
+            2, "consensus", "vote", payload={"round": 3}, size_bytes=64,
+            include_self=True))
+        env.run(until=HORIZON)
+        assert sorted(got) == [0, 1, 2, 3]
+        envelope = got[2]
+        assert envelope.size_bytes == MESSAGE_OVERHEAD_BYTES  # clamped
+        for message in got.values():
+            assert message == envelope
+            assert message.route == ("consensus", "vote")
+            if backend == "sim":
+                assert message is envelope
+            for field in dataclasses.fields(Message):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(message, field.name, None)
+            # No such field and no __dict__ (3.11's frozen + slots
+            # __setattr__ answers an unknown name with a TypeError).
+            with pytest.raises((AttributeError, TypeError)):
+                message.receiver = 0
+    finally:
+        close_env(env)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_send_returns_the_envelope_the_receiver_is_handed(backend):
+    env = make_env(backend)
+    try:
+        network = make_network(backend, env, 2)
+        inbox, sent = [], []
+        network.endpoint(0).router = inbox.append
+        network.endpoint(1).router = inbox.append
+
+        def send(_arg):
+            sent.append(network.send(0, 0, "consensus", "vote", payload=b"v"))
+            sent.append(network.send(0, 1, "consensus", "vote", payload=b"w"))
+
+        env.call_later(0.0, send)
+        env.run(until=HORIZON)
+        assert [message.payload for message in sent] == [b"v", b"w"]
+        assert inbox == sent
+        assert inbox[0] is sent[0]  # loopback never leaves the process
+        if backend == "sim":
+            assert inbox[1] is sent[1]
     finally:
         close_env(env)
 
@@ -226,7 +292,7 @@ def test_broadcast_on_a_one_node_network(backend, fault_controller,
         sent = network.broadcast(0, "consensus", "vote", payload=b"v",
                                  include_self=include_self)
         copies = 1 if include_self else 0
-        assert [message.receiver for message in sent] == [0] * copies
+        assert sent == [0] * copies
         env.run(until=HORIZON)
         assert network.stats.messages_sent == copies
         assert network.stats.messages_delivered == copies
@@ -307,7 +373,7 @@ def test_realtime_delivers_over_loopback_tcp():
         assert len(inbox) == 1
         message = inbox[0]
         assert message.payload == {"round": 3}
-        assert message.sender == 0 and message.receiver == 1
+        assert message.sender == 0 and message.route == ("consensus", "vote")
         assert network.stats.messages_delivered == 1
         assert network.endpoint(1).bytes_received >= 128
     finally:

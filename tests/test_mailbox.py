@@ -43,7 +43,7 @@ def message_for(bucket_key, sender):
         payload = {"round": key}
     else:
         payload = {"tag": key}
-    return Message(sender=sender, receiver=0, channel="c", kind=kind,
+    return Message(sender=sender, channel="c", kind=kind,
                    payload=payload)
 
 

@@ -15,21 +15,38 @@ def collect_inbox(network, node_id):
     return network.endpoint(node_id).mailbox
 
 
+def record_arrivals(env, network, node_id):
+    """Route ``node_id``'s unbound traffic into ``{kind: (message, arrival
+    time)}`` — an envelope carries no delivery stamp, the handler reads the
+    clock."""
+    arrivals = {}
+
+    def handler(message):
+        arrivals[message.kind] = (message, env.now)
+
+    network.endpoint(node_id).router = handler
+    return arrivals
+
+
+def latency_of(arrival):
+    message, delivered_at = arrival
+    return delivered_at - message.sent_at
+
+
 def test_message_delivered_with_latency(env, network):
+    arrivals = record_arrivals(env, network, 1)
     network.send(0, 1, "test", "PING", {"x": 1}, size_bytes=128)
     env.run()
-    inbox = collect_inbox(network, 1)
-    assert len(inbox) == 1
-    message = inbox[0]
-    assert message.kind == "PING"
-    assert message.latency > 0
+    assert list(arrivals) == ["PING"]
+    assert latency_of(arrivals["PING"]) > 0
 
 
 def test_loopback_is_immediate(env, network):
+    arrivals = record_arrivals(env, network, 2)
     network.send(2, 2, "test", "SELF", None)
     env.run()
-    assert len(collect_inbox(network, 2)) == 1
-    assert collect_inbox(network, 2)[0].latency == 0
+    assert list(arrivals) == ["SELF"]
+    assert latency_of(arrivals["SELF"]) == 0
 
 
 def test_broadcast_reaches_everyone_but_sender(env, network):
@@ -57,20 +74,20 @@ def test_crashed_node_neither_sends_nor_receives(env, network):
 
 
 def test_large_messages_slower_than_small(env, network):
+    arrivals = record_arrivals(env, network, 1)
     network.send(0, 1, "test", "SMALL", None, size_bytes=128)
     network.send(2, 1, "test", "BIG", None, size_bytes=5 * 1024 * 1024)
     env.run()
-    messages = {m.kind: m for m in collect_inbox(network, 1)}
-    assert messages["BIG"].latency > messages["SMALL"].latency
+    assert latency_of(arrivals["BIG"]) > latency_of(arrivals["SMALL"])
 
 
 def test_bulk_lane_does_not_block_control_messages(env, network):
     # Queue a huge body first, then a tiny control message to the same peer.
+    arrivals = record_arrivals(env, network, 1)
     network.send(0, 1, "test", "BODY", None, size_bytes=20 * 1024 * 1024)
     network.send(0, 1, "test", "VOTE", None, size_bytes=128)
     env.run()
-    messages = {m.kind: m for m in collect_inbox(network, 1)}
-    assert messages["VOTE"].delivered_at < messages["BODY"].delivered_at
+    assert arrivals["VOTE"][1] < arrivals["BODY"][1]
 
 
 def test_nic_serialisation_accumulates_backlog(env, network):
@@ -122,10 +139,12 @@ def test_network_stats_per_kind(env, network):
 
 # ------------------------------------------------------- drop/recover contract
 def test_send_returns_message_on_success(env, network):
+    arrivals = record_arrivals(env, network, 1)
     message = network.send(0, 1, "test", "OK", None)
     assert message is not None
     env.run()
-    assert message.delivered_at is not None
+    # What send returned is the object the receiver was handed.
+    assert arrivals["OK"][0] is message
 
 
 def test_send_returns_none_when_source_crashed(env, network):
@@ -151,12 +170,24 @@ def test_dropped_message_consumes_no_egress(env, network):
 
 def test_broadcast_excludes_dropped_messages(env, network):
     network.fault_controller = FaultSchedule((loss(1.0, receivers={2}),))
-    messages = network.broadcast(0, "test", "HELLO", None)
-    assert {m.receiver for m in messages} == {1, 3}
+    assert network.broadcast(0, "test", "HELLO", None) == [1, 3]
     assert network.stats.messages_dropped == 1
     env.run()
     assert collect_inbox(network, 2) == []
     assert len(collect_inbox(network, 1)) == 1
+
+
+def test_broadcast_returns_receiver_ids_the_caller_may_keep(env, network):
+    """The fan-out fast path reads each sender's receiver sequence from a
+    per-network cache; what it returns is the caller's own list."""
+    reached = network.broadcast(1, "test", "HELLO", None)
+    assert reached == [0, 2, 3]
+    reached.clear()
+    assert network.broadcast(1, "test", "HELLO", None) == [0, 2, 3]
+    assert network.broadcast(1, "test", "HELLO", None,
+                             include_self=True) == [0, 1, 2, 3]
+    env.run()
+    assert [len(collect_inbox(network, node)) for node in range(4)] == [3, 1, 3, 3]
 
 
 def test_broadcast_matches_send_loop_semantics(env):
@@ -165,16 +196,16 @@ def test_broadcast_matches_send_loop_semantics(env):
     env_b, env_s = Environment(), Environment()
     fanout = make_network(env_b, 5)
     serial = make_network(env_s, 5)
+    got_b = [record_arrivals(env_b, fanout, node) for node in range(1, 5)]
+    got_s = [record_arrivals(env_s, serial, node) for node in range(1, 5)]
     fanout.broadcast(0, "t", "BODY", None, size_bytes=size)
     for receiver in range(1, 5):
         serial.send(0, receiver, "t", "BODY", None, size_bytes=size)
     env_b.run()
     env_s.run()
-    for node in range(1, 5):
-        got_b = collect_inbox(fanout, node)
-        got_s = collect_inbox(serial, node)
-        assert len(got_b) == len(got_s) == 1
-        assert got_b[0].delivered_at == pytest.approx(got_s[0].delivered_at)
+    for batched, single in zip(got_b, got_s):
+        assert list(batched) == list(single) == ["BODY"]
+        assert batched["BODY"][1] == pytest.approx(single["BODY"][1])
     assert fanout.endpoint(0).bytes_sent == serial.endpoint(0).bytes_sent
     assert fanout.stats.bytes_sent == serial.stats.bytes_sent
 
@@ -186,12 +217,12 @@ def test_recover_resets_stale_lane_backlog(env, network):
         network.send(1, 0, "t", "IN", None, size_bytes=BULK_MESSAGE_THRESHOLD * 100)
     endpoint = network.endpoint(0)
     assert endpoint.nic_backlog > 0
-    assert endpoint.ingress_backlog > 0
+    assert endpoint._rx_free_at["bulk"] > env.now
     network.crash(0)
     env.run(until=0.001)  # advance time; the pre-crash backlog would linger
     network.recover(0)
     assert endpoint.nic_backlog == 0
-    assert endpoint.ingress_backlog == 0
+    assert endpoint._rx_free_at["bulk"] <= env.now
     # A recovered node sends fresh traffic with no phantom queueing delay.
     message = network.send(0, 1, "t", "FRESH", None)
     assert message is not None
@@ -249,9 +280,10 @@ def test_link_delay_fault_adds_latency():
     env = Environment()
     network = make_network(env, 4)
     network.fault_controller = FaultSchedule((slow(0.5, senders={0}),))
+    arrivals = record_arrivals(env, network, 1)
     network.send(0, 1, "t", "SLOW", None)
     env.run()
-    assert network.endpoint(1).mailbox[0].latency > 0.5
+    assert latency_of(arrivals["SLOW"]) > 0.5
 
 
 def test_partition_fault_time_window():

@@ -245,12 +245,11 @@ def test_fault_schedule_answers_like_the_reference_controllers(
         reference = reference_faults.FaultController()
     ours, theirs = random.Random(seed), random.Random(seed)
     for sender, receiver, now in stream:
-        message = Message(sender=sender, receiver=receiver, channel="c",
-                          kind="K", payload=None)
-        dropped = schedule.should_drop(message, now, ours)
-        assert dropped == reference.should_drop(message, now, theirs)
-        assert (schedule.extra_delay(message, now, ours)
-                == reference.extra_delay(message, now, theirs))
+        message = Message(sender=sender, channel="c", kind="K", payload=None)
+        dropped = schedule.should_drop(message, receiver, now, ours)
+        assert dropped == reference.should_drop(message, receiver, now, theirs)
+        assert (schedule.extra_delay(message, receiver, now, ours)
+                == reference.extra_delay(message, receiver, now, theirs))
         assert ours.getstate() == theirs.getstate()
 
 

@@ -1,10 +1,14 @@
 """Tests of the discrete-event simulation kernel."""
 
+import weakref
+from functools import partial
+
 import pytest
 
 from repro.core.mailbox import Mailbox
 from repro.net.message import Message
 from repro.sim import AllOf, AnyOf, Environment, Event, Interrupt, Resource, Timeout
+from tests.conftest import gc_paused
 
 
 def test_timeout_fires_at_the_right_time(env):
@@ -150,7 +154,7 @@ def test_process_interrupt(env):
 
 def test_mailbox_key_skips_non_matching(env):
     mailbox = Mailbox(env, {"N": "parity"})
-    numbers = [Message(sender=value, receiver=0, channel="c", kind="N",
+    numbers = [Message(sender=value, channel="c", kind="N",
                        payload={"parity": value % 2}) for value in (1, 2, 3)]
     for message in numbers:
         mailbox.put(message)
@@ -170,8 +174,8 @@ def test_mailbox_take_serves_the_older_of_two_buckets(env):
     mailbox = Mailbox(env, {"X": "k", "Y": "k"})
     keys = (("X", 1), ("Y", 1))
     assert mailbox.take(keys) is None
-    first = Message(sender=1, receiver=0, channel="c", kind="Y", payload={"k": 1})
-    second = Message(sender=2, receiver=0, channel="c", kind="X", payload={"k": 1})
+    first = Message(sender=1, channel="c", kind="Y", payload={"k": 1})
+    second = Message(sender=2, channel="c", kind="X", payload={"k": 1})
     mailbox.put(first)
     mailbox.put(second)
     assert mailbox.take(keys, sender=3) is None
@@ -398,3 +402,48 @@ def test_same_timestamp_bucket_preserves_schedule_order(env):
     env.call_later(0.5, lambda a: log.append("second"), None)
     env.run()
     assert log == ["first", "second", "nested-1", "nested-2"]
+
+
+class _Tracked:
+    """Weak-referenceable stand-in for what a broadcast allocates."""
+
+
+def _run_to_completion(env):
+    env.run()
+
+
+def _step_to_completion(env):
+    while env.peek() != float("inf"):
+        env.step()
+
+
+@pytest.mark.parametrize("drive", [_run_to_completion, _step_to_completion],
+                         ids=["run", "step"])
+@pytest.mark.parametrize("kernel", [Environment, ReferenceEnvironment])
+def test_a_fired_train_is_freed_by_reference_count_alone(kernel, drive):
+    """With the cyclic GC off, nothing a train was handed survives it: each
+    ``args`` element is gone once the kernel has moved past its entry, and
+    what ``fn`` captured (the envelope, for a broadcast) is gone right after
+    the last entry fires — observed from a later timer, mid-run, not only
+    after the run.  A train that refers to itself in a cycle (pre-built
+    entries pointing at the object that lists them) fails this."""
+    env = kernel()
+    fired, alive = [], []
+    args = [_Tracked() for _ in range(3)]
+    captured = _Tracked()
+    refs = [weakref.ref(obj) for obj in (*args, captured)]
+
+    def fn(envelope, arg):
+        fired.append(env.now)
+
+    def probe(_arg):
+        alive.append([ref() is not None for ref in refs])
+
+    with gc_paused():
+        env.schedule_batch([3.0, 1.0, 2.0], args, partial(fn, captured))
+        del args, captured
+        env.call_later(1.5, probe)   # entry 1 fired; entries 2 and 0 pending
+        env.call_later(3.5, probe)   # the whole train fired
+        drive(env)
+    assert fired == [1.0, 2.0, 3.0]
+    assert alive == [[True, False, True, True], [False] * 4]

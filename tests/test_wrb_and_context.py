@@ -1,6 +1,7 @@
 """Tests of the protocol context helpers and the Weak Reliable Broadcast."""
 
 import random
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -112,7 +113,7 @@ def test_wait_message_requeues_message_racing_the_timeout():
     env.process(waiter())
     env.run(until=0.5)  # the wait (and its internal timeout) is registered
 
-    racer = Message(sender=1, receiver=0, channel="wrb", kind="A", payload={"v": 1})
+    racer = Message(sender=1, channel="wrb", kind="A", payload={"v": 1})
 
     def racing_put(_event):
         context.inbox.put(racer)
@@ -173,7 +174,7 @@ def test_collecting_buffered_messages_wakes_the_process_once():
     network = make_network(env, 8)
     context = build_context(env, network, 0, key_fields=TEST_KEYS)
     for sender in range(1, 6):
-        context.inbox.put(Message(sender=sender, receiver=0, channel="wrb",
+        context.inbox.put(Message(sender=sender, channel="wrb",
                                   kind="VOTE", payload={"round": 0}))
 
     def collector():
@@ -232,7 +233,7 @@ def _run_collection(schedule, collect):
 
     def arrive(arrival):
         _, sender, instance = arrival
-        context.inbox.put(Message(sender=sender, receiver=0, channel="wrb",
+        context.inbox.put(Message(sender=sender, channel="wrb",
                                   kind="VOTE", payload={"round": instance}))
         observe("arrival")
 
@@ -413,14 +414,14 @@ def test_wrb_pull_phase_fetches_missing_payload():
 
     served = {"count": 0}
 
-    def serve_pull(message):
+    def serve_pull(node_id, message):
         served["count"] += 1
-        network.send(message.receiver, message.sender, "wrb", "WRB_RESP",
+        network.send(node_id, message.sender, "wrb", "WRB_RESP",
                      {"round": 0, "payload": payload})
 
     # Nodes 0-2 answer pull requests like the worker does.
     for node_id in (0, 1, 2):
-        network.bind(node_id, "wrb", {"WRB_REQ": serve_pull})
+        network.bind(node_id, "wrb", {"WRB_REQ": partial(serve_pull, node_id)})
 
     def node(node_id):
         delivery = yield from endpoints[node_id].deliver(0, proposer=0)
