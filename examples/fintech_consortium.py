@@ -57,7 +57,8 @@ def main() -> None:
     print(f"  requests ordered+final    : {delivered:,} "
           f"({100.0 * delivered / max(submitted, 1):.1f}% of submitted)")
     print(f"  definite chain heights    : {heights}")
-    print(f"  recoveries                : {sum(n.total_recoveries for n in nodes)} "
+    recoveries = sum(node.recorder.counters["recoveries"] for node in nodes)
+    print(f"  recoveries                : {recoveries} "
           f"(expected 0 — nobody misbehaved)")
 
     # The saturated-geo-throughput version of this deployment is Figure 14;

@@ -47,10 +47,10 @@ class BFTSmartReplica(PooledReplicaMixin):
     KEY_FIELDS = {PROPOSE: "seq", WRITE: "seq", ACCEPT: "seq"}
     TAG = "smart"
     HEADER_OVERHEAD = _HEADER_OVERHEAD
+    COUNTERS = ("instances_timed_out", "signatures")
 
     #: The stable leader (re-election is not modelled).
     leader = 0
-    instances_timed_out = 0
 
     def processes(self):
         """The replica loop, plus the batching loop on the stable leader."""
@@ -68,7 +68,7 @@ class BFTSmartReplica(PooledReplicaMixin):
                 tx_count, transactions = self._next_batch()
                 yield from self.context.use_cpu(
                     self.cost.block_sign_time(tx_count, self.tx_size))
-                self.signatures += 1
+                self.recorder.count("signatures")
                 payload = {"seq": seq, "tx_count": tx_count,
                            "transactions": transactions,
                            "proposed_at": self.env.now}
@@ -80,9 +80,9 @@ class BFTSmartReplica(PooledReplicaMixin):
             # Wait for the oldest in-flight instance to commit locally before
             # opening a new slot (the commit is observed by the replica loop).
             # Sequence numbers commit contiguously from 0, so ``seq`` has
-            # committed exactly when the committed list is longer than it.
+            # committed exactly when more than ``seq`` commits were delivered.
             oldest = min(inflight)
-            if oldest < len(self.committed):
+            if oldest < self.delivery_stream.deliveries:
                 del inflight[oldest]
                 continue
             yield self.env.timeout(0.0005)
@@ -96,7 +96,7 @@ class BFTSmartReplica(PooledReplicaMixin):
             proposal = yield from self.context.wait_message(
                 PROPOSE, next_seq, sender=self.leader, timeout=self.timeout)
             if proposal is None:
-                self.instances_timed_out += 1
+                self.recorder.count("instances_timed_out")
                 continue
             # Verify the leader's signature over the batch (hashes the body).
             yield from self.context.use_cpu(
@@ -131,7 +131,6 @@ class BFTSmartProtocol(LeaderDrivenProtocol):
 
     name = "bftsmart"
     replica_class = BFTSmartReplica
-    timeout_counter = "instances_timed_out"
 
     def __init__(self, instance_timeout: float = 1.0) -> None:
         super().__init__(instance_timeout)

@@ -46,9 +46,9 @@ class HotStuffReplica(PooledReplicaMixin):
     KEY_FIELDS = {PROPOSAL: "view", VOTE: "view"}
     TAG = "hs"
     HEADER_OVERHEAD = _HEADER_OVERHEAD
+    COUNTERS = ("views_timed_out", "signatures")
 
     view = 0
-    views_timed_out = 0
 
     # ----------------------------------------------------------------- roles
     def _leader_of(self, view: int) -> int:
@@ -79,7 +79,7 @@ class HotStuffReplica(PooledReplicaMixin):
                 tx_count, transactions = self._next_batch()
                 yield from self.context.use_cpu(
                     self.cost.block_sign_time(tx_count, self.tx_size))
-                self.signatures += 1
+                self.recorder.count("signatures")
                 payload = {"view": view, "tx_count": tx_count,
                            "transactions": transactions,
                            "proposed_at": self.env.now}
@@ -90,7 +90,7 @@ class HotStuffReplica(PooledReplicaMixin):
             proposal = yield from self.context.wait_message(
                 PROPOSAL, view, sender=leader, timeout=self.timeout)
             if proposal is None:
-                self.views_timed_out += 1
+                self.recorder.count("views_timed_out")
                 self.view += 1
                 continue
             seen_proposal_view = view
@@ -101,7 +101,7 @@ class HotStuffReplica(PooledReplicaMixin):
                 self.cost.block_verify_time(proposal.payload["tx_count"],
                                             self.tx_size))
             yield from self.context.use_cpu(self.cost.sign_time(0))
-            self.signatures += 1
+            self.recorder.count("signatures")
             proposals[view] = (proposal.payload["proposed_at"],
                                      proposal.payload["tx_count"],
                                      proposal.payload.get("transactions", ()))
@@ -126,7 +126,6 @@ class HotStuffProtocol(LeaderDrivenProtocol):
 
     name = "hotstuff"
     replica_class = HotStuffReplica
-    timeout_counter = "views_timed_out"
 
     def __init__(self, view_timeout: float = 1.0) -> None:
         super().__init__(view_timeout)

@@ -5,40 +5,37 @@ commit step, the duck-typed workload surface the clients in
 :mod:`repro.workload.clients` drive — a ``submit_transaction`` feeding the
 cluster-wide :class:`~repro.protocols.base.SharedTxPool` plus delivered-work
 counters — and the batch-draining rule for ``fill_blocks=False`` configs.
+A replica reports what it does to its own
+:class:`~repro.metrics.recorder.MetricsRecorder`, exactly as a FLO node does.
 :class:`LeaderDrivenProtocol` is the protocol side: pool, cost model,
-replica construction, adversary silencing and the commit-record metrics.
+replica construction and adversary silencing.
 The two replica *loops* (a rotating-leader view loop, a stable-leader
 three-phase instance loop) share no control flow and stay in their modules.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.core.context import ProtocolContext
 from repro.crypto.cost_model import CryptoCostModel
 from repro.ledger.delivery import Delivery, DeliveryStream
 from repro.ledger.transaction import Transaction
+from repro.metrics.recorder import (
+    EVENT_BLOCK_PROPOSAL,
+    EVENT_TENTATIVE_DECISION,
+    MetricsRecorder,
+)
 from repro.net.network import Network, discard
 from repro.protocols.base import ConsensusProtocol, NodeMetrics, SharedTxPool
 from repro.sim import Environment
 
 
-@dataclass
-class CommitRecord:
-    """One committed batch: its slot in the total order and its timing."""
-
-    sequence: int
-    tx_count: int
-    proposed_at: float
-    committed_at: float
-
-
 class PooledReplicaMixin:
-    """A concrete replica sets :attr:`CHANNEL`, :attr:`KEY_FIELDS`, :attr:`TAG`
-    and :attr:`HEADER_OVERHEAD`, calls :meth:`_commit` from its loop (``run``,
-    or whatever :meth:`processes` names)."""
+    """A concrete replica sets :attr:`CHANNEL`, :attr:`KEY_FIELDS`, :attr:`TAG`,
+    :attr:`HEADER_OVERHEAD` and :attr:`COUNTERS`, calls :meth:`_commit` from
+    its loop (``run``, or whatever :meth:`processes` names) and counts its
+    signatures and leader timeouts on :attr:`recorder`."""
 
     #: Network channel of the concrete protocol's traffic.
     CHANNEL = ""
@@ -48,6 +45,8 @@ class PooledReplicaMixin:
     TAG = ""
     #: Per-batch framing bytes of the concrete protocol's wire format.
     HEADER_OVERHEAD = 0
+    #: The counters the replica's recorder declares (a zero still shows).
+    COUNTERS: tuple = ()
 
     #: Fail-stop adversary model: a silent replica never runs its process.
     #: Set by :meth:`silence`; :meth:`LeaderDrivenProtocol.start` skips
@@ -57,7 +56,8 @@ class PooledReplicaMixin:
     def __init__(self, env: Environment, network: Network, node_id: int,
                  f: int, batch_size: int, tx_size: int, cost: CryptoCostModel,
                  timeout: float = 1.0, pool=None,
-                 fill_blocks: bool = True) -> None:
+                 fill_blocks: bool = True,
+                 horizon_rounds: Optional[int] = None) -> None:
         self.env = env
         self.network = network
         self.node_id = node_id
@@ -74,14 +74,18 @@ class PooledReplicaMixin:
         self.context = ProtocolContext(env, network, node_id, self.CHANNEL,
                                        self.KEY_FIELDS)
         network.endpoint(node_id).router = discard
-        self.committed: list[CommitRecord] = []
+        #: One record per commit, keyed by its slot in the total order (the
+        #: sequence stands where a FireLedger round does; "worker" is 0).
+        self.recorder = MetricsRecorder(
+            node_id, horizon_rounds=horizon_rounds, counters=self.COUNTERS)
         #: Delivery seam: one Delivery per commit, in the protocol's total
-        #: order.  The cluster runner subscribes the execution layer here.
+        #: order.  The recorder subscribes first (the E event lands before
+        #: any downstream consumer runs); the cluster runner subscribes the
+        #: execution layer.
         self.delivery_stream = DeliveryStream()
+        self.delivery_stream.subscribe(self.recorder.on_delivery)
         #: Execution layer, attached by the cluster runner (None otherwise).
         self.executor = None
-        self.signatures = 0
-        self.measure_start = 0.0
 
     def processes(self) -> Sequence:
         """The generator(s) to run as this replica's simulation processes."""
@@ -91,8 +95,9 @@ class PooledReplicaMixin:
                 proposer: int, proposed_at: float) -> None:
         """Record one commit and publish it on the delivery stream."""
         now = self.env.now
-        self.committed.append(
-            CommitRecord(sequence, tx_count, proposed_at, committed_at=now))
+        self.recorder.record_event(0, sequence, EVENT_BLOCK_PROPOSAL,
+                                   proposed_at, tx_count=tx_count)
+        self.recorder.record_event(0, sequence, EVENT_TENTATIVE_DECISION, now)
         self.delivery_stream.deliver(Delivery(
             tag=(self.TAG, sequence, tx_count), transactions=transactions,
             tx_count=tx_count, proposer=proposer, proposed_at=proposed_at,
@@ -133,10 +138,6 @@ class PooledReplicaMixin:
         return transaction
 
     @property
-    def delivered_blocks(self) -> int:
-        return self.delivery_stream.deliveries
-
-    @property
     def delivered_transactions(self) -> int:
         return self.delivery_stream.transactions
 
@@ -158,8 +159,8 @@ class PooledReplicaMixin:
 class LeaderDrivenProtocol(ConsensusProtocol):
     """``ConsensusProtocol`` over one :class:`PooledReplicaMixin` subclass.
 
-    A subclass names its replica class and timeout counter, and takes the
-    timeout under the protocol's own name (``view_timeout`` ...).  The run's
+    A subclass names its replica class and takes the timeout under the
+    protocol's own name (``view_timeout`` ...).  The run's
     adversary strategy decides which replicas stay silent (the equivocation
     strategies degrade to fail-stop here); traffic-shaping strategies act
     at the network seam without touching the protocol.
@@ -167,8 +168,6 @@ class LeaderDrivenProtocol(ConsensusProtocol):
 
     #: The :class:`PooledReplicaMixin` subclass to build per node.
     replica_class: type = PooledReplicaMixin
-    #: Replica attribute (and breakdown key) counting leader timeouts.
-    timeout_counter = ""
 
     def __init__(self, timeout: float) -> None:
         if timeout <= 0:
@@ -184,7 +183,8 @@ class LeaderDrivenProtocol(ConsensusProtocol):
             self.replica_class(env, network, node_id, config.f,
                                config.batch_size, config.tx_size, cost,
                                timeout=self.timeout, pool=pool,
-                               fill_blocks=config.fill_blocks)
+                               fill_blocks=config.fill_blocks,
+                               horizon_rounds=config.effective_retention_rounds)
             for node_id in range(config.n_nodes)
         ]
         if adversary is not None:
@@ -200,23 +200,9 @@ class LeaderDrivenProtocol(ConsensusProtocol):
                     replica.env.process(generator)
 
     def node_metrics(self, node, duration: float) -> NodeMetrics:
-        """Rates, latency samples and counters from the commit records that
-        fall inside the node's measurement window."""
-        window = max(duration - node.measure_start, 1e-9)
-        committed = [record for record in node.committed
-                     if record.committed_at >= node.measure_start]
-        transactions = sum(record.tx_count for record in committed)
-        means = {"blocks_committed": len(committed),
-                 "transactions_committed": transactions}
+        metrics = super().node_metrics(node, duration)
         if node.pool is not None and node.pool.max_pending is not None:
             # The pool is cluster-wide shared state: every replica reports the
             # same figure, so it averages (not sums) across correct nodes.
-            means["tx_rejected"] = node.pool.rejected
-        return NodeMetrics(
-            tps=transactions / window,
-            bps=len(committed) / window,
-            latency_samples=[record.committed_at - record.proposed_at
-                             for record in committed],
-            totals={self.timeout_counter: getattr(node, self.timeout_counter),
-                    "signatures": node.signatures},
-            means=means)
+            metrics.means["tx_rejected"] = node.pool.rejected
+        return metrics

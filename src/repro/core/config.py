@@ -87,12 +87,11 @@ class FireLedgerConfig:
 
     # --- memory / retention (long-horizon "soak" runs) ----------------------
     #: Rounds of definite chain each worker retains; older blocks fold into a
-    #: running ChainSummary and are dropped.  None = keep everything (the
-    #: paper's behaviour; the effective floor is finality_depth + slack).
+    #: running ChainSummary and are dropped, and the node's metrics recorder
+    #: streams (an undelivered record folds into bounded aggregates once it
+    #: is this many rounds stale).  None = keep everything, exact metrics
+    #: (the paper's behaviour; the effective floor is finality_depth + slack).
     retention_rounds: Optional[int] = None
-    #: Rounds after which an undelivered metrics record is folded into the
-    #: recorder's streaming aggregates (None = keep every record, exact mode).
-    metrics_horizon_rounds: Optional[int] = None
     #: Per-worker (FireLedger) / cluster-wide (baselines) transaction-pool
     #: backlog cap; submissions beyond it are rejected and counted.  None =
     #: unbounded.
@@ -114,9 +113,6 @@ class FireLedgerConfig:
             raise ValueError("tx_size must be >= 1")
         if self.retention_rounds is not None and self.retention_rounds < 1:
             raise ValueError("retention_rounds must be >= 1 (or None)")
-        if (self.metrics_horizon_rounds is not None
-                and self.metrics_horizon_rounds < 0):
-            raise ValueError("metrics_horizon_rounds must be >= 0 (or None)")
         if self.pool_max_pending is not None and self.pool_max_pending < 1:
             raise ValueError("pool_max_pending must be >= 1 (or None)")
         if self.lanes < 1:
@@ -137,30 +133,21 @@ class FireLedgerConfig:
 
     @property
     def effective_retention_rounds(self) -> Optional[int]:
-        """The chain retention actually applied (None = keep everything).
+        """The retention actually applied — to the chain and, as the
+        streaming horizon, to the metrics recorder (None = keep everything).
 
         Floored at ``2 * (finality_depth + 1)``: the proposer-permutation
         refresh seeds from the definite block ``2 * (f + 2)`` rounds back,
         which must still be live for a pruned chain to draw the same
         schedules as an unpruned one.  (The chain applies its own
         ``finality_depth + PRUNE_SLACK`` floor on top; this one is larger.)
+        It also clears the ``finality_depth + 1`` the recorder needs: a
+        record within ``finality_depth`` of its worker's newest round can
+        still be rescinded by a recovery, and folding is irreversible.
         """
         if self.retention_rounds is None:
             return None
         return max(self.retention_rounds, 2 * (self.finality_depth + 1))
-
-    @property
-    def effective_metrics_horizon(self) -> Optional[int]:
-        """The streaming-metrics horizon actually applied (None = exact mode).
-
-        Floored at ``finality_depth + 1``: a record within ``finality_depth``
-        of its worker's newest round can still be rescinded by a recovery,
-        and folding is irreversible — a smaller requested horizon would let
-        rescinded rounds leak into the streamed aggregates.
-        """
-        if self.metrics_horizon_rounds is None:
-            return None
-        return max(self.metrics_horizon_rounds, self.finality_depth + 1)
 
     def with_overrides(self, **overrides) -> "FireLedgerConfig":
         """Copy of the config with selected fields replaced."""

@@ -62,6 +62,10 @@ BODY = "BODY"
 BODY_REQ = "BODY_REQ"
 BODY_RESP = "BODY_RESP"
 
+#: The counters a FireLedger node's recorder declares (a zero still shows).
+COUNTERS = ("fast_path_rounds", "fallback_rounds", "failed_rounds",
+            "recoveries", "signatures")
+
 
 class FireLedgerWorker:
     """One FireLedger instance at one node."""
@@ -79,7 +83,8 @@ class FireLedgerWorker:
         self.keystore = keystore
         self.keys = keystore.key_for(node_id)
         self.recorder = recorder or MetricsRecorder(
-            node_id, horizon_rounds=config.effective_metrics_horizon)
+            node_id, horizon_rounds=config.effective_retention_rounds,
+            counters=COUNTERS)
         self.rng = rng or random.Random(node_id * 1009 + worker_id)
         self.on_definite = on_definite
         self.channel = f"fl/{worker_id}"
@@ -153,13 +158,7 @@ class FireLedgerWorker:
         self._version_seq = 0
         self._version_watermark = -1
         self._version_event = env.event()
-        self.recovery_count = 0
         self._recovered_through = -1
-
-        # --- counters ---------------------------------------------------------
-        self.signatures_created = 0
-        self.signatures_verified = 0
-        self.empty_blocks_proposed = 0
 
     # ======================================================================
     # message handlers (bound by kind in __init__, called by the network's
@@ -362,7 +361,6 @@ class FireLedgerWorker:
             root = self._ready_bodies[0]
             if self._body_ready_at.get(root, 0.0) <= self.env.now:
                 return self._bodies[root]
-        self.empty_blocks_proposed += 1
         return Batch()
 
     def _make_header(self, round_number: int, previous_digest: str) -> dict:
@@ -373,7 +371,7 @@ class FireLedgerWorker:
                                   created_at=self.env.now)
         signature = self.keys.sign(header.digest)
         self._charge_background(self._round_costs.header_sign)
-        self.signatures_created += 1
+        self.recorder.count("signatures")
         payload = {"header": header, "signature": signature}
         self._evidence_by_round[round_number] = payload
         self.recorder.record_event(self.worker_id, round_number,
@@ -415,7 +413,6 @@ class FireLedgerWorker:
         """Generator acceptance check: charge verification CPU, wait for the body."""
         header = payload["header"]
         yield from self.context.use_cpu(self._round_costs.header_verify)
-        self.signatures_verified += 1
         if not self.config.separate_headers or header.tx_count == 0:
             self._stamp_proposal(header)
             return True
@@ -717,7 +714,6 @@ class FireLedgerWorker:
             return
         recovery_round = max(entry[0] for entry in self._pending_panics)
         self._pending_panics.clear()
-        self.recovery_count += 1
         self.recorder.record_recovery(self.env.now)
 
         version = self.chain.version_for_recovery(recovery_round)

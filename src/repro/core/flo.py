@@ -14,7 +14,7 @@ import random
 from typing import Callable, Optional
 
 from repro.core.config import FireLedgerConfig
-from repro.core.fireledger import FireLedgerWorker
+from repro.core.fireledger import COUNTERS, FireLedgerWorker
 from repro.crypto.keys import KeyStore
 from repro.ledger.block import Block
 from repro.ledger.transaction import Transaction
@@ -40,7 +40,8 @@ class FLONode:
         self.silent = silent
         self.rng = rng or random.Random(node_id * 7919)
         self.recorder = MetricsRecorder(
-            node_id, horizon_rounds=config.effective_metrics_horizon)
+            node_id, horizon_rounds=config.effective_retention_rounds,
+            counters=COUNTERS)
         factory = worker_factory or FireLedgerWorker
 
         self.workers = [
@@ -68,7 +69,6 @@ class FLONode:
         # Round-robin delivery state.
         self._delivery_cursor = 0
         self._next_round = [0] * config.workers
-        self.submitted_transactions = 0
         #: The node's delivery seam: one Delivery per released block, in the
         #: round-robin total order.  The cluster runner subscribes the
         #: execution layer here; the recorder subscribes first so the E event
@@ -110,7 +110,6 @@ class FLONode:
         target = min(self.workers, key=lambda worker: worker.txpool.pending)
         if not target.txpool.submit(transaction):
             return None  # counted by the pool (``txpool.rejected``)
-        self.submitted_transactions += 1
         return transaction
 
     # --------------------------------------------------------------- delivery
@@ -147,16 +146,6 @@ class FLONode:
 
     # ------------------------------------------------------------- inspection
     @property
-    def delivered_blocks(self) -> int:
-        """Blocks released to clients (the delivery stream's counter)."""
-        return self.delivery_stream.deliveries
-
-    @property
     def delivered_transactions(self) -> int:
         """Transactions released to clients (the delivery stream's counter)."""
         return self.delivery_stream.transactions
-
-    @property
-    def total_recoveries(self) -> int:
-        """Recovery invocations across all workers."""
-        return sum(worker.recovery_count for worker in self.workers)

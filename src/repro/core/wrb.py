@@ -36,7 +36,6 @@ class WRBDelivery:
     proposer: int
     payload: Any                  # the delivered (header, signature), or None
     obbc: OBBCResult
-    received_directly: bool
     pull_used: bool = False
 
     @property
@@ -73,9 +72,6 @@ class WeakReliableBroadcast:
         self.acceptance_check = acceptance_check
         self.fallback_phase_timeout = fallback_phase_timeout
         self.header_size_bytes = header_size_bytes
-        self.fast_deliveries = 0
-        self.slow_deliveries = 0
-        self.nil_deliveries = 0
 
     # ------------------------------------------------------------------ push
     def broadcast(self, round_number: int, payload: Any) -> None:
@@ -138,22 +134,18 @@ class WeakReliableBroadcast:
 
         if result.decision == 0:
             self.timer.record_failure()
-            self.nil_deliveries += 1
-            return WRBDelivery(round_number, proposer, None, result,
-                               received_directly=payload is not None)
+            return WRBDelivery(round_number, proposer, None, result)
 
         if payload is not None:
             self.timer.record_success(self.context.now - wait_started)
-            self.fast_deliveries += 1
-            return WRBDelivery(round_number, proposer, payload, result, True)
+            return WRBDelivery(round_number, proposer, payload, result)
 
         # Decision was "deliver" but we never received the message: pull it
         # from a node that voted for delivery (Algorithm 1, lines 22-24).
         payload = yield from self._pull(round_number, proposer)
         self.timer.record_failure()
-        self.slow_deliveries += 1
         return WRBDelivery(round_number, proposer, payload, result,
-                           received_directly=False, pull_used=True)
+                           pull_used=True)
 
     # --------------------------------------------------------------- helpers
     def _pull(self, round_number: int, proposer: int):

@@ -137,8 +137,7 @@ def table1_costs(scale: Optional[ExperimentScale] = None) -> list[dict]:
                          warmup=scale.warmup, seed=scale.seed)
     rounds = max(result.fast_path_rounds // config.n_nodes, 1)
     votes = result.network.messages_of_kind("OBBC_VOTE")
-    signatures = sum(worker.signatures_created for node in result.nodes
-                     for worker in node.workers)
+    signatures = result.breakdown["signatures"]
     rows.append({
         "mode": "fault-free",
         "communication_steps": 1,

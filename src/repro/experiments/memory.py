@@ -40,7 +40,6 @@ from repro.ledger.chain import PRUNE_SLACK
 POINT = {"workers": 1, "batch_size": 100, "tx_size": 512}
 #: Retention window used by the bounded variant.
 RETENTION_ROUNDS = 64
-METRICS_HORIZON_ROUNDS = 64
 #: Simulated durations swept to expose growth-in-run-length.
 DURATIONS = (0.5, 1.0, 2.0, 4.0)
 
@@ -58,9 +57,9 @@ def peak_rss_mb() -> float:
 
 def _run_point(n_nodes: int, duration: float, seed: int,
                bounded: bool) -> dict:
-    retention = dict(retention_rounds=RETENTION_ROUNDS,
-                     metrics_horizon_rounds=METRICS_HORIZON_ROUNDS) if bounded else {}
-    config = FireLedgerConfig(n_nodes=n_nodes, **POINT, **retention)
+    config = FireLedgerConfig(
+        n_nodes=n_nodes, **POINT,
+        retention_rounds=RETENTION_ROUNDS if bounded else None)
     gc.collect()
     tracemalloc.start()
     try:

@@ -8,9 +8,17 @@ The paper instruments every round with five events (Section 7.2.2):
 * **D** definite decision (the block reached depth ``f + 2``),
 * **E** delivery by FLO (the round-robin merge released it to clients).
 
-The recorder stores these timestamps per (worker, round) plus throughput and
-recovery counters; the summary helpers turn them into the tps/bps/latency/
-breakdown numbers each figure reports.
+The recorder is the one thing a protocol reports to: it stores these
+timestamps per (worker, round) plus the protocol's named counters, and the
+summary helpers turn them into the tps/bps/latency/breakdown numbers each
+figure reports.  A leader-driven baseline stamps A (the leader's proposal
+time), C (its commit) and E (the delivery that follows at once).
+
+Window rule: *a measurement belongs to the window in which it completes*
+(:meth:`MetricsRecorder._in_window`, the only membership test) — an event
+count by the event's own timestamp, an A→E latency sample and its histogram
+fold by E, a stage span X→Y by Y.  The named counters are the exception by
+contract: whole-run totals, because Table 1 divides them by each other.
 
 Memory model: by default every :class:`BlockRecord` is kept for the whole run
 (exact percentiles, the figure drivers' mode).  With ``horizon_rounds`` set,
@@ -25,9 +33,10 @@ aggregates with the still-live records.
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+import math
+from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 from repro.metrics.summary import LatencyHistogram
 
@@ -43,10 +52,9 @@ BLOCK_EVENTS = (
     EVENT_DEFINITE_DECISION,
     EVENT_FLO_DELIVERY,
 )
-_EVENT_PAIRS = tuple(zip(BLOCK_EVENTS[:-1], BLOCK_EVENTS[1:]))
-
-#: How many recent recovery timestamps a :class:`RecoveryLog` retains.
-RECENT_RECOVERIES = 64
+#: The stage spans of the breakdown: ``("A->B", "A", "B")`` ... in round order.
+_STAGES = tuple((f"{start}->{end}", start, end)
+                for start, end in zip(BLOCK_EVENTS[:-1], BLOCK_EVENTS[1:]))
 
 
 def stale_fold_grace(horizon_rounds: int) -> int:
@@ -73,55 +81,33 @@ class BlockRecord:
     refold: bool = False
     events: dict = field(default_factory=dict)
 
-    def span(self, start_event: str, end_event: str) -> Optional[float]:
-        """Time between two events, or None if either is missing."""
-        if start_event not in self.events or end_event not in self.events:
-            return None
-        return self.events[end_event] - self.events[start_event]
-
-
-class RecoveryLog:
-    """Recovery invocations: exact count + a bounded recent-timestamp list.
-
-    Window filtering lives on the recorder (which owns the measurement
-    window); the log itself only promises the exact total and the newest
-    ``recent_limit`` timestamps.
-    """
-
-    def __init__(self, recent_limit: int = RECENT_RECOVERIES) -> None:
-        self.count = 0
-        self.recent: deque[float] = deque(maxlen=recent_limit)
-
-    def __len__(self) -> int:
-        return self.count
-
-    def append(self, time: float) -> None:
-        self.count += 1
-        self.recent.append(time)
-
 
 class MetricsRecorder:
     """Collects protocol events for one node.
 
     ``horizon_rounds=None`` keeps every block record (exact mode);
     ``horizon_rounds=k`` enables streaming: records are folded into bounded
-    aggregates on their E event or once ``k`` rounds stale.
+    aggregates on their E event or once ``k`` rounds stale.  ``counters``
+    names the counters the owning protocol reports, so that one it never
+    bumps still shows in a result row as zero.
     """
 
-    def __init__(self, node_id: int,
-                 horizon_rounds: Optional[int] = None) -> None:
+    def __init__(self, node_id: int, horizon_rounds: Optional[int] = None,
+                 counters: Iterable[str] = ()) -> None:
         if horizon_rounds is not None and horizon_rounds < 0:
             raise ValueError("horizon_rounds must be >= 0 (or None)")
         self.node_id = node_id
         self.horizon_rounds = horizon_rounds
         self._blocks: dict[tuple[int, int], BlockRecord] = {}
-        self.recoveries = RecoveryLog()
+        #: Named counters, bumped through :meth:`count`.  Whole-run totals by
+        #: contract — never windowed: Table 1 divides them by each other
+        #: (signatures per round), which holds only over one common span.
+        self.counters: dict[str, float] = dict.fromkeys(counters, 0)
         self._recoveries_in_window = 0
-        self.fast_path_rounds = 0
-        self.fallback_rounds = 0
-        self.failed_rounds = 0
         #: Measured window: ``[measure_start, end_time]``, ``end_time`` being
         #: the run's end, which every summary method takes as an argument.
+        #: Set before the run starts (streaming folds test against it as
+        #: they happen) and by nothing but ``set_measurement_window``.
         self.measure_start: float = 0.0
         # --- streaming aggregates (populated only when horizon_rounds set) ---
         self.records_folded = 0
@@ -202,20 +188,25 @@ class MetricsRecorder:
         """Forget a block rescinded by recovery (it never counts as decided)."""
         self._blocks.pop((worker_id, round_number), None)
 
+    def count(self, name: str, n: int = 1) -> None:
+        """Bump the whole-run counter ``name`` (declared or not: declaring
+        only makes a counter that is never bumped show as zero)."""
+        self.counters[name] = self.counters.get(name, 0) + n
+
     def record_recovery(self, time: float) -> None:
         """Count one invocation of the recovery procedure."""
-        self.recoveries.append(time)
-        if self.measure_start <= time:
+        self.count("recoveries")
+        if self._in_window(time):
             self._recoveries_in_window += 1
 
     def record_round_outcome(self, fast_path: bool, delivered: bool) -> None:
         """Track how each WRB round completed (for Table 1 accounting)."""
         if not delivered:
-            self.failed_rounds += 1
+            self.count("failed_rounds")
         elif fast_path:
-            self.fast_path_rounds += 1
+            self.count("fast_path_rounds")
         else:
-            self.fallback_rounds += 1
+            self.count("fallback_rounds")
 
     # ------------------------------------------------------------- streaming
     def _fold_stale(self) -> None:
@@ -262,16 +253,13 @@ class MetricsRecorder:
         else:
             self.records_folded += 1
         for event, timestamp in record.events.items():
-            if self.measure_start <= timestamp:
+            if self._in_window(timestamp):
                 self._folded_event_count[event] += 1
                 self._folded_event_tx[event] += record.tx_count
-        for start_event, end_event in _EVENT_PAIRS:
-            span = record.span(start_event, end_event)
-            if span is not None and span >= 0:
-                key = f"{start_event}->{end_event}"
-                self._folded_pair_sums[key] += span
-                self._folded_pair_counts[key] += 1
-        span = record.span(EVENT_BLOCK_PROPOSAL, EVENT_FLO_DELIVERY)
+        for key, span in self._stage_spans(record):
+            self._folded_pair_sums[key] += span
+            self._folded_pair_counts[key] += 1
+        span = self._span(record, EVENT_BLOCK_PROPOSAL, EVENT_FLO_DELIVERY)
         if span is not None:
             if self._folded_latency is None:
                 self._folded_latency = LatencyHistogram()
@@ -291,8 +279,28 @@ class MetricsRecorder:
     def _window(self, end_time: float) -> float:
         return max(end_time - self.measure_start, 1e-9)
 
-    def _in_window(self, timestamp: float, end_time: float) -> bool:
+    def _in_window(self, timestamp: float, end_time: float = math.inf) -> bool:
+        """The window rule (both edges inclusive).  A streaming fold happens
+        mid-run, before any ``end_time`` exists, and tests the open window."""
         return self.measure_start <= timestamp <= end_time
+
+    def _span(self, record: BlockRecord, start_event: str, end_event: str,
+              end_time: float = math.inf) -> Optional[float]:
+        """``start_event``→``end_event`` time of ``record`` if both were seen
+        and the span completed (its end event fell) inside the window."""
+        events = record.events
+        if (start_event in events and end_event in events
+                and self._in_window(events[end_event], end_time)):
+            return events[end_event] - events[start_event]
+        return None
+
+    def _stage_spans(self, record: BlockRecord, end_time: float = math.inf
+                     ) -> Iterator[tuple[str, float]]:
+        """``record``'s in-window consecutive-event spans, keyed ``"X->Y"``."""
+        for key, start_event, end_event in _STAGES:
+            span = self._span(record, start_event, end_event, end_time)
+            if span is not None and span >= 0:
+                yield key, span
 
     def blocks_with_event(self, event: str, end_time: float) -> list[BlockRecord]:
         """Live records whose ``event`` timestamp falls in the window."""
@@ -322,46 +330,29 @@ class MetricsRecorder:
         return self.count_with_event(event, end_time) / self._window(end_time)
 
     def recoveries_per_second(self, end_time: float) -> float:
-        """Recovery invocations per second.
+        """In-window recovery invocations per second (counted as they are
+        recorded, like a streaming fold)."""
+        return self._recoveries_in_window / self._window(end_time)
 
-        Exact while every recovery timestamp is still in the bounded recent
-        list; past that, the count accumulated incrementally against the
-        measurement window at record time is used (identical whenever the
-        window was set before the run, which ``set_measurement_window``
-        guarantees).
-        """
-        window = self._window(end_time)
-        log = self.recoveries
-        if log.count <= len(log.recent):
-            in_window = sum(1 for t in log.recent
-                            if self._in_window(t, end_time))
-        else:
-            in_window = self._recoveries_in_window
-        return in_window / window
-
-    def latency_samples(self, start_event: str = EVENT_BLOCK_PROPOSAL,
-                        end_event: str = EVENT_FLO_DELIVERY) -> list[float]:
-        """Per-block latencies between two events (live records only).
+    def latency_samples(self, end_time: float) -> list[float]:
+        """In-window per-block A→E latencies (live records only).
 
         In streaming mode the folded share of the distribution lives in
         :attr:`latency_histogram`; combine both for a full summary.
         """
-        samples = []
-        for record in self._blocks.values():
-            span = record.span(start_event, end_event)
-            if span is not None:
-                samples.append(span)
-        return samples
+        spans = (self._span(record, EVENT_BLOCK_PROPOSAL, EVENT_FLO_DELIVERY,
+                            end_time)
+                 for record in self._blocks.values())
+        return [span for span in spans if span is not None]
 
-    def breakdown(self) -> dict[str, float]:
-        """Mean time between consecutive events (the Figure 9 heatmap rows)."""
+    def breakdown(self, end_time: float) -> dict[str, float]:
+        """Mean in-window time between consecutive events (the Figure 9
+        heatmap rows), live + folded."""
         sums: dict[str, float] = defaultdict(float, self._folded_pair_sums)
         counts: dict[str, int] = defaultdict(int, self._folded_pair_counts)
         for record in self._blocks.values():
-            for start_event, end_event in _EVENT_PAIRS:
-                span = record.span(start_event, end_event)
-                if span is not None and span >= 0:
-                    key = f"{start_event}->{end_event}"
-                    sums[key] += span
-                    counts[key] += 1
-        return {key: sums[key] / counts[key] for key in sums}
+            for key, span in self._stage_spans(record, end_time):
+                sums[key] += span
+                counts[key] += 1
+        return {key: sums[key] / counts[key] for key, _, _ in _STAGES
+                if key in sums}

@@ -7,10 +7,12 @@ needs to evaluate one BFT ordering protocol on the shared simulated substrate:
   already-wired environment / network / keystore into protocol nodes;
 * a **launcher** (:meth:`ConsensusProtocol.start`) and a measurement-window
   hook (:meth:`ConsensusProtocol.set_measurement_window`);
-* **metric hooks** (:meth:`ConsensusProtocol.node_metrics`) mapping one node's
-  commit events, signature counts and round outcomes onto the protocol-agnostic
-  :class:`NodeMetrics` shape the runner aggregates into a
-  :class:`~repro.core.cluster.ClusterResult`.
+* a **recorder** on every node: each node owns a
+  :class:`~repro.metrics.recorder.MetricsRecorder` (its ``recorder``
+  attribute) and reports commit events, signature counts and round outcomes
+  to it and to nothing else; :meth:`ConsensusProtocol.node_metrics` maps any
+  node's recorder onto the protocol-agnostic :class:`NodeMetrics` shape the
+  runner aggregates into a :class:`~repro.core.cluster.ClusterResult`.
 
 The runner owns *all* the wiring: seeding, latency model selection, the
 :class:`~repro.net.network.Network`, the :class:`~repro.crypto.keys.KeyStore`,
@@ -44,6 +46,10 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from repro.ledger.delivery import Delivery, DeliveryStream
+from repro.metrics.recorder import (
+    EVENT_FLO_DELIVERY,
+    EVENT_TENTATIVE_DECISION,
+)
 from repro.metrics.summary import LatencyHistogram
 
 if TYPE_CHECKING:
@@ -175,14 +181,34 @@ class ConsensusProtocol(abc.ABC):
     def set_measurement_window(self, nodes: Sequence, warmup: float) -> None:
         """Exclude ``[0, warmup)`` from every node's measured metrics."""
         for node in nodes:
-            if hasattr(node, "recorder"):
-                node.recorder.measure_start = warmup
-            else:
-                node.measure_start = warmup
+            node.recorder.measure_start = warmup
 
-    @abc.abstractmethod
     def node_metrics(self, node, duration: float) -> NodeMetrics:
-        """Summarise one node's run over its measurement window."""
+        """Summarise one node's run over its measurement window.
+
+        The one fold of recorder data: transactions count where they are
+        released (E), blocks where they are decided (C), and the recorder's
+        counters are the ``totals``.  A protocol overrides this only to add
+        *state read at the end of the run* (a pool's rejection figure) on
+        top of what ``super()`` returns — anything that is an event goes
+        through the node's recorder.
+        """
+        recorder = node.recorder
+        return NodeMetrics(
+            tps=recorder.throughput_tps(duration, event=EVENT_FLO_DELIVERY),
+            bps=recorder.throughput_bps(duration,
+                                        event=EVENT_TENTATIVE_DECISION),
+            recoveries_per_second=recorder.recoveries_per_second(duration),
+            latency_samples=recorder.latency_samples(duration),
+            latency_histogram=recorder.latency_histogram,
+            stage_breakdown=recorder.breakdown(duration),
+            totals=dict(recorder.counters),
+            means={
+                "blocks_committed": recorder.count_with_event(
+                    EVENT_TENTATIVE_DECISION, duration),
+                "transactions_committed": recorder.tx_with_event(
+                    EVENT_FLO_DELIVERY, duration),
+            })
 
 
 class SharedTxPool:

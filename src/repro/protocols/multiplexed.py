@@ -111,7 +111,6 @@ class MultiplexedNode:
         self.delivery_stream = DeliveryStream()
         #: Execution layer, attached by the cluster runner (None otherwise).
         self.executor = None
-        self.submitted_transactions = 0
         self._buffers = [deque() for _ in lanes]
         self._cursor = 0
         self._merged_sequence = 0
@@ -159,19 +158,12 @@ class MultiplexedNode:
                            nonce: int = 0):
         """Route a client write to its sender's lane (see :func:`lane_of`)."""
         lane = lane_of(sender, client_id, len(self.lanes))
-        transaction = self.lanes[lane].submit_transaction(
+        return self.lanes[lane].submit_transaction(
             size_bytes=size_bytes, client_id=client_id,
             payload_seed=payload_seed, sender=sender, recipient=recipient,
             amount=amount, nonce=nonce)
-        if transaction is not None:
-            self.submitted_transactions += 1
-        return transaction
 
     # ------------------------------------------------------------ inspection
-    @property
-    def delivered_blocks(self) -> int:
-        return self.delivery_stream.deliveries
-
     @property
     def delivered_transactions(self) -> int:
         return self.delivery_stream.transactions

@@ -185,7 +185,7 @@ _add(ScenarioSpec(
     # Fewer accounts than clients: shared senders create the stale-nonce
     # traffic the soak fairness section reports.
     execution=ExecutionSpec(enabled=True, n_accounts=8),
-    retention=RetentionSpec(chain_rounds=64, metrics_horizon_rounds=64),
+    retention=RetentionSpec(chain_rounds=64),
     pool=PoolSpec(max_pending=200),
 ))
 

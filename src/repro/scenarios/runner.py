@@ -81,7 +81,6 @@ def run_scenario(spec: ScenarioSpec,
         execution_accounts=spec.execution.n_accounts,
         execution_initial_balance=spec.execution.initial_balance,
         retention_rounds=spec.retention.chain_rounds,
-        metrics_horizon_rounds=spec.retention.metrics_horizon_rounds,
         pool_max_pending=spec.pool.max_pending,
         lanes=spec.lanes.count)
     config_overrides = dict(spec.config_overrides)
@@ -164,7 +163,7 @@ def run_scenario(spec: ScenarioSpec,
         # Live-state watermarks for the soak/memfootprint accounting: the
         # largest per-worker live chain and per-node live record counts at
         # run end, which the retention window must bound.  Only FLO nodes
-        # keep chains and recorders (a baseline replica has neither); lanes
+        # keep chains (a baseline replica has a recorder and no chain); lanes
         # > 1 wraps each in a MultiplexedNode, unwrapped for the inner view.
         flo_nodes = [inner for node in result.nodes
                      for inner in getattr(node, "lanes", [node])]

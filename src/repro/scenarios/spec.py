@@ -432,46 +432,35 @@ class ExecutionSpec(_Block):
 # ----------------------------------------------------------------- retention
 @dataclass(frozen=True)
 class RetentionSpec(_Block):
-    """Memory-bounding knobs for long-horizon (soak) runs.
+    """The memory bound of long-horizon (soak) runs.
 
-    * ``chain_rounds`` — rounds of definite chain each worker keeps; older
-      blocks fold into a running
-      :class:`~repro.ledger.chain.ChainSummary` and are dropped.
-    * ``metrics_horizon_rounds`` — rounds after which an undelivered metrics
-      record is folded into the recorder's streaming aggregates (delivered
-      records fold immediately).
+    ``chain_rounds`` is the rounds of history a node keeps: each worker's
+    definite chain folds older blocks into a running
+    :class:`~repro.ledger.chain.ChainSummary` and drops them, and the node's
+    metrics recorder streams — a delivered record folds into bounded
+    aggregates at once, an undelivered one after this many rounds.
 
-    Both default to ``None`` — keep everything, the paper's exact-metrics
-    behaviour.  Setting either makes per-node state O(window) instead of
-    O(run length).
+    ``None`` (the default) keeps everything, the paper's exact-metrics
+    behaviour; a value makes per-node state O(window) instead of O(run
+    length).
     """
 
     chain_rounds: Optional[int] = None
-    metrics_horizon_rounds: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.chain_rounds is not None and self.chain_rounds < 1:
             raise ValueError("chain_rounds must be >= 1 (or None)")
-        if (self.metrics_horizon_rounds is not None
-                and self.metrics_horizon_rounds < 0):
-            raise ValueError("metrics_horizon_rounds must be >= 0 (or None)")
 
     @property
     def bounded(self) -> bool:
-        """Whether any memory bound is active."""
-        return (self.chain_rounds is not None
-                or self.metrics_horizon_rounds is not None)
+        """Whether the memory bound is active."""
+        return self.chain_rounds is not None
 
     def summary(self) -> str:
         if not self.bounded:
             return "unbounded (keep everything)"
-        parts = []
-        if self.chain_rounds is not None:
-            parts.append(f"chain pruned to {self.chain_rounds} round(s)")
-        if self.metrics_horizon_rounds is not None:
-            parts.append(f"metrics streamed past "
-                         f"{self.metrics_horizon_rounds} round(s)")
-        return ", ".join(parts)
+        return (f"chain pruned to, and metrics streamed past, "
+                f"{self.chain_rounds} round(s)")
 
 
 # ---------------------------------------------------------------------- pool

@@ -85,10 +85,10 @@ def test_recorder_window_excludes_warmup():
 
 def test_recorder_latency_and_breakdown():
     recorder = make_recorder_with_blocks()
-    samples = recorder.latency_samples()
+    samples = recorder.latency_samples(end_time=1.0)
     assert len(samples) == 5
     assert all(s == pytest.approx(0.06) for s in samples)
-    breakdown = recorder.breakdown()
+    breakdown = recorder.breakdown(end_time=1.0)
     assert breakdown["A->B"] == pytest.approx(0.01)
     assert breakdown["D->E"] == pytest.approx(0.01)
 

@@ -66,8 +66,7 @@ def test_state_root_identical_with_retention_on_and_off(cluster_result):
     off = cluster_result(batch_size=50, execute_transactions=True,
                          duration=0.8, warmup=0.1, seed=9)
     on = cluster_result(batch_size=50, execute_transactions=True,
-                        retention_rounds=16, metrics_horizon_rounds=16,
-                        duration=0.8, warmup=0.1, seed=9)
+                        retention_rounds=16, duration=0.8, warmup=0.1, seed=9)
     assert off.state_root is not None
     assert on.state_root == off.state_root
     assert on.state_deliveries == off.state_deliveries

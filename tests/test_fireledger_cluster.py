@@ -73,7 +73,7 @@ def test_rotating_proposers(fault_free_result):
 
 def test_one_proposer_signature_per_block(fault_free_result):
     nodes = fault_free_result.nodes
-    signatures = sum(w.signatures_created for node in nodes for w in node.workers)
+    signatures = fault_free_result.breakdown["signatures"]
     decided = max(len(node.workers[0].chain.blocks) for node in nodes)
     # At most a couple of extra signatures beyond one per decided block
     # (initial full-mode proposals and unused piggybacks).
@@ -82,11 +82,11 @@ def test_one_proposer_signature_per_block(fault_free_result):
 
 def test_flo_delivers_definite_blocks_in_order(fault_free_result):
     node = fault_free_result.nodes[0]
-    assert node.delivered_blocks > 0
+    assert node.delivery_stream.deliveries > 0
     assert node.delivered_transactions > 0
     # Delivery never outruns definiteness.
     worker = node.workers[0]
-    assert node.delivered_blocks <= len(worker.chain.definite_blocks)
+    assert node.delivery_stream.deliveries <= len(worker.chain.definite_blocks)
 
 
 def test_latency_and_breakdown_populated(fault_free_result):

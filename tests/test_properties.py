@@ -6,6 +6,8 @@ from types import SimpleNamespace
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro import protocols
+from repro.core.config import FireLedgerConfig
 from repro.core.timers import AdaptiveTimer
 from repro.crypto.cost_model import CryptoCostModel, M5_XLARGE
 from repro.crypto.hashing import merkle_root
@@ -14,8 +16,11 @@ from repro.ledger import Batch, Blockchain, ChainVersion, Transaction, build_blo
 from repro.ledger.state import LedgerExecutor, verify_state_agreement
 from repro.crypto.keys import KeyStore
 from repro.metrics.summary import LatencyHistogram, percentile
+from repro.net.network import Network
 from repro.protocols.base import NodeMetrics
 from repro.protocols.multiplexed import MultiplexedProtocol
+from repro.sim import Environment
+from tests import reference_commit_metrics
 from tests.reference_fold import cluster_fold, lane_fold
 
 common_settings = settings(max_examples=50,
@@ -238,6 +243,82 @@ def test_combine_sum_is_the_old_lane_fold(parts):
     assert merged == old
 
 
+# ---------------------------------------------- baselines' commit-log metrics
+#: One commit: (gap to the previous slot, tx_count, time since the previous
+#: commit, age of the proposal at commit).  A zero step commits two batches
+#: at one instant; a gap above 1 is a HotStuff view nobody proposed in.
+_commits = st.lists(
+    st.tuples(st.integers(1, 3), st.integers(0, 1000),
+              st.sampled_from([0.0, 0.1, 0.2, 0.3]) | st.floats(0, 0.2),
+              st.floats(0, 0.3)),
+    max_size=30)
+
+
+@common_settings
+@given(protocol=st.sampled_from(["hotstuff", "bftsmart"]), commits=_commits,
+       warmup=st.sampled_from([0.0, 0.1, 0.3]) | st.floats(0, 2.0),
+       measured=st.floats(0.01, 3.0),
+       pool_cap=st.none() | st.integers(1, 5), rejected=st.integers(0, 4),
+       signatures=st.integers(0, 9), timeouts=st.integers(0, 9),
+       streaming=st.booleans())
+def test_recorder_metrics_are_the_old_commit_log_metrics(
+        protocol, commits, warmup, measured, pool_cap, rejected, signatures,
+        timeouts, streaming):
+    """A baseline replica reporting through its recorder yields the
+    ``NodeMetrics`` its own commit log and fold did: every field ``==``, dict
+    keys in the same order — a commit landing exactly on the warm-up edge
+    (0.1 + 0.2 vs 0.3) included.  Streaming only moves latency samples into
+    the histogram."""
+    impl = protocols.get(protocol)
+    env = Environment()
+    config = FireLedgerConfig(n_nodes=4, pool_max_pending=pool_cap,
+                              retention_rounds=4 if streaming else None)
+    (replica, *_) = impl.build_nodes(env, Network(env, 4), KeyStore(4),
+                                     config, random.Random(1))
+    timeout_counter = replica.COUNTERS[0]
+    old = reference_commit_metrics.ReferenceReplica(replica.pool,
+                                                    timeout_counter)
+    impl.set_measurement_window([replica], warmup)
+    old.measure_start = warmup
+    for _ in range((pool_cap or 0) + rejected):
+        replica.pool.submit()
+    replica.recorder.count("signatures", signatures)
+    replica.recorder.count(timeout_counter, timeouts)
+    old.signatures = signatures
+    setattr(old, timeout_counter, timeouts)
+
+    def play():
+        sequence = -1
+        for gap, tx_count, step, age in commits:
+            yield env.timeout(step)
+            sequence += gap
+            proposed_at = max(env.now - age, 0.0)
+            replica._commit(sequence, tx_count, (), 0, proposed_at)
+            old.commit(sequence, tx_count, proposed_at, env.now)
+
+    env.process(play())
+    duration = warmup + measured
+    env.run(until=duration)
+    new = impl.node_metrics(replica, duration)
+    expected = reference_commit_metrics.node_metrics(old, duration,
+                                                     timeout_counter)
+    assert replica.delivery_stream.deliveries == len(old.committed)
+    for name in ("totals", "means", "stage_breakdown"):
+        assert _same_dict(getattr(new, name), getattr(expected, name))
+    if streaming:
+        # Every record folded on its E: the samples are in the histogram
+        # (exact count and sum, binned percentiles) and no record is live.
+        assert replica.recorder.live_records == 0
+        histogram = new.latency_histogram or LatencyHistogram()
+        assert histogram.count == len(expected.latency_samples)
+        folded = LatencyHistogram()
+        folded.extend(expected.latency_samples)
+        assert histogram == folded
+        new.latency_samples, new.latency_histogram = (
+            expected.latency_samples, None)
+    assert new == expected
+
+
 # ------------------------------------------------------------ execution layer
 N_ACCOUNTS = 4
 INITIAL_BALANCE = 100
@@ -370,8 +451,7 @@ def _scenario_specs():
                           n_accounts=st.integers(1, 64),
                           recipient_skew=st.floats(0.0, 2.0))
     retention = st.builds(RetentionSpec,
-                          chain_rounds=st.none() | st.integers(1, 99),
-                          metrics_horizon_rounds=st.none() | st.integers(0, 99))
+                          chain_rounds=st.none() | st.integers(1, 99))
     pool = st.builds(PoolSpec, max_pending=st.none() | st.integers(1, 999))
     lanes = st.builds(LanesSpec, count=st.integers(1, 4))
     params = st.sampled_from([(), (("delay", 0.1),),

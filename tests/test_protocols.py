@@ -20,6 +20,10 @@ from repro.experiments import registry
 from repro.experiments.harness import ExperimentScale
 from repro.experiments.sweep import config_id
 from repro.metrics import report
+from repro.metrics.recorder import (
+    EVENT_BLOCK_PROPOSAL,
+    EVENT_TENTATIVE_DECISION,
+)
 from repro.scenarios import library
 from repro.scenarios.faultplan import FaultSchedule, byzantine, crash
 from repro.scenarios.runner import run_scenario
@@ -135,17 +139,20 @@ def test_hotstuff_skips_crashed_leaders_views_and_stays_live():
                          duration=duration, warmup=0.2, seed=3,
                          faults=FaultSchedule((crash(victim, at=crash_at),)))
 
-    survivor = result.nodes[0]
-    committed_after = [block for block in survivor.committed
-                      if block.proposed_at > crash_at + 0.1]
+    # One recorder record per commit: round_number is the committed view,
+    # A the leader's proposal time, C the commit.
+    committed = result.nodes[0].recorder.blocks
+    committed_after = [block for block in committed
+                      if block.events[EVENT_BLOCK_PROPOSAL] > crash_at + 0.1]
     assert committed_after, "chain must stay live after the leader crash"
     # The victim's views never produce a proposal after the crash...
-    assert all(block.sequence % n_nodes != victim
+    assert all(block.round_number % n_nodes != victim
                for block in committed_after)
     # ...and every survivor observed at least one view timeout.
     assert result.breakdown["views_timed_out"] >= 1
     # Commits continue until the end of the run, not just once.
-    last_commit = max(block.committed_at for block in survivor.committed)
+    last_commit = max(block.events[EVENT_TENTATIVE_DECISION]
+                      for block in committed)
     assert last_commit > duration - 1.0
 
 
@@ -156,8 +163,9 @@ def test_hotstuff_silent_byzantine_node_exercises_view_skip(cluster_result):
     assert result.blocks_committed > 0
     assert result.breakdown["views_timed_out"] >= 1
     # The silent node never runs, so it commits nothing.
-    assert result.nodes[2].committed == []
-    committed_views = {block.sequence for block in result.nodes[0].committed}
+    assert result.nodes[2].recorder.blocks == ()
+    committed_views = {block.round_number
+                       for block in result.nodes[0].recorder.blocks}
     assert committed_views and all(view % 4 != 2 for view in committed_views)
 
 
@@ -355,6 +363,40 @@ def test_paper_lan_baseline_rows_are_pinned(protocol):
     (row,) = run_scenario(spec)
     expected = PINNED_PAPER_LAN[protocol]
     assert {key: row[key] for key in expected} == expected
+
+
+# ------------------------------------------------- one instrumentation path
+@pytest.mark.parametrize("lanes", [1, 2])
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_every_node_reports_through_a_recorder(protocol, lanes, cluster_result):
+    """A node (each lane's, under multiplexing) owns a recorder holding the
+    measured window, and its protocol's ``node_metrics`` is the one fold of
+    recorder data plus, at most, extra end-of-run keys — only the lane merge
+    may combine."""
+    from repro.metrics import MetricsRecorder
+    from repro.protocols.base import ConsensusProtocol
+
+    duration, warmup = 0.5, 0.1
+    result = cluster_result(batch_size=100, protocol=protocol, lanes=lanes,
+                            pool_max_pending=64, duration=duration,
+                            warmup=warmup, seed=2)
+    impl = protocols.get(protocol)
+    for node in result.nodes:
+        inner_nodes = node.lanes if lanes > 1 else [node]
+        assert hasattr(node, "lanes") == (lanes > 1)
+        for inner in inner_nodes:
+            assert isinstance(inner.recorder, MetricsRecorder)
+            assert inner.recorder.measure_start == warmup
+            assert not hasattr(inner, "measure_start")
+            assert "signatures" in inner.recorder.counters
+            own = impl.node_metrics(inner, duration)
+            # The pool figures are state read at the end, not events.
+            for end_state in ("tx_rejected", "tx_requeue_dropped"):
+                own.totals.pop(end_state, None)
+                own.means.pop(end_state, None)
+            assert own == ConsensusProtocol.node_metrics(impl, inner, duration)
+    assert (type(impl).set_measurement_window
+            is ConsensusProtocol.set_measurement_window)
 
 
 # ----------------------------------------------------------- one row shape

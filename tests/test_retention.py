@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from repro import protocols
 from repro.core.cluster import run_cluster
 from repro.core.config import FireLedgerConfig
 from repro.crypto.keys import KeyStore
@@ -144,12 +145,28 @@ def test_adopt_version_anchored_at_genesis_on_unpruned_chain():
     assert chain.height == 2
 
 
-def test_metrics_horizon_floored_at_finality_depth():
-    config = FireLedgerConfig(n_nodes=4, metrics_horizon_rounds=0)
-    assert config.effective_metrics_horizon == config.finality_depth + 1
-    deep = FireLedgerConfig(n_nodes=4, metrics_horizon_rounds=64)
-    assert deep.effective_metrics_horizon == 64
-    assert FireLedgerConfig(n_nodes=4).effective_metrics_horizon is None
+def test_metrics_horizon_is_the_effective_retention(keystore):
+    """One knob: metrics stream exactly when the chain is pruned, past the
+    same (floored) number of rounds — which clears the ``finality_depth +
+    1`` a recorder needs before a fold is safe from recovery."""
+    from repro.core.flo import FLONode
+    from repro.net.network import Network
+    from repro.sim import Environment
+
+    for rounds, horizon in ((None, None), (1, 6), (64, 64)):
+        config = FireLedgerConfig(n_nodes=4, retention_rounds=rounds)
+        assert config.effective_retention_rounds == horizon
+        assert horizon is None or horizon >= config.finality_depth + 1
+        env = Environment()
+        network = Network(env, 4)
+        node = FLONode(env, network, 0, config, keystore)
+        assert node.recorder.horizon_rounds == horizon
+        for protocol in ("hotstuff", "bftsmart"):
+            (replica, *_) = protocols.get(protocol).build_nodes(
+                env, Network(env, 4), keystore, config, random.Random(1))
+            assert replica.recorder.horizon_rounds == horizon
+    with pytest.raises(TypeError):
+        FireLedgerConfig(n_nodes=4, metrics_horizon_rounds=64)
 
 
 def test_release_gating_holds_back_pruning_until_delivery():
@@ -204,8 +221,8 @@ def test_streaming_recorder_matches_exact_mode():
     end = 1.0
     assert streamed.throughput_tps(end) == pytest.approx(exact.throughput_tps(end))
     assert streamed.throughput_bps(end) == pytest.approx(exact.throughput_bps(end))
-    for key, value in exact.breakdown().items():
-        assert streamed.breakdown()[key] == pytest.approx(value)
+    for key, value in exact.breakdown(end).items():
+        assert streamed.breakdown(end)[key] == pytest.approx(value)
     histogram = streamed.latency_histogram
     assert histogram is not None and histogram.count == 100
     assert histogram.mean == pytest.approx(0.006)
@@ -232,13 +249,41 @@ def test_streaming_recorder_folds_stale_records_without_delivery():
 
 
 def test_recorder_window_boundary_measure_start_equals_event_time():
-    recorder = MetricsRecorder(0, horizon_rounds=0)
-    recorder.measure_start = 0.5
-    # One event exactly at the window edge: inclusive, exactly like exact mode.
-    recorder.record_event(0, 0, EVENT_FLO_DELIVERY, 0.5, tx_count=7)
-    recorder.record_event(0, 1, EVENT_FLO_DELIVERY, 0.499, tx_count=7)
-    assert recorder.tx_with_event(EVENT_FLO_DELIVERY, 1.0) == 7
-    assert recorder.count_with_event(EVENT_FLO_DELIVERY, 1.0) == 1
+    """A measurement belongs to the window in which it completes, both edges
+    inclusive — counts by the event's own time, the A->E sample (and its
+    histogram fold) by E, a stage span by its end event — and exact and
+    streaming modes agree on every count."""
+    for horizon_rounds in (None, 0):
+        recorder = MetricsRecorder(0, horizon_rounds=horizon_rounds)
+        recorder.measure_start = 0.5
+        # Round 0 completes exactly on the window edge (in), round 1 just
+        # before it (out), round 2 starts before the window and completes
+        # inside it.
+        for round_number, (a, d, e) in enumerate(((0.45, 0.48, 0.5),
+                                                  (0.44, 0.47, 0.499),
+                                                  (0.3, 0.5, 0.6))):
+            recorder.record_event(0, round_number, EVENT_BLOCK_PROPOSAL, a,
+                                  tx_count=7)
+            recorder.record_event(0, round_number, EVENT_HEADER_PROPOSAL, a)
+            recorder.record_event(0, round_number, EVENT_DEFINITE_DECISION, d)
+            recorder.record_event(0, round_number, EVENT_FLO_DELIVERY, e)
+        assert recorder.tx_with_event(EVENT_FLO_DELIVERY, 1.0) == 14
+        assert recorder.count_with_event(EVENT_FLO_DELIVERY, 1.0) == 2
+        assert recorder.count_with_event(EVENT_BLOCK_PROPOSAL, 1.0) == 0
+        samples = recorder.latency_samples(1.0)
+        histogram = recorder.latency_histogram
+        assert (recorder.live_records == 0) == recorder.streaming
+        assert len(samples) + (histogram.count if histogram else 0) == 2
+        total = sum(samples) + (histogram.total if histogram else 0.0)
+        assert total == pytest.approx((0.5 - 0.45) + (0.6 - 0.3))
+        # D->E: rounds 0 and 2 end in the window; A->B: none does.
+        assert recorder.breakdown(1.0) == {
+            "D->E": pytest.approx(((0.5 - 0.48) + (0.6 - 0.5)) / 2)}
+        # The upper edge is inclusive too; a fold cannot know a later end.
+        assert recorder.count_with_event(EVENT_FLO_DELIVERY, 0.6) == 2
+        if not recorder.streaming:
+            assert recorder.count_with_event(EVENT_FLO_DELIVERY, 0.59) == 1
+            assert len(recorder.latency_samples(0.59)) == 1
 
 
 def test_streaming_keeps_head_of_line_blocked_records_past_horizon():
@@ -320,11 +365,14 @@ def test_record_event_tx_count_is_sticky_first():
 
 def test_recovery_log_bounded_but_exact_count():
     recorder = MetricsRecorder(0)
+    recorder.measure_start = 0.25
     for index in range(500):
         recorder.record_recovery(0.001 * index)
-    assert len(recorder.recoveries) == 500
-    assert len(recorder.recoveries.recent) <= 64
-    assert recorder.recoveries_per_second(end_time=1.0) == pytest.approx(500.0)
+    # The counter is a whole-run total, the rate is in-window, and neither
+    # keeps a per-recovery timestamp.
+    assert recorder.counters["recoveries"] == 500
+    assert recorder.recoveries_per_second(end_time=1.0) == pytest.approx(
+        250 / 0.75)
 
 
 # ----------------------------------------------------- histogram summaries
@@ -425,7 +473,6 @@ def test_pruned_cluster_reproduces_unbounded_results(cluster_result):
     """Retention must change memory, not any protocol decision or rate."""
     off = cluster_result(**BASE, duration=1.0, warmup=0.2, seed=7)
     on = cluster_result(**BASE, retention_rounds=32,
-                        metrics_horizon_rounds=32,
                         duration=1.0, warmup=0.2, seed=7)
     assert on.tps == pytest.approx(off.tps)
     assert on.bps == pytest.approx(off.bps)
@@ -443,7 +490,6 @@ def test_long_run_live_state_is_flat_in_duration(cluster_result):
     live = {}
     for duration in (1.0, 2.0):
         result = cluster_result(**BASE, retention_rounds=32,
-                                metrics_horizon_rounds=32,
                                 duration=duration, warmup=0.2, seed=7)
         live[duration] = (
             max(len(w.chain) for n in result.nodes for w in n.workers),
@@ -456,6 +502,28 @@ def test_long_run_live_state_is_flat_in_duration(cluster_result):
     assert live[2.0][0] <= bound
     assert live[2.0][0] <= live[1.0][0] + 2  # flat, not linear
     assert live[2.0][1] <= live[1.0][1] + 2 * 32
+
+
+@pytest.mark.parametrize("protocol", ["hotstuff", "bftsmart"])
+def test_baseline_replicas_honour_the_memory_bound(protocol, cluster_result):
+    """Regression: a baseline replica kept one commit record per commit for
+    the whole run, whatever ``retention_rounds`` said.  Its recorder streams
+    like FLO's: live records stay flat as the run doubles, and the rates are
+    the unbounded run's, exactly."""
+    runs = {
+        (duration, rounds): cluster_result(
+            **BASE, protocol=protocol, retention_rounds=rounds,
+            duration=duration, warmup=0.2, seed=7)
+        for duration, rounds in ((4.0, 32), (8.0, 32), (8.0, None))}
+    live = {key: max(node.recorder.live_records for node in result.nodes)
+            for key, result in runs.items()}
+    bounded, unbounded = runs[8.0, 32], runs[8.0, None]
+    assert live[8.0, None] >= unbounded.blocks_committed > 500  # O(run)
+    assert live[8.0, 32] <= live[4.0, 32] <= 32  # flat, inside the window
+    assert (bounded.tps, bounded.bps) == (unbounded.tps, unbounded.bps)
+    assert bounded.breakdown == unbounded.breakdown
+    assert bounded.latency.samples == unbounded.latency.samples
+    assert bounded.latency.mean == pytest.approx(unbounded.latency.mean)
 
 
 def test_small_retention_rounds_do_not_stall_the_cluster(cluster_result):
@@ -485,7 +553,6 @@ def test_byzantine_recovery_still_works_with_retention(cluster_result):
     streamed breakdown must keep its C->D / D->E spans through the
     multi-round definite advances a recovery causes (D before E)."""
     result = cluster_result(**BASE, retention_rounds=32,
-                            metrics_horizon_rounds=32,
                             duration=1.0, warmup=0.2, seed=7,
                             faults=FaultSchedule((byzantine(3),)))
     assert result.recoveries > 0
@@ -505,7 +572,7 @@ def test_retention_and_pool_specs_validate_and_round_trip():
         "name": "mini-soak",
         "duration": 0.4,
         "warmup": 0.1,
-        "retention": {"chain_rounds": 16, "metrics_horizon_rounds": 16},
+        "retention": {"chain_rounds": 16},
         "pool": {"max_pending": 50},
         "workload": {"shape": "open-loop", "n_clients": 4,
                      "rate_per_client": 2000.0},
@@ -518,8 +585,11 @@ def test_retention_and_pool_specs_validate_and_round_trip():
         RetentionSpec(chain_rounds=0)
     with pytest.raises(ValueError):
         PoolSpec(max_pending=0)
-    with pytest.raises(ValueError):
-        ScenarioSpec.from_dict({"name": "x", "retention": {"bogus": 1}})
+    # The metrics horizon is derived, not set: an old spec naming the key is
+    # rejected like any other unknown key.
+    for key in ("bogus", "metrics_horizon_rounds"):
+        with pytest.raises(ValueError):
+            ScenarioSpec.from_dict({"name": "x", "retention": {key: 1}})
 
 
 def test_mini_soak_scenario_bounds_state_and_counts_rejections():
@@ -531,7 +601,7 @@ def test_mini_soak_scenario_bounds_state_and_counts_rejections():
         "warmup": 0.1,
         "workers": 1,
         "batch_size": 50,
-        "retention": {"chain_rounds": 16, "metrics_horizon_rounds": 16},
+        "retention": {"chain_rounds": 16},
         "pool": {"max_pending": 20},
         "workload": {"shape": "bursty", "n_clients": 8,
                      "rate_per_client": 3000.0, "burst_factor": 4.0,
