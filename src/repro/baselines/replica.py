@@ -113,29 +113,13 @@ class PooledReplicaMixin:
         self.silent = True
         network.endpoint(self.node_id).handlers.clear()
 
-    def submit_transaction(self, size_bytes: Optional[int] = None,
-                           client_id: int = 0,
-                           payload_seed: Optional[int] = None,
-                           sender: Optional[int] = None,
-                           recipient: Optional[int] = None,
-                           amount: int = 0,
-                           nonce: int = 0) -> Optional[Transaction]:
+    def submit_transaction(self, transaction: Transaction) -> bool:
         """Client write request, queued on the cluster-wide pending pool.
 
-        Returns None when the pool is at its ``max_pending`` cap, mirroring
+        Returns False when the pool is at its ``max_pending`` cap, mirroring
         FLO's backpressure so capped scenarios drive all protocols alike.
-        The optional transfer fields feed the execution layer when the pool
-        carries transactions (execution-enabled runs).
         """
-        transaction = Transaction.create(client_id=client_id,
-                                         size_bytes=size_bytes or self.tx_size,
-                                         now=self.env.now,
-                                         payload_seed=payload_seed,
-                                         sender=sender, recipient=recipient,
-                                         amount=amount, nonce=nonce)
-        if self.pool is not None and not self.pool.submit(transaction):
-            return None
-        return transaction
+        return self.pool is None or self.pool.submit(transaction)
 
     @property
     def delivered_transactions(self) -> int:

@@ -289,7 +289,7 @@ class FireLedgerWorker:
 
     def _prepare_body(self) -> str:
         """Assemble a transaction batch, compute its root and disseminate it."""
-        batch = self.txpool.take_batch(self.config.batch_size, now=self.env.now,
+        batch = self.txpool.take_batch(self.config.batch_size,
                                        fill_random=self.config.fill_blocks)
         root = batch.root
         self._charge_background(self._body_hash_cost(batch))

@@ -88,29 +88,17 @@ class FLONode:
             self.env.process(worker.run())
 
     # ----------------------------------------------------------------- client
-    def submit_transaction(self, size_bytes: Optional[int] = None,
-                           client_id: int = 0,
-                           payload_seed: Optional[int] = None,
-                           sender: Optional[int] = None,
-                           recipient: Optional[int] = None,
-                           amount: int = 0,
-                           nonce: int = 0) -> Optional[Transaction]:
+    def submit_transaction(self, transaction: Transaction) -> bool:
         """Client write request: routed to the least-loaded worker.
 
-        Returns None when every worker pool is at its ``pool_max_pending``
-        cap — backpressure the client observes (and the cluster counts).
-        The optional transfer fields give the payload meaning for the
-        execution layer; without them it stays an opaque blob.
+        Returns False when that worker's pool is at its ``pool_max_pending``
+        cap — backpressure the client observes (and the pool counts in
+        ``txpool.rejected``).
         """
-        transaction = Transaction.create(
-            client_id=client_id,
-            size_bytes=size_bytes or self.config.tx_size,
-            now=self.env.now, payload_seed=payload_seed,
-            sender=sender, recipient=recipient, amount=amount, nonce=nonce)
-        target = min(self.workers, key=lambda worker: worker.txpool.pending)
-        if not target.txpool.submit(transaction):
-            return None  # counted by the pool (``txpool.rejected``)
-        return transaction
+        workers = self.workers
+        target = (workers[0] if len(workers) == 1 else
+                  min(workers, key=lambda worker: worker.txpool.pending))
+        return target.txpool.submit(transaction)
 
     # --------------------------------------------------------------- delivery
     def _on_definite(self, worker_id: int, block: Block, time: float) -> None:

@@ -8,13 +8,13 @@ Merkle root and to the chain history through ``previous_digest``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
 from repro.crypto.hashing import GENESIS_DIGEST, hash_fields
 from repro.crypto.signatures import SIGNATURE_SIZE_BYTES, Signature
-from repro.ledger.transaction import Batch, Transaction
+from repro.ledger.transaction import Batch, Transaction, reduce_to_fields
 
 #: Serialised size of the fixed header fields (round, proposer, digests, ...).
 HEADER_BASE_SIZE_BYTES = 192
@@ -43,10 +43,7 @@ class BlockHeader:
             self.tx_root, self.tx_count, self.body_size_bytes, self.worker_id,
         )
 
-    def __reduce__(self):
-        # Pickle the fields only: a peer on the realtime backend must never
-        # ship a pre-filled digest, and frames must not carry the cache.
-        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+    __reduce__ = reduce_to_fields
 
     @property
     def size_bytes(self) -> int:

@@ -92,7 +92,7 @@ class LedgerState:
           keeps the outcome independent of any later balance changes;
         * ``applied`` — balance moved, nonce advanced to ``nonce + 1``.
         """
-        sender = getattr(transaction, "sender", None)
+        sender = transaction.sender
         if sender is None:
             self.opaque += 1
             return OPAQUE
@@ -160,10 +160,11 @@ class LedgerExecutor:
         outcomes = []
         touched: set[int] = set()
         conflicts = 0
+        apply_transaction = self.state.apply_transaction
         for transaction in transactions:
-            outcome = self.state.apply_transaction(transaction)
-            outcomes.append((transaction.digest, outcome))
-            sender = getattr(transaction, "sender", None)
+            outcome = apply_transaction(transaction)
+            outcomes.append((transaction.payload_digest, outcome))
+            sender = transaction.sender
             if sender is None:
                 continue
             for account in (sender, transaction.recipient):

@@ -2,13 +2,23 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 from typing import Optional
 
 from repro.crypto.hashing import hash_fields, merkle_root
 
 _tx_counter = itertools.count()
+
+
+def reduce_to_fields(self):
+    """``__reduce__`` of a frozen dataclass that memoises digests in its
+    ``__dict__``: pickle the fields only, so a frame never carries the cache
+    and a realtime receiver derives every digest from what it unpickled,
+    never reads the sender's answer."""
+    return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
 @dataclass(frozen=True)
@@ -56,12 +66,17 @@ class Transaction:
             if self.amount < 0 or self.nonce < 0:
                 raise ValueError("transfer amount and nonce must be >= 0")
         if not self.payload_digest:
+            # The string ``hash_fields("tx", identity, client, size[, sender,
+            # recipient, amount, nonce])`` would build, written out for its
+            # scalar fields: one digest per submitted transaction.
             identity = (self.payload_seed if self.payload_seed is not None
                         else self.tx_id)
-            fields_ = ["tx", identity, self.client_id, self.size_bytes]
+            text = f"'tx'|{identity!r}|{self.client_id!r}|{self.size_bytes!r}|"
             if self.sender is not None:
-                fields_ += [self.sender, self.recipient, self.amount, self.nonce]
-            object.__setattr__(self, "payload_digest", hash_fields(*fields_))
+                text += (f"{self.sender!r}|{self.recipient!r}|"
+                         f"{self.amount!r}|{self.nonce!r}|")
+            object.__setattr__(self, "payload_digest", hashlib.sha256(
+                text.encode("utf-8")).hexdigest())
 
     @classmethod
     def create(cls, client_id: int, size_bytes: int, now: float = 0.0,
@@ -69,10 +84,8 @@ class Transaction:
                sender: Optional[int] = None, recipient: Optional[int] = None,
                amount: int = 0, nonce: int = 0) -> "Transaction":
         """Create a transaction with a fresh globally unique id."""
-        return cls(tx_id=next(_tx_counter), client_id=client_id,
-                   size_bytes=size_bytes, submitted_at=now,
-                   payload_seed=payload_seed, sender=sender,
-                   recipient=recipient, amount=amount, nonce=nonce)
+        return cls(next(_tx_counter), client_id, size_bytes, now, "",
+                   payload_seed, sender, recipient, amount, nonce)
 
     @property
     def digest(self) -> str:
@@ -102,9 +115,9 @@ class Batch:
         """Total number of transactions the batch represents."""
         return len(self.transactions) + self.filler_count
 
-    @property
+    @cached_property
     def size_bytes(self) -> int:
-        """Total wire size of the batch."""
+        """Total wire size of the batch (memoised like :attr:`root`)."""
         explicit = sum(tx.size_bytes for tx in self.transactions)
         return explicit + self.filler_count * self.filler_tx_size
 
@@ -113,11 +126,17 @@ class Batch:
         """Whether the batch carries no transactions at all."""
         return self.tx_count == 0
 
-    @property
+    @cached_property
     def root(self) -> str:
-        """Merkle root committing to the batch content."""
-        leaves = [tx.digest for tx in self.transactions]
+        """Merkle root committing to the batch content.  Memoised per
+        instance: the batch is frozen and every simulated node holds the same
+        object, so nodes 2..n read what node 1 derived (each still pays the
+        modelled re-hash time).  Not a field, and never pickled — see
+        :func:`reduce_to_fields`."""
+        leaves = [tx.payload_digest for tx in self.transactions]
         if self.filler_count:
             leaves.append(hash_fields("filler", self.filler_count,
                                       self.filler_tx_size, self.filler_nonce))
         return merkle_root(leaves)
+
+    __reduce__ = reduce_to_fields

@@ -66,8 +66,7 @@ class TxPool:
         self.submitted += 1
         return True
 
-    def take_batch(self, batch_size: int, now: float = 0.0,
-                   fill_random: bool = True) -> Batch:
+    def take_batch(self, batch_size: int, fill_random: bool = True) -> Batch:
         """Pop up to ``batch_size`` transactions, topping up with synthetic filler.
 
         When ``fill_random`` is False the batch may be smaller than

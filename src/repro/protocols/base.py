@@ -33,8 +33,9 @@ case; ``multiplexed(P, lanes=M)`` merges M of them.
 
 Nodes that should carry client workloads (``fill_blocks=False`` configs)
 additionally expose the small duck-typed surface the workload clients in
-:mod:`repro.workload.clients` rely on: ``submit_transaction(size_bytes=...,
-client_id=...)`` and a ``delivered_transactions`` counter.
+:mod:`repro.workload.clients` rely on: ``submit_transaction(transaction)``
+(the client builds the transaction; False means the pool declined it) and a
+``delivered_transactions`` counter.
 """
 
 from __future__ import annotations

@@ -149,19 +149,11 @@ class MultiplexedNode:
             self._cursor = (self._cursor + 1) % len(buffers)
 
     # ---------------------------------------------------------------- client
-    def submit_transaction(self, size_bytes: Optional[int] = None,
-                           client_id: int = 0,
-                           payload_seed: Optional[int] = None,
-                           sender: Optional[int] = None,
-                           recipient: Optional[int] = None,
-                           amount: int = 0,
-                           nonce: int = 0):
+    def submit_transaction(self, transaction) -> bool:
         """Route a client write to its sender's lane (see :func:`lane_of`)."""
-        lane = lane_of(sender, client_id, len(self.lanes))
-        return self.lanes[lane].submit_transaction(
-            size_bytes=size_bytes, client_id=client_id,
-            payload_seed=payload_seed, sender=sender, recipient=recipient,
-            amount=amount, nonce=nonce)
+        lane = lane_of(transaction.sender, transaction.client_id,
+                       len(self.lanes))
+        return self.lanes[lane].submit_transaction(transaction)
 
     # ------------------------------------------------------------ inspection
     @property

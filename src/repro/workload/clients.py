@@ -17,9 +17,11 @@ end-to-end transaction delivery, and the declarative scenario layer
 from __future__ import annotations
 
 import random
+from itertools import accumulate
 from typing import Optional, Sequence, Union
 
 from repro.core.flo import FLONode
+from repro.ledger.transaction import Transaction
 from repro.sim import Environment
 
 
@@ -84,31 +86,39 @@ def _as_rate_shape(rate: Union[float, int, RateShape]) -> RateShape:
     return rate if isinstance(rate, RateShape) else ConstantRate(float(rate))
 
 
-def _checked_weights(weights: Optional[Sequence[float]],
-                     nodes: Sequence) -> Optional[list[float]]:
-    """Validate per-node selection weights (shared by both client kinds)."""
+def _cumulative_weights(weights: Optional[Sequence[float]],
+                        nodes: Sequence) -> Optional[list[float]]:
+    """Validate per-node selection weights and accumulate them once.
+
+    ``random.choices(weights=w)`` runs ``list(accumulate(w))`` on every call
+    and then draws exactly as ``choices(cum_weights=...)`` does, so handing it
+    the running sums computed here gives the same picks from the same RNG
+    state.
+    """
     if weights is None:
         return None
     if (len(weights) != len(nodes) or min(weights) < 0 or sum(weights) <= 0):
         raise ValueError("weights must be non-negative, one per node, "
                          "with a positive sum")
-    return list(weights)
+    return list(accumulate(weights))
 
 
 def _pick_node(rng: random.Random, nodes: Sequence,
-               weights: Optional[Sequence[float]]):
+               cum_weights: Optional[Sequence[float]]):
     """Uniform or weighted node choice (shared by both client kinds)."""
-    if weights is None:
+    if cum_weights is None:
         return rng.choice(nodes)
-    return rng.choices(nodes, weights=weights, k=1)[0]
+    return rng.choices(nodes, cum_weights=cum_weights, k=1)[0]
 
 
-def _submission_fields(client) -> dict:
-    """Seeded payload identity plus transfer fields when structured."""
-    fields = {"payload_seed": client.payload_rng.randrange(2 ** 62)}
-    if client.transfers is not None:
-        fields.update(client.transfers.next_transfer())
-    return fields
+def _next_transaction(client) -> Transaction:
+    """The client's next write request, built once, here: a seeded payload
+    identity, plus the transfer fields when the workload is structured."""
+    payload_seed = client.payload_rng.randrange(2 ** 62)
+    transfer = (client.transfers.next_transfer()
+                if client.transfers is not None else ())
+    return Transaction.create(client.client_id, client.tx_size, client.env.now,
+                              payload_seed, *transfer)
 
 
 def hotspot_weights(n_nodes: int, skew: float) -> list[float]:
@@ -146,18 +156,19 @@ class TransferModel:
         self.rng = rng
         self.max_amount = max_amount
         self._accounts = list(range(n_accounts))
-        self._weights = (hotspot_weights(n_accounts, recipient_skew)
-                         if recipient_skew else None)
+        self._cum_weights = _cumulative_weights(
+            hotspot_weights(n_accounts, recipient_skew)
+            if recipient_skew else None, self._accounts)
         self._nonce = 0
 
-    def next_transfer(self) -> dict:
-        """Transfer fields for the client's next submission."""
-        recipient = _pick_node(self.rng, self._accounts, self._weights)
+    def next_transfer(self) -> tuple[int, int, int, int]:
+        """``(sender, recipient, amount, nonce)`` of the next submission, in
+        :meth:`Transaction.create`'s positional order."""
+        recipient = _pick_node(self.rng, self._accounts, self._cum_weights)
         nonce = self._nonce
         self._nonce += 1
-        return {"sender": self.sender, "recipient": recipient,
-                "amount": self.rng.randint(0, self.max_amount),
-                "nonce": nonce}
+        return (self.sender, recipient,
+                self.rng.randint(0, self.max_amount), nonce)
 
 
 class OpenLoopClient:
@@ -190,7 +201,7 @@ class OpenLoopClient:
         # seeded RNG — not from the process-global transaction id counter,
         # whose state leaks between runs and between clients.
         self.payload_rng = random.Random(self.rng.randrange(2 ** 62))
-        self.weights = _checked_weights(weights, self.nodes)
+        self.cum_weights = _cumulative_weights(weights, self.nodes)
         self.transfers = transfers
         #: Accepted / pool-cap-rejected submission counts.  Counters, not
         #: transaction lists, so a long soak run's clients stay O(1) memory.
@@ -205,20 +216,17 @@ class OpenLoopClient:
     def run(self):
         """Submission process: sleep, pick a node, submit.
 
-        A ``None`` return from ``submit_transaction`` (the node's pool is at
-        its cap) is open-loop behaviour: the request is lost and counted, and
-        the client keeps its arrival schedule.
+        A declined ``submit_transaction`` (the node's pool is at its cap) is
+        open-loop behaviour: the request is lost and counted, and the client
+        keeps its arrival schedule.
         """
         while True:
             yield self.env.timeout(self.rng.expovariate(self.rate))
-            node = _pick_node(self.rng, self.nodes, self.weights)
-            transaction = node.submit_transaction(
-                size_bytes=self.tx_size, client_id=self.client_id,
-                **_submission_fields(self))
-            if transaction is None:
-                self.rejected_count += 1
-            else:
+            node = _pick_node(self.rng, self.nodes, self.cum_weights)
+            if node.submit_transaction(_next_transaction(self)):
                 self.submitted_count += 1
+            else:
+                self.rejected_count += 1
 
 
 class ClosedLoopClient:
@@ -255,7 +263,7 @@ class ClosedLoopClient:
         # seeded RNG, not the process-global transaction id counter.
         self.payload_rng = random.Random(self.rng.randrange(2 ** 62))
         self.poll_interval = poll_interval
-        self.weights = _checked_weights(weights, self.nodes)
+        self.cum_weights = _cumulative_weights(weights, self.nodes)
         self.transfers = transfers
         self.submitted_count = 0
         self.rejected_count = 0
@@ -264,18 +272,15 @@ class ClosedLoopClient:
     def run(self):
         """Submit, wait for delivery progress, think, repeat.
 
-        A ``None`` return from ``submit_transaction`` (the node's pool is at
-        its cap) is closed-loop backpressure: the client backs off one poll
-        interval and retries instead of waiting on a delivery that will never
-        include its request.
+        A declined ``submit_transaction`` (the node's pool is at its cap) is
+        closed-loop backpressure: the client backs off one poll interval and
+        retries instead of waiting on a delivery that will never include its
+        request.
         """
         while True:
-            node = _pick_node(self.rng, self.nodes, self.weights)
+            node = _pick_node(self.rng, self.nodes, self.cum_weights)
             before = node.delivered_transactions
-            transaction = node.submit_transaction(size_bytes=self.tx_size,
-                                                  client_id=self.client_id,
-                                                  **_submission_fields(self))
-            if transaction is None:
+            if not node.submit_transaction(_next_transaction(self)):
                 self.rejected_count += 1
                 yield self.env.timeout(self.poll_interval)
                 continue

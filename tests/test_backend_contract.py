@@ -9,11 +9,17 @@ milliseconds) so the suite stays fast.
 """
 
 import dataclasses
+import pickle
 import random
 
 import pytest
 
+from repro.core.config import FireLedgerConfig
+from repro.core.fireledger import BODY, FireLedgerWorker
 from repro.core.mailbox import Mailbox
+from repro.crypto.keys import KeyStore
+from repro.ledger.block import header_for_batch
+from repro.ledger.transaction import Batch, Transaction
 from repro.net.message import MESSAGE_OVERHEAD_BYTES, Message
 from repro.net.network import Network
 from repro.runtime import RealtimeEnvironment, RealtimeNetwork
@@ -272,6 +278,51 @@ def test_send_returns_the_envelope_the_receiver_is_handed(backend):
         assert inbox[0] is sent[0]  # loopback never leaves the process
         if backend == "sim":
             assert inbox[1] is sent[1]
+    finally:
+        close_env(env)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_a_digest_memo_never_crosses_the_wire(backend):
+    """``Batch.root`` / ``Batch.size_bytes`` / ``BlockHeader.digest`` are
+    memoised on the frozen object that owns them and pickled by field only:
+    a frame carries no sender's answer, so a receiver still derives the root
+    from the transactions it was handed, and a body that does not match the
+    root it was sent under is dropped on both backends — on the realtime one
+    even when the sender pre-filled the memo with the root it claims."""
+    def transfers(seed):
+        return tuple(Transaction.create(1, 512, 0.0, seed + index)
+                     for index in range(3))
+
+    honest, forged, control = (Batch(transfers(seed)) for seed in (10, 20, 30))
+    header = header_for_batch(0, 0, "0" * 64, honest)
+    memo = (honest.root, honest.size_bytes, header.digest)
+    assert {"root", "size_bytes"} <= set(vars(honest))
+    assert "digest" in vars(header)
+    for original in (honest, header):
+        copy = pickle.loads(pickle.dumps(original, pickle.HIGHEST_PROTOCOL))
+        assert copy == original
+        assert not {"root", "size_bytes", "digest"} & set(vars(copy))
+    assert memo == (honest.root, honest.size_bytes, header.digest)
+
+    if backend == "realtime":
+        vars(forged)["root"] = header.tx_root
+    env = make_env(backend)
+    try:
+        network = make_network(backend, env, 4)
+        config = FireLedgerConfig(n_nodes=4, batch_size=3, tx_size=512)
+        receiver = FireLedgerWorker(env, network, 1, 0, config, KeyStore(4))
+        def send_bodies(_arg):
+            for root, batch in ((header.tx_root, forged),
+                                (control.root, control)):
+                network.send(0, 1, receiver.channel, BODY,
+                             {"root": root, "batch": batch},
+                             batch.size_bytes + 64)
+
+        env.call_later(0.0, send_bodies)
+        env.run(until=HORIZON)
+        assert receiver.has_body(control.root)  # bodies do arrive
+        assert not receiver.has_body(header.tx_root)
     finally:
         close_env(env)
 

@@ -1,7 +1,9 @@
 """End-to-end tests of the FireLedger protocol and the FLO orchestrator."""
 
+import cProfile
 import gc
 import importlib.util
+import pstats
 import sys
 from collections import Counter
 from contextlib import contextmanager
@@ -12,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from repro import FireLedgerConfig, run_cluster
+from repro.ledger.transaction import Batch, Transaction
 from repro.net.latency import GeoDistributedLatency
 from repro.scenarios import runner
 from repro.scenarios.faultplan import FaultSchedule, crash
@@ -148,7 +151,8 @@ def test_non_triviality_under_client_load_only():
                               fill_blocks=False)
     result = run_cluster(config, duration=DURATION, warmup=0.0, seed=6)
     node = result.nodes[0]
-    submitted = [node.submit_transaction(client_id=1) for _ in range(20)]
+    submitted = [node.submit_transaction(Transaction.create(1, 512))
+                 for _ in range(20)]
     # Transactions submitted after the run ended stay pending; re-run a fresh
     # cluster with load injected up front instead.
     config = FireLedgerConfig(n_nodes=4, workers=1, batch_size=50, tx_size=512,
@@ -156,7 +160,7 @@ def test_non_triviality_under_client_load_only():
     result = run_cluster(config, duration=DURATION, warmup=0.0, seed=6)
     for node in result.nodes:
         for _ in range(10):
-            node.submit_transaction(client_id=2)
+            node.submit_transaction(Transaction.create(2, 512))
     # The pool was filled after the simulation finished, so nothing was
     # ordered — but empty blocks must still have been decided (chain liveness).
     assert result.bps > 0
@@ -323,10 +327,15 @@ def _benchmark_workloads():
     return module.BY_NAME
 
 
-def _benchmark_workload_work(monkeypatch, name, duration, warmup) -> tuple:
-    """One sim benchmark spec, cut to ``duration`` sim-s, seed 7."""
-    spec = replace(_benchmark_workloads()[name].spec, duration=duration,
+def _cut_spec(name, duration, warmup):
+    """One sim benchmark spec, cut to ``duration`` sim-s."""
+    return replace(_benchmark_workloads()[name].spec, duration=duration,
                    warmup=warmup)
+
+
+def _benchmark_workload_work(monkeypatch, name, duration, warmup) -> tuple:
+    """Work counters of one cut-down sim benchmark spec, seed 7."""
+    spec = _cut_spec(name, duration, warmup)
     kernel = []
     with monkeypatch.context() as patch, \
             _counted_resumes(monkeypatch) as calls:
@@ -361,4 +370,66 @@ def test_benchmark_workload_counters_are_pinned(monkeypatch, name, duration,
     first = _benchmark_workload_work(monkeypatch, name, duration, warmup)
     assert first == _benchmark_workload_work(monkeypatch, name, duration,
                                              warmup)
+    assert first == pinned
+
+
+class _FirstReads:
+    """Non-data descriptor over ``Batch.root`` recording which batches had
+    their root read (kept alive, so no ``id`` is reused).  With the memo in
+    the instance ``__dict__`` only an object's first read reaches it."""
+
+    def __init__(self, wrapped) -> None:
+        self.wrapped = wrapped
+        self.batches: dict[int, Batch] = {}
+
+    def __get__(self, batch, owner=None):
+        if batch is None:
+            return self
+        self.batches[id(batch)] = batch
+        return self.wrapped.__get__(batch, owner)
+
+
+def _hashing_work(monkeypatch, name, duration, warmup) -> tuple:
+    """``(merkle_root calls, distinct batches whose root was read,
+    hash_fields + hash_bytes calls)`` of one cut-down benchmark workload,
+    counted the way the benchmark's ``crypto.hash_calls`` is: by profile."""
+    spec = _cut_spec(name, duration, warmup)
+    reads = _FirstReads(vars(Batch)["root"])
+    profile = cProfile.Profile()
+    with monkeypatch.context() as patch:
+        patch.setattr(Batch, "root", reads)
+        profile.enable()
+        try:
+            runner.run_scenario(spec, seed=7)
+        finally:
+            profile.disable()
+    calls = Counter()
+    for (path, _line, function), (_cc, ncalls, *_rest) in \
+            pstats.Stats(profile).stats.items():
+        if Path(path).name == "hashing.py":
+            calls[function] += ncalls
+    return (calls["merkle_root"], len(reads.batches),
+            calls["hash_fields"] + calls["hash_bytes"])
+
+
+@pytest.mark.parametrize("name,duration,warmup,pinned", [
+    pytest.param(name, *rest, id=name) for name, *rest in (
+        ("flash-crowd-lanes4", 0.3, 0.1, (532, 532, 16261)),
+        ("lan-saturated", 0.4, 0.1, (626, 626, 3460)),
+    )])
+def test_a_body_is_hashed_once_per_object(monkeypatch, name, duration, warmup,
+                                          pinned):
+    """The Merkle tree of a block body is derived once per ``Batch`` object:
+    the proposer and every receiver of one simulated process hold the same
+    frozen batch, so ``merkle_root`` calls equal the distinct batches whose
+    root anyone read (at commit c851f49 every read re-derived it: 2 467
+    calls for 532 batches on the flash-crowd point, 3 004 for 626 on the
+    saturated one).  The generic
+    digest calls left on the transaction path are pinned with them; like the
+    work counters above they repeat exactly, so the tolerance is zero.
+    """
+    first = _hashing_work(monkeypatch, name, duration, warmup)
+    assert first == _hashing_work(monkeypatch, name, duration, warmup)
+    merkle_calls, batches_read, _digest_calls = first
+    assert merkle_calls == batches_read > 0
     assert first == pinned

@@ -20,7 +20,8 @@ from repro.net.network import Network
 from repro.protocols.base import NodeMetrics
 from repro.protocols.multiplexed import MultiplexedProtocol
 from repro.sim import Environment
-from tests import reference_commit_metrics
+from repro.workload.clients import _cumulative_weights, _pick_node
+from tests import reference_commit_metrics, reference_txpath
 from tests.reference_fold import cluster_fold, lane_fold
 
 common_settings = settings(max_examples=50,
@@ -420,6 +421,85 @@ def test_pruned_history_never_changes_the_root(stream, block_seed, limit):
     # The bounded executor really pruned once past its window.
     if unbounded.deliveries > limit:
         assert bounded.oldest_recorded > 1
+
+
+# ------------------------------------------- transaction path vs its oracle
+large_ints = st.integers(min_value=0, max_value=2 ** 80)
+transfer_fields = st.tuples(large_ints, large_ints, large_ints, large_ints)
+
+
+@common_settings
+@given(large_ints, st.integers(min_value=1, max_value=2 ** 40),
+       st.none() | large_ints, st.none() | transfer_fields)
+def test_payload_digest_is_the_old_hash_fields_digest(client_id, size_bytes,
+                                                      payload_seed, transfer):
+    """The digest written out for its fields in ``Transaction.__post_init__``
+    is the string ``hash_fields`` built (``None`` seeds fall back to the
+    ``tx_id``, opaque payloads stop after the size, zero amounts and ints
+    past 64 bits included), so no Merkle root or state root can move."""
+    transaction = Transaction.create(client_id, size_bytes, 0.0, payload_seed,
+                                     *(transfer or ()))
+    assert transaction.payload_digest == reference_txpath.payload_digest(
+        transaction.tx_id, client_id, size_bytes, payload_seed,
+        *(transfer or (None, None, 0, 0)))
+    assert transaction.digest == transaction.payload_digest
+
+
+@common_settings
+@given(st.none() | st.lists(st.floats(min_value=0.0, max_value=100.0),
+                            min_size=1, max_size=12).filter(lambda w: sum(w) > 0),
+       st.integers(min_value=0, max_value=2 ** 31),
+       st.integers(min_value=1, max_value=40))
+def test_cumulative_weights_draw_the_old_picks(weights, seed, draws):
+    """Accumulating the weights once changes no pick and leaves the RNG in
+    the same state, so everything drawn after a pick is unchanged too."""
+    nodes = list(range(len(weights) if weights else 7))
+    cum_weights = _cumulative_weights(weights, nodes)
+    fast, slow = random.Random(seed), random.Random(seed)
+    assert ([_pick_node(fast, nodes, cum_weights) for _ in range(draws)]
+            == [reference_txpath.pick_node(slow, nodes, weights)
+                for _ in range(draws)])
+    assert fast.getstate() == slow.getstate()
+
+
+@common_settings
+@given(st.lists(st.none() | st.tuples(
+           st.integers(min_value=0, max_value=N_ACCOUNTS - 1),   # sender
+           st.integers(min_value=0, max_value=N_ACCOUNTS - 1),   # recipient
+           st.integers(min_value=0, max_value=150),              # amount
+           st.integers(min_value=0, max_value=6)),               # nonce
+           max_size=60),
+       st.integers(min_value=0, max_value=2 ** 31))
+def test_executor_loop_is_the_old_reflective_loop(stream, block_seed):
+    """Blocks of opaque payloads and transfers between four shared senders
+    execute to the same roots, counters, conflicts, balances and per-sender
+    histograms through the direct-read loop and the ``getattr`` one."""
+    transactions = [
+        Transaction.create(index % 3, 8, index * 0.001, index,
+                           *(transfer or ()))
+        for index, transfer in enumerate(stream)]
+    executor = LedgerExecutor(N_ACCOUNTS, INITIAL_BALANCE, n_nodes=4)
+    oracle = reference_txpath.ReferenceExecutor(N_ACCOUNTS, INITIAL_BALANCE,
+                                                n_nodes=4)
+    rng = random.Random(block_seed)
+    index = delivery = 0
+    while index < len(transactions):
+        size = rng.randint(1, 7)
+        block = tuple(transactions[index:index + size])
+        for target in (executor, oracle):
+            target.apply_delivery(("block", delivery), block,
+                                  tx_count=len(block) + delivery % 2,
+                                  proposer=delivery % 4, now=1.0 + delivery)
+        index += size
+        delivery += 1
+    assert executor.state_root == oracle.state_root
+    assert list(executor._history) == list(oracle._history)
+    assert executor.conflicts == oracle.conflicts
+    assert executor.deliveries == oracle.deliveries == delivery
+    assert vars(executor.state) == vars(oracle.state)
+    assert executor._proposer_tx == oracle._proposer_tx
+    assert executor._sender_latency == oracle._sender_latency
+    assert executor.fairness() == oracle.fairness()
 
 
 # ------------------------------------------------------- scenario spec parsing
