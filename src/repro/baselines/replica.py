@@ -3,7 +3,7 @@
 :class:`PooledReplicaMixin` is the replica side: constructor state, the
 commit step, the duck-typed workload surface the clients in
 :mod:`repro.workload.clients` drive — a ``submit_transaction`` feeding the
-cluster-wide :class:`~repro.protocols.base.SharedTxPool` plus delivered-work
+cluster-wide :class:`~repro.ledger.txpool.TxPool` plus delivered-work
 counters — and the batch-draining rule for ``fill_blocks=False`` configs.
 A replica reports what it does to its own
 :class:`~repro.metrics.recorder.MetricsRecorder`, exactly as a FLO node does.
@@ -21,13 +21,14 @@ from repro.core.context import ProtocolContext
 from repro.crypto.cost_model import CryptoCostModel
 from repro.ledger.delivery import Delivery, DeliveryStream
 from repro.ledger.transaction import Transaction
+from repro.ledger.txpool import TxPool
 from repro.metrics.recorder import (
     EVENT_BLOCK_PROPOSAL,
     EVENT_TENTATIVE_DECISION,
     MetricsRecorder,
 )
 from repro.net.network import Network, discard
-from repro.protocols.base import ConsensusProtocol, NodeMetrics, SharedTxPool
+from repro.protocols.base import ConsensusProtocol, NodeMetrics
 from repro.sim import Environment
 
 
@@ -130,11 +131,11 @@ class PooledReplicaMixin:
         of synthetic transactions when saturated, otherwise whatever the
         client pool has pending (possibly zero — an empty batch keeps the
         pipeline's cadence observable, exactly like FireLedger's empty
-        blocks).  The transactions tuple is non-empty only when the shared
-        pool carries them (execution-enabled runs)."""
+        blocks)."""
         if self.fill_blocks or self.pool is None:
             return self.batch_size, ()
-        return self.pool.take_transactions(self.batch_size)
+        batch = self.pool.take_batch(self.batch_size, fill_random=False)
+        return batch.tx_count, batch.transactions
 
     def _batch_bytes(self, tx_count: int) -> int:
         return tx_count * self.tx_size + self.HEADER_OVERHEAD
@@ -161,8 +162,11 @@ class LeaderDrivenProtocol(ConsensusProtocol):
     def build_nodes(self, env, network, keystore, config, rng,
                     adversary=None) -> list:
         cost = CryptoCostModel(config.machine)
-        pool = SharedTxPool(max_pending=config.pool_max_pending,
-                            carry_transactions=config.execute_transactions)
+        # FireLedger routes a client write to one node's least-loaded
+        # worker; the leader-driven baselines model clients submitting to the
+        # ordering service as a whole, so every replica feeds one pool and
+        # the proposing leader drains up to a batch at a time.
+        pool = TxPool(config.tx_size, max_pending=config.pool_max_pending)
         replicas = [
             self.replica_class(env, network, node_id, config.f,
                                config.batch_size, config.tx_size, cost,

@@ -38,7 +38,7 @@ class _QuorumDrain:
     drain replays those iterations from kernel callbacks, step for step:
     interrupt check, ``inbox.take``, CPU slot (a free one, else the acquire
     queue), one :meth:`~repro.sim.Environment.call_later` timer where the
-    process created a ``Timeout`` — same delay, priority and single sequence
+    process created a ``Timeout`` — same delay and the same single sequence
     number, so every same-instant tie resolves as before — then release the
     slot and record the sender.  Each message keeps its own hold: one hold of
     ``k * message_cpu`` would stop the worker re-queueing behind its

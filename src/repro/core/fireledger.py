@@ -46,7 +46,11 @@ from repro.ledger.block import Block, BlockHeader, header_for_batch
 from repro.ledger.chain import Blockchain, ChainVersion
 from repro.ledger.transaction import Batch, Transaction
 from repro.ledger.txpool import TxPool
-from repro.ledger.validation import distinct_proposers_window, is_valid_block
+from repro.ledger.validation import (
+    ValidationError,
+    distinct_proposers_window,
+    validate_chain,
+)
 from repro.metrics.recorder import (
     EVENT_BLOCK_PROPOSAL,
     EVENT_DEFINITE_DECISION,
@@ -74,7 +78,7 @@ class FireLedgerWorker:
                  worker_id: int, config: FireLedgerConfig, keystore: KeyStore,
                  recorder: Optional[MetricsRecorder] = None,
                  rng: Optional[random.Random] = None,
-                 on_definite: Optional[Callable[[int, Block, float], None]] = None) -> None:
+                 on_definite: Optional[Callable[[int, Block], None]] = None) -> None:
         self.env = env
         self.network = network
         self.node_id = node_id
@@ -645,24 +649,18 @@ class FireLedgerWorker:
 
     def _emit_definite(self) -> None:
         definite_height = self.chain.definite_height
-        newly_definite: list[Block] = []
         while self._last_definite_emitted < definite_height:
             self._last_definite_emitted += 1
             block = self.chain.block_at_round(self._last_definite_emitted)
             if block is None:
                 continue
+            # D before the callback: the merge releases a block only once it
+            # was offered, so a round's E can never precede its own D.
             self.recorder.record_event(self.worker_id, block.round_number,
                                        EVENT_DEFINITE_DECISION, self.env.now,
                                        tx_count=block.tx_count)
-            newly_definite.append(block)
-        # Record every D before any delivery callback: FLO's round-robin
-        # drain delivers by chain state and may release *all* newly definite
-        # rounds during the first callback — in streaming-metrics mode the E
-        # event folds a record immediately, so a D recorded after it would
-        # re-create the record and lose the C->D / D->E spans.
-        if self.on_definite is not None:
-            for block in newly_definite:
-                self.on_definite(self.worker_id, block, self.env.now)
+            if self.on_definite is not None:
+                self.on_definite(self.worker_id, block)
 
     def _bound_caches(self) -> None:
         """Evict per-round caches past the retention window (soak runs).
@@ -757,22 +755,21 @@ class FireLedgerWorker:
         self.context.inbox.discard_below(self.round)
 
     def _version_valid(self, version: ChainVersion) -> bool:
-        """Objective validity of a recovery version (Algorithm 3, line 11)."""
-        if version.is_empty:
-            return True
+        """Objective validity of a recovery version (Algorithm 3, line 11):
+        the paper's ``valid`` — every block signed by its proposer, hash-linked
+        to its predecessor, one round after it — plus Lemma 5.3.2's distinct
+        proposers.  Bodies are not re-hashed; a version ships decided blocks."""
         blocks = version.blocks
-        previous = None
-        for block in blocks:
-            if block.signature is None:
-                return False
-            if not self.keystore.verify(block.signature, block.proposer, block.digest):
-                return False
-            if previous is not None:
-                if (block.previous_digest != previous.digest
-                        or block.round_number != previous.round_number + 1):
-                    return False
-            previous = block
-        return distinct_proposers_window(list(blocks), self.config.f + 1)
+        # validate_chain excuses the genesis placeholder (proposer -1, no
+        # signature); a version holds decided blocks only, so here a block
+        # without a real proposer's signature is invalid.
+        if any(block.signature is None or block.proposer < 0 for block in blocks):
+            return False
+        try:
+            validate_chain(blocks, self.keystore, check_body=False)
+        except ValidationError:
+            return False
+        return distinct_proposers_window(blocks, self.config.f + 1)
 
     def _adopt_best_version(self, versions: list[ChainVersion]) -> None:
         candidates = sorted(versions, key=lambda v: -v.newest_round)

@@ -20,7 +20,7 @@ from repro.ledger.block import Block
 from repro.ledger.transaction import Transaction
 from repro.metrics.recorder import MetricsRecorder
 from repro.net.network import Network, discard
-from repro.ledger.delivery import Delivery, DeliveryStream
+from repro.ledger.delivery import Delivery, DeliveryStream, RoundRobinMerge
 from repro.sim import Environment
 
 
@@ -66,9 +66,8 @@ class FLONode:
         if silent:
             endpoint.handlers.clear()
 
-        # Round-robin delivery state.
-        self._delivery_cursor = 0
-        self._next_round = [0] * config.workers
+        # Definite blocks are released to clients in worker round-robin order.
+        self._merge = RoundRobinMerge(config.workers, self._release)
         #: The node's delivery seam: one Delivery per released block, in the
         #: round-robin total order.  The cluster runner subscribes the
         #: execution layer here; the recorder subscribes first so the E event
@@ -101,36 +100,23 @@ class FLONode:
         return target.txpool.submit(transaction)
 
     # --------------------------------------------------------------- delivery
-    def _on_definite(self, worker_id: int, block: Block, time: float) -> None:
-        self._drain_deliverable()
+    def _on_definite(self, worker_id: int, block: Block) -> None:
+        self._merge.offer(worker_id, block)
 
-    def _drain_deliverable(self) -> None:
-        """Release definite blocks to clients in worker round-robin order."""
-        workers = self.workers
-        progressed = True
-        while progressed:
-            progressed = False
-            worker = workers[self._delivery_cursor]
-            round_number = self._next_round[self._delivery_cursor]
-            if worker.chain.is_definite(round_number):
-                block = worker.chain.block_at_round(round_number)
-                if block is not None:
-                    # Deliver before mark_released: every stream consumer
-                    # (recorder, executor, lane merge) must observe the block
-                    # strictly before the pruning this release unlocks.
-                    self.delivery_stream.deliver(Delivery(
-                        tag=block.digest,
-                        transactions=block.batch.transactions,
-                        tx_count=block.tx_count,
-                        proposer=block.proposer,
-                        proposed_at=block.header.created_at,
-                        time=self.env.now,
-                        source=worker.worker_id,
-                        sequence=round_number))
-                worker.chain.mark_released(round_number)
-                self._next_round[self._delivery_cursor] = round_number + 1
-                self._delivery_cursor = (self._delivery_cursor + 1) % len(workers)
-                progressed = True
+    def _release(self, worker_id: int, block: Block) -> None:
+        # Deliver before mark_released: every stream consumer (recorder,
+        # executor, lane merge) must observe the block strictly before the
+        # pruning this release unlocks.
+        self.delivery_stream.deliver(Delivery(
+            tag=block.digest,
+            transactions=block.batch.transactions,
+            tx_count=block.tx_count,
+            proposer=block.proposer,
+            proposed_at=block.header.created_at,
+            time=self.env.now,
+            source=worker_id,
+            sequence=block.round_number))
+        self.workers[worker_id].chain.mark_released(block.round_number)
 
     # ------------------------------------------------------------- inspection
     @property

@@ -6,16 +6,20 @@ into one explicit contract.  A node owns a :class:`DeliveryStream` and pushes
 one :class:`Delivery` per block it releases to clients, in its local total
 order; consumers (the :class:`~repro.ledger.state.LedgerExecutor`, metric
 counters, the lane merge of :mod:`repro.protocols.multiplexed`) subscribe to
-the stream.  The classes live here, at the bottom of the layer graph, so the
-protocol implementations in :mod:`repro.core` / :mod:`repro.baselines` can
-produce onto the stream without importing the protocol registry; the public
-contract is re-exported by :mod:`repro.protocols.base`.
+the stream.  :class:`RoundRobinMerge` is the one merge of several ordered
+sources into one total order — FLO's workers and the multiplexed lanes both
+release through it.  The classes live here, at the bottom of the layer
+graph, so the protocol implementations in :mod:`repro.core` /
+:mod:`repro.baselines` can produce onto the stream without importing the
+protocol registry; the public contract is re-exported by
+:mod:`repro.protocols.base`.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 
 @dataclass(slots=True)
@@ -72,3 +76,39 @@ class DeliveryStream:
         self.transactions += delivery.tx_count
         for consumer in self._subscribers:
             consumer(delivery)
+
+
+class RoundRobinMerge:
+    """Merge ``sources`` FIFO sequences into one total order, round-robin.
+
+    A cursor walks the sources and releases the head of the current source's
+    buffer when present, else the merge *waits*: a stalled source
+    head-of-line blocks the merge while the others keep buffering, because
+    skipping it deterministically would require agreeing on the skip — another
+    consensus.  The merged order is therefore a pure function of the
+    per-source sequences, which agree at every correct node; arrival
+    interleaving across sources cannot leak into it.
+    """
+
+    def __init__(self, sources: int,
+                 release: Callable[[int, object], None]) -> None:
+        self._buffers: list[deque] = [deque() for _ in range(sources)]
+        self._cursor = 0
+        self._release = release
+
+    def offer(self, source: int, item: object) -> None:
+        """Append ``item`` to ``source``'s sequence; release what is in turn."""
+        buffers = self._buffers
+        buffers[source].append(item)
+        while buffers[self._cursor]:
+            source = self._cursor
+            item = buffers[source].popleft()
+            # Advance before releasing, so an offer made from inside
+            # ``release`` cannot release out of turn.
+            self._cursor = (source + 1) % len(buffers)
+            self._release(source, item)
+
+    @property
+    def pending(self) -> int:
+        """Items buffered behind the cursor (the stalled-source backlog)."""
+        return sum(len(buffer) for buffer in self._buffers)

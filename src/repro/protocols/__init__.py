@@ -12,11 +12,10 @@ all resolve through the same registry.  Shipped protocols:
 * ``bftsmart``   — a BFT-SMaRt-style stable-leader ordering service,
   :mod:`repro.baselines.bftsmart`.
 
-On top of the registered names, the dynamic spelling
-``multiplexed(<base>, lanes=<M>)`` composes M independent lanes of any base
-protocol over one shared network and merges their delivery streams into a
-single total order (see :mod:`repro.protocols.multiplexed`); setting
-``FireLedgerConfig.lanes > 1`` applies the same wrapper implicitly.
+Setting ``FireLedgerConfig.lanes > 1`` (``--lanes``) composes M independent
+lanes of the named protocol over one shared network and merges their delivery
+streams into a single total order (see :mod:`repro.protocols.multiplexed`);
+it is the one way in — lanes are not part of a protocol's name.
 
 Adding a protocol: implement the contract in :mod:`repro.protocols.base`
 and call :func:`register` (see ARCHITECTURE.md, "Protocol layer").
@@ -27,7 +26,6 @@ from repro.protocols.base import (
     Delivery,
     DeliveryStream,
     NodeMetrics,
-    SharedTxPool,
     get,
     names,
     register,
@@ -49,7 +47,6 @@ __all__ = [
     "Delivery",
     "DeliveryStream",
     "NodeMetrics",
-    "SharedTxPool",
     "FireLedgerProtocol",
     "HotStuffProtocol",
     "BFTSmartProtocol",

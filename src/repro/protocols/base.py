@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import abc
 import random
-import re
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
@@ -61,7 +60,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "ConsensusProtocol", "Delivery", "DeliveryStream", "NodeMetrics",
-    "SharedTxPool", "get", "names", "register", "resolve",
+    "get", "names", "register", "resolve",
 ]
 
 
@@ -212,61 +211,6 @@ class ConsensusProtocol(abc.ABC):
             })
 
 
-class SharedTxPool:
-    """Cluster-wide pending pool for leader-driven baseline protocols.
-
-    FireLedger routes a client write to one node's least-loaded worker; the
-    leader-driven baselines instead model clients submitting to the ordering
-    service as a whole (requests reach whichever replica currently batches).
-    Every replica's ``submit_transaction`` feeds this shared pool and the
-    proposing leader drains up to a batch at a time, so open-loop /
-    closed-loop / bursty scenario workloads drive all protocols comparably.
-    """
-
-    def __init__(self, max_pending: Optional[int] = None,
-                 carry_transactions: bool = False) -> None:
-        if max_pending is not None and max_pending < 1:
-            raise ValueError("max_pending must be >= 1 (or None)")
-        self.max_pending = max_pending
-        self.pending = 0
-        self.submitted = 0
-        self.rejected = 0
-        #: Execution-layer mode: keep the actual Transaction objects so the
-        #: leader can ship them in its proposals.  Off by default — the
-        #: throughput benchmarks only need counts.
-        self._transactions = [] if carry_transactions else None
-
-    def submit(self, transaction=None) -> bool:
-        """Queue one transaction; returns False (and counts) when full."""
-        if self.max_pending is not None and self.pending >= self.max_pending:
-            self.rejected += 1
-            return False
-        self.pending += 1
-        self.submitted += 1
-        if self._transactions is not None and transaction is not None:
-            self._transactions.append(transaction)
-        return True
-
-    def take(self, max_count: int) -> int:
-        """Drain up to ``max_count`` pending transactions; returns the count."""
-        count, _ = self.take_transactions(max_count)
-        return count
-
-    def take_transactions(self, max_count: int) -> "tuple[int, tuple]":
-        """Drain up to ``max_count``; returns ``(count, transactions)``.
-
-        The transactions tuple is empty unless the pool was built with
-        ``carry_transactions=True`` (execution-enabled runs).
-        """
-        taken = min(self.pending, max_count)
-        self.pending -= taken
-        if self._transactions is None:
-            return taken, ()
-        batch = tuple(self._transactions[:taken])
-        del self._transactions[:taken]
-        return taken, batch
-
-
 _PROTOCOLS: dict[str, ConsensusProtocol] = {}
 
 
@@ -285,29 +229,15 @@ def names() -> list[str]:
     return list(_PROTOCOLS)
 
 
-#: Dynamic protocol spelling: ``multiplexed(<base>, lanes=<M>)``.
-_MULTIPLEXED_NAME = re.compile(
-    r"^multiplexed\(\s*(?P<base>[a-z0-9_-]+)\s*,\s*lanes\s*=\s*(?P<lanes>\d+)\s*\)$")
-
-
 def get(name: str) -> ConsensusProtocol:
     """Look up a registered protocol by name.
 
-    Besides the registered names, the dynamic spelling
-    ``multiplexed(<base>, lanes=<M>)`` resolves to a
-    :class:`~repro.protocols.multiplexed.MultiplexedProtocol` over the
-    registered base protocol.
+    Lanes are not part of the name: ``config.lanes`` (``--lanes``) is the one
+    way to run M instances of a registered protocol.
     """
     try:
         return _PROTOCOLS[name]
     except KeyError:
-        match = _MULTIPLEXED_NAME.match(name.strip())
-        if match is not None:
-            # Local import: the multiplexed module builds on this one.
-            from repro.protocols.multiplexed import MultiplexedProtocol
-
-            return MultiplexedProtocol(get(match.group("base")),
-                                       lanes=int(match.group("lanes")))
         raise KeyError(f"unknown protocol {name!r}; "
                        f"known: {', '.join(names())}") from None
 

@@ -24,15 +24,13 @@ Three pieces make that composition safe:
   nonce rule of :mod:`repro.ledger.state` keeps its per-sender ordering
   guarantees unchanged.
 
-* **Watermark round-robin merge**.  Per node, a cursor walks the lanes and
-  releases the head of the current lane's delivery buffer only when present,
-  else the merge *waits* (head-of-line blocking, exactly like FLO's worker
-  merge — skipping a slow lane deterministically would itself require
-  consensus).  The merged order is therefore a pure monotone function of the
-  per-lane delivery sequences, which agree at every correct node; arrival
-  interleaving across lanes cannot leak into it.  Merged deliveries are
-  re-tagged ``(lane, tag)`` so the execution state root is defensibly
-  different between lane counts but byte-identical across nodes and runs.
+* **Watermark round-robin merge**.  Per node, the lanes' delivery streams
+  feed one :class:`~repro.ledger.delivery.RoundRobinMerge` — the same merge
+  FLO releases its workers' blocks through: head-of-line blocking, so the
+  merged order is a pure function of the per-lane delivery sequences, which
+  agree at every correct node.  Merged deliveries are re-tagged
+  ``(lane, tag)`` so the execution state root is defensibly different
+  between lane counts but byte-identical across nodes and runs.
 
 ``pool_max_pending`` is interpreted as a **cluster-global budget** split as
 evenly as possible across the lanes' pools; per-lane rejection counts are
@@ -45,10 +43,10 @@ hot-sender imbalance visible.
 from __future__ import annotations
 
 import random
-from collections import deque
+from functools import partial
 from typing import Optional, Sequence
 
-from repro.ledger.delivery import Delivery, DeliveryStream
+from repro.ledger.delivery import Delivery, DeliveryStream, RoundRobinMerge
 from repro.net.message import MESSAGE_OVERHEAD_BYTES
 from repro.protocols.base import ConsensusProtocol, NodeMetrics
 
@@ -111,42 +109,23 @@ class MultiplexedNode:
         self.delivery_stream = DeliveryStream()
         #: Execution layer, attached by the cluster runner (None otherwise).
         self.executor = None
-        self._buffers = [deque() for _ in lanes]
-        self._cursor = 0
+        self._merge = RoundRobinMerge(len(lanes), self._release)
         self._merged_sequence = 0
         for lane, inner in enumerate(lanes):
-            inner.delivery_stream.subscribe(
-                lambda delivery, lane=lane: self._on_lane_delivery(lane, delivery))
+            inner.delivery_stream.subscribe(partial(self._merge.offer, lane))
 
     # --------------------------------------------------------------- merging
-    def _on_lane_delivery(self, lane: int, delivery: Delivery) -> None:
-        self._buffers[lane].append(delivery)
-        self._drain()
-
-    def _drain(self) -> None:
-        """Watermark round-robin: release the cursor lane's head or wait.
-
-        The merged order depends only on the per-lane delivery sequences —
-        never on cross-lane arrival interleaving — so every correct node
-        computes the same merge.  A stalled lane head-of-line blocks the
-        merge (other lanes keep buffering); skipping it deterministically
-        would require agreeing on the skip, i.e. another consensus.
-        """
-        buffers = self._buffers
-        while buffers[self._cursor]:
-            lane = self._cursor
-            delivery = buffers[lane].popleft()
-            self._merged_sequence += 1
-            self.delivery_stream.deliver(Delivery(
-                tag=(lane, delivery.tag),
-                transactions=delivery.transactions,
-                tx_count=delivery.tx_count,
-                proposer=delivery.proposer,
-                proposed_at=delivery.proposed_at,
-                time=delivery.time,
-                source=lane,
-                sequence=self._merged_sequence))
-            self._cursor = (self._cursor + 1) % len(buffers)
+    def _release(self, lane: int, delivery: Delivery) -> None:
+        self._merged_sequence += 1
+        self.delivery_stream.deliver(Delivery(
+            tag=(lane, delivery.tag),
+            transactions=delivery.transactions,
+            tx_count=delivery.tx_count,
+            proposer=delivery.proposer,
+            proposed_at=delivery.proposed_at,
+            time=delivery.time,
+            source=lane,
+            sequence=self._merged_sequence))
 
     # ---------------------------------------------------------------- client
     def submit_transaction(self, transaction) -> bool:
@@ -163,7 +142,7 @@ class MultiplexedNode:
     @property
     def pending_merge(self) -> int:
         """Deliveries buffered behind the watermark (stalled-lane backlog)."""
-        return sum(len(buffer) for buffer in self._buffers)
+        return self._merge.pending
 
 
 class MultiplexedProtocol(ConsensusProtocol):

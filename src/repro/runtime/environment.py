@@ -1,30 +1,27 @@
 """Wall-clock environment: the sim kernel contract over an asyncio loop.
 
 :class:`RealtimeEnvironment` is the second implementation of the
-:class:`~repro.sim.environment.Environment` contract (docstring-hardened in
-earlier PRs precisely so it could be implemented twice).  Time is the event
-loop's monotonic clock, re-based so ``now`` starts at ``initial_time`` when
-the environment is constructed; timers (``call_later`` / ``schedule_event`` /
-``timeout``) become ``loop.call_later`` handles.  Everything layered on the
-kernel primitives — :class:`~repro.sim.process.Process` generators,
-:class:`~repro.sim.resource.Resource` CPU slots, ``any_of``/``all_of``
-conditions, the network's final delivery step — is inherited unchanged: those
-only ever talk to ``schedule_event``/``timeout``/``now`` (or its cell
-``_now``), so the same protocol code drives either backend.
+:class:`~repro.sim.environment.Environment` contract: the same members, and
+only the ones it implements differently are overridden (the clock cell
+``_now`` / ``now``, ``call_later``, ``schedule_event``, ``schedule_batch``,
+``run``).  Time is the event loop's monotonic clock, re-based so ``now``
+starts at zero when the environment is constructed; timers (``call_later`` /
+``schedule_event`` / ``timeout``) become ``loop.call_later`` handles.
+Everything layered on the kernel primitives —
+:class:`~repro.sim.process.Process` generators,
+:class:`~repro.sim.resource.Resource` CPU slots, ``any_of`` conditions, the
+network's final delivery step — is inherited unchanged: those only ever talk
+to ``schedule_event``/``timeout``/``now`` (or its cell ``_now``), so the same
+protocol code drives either backend.
 
-Differences from the simulated kernel, by necessity:
-
-* ``run(until=...)`` requires an explicit deadline — a wall clock never
-  "runs out of events" — and takes ``until`` seconds of real time.
-* ``priority`` tie-breaks are ignored: the wall clock never produces the
-  same-instant ties the simulator resolves with them.
-* ``peek()`` and ``step()`` raise — there is no lookahead and no
-  single-stepping of real time.
+The one difference from the simulated kernel, by necessity:
+``run(until=...)`` requires an explicit deadline — a wall clock never "runs
+out of events" — and takes ``until`` seconds of real time.
 
 Exceptions raised by process callbacks land in asyncio's loop exception
 handler rather than propagating through the dispatch stack; the environment
-captures the first one, stops the run early, and re-raises it from ``run``
-when ``strict_errors`` is set — same observable contract as the simulator.
+captures the first one, stops the run early, and re-raises it from ``run`` —
+same observable contract as the simulator.
 
 The environment owns a private event loop (never the thread's default), and
 :class:`~repro.runtime.network.RealtimeNetwork` registers startup/shutdown
@@ -47,14 +44,12 @@ class RealtimeEnvironment(Environment):
     __slots__ = ("_loop", "_origin", "_frozen_now", "_startup_hooks",
                  "_shutdown_hooks", "_error", "_failure", "_stopping")
 
-    def __init__(self, initial_time: float = 0.0,
-                 strict_errors: bool = True) -> None:
+    def __init__(self) -> None:
         self._loop = asyncio.new_event_loop()
         self._loop.set_exception_handler(self._on_loop_exception)
         self._frozen_now: Optional[float] = None
         # Assigns ``_now``, which re-bases the wall clock (``_origin``).
-        super().__init__(initial_time=initial_time,
-                         strict_errors=strict_errors)
+        super().__init__()
         self._startup_hooks: list[Callable[[], Awaitable[None]]] = []
         self._shutdown_hooks: list[Callable[[], Awaitable[None]]] = []
         self._error: Optional[BaseException] = None
@@ -111,14 +106,10 @@ class RealtimeEnvironment(Environment):
             return
         self._loop.call_later(delay, fn, arg)
 
-    def schedule_event(self, event: Any, delay: float = 0.0,
-                       priority: int = 1) -> None:
+    def schedule_event(self, event: Any, delay: float = 0.0) -> None:
         """Queue ``event`` for dispatch ``delay`` real seconds from now.
 
-        ``priority`` is accepted for contract compatibility but ignored:
-        real timers never fire at exactly the same instant, so the
-        simulator's same-instant tie-break has nothing to break.  Inert
-        after the deadline, like :meth:`call_later`.
+        Inert after the deadline, like :meth:`call_later`.
         """
         if delay < 0:
             raise ValueError(f"negative delay {delay!r}")
@@ -139,16 +130,6 @@ class RealtimeEnvironment(Environment):
         for when, arg in zip(times, args):
             call_later(max(0.0, when - now), fn, arg)
 
-    def peek(self) -> float:
-        raise NotImplementedError(
-            "RealtimeEnvironment has no event lookahead: the wall clock, "
-            "not a queue, decides what fires next")
-
-    def step(self) -> None:
-        raise NotImplementedError(
-            "RealtimeEnvironment cannot single-step real time; use "
-            "run(until=...)")
-
     # ----------------------------------------------------------------- hooks
     def add_startup_hook(self, hook: Callable[[], Awaitable[None]]) -> None:
         """Run ``await hook()`` on the loop before the run deadline starts."""
@@ -167,8 +148,7 @@ class RealtimeEnvironment(Environment):
         ports) complete before the wait begins; shutdown hooks and a cancel
         sweep of leftover tasks run before this returns, so no sockets or
         tasks outlive the call.  The first exception captured from any
-        callback or transport task aborts the wait and is re-raised here
-        when ``strict_errors`` is set.
+        callback or transport task aborts the wait and is re-raised here.
         """
         if until is None:
             raise ValueError(
@@ -197,8 +177,7 @@ class RealtimeEnvironment(Environment):
             self._frozen_now = until
         if self._error is not None:
             error, self._error = self._error, None
-            if self.strict_errors:
-                raise error
+            raise error
 
     def close(self) -> None:
         """Close the private event loop.  The environment is dead after this."""

@@ -593,8 +593,6 @@ class ScenarioSpec(_Block):
         from repro import protocols  # lazy: the registry imports this module
 
         try:
-            # Resolves registered names and the dynamic spelling
-            # ``multiplexed(<base>, lanes=<M>)`` alike.
             impl = protocols.get(self.protocol)
         except KeyError:
             raise ValueError(f"unknown protocol {self.protocol!r}; "

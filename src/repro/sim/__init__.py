@@ -3,18 +3,24 @@
 This subpackage provides the minimal process-based simulation machinery that
 the rest of the library is built on: an :class:`~repro.sim.environment.Environment`
 that advances virtual time, generator-based processes, triggerable events,
-timeouts, composite wait conditions and counted resources
-(:class:`~repro.sim.resource.Resource`).
+timeouts, the one composite wait condition (:class:`AnyOf`) and counted
+resources (:class:`~repro.sim.resource.Resource`).
 
-The design intentionally mirrors the small core of SimPy so that protocol code
-reads like straight-line pseudo-code ("wait until a valid message has been
-received or the timer has expired") while remaining fully deterministic: all
+Protocol code reads like straight-line pseudo-code ("wait until a valid
+message has been received or the timer has expired"), in the style of SimPy's
+small core, but the contract is only what the program calls: a queue entry
+carries no rank beside its time and insertion sequence, an event has no
+failure channel (an exception propagates out of ``Environment.run``), a
+process cannot be interrupted from outside (the paper's panic thread is
+:class:`~repro.core.context.PanicInterrupt`, raised by the waiting code
+itself), and ``Environment.run`` is the one dispatch loop — so the realtime
+backend implements the same members.  Runs are fully deterministic: all
 randomness is injected through explicit :class:`random.Random` instances and
-event ordering is tie-broken by insertion sequence numbers.
+events are ordered by ``(time, insertion sequence)``.
 """
 
 from repro.sim.environment import Environment
-from repro.sim.events import AllOf, AnyOf, Event, Interrupt, Timeout
+from repro.sim.events import AnyOf, Event, Timeout
 from repro.sim.process import Process
 from repro.sim.resource import Resource
 
@@ -23,8 +29,6 @@ __all__ = [
     "Event",
     "Timeout",
     "AnyOf",
-    "AllOf",
-    "Interrupt",
     "Process",
     "Resource",
 ]

@@ -8,7 +8,6 @@ from typing import Any, Callable, Generator, Iterable, Optional
 
 from repro.sim.events import (
     PENDING,
-    AllOf,
     AnyOf,
     Event,
     ScheduledBatch,
@@ -21,17 +20,13 @@ from repro.sim.process import Process
 _CALLBACK_POOL_MAX = 4096
 
 
-class EmptySchedule(Exception):
-    """Raised by :meth:`Environment.step` when no events remain."""
-
-
 class Environment:
     """Discrete-event simulation environment.
 
     Time is a float in *seconds*.  The queue orders entries by
-    ``(time, priority, sequence)``: same-instant entries run in ascending
-    ``priority`` (see :meth:`schedule_event`), then in FIFO order of
-    scheduling, which keeps every run fully deterministic.
+    ``(time, sequence)``: same-instant entries run in FIFO order of
+    scheduling, which keeps every run fully deterministic.  :meth:`run` is
+    the one statement of that dispatch order.
 
     Three kinds of entries share the queue: regular :class:`Event` objects
     (yieldable, composable, with callback lists), the pooled
@@ -40,7 +35,7 @@ class Environment:
     (one heap slot for a whole broadcast fan-out).
 
     Two specialisations keep the hot paths cheap; both preserve the exact
-    ``(time, priority, sequence)`` order the plain heap would produce:
+    ``(time, sequence)`` order the plain heap would produce:
 
     * **Same-instant bucket.**  The dominant scheduling case is "run this at
       the current instant" (event ``succeed``, zero-delay ``call_later``,
@@ -60,18 +55,14 @@ class Environment:
     suite runs every scenario under both and asserts byte-identical outcomes.
     """
 
-    __slots__ = ("_now", "_queue", "_bucket", "_sequence", "_callback_pool",
-                 "strict_errors")
+    __slots__ = ("_now", "_queue", "_bucket", "_sequence", "_callback_pool")
 
-    def __init__(self, initial_time: float = 0.0,
-                 strict_errors: bool = True) -> None:
-        self._now = float(initial_time)
-        self._queue: list[tuple[float, int, int, Any]] = []
+    def __init__(self) -> None:
+        self._now = 0.0
+        self._queue: list[tuple] = []
         self._bucket: deque[Any] = deque()
         self._sequence = 0
         self._callback_pool: list[ScheduledCallback] = []
-        #: When True, exceptions escaping a process propagate out of ``run``.
-        self.strict_errors = strict_errors
 
     # ------------------------------------------------------------------ time
     @property
@@ -120,7 +111,7 @@ class Environment:
             self._bucket.append(timer)
             return
         self._sequence += 1
-        heapq.heappush(self._queue, (when, 1, self._sequence, timer))
+        heapq.heappush(self._queue, (when, self._sequence, timer))
 
     def process(self, generator: Generator) -> Process:
         """Start a new process from ``generator``."""
@@ -130,19 +121,9 @@ class Environment:
         """Composite event firing when any of ``events`` fires."""
         return AnyOf(self, events)
 
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        """Composite event firing when all of ``events`` have fired."""
-        return AllOf(self, events)
-
     # ------------------------------------------------------------ scheduling
-    def schedule_event(self, event: Event, delay: float = 0.0, priority: int = 1) -> None:
+    def schedule_event(self, event: Event, delay: float = 0.0) -> None:
         """Queue ``event`` for processing ``delay`` seconds from now.
-
-        ``priority`` breaks same-instant ties: lower values run first, and
-        entries with equal priority run in scheduling order.  Everything the
-        kernel schedules (including :meth:`call_later` timers) uses the
-        default priority 1, so the knob exists for callers that must run
-        before or after the normal event traffic of one instant.
 
         Raises :class:`ValueError` for negative delays.
         """
@@ -150,15 +131,15 @@ class Environment:
             raise ValueError(f"negative delay {delay!r}")
         now = self._now
         when = now + delay
-        if when <= now and priority == 1:
-            # Same-instant default-priority entries keep FIFO order in the
-            # bucket; everything already heap-queued for this instant has a
-            # smaller sequence number, so heap-first dispatch preserves the
-            # exact (time, priority, sequence) order.
+        if when <= now:
+            # Same-instant entries keep FIFO order in the bucket; everything
+            # already heap-queued for this instant has a smaller sequence
+            # number, so heap-first dispatch preserves the exact
+            # (time, sequence) order.
             self._bucket.append(event)
             return
         self._sequence += 1
-        heapq.heappush(self._queue, (when, priority, self._sequence, event))
+        heapq.heappush(self._queue, (when, self._sequence, event))
 
     def schedule_batch(self, times: list[float], args: list[Any],
                        fn: Callable[[Any], None]) -> None:
@@ -179,34 +160,15 @@ class Environment:
         batch = ScheduledBatch(fn)
         entry = None
         for when, i in sorted(zip(times, range(k)), reverse=True):
-            entry = (when, 1, base + i, batch, args[i], entry)
+            entry = (when, base + i, batch, args[i], entry)
         heapq.heappush(self._queue, entry)
 
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none remain."""
-        if self._bucket:
-            return self._now
-        if not self._queue:
-            return float("inf")
-        return self._queue[0][0]
-
     # ------------------------------------------------------------- dispatch
-    def _dispatch(self, event: Any) -> None:
-        """Run one queue entry that is due now (bucket or heap, not a batch)."""
-        if type(event) is ScheduledCallback:
-            fn, arg = event.fn, event.arg
-            pool = self._callback_pool
-            if len(pool) < _CALLBACK_POOL_MAX:
-                # Recycle before running: fn and arg are already extracted, so
-                # a re-entrant call_later may reuse the instance safely.
-                event.fn = event.arg = None
-                pool.append(event)
-            fn(arg)
-            return
+    def _dispatch(self, event: Event) -> None:
+        """Run the callbacks of one :class:`Event` that is due now."""
         if event._value is PENDING:  # noqa: SLF001 - kernel-internal finalisation
             # Self-scheduling events (timeouts) only become triggered at their
             # fire time; finalise them here before running callbacks.
-            event._ok = True  # noqa: SLF001
             event._value = getattr(event, "_scheduled_value", None)  # noqa: SLF001
         callbacks = event.callbacks
         event.callbacks = None
@@ -214,36 +176,14 @@ class Environment:
             for callback in callbacks:
                 callback(event)
 
-    def step(self) -> None:
-        """Process the next scheduled queue entry and advance the clock.
-
-        Dispatch order: heap entries due at the current instant with priority
-        ``<= 1`` (their sequence numbers predate every bucket entry), then the
-        same-instant bucket in FIFO order, then the heap advances the clock.
-        A :class:`ScheduledBatch` re-inserts itself keyed by the next entry's
-        original sequence number, then fires the current entry — the queue is
-        already consistent while the delivery callback runs.
-        """
-        queue = self._queue
-        bucket = self._bucket
-        if bucket:
-            if not (queue and queue[0][0] == self._now and queue[0][1] <= 1):
-                self._dispatch(bucket.popleft())
-                return
-        elif not queue:
-            raise EmptySchedule()
-        entry = heapq.heappop(queue)
-        self._now = entry[0]
-        event = entry[3]
-        if type(event) is ScheduledBatch:
-            if entry[5] is not None:
-                heapq.heappush(queue, entry[5])
-            event.fn(entry[4])
-            return
-        self._dispatch(event)
-
     def run(self, until: Optional[float] = None) -> None:
-        """Run until the queue empties or the clock reaches ``until``."""
+        """Run until the queue empties or the clock reaches ``until``.
+
+        Dispatch order: heap entries due at the current instant (their
+        sequence numbers predate every bucket entry), then the same-instant
+        bucket in FIFO order, then the heap advances the clock.  An exception
+        raised by a callback or a process propagates out of here.
+        """
         if until is not None and until < self._now:
             raise ValueError(f"until={until} is in the past (now={self._now})")
         queue = self._queue
@@ -256,11 +196,14 @@ class Environment:
         while queue or bucket:
             # Same-instant bucket first (unless a heap entry precedes it).
             if bucket:
-                if not (queue and queue[0][0] == self._now and queue[0][1] <= 1):
+                if not (queue and queue[0][0] == self._now):
                     entry = popleft()
                     if type(entry) is ScheduledCallback:
                         fn, arg = entry.fn, entry.arg
                         if len(pool) < _CALLBACK_POOL_MAX:
+                            # Recycle before running: fn and arg are already
+                            # extracted, so a re-entrant call_later may reuse
+                            # the instance safely.
                             entry.fn = entry.arg = None
                             pool.append(entry)
                         fn(arg)
@@ -271,7 +214,7 @@ class Environment:
                 self._now = until
                 return
             head = queue[0]
-            event = head[3]
+            event = head[2]
             if type(event) is ScheduledBatch:
                 # Delivery train: swap the head for the train's next entry in
                 # one heapreplace sift (half the heap work of a pop + push),
@@ -281,12 +224,12 @@ class Environment:
                 # contiguous) sequence numbers, so the fire order is exactly
                 # what per-copy timers would produce, including ties.
                 self._now = head[0]
-                following = head[5]
+                following = head[4]
                 if following is None:
                     pop(queue)
                 else:
                     replace(queue, following)
-                event.fn(head[4])
+                event.fn(head[3])
                 continue
             pop(queue)
             self._now = head[0]

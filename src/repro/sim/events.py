@@ -1,9 +1,10 @@
 """Event primitives for the discrete-event kernel.
 
-An :class:`Event` is a one-shot object that is *pending* until it either
-*succeeds* (carrying a value) or *fails* (carrying an exception).  Processes
-wait on events by ``yield``-ing them; when the event fires the process is
-resumed with the event's value (or the exception is raised inside it).
+An :class:`Event` is a one-shot object that is *pending* until it *succeeds*
+(carrying a value).  Processes wait on events by ``yield``-ing them; when the
+event fires the process is resumed with the event's value.  There is no
+failure channel: an exception raised by a callback or a process propagates
+out of ``Environment.run``.
 """
 
 from __future__ import annotations
@@ -23,17 +24,11 @@ class Event:
         self.env = env
         self.callbacks: Optional[list[Callable[["Event"], None]]] = []
         self._value: Any = PENDING
-        self._ok = True
 
     @property
     def triggered(self) -> bool:
-        """Whether the event has fired (successfully or not)."""
+        """Whether the event has fired."""
         return self._value is not PENDING
-
-    @property
-    def ok(self) -> bool:
-        """Whether the event fired successfully (only meaningful if triggered)."""
-        return self._ok
 
     @property
     def value(self) -> Any:
@@ -42,33 +37,16 @@ class Event:
             raise RuntimeError("event has not been triggered yet")
         return self._value
 
-    @property
-    def processed(self) -> bool:
-        """Whether the event's callbacks have already run."""
-        return self.callbacks is None
-
     def succeed(self, value: Any = None) -> "Event":
-        """Fire the event successfully with ``value``."""
+        """Fire the event with ``value``."""
         if self.triggered:
             raise RuntimeError("event already triggered")
-        self._ok = True
         self._value = value
         self.env.schedule_event(self)
         return self
 
-    def fail(self, exception: BaseException) -> "Event":
-        """Fire the event with an exception that will be raised in waiters."""
-        if self.triggered:
-            raise RuntimeError("event already triggered")
-        if not isinstance(exception, BaseException):
-            raise TypeError("fail() requires an exception instance")
-        self._ok = False
-        self._value = exception
-        self.env.schedule_event(self)
-        return self
-
     def succeed_now(self, value: Any = None) -> None:
-        """Fire successfully and run the callbacks before returning.
+        """Fire and run the callbacks before returning.
 
         :meth:`succeed` queues the event, so its waiters run behind everything
         already queued for this instant.  A timer callback standing in for a
@@ -138,8 +116,8 @@ class ScheduledBatch:
     ``Network.broadcast`` used to schedule one pooled timer per copy — for a
     200-node clique that is 199 heap pushes per broadcast and a heap whose
     size grows with the whole in-flight fan-out.  A train carries every copy
-    of one broadcast as pre-built heap entries ``(time, priority, sequence,
-    train, arg, next entry)`` linked in fire order, and occupies a *single*
+    of one broadcast as pre-built heap entries ``(time, sequence, train, arg,
+    next entry)`` linked in fire order, and occupies a *single*
     heap slot: the kernel fires the head entry and swaps in the entry it
     links to with one ``heapreplace`` — no per-delivery allocation, no index
     arithmetic, and the train itself holds no mutable cursor.
@@ -180,7 +158,6 @@ class Timeout(Event):
         if delay < 0:
             raise ValueError(f"negative delay {delay!r}")
         super().__init__(env)
-        self.delay = delay
         self._scheduled_value = value
         env.schedule_event(self, delay=delay)
 
@@ -188,23 +165,17 @@ class Timeout(Event):
         raise RuntimeError("Timeout events trigger themselves")
 
 
-class Interrupt(Exception):
-    """Raised inside a process when another process interrupts it."""
+class AnyOf(Event):
+    """Composite event that fires when *any* child event fires.
 
-    def __init__(self, cause: Any = None) -> None:
-        super().__init__(cause)
-        self.cause = cause
-
-
-class _Condition(Event):
-    """Base for composite events built from several child events."""
+    Its value maps each child that has fired by then to that child's value.
+    """
 
     def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
         super().__init__(env)
         self.events = list(events)
-        self._finished = 0
         if not self.events:
-            self.succeed(ConditionValue({}))
+            self.succeed({})
             return
         for event in self.events:
             if event.triggered:
@@ -215,40 +186,8 @@ class _Condition(Event):
     def _child_fired(self, event: Event) -> None:
         if self.triggered:
             return
-        if not event.ok:
-            self.fail(event.value)
-            self._detach()
-            return
-        self._finished += 1
-        if self._satisfied():
-            self.succeed(ConditionValue(
-                {e: e.value for e in self.events if e.triggered and e.ok}
-            ))
-            self._detach()
-
-    def _detach(self) -> None:
-        """Deregister from children that have not fired (see discard_callback)."""
+        self.succeed({e: e.value for e in self.events if e.triggered})
+        # Deregister from children that have not fired (see discard_callback).
         for event in self.events:
             if not event.triggered:
                 event.discard_callback(self._child_fired)
-
-    def _satisfied(self) -> bool:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-
-class ConditionValue(dict):
-    """Mapping of triggered child events to their values."""
-
-
-class AnyOf(_Condition):
-    """Composite event that fires when *any* child event fires."""
-
-    def _satisfied(self) -> bool:
-        return self._finished >= 1
-
-
-class AllOf(_Condition):
-    """Composite event that fires when *all* child events have fired."""
-
-    def _satisfied(self) -> bool:
-        return self._finished >= len(self.events)

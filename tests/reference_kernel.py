@@ -2,7 +2,7 @@
 
 :class:`ReferenceEnvironment` schedules every entry — zero-delay timers,
 same-instant events, each copy of a broadcast — as its own heap slot keyed
-``(time, priority, sequence)``.  That is the plain-heap order the shipped
+``(time, sequence)``.  That is the plain-heap order the shipped
 :class:`~repro.sim.environment.Environment` promises its same-instant bucket
 and delivery trains reproduce, so running the same scenario under both and
 comparing every field exactly is the correctness argument for both
@@ -23,23 +23,23 @@ class ReferenceEnvironment(Environment):
 
     __slots__ = ()
 
-    def _push(self, when, priority, entry) -> None:
+    def _push(self, when, entry) -> None:
         self._sequence += 1
-        heapq.heappush(self._queue, (when, priority, self._sequence, entry))
+        heapq.heappush(self._queue, (when, self._sequence, entry))
 
     def call_later(self, delay, fn, arg=None) -> None:
         if delay < 0:
             raise ValueError(f"negative delay {delay!r}")
-        self._push(self._now + delay, 1, ScheduledCallback(fn, arg))
+        self._push(self._now + delay, ScheduledCallback(fn, arg))
 
-    def schedule_event(self, event, delay=0.0, priority=1) -> None:
+    def schedule_event(self, event, delay=0.0) -> None:
         if delay < 0:
             raise ValueError(f"negative delay {delay!r}")
-        self._push(self._now + delay, priority, event)
+        self._push(self._now + delay, event)
 
     def schedule_batch(self, times, args, fn) -> None:
         for when, arg in zip(times, args):
-            self._push(when, 1, ScheduledCallback(fn, arg))
+            self._push(when, ScheduledCallback(fn, arg))
 
 
 def use_reference(monkeypatch) -> None:

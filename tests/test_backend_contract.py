@@ -23,7 +23,7 @@ from repro.ledger.transaction import Batch, Transaction
 from repro.net.message import MESSAGE_OVERHEAD_BYTES, Message
 from repro.net.network import Network
 from repro.runtime import RealtimeEnvironment, RealtimeNetwork
-from repro.sim import Environment, Process
+from repro.sim import Environment, Event, Process
 
 BACKENDS = ("sim", "realtime")
 
@@ -402,12 +402,29 @@ def test_realtime_requires_explicit_deadline():
     try:
         with pytest.raises(ValueError):
             env.run()
-        with pytest.raises(NotImplementedError):
-            env.peek()
-        with pytest.raises(NotImplementedError):
-            env.step()
     finally:
         env.close()
+
+
+def _public(cls):
+    return {name for name in dir(cls) if not name.startswith("_")}
+
+
+def test_both_backends_expose_the_same_kernel_members():
+    """The kernel contract is what the program calls, on both backends:
+    adding a member means editing this test (and implementing it twice)."""
+    contract = {"now", "event", "timeout", "call_later", "process", "any_of",
+                "schedule_event", "schedule_batch", "run", "run_process"}
+    assert _public(Environment) == contract
+    assert _public(RealtimeEnvironment) - contract == {
+        "loop", "stopping", "add_startup_hook", "add_shutdown_hook", "close"}
+    # The realtime backend overrides only what it implements differently.
+    overridden = {name for name in vars(RealtimeEnvironment)
+                  if name in contract or name == "_now"}
+    assert overridden == {"_now", "now", "call_later", "schedule_event",
+                          "schedule_batch", "run"}
+    assert _public(Event) == {"triggered", "value", "succeed", "succeed_now",
+                              "add_callback", "discard_callback"}
 
 
 def test_realtime_delivers_over_loopback_tcp():

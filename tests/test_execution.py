@@ -11,7 +11,9 @@ import random as global_random
 
 import pytest
 
+from repro import protocols
 from repro.core.config import FireLedgerConfig
+from repro.crypto.keys import KeyStore
 from repro.ledger import Transaction
 from repro.ledger.state import (
     LedgerExecutor,
@@ -19,7 +21,7 @@ from repro.ledger.state import (
     verify_state_agreement,
 )
 from repro.metrics import report
-from repro.protocols.base import SharedTxPool
+from repro.net.network import Network
 from repro.scenarios import library
 from repro.scenarios.runner import run_scenario
 from repro.scenarios.spec import ExecutionSpec, ScenarioSpec
@@ -150,21 +152,22 @@ def test_execution_spec_round_trips_and_validates():
         ScenarioSpec.from_dict({"name": "x", "execution": {"bogus": 1}})
 
 
-def test_shared_pool_carries_transactions_only_when_asked():
-    carrying = SharedTxPool(carry_transactions=True)
-    tx = Transaction.create(client_id=1, size_bytes=64)
-    assert carrying.submit(tx)
-    assert carrying.submit(Transaction.create(client_id=2, size_bytes=64))
-    count, transactions = carrying.take_transactions(5)
-    assert count == 2
-    assert transactions[0] is tx
-    # take() keeps its historical int contract on a carrying pool too.
-    assert carrying.submit(tx)
-    assert carrying.take(5) == 1
-    plain = SharedTxPool()
-    assert plain.submit(tx)
-    count, transactions = plain.take_transactions(5)
-    assert count == 1 and transactions == ()
+def test_shared_pool_carries_transactions_with_execution_on_or_off(env):
+    """The baselines' replicas share one ``TxPool``; the proposing leader's
+    batch carries the submitted transactions whether or not they execute."""
+    for execute in (True, False):
+        config = FireLedgerConfig(n_nodes=4, fill_blocks=False,
+                                  execute_transactions=execute)
+        replicas = protocols.get("hotstuff").build_nodes(
+            env, Network(env, 4), KeyStore(4), config, global_random.Random(1))
+        assert all(replica.pool is replicas[0].pool for replica in replicas)
+        tx = Transaction.create(client_id=1, size_bytes=64)
+        assert replicas[1].submit_transaction(tx)
+        assert replicas[2].submit_transaction(
+            Transaction.create(client_id=2, size_bytes=64))
+        count, transactions = replicas[0]._next_batch()
+        assert count == 2 and transactions[0] is tx
+        assert replicas[3]._next_batch() == (0, ())
 
 
 # ------------------------------------------------------------ payload seeding

@@ -5,6 +5,17 @@ import pytest
 from repro import FireLedgerConfig, run_cluster
 from repro.adversary import EquivocatingWorker, build as build_adversary
 from repro.core.failure_detector import BenignFailureDetector
+from repro.core.fireledger import FireLedgerWorker
+from repro.crypto.keys import KeyStore
+from repro.ledger import (
+    Batch,
+    ChainVersion,
+    ValidationError,
+    build_block,
+    make_genesis,
+    validate_chain,
+)
+from repro.net.network import Network
 from repro.scenarios.faultplan import FaultSchedule, byzantine
 
 
@@ -110,3 +121,51 @@ def test_failure_detector_disabled():
     detector.record_timeout(2)
     detector.record_timeout(2)
     assert not detector.is_suspected(2)
+
+
+# ------------------------------------------------ recovery-version validity
+def _signed(keystore, round_number, proposer, previous_digest, signer=None):
+    block = build_block(round_number, proposer, previous_digest,
+                        batch=Batch(filler_count=3, filler_tx_size=512,
+                                    filler_nonce=round_number + 1))
+    signer = proposer if signer is None else signer
+    return block.with_signature(keystore.key_for(signer).sign(block.digest))
+
+
+def test_recovery_version_validity_is_validate_chain(env):
+    """The worker's ``valid`` (Algorithm 3, line 11) is
+    ``ledger/validation.py``'s: a version with a broken hash link, a wrong
+    round or a forged signature fails ``validate_chain`` and is rejected by
+    the worker for that reason; unsigned blocks, a negative proposer and a
+    repeated proposer inside f + 1 rounds are rejected on top of it."""
+    keystore = KeyStore(4)
+    config = FireLedgerConfig(n_nodes=4, workers=1)
+    worker = FireLedgerWorker(env, Network(env, 4), 0, 0, config, keystore)
+    genesis = make_genesis()
+    first = _signed(keystore, 0, 0, genesis.digest)
+    good = _signed(keystore, 1, 1, first.digest)
+    assert worker._version_valid(ChainVersion(1, (first, good)))
+    assert worker._version_valid(ChainVersion(1, ()))
+
+    broken = {
+        "link": _signed(keystore, 1, 1, genesis.digest),
+        "round": _signed(keystore, 2, 1, first.digest),
+        "signature": _signed(keystore, 1, 1, first.digest, signer=2),
+    }
+    for reason, block in broken.items():
+        with pytest.raises(ValidationError, match={
+                "link": "previous digest", "round": "does not extend",
+                "signature": "does not verify"}[reason]):
+            validate_chain((first, block), keystore, check_body=False)
+        assert not worker._version_valid(ChainVersion(1, (first, block)))
+
+    unsigned = build_block(1, 1, first.digest)
+    assert not worker._version_valid(ChainVersion(1, (first, unsigned)))
+    assert not worker._version_valid(ChainVersion(1, (genesis, first)))
+    # validate_block skips the signature of a negative proposer (its genesis
+    # excuse): a block claiming one is no decided block, whoever signed it.
+    no_proposer = _signed(keystore, 1, -1, first.digest, signer=3)
+    validate_chain((first, no_proposer), keystore, check_body=False)
+    assert not worker._version_valid(ChainVersion(1, (first, no_proposer)))
+    repeated = _signed(keystore, 1, 0, first.digest)      # f + 1 = 2 window
+    assert not worker._version_valid(ChainVersion(1, (first, repeated)))

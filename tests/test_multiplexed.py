@@ -1,7 +1,7 @@
 """Tests of multiplexed consensus lanes (`protocols/multiplexed.py`).
 
-Covers the dynamic `multiplexed(P, lanes=M)` registry spelling, the
-deterministic sender->lane assignment, the cluster-global pool budget split,
+Covers the one way in (`config.lanes`; lanes are not part of a protocol's
+name), the deterministic sender->lane assignment, the cluster-global pool budget split,
 the watermark round-robin merge (stall/resume semantics and, via hypothesis,
 independence from cross-lane arrival interleaving), end-to-end determinism
 of the merged state root, and state agreement under crash/recover faults.
@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from repro import FireLedgerConfig, protocols, run_cluster
 from repro.ledger.delivery import Delivery, DeliveryStream
+from repro.scenarios.spec import ScenarioSpec
 from repro.protocols.multiplexed import (
     MultiplexedNode,
     MultiplexedProtocol,
@@ -44,24 +45,31 @@ def _merged_node(n_lanes):
 
 
 # ------------------------------------------------------------ registry name
-def test_multiplexed_registry_spelling():
-    impl = protocols.get("multiplexed(fireledger, lanes=4)")
-    assert isinstance(impl, MultiplexedProtocol)
-    assert impl.lanes == 4
-    assert impl.base.name == "fireledger"
-    assert impl.name == "multiplexed(fireledger, lanes=4)"
-    # The spelling is whitespace-tolerant.
-    assert protocols.get("multiplexed(hotstuff,lanes=2)").lanes == 2
-
-
 @pytest.mark.parametrize("bad", [
-    "multiplexed(tendermint, lanes=2)",   # unknown base
-    "multiplexed(fireledger)",            # missing lane count
+    "multiplexed(fireledger, lanes=4)",   # lanes are config.lanes, not a name
+    "multiplexed(tendermint, lanes=2)",
+    "multiplexed(fireledger)",
     "multiplexed(fireledger, lanes=x)",
+    "tendermint",
 ])
 def test_multiplexed_bad_spellings_rejected(bad):
+    """An unknown protocol name — the retired dynamic spelling included — is
+    rejected by the registry, by ``ScenarioSpec`` and by ``run_cluster``."""
     with pytest.raises(KeyError):
         protocols.get(bad)
+    with pytest.raises(ValueError, match="unknown protocol"):
+        ScenarioSpec(name="x", protocol=bad)
+    with pytest.raises(KeyError):
+        run_cluster(FireLedgerConfig(**LANE_CONFIG), protocol=bad,
+                    duration=0.2, warmup=0.05)
+
+
+def test_lanes_are_the_config_field_and_the_label_names_them():
+    result = run_cluster(FireLedgerConfig(**LANE_CONFIG, lanes=2),
+                         duration=0.2, warmup=0.05, seed=1)
+    assert result.protocol == "multiplexed(fireledger, lanes=2)"
+    assert all(isinstance(node, MultiplexedNode) and len(node.lanes) == 2
+               for node in result.nodes)
 
 
 def test_multiplexed_does_not_nest():

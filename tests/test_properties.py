@@ -13,6 +13,7 @@ from repro.crypto.cost_model import CryptoCostModel, M5_XLARGE
 from repro.crypto.hashing import merkle_root
 from repro.crypto.vrf import proposer_permutation
 from repro.ledger import Batch, Blockchain, ChainVersion, Transaction, build_block
+from repro.ledger.delivery import RoundRobinMerge
 from repro.ledger.state import LedgerExecutor, verify_state_agreement
 from repro.crypto.keys import KeyStore
 from repro.metrics.summary import LatencyHistogram, percentile
@@ -244,6 +245,52 @@ def test_combine_sum_is_the_old_lane_fold(parts):
     assert merged == old
 
 
+# ------------------------------------------------------- round-robin merge
+@common_settings
+@given(counts=st.lists(st.integers(0, 6), min_size=1, max_size=5),
+       data=st.data())
+def test_round_robin_merge_is_a_function_of_the_per_source_sequences(
+        counts, data):
+    """FLO's worker merge and the lane merge are this one object: any
+    interleaving of the same per-source sequences releases the same merged
+    order, and a source that has nothing yet blocks the merge — what was
+    released is at every moment a prefix of the round-robin order, never a
+    skip past the stalled source."""
+    sources = len(counts)
+    expected = []
+    while counts[len(expected) % sources] > len(expected) // sources:
+        expected.append((len(expected) % sources, len(expected) // sources))
+    arrival = data.draw(st.permutations(
+        [source for source, count in enumerate(counts) for _ in range(count)]))
+    released = []
+    merge = RoundRobinMerge(sources, lambda source, item:
+                            released.append((source, item)))
+    offered = [0] * sources
+    for source in arrival:
+        merge.offer(source, offered[source])
+        offered[source] += 1
+        assert released == expected[:len(released)]
+        assert len(released) + merge.pending == sum(offered)
+    assert released == expected
+
+
+def test_round_robin_merge_holds_its_turn_under_a_reentrant_offer():
+    """``release`` may offer (a delivery consumer that produces): the cursor
+    has already moved on, so the nested item waits for its turn."""
+    released = []
+
+    def release(source, item):
+        released.append((source, item))
+        if item == "a0":
+            merge.offer(0, "a1")    # source 0 again, from inside its release
+            merge.offer(1, "b0")
+
+    merge = RoundRobinMerge(2, release)
+    merge.offer(0, "a0")
+    assert released == [(0, "a0"), (1, "b0"), (0, "a1")]
+    assert merge.pending == 0
+
+
 # ---------------------------------------------- baselines' commit-log metrics
 #: One commit: (gap to the previous slot, tx_count, time since the previous
 #: commit, age of the proposal at commit).  A zero step commits two batches
@@ -282,7 +329,7 @@ def test_recorder_metrics_are_the_old_commit_log_metrics(
     impl.set_measurement_window([replica], warmup)
     old.measure_start = warmup
     for _ in range((pool_cap or 0) + rejected):
-        replica.pool.submit()
+        replica.pool.submit(Transaction.create(client_id=1, size_bytes=64))
     replica.recorder.count("signatures", signatures)
     replica.recorder.count(timeout_counter, timeouts)
     old.signatures = signatures

