@@ -36,11 +36,10 @@ class _QuorumDrain:
     :meth:`ProtocolContext.wait_message` every message already buffered costs
     a process wake-up only to end its ``message_processing_cpu`` hold.  The
     drain replays those iterations from kernel callbacks, step for step:
-    interrupt check, ``inbox.take``, CPU slot (a free one, else the acquire
-    queue), one :meth:`~repro.sim.Environment.call_later` timer where the
-    process created a ``Timeout`` — same delay and the same single sequence
-    number, so every same-instant tie resolves as before — then release the
-    slot and record the sender.  Each message keeps its own hold: one hold of
+    interrupt check, ``inbox.take``, one ``cpu.hold`` — the same hold timer
+    ``use_cpu`` arms, queued behind busy cores the same way, so every
+    same-instant tie resolves as for the process — whose end frees the slot
+    and records the sender.  Each message keeps its own hold: one hold of
     ``k * message_cpu`` would stop the worker re-queueing behind its
     siblings at every boundary and moves contended runs.  It ends when
     ``count`` is reached, the bucket is empty or an interrupt is pending; the
@@ -75,20 +74,12 @@ class _QuorumDrain:
                 break
             if hold > 0:
                 self.message = message
-                cpu = context._endpoint.cpu
-                if cpu.try_acquire():
-                    context.env.call_later(hold, self._held)
-                else:
-                    cpu.acquire().add_callback(self._granted)
+                context._endpoint.cpu.hold(hold, self._held)
                 return True
             collected.setdefault(message.sender, message)
         return False
 
-    def _granted(self, _event: Event) -> None:
-        self.context.env.call_later(self.context._message_cpu, self._held)
-
     def _held(self, _arg: Any) -> None:
-        self.context._endpoint.cpu.release()
         message = self.message
         self.collected.setdefault(message.sender, message)
         if not self.advance():
@@ -176,7 +167,9 @@ class ProtocolContext:
         """Process helper charging ``duration`` seconds of one CPU core."""
         if duration <= 0:
             return
-        yield from self._endpoint.cpu.use(duration)
+        done = Event(self.env)
+        self._endpoint.cpu.hold(duration, done.succeed_now)
+        yield done
 
     # ----------------------------------------------------------------- waits
     def wait_message(self, kind: str, key: Any, sender: Optional[int] = None,
@@ -204,11 +197,10 @@ class ProtocolContext:
         deadline = None if timeout is None else self.env.now + timeout
         while True:
             get_event = inbox.wait(keys, sender)
-            waits = [get_event, self._wake_event]
-            if deadline is not None:
-                remaining = max(0.0, deadline - self.env.now)
-                waits.append(self.env.timeout(remaining))
-            result = yield self.env.any_of(waits)
+            remaining = (None if deadline is None
+                         else max(0.0, deadline - self.env.now))
+            result = yield self.env.any_of([get_event, self._wake_event],
+                                           remaining)
             if get_event in result:
                 message = result[get_event]
                 # Handling a control message costs CPU on the receiving

@@ -289,7 +289,8 @@ class FireLedgerWorker:
         """Consume CPU time without blocking the caller (data-path work)."""
         if duration <= 0:
             return
-        self.env.process(self.context.use_cpu(duration))
+        self.env.call_later(0.0, self.network.endpoint(self.node_id).cpu.hold,
+                            duration)
 
     def _prepare_body(self) -> str:
         """Assemble a transaction batch, compute its root and disseminate it."""
@@ -427,7 +428,7 @@ class FireLedgerWorker:
         if remaining <= 0:
             return False
         event = self._body_event(header.tx_root)
-        yield self.env.any_of([event, self.env.timeout(remaining)])
+        yield self.env.any_of([event], remaining)
         available = self.has_body(header.tx_root)
         if available:
             self._stamp_proposal(header)
@@ -643,7 +644,7 @@ class FireLedgerWorker:
             self.network.broadcast(self.node_id, self.channel, BODY_REQ,
                                    {"root": header.tx_root}, 128)
             event = self._body_event(header.tx_root)
-            yield self.env.any_of([event, self.env.timeout(self.timer.current * attempts)])
+            yield self.env.any_of([event], self.timer.current * attempts)
             batch = self._bodies.get(header.tx_root)
         return Block(header=header, batch=batch, signature=payload["signature"])
 
@@ -728,10 +729,8 @@ class FireLedgerWorker:
             if len(fresh) >= quorum:
                 break
             waiter = self._version_event
-            yield self.env.any_of([
-                waiter,
-                self.env.timeout(self.config.recovery_timeout * deadline_factor),
-            ])
+            yield self.env.any_of(
+                [waiter], self.config.recovery_timeout * deadline_factor)
             deadline_factor = min(deadline_factor + 1, 8)
 
         selected = fresh[:quorum]

@@ -4,15 +4,17 @@
 :class:`~repro.sim.environment.Environment` contract: the same members, and
 only the ones it implements differently are overridden (the clock cell
 ``_now`` / ``now``, ``call_later``, ``schedule_event``, ``schedule_batch``,
-``run``).  Time is the event loop's monotonic clock, re-based so ``now``
-starts at zero when the environment is constructed; timers (``call_later`` /
-``schedule_event`` / ``timeout``) become ``loop.call_later`` handles.
+``run``, the deadline pair ``_arm_deadline`` / ``_withdraw``).  Time is the
+event loop's monotonic clock, re-based so ``now`` starts at zero when the
+environment is constructed; timers (``call_later`` / ``schedule_event`` /
+``timeout`` / an ``any_of`` deadline) become loop handles, ``call_soon``
+ones when due *now* (see ``_arm``).
 Everything layered on the kernel primitives —
 :class:`~repro.sim.process.Process` generators,
 :class:`~repro.sim.resource.Resource` CPU slots, ``any_of`` conditions, the
 network's final delivery step — is inherited unchanged: those only ever talk
-to ``schedule_event``/``timeout``/``now`` (or its cell ``_now``), so the same
-protocol code drives either backend.
+to ``call_later``/``schedule_event``/``now`` (or its cell ``_now``) and the
+deadline pair, so the same protocol code drives either backend.
 
 The one difference from the simulated kernel, by necessity:
 ``run(until=...)`` requires an explicit deadline — a wall clock never "runs
@@ -100,25 +102,33 @@ class RealtimeEnvironment(Environment):
         chains) would race the shutdown drain forever.  Going inert matches
         the simulator, which simply leaves post-``until`` events unprocessed.
         """
-        if delay < 0:
-            raise ValueError(f"negative delay {delay!r}")
-        if self._stopping:
-            return
-        self._loop.call_later(delay, fn, arg)
+        self._arm(delay, fn, arg)
 
     def schedule_event(self, event: Any, delay: float = 0.0) -> None:
         """Queue ``event`` for dispatch ``delay`` real seconds from now.
 
         Inert after the deadline, like :meth:`call_later`.
         """
+        self._arm(delay, self._dispatch, event)
+
+    def _arm(self, delay: float, fn: Callable,
+             *args: Any) -> Optional[asyncio.Handle]:
+        """Schedule ``fn(*args)`` (``None`` once inert).  What is due *now*
+        shares the loop's FIFO ready queue, as it shares the simulator's
+        same-instant bucket; only a positive delay uses the timer heap."""
         if delay < 0:
             raise ValueError(f"negative delay {delay!r}")
         if self._stopping:
-            return
+            return None
         if delay <= 0:
-            self._loop.call_soon(self._dispatch, event)
-        else:
-            self._loop.call_later(delay, self._dispatch, event)
+            return self._loop.call_soon(fn, *args)
+        return self._loop.call_later(delay, fn, *args)
+
+    #: An ``any_of`` deadline is a loop handle, withdrawn by cancelling it.
+    _arm_deadline = _arm
+
+    def _withdraw(self, deadline: asyncio.Handle) -> None:
+        deadline.cancel()
 
     def schedule_batch(self, times: list, args: list,
                        fn: Callable[[Any], None]) -> None:

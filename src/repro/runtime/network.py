@@ -22,7 +22,7 @@ What stays modeled and what becomes real:
   control reads — are derived from the transport's queued outbound bytes at
   the machine spec's egress bandwidth.
 * **CPU cost** becomes real twice over: protocols still charge their modeled
-  crypto costs through ``endpoint.cpu.use(...)`` (now a wall-clock sleep),
+  crypto costs through ``endpoint.cpu.hold(...)`` (now a wall-clock timer),
   and the Python work of running the protocol occupies the loop for however
   long it actually takes.
 

@@ -9,6 +9,7 @@ from typing import Any, Callable, Generator, Iterable, Optional
 from repro.sim.events import (
     PENDING,
     AnyOf,
+    Deadline,
     Event,
     ScheduledBatch,
     ScheduledCallback,
@@ -18,6 +19,8 @@ from repro.sim.process import Process
 
 #: Upper bound on the recycled :class:`ScheduledCallback` free pool.
 _CALLBACK_POOL_MAX = 4096
+#: Withdrawn deadlines the queue may hold before they can trigger a rebuild.
+_WITHDRAWN_FLOOR = 100
 
 
 class Environment:
@@ -28,11 +31,16 @@ class Environment:
     scheduling, which keeps every run fully deterministic.  :meth:`run` is
     the one statement of that dispatch order.
 
-    Three kinds of entries share the queue: regular :class:`Event` objects
+    Four kinds of entries share the queue: regular :class:`Event` objects
     (yieldable, composable, with callback lists), the pooled
-    :class:`ScheduledCallback` timers created by :meth:`call_later`, and the
+    :class:`ScheduledCallback` timers created by :meth:`call_later`, the
     :class:`ScheduledBatch` delivery trains created by :meth:`schedule_batch`
-    (one heap slot for a whole broadcast fan-out).
+    (one heap slot for a whole broadcast fan-out), and the :class:`Deadline`
+    an ``any_of(events, timeout)`` owns.  A withdrawn deadline neither fires
+    nor moves the clock: it is dropped at the head, and once withdrawn
+    entries are over a floor and half the queue, the queue is rebuilt
+    without them (asyncio's cancelled-handle rule; keys are unique, so the
+    pop order never depends on the heap's layout).
 
     Two specialisations keep the hot paths cheap; both preserve the exact
     ``(time, sequence)`` order the plain heap would produce:
@@ -55,7 +63,8 @@ class Environment:
     suite runs every scenario under both and asserts byte-identical outcomes.
     """
 
-    __slots__ = ("_now", "_queue", "_bucket", "_sequence", "_callback_pool")
+    __slots__ = ("_now", "_queue", "_bucket", "_sequence", "_callback_pool",
+                 "_withdrawn")
 
     def __init__(self) -> None:
         self._now = 0.0
@@ -63,6 +72,7 @@ class Environment:
         self._bucket: deque[Any] = deque()
         self._sequence = 0
         self._callback_pool: list[ScheduledCallback] = []
+        self._withdrawn = 0  # withdrawn deadlines still queued
 
     # ------------------------------------------------------------------ time
     @property
@@ -117,9 +127,28 @@ class Environment:
         """Start a new process from ``generator``."""
         return Process(self, generator)
 
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Composite event firing when any of ``events`` fires."""
-        return AnyOf(self, events)
+    def any_of(self, events: Iterable[Event],
+               timeout: Optional[float] = None) -> AnyOf:
+        """Composite event firing when any of ``events`` fires, or after
+        ``timeout`` seconds if none has."""
+        return AnyOf(self, events, timeout)
+
+    def _arm_deadline(self, delay: float, fn: Callable[[], None]) -> Deadline:
+        """Queue ``fn()`` ``delay`` seconds from now as a withdrawable entry."""
+        deadline = Deadline(fn)
+        self.schedule_event(deadline, delay)
+        return deadline
+
+    def _withdraw(self, deadline: Deadline) -> None:
+        """Withdraw an unfired deadline (see the class docstring)."""
+        deadline.fn = None
+        self._withdrawn += 1
+        queue = self._queue
+        if self._withdrawn > _WITHDRAWN_FLOOR and 2 * self._withdrawn > len(queue):
+            live = [e for e in queue if type(e[2]) is not Deadline or e[2].fn]
+            self._withdrawn -= len(queue) - len(live)
+            queue[:] = live  # in place: run() holds a reference
+            heapq.heapify(queue)
 
     # ------------------------------------------------------------ scheduling
     def schedule_event(self, event: Event, delay: float = 0.0) -> None:
@@ -207,6 +236,11 @@ class Environment:
                             entry.fn = entry.arg = None
                             pool.append(entry)
                         fn(arg)
+                    elif type(entry) is Deadline:
+                        if entry.fn is None:
+                            self._withdrawn -= 1
+                        else:
+                            entry.fn()
                     else:
                         dispatch(entry)
                     continue
@@ -232,14 +266,22 @@ class Environment:
                 event.fn(head[3])
                 continue
             pop(queue)
-            self._now = head[0]
             if type(event) is ScheduledCallback:
+                self._now = head[0]
                 fn, arg = event.fn, event.arg
                 if len(pool) < _CALLBACK_POOL_MAX:
                     event.fn = event.arg = None
                     pool.append(event)
                 fn(arg)
                 continue
+            if type(event) is Deadline:
+                if event.fn is None:  # withdrawn: the clock stays put
+                    self._withdrawn -= 1
+                    continue
+                self._now = head[0]
+                event.fn()
+                continue
+            self._now = head[0]
             dispatch(event)
         if until is not None:
             self._now = until

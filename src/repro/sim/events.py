@@ -53,7 +53,7 @@ class Event:
         process's own timeout (the quorum drain) must resume that process at
         the timer's queue position — here, not one queue hop later.
         """
-        if self.triggered:
+        if self._value is not PENDING:
             raise RuntimeError("event already triggered")
         self._value = value
         callbacks, self.callbacks = self.callbacks, None
@@ -145,6 +145,17 @@ class ScheduledBatch:
         self.fn = fn
 
 
+class Deadline:
+    """The withdrawable timer an :class:`AnyOf` owns: withdrawn (``fn`` set
+    to ``None``) when a child wins, then dropped by the kernel unfired.
+    Never pooled, so a stale reference cannot withdraw another timer."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn: Callable[[], None]) -> None:
+        self.fn: Optional[Callable[[], None]] = fn
+
+
 class Timeout(Event):
     """An event that fires ``delay`` time units after it is created.
 
@@ -166,15 +177,21 @@ class Timeout(Event):
 
 
 class AnyOf(Event):
-    """Composite event that fires when *any* child event fires.
+    """Composite event that fires when *any* child event fires, or once its
+    own ``timeout`` elapses.
 
     Its value maps each child that has fired by then to that child's value.
+    The deadline is armed first — the queue slot an ``env.timeout(timeout)``
+    child would take — and withdrawn as soon as a child wins.
     """
 
-    def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
+    def __init__(self, env: "Environment", events: Iterable[Event],
+                 timeout: Optional[float] = None) -> None:
         super().__init__(env)
         self.events = list(events)
-        if not self.events:
+        self._deadline = (None if timeout is None
+                          else env._arm_deadline(timeout, self._expire))  # noqa: SLF001
+        if not self.events and timeout is None:
             self.succeed({})
             return
         for event in self.events:
@@ -183,11 +200,20 @@ class AnyOf(Event):
             else:
                 event.add_callback(self._child_fired)
 
-    def _child_fired(self, event: Event) -> None:
-        if self.triggered:
+    def _expire(self) -> None:
+        self._deadline = None
+        self._child_fired(None)
+
+    def _child_fired(self, _event: Optional[Event]) -> None:
+        if self._value is not PENDING:
             return
-        self.succeed({e: e.value for e in self.events if e.triggered})
+        self.succeed({e: e._value for e in self.events
+                      if e._value is not PENDING})
+        deadline = self._deadline
+        if deadline is not None:
+            self._deadline = None
+            self.env._withdraw(deadline)  # noqa: SLF001 - the condition owns it
         # Deregister from children that have not fired (see discard_callback).
         for event in self.events:
-            if not event.triggered:
+            if event._value is PENDING:
                 event.discard_callback(self._child_fired)

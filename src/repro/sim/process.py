@@ -9,12 +9,17 @@ An exception escaping the generator propagates out of ``Environment.run``.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Generator
 
 from repro.sim.events import Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.environment import Environment
+
+
+#: What a new process is resumed with: a generator starts on ``None``.
+_START = SimpleNamespace(_value=None)
 
 
 class Process(Event):
@@ -26,13 +31,11 @@ class Process(Event):
         super().__init__(env)
         self._generator = generator
         # Kick the process off at the current simulation time.
-        init = Event(env)
-        init.succeed()
-        init.add_callback(self._resume)
+        env.call_later(0.0, self._resume, _START)
 
     def _resume(self, event: Event) -> None:
         try:
-            next_event = self._generator.send(event.value)
+            next_event = self._generator.send(event._value)
         except StopIteration as stop:
             self.succeed(stop.value)
             return

@@ -3,9 +3,7 @@
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING
-
-from repro.sim.events import Event
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.environment import Environment
@@ -14,11 +12,12 @@ if TYPE_CHECKING:  # pragma: no cover
 class Resource:
     """A resource with ``capacity`` concurrent slots.
 
-    ``acquire`` returns an event that fires when a slot becomes available;
-    ``release`` frees a slot and wakes the longest-waiting acquirer.  The
-    library uses this to model a node's CPU (capacity = number of cores), so
-    that signature generation throughput saturates at the core count exactly
-    as in Figure 5 of the paper.
+    ``hold(duration, then)`` takes a free slot and arms one pooled timer
+    that releases it and calls ``then(None)`` (if given); with every slot
+    busy the hold queues, and ``release`` starts the next one from a
+    zero-delay timer.  The library uses this to model a node's CPU
+    (capacity = number of cores), so that signature generation throughput
+    saturates at the core count exactly as in Figure 5 of the paper.
     """
 
     def __init__(self, env: "Environment", capacity: int = 1) -> None:
@@ -27,7 +26,7 @@ class Resource:
         self.env = env
         self.capacity = capacity
         self._in_use = 0
-        self._waiters: deque[Event] = deque()
+        self._waiters: deque[tuple] = deque()  # (duration, then)
 
     @property
     def in_use(self) -> int:
@@ -35,53 +34,31 @@ class Resource:
         return self._in_use
 
     @property
-    def available(self) -> int:
-        """Number of free slots."""
-        return self.capacity - self._in_use
-
-    @property
     def queue_length(self) -> int:
-        """Number of acquirers waiting for a slot."""
+        """Number of holds waiting for a slot."""
         return len(self._waiters)
 
-    def try_acquire(self) -> bool:
-        """Take a slot if one is free right now: no event, no queueing."""
-        if self._in_use < self.capacity and not self._waiters:
-            self._in_use += 1
-            return True
-        return False
-
-    def acquire(self) -> Event:
-        """Request a slot; the returned event fires once the slot is granted."""
-        event = Event(self.env)
+    def hold(self, duration: float,
+             then: Optional[Callable[[Any], None]] = None) -> None:
+        """Hold one slot for ``duration`` seconds, free it, call ``then``."""
         if self._in_use < self.capacity:
             self._in_use += 1
-            event.succeed()
+            self.env.call_later(duration, self.release, then)
         else:
-            self._waiters.append(event)
-        return event
+            self._waiters.append((duration, then))
 
-    def release(self) -> None:
-        """Free a slot previously granted by :meth:`acquire`."""
+    def release(self, then: Optional[Callable[[Any], None]] = None) -> None:
+        """Free a slot taken by :meth:`hold` — its timer calls this with the
+        hold's ``then`` — passing it straight to the longest-waiting hold,
+        if any; then call ``then(None)``."""
         if self._in_use <= 0:
-            raise RuntimeError("release() without matching acquire()")
+            raise RuntimeError("release() without a matching hold()")
         if self._waiters:
-            waiter = self._waiters.popleft()
-            waiter.succeed()
+            self.env.call_later(0.0, self._start, self._waiters.popleft())
         else:
             self._in_use -= 1
+        if then is not None:
+            then(None)
 
-    def use(self, duration: float):
-        """Process helper: hold one slot for ``duration`` simulated seconds.
-
-        Usage inside a process::
-
-            yield from cpu.use(t_sign)
-        """
-        if not self.try_acquire():
-            # No slot free right now: queue through the scheduler.
-            yield self.acquire()
-        try:
-            yield self.env.timeout(duration)
-        finally:
-            self.release()
+    def _start(self, waiter: tuple) -> None:
+        self.env.call_later(waiter[0], self.release, waiter[1])

@@ -213,20 +213,24 @@ class OpenLoopClient:
         """Current arrival rate (transactions/second)."""
         return self.shape.rate(self.env.now)
 
-    def run(self):
-        """Submission process: sleep, pick a node, submit.
+    def start(self) -> None:
+        """Arm the arrival chain from the next zero-delay slot."""
+        self.env.call_later(0.0, self._arrive, False)
+
+    def _arrive(self, submit: bool) -> None:
+        """Submit (unless this is the chain's first link), arm the next.
 
         A declined ``submit_transaction`` (the node's pool is at its cap) is
         open-loop behaviour: the request is lost and counted, and the client
         keeps its arrival schedule.
         """
-        while True:
-            yield self.env.timeout(self.rng.expovariate(self.rate))
+        if submit:
             node = _pick_node(self.rng, self.nodes, self.cum_weights)
             if node.submit_transaction(_next_transaction(self)):
                 self.submitted_count += 1
             else:
                 self.rejected_count += 1
+        self.env.call_later(self.rng.expovariate(self.rate), self._arrive, True)
 
 
 class ClosedLoopClient:
@@ -268,6 +272,10 @@ class ClosedLoopClient:
         self.submitted_count = 0
         self.rejected_count = 0
         self.completed = 0
+
+    def start(self) -> None:
+        """Launch the submission process."""
+        self.env.process(self.run())
 
     def run(self):
         """Submit, wait for delivery progress, think, repeat.
@@ -321,9 +329,9 @@ class ClientWorkload:
         return workload
 
     def start(self) -> None:
-        """Launch every client's submission process."""
+        """Start every client's submissions."""
         for client in self.clients:
-            self.env.process(client.run())
+            client.start()
 
     @property
     def total_submitted(self) -> int:

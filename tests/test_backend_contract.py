@@ -87,6 +87,54 @@ def test_timers_fire_in_delay_order(backend):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
+def test_same_instant_work_runs_in_issue_order(backend):
+    """Everything due *now* shares one FIFO on both backends: a zero-delay
+    timer issued before a process starts and an event succeeds runs before
+    both, and one issued after them runs after."""
+    env = make_env(backend)
+    try:
+        order = []
+
+        def started():
+            order.append("process")
+            yield from ()
+
+        def issue(_arg):
+            env.call_later(0.0, order.append, "timer")
+            env.process(started())
+            event = env.event()
+            event.add_callback(lambda _event: order.append("event"))
+            event.succeed()
+            env.call_later(0.0, order.append, "last timer")
+
+        env.call_later(HORIZON * 0.1, issue)
+        env.run(until=HORIZON)
+        assert order == ["timer", "process", "event", "last timer"]
+    finally:
+        close_env(env)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_an_any_of_deadline_fires_only_if_no_child_won(backend):
+    env = make_env(backend)
+    try:
+        child, fired = env.event(), []
+        won = env.any_of([child], HORIZON * 0.5)
+        lost = env.any_of([env.event()], HORIZON * 0.3)
+        for name, condition in (("won", won), ("lost", lost)):
+            condition.add_callback(
+                lambda event, name=name: fired.append((name, event.value,
+                                                       env.now)))
+        env.call_later(HORIZON * 0.1, lambda _arg: child.succeed("x"))
+        env.run(until=HORIZON)
+        assert [(name, value) for name, value, _now in fired] == [
+            ("won", {child: "x"}), ("lost", {})]
+        assert HORIZON * 0.1 <= fired[0][2] < HORIZON * 0.3 <= fired[1][2]
+    finally:
+        close_env(env)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
 def test_negative_delay_is_rejected(backend):
     env = make_env(backend)
     try:

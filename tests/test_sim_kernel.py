@@ -141,33 +141,35 @@ def test_mailbox_take_serves_the_older_of_two_buckets(env):
 
 def test_resource_limits_concurrency(env):
     resource = Resource(env, capacity=2)
-    running = []
-    peak = []
+    occupancy = []
+    finished = []
 
-    def job(job_id):
-        yield resource.acquire()
-        running.append(job_id)
-        peak.append(len(running))
-        yield env.timeout(1.0)
-        running.remove(job_id)
-        resource.release()
+    def done(job_id):
+        finished.append((job_id, env.now))
+        occupancy.append(resource.in_use)
 
     for job_id in range(5):
-        env.process(job(job_id))
+        resource.hold(1.0, lambda _arg, job_id=job_id: done(job_id))
+        occupancy.append(resource.in_use)
+    assert resource.queue_length == 3
     env.run()
-    assert max(peak) == 2
+    assert max(occupancy) == 2
+    assert finished == [(0, 1.0), (1, 1.0), (2, 2.0), (3, 2.0), (4, 3.0)]
     assert env.now == pytest.approx(3.0)
 
 
 def test_resource_use_helper_releases_on_completion(env):
+    """The slot is free again by the time ``then`` runs, and once every
+    hold has ended none is held."""
     resource = Resource(env, capacity=1)
+    seen = []
 
-    def job():
-        yield from resource.use(0.5)
-
-    env.process(job())
-    env.process(job())
+    for _ in range(2):
+        resource.hold(0.5, lambda _arg: seen.append(
+            (env.now, resource.in_use, resource.queue_length)))
     env.run()
+    # The first hold's slot passed straight to the queued one.
+    assert seen == [(0.5, 1, 0), (1.0, 0, 0)]
     assert env.now == pytest.approx(1.0)
     assert resource.in_use == 0
 
@@ -390,3 +392,167 @@ def test_a_fired_train_is_freed_by_reference_count_alone(kernel, drive):
         drive(env)
     assert fired == [1.0, 2.0, 3.0]
     assert alive == [[True, False, True, True], [False] * 4]
+
+
+# --------------------------------------------------------------------------
+# A wait costs one kernel entry: ``Resource.hold`` against the grant-event
+# resource it replaced, and withdrawn ``any_of`` deadlines against deadlines
+# left to fire (tests/reference_kernel.py).
+
+from types import SimpleNamespace  # noqa: E402
+from unittest import mock  # noqa: E402
+
+from repro.core.context import ProtocolContext  # noqa: E402
+from tests.reference_kernel import (  # noqa: E402
+    ReferenceResource,
+    reference_use,
+)
+
+_TICK = 2.0 ** -10
+
+
+def _hold_trace(holders, capacity, reference):
+    """Play ``holders`` — ``(process?, start tick, ticks)`` — on one resource.
+
+    A process holder waits through ``ProtocolContext.use_cpu`` (or the old
+    ``use()`` generator), a callback holder through ``hold``.  The trace is
+    ``(holder, requested at, resumed at, slots in use, holds queued)`` in
+    resume order plus the occupancy at every tick, so each hold's start
+    (resumed at minus its length), end and wake-up are all compared.
+    """
+    env = Environment()
+    resource = (ReferenceResource if reference else Resource)(env, capacity)
+    context = SimpleNamespace(env=env, _endpoint=SimpleNamespace(cpu=resource))
+    trace = []
+
+    def queued():
+        return len(resource._waiters)  # noqa: SLF001 - both keep a FIFO
+
+    def resumed(index, requested):
+        trace.append((index, requested, env.now, resource.in_use, queued()))
+
+    def process(index, ticks):
+        requested = env.now
+        if reference:
+            yield from reference_use(resource, ticks * _TICK)
+        else:
+            yield from ProtocolContext.use_cpu(context, ticks * _TICK)
+        resumed(index, requested)
+
+    def start(holder):
+        index, (is_process, _start, ticks) = holder
+        if is_process:
+            env.process(process(index, ticks))
+        else:
+            requested = env.now
+            resource.hold(ticks * _TICK,
+                          lambda _arg: resumed(index, requested))
+
+    def tick(remaining):
+        trace.append(("tick", env.now, resource.in_use, queued()))
+        if remaining:
+            env.call_later(_TICK, tick, remaining - 1)
+
+    env.call_later(0.0, tick, 40)
+    for holder in enumerate(holders):
+        env.call_later(holder[1][1] * _TICK, start, holder)
+    env.run()
+    return trace
+
+
+@settings(max_examples=80, deadline=None)
+@given(capacity=st.integers(1, 4),
+       holders=st.lists(st.tuples(st.booleans(), st.integers(0, 6),
+                                  st.integers(1, 4)), max_size=12))
+def test_hold_matches_the_grant_event_resource(capacity, holders):
+    """One pooled timer per hold (and a zero-delay start timer when it had
+    to queue) is indistinguishable from a grant ``Event`` plus a
+    ``Timeout``: same slot order, same release instants, same wake-ups."""
+    assert (_hold_trace(holders, capacity, reference=False)
+            == _hold_trace(holders, capacity, reference=True))
+
+
+def _wait_log(kernel, waits, timers, floor):
+    """Play ``waits`` — ``(start tick, deadline ticks or None, win tick or
+    None)`` — as ``any_of`` conditions over one event each; log every
+    callback with the clock.  Explicit timeouts and plain timers at
+    ``timers`` ticks share the queue, so neither dropping deadlines nor
+    rebuilding the queue may shift them."""
+    env = kernel()
+    log = []
+    for index, tick in enumerate(timers):
+        env.call_later(tick * _TICK, log.append, ("noise", index))
+
+    def arm(index):
+        _start, timeout, win = waits[index]
+        child = env.event()
+        condition = env.any_of(
+            [child], None if timeout is None else timeout * _TICK)
+        condition.add_callback(lambda event: log.append(
+            ("fired", index, env.now, child in event.value)))
+        env.timeout(_TICK).add_callback(
+            lambda _event: log.append(("timeout", index, env.now)))
+        if win is not None:
+            env.call_later(win * _TICK, lambda _arg: child.succeed(index))
+
+    for index, (start, _timeout, _win) in enumerate(waits):
+        env.call_later(start * _TICK, lambda arg: arm(arg), index)
+        env.call_later(start * _TICK, log.append, ("timer", index))
+    with mock.patch("repro.sim.environment._WITHDRAWN_FLOOR", floor):
+        env.run()
+    return log
+
+
+@settings(max_examples=80, deadline=None)
+@given(floor=st.sampled_from([0, 3, 100]),
+       waits=st.lists(st.tuples(st.integers(0, 5),
+                                st.one_of(st.none(), st.integers(0, 6)),
+                                st.one_of(st.none(), st.integers(0, 6))),
+                      max_size=24),
+       timers=st.lists(st.integers(1, 12), max_size=24))
+def test_withdrawn_deadlines_match_deadlines_left_to_fire(floor, waits,
+                                                          timers):
+    """Withdrawing a lost deadline (and rebuilding the queue without the
+    withdrawn ones, whatever the floor) fires the same callbacks at the same
+    instants in the same order as leaving every deadline to fire."""
+    assert (_wait_log(Environment, waits, timers, floor)
+            == _wait_log(ReferenceEnvironment, waits, timers, floor))
+
+
+def test_a_withdrawn_deadline_neither_fires_nor_moves_the_clock(env):
+    child = env.event()
+    condition = env.any_of([child], 5.0)
+    env.call_later(1.0, lambda _arg: child.succeed("won"))
+    env.run()
+    assert condition.value == {child: "won"}
+    assert env.now == 1.0  # the deadline at 5.0 was dropped, not popped
+    assert not env._queue and env._withdrawn == 0  # noqa: SLF001
+
+
+def test_an_unwon_deadline_fires_with_no_child_value(env):
+    condition = env.any_of([env.event()], 2.0)
+    env.run()
+    assert condition.value == {}
+    assert env.now == 2.0
+
+
+def test_withdrawn_deadlines_are_compacted_out_of_the_queue(env):
+    """Past the floor, withdrawn entries may not outnumber live ones: of
+    300 lost deadlines beside 50 live timers, at most the floor's worth
+    (100) is still queued, and the rebuilt queue pops in time order."""
+    fired = []
+    children = [env.event() for _ in range(300)]
+    for index, child in enumerate(children):
+        env.any_of([child], 10.0 + (index * 37 % 300))
+        if index % 6 == 0:
+            env.call_later(10.0 + (index * 53 % 300),
+                           lambda _arg: fired.append(env.now))
+    assert len(env._queue) == 350  # noqa: SLF001
+    for child in children:
+        child.succeed()
+    env.run(until=1.0)
+    queue, withdrawn = len(env._queue), env._withdrawn  # noqa: SLF001
+    assert queue - withdrawn == 50
+    assert withdrawn <= 100
+    env.run()
+    assert len(fired) == 50 and fired == sorted(fired)
