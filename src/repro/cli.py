@@ -7,8 +7,8 @@ evaluation system:
   (``scenario:<name>``), or ``--all``, at a chosen scale, print its rows and
   append them to the JSONL result store;
 * ``sweep``  — run a cartesian grid of configurations for one driver,
-  resumable; both write one JSONL record per grid point, planned and
-  executed by the same two functions, so each resumes against the other;
+  resumable; both write one JSONL record per grid point through the same
+  planner and executor, so each resumes against the other;
 * ``report`` — read the result store and regenerate EXPERIMENTS.md (and
   optionally per-experiment CSVs) deterministically;
 * ``list``   — show every registered experiment and its sweepable axes.
@@ -17,7 +17,6 @@ evaluation system:
 from __future__ import annotations
 
 import argparse
-import itertools
 import os
 import sys
 from dataclasses import replace
@@ -75,19 +74,26 @@ def _axis_assignment(text: str) -> tuple[str, tuple]:
 def _add_scale_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scale", choices=sorted(SCALES), default="default",
                         help="preset experiment scale (default: default)")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="override the simulation seed")
+    parser.add_argument("--seed", type=_int_list, default=None,
+                        metavar="S,S",
+                        help="simulation seed(s); several run seed-major, "
+                             "one record per seed and grid point")
     parser.add_argument("--duration", type=float, default=None,
                         help="override the simulated duration (seconds)")
     parser.add_argument("--warmup", type=float, default=None,
                         help="override the simulated warmup (seconds)")
 
 
-def _add_jobs_option(parser: argparse.ArgumentParser) -> None:
+def _add_store_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="worker processes (default: 1 = serial); "
                              "results are merged and deduplicated by "
                              "config_id, so resume works as in serial mode")
+    parser.add_argument("--results-dir", default=sweep.RESULTS_DIR_DEFAULT,
+                        help="JSONL result store (default: results/)")
+    parser.add_argument("--force", action="store_true",
+                        help="re-run and re-record configurations already "
+                             "in the result store")
 
 
 def _add_axis_options(parser: argparse.ArgumentParser) -> None:
@@ -117,14 +123,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="run every registered experiment")
     _add_scale_options(run)
     _add_axis_options(run)
-    _add_jobs_option(run)
-    run.add_argument("--results-dir", default=sweep.RESULTS_DIR_DEFAULT,
-                     help="JSONL result store (default: results/)")
+    _add_store_options(run)
     run.add_argument("--no-record", action="store_true",
                      help="print only; do not append to the result store")
-    run.add_argument("--force", action="store_true",
-                     help="re-run and re-record even if this configuration "
-                          "is already in the result store")
     run.add_argument("--markdown", action="store_true",
                      help="print a markdown table instead of aligned text")
 
@@ -135,13 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="registry name, e.g. fig10 or scenario:geo-5region")
     _add_scale_options(swp)
     _add_axis_options(swp)
-    _add_jobs_option(swp)
-    swp.add_argument("--seeds", type=_int_list, default=None, metavar="S,S",
-                     help="sweep over seeds as an extra grid axis")
-    swp.add_argument("--results-dir", default=sweep.RESULTS_DIR_DEFAULT,
-                     help="JSONL result store (default: results/)")
-    swp.add_argument("--fresh", action="store_true",
-                     help="do not skip configurations already recorded")
+    _add_store_options(swp)
 
     rep = sub.add_parser(
         "report", help="render the result store as EXPERIMENTS.md")
@@ -158,16 +153,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_scale(args: argparse.Namespace) -> ExperimentScale:
+def _resolve_scales(args: argparse.Namespace) -> list[ExperimentScale]:
+    """The preset with its overrides, once per ``--seed`` value."""
     scale = SCALES[args.scale]()
-    overrides = {name: getattr(args, name)
-                 for name in ("seed", "duration", "warmup")
+    overrides = {name: getattr(args, name) for name in ("duration", "warmup")
                  if getattr(args, name) is not None}
-    return replace(scale, **overrides) if overrides else scale
+    return [replace(scale, **overrides, seed=seed)
+            for seed in (args.seed or (scale.seed,))]
 
 
-def _effective_scale(spec, scale: ExperimentScale,
-                     args: argparse.Namespace, out) -> ExperimentScale:
+def _effective_scales(spec, scales: list[ExperimentScale],
+                      args: argparse.Namespace, out) -> list[ExperimentScale]:
     """Strip duration/warmup overrides for drivers that pin their own.
 
     Scenario fault-phase times are absolute simulated seconds, so a scenario
@@ -176,12 +172,13 @@ def _effective_scale(spec, scale: ExperimentScale,
     would make the identical run look like a new configuration.
     """
     if not spec.pins_duration:
-        return scale
+        return scales
     if args.duration is not None or args.warmup is not None:
         print(f"note: {spec.name} pins its own simulated duration/warmup; "
               f"ignoring --duration/--warmup", file=out)
     preset = SCALES[args.scale]()
-    return replace(scale, duration=preset.duration, warmup=preset.warmup)
+    return [replace(scale, duration=preset.duration, warmup=preset.warmup)
+            for scale in scales]
 
 
 def _axis_values(args: argparse.Namespace) -> dict[str, tuple]:
@@ -200,11 +197,11 @@ def _cmd_run(args: argparse.Namespace, out) -> int:
         print("error: give exactly one experiment name, or --all", file=sys.stderr)
         return 2
     names = registry.names() if args.run_all else [args.experiment]
-    scale = _resolve_scale(args)
+    scales = _resolve_scales(args)
     axis_values = _axis_values(args)
     # One plan for both commands: ``run`` is a sweep of every named driver
     # that also prints what it ran, one record per grid point either way.
-    plan: list[tuple] = []
+    plans: list[tuple] = []
     for name in names:
         try:
             spec = registry.get(name)
@@ -224,31 +221,17 @@ def _cmd_run(args: argparse.Namespace, out) -> int:
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        record_path = sweep.results_path(args.results_dir, spec.name)
-        done = (set() if args.force or args.no_record
-                else sweep.recorded_ids(record_path))
-        points = []
-        for seeded, point, params, label, fresh in sweep.plan_sweep(
-                spec, _effective_scale(spec, scale, args, out), applicable,
-                None, done):
-            if fresh:
-                points.append((spec.name, seeded, point, params, args.scale))
-            else:
-                print(f"{spec.name} [{label}]: already recorded in "
-                      f"{record_path} (use --force to re-run)", file=out)
-        if points:
-            plan.append((spec, record_path, points))
+        plans.append((spec, _effective_scales(spec, scales, args, out),
+                      applicable))
 
-    # Host-measuring drivers (memfootprint, calibrate) stay out of the pool:
-    # measuring them while sibling workers saturate the cores would record
-    # inflated numbers as real data.  They run inline, once it has drained.
-    plan.sort(key=lambda entry: entry[0].wall_clock)
-    pooled = parallel.run_specs(
-        [task for spec, _, points in plan if not spec.wall_clock
-         for task in points], jobs=args.jobs)
-    for spec, record_path, points in plan:
-        records = list(parallel.run_specs(points, jobs=1) if spec.wall_clock
-                       else itertools.islice(pooled, len(points)))
+    outcomes = parallel.run_planned(
+        plans, None if args.no_record else args.results_dir, args.scale,
+        force=args.force, jobs=args.jobs,
+        progress=lambda msg: print(msg, file=out))
+    for (spec, spec_scales, _axes), planned in zip(plans, outcomes):
+        records = [outcome for outcome in planned if outcome is not None]
+        if not records:
+            continue  # every point already recorded
         rejected = next((record for record in records
                          if isinstance(record, ValueError)), None)
         if rejected is not None:
@@ -265,12 +248,13 @@ def _cmd_run(args: argparse.Namespace, out) -> int:
         renderer = report.markdown_table if args.markdown else format_rows
         print(renderer(rows), file=out)
         elapsed = sum(record["elapsed_s"] for record in records)
-        print(f"({len(rows)} rows, scale={args.scale}, seed={scale.seed}, "
+        seeds = ",".join(str(scale.seed) for scale in spec_scales)
+        print(f"({len(rows)} rows, scale={args.scale}, seed={seeds}, "
               f"{elapsed:.1f}s)", file=out)
         if not args.no_record:
-            for record in records:
-                sweep.append_record(record_path, record)
-            print(f"recorded -> {record_path}", file=out)
+            print(f"recorded -> "
+                  f"{sweep.results_path(args.results_dir, spec.name)}",
+                  file=out)
     return 0
 
 
@@ -281,41 +265,26 @@ def _cmd_sweep(args: argparse.Namespace, out) -> int:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
     axes = _axis_values(args)
-    if not axes and not args.seeds:
+    if not axes and args.seed is None:
         flags = " ".join(axis.flag for axis in registry.AXES.values())
-        print(f"error: sweep needs at least one grid axis ({flags} or --seeds)",
+        print(f"error: sweep needs at least one grid axis ({flags} or --seed)",
               file=sys.stderr)
         return 2
-    scale = _effective_scale(spec, _resolve_scale(args), args, out)
-    progress = lambda msg: print(msg, file=out)  # noqa: E731
-    jobs = args.jobs
-    if jobs > 1 and spec.wall_clock:
-        # Measuring the host while sibling workers saturate the cores would
-        # record inflated rows as real data.
-        print(f"note: {spec.name} measures host wall-clock time; "
-              f"running serially despite --jobs {jobs}", file=out)
-        jobs = 1
+    scales = _effective_scales(spec, _resolve_scales(args), args, out)
     try:
-        if jobs > 1:
-            outcome = parallel.run_parallel_sweep(
-                spec, scale, axes, results_dir=args.results_dir,
-                scale_label=args.scale, seeds=args.seeds,
-                resume=not args.fresh, jobs=jobs, progress=progress)
-        else:
-            # Fold in any orphan shards an interrupted parallel sweep left
-            # behind before the serial engine computes its resume set.
-            merged = parallel.merge_shards(args.results_dir, spec.name)
-            if merged:
-                progress(f"merged {merged} record(s) from interrupted shards")
-            outcome = sweep.run_sweep(
-                spec, scale, axes, results_dir=args.results_dir,
-                scale_label=args.scale, seeds=args.seeds,
-                resume=not args.fresh, progress=progress)
+        (planned,) = parallel.run_planned(
+            [(spec, scales, axes)], args.results_dir, args.scale,
+            force=args.force, jobs=args.jobs,
+            progress=lambda msg: print(msg, file=out))
+        for outcome in planned:
+            if isinstance(outcome, ValueError):
+                raise outcome  # a point the driver rejected
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(f"sweep {spec.name}: {outcome['ran']} ran, "
-          f"{outcome['skipped']} skipped -> {outcome['path']}", file=out)
+    print(f"sweep {spec.name}: {len(planned) - planned.count(None)} ran, "
+          f"{planned.count(None)} skipped -> "
+          f"{sweep.results_path(args.results_dir, spec.name)}", file=out)
     return 0
 
 

@@ -128,11 +128,6 @@ class ClusterResult:
         """Transfers rejected as stale/duplicate nonces (execution layer)."""
         return self._counter("tx_stale")
 
-    @property
-    def transactions_invalid(self) -> int:
-        """Transfers rejected for insufficient balance (execution layer)."""
-        return self._counter("tx_invalid")
-
 
 def run_cluster(config: FireLedgerConfig,
                 protocol: "str | object" = "fireledger",

@@ -1,24 +1,24 @@
-"""Multi-process sweep executor with crash-safe JSONL shards.
+"""The one sweep executor, with crash-safe JSONL shards.
 
-``repro sweep --jobs N`` dispatches grid points to a ``multiprocessing``
-worker pool instead of running them serially.  Each worker streams every
-finished configuration to its *own* shard file under
-``<results_dir>/.shards/`` (one wrapper line ``{"idx": ..., "record": ...}``
-per configuration, appended and flushed per task), and the parent merges the
-shards into the canonical ``<results_dir>/<experiment>.jsonl`` — deduplicated
-by ``config_id`` and ordered by the deterministic grid-enumeration index, so
-a from-scratch parallel sweep produces the same merged file regardless of
-which worker finished first.
+``repro run`` and ``repro sweep`` hand their plans to :func:`run_planned`,
+which runs every grid point through one task function — in this process
+for ``jobs=1``, on a ``multiprocessing`` worker pool for ``jobs>1``.  Each
+task streams its finished configuration to its process's *own* shard file
+under ``<results_dir>/.shards/`` (one wrapper line ``{"idx": ..., "record":
+...}`` per configuration, one ``write(2)`` per task), and the parent merges
+the shards into the canonical ``<results_dir>/<experiment>.jsonl`` —
+deduplicated by ``config_id`` and ordered by the deterministic
+grid-enumeration index, so a from-scratch sweep produces the same merged
+file whatever ``jobs`` is and whichever worker finished first.
 
-Crash and resume semantics match the serial engine:
+Crash and resume semantics:
 
-* the canonical file is only ever appended to by the parent, after the pool
-  has drained (or failed) — concurrent workers never touch it;
+* the canonical file is only ever appended to by the parent, after the
+  tasks have drained (or failed) — workers never touch it;
 * a worker crash loses at most the configuration it was computing; everything
   it already wrote to its shard is merged by the parent's ``finally``;
-* a parent crash leaves orphan shards behind, which the next sweep (parallel
-  or not — the CLI always sweeps through :func:`merge_shards` first) folds in
-  before computing the resume set, so finished work is never re-run.
+* a parent crash leaves orphan shards behind, which the next run or sweep
+  folds in before computing the resume set, so finished work is never re-run.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ import multiprocessing
 import os
 import signal
 import threading
+from contextlib import closing
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, Optional, Sequence
 
@@ -35,7 +36,7 @@ from repro.experiments import registry
 from repro.experiments.harness import ExperimentScale
 from repro.experiments.registry import ExperimentSpec
 from repro.experiments.sweep import (
-    RESULTS_DIR_DEFAULT,
+    append_record,
     file_stem,
     plan_sweep,
     recorded_ids,
@@ -80,10 +81,10 @@ def merge_shards(results_dir: "str | Path", experiment: str,
     Shard records are appended in grid-enumeration (``idx``) order and
     deduplicated by ``config_id`` against each other — and, by default,
     against the canonical file — so merging is idempotent and the merged
-    file is stable across reruns.  A ``--fresh`` sweep passes
+    file is stable across reruns.  A ``--force`` run passes
     ``dedup_against_canonical=False``: its recomputed records share their
     ``config_id`` with existing ones and must still be appended (the report
-    renderer keeps the last record per id, as with a serial re-run).
+    renderer keeps the last record per id).
     Shard files are deleted once folded in; a truncated trailing line (worker
     killed mid-write) is silently discarded.
     """
@@ -110,11 +111,8 @@ def merge_shards(results_dir: "str | Path", experiment: str,
                 seen.add(cid)
                 pending.append((wrapper.get("idx", 1 << 30), record))
     pending.sort(key=lambda item: item[0])
-    if pending:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("a") as handle:
-            for _idx, record in pending:
-                handle.write(json.dumps(record, default=str) + "\n")
+    for _idx, record in pending:
+        append_record(path, record)
     for shard in shards:
         shard.unlink(missing_ok=True)
     try:
@@ -153,116 +151,128 @@ def _append_shard_line(shard: Path, payload: dict) -> None:
         os.close(fd)
 
 
-def _run_sweep_task(task: tuple) -> tuple[int, float, str]:
-    """Worker body: run one grid point, append it to this worker's shard."""
-    idx, spec_name, scale, point, params, label, scale_label, shard_base = task
-    record = run_point(registry.get(spec_name), scale, point, params,
-                       scale_label)
-    shard = Path(shard_base) / f"{file_stem(spec_name)}.{os.getpid()}.jsonl"
-    shard.parent.mkdir(parents=True, exist_ok=True)
-    _append_shard_line(shard, {"idx": idx, "record": record})
-    return len(record["rows"]), record["elapsed_s"], label
+def _run_task(task: tuple) -> tuple[int, "dict | ValueError"]:
+    """Run one planned point; stream its record to this process's shard.
 
-
-def run_parallel_sweep(spec: ExperimentSpec,
-                       scale: ExperimentScale,
-                       axes: Mapping[str, Sequence[int]],
-                       results_dir: "str | Path" = RESULTS_DIR_DEFAULT,
-                       scale_label: str = "default",
-                       seeds: Optional[Sequence[int]] = None,
-                       resume: bool = True,
-                       jobs: int = 2,
-                       progress: Optional[Callable[[str], None]] = None) -> dict:
-    """Parallel counterpart of :func:`repro.experiments.sweep.run_sweep`.
-
-    Same contract and return value (``{"ran": n, "skipped": n, "path": str}``);
-    grid points run on ``jobs`` worker processes.  Orphan shards from an
-    interrupted earlier run are merged before the resume set is computed.
+    ``task`` is ``(idx, experiment, scale, point, scale_label, shard_base)``;
+    ``shard_base`` is None when nothing is recorded.  A driver that rejects
+    its configuration (e.g. a scenario whose fault schedule references nodes
+    outside an overridden cluster size) returns the ``ValueError`` in place
+    of the record instead of poisoning the pool, so ``run --all`` can skip
+    just that driver.
     """
-    # Surface unknown-axis errors here, in the parent, not as a pool failure.
-    spec.normalize_axis_values({name: tuple(values)
-                                for name, values in axes.items()})
-    emit = progress or (lambda _msg: None)
-    path = results_path(results_dir, spec.name)
-    leftover = merge_shards(results_dir, spec.name)
-    if leftover:
-        emit(f"merged {leftover} record(s) from interrupted shards")
-    done = recorded_ids(path) if resume else set()
-
-    tasks = []
-    skipped = 0
-    for seeded, point, params, label, fresh in plan_sweep(
-            spec, scale, axes, seeds, done):
-        if not fresh:
-            skipped += 1
-            emit(f"skip {spec.name} [{label}] (already recorded)")
-            continue
-        tasks.append((len(tasks), spec.name, seeded, point, params, label,
-                      scale_label, str(shard_dir(results_dir))))
-
-    ran = 0
-    if tasks:
-        jobs = max(1, min(jobs, len(tasks)))
-        context = _pool_context()
-        # SIGTERM (timeout wrappers, CI runner cancellation) is converted to
-        # KeyboardInterrupt for the duration of the pool, so it unwinds
-        # through the same finally as Ctrl-C and the finished shards are
-        # merged instead of orphaned.  Only the main thread may install
-        # signal handlers; elsewhere (pytest workers, embedding apps) the
-        # default disposition stays.
-        previous_term = None
-        if threading.current_thread() is threading.main_thread():
-            def _terminate(signum, frame):  # noqa: ARG001 - signal signature
-                raise KeyboardInterrupt
-            previous_term = signal.signal(signal.SIGTERM, _terminate)
-        try:
-            with context.Pool(processes=jobs,
-                              initializer=_ignore_sigint) as pool:
-                for n_rows, elapsed, label in pool.imap_unordered(
-                        _run_sweep_task, tasks):
-                    ran += 1
-                    emit(f"ran  {spec.name} [{label}] -> {n_rows} rows "
-                         f"in {elapsed:.1f}s ({ran}/{len(tasks)})")
-        finally:
-            if previous_term is not None:
-                signal.signal(signal.SIGTERM, previous_term)
-            # Keep whatever the workers finished, even if one of them (or the
-            # pool itself) blew up mid-sweep.  A --fresh sweep recomputes
-            # points whose config_id is already on disk, so its records must
-            # survive the merge's canonical-file dedup.
-            merge_shards(results_dir, spec.name,
-                         dedup_against_canonical=resume)
-    return {"ran": ran, "skipped": skipped, "path": str(path)}
-
-
-def _run_point_task(task: tuple) -> "dict | ValueError":
-    """``repro run``'s unit of work: one planned point -> its record.
-
-    ``task`` is ``(spec_name, scale, point, params, scale_label)``.  A driver
-    that rejects its configuration (e.g. a scenario whose fault schedule
-    references nodes outside an overridden cluster size) returns the
-    ``ValueError`` in place of the record instead of poisoning the pool, so
-    the caller can skip just that driver.
-    """
-    spec_name, scale, point, params, scale_label = task
+    idx, name, scale, point, scale_label, shard_base = task
     try:
-        return run_point(registry.get(spec_name), scale, point, params,
-                         scale_label)
+        record = run_point(registry.get(name), scale, point, point,
+                           scale_label)
     except ValueError as exc:
-        return exc
+        return idx, exc
+    if shard_base is not None:
+        shard = Path(shard_base) / f"{file_stem(name)}.{os.getpid()}.jsonl"
+        shard.parent.mkdir(parents=True, exist_ok=True)
+        _append_shard_line(shard, {"idx": idx, "record": record})
+    return idx, record
 
 
-def run_specs(tasks: Sequence[tuple], jobs: int) -> Iterator:
-    """Run planned points of several drivers: one outcome per task, in order.
+def _finish(tasks: list[tuple], held: set[str],
+            jobs: int) -> Iterator[tuple[int, "dict | ValueError"]]:
+    """Run every task, yielding ``(idx, outcome)`` as each one finishes.
 
-    ``repro run`` prints and records what this yields (see
-    :func:`_run_point_task` for the task and outcome); ``--all --jobs N``
-    spreads independent drivers' points over worker processes.  Serially a
-    point runs when its outcome is asked for, so an interrupted ``run --all``
-    keeps every driver it finished.
+    Up to ``jobs`` pool workers take the tasks, except those of the
+    host-measuring drivers named in ``held``: measuring the host while
+    sibling workers saturate the cores would record inflated numbers as
+    real data, so they run inline once the pool has drained and shut down.
     """
-    if min(jobs, len(tasks)) <= 1:
-        yield from map(_run_point_task, tasks)
-        return
-    with _pool_context().Pool(processes=min(jobs, len(tasks))) as pool:
-        yield from pool.imap(_run_point_task, tasks)
+    pooled = [task for task in tasks if task[1] not in held]
+    if jobs > 1 and pooled:
+        with _pool_context().Pool(processes=min(jobs, len(pooled)),
+                                  initializer=_ignore_sigint) as pool:
+            yield from pool.imap_unordered(_run_task, pooled)
+        tasks = [task for task in tasks if task[1] in held]
+    yield from map(_run_task, tasks)
+
+
+def run_planned(plans: Sequence[tuple[ExperimentSpec,
+                                      Sequence[ExperimentScale],
+                                      Mapping[str, Sequence]]],
+                results_dir: "str | Path | None",
+                scale_label: str,
+                force: bool = False,
+                jobs: int = 1,
+                progress: Optional[Callable[[str], None]] = None) -> list[list]:
+    """Plan and run ``(spec, scales, axes)`` sweeps: the one executor.
+
+    ``repro run`` and ``repro sweep`` both go through here; ``jobs=1`` runs
+    every point in this process, ``jobs>1`` on a worker pool.  With a
+    ``results_dir`` each finished record is streamed to a shard and the
+    shards are merged into the canonical JSONL in grid order, even when a
+    point, a worker or this process (SIGTERM, Ctrl-C) fails mid-run; orphan
+    shards of an interrupted earlier run are merged before the resume set is
+    computed, so finished work is never re-run.  ``force`` plans against an
+    empty resume set; ``results_dir=None`` records nothing.
+
+    Returns, per plan, one outcome per planned point in plan order: its
+    record, the driver's ``ValueError``, or None for a point already
+    recorded.
+    """
+    emit = progress or (lambda _msg: None)
+    outcomes: list[list] = []
+    tasks: list[tuple] = []
+    slots: list[tuple] = []  # per task: (plan's outcomes, position, label)
+    held: set[str] = set()
+    shard_base = None if results_dir is None else str(shard_dir(results_dir))
+    for spec, scales, axes in plans:
+        # Surface unknown-axis errors here, in the parent, not from a task.
+        spec.normalize_axis_values(axes)
+        done: set[str] = set()
+        if results_dir is not None:
+            leftover = merge_shards(results_dir, spec.name)
+            if leftover:
+                emit(f"merged {leftover} record(s) from interrupted shards")
+            if not force:
+                done = recorded_ids(results_path(results_dir, spec.name))
+        planned: list = []
+        first = len(tasks)
+        for scale, point, label, fresh in plan_sweep(spec, scales, axes, done):
+            if fresh:
+                slots.append((planned, len(planned), f"{spec.name} [{label}]"))
+                tasks.append((len(tasks), spec.name, scale, point,
+                              scale_label, shard_base))
+            else:
+                emit(f"{spec.name} [{label}]: already recorded "
+                     f"(use --force to re-run)")
+            planned.append(None)
+        outcomes.append(planned)
+        if spec.wall_clock and jobs > 1 and len(tasks) > first:
+            held.add(spec.name)
+            emit(f"note: {spec.name} measures host wall-clock time; "
+                 f"running serially despite --jobs {jobs}")
+
+    # SIGTERM (timeout wrappers, CI runner cancellation) is converted to
+    # KeyboardInterrupt while tasks run, so it unwinds through the same
+    # finally as Ctrl-C and the finished shards are merged instead of
+    # orphaned.  Only the main thread may install signal handlers; elsewhere
+    # (pytest workers, embedding apps) the default disposition stays.
+    previous_term = None
+    if threading.current_thread() is threading.main_thread():
+        def _terminate(signum, frame):  # noqa: ARG001 - signal signature
+            raise KeyboardInterrupt
+        previous_term = signal.signal(signal.SIGTERM, _terminate)
+    try:
+        with closing(_finish(tasks, held, jobs)) as finishing:
+            for count, (idx, outcome) in enumerate(finishing, 1):
+                planned, position, label = slots[idx]
+                planned[position] = outcome
+                if isinstance(outcome, dict):
+                    emit(f"ran  {label} -> {len(outcome['rows'])} rows in "
+                         f"{outcome['elapsed_s']:.1f}s ({count}/{len(tasks)})")
+    finally:
+        if previous_term is not None:
+            signal.signal(signal.SIGTERM, previous_term)
+        if results_dir is not None:
+            # A forced re-run recomputes points whose config_id is already
+            # on disk, so its records must survive the canonical-file dedup.
+            for spec, _scales, _axes in plans:
+                merge_shards(results_dir, spec.name,
+                             dedup_against_canonical=not force)
+    return outcomes

@@ -1,9 +1,10 @@
-"""Cartesian sweep engine with a resumable JSONL result store.
+"""Cartesian sweep planner with a resumable JSONL result store.
 
-A *sweep* runs one registered experiment over the cartesian product of axis
-values (``cluster_size``, ``batch_size``, ``tx_size``, ``workers``, plus one
-or more seeds), appending one JSON line per configuration to
-``<results_dir>/<experiment>.jsonl``.  Every record carries a ``config_id``
+A *sweep* runs one registered experiment over one or more seeds times the
+cartesian product of axis values (``cluster_size``, ``batch_size``,
+``tx_size``, ``workers`` ...), one JSON line per configuration in
+``<results_dir>/<experiment>.jsonl`` (the executor that runs the plan is
+:mod:`repro.experiments.parallel`).  Every record carries a ``config_id``
 — a hash of the experiment name, the fully-resolved scale and the grid point —
 so re-running the same sweep skips configurations that are already on disk,
 which makes long sweeps resumable and lets ``python -m repro report`` rebuild
@@ -16,9 +17,9 @@ import hashlib
 import itertools
 import json
 import time
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
-from typing import Callable, Iterator, Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 from repro.experiments.harness import ExperimentScale
 from repro.experiments.registry import ExperimentSpec
@@ -40,21 +41,13 @@ def config_id(experiment: str, scale: ExperimentScale, params: Mapping,
               defaults: Optional[Mapping] = None) -> str:
     """Stable identifier of one configuration (experiment + scale + point).
 
-    The hash payload is canonicalised so equivalent spellings of a run
-    collide and resume across entry points:
-
-    * a seeded sweep records the seed both on the scale and as a ``seed``
-      grid param, while ``repro run --seed s`` only sets it on the scale —
-      folding ``params['seed']`` into the scale makes both hash identically;
-    * an axis override that equals the driver's default (``defaults``, from
-      ``ExperimentSpec.axis_defaults`` — e.g. ``protocol=fireledger`` on a
-      fireledger-default scenario) is dropped from the payload, so the
-      explicit and the bare spelling hash identically.
+    The seed is part of the scale.  An axis override that equals the
+    driver's default (``defaults``, from ``ExperimentSpec.axis_defaults`` —
+    e.g. ``protocol=fireledger`` on a fireledger-default scenario) is dropped
+    from the payload, so the explicit and the bare spelling hash identically
+    and resume against each other.
     """
     params = dict(params)
-    seed = params.pop("seed", None)
-    if seed is not None:
-        scale = replace(scale, seed=seed)
     for axis, default in (defaults or {}).items():
         if axis in params and params[axis] == default:
             del params[axis]
@@ -129,29 +122,25 @@ def make_record(spec: ExperimentSpec, scale: ExperimentScale, scale_label: str,
     return record
 
 
-def plan_sweep(spec: ExperimentSpec, scale: ExperimentScale,
+def plan_sweep(spec: ExperimentSpec, scales: Sequence[ExperimentScale],
                axes: Mapping[str, Sequence],
-               seeds: Optional[Sequence[int]],
                done: set[str]) -> Iterator[tuple]:
-    """Enumerate a sweep: seed x grid, in the order both engines run it.
+    """Enumerate a sweep: seed x grid, seed outermost, in the order it runs.
 
-    Yields ``(seeded_scale, point, params, label, fresh)`` per configuration;
-    ``params`` is the point plus the seed when seeds are swept, ``label`` its
-    progress-line spelling and ``fresh`` False when the configuration's
-    ``config_id`` is in ``done`` or was already yielded (two spellings of one
-    configuration in the same grid).
+    ``scales`` holds one resolved scale per seed.  Yields ``(scale, point,
+    label, fresh)`` per configuration; ``label`` is its progress-line
+    spelling and ``fresh`` False when the configuration's ``config_id`` is
+    in ``done`` or was already yielded (two spellings of one configuration
+    in the same grid).
     """
     seen = set(done)
-    for seed in (seeds if seeds else (scale.seed,)):
-        seeded = replace(scale, seed=seed)
+    for scale in scales:
         for point in grid_points(axes):
-            params = dict(point)
-            if seeds:
-                params["seed"] = seed
-            cid = config_id(spec.name, seeded, params,
+            cid = config_id(spec.name, scale, point,
                             defaults=spec.axis_defaults)
-            label = ", ".join(f"{k}={v}" for k, v in sorted(params.items())) or "(base)"
-            yield seeded, point, params, label, cid not in seen
+            label = ", ".join(f"{k}={v}" for k, v in
+                              sorted({**point, "seed": scale.seed}.items()))
+            yield scale, point, label, cid not in seen
             seen.add(cid)
 
 
@@ -162,37 +151,3 @@ def run_point(spec: ExperimentSpec, scale: ExperimentScale, point: Mapping,
     rows = spec.run(scale, axis_values={k: (v,) for k, v in point.items()})
     return make_record(spec, scale, scale_label, params, rows,
                        elapsed_s=time.perf_counter() - started)
-
-
-def run_sweep(spec: ExperimentSpec,
-              scale: ExperimentScale,
-              axes: Mapping[str, Sequence[int]],
-              results_dir: "str | Path" = RESULTS_DIR_DEFAULT,
-              scale_label: str = "default",
-              seeds: Optional[Sequence[int]] = None,
-              resume: bool = True,
-              progress: Optional[Callable[[str], None]] = None) -> dict:
-    """Run ``spec`` over the grid, streaming one JSONL record per point.
-
-    Returns ``{"ran": n, "skipped": n, "path": str}``.  With ``resume`` (the
-    default) grid points whose ``config_id`` is already in the result file are
-    skipped, so an interrupted sweep picks up where it left off.
-    """
-    # Unknown axes are rejected by spec.run on the first grid point, before
-    # anything is appended to the store — no pre-validation needed here.
-    path = results_path(results_dir, spec.name)
-    done = recorded_ids(path) if resume else set()
-    emit = progress or (lambda _msg: None)
-    ran = skipped = 0
-    for seeded, point, params, label, fresh in plan_sweep(
-            spec, scale, axes, seeds, done):
-        if not fresh:
-            skipped += 1
-            emit(f"skip {spec.name} [{label}] (already recorded)")
-            continue
-        record = run_point(spec, seeded, point, params, scale_label)
-        append_record(path, record)
-        ran += 1
-        emit(f"ran  {spec.name} [{label}] -> {len(record['rows'])} rows "
-             f"in {record['elapsed_s']:.1f}s")
-    return {"ran": ran, "skipped": skipped, "path": str(path)}

@@ -38,7 +38,7 @@ def test_run_parser_collects_scale_and_axes():
     assert args.command == "run"
     assert args.experiment == "fig07"
     assert args.scale == "quick"
-    assert args.seed == 3
+    assert args.seed == (3,)
     assert args.cluster_sizes == (4, 7)
     assert args.batch_sizes == (100,)
     assert args.tx_sizes == (512, 1024)
@@ -95,10 +95,10 @@ def test_sweep_protocol_axis_resumes(tmp_path, capsys):
 
 def test_sweep_parser_accepts_seeds_axis():
     args = build_parser().parse_args(
-        ["sweep", "fig10", "--cluster-sizes", "4,7", "--seeds", "1,2"])
+        ["sweep", "fig10", "--cluster-sizes", "4,7", "--seed", "1,2"])
     assert args.command == "sweep"
-    assert args.seeds == (1, 2)
-    assert args.fresh is False
+    assert args.seed == (1, 2)
+    assert args.force is False
 
 
 def test_report_parser_defaults():
@@ -141,6 +141,40 @@ def test_run_skips_already_recorded_configuration(tmp_path, capsys):
     assert len((tmp_path / "fig05.jsonl").read_text().splitlines()) == 1
     assert main(argv + ["--force"]) == 0
     assert len((tmp_path / "fig05.jsonl").read_text().splitlines()) == 2
+
+
+def test_run_resumes_against_an_orphan_shard(tmp_path, capsys):
+    """An interrupted ``--jobs`` run leaves finished records in a shard;
+    ``run`` folds them in before planning instead of re-running them."""
+    from repro.experiments.harness import ExperimentScale
+    from repro.experiments.parallel import shard_dir
+    from repro.experiments.sweep import make_record
+
+    planted = make_record(registry.get("fig05"), ExperimentScale.quick(),
+                          "quick", {}, [{"sps": -1.0}])
+    shard_dir(tmp_path).mkdir()
+    (shard_dir(tmp_path) / "fig05.123.jsonl").write_text(
+        json.dumps({"idx": 0, "record": planted}) + "\n")
+    assert main(["run", "fig05", "--scale", "quick",
+                 "--results-dir", str(tmp_path)]) == 0
+    assert "already recorded" in capsys.readouterr().out
+    lines = (tmp_path / "fig05.jsonl").read_text().splitlines()
+    assert [json.loads(line) for line in lines] == [planted]
+
+
+def test_seed_list_sweep_resumes_against_a_single_seed_run(tmp_path, capsys):
+    """``--seed 3,4`` plans one record per seed, each the configuration a
+    single-seed spelling names: the run of seed 4 finds it recorded."""
+    flags = ["fig05", "--batch-sizes", "10", "--results-dir", str(tmp_path)]
+    assert main(["sweep", *flags, "--seed", "3,4"]) == 0
+    assert "2 ran, 0 skipped" in capsys.readouterr().out
+    assert main(["run", *flags, "--seed", "4"]) == 0
+    out = capsys.readouterr().out
+    assert "already recorded" in out and "ran  " not in out  # 0 ran
+    records = [json.loads(line) for line
+               in (tmp_path / "fig05.jsonl").read_text().splitlines()]
+    assert [(r["seed"], r["params"]) for r in records] == [
+        (3, {"batch_size": 10}), (4, {"batch_size": 10})]
 
 
 def test_run_no_record_leaves_store_untouched(tmp_path, capsys):
@@ -314,17 +348,17 @@ _AXIS_FLAGS = [("--cluster-sizes", "N,N"), ("--batch-sizes", "B,B"),
                ("--protocol", "P,P"), ("--lanes", "M,M"),
                ("--backend", "B,B"), ("--adversary", "A,A"),
                ("--axis", "NAME=V,V")]
-_SCALE_FLAGS = [("--scale", None), ("--seed", None), ("--duration", None),
+_SCALE_FLAGS = [("--scale", None), ("--seed", "S,S"), ("--duration", None),
                 ("--warmup", None)]
+_STORE_FLAGS = [("--jobs", "N"), ("--results-dir", None), ("--force", None)]
 #: Every subcommand's (flag, metavar) list, written out by hand: the axis
 #: flags are generated from ``registry.AXES``, and this is what pins them.
 FLAG_SET = {
     "run": [("experiment", None), ("--all", None), *_SCALE_FLAGS,
-            *_AXIS_FLAGS, ("--jobs", "N"), ("--results-dir", None),
-            ("--no-record", None), ("--force", None), ("--markdown", None)],
+            *_AXIS_FLAGS, *_STORE_FLAGS, ("--no-record", None),
+            ("--markdown", None)],
     "sweep": [("experiment", None), *_SCALE_FLAGS, *_AXIS_FLAGS,
-              ("--jobs", "N"), ("--seeds", "S,S"), ("--results-dir", None),
-              ("--fresh", None)],
+              *_STORE_FLAGS],
     "report": [("--results-dir", None), ("--output", None),
                ("--csv-dir", None), ("--stdout", None)],
     "list": [],

@@ -1,28 +1,24 @@
-"""Tests of the multi-process sweep executor and its shard-merge protocol."""
+"""Tests of the one sweep executor and its shard-merge protocol."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from repro.experiments import registry
 from repro.experiments.harness import ExperimentScale
-from repro.experiments.parallel import (
-    merge_shards,
-    run_parallel_sweep,
-    run_specs,
-    shard_dir,
-)
+from repro.experiments.parallel import merge_shards, run_planned, shard_dir
 from repro.experiments.sweep import (
     append_record,
     config_id,
     make_record,
     recorded_ids,
     results_path,
-    run_sweep,
 )
 
 TINY = ExperimentScale(duration=0.3, warmup=0.05, workers_sweep=(1,),
                        cluster_sizes=(4,), batch_sizes=(10,), tx_sizes=(512,))
+JOBS = pytest.mark.parametrize("jobs", [1, 2])
 
 
 def _ids_in_file(path):
@@ -30,76 +26,96 @@ def _ids_in_file(path):
             for line in path.read_text().splitlines()]
 
 
-def test_parallel_sweep_records_and_resumes(tmp_path):
+def sweep(spec, scale, axes, results_dir, jobs=1, seeds=None, force=False):
+    """One ``repro sweep``: the executor over one plan, summarised."""
+    scales = [replace(scale, seed=seed) for seed in seeds or (scale.seed,)]
+    (planned,) = run_planned([(spec, scales, axes)], results_dir, "tiny",
+                             force=force, jobs=jobs)
+    return {"ran": len(planned) - planned.count(None),
+            "skipped": planned.count(None),
+            "path": str(results_path(results_dir, spec.name))}
+
+
+@JOBS
+def test_sweep_records_and_resumes(tmp_path, jobs):
     spec = registry.get("fig05")
     axes = {"batch_size": (10, 100), "workers": (1, 2)}
-    first = run_parallel_sweep(spec, TINY, axes, results_dir=tmp_path,
-                               scale_label="tiny", jobs=2)
+    first = sweep(spec, TINY, axes, tmp_path, jobs=jobs)
     assert first["ran"] == 4 and first["skipped"] == 0
     path = results_path(tmp_path, "fig05")
     ids = _ids_in_file(path)
     assert len(ids) == len(set(ids)) == 4
     assert not shard_dir(tmp_path).exists()  # shards cleaned up after merge
-    again = run_parallel_sweep(spec, TINY, axes, results_dir=tmp_path,
-                               scale_label="tiny", jobs=2)
+    again = sweep(spec, TINY, axes, tmp_path, jobs=jobs)
     assert again["ran"] == 0 and again["skipped"] == 4
     assert _ids_in_file(path) == ids  # resume appends nothing
+    wider = dict(axes, batch_size=(10, 100, 1000))
+    resumed = sweep(spec, TINY, wider, tmp_path, jobs=jobs)
+    assert resumed["ran"] == 2 and resumed["skipped"] == 4
 
 
 def test_parallel_merge_order_matches_serial_enumeration(tmp_path):
     """The merged file is in grid order no matter which worker finished first."""
     spec = registry.get("fig05")
     axes = {"batch_size": (10, 100, 1000), "workers": (1, 2)}
-    run_parallel_sweep(spec, TINY, axes, results_dir=tmp_path / "par",
-                       scale_label="tiny", jobs=3)
-    run_sweep(spec, TINY, axes, results_dir=tmp_path / "ser",
-              scale_label="tiny")
+    sweep(spec, TINY, axes, tmp_path / "par", jobs=3)
+    sweep(spec, TINY, axes, tmp_path / "ser", jobs=1)
     assert (_ids_in_file(results_path(tmp_path / "par", "fig05"))
             == _ids_in_file(results_path(tmp_path / "ser", "fig05")))
 
 
 def test_parallel_and_serial_sweeps_share_resume_state(tmp_path):
     spec = registry.get("fig05")
-    run_sweep(spec, TINY, {"batch_size": (10,)}, results_dir=tmp_path,
-              scale_label="tiny")
-    outcome = run_parallel_sweep(spec, TINY, {"batch_size": (10, 100)},
-                                 results_dir=tmp_path, scale_label="tiny",
-                                 jobs=2)
+    sweep(spec, TINY, {"batch_size": (10,)}, tmp_path, jobs=1)
+    outcome = sweep(spec, TINY, {"batch_size": (10, 100)}, tmp_path, jobs=2)
     assert outcome == {"ran": 1, "skipped": 1,
                        "path": str(results_path(tmp_path, "fig05"))}
 
 
-def test_parallel_fresh_sweep_appends_recomputed_records(tmp_path):
-    """``--fresh`` re-runs must survive the merge, as they do serially: the
-    recomputed record shares its config_id with the existing one and is
-    appended anyway (the report keeps the last record per id)."""
+@JOBS
+def test_force_sweep_appends_recomputed_records(tmp_path, jobs):
+    """``--force`` re-runs must survive the merge: the recomputed record
+    shares its config_id with the existing one and is appended anyway (the
+    report keeps the last record per id)."""
     spec = registry.get("fig05")
     axes = {"batch_size": (10,)}
-    run_parallel_sweep(spec, TINY, axes, results_dir=tmp_path,
-                       scale_label="tiny", jobs=2)
-    fresh = run_parallel_sweep(spec, TINY, axes, results_dir=tmp_path,
-                               scale_label="tiny", jobs=2, resume=False)
+    sweep(spec, TINY, axes, tmp_path, jobs=jobs)
+    fresh = sweep(spec, TINY, axes, tmp_path, jobs=jobs, force=True)
     assert fresh["ran"] == 1
     ids = _ids_in_file(results_path(tmp_path, "fig05"))
     assert len(ids) == 2 and len(set(ids)) == 1  # duplicate id, last wins
 
 
-def test_parallel_sweep_seeds_are_an_axis(tmp_path):
+@JOBS
+def test_sweep_seeds_are_an_axis(tmp_path, jobs):
     spec = registry.get("fig05")
-    outcome = run_parallel_sweep(spec, TINY, {"batch_size": (10,)},
-                                 results_dir=tmp_path, scale_label="tiny",
-                                 seeds=(1, 2), jobs=2)
+    outcome = sweep(spec, TINY, {"batch_size": (10,)}, tmp_path, jobs=jobs,
+                    seeds=(1, 2))
     assert outcome["ran"] == 2
     records = [json.loads(line) for line in
                results_path(tmp_path, "fig05").read_text().splitlines()]
-    assert [r["seed"] for r in records] == [1, 2]
-    assert all(r["params"]["seed"] == r["seed"] for r in records)
+    assert [r["seed"] for r in records] == [1, 2]  # seed-major grid order
+    # The seed lives on the record (and its scale), not in the grid params.
+    assert all("seed" not in r["params"] for r in records)
+    assert records[0]["config_id"] == config_id(
+        "fig05", replace(TINY, seed=1), {"batch_size": 10})
 
 
-def test_parallel_sweep_rejects_unknown_axis_in_parent(tmp_path):
+@JOBS
+def test_sweep_rejects_unknown_axis_in_parent(tmp_path, jobs):
     with pytest.raises(ValueError, match="no 'cluster_size' axis"):
-        run_parallel_sweep(registry.get("fig05"), TINY,
-                           {"cluster_size": (4,)}, results_dir=tmp_path)
+        sweep(registry.get("fig05"), TINY, {"cluster_size": (4,)}, tmp_path,
+              jobs=jobs)
+
+
+def test_seed_list_resumes_against_a_single_seed_sweep(tmp_path):
+    """A record written by a seed-list sweep is skipped by a plain sweep at
+    one of its seeds: both spellings are one configuration."""
+    spec = registry.get("fig05")
+    sweep(spec, TINY, {"batch_size": (10,)}, tmp_path, seeds=(3, 4))
+    again = sweep(spec, replace(TINY, seed=4), {"batch_size": (10,)}, tmp_path)
+    assert again == {"ran": 0, "skipped": 1,
+                     "path": str(results_path(tmp_path, "fig05"))}
 
 
 def test_merge_shards_folds_orphans_and_tolerates_garbage(tmp_path):
@@ -141,13 +157,15 @@ def test_merge_shards_skips_ids_already_in_canonical(tmp_path):
         {config_id("fig05", TINY, {"batch_size": 10})}
 
 
-def test_run_specs_parallel_matches_serial(tmp_path):
+def test_run_outcomes_match_across_jobs():
     """``run --all --jobs N`` pools planned points: each outcome is the
-    record ``run_point`` builds, in task order, whichever worker ran it."""
-    tasks = [("fig05", TINY, {"batch_size": 10}, {"batch_size": 10}, "tiny"),
-             ("table1", TINY, {}, {}, "tiny")]
-    serial = list(run_specs(tasks, jobs=1))
-    pooled = list(run_specs(tasks, jobs=2))
+    record ``run_point`` builds, in plan order, whichever worker ran it."""
+    plans = [(registry.get("fig05"), [TINY], {"batch_size": (10,)}),
+             (registry.get("table1"), [TINY], {})]
+    serial = [planned for plan in run_planned(plans, None, "tiny", jobs=1)
+              for planned in plan]
+    pooled = [planned for plan in run_planned(plans, None, "tiny", jobs=2)
+              for planned in plan]
     assert [record["experiment"] for record in pooled] == ["fig05", "table1"]
     for one, other in zip(serial, pooled):
         assert one["elapsed_s"] >= 0 and other["elapsed_s"] >= 0
@@ -157,12 +175,12 @@ def test_run_specs_parallel_matches_serial(tmp_path):
                                                {"batch_size": 10})
 
 
-def test_run_specs_returns_a_rejected_configuration(tmp_path):
+def test_executor_returns_a_rejected_configuration():
     """A driver's configuration ``ValueError`` comes back in its record's
     place instead of poisoning the pool: ``run --all`` skips that driver."""
-    outcome, = run_specs([("scenario:rolling-crash", TINY,
-                           {"cluster_size": 2}, {"cluster_size": 2}, "tiny")],
-                         jobs=1)
+    ((outcome,),) = run_planned(
+        [(registry.get("scenario:rolling-crash"), [TINY],
+          {"cluster_size": (2,)})], None, "tiny")
     assert isinstance(outcome, ValueError)
 
 
@@ -179,10 +197,12 @@ def test_append_shard_line_survives_as_whole_lines(tmp_path):
         ["a", "b"]
 
 
-def test_sigterm_mid_sweep_leaves_shards_merged_and_resumable(tmp_path):
-    """A SIGTERM mid-parallel-sweep must not orphan or truncate shards: the
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_sigterm_mid_sweep_leaves_shards_merged_and_resumable(tmp_path,
+                                                              command):
+    """A SIGTERM mid-parallel-run must not orphan or truncate shards: the
     parent's teardown merges what finished, and a later sweep resumes from
-    exactly those records."""
+    exactly those records — whichever command was interrupted."""
     import os
     import signal
     import subprocess
@@ -192,25 +212,14 @@ def test_sigterm_mid_sweep_leaves_shards_merged_and_resumable(tmp_path):
     # Points slow enough (~1s simulated cluster each) that the SIGTERM sent
     # after the first record provably lands mid-run, with work outstanding.
     axes = {"cluster_size": (4, 7), "workers": (1, 2)}
-    script = tmp_path / "driver.py"
-    script.write_text(
-        "import sys\n"
-        "from repro.experiments import registry\n"
-        "from repro.experiments.harness import ExperimentScale\n"
-        "from repro.experiments.parallel import run_parallel_sweep\n"
-        "scale = ExperimentScale(duration=1.2, warmup=0.1,\n"
-        "                        workers_sweep=(1,), cluster_sizes=(4,),\n"
-        "                        batch_sizes=(10,), tx_sizes=(512,))\n"
-        f"axes = {axes!r}\n"
-        "if __name__ == '__main__':  # pool workers re-import this module\n"
-        "    run_parallel_sweep(registry.get('fig06'), scale, axes,\n"
-        "                       results_dir=sys.argv[1], scale_label='tiny',\n"
-        "                       jobs=2)\n")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in ("src", env.get("PYTHONPATH")) if p)
-    proc = subprocess.Popen([sys.executable, str(script), str(tmp_path)],
-                            env=env)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", command, "fig06", "--scale", "quick",
+         "--duration", "1.2", "--warmup", "0.1", "--cluster-sizes", "4,7",
+         "--workers", "1,2", "--jobs", "2", "--results-dir", str(tmp_path)],
+        env=env, stdout=subprocess.DEVNULL)
     try:
         # Wait until at least one record has landed in a shard, then kill.
         deadline = time.monotonic() + 120
@@ -228,7 +237,7 @@ def test_sigterm_mid_sweep_leaves_shards_merged_and_resumable(tmp_path):
         if proc.poll() is None:
             proc.kill()
             proc.wait()
-    assert proc.returncode != 0  # the sweep really was interrupted
+    assert proc.returncode != 0  # the run really was interrupted
     # Whatever the workers finished was merged by the parent's teardown:
     # every canonical line is complete JSON and no shard files linger.
     path = results_path(tmp_path, "fig06")
@@ -236,19 +245,14 @@ def test_sigterm_mid_sweep_leaves_shards_merged_and_resumable(tmp_path):
         if path.exists() else []
     assert merged, "teardown merged nothing despite a finished record"
     assert all("config_id" in record for record in merged)
-    assert len(merged) < 4, "sweep finished before the SIGTERM landed"
+    assert len(merged) < 4, "run finished before the SIGTERM landed"
     if shard_dir(tmp_path).is_dir():
         assert not list(shard_dir(tmp_path).glob("fig06.*.jsonl"))
     # The interrupted store resumes: a follow-up sweep at the same scale
     # runs only the missing points and ends with each of the 4
     # configurations recorded exactly once.
-    from repro.experiments.harness import ExperimentScale
-    scale = ExperimentScale(duration=1.2, warmup=0.1, workers_sweep=(1,),
-                            cluster_sizes=(4,), batch_sizes=(10,),
-                            tx_sizes=(512,))
-    spec = registry.get("fig06")
-    outcome = run_parallel_sweep(spec, scale, axes, results_dir=tmp_path,
-                                 scale_label="tiny", jobs=2)
+    scale = replace(ExperimentScale.quick(), duration=1.2, warmup=0.1)
+    outcome = sweep(registry.get("fig06"), scale, axes, tmp_path, jobs=2)
     assert outcome["ran"] + outcome["skipped"] == 4
     assert outcome["skipped"] == len(merged)
     ids = _ids_in_file(path)

@@ -391,26 +391,23 @@ def test_every_library_scenario_is_registered():
 
 
 def test_scenario_sweep_and_resume(tmp_path):
-    from repro.experiments import sweep
+    from repro.experiments.parallel import run_planned
 
-    spec = registry.get("scenario:paper-lan")
-    scale = ExperimentScale.quick()
-    outcome = sweep.run_sweep(spec, scale, {"cluster_size": (4, 7)},
-                              results_dir=tmp_path, scale_label="quick")
-    assert outcome["ran"] == 2 and outcome["skipped"] == 0
+    plans = [(registry.get("scenario:paper-lan"), [ExperimentScale.quick()],
+              {"cluster_size": (4, 7)})]
+    (planned,) = run_planned(plans, tmp_path, "quick")
+    assert len(planned) == 2 and None not in planned  # 2 ran, 0 skipped
     # Re-running the same grid resumes: everything already recorded.
-    outcome = sweep.run_sweep(spec, scale, {"cluster_size": (4, 7)},
-                              results_dir=tmp_path, scale_label="quick")
-    assert outcome["ran"] == 0 and outcome["skipped"] == 2
+    assert run_planned(plans, tmp_path, "quick") == [[None, None]]
 
 
 def test_report_renders_scenario_section(tmp_path):
-    from repro.experiments import sweep
+    from repro.experiments.parallel import run_planned
     from repro.metrics import report
 
-    spec = registry.get("scenario:paper-lan")
-    sweep.run_sweep(spec, ExperimentScale.quick(), {"cluster_size": (4,)},
-                    results_dir=tmp_path, scale_label="quick")
+    run_planned([(registry.get("scenario:paper-lan"),
+                  [ExperimentScale.quick()], {"cluster_size": (4,)})],
+                tmp_path, "quick")
     text = report.render_experiments_md(report.load_results(tmp_path))
     assert "## Scenario — paper-lan" in text
     assert "**Topology:** single data-center LAN" in text

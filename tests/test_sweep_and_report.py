@@ -9,6 +9,7 @@ import pytest
 from repro.cli import main
 from repro.experiments import figures, registry
 from repro.experiments.harness import ExperimentScale
+from repro.experiments.parallel import run_planned
 from repro.experiments.sweep import (
     append_record,
     config_id,
@@ -17,7 +18,6 @@ from repro.experiments.sweep import (
     recorded_ids,
     results_path,
     run_point,
-    run_sweep,
 )
 from repro.metrics import report
 from tests.conftest import SCENARIO_ROW_LEAD
@@ -110,34 +110,6 @@ def test_config_id_depends_on_scale_and_params():
     assert base != config_id("fig05", ExperimentScale.quick(), {"batch_size": 10})
 
 
-def test_config_id_seeded_and_unseeded_spellings_collide():
-    """``--seeds s`` and a plain run at seed s are the same configuration."""
-    from dataclasses import replace
-
-    seeded_scale = replace(TINY, seed=3)
-    via_sweep = config_id("fig05", seeded_scale, {"batch_size": 10, "seed": 3})
-    via_run = config_id("fig05", seeded_scale, {"batch_size": 10})
-    assert via_sweep == via_run
-    # The seed param wins over a stale scale seed (sweeps replace the scale
-    # seed per grid point; both fields describe the same knob).
-    assert config_id("fig05", TINY, {"batch_size": 10, "seed": 3}) == via_run
-    # ...and different seeds still hash differently.
-    assert config_id("fig05", seeded_scale, {"batch_size": 10, "seed": 4}) != via_run
-
-
-def test_run_sweep_resumes_across_seeded_and_unseeded_spelling(tmp_path):
-    """A record written by ``--seeds s`` is skipped by a plain run at seed s."""
-    from dataclasses import replace
-
-    spec = registry.get("fig05")
-    run_sweep(spec, TINY, {"batch_size": (10,)}, results_dir=tmp_path,
-              scale_label="tiny", seeds=(3,))
-    again = run_sweep(spec, replace(TINY, seed=3), {"batch_size": (10,)},
-                      results_dir=tmp_path, scale_label="tiny")
-    assert again == {"ran": 0, "skipped": 1,
-                     "path": str(results_path(tmp_path, "fig05"))}
-
-
 def test_jsonl_round_trip(tmp_path):
     path = results_path(tmp_path, "fig05")
     spec = registry.get("fig05")
@@ -162,35 +134,6 @@ def test_recorded_ids_tolerates_truncated_tail(tmp_path):
     with path.open("a") as handle:
         handle.write('{"experiment": "fig05", "config_id": "abc')  # crash mid-write
     assert len(recorded_ids(path)) == 1
-
-
-def test_run_sweep_records_and_resumes(tmp_path):
-    spec = registry.get("fig05")
-    axes = {"batch_size": (10, 100), "tx_size": (512,)}
-    first = run_sweep(spec, TINY, axes, results_dir=tmp_path, scale_label="tiny")
-    assert first["ran"] == 2 and first["skipped"] == 0
-    again = run_sweep(spec, TINY, axes, results_dir=tmp_path, scale_label="tiny")
-    assert again["ran"] == 0 and again["skipped"] == 2
-    wider = dict(axes, batch_size=(10, 100, 1000))
-    resumed = run_sweep(spec, TINY, wider, results_dir=tmp_path, scale_label="tiny")
-    assert resumed["ran"] == 1 and resumed["skipped"] == 2
-
-
-def test_run_sweep_seeds_are_an_axis(tmp_path):
-    spec = registry.get("fig05")
-    outcome = run_sweep(spec, TINY, {"batch_size": (10,)}, results_dir=tmp_path,
-                        scale_label="tiny", seeds=(1, 2))
-    assert outcome["ran"] == 2
-    records = [json.loads(line) for line
-               in results_path(tmp_path, "fig05").read_text().splitlines()]
-    assert {r["seed"] for r in records} == {1, 2}
-    assert all(r["params"]["seed"] == r["seed"] for r in records)
-
-
-def test_run_sweep_rejects_unsupported_axis(tmp_path):
-    with pytest.raises(ValueError, match="no 'cluster_size' axis"):
-        run_sweep(registry.get("fig05"), TINY, {"cluster_size": (4,)},
-                  results_dir=tmp_path)
 
 
 # ---------------------------------------------------------------------------
@@ -306,10 +249,9 @@ def test_backend_sim_sweep_resumes_against_committed_records(tmp_path):
     # The bare record: no backend param anywhere in its payload.
     append_record(results_path(tmp_path, spec.name),
                   make_record(spec, scale, "default", {}, [{"tps": 1.0}]))
-    outcome = run_sweep(spec, scale, {"backend": ("sim",)},
-                        results_dir=tmp_path, scale_label="default")
-    assert outcome == {"ran": 0, "skipped": 1,
-                       "path": str(results_path(tmp_path, spec.name))}
+    (planned,) = run_planned([(spec, [scale], {"backend": ("sim",)})],
+                             tmp_path, "default")
+    assert planned == [None]  # planned once, already recorded
 
 
 def test_comparison_renders_one_line_per_backend():
@@ -379,6 +321,10 @@ def _preset(label, seed):
 @pytest.mark.parametrize("name,label,seed,params,expected", CONFIG_IDS)
 def test_config_ids_do_not_move(name, label, seed, params, expected):
     spec = registry.get(name)
+    # A seeded sweep at 2d4b15f spelled its seed as a grid param; the planner
+    # now sets it on the scale, which is the payload that spelling hashed.
+    params = dict(params)
+    seed = params.pop("seed", seed)
     assert config_id(name, _preset(label, seed), params,
                      defaults=spec.axis_defaults) == expected
 
