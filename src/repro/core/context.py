@@ -12,6 +12,7 @@ recovery procedure (Section 6.1.2).
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable, Mapping, Optional
 
 from repro.core.mailbox import Mailbox
@@ -100,8 +101,8 @@ class ProtocolContext:
     key_fields:
         The protocol's ``KEY_FIELDS`` table; ``inbox`` is the keyed
         :class:`~repro.core.mailbox.Mailbox` over it.  The context binds
-        every kind of the table on its channel to ``inbox.put``; a protocol
-        that serves a kind itself binds that kind again
+        every kind of the table on its channel to its ``inbox.putter``; a
+        protocol that serves a kind itself binds that kind again
         (:meth:`~repro.net.network.BaseNetwork.bind`).
     interrupt_check:
         Optional callable returning a truthy "panic" object when the protocol
@@ -116,7 +117,8 @@ class ProtocolContext:
         self.node_id = node_id
         self.channel = channel
         self.inbox = Mailbox(env, key_fields)
-        network.bind(node_id, channel, dict.fromkeys(key_fields, self.inbox.put))
+        network.bind(node_id, channel,
+                     {kind: self.inbox.putter(kind) for kind in key_fields})
         self.interrupt_check = interrupt_check
         #: Event triggered whenever a panic becomes pending; waits watch it.
         self._wake_event = env.event()
@@ -199,14 +201,14 @@ class ProtocolContext:
             get_event = inbox.wait(keys, sender)
             remaining = (None if deadline is None
                          else max(0.0, deadline - self.env.now))
-            result = yield self.env.any_of([get_event, self._wake_event],
-                                           remaining)
+            condition = self.env.any_of([get_event, self._wake_event],
+                                        remaining)
+            woken = Event(self.env)
+            condition.add_callback(partial(self._wait_over, get_event, woken))
+            yield woken
+            result = condition.value
             if get_event in result:
-                message = result[get_event]
-                # Handling a control message costs CPU on the receiving
-                # worker's thread (deserialisation, dispatch, bookkeeping).
-                yield from self.use_cpu(self._message_cpu)
-                return message
+                return result[get_event]
             # The wait is still registered with the mailbox; withdraw it so a
             # later message does not vanish into an abandoned event.
             inbox.cancel(get_event)
@@ -216,6 +218,20 @@ class ProtocolContext:
             if deadline is not None and self.env.now >= deadline:
                 return None
             # Otherwise we were woken spuriously; loop and wait again.
+
+    def _wait_over(self, get_event: Event, woken: Event,
+                   condition: Event) -> None:
+        """A blocked wait's condition fired.  If the message won, its
+        ``message_processing_cpu`` hold (deserialisation, dispatch,
+        bookkeeping on the receiving worker's thread) is armed here, at the
+        condition's queue position, and the hold's end wakes the process; a
+        timeout or a wake event wakes it at once.  Either way the process
+        wakes once, as the quorum drain wakes it once per engagement."""
+        hold = self._message_cpu
+        if hold > 0 and get_event in condition.value:
+            self._endpoint.cpu.hold(hold, woken.succeed_now)
+        else:
+            woken.succeed_now()
 
     def drain_messages(self, kind: str, key: Any,
                        collected: dict[int, Message], count: int):

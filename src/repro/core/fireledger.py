@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
+from functools import partial
 from typing import Any, Callable, Optional
 
 from repro.broadcast.atomic import AB_KINDS, AtomicBroadcast
@@ -111,6 +112,11 @@ class FireLedgerWorker:
         self.context = ProtocolContext(env, network, node_id, self.channel,
                                        KEY_FIELDS,
                                        interrupt_check=self._pending_panic)
+        # The inbox entry points of the two kinds that pass through the
+        # worker on their way there (votes, and headers they carry).
+        self._put_vote = self.context.inbox.putter(OBBC_VOTE)
+        self._put_header = self.context.inbox.putter(WRB_HEADER)
+        self._cpu = network.endpoint(node_id).cpu
         self.wrb = WeakReliableBroadcast(
             self.context, config.f, self.timer,
             payload_validator=self._validate_signed_header,
@@ -174,7 +180,7 @@ class FireLedgerWorker:
         piggyback = message.payload.get("piggyback")
         if piggyback is not None:
             self._ingest_piggyback(message.sender, piggyback)
-        self.context.inbox.put(message)
+        self._put_vote(message)
 
     def _on_evidence_request(self, message: Message) -> None:
         self._serve_evidence(message)
@@ -188,7 +194,7 @@ class FireLedgerWorker:
 
     def _ingest_piggyback(self, sender: int, piggyback: dict) -> None:
         """Re-file a piggybacked header as a synthetic WRB HEADER message."""
-        self.context.inbox.put(Message(
+        self._put_header(Message(
             sender, self.channel, WRB_HEADER,
             {"round": piggyback["round"], "payload": piggyback["payload"]},
             sent_at=self.env.now))
@@ -196,10 +202,12 @@ class FireLedgerWorker:
     # ----------------------------------------------------------- data path
     def _on_body(self, message: Message) -> None:
         payload = message.payload
-        root = payload["root"]
-        if root in self._bodies:
+        if payload["root"] in self._bodies:
             return
-        self.env.process(self._verify_and_store_body(root, payload["batch"]))
+        # Checked from a zero-delay timer, behind everything this instant
+        # already queued: arming the hold here would give its timer an
+        # earlier sequence number and reorder equal-time ties.
+        self.env.call_later(0.0, self._check_body, payload)
 
     def _body_hash_cost(self, batch: Batch) -> float:
         """Merkle re-hash time for ``batch`` (profiled full-body fast path)."""
@@ -208,10 +216,18 @@ class FireLedgerWorker:
             return costs.body_hash
         return self.cost.hash_time(batch.size_bytes)
 
-    def _verify_and_store_body(self, root: str, batch: Batch):
-        # Re-hashing the transactions to check the Merkle root is the
-        # receiver-side share of the Figure 5 cost model.
-        yield from self.context.use_cpu(self._body_hash_cost(batch))
+    def _check_body(self, payload: dict) -> None:
+        """Re-hash a received body to check its Merkle root — the
+        receiver-side share of the Figure 5 cost model — as one CPU hold
+        whose end stores it."""
+        cost = self._body_hash_cost(payload["batch"])
+        if cost > 0:
+            self._cpu.hold(cost, partial(self._store_body, payload))
+        else:
+            self._store_body(payload)
+
+    def _store_body(self, payload: dict, _arg: Any = None) -> None:
+        root, batch = payload["root"], payload["batch"]
         if batch.root != root:
             return  # corrupted body; ignore it
         self._bodies[root] = batch
@@ -289,8 +305,7 @@ class FireLedgerWorker:
         """Consume CPU time without blocking the caller (data-path work)."""
         if duration <= 0:
             return
-        self.env.call_later(0.0, self.network.endpoint(self.node_id).cpu.hold,
-                            duration)
+        self.env.call_later(0.0, self._cpu.hold, duration)
 
     def _prepare_body(self) -> str:
         """Assemble a transaction batch, compute its root and disseminate it."""

@@ -9,7 +9,7 @@ and drops the buckets of finished rounds when the protocol says so.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Mapping, Optional
+from typing import Any, Callable, Mapping, Optional
 
 from repro.sim.events import Event
 
@@ -31,9 +31,10 @@ class Mailbox:
     payload field holding its instance — OBBC/BBC ``tag``, WRB ``round``,
     BFT-SMaRt ``seq``, HotStuff ``view`` — or to ``(instance field, step
     field)`` where one instance runs several steps of a kind (BBC ``phase``).
-    ``put`` is the router entry point.  ``take`` / ``wait`` serve the oldest
-    message of one bucket, or of two (BBC waits for "this step's message *or*
-    a ``DECIDED``, whichever arrived first": bucket heads are compared by an
+    ``putter(kind)`` is the router entry point for one kind (``put`` takes
+    any declared kind).  ``take`` / ``wait`` serve the oldest message of one
+    bucket, or of two (BBC waits for "this step's message *or* a
+    ``DECIDED``, whichever arrived first": bucket heads are compared by an
     arrival counter).  A ``sender`` filter leaves other senders' messages in
     the bucket.  A context has one waiting process, hence one waiter slot.
 
@@ -61,35 +62,49 @@ class Mailbox:
     def __len__(self) -> int:
         return sum(len(bucket) for bucket in self._buckets.values())
 
+    def putter(self, kind: str) -> Callable[[Any], None]:
+        """The router entry point for ``kind``: a ``put`` with the kind's key
+        field(s) resolved here, once, instead of per message.  It files a
+        message under ``(kind, key)``, or hands it to the blocked wait it
+        satisfies."""
+        fields = self._key_fields[kind]
+        step = None
+        if type(fields) is not str:
+            fields, step = fields
+        buckets = self._buckets
+        mailbox = self
+
+        def put(message) -> None:
+            payload = message.payload
+            instance = payload[fields]
+            bucket_key = (kind, instance if step is None
+                          else (instance, payload[step]))
+            waiter = mailbox._waiter
+            if waiter is not None:
+                event, keys, sender = waiter
+                if bucket_key in keys and sender in (None, message.sender):
+                    mailbox._waiter = None
+                    event.succeed(message)
+                    return
+            bucket = buckets.get(bucket_key)
+            if bucket is None:
+                bucket = buckets[bucket_key] = deque()
+                ordinal = round_of(instance)
+                if ordinal is not None:
+                    mailbox._rounds.setdefault(ordinal, []).append(bucket_key)
+            mailbox._arrivals += 1
+            bucket.append((mailbox._arrivals, message))
+
+        return put
+
     def put(self, message) -> None:
-        """File ``message``, or hand it to the blocked wait it satisfies.
+        """File ``message`` through its kind's :meth:`putter` (the cold path:
+        a re-filed race, a message a handler inspected first).
 
         A message of an undeclared kind is dropped: nothing can wait for it.
         """
-        fields = self._key_fields.get(message.kind)
-        if fields is None:
-            return
-        payload = message.payload
-        if type(fields) is str:
-            key = instance = payload[fields]
-        else:
-            instance = payload[fields[0]]
-            key = (instance, payload[fields[1]])
-        bucket_key = (message.kind, key)
-        if self._waiter is not None:
-            event, keys, sender = self._waiter
-            if bucket_key in keys and sender in (None, message.sender):
-                self._waiter = None
-                event.succeed(message)
-                return
-        bucket = self._buckets.get(bucket_key)
-        if bucket is None:
-            bucket = self._buckets[bucket_key] = deque()
-            ordinal = round_of(instance)
-            if ordinal is not None:
-                self._rounds.setdefault(ordinal, []).append(bucket_key)
-        self._arrivals += 1
-        bucket.append((self._arrivals, message))
+        if message.kind in self._key_fields:
+            self.putter(message.kind)(message)
 
     def take(self, keys: tuple, sender: Optional[int] = None):
         """Pop the oldest buffered message under any of ``keys``, or ``None``."""

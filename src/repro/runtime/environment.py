@@ -2,9 +2,10 @@
 
 :class:`RealtimeEnvironment` is the second implementation of the
 :class:`~repro.sim.environment.Environment` contract: the same members, and
-only the ones it implements differently are overridden (the clock cell
-``_now`` / ``now``, ``call_later``, ``schedule_event``, ``schedule_batch``,
-``run``, the deadline pair ``_arm_deadline`` / ``_withdraw``).  Time is the
+only the ones it implements differently are overridden (the clock ``now``,
+a property here where the simulator has a slot, ``call_later``,
+``schedule_event``, ``schedule_batch``, ``run``, the deadline pair
+``_arm_deadline`` / ``_withdraw``).  Time is the
 event loop's monotonic clock, re-based so ``now`` starts at zero when the
 environment is constructed; timers (``call_later`` / ``schedule_event`` /
 ``timeout`` / an ``any_of`` deadline) become loop handles, ``call_soon``
@@ -13,8 +14,8 @@ Everything layered on the kernel primitives —
 :class:`~repro.sim.process.Process` generators,
 :class:`~repro.sim.resource.Resource` CPU slots, ``any_of`` conditions, the
 network's final delivery step — is inherited unchanged: those only ever talk
-to ``call_later``/``schedule_event``/``now`` (or its cell ``_now``) and the
-deadline pair, so the same protocol code drives either backend.
+to ``call_later``/``schedule_event``/``now`` and the deadline pair, so the
+same protocol code drives either backend.
 
 The one difference from the simulated kernel, by necessity:
 ``run(until=...)`` requires an explicit deadline — a wall clock never "runs
@@ -50,7 +51,7 @@ class RealtimeEnvironment(Environment):
         self._loop = asyncio.new_event_loop()
         self._loop.set_exception_handler(self._on_loop_exception)
         self._frozen_now: Optional[float] = None
-        # Assigns ``_now``, which re-bases the wall clock (``_origin``).
+        # Assigns ``now``, which re-bases the wall clock (``_origin``).
         super().__init__()
         self._startup_hooks: list[Callable[[], Awaitable[None]]] = []
         self._shutdown_hooks: list[Callable[[], Awaitable[None]]] = []
@@ -60,12 +61,11 @@ class RealtimeEnvironment(Environment):
 
     # ------------------------------------------------------------------ time
     @property
-    def _now(self) -> float:
+    def now(self) -> float:
         """Wall-clock seconds since the environment was constructed.
 
-        The simulator's clock cell, here computed on every read, so code
-        that reads the cell directly (the network's final delivery step)
-        runs on either backend.  Frozen at the ``until`` deadline once
+        The simulator's clock is a slot its run loop writes; here it is
+        computed on every read.  Frozen at the ``until`` deadline once
         :meth:`run` returns, so post-run summarisation (metric windows,
         backlog formulas) sees the same stable end-of-run clock the
         simulator provides.
@@ -75,11 +75,10 @@ class RealtimeEnvironment(Environment):
             return frozen
         return self._loop.time() - self._origin
 
-    @_now.setter
-    def _now(self, value: float) -> None:
+    @now.setter
+    def now(self, value: float) -> None:
+        """Re-base the wall clock so that ``now`` reads ``value``."""
         self._origin = self._loop.time() - value
-
-    now = property(_now.fget, doc=_now.__doc__)
 
     @property
     def loop(self) -> asyncio.AbstractEventLoop:

@@ -26,10 +26,11 @@ _WITHDRAWN_FLOOR = 100
 class Environment:
     """Discrete-event simulation environment.
 
-    Time is a float in *seconds*.  The queue orders entries by
-    ``(time, sequence)``: same-instant entries run in FIFO order of
-    scheduling, which keeps every run fully deterministic.  :meth:`run` is
-    the one statement of that dispatch order.
+    Time is a float in *seconds*, held in the ``now`` slot that :meth:`run`
+    writes (a read is an attribute load, not a call).  The queue orders
+    entries by ``(time, sequence)``: same-instant entries run in FIFO order
+    of scheduling, which keeps every run fully deterministic.  :meth:`run`
+    is the one statement of that dispatch order.
 
     Four kinds of entries share the queue: regular :class:`Event` objects
     (yieldable, composable, with callback lists), the pooled
@@ -63,22 +64,17 @@ class Environment:
     suite runs every scenario under both and asserts byte-identical outcomes.
     """
 
-    __slots__ = ("_now", "_queue", "_bucket", "_sequence", "_callback_pool",
+    __slots__ = ("now", "_queue", "_bucket", "_sequence", "_callback_pool",
                  "_withdrawn")
 
     def __init__(self) -> None:
-        self._now = 0.0
+        #: Current simulation time in seconds (only the kernel assigns it).
+        self.now = 0.0
         self._queue: list[tuple] = []
         self._bucket: deque[Any] = deque()
         self._sequence = 0
         self._callback_pool: list[ScheduledCallback] = []
         self._withdrawn = 0  # withdrawn deadlines still queued
-
-    # ------------------------------------------------------------------ time
-    @property
-    def now(self) -> float:
-        """Current simulation time in seconds."""
-        return self._now
 
     # ------------------------------------------------------------- factories
     def event(self) -> Event:
@@ -115,7 +111,7 @@ class Environment:
             timer.arg = arg
         else:
             timer = ScheduledCallback(fn, arg)
-        now = self._now
+        now = self.now
         when = now + delay
         if when <= now:
             self._bucket.append(timer)
@@ -158,7 +154,7 @@ class Environment:
         """
         if delay < 0:
             raise ValueError(f"negative delay {delay!r}")
-        now = self._now
+        now = self.now
         when = now + delay
         if when <= now:
             # Same-instant entries keep FIFO order in the bucket; everything
@@ -188,8 +184,10 @@ class Environment:
         self._sequence = base + k - 1
         batch = ScheduledBatch(fn)
         entry = None
-        for when, i in sorted(zip(times, range(k)), reverse=True):
-            entry = (when, base + i, batch, args[i], entry)
+        # Linked back to front: a stable sort by time keeps ties in args
+        # order, so the train fires by (time, sequence).
+        for i in reversed(sorted(range(k), key=times.__getitem__)):
+            entry = (times[i], base + i, batch, args[i], entry)
         heapq.heappush(self._queue, entry)
 
     # ------------------------------------------------------------- dispatch
@@ -213,8 +211,8 @@ class Environment:
         bucket in FIFO order, then the heap advances the clock.  An exception
         raised by a callback or a process propagates out of here.
         """
-        if until is not None and until < self._now:
-            raise ValueError(f"until={until} is in the past (now={self._now})")
+        if until is not None and until < self.now:
+            raise ValueError(f"until={until} is in the past (now={self.now})")
         queue = self._queue
         bucket = self._bucket
         pool = self._callback_pool
@@ -225,7 +223,7 @@ class Environment:
         while queue or bucket:
             # Same-instant bucket first (unless a heap entry precedes it).
             if bucket:
-                if not (queue and queue[0][0] == self._now):
+                if not (queue and queue[0][0] == self.now):
                     entry = popleft()
                     if type(entry) is ScheduledCallback:
                         fn, arg = entry.fn, entry.arg
@@ -245,7 +243,7 @@ class Environment:
                         dispatch(entry)
                     continue
             elif until is not None and queue[0][0] > until:
-                self._now = until
+                self.now = until
                 return
             head = queue[0]
             event = head[2]
@@ -257,7 +255,7 @@ class Environment:
                 # entries key re-insertion by their original (pre-reserved,
                 # contiguous) sequence numbers, so the fire order is exactly
                 # what per-copy timers would produce, including ties.
-                self._now = head[0]
+                self.now = head[0]
                 following = head[4]
                 if following is None:
                     pop(queue)
@@ -267,7 +265,7 @@ class Environment:
                 continue
             pop(queue)
             if type(event) is ScheduledCallback:
-                self._now = head[0]
+                self.now = head[0]
                 fn, arg = event.fn, event.arg
                 if len(pool) < _CALLBACK_POOL_MAX:
                     event.fn = event.arg = None
@@ -278,13 +276,13 @@ class Environment:
                 if event.fn is None:  # withdrawn: the clock stays put
                     self._withdrawn -= 1
                     continue
-                self._now = head[0]
+                self.now = head[0]
                 event.fn()
                 continue
-            self._now = head[0]
+            self.now = head[0]
             dispatch(event)
         if until is not None:
-            self._now = until
+            self.now = until
 
     def run_process(self, generator: Generator, until: Optional[float] = None) -> Any:
         """Start ``generator`` as a process, run the simulation, return its value."""

@@ -1,19 +1,63 @@
-"""The per-message collection loop the quorum drain replaced, kept as a test
-oracle.
+"""The per-message receive paths the context and the worker replaced, kept as
+test oracles.
 
-Until the drain, every quorum step — ``ProtocolContext.collect_messages``,
-OBBC's vote loop, OBBC's evidence loop — was a generator loop around
-``wait_message``: one process wake-up per message, also for messages already
-buffered, whose only wait is their ``message_processing_cpu`` hold.
-:func:`reference_collect` is that loop, verbatim.  :func:`use_reference`
-turns the drain into a no-op, which leaves exactly that loop in *every*
-collection site of ``src/`` ("drain what is buffered, then wait for one"
-minus the drain), so a whole cluster can run the old way.  The drain claims
-to be unobservable: same finish times, same senders in the same order, same
+* **The per-message collection loop.**  Until the quorum drain, every quorum
+  step — ``ProtocolContext.collect_messages``, OBBC's vote loop, OBBC's
+  evidence loop — was a generator loop around ``wait_message``: one process
+  wake-up per message, also for messages already buffered, whose only wait
+  is their ``message_processing_cpu`` hold.  :func:`reference_collect` is
+  that loop, verbatim.
+* **The two-wake-up blocking wait.**  :func:`reference_wait_message` is
+  ``ProtocolContext.wait_message`` before a blocked wait armed its message's
+  CPU hold from the wait's condition: the process woke when the condition
+  fired, then again when its own ``use_cpu`` hold ended.
+* **The body check as a process.**  :func:`reference_on_body` is
+  ``FireLedgerWorker._on_body`` when every received body started a
+  ``_verify_and_store_body`` process that held a core, then stored.
+
+:func:`use_reference` turns the drain into a no-op — which leaves exactly
+the per-message loop in *every* collection site of ``src/`` ("drain what is
+buffered, then wait for one" minus the drain) — and swaps the other two
+back in, so a whole cluster can run the old way.  The replacements claim to
+be unobservable: same finish times, same messages in the same order, same
 mailbox leftovers, same CPU occupancy at every instant, same result rows.
 """
 
 from __future__ import annotations
+
+from repro.core.context import PanicInterrupt
+
+
+def reference_wait_message(context, kind, key, sender=None, timeout=None,
+                           alt=None):
+    """``ProtocolContext.wait_message`` as it was before a blocked wait woke
+    its process once."""
+    panic = context._pending_interrupt()
+    if panic:
+        raise PanicInterrupt(panic)
+    keys = ((kind, key),) if alt is None else ((kind, key), alt)
+    inbox = context.inbox
+    message = inbox.take(keys, sender)
+    if message is not None:
+        yield from context.use_cpu(context._message_cpu)
+        return message
+    deadline = None if timeout is None else context.env.now + timeout
+    while True:
+        get_event = inbox.wait(keys, sender)
+        remaining = (None if deadline is None
+                     else max(0.0, deadline - context.env.now))
+        result = yield context.env.any_of([get_event, context._wake_event],
+                                          remaining)
+        if get_event in result:
+            message = result[get_event]
+            yield from context.use_cpu(context._message_cpu)
+            return message
+        inbox.cancel(get_event)
+        panic = context._pending_interrupt()
+        if panic:
+            raise PanicInterrupt(panic)
+        if deadline is not None and context.env.now >= deadline:
+            return None
 
 
 def reference_collect(context, kind, key, count, timeout=None):
@@ -23,11 +67,32 @@ def reference_collect(context, kind, key, count, timeout=None):
     while len(collected) < count:
         remaining = (None if deadline is None
                      else max(0.0, deadline - context.env.now))
-        message = yield from context.wait_message(kind, key, timeout=remaining)
+        message = yield from reference_wait_message(context, kind, key,
+                                                    timeout=remaining)
         if message is None:
             break
         collected.setdefault(message.sender, message)
     return list(collected.values())
+
+
+def reference_on_body(worker, message) -> None:
+    """``FireLedgerWorker._on_body`` as it was before the check was a hold."""
+    payload = message.payload
+    root = payload["root"]
+    if root in worker._bodies:
+        return
+    worker.env.process(_verify_and_store_body(worker, root, payload["batch"]))
+
+
+def _verify_and_store_body(worker, root, batch):
+    yield from worker.context.use_cpu(worker._body_hash_cost(batch))
+    if batch.root != root:
+        return  # corrupted body; ignore it
+    worker._bodies[root] = batch
+    worker._body_order.append(root)
+    event = worker._body_events.pop(root, None)
+    if event is not None and not event.triggered:
+        event.succeed()
 
 
 def _no_drain(self, kind, key, collected, count):
@@ -36,6 +101,11 @@ def _no_drain(self, kind, key, collected, count):
 
 
 def use_reference(monkeypatch) -> None:
-    """Collect one wake-up per message everywhere for the rest of a test."""
+    """Receive the old way everywhere for the rest of a test: one wake-up
+    per collected message, two per blocked wait, a process per body."""
     monkeypatch.setattr("repro.core.context.ProtocolContext.drain_messages",
                         _no_drain)
+    monkeypatch.setattr("repro.core.context.ProtocolContext.wait_message",
+                        reference_wait_message)
+    monkeypatch.setattr("repro.core.fireledger.FireLedgerWorker._on_body",
+                        reference_on_body)

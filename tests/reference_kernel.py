@@ -44,12 +44,12 @@ class ReferenceEnvironment(Environment):
     def call_later(self, delay, fn, arg=None) -> None:
         if delay < 0:
             raise ValueError(f"negative delay {delay!r}")
-        self._push(self._now + delay, ScheduledCallback(fn, arg))
+        self._push(self.now + delay, ScheduledCallback(fn, arg))
 
     def schedule_event(self, event, delay=0.0) -> None:
         if delay < 0:
             raise ValueError(f"negative delay {delay!r}")
-        self._push(self._now + delay, event)
+        self._push(self.now + delay, event)
 
     def schedule_batch(self, times, args, fn) -> None:
         for when, arg in zip(times, args):
@@ -59,7 +59,7 @@ class ReferenceEnvironment(Environment):
         if delay < 0:
             raise ValueError(f"negative delay {delay!r}")
         deadline = Deadline(fn)
-        self._push(self._now + delay,
+        self._push(self.now + delay,
                    ScheduledCallback(_fire_unless_withdrawn, deadline))
         return deadline
 

@@ -207,16 +207,21 @@ def test_process_wakeups_per_round_do_not_grow_with_the_quorum(monkeypatch):
     A deterministic work counter (it repeats exactly for a seed), so it is
     gated where wall-clock cannot be.  Wake-ups per node per decided round:
 
-    ==================================  =====  ======
-    commit                              n = 8  n = 32
-    ==================================  =====  ======
-    per-message loop (PR 14, fc822e7)   12.22   30.74
-    quorum drain (this test's commit)    8.91   11.07
-    ==================================  =====  ======
+    ==========================================  =====  ======
+    commit                                      n = 8  n = 32
+    ==========================================  =====  ======
+    per-message loop (fc822e7)                  12.22   30.74
+    quorum drain (this test's commit)            8.91   11.07
+    a wait is one kernel entry (91172d3)         8.38   10.86
+    blocked wait wakes once, body is a hold      4.71    4.77
+    ==========================================  =====  ======
 
     The per-message loop woke the round's process once per collected vote
     (quorum n - f: 6 -> 22 votes), so its figure is linear in n; with the
-    drain what is left is the arrivals that find the mailbox empty.
+    drain what is left is the arrivals that find the mailbox empty, and
+    since each of those wakes the process once (its CPU hold is armed from
+    the wait's condition) and a received body is checked by a hold, not a
+    process, it is flat in n.
     """
     small = _wakeups_per_node_round(monkeypatch, 8)
     assert small == _wakeups_per_node_round(monkeypatch, 8)
@@ -265,7 +270,7 @@ def _broadcast_storm_work(monkeypatch) -> tuple[tuple[int, int, int], object]:
 
 
 @pytest.mark.parametrize("work,pinned", [
-    (_fig10_point_work, (83410, 49811, 10095)),
+    (_fig10_point_work, (83410, 49811, 5118)),
     (_broadcast_storm_work, (16000, 15600, 401)),
 ])
 def test_simulator_work_counters_are_pinned(monkeypatch, work, pinned):
@@ -393,11 +398,11 @@ def _benchmark_workload_work(monkeypatch, name, duration, warmup) -> tuple:
 
 @pytest.mark.parametrize("name,duration,warmup,pinned", [
     pytest.param(name, *rest, id=name) for name, *rest in (
-        ("lan-saturated", 0.4, 0.1, (25897, 11125, 11111, 0, 15380)),
-        ("scale-n64", 0.4, 0.1, (214927, 124265, 124216, 0, 29104)),
-        ("flash-crowd-lanes4", 0.3, 0.1, (34665, 9164, 9138, 0, 12279)),
-        ("bftsmart-lan", 2.0, 0.5, (9068, 2804, 2801, 0, 6323)),
-        ("crash-recover", 2.2, 0.2, (39375, 16765, 14976, 1787, 25400)),
+        ("lan-saturated", 0.4, 0.1, (25897, 11125, 11111, 0, 9299)),
+        ("scale-n64", 0.4, 0.1, (214927, 124265, 124216, 0, 7800)),
+        ("flash-crowd-lanes4", 0.3, 0.1, (34665, 9164, 9138, 0, 7495)),
+        ("bftsmart-lan", 2.0, 0.5, (9068, 2804, 2801, 0, 5312)),
+        ("crash-recover", 2.2, 0.2, (39375, 16765, 14976, 1787, 14969)),
     )])
 def test_benchmark_workload_counters_are_pinned(monkeypatch, name, duration,
                                                 warmup, pinned):
@@ -415,12 +420,71 @@ def test_benchmark_workload_counters_are_pinned(monkeypatch, name, duration,
     open-loop arrival spawn no process): 25 312 -> 15 380, 29 464 -> 29 104,
     32 364 -> 12 279, 28 821 -> 25 400, and ``bftsmart-lan`` unchanged (its
     leader poll is an explicit timeout).  Kernel entries and the three
-    message columns did not move: no entry was added or lost.
+    message columns did not move: no entry was added or lost.  The resume
+    column moved once more when a received body's check became a CPU hold
+    (no process per body) and a blocked wait's message hold was armed from
+    its condition (one wake-up per blocked wait): 15 380 -> 9 299,
+    29 104 -> 7 800, 12 279 -> 7 495, 6 323 -> 5 312 and 25 400 -> 14 969,
+    every other column unchanged.
     """
     first = _benchmark_workload_work(monkeypatch, name, duration, warmup)
     assert first == _benchmark_workload_work(monkeypatch, name, duration,
                                              warmup)
     assert first == pinned
+
+
+def test_a_received_body_spawns_no_process(monkeypatch):
+    """The only processes of a saturated FireLedger run are its workers'
+    round loops: a received body's root check is one CPU hold armed from a
+    zero-delay timer, not a process (at commit 91172d3 every ``BODY`` and
+    ``BODY_RESP`` that was not a duplicate started one: ~7 k per
+    ``lan-saturated`` repeat)."""
+    spec = _cut_spec("lan-saturated", 0.4, 0.1)
+    started = [0]
+    init = Process.__init__
+
+    def counting(process, env, generator):
+        started[0] += 1
+        init(process, env, generator)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Process, "__init__", counting)
+        (row,) = runner.run_scenario(spec, seed=7)
+    assert row["tps"] > 0
+    assert started[0] == spec.n_nodes * spec.workers == 16
+
+
+def test_a_blocked_wait_wakes_its_process_once(monkeypatch):
+    """A wait that finds the mailbox empty wakes its process once: the
+    message's ``message_processing_cpu`` hold is armed from the wait's
+    condition and its end resumes the process.  Two ``Process._resume``
+    calls — the start and that wake-up — where the process used to wake for
+    the message and again for the end of its hold (three)."""
+    from repro.core.context import ProtocolContext
+    from repro.net.network import Network
+    from repro.sim import Environment
+
+    env = Environment()
+    network = Network(env, 2)
+    message_cpu = network.machine.message_processing_cpu
+    assert message_cpu > 0
+    context = ProtocolContext(env, network, 0, "c", {"A": "v"})
+
+    def waiter():
+        message = yield from context.wait_message("A", 1, timeout=1.0)
+        return message, env.now
+
+    arrivals = []
+    with _counted_resumes(monkeypatch) as calls:
+        process = env.process(waiter())
+        env.call_later(0.01, lambda _arg: arrivals.append(
+            (network.send(1, 0, "c", "A", {"v": 1}), env.now)))
+        env.run()
+    (sent, sent_at), = arrivals
+    message, finished = process.value
+    assert message is sent
+    assert finished > sent_at + message_cpu
+    assert calls[0] == 2
 
 
 class _FirstReads:

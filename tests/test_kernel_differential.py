@@ -50,7 +50,9 @@ def test_n16_quorum_drains_identical_across_kernels_and_loops(monkeypatch):
     """At n = 4 the quorum is 3 and most engagements of the quorum drain
     consume a single vote; at n = 16 (quorum 11, 4 workers on 4 cores) they
     chain several pooled timers and contend for CPU slots.  Both kernels
-    must agree, and so must the per-message loop the drain replaced."""
+    must agree, and so must the old receive paths (``use_reference``): the
+    per-message loop the drain replaced, the two-wake-up blocking wait and
+    the process per received body."""
     batched = _rows(monkeypatch, "paper-lan", False, n_nodes=16)
     reference = _rows(monkeypatch, "paper-lan", True, n_nodes=16)
     _assert_identical(batched, reference)
@@ -77,9 +79,16 @@ def test_rolling_crash_identical_across_kernels(monkeypatch):
 
 
 def test_byzantine_minority_identical_across_kernels(monkeypatch):
+    """Panics and recoveries end blocked waits through the wake event and
+    the deadline, not only through a message: the old receive paths must
+    agree here too."""
     batched = _rows(monkeypatch, "byzantine-minority", False)
     reference = _rows(monkeypatch, "byzantine-minority", True)
     _assert_identical(batched, reference)
+    with monkeypatch.context() as patch:
+        use_reference_collect(patch)
+        old_paths = run_scenario(SCENARIOS["byzantine-minority"])
+    _assert_identical(batched, old_paths)
     assert batched[0]["state_root"]
 
 

@@ -58,7 +58,8 @@ def wait_specs(draw):
 
 
 OPERATIONS = st.one_of(
-    st.tuples(st.just("put"), bucket_keys(), SENDERS),
+    # Through the kind's bound putter (the router's entry point) or ``put``.
+    st.tuples(st.just("put"), bucket_keys(), SENDERS, st.booleans()),
     st.tuples(st.just("take"), wait_specs()),
     st.tuples(st.just("wait"), wait_specs()),
     st.tuples(st.just("consume")),
@@ -74,13 +75,15 @@ OPERATIONS = st.one_of(
 def test_mailbox_hands_out_what_the_predicate_scan_did(operations):
     env = Environment()
     mailbox = Mailbox(env, KEY_FIELDS)
+    putters = {kind: mailbox.putter(kind) for kind in KEY_FIELDS}
     oracle = ReferenceMailbox(env, KEY_FIELDS)
     waiting = None  # (mailbox event, oracle event) of the one blocked wait
     for operation in operations:
         name = operation[0]
         if name == "put":
-            message = message_for(operation[1], operation[2])
-            mailbox.put(message)
+            _, bucket_key, sender, bound = operation
+            message = message_for(bucket_key, sender)
+            (putters[message.kind] if bound else mailbox.put)(message)
             oracle.put(message)
         elif name == "take":
             keys, sender = operation[1]

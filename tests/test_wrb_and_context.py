@@ -4,19 +4,27 @@ import random
 from functools import partial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core.config import FireLedgerConfig
 from repro.core.context import PanicInterrupt, ProtocolContext
+from repro.core.fireledger import BODY, FireLedgerWorker
 from repro.core.timers import AdaptiveTimer
 from repro.core.wrb import KEY_FIELDS, WeakReliableBroadcast
 from repro.crypto.cost_model import M5_XLARGE
+from repro.crypto.keys import KeyStore
+from repro.ledger.transaction import Batch, Transaction
 from repro.net.latency import SingleDatacenterLatency
 from repro.net.message import Message
 from repro.net.network import Network
 from repro.sim import Environment
 from tests.conftest import make_network
-from tests.reference_collect import reference_collect
+from tests.reference_collect import (
+    reference_collect,
+    reference_on_body,
+    reference_wait_message,
+)
 
 #: Key table of the ad-hoc kinds the context tests send.
 TEST_KEYS = {"A": "v", "B": "v", "VOTE": "round", "OLD": "round", "NEW": "round"}
@@ -197,6 +205,12 @@ def test_collecting_buffered_messages_wakes_the_process_once():
 # a sibling queues / the panic lands at the very instant a hold ends" — the
 # ties the drain must resolve like the loop did — are common, not rare.
 _TICK = 1e-4
+#: (start tick, ticks of CPU, hops) of sibling processes on the same cores: a
+#: sibling asks for its core ``hops`` same-instant queue hops after its start
+#: timer fires, so its request lands anywhere among the zero-delay entries
+#: the code under test queues at that instant.
+_SIBLINGS = st.lists(st.tuples(st.integers(0, 25), st.integers(1, 7),
+                               st.integers(0, 2)), max_size=5)
 _SCHEDULES = st.fixed_dictionaries({
     "cores": st.integers(1, 2),
     "message_cpu": st.sampled_from([0.0, 3 * _TICK]),
@@ -206,9 +220,7 @@ _SCHEDULES = st.fixed_dictionaries({
     # common; instance 1 is another bucket and must stay buffered.
     "arrivals": st.lists(st.tuples(st.integers(0, 25), st.integers(1, 5),
                                    st.sampled_from([0, 0, 0, 1])), max_size=14),
-    # (start tick, ticks of CPU) of sibling processes on the same cores.
-    "siblings": st.lists(st.tuples(st.integers(0, 25), st.integers(1, 7)),
-                         max_size=5),
+    "siblings": _SIBLINGS,
     "panic_at": st.one_of(st.none(), st.integers(0, 25)),
 })
 
@@ -232,13 +244,15 @@ def _run_collection(schedule, collect):
                       len(context.inbox)))
 
     def arrive(arrival):
-        _, sender, instance = arrival
-        context.inbox.put(Message(sender=sender, channel="wrb",
-                                  kind="VOTE", payload={"round": instance}))
+        index, _, sender, instance = arrival
+        context.inbox.put(Message(sender=sender, channel="wrb", kind="VOTE",
+                                  payload={"round": instance, "n": index}))
         observe("arrival")
 
-    def sibling(start, ticks):
+    def sibling(start, ticks, hops):
         yield env.timeout(start * _TICK)
+        for _ in range(hops):
+            yield env.event().succeed()
         observe("sibling-queues")
         yield from context.use_cpu(ticks * _TICK)
         observe("sibling-done")
@@ -257,7 +271,8 @@ def _run_collection(schedule, collect):
         try:
             messages = yield from collect(context, "VOTE", 0, schedule["count"],
                                           schedule["timeout"])
-            outcome = [message.sender for message in messages]
+            outcome = [(message.sender, message.payload["n"])
+                       for message in messages]
         except PanicInterrupt as interrupt:
             outcome = ("panic", interrupt.panic)
         observe("collected")
@@ -267,10 +282,10 @@ def _run_collection(schedule, collect):
         return outcome
 
     process = env.process(collector())
-    for arrival in schedule["arrivals"]:
-        env.call_later(arrival[0] * _TICK, arrive, arrival)
-    for start, ticks in schedule["siblings"]:
-        env.process(sibling(start, ticks))
+    for index, arrival in enumerate(schedule["arrivals"]):
+        env.call_later(arrival[0] * _TICK, arrive, (index, *arrival))
+    for start, ticks, hops in schedule["siblings"]:
+        env.process(sibling(start, ticks, hops))
     if schedule["panic_at"] is not None:
         env.call_later(schedule["panic_at"] * _TICK, panic)
     env.call_later(0.0, tick, 80)
@@ -278,7 +293,8 @@ def _run_collection(schedule, collect):
     leftovers = []
     for instance in (0, 1):
         while (message := context.inbox.take((("VOTE", instance),))) is not None:
-            leftovers.append((instance, message.sender))
+            leftovers.append((instance, message.sender,
+                              message.payload["n"]))
     return (process.value if process.triggered else "blocked"), leftovers, trace
 
 
@@ -292,6 +308,129 @@ def test_quorum_drain_is_unobservable(schedule):
         schedule, lambda context, *args: context.collect_messages(*args))
     looped = _run_collection(schedule, reference_collect)
     assert drained == looped
+
+
+def _wait_once(wait):
+    """One ``wait`` played as a collection: ``[message]``, or ``[]`` once
+    the deadline passed."""
+    def collect(context, kind, key, _count, timeout):
+        message = yield from wait(context, kind, key, timeout=timeout)
+        return [] if message is None else [message]
+    return collect
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SCHEDULES)
+@example({"cores": 1, "message_cpu": 3 * _TICK, "count": 1,  # message wins
+          "timeout": 20 * _TICK, "arrivals": [(2, 1, 0), (3, 2, 0)],
+          "siblings": [(1, 5, 0), (2, 3, 2)], "panic_at": None})
+@example({"cores": 2, "message_cpu": 3 * _TICK, "count": 1,  # deadline wins
+          "timeout": 6 * _TICK, "arrivals": [(6, 1, 0), (4, 2, 1)],
+          "siblings": [(5, 4, 1)], "panic_at": None})
+@example({"cores": 1, "message_cpu": 3 * _TICK, "count": 1,  # panic wins
+          "timeout": None, "arrivals": [(4, 1, 0)], "siblings": [(0, 6, 0)],
+          "panic_at": 4})
+def test_one_wake_up_per_blocked_wait_is_unobservable(schedule):
+    """``wait_message`` on an empty mailbox — won by a message, the
+    deadline or a panic wake, behind 1-2 contended cores, with and without
+    ``message_processing_cpu`` — against the two-wake-up wait it replaced:
+    same message returned at the same time, same leftovers, same CPU
+    occupancy and mailbox size at every step."""
+    woken_once = _run_collection(
+        schedule, _wait_once(ProtocolContext.wait_message))
+    woken_twice = _run_collection(schedule, _wait_once(reference_wait_message))
+    assert woken_once == woken_twice
+
+
+#: Three bodies of 1, 2 and 3 transactions (built once: transaction ids come
+#: from a global counter, and both runs of a schedule must see the same).
+_BODIES = [Batch(tuple(Transaction.create(1, 512, 0.0, 10 * size + index)
+                       for index in range(size)))
+           for size in (1, 2, 3)]
+_BODY_SCHEDULES = st.fixed_dictionaries({
+    "cores": st.integers(1, 2),
+    # Re-hashing a body takes one tick per transaction, or nothing.
+    "hash_per_byte": st.sampled_from([0.0, _TICK / 512]),
+    # (arrival tick, body, corrupted): a corrupted copy claims the next
+    # body's root.  Three bodies, so repeats — while the first copy's check
+    # is in flight, or after it stored — are common.
+    "arrivals": st.lists(st.tuples(st.integers(0, 25), st.integers(0, 2),
+                                   st.booleans()), max_size=8),
+    "siblings": _SIBLINGS,
+})
+
+
+def _run_body_checks(schedule, handler_for):
+    """Deliver ``schedule``'s bodies to one worker through the ``BODY``
+    handler ``handler_for(worker)``; return when each body was stored, what
+    was stored in which order, and a step-by-step CPU occupancy trace."""
+    env = Environment()
+    machine = M5_XLARGE.scaled(cores=schedule["cores"],
+                               hash_time_per_byte=schedule["hash_per_byte"])
+    network = Network(env, 4, latency_model=SingleDatacenterLatency(),
+                      machine=machine, rng=random.Random(0))
+    config = FireLedgerConfig(n_nodes=4, batch_size=3, tx_size=512,
+                              machine=machine)
+    worker = FireLedgerWorker(env, network, 0, 0, config, KeyStore(4))
+    handler = handler_for(worker)
+    cpu = network.endpoint(0).cpu
+    trace = []
+
+    def observe(label):
+        trace.append((label, env.now, cpu.in_use, cpu.queue_length,
+                      len(worker._bodies)))  # noqa: SLF001 - what was stored
+
+    def arrive(arrival):
+        _, body, corrupted = arrival
+        claimed = _BODIES[(body + corrupted) % len(_BODIES)].root
+        handler(Message(sender=1, channel=worker.channel, kind=BODY,
+                        payload={"root": claimed, "batch": _BODIES[body]}))
+        observe("arrival")
+
+    def sibling(start, ticks, hops):
+        yield env.timeout(start * _TICK)
+        for _ in range(hops):
+            yield env.event().succeed()
+        observe("sibling-queues")
+        yield from worker.context.use_cpu(ticks * _TICK)
+        observe("sibling-done")
+
+    def tick(remaining):
+        observe("tick")
+        if remaining:
+            env.call_later(_TICK, tick, remaining - 1)
+
+    stored = []
+    for index, batch in enumerate(_BODIES):
+        worker._body_event(batch.root).add_callback(  # noqa: SLF001
+            lambda _event, index=index: stored.append((index, env.now)))
+    for arrival in schedule["arrivals"]:
+        env.call_later(arrival[0] * _TICK, arrive, arrival)
+    for start, ticks, hops in schedule["siblings"]:
+        env.process(sibling(start, ticks, hops))
+    env.call_later(0.0, tick, 60)
+    env.run()
+    bodies = worker._bodies  # noqa: SLF001 - what was stored
+    assert all(batch.root == root for root, batch in bodies.items())
+    honest = {_BODIES[body].root for _, body, corrupted in schedule["arrivals"]
+              if not corrupted}
+    assert set(bodies) == honest  # a corrupted copy is never stored
+    order = [_BODIES.index(bodies[root])
+             for root in worker._body_order]  # noqa: SLF001
+    return stored, order, trace
+
+
+@settings(max_examples=200, deadline=None)
+@given(_BODY_SCHEDULES)
+def test_a_body_check_as_a_hold_is_unobservable(schedule):
+    """A received body's root check as one CPU hold against the process per
+    body it replaced: every body stored at the same instant in the same
+    order, corrupted copies dropped by both, the same CPU occupancy at
+    every step."""
+    held = _run_body_checks(schedule, lambda worker: worker._on_body)  # noqa: SLF001
+    spawned = _run_body_checks(
+        schedule, lambda worker: partial(reference_on_body, worker))
+    assert held == spawned
 
 
 def test_discard_below_drops_buffered_rounds_under_the_watermark():
