@@ -7,12 +7,12 @@ here:
 
 * :class:`~repro.core.config.FireLedgerConfig` — deployment parameters,
 * :func:`~repro.core.cluster.run_cluster` — build/run/measure a cluster
-  under any registered :class:`~repro.protocols.base.ConsensusProtocol`,
+  under any protocol of the ``protocols`` table,
 * :class:`~repro.core.flo.FLONode` / :class:`~repro.core.fireledger.FireLedgerWorker`
   — the orchestrator and the protocol instance,
-* the ``protocols`` subpackage — the pluggable protocol registry
-  (FireLedger plus the HotStuff / BFT-SMaRt baselines from ``baselines``,
-  composable into ``multiplexed(P, lanes=M)`` consensus lanes),
+* the ``protocols`` subpackage — the name -> node-factory table
+  (FireLedger plus the HotStuff / BFT-SMaRt baselines from ``baselines``),
+  and multiplexed consensus lanes over any of them,
 * the ``experiments`` subpackage — one driver per table/figure of the paper.
 """
 

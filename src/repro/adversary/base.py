@@ -2,9 +2,8 @@
 
 An :class:`AdversaryStrategy` is everything
 :func:`repro.core.cluster.run_cluster` needs to make a set of Byzantine
-nodes misbehave under *any* registered
-:class:`~repro.protocols.base.ConsensusProtocol` (including
-``multiplexed(...)``) on either backend, without protocol-code changes.
+nodes misbehave under *any* protocol of :mod:`repro.protocols` (lanes
+included) on either backend, without protocol-code changes.
 The contract hooks the three seams every protocol already has:
 
 * **outbound traffic** — :meth:`AdversaryStrategy.wrap_network` may return a
@@ -31,7 +30,6 @@ from the fault schedule, and the per-run counters it reports into
 
 from __future__ import annotations
 
-import math
 from typing import Mapping, Optional, Sequence
 
 __all__ = ["AdversaryStrategy", "get", "names", "register", "build"]
@@ -59,25 +57,27 @@ class AdversaryStrategy:
 
         Traffic-shaping strategies return a proxy intercepting outbound
         ``send``/``broadcast`` from Byzantine senders; everything else
-        returns ``network`` unchanged.  Called once, before
-        ``build_nodes``, so every protocol message crosses the proxy.
+        returns ``network`` unchanged.  Called once, before the node
+        factory runs, so every protocol message crosses the proxy.
         """
         return network
 
-    def worker_factory(self, protocol_name: str):
+    def worker_factory(self):
         """A FireLedger worker factory substituting misbehaving workers.
 
-        Only consulted by protocols that build workers from a factory
-        (FireLedger's FLO nodes).  ``None`` keeps the stock worker class.
+        Only FLO nodes build workers, so only they consult it
+        (:func:`repro.core.flo.flo_nodes`).  ``None`` keeps the stock worker
+        class.
         """
         return None
 
     def is_silent(self, node_id: int, protocol_name: str) -> bool:
         """Whether ``node_id``'s protocol process should never run.
 
-        A silent node also has its inbound traffic dropped at the network
-        layer, like a crashed node — see
-        :meth:`repro.baselines.replica.PooledReplicaMixin.silence`.
+        ``protocol_name`` is the protocol-table name of the node asking
+        (FLO nodes and baseline replicas both do).  A silent node also has
+        its inbound traffic dropped at the network layer, like a crashed
+        node — see :meth:`repro.baselines.replica.PooledReplicaMixin.silence`.
         """
         return False
 
@@ -114,13 +114,6 @@ class AdversaryStrategy:
         if not spans:
             return True
         return any(at <= now < until for at, until in spans)
-
-    def span_of(self, node_id: int) -> tuple[float, float]:
-        """The node's first activity window (``(0, inf)`` when unwindowed)."""
-        spans = self.windows.get(node_id)
-        if not spans:
-            return (0.0, math.inf)
-        return spans[0]
 
 
 _STRATEGIES: dict[str, type[AdversaryStrategy]] = {}

@@ -129,8 +129,8 @@ class _EquivocationFamily(AdversaryStrategy):
         super().__init__(nodes, windows)
         self._workers: list[EquivocatingWorker] = []
 
-    def worker_factory(self, protocol_name: str):
-        if protocol_name != "fireledger" or not self.nodes:
+    def worker_factory(self):
+        if not self.nodes:
             return None
         byzantine = self.nodes
         worker_class = self.worker_class

@@ -19,14 +19,13 @@ Leader re-election is not modelled — a crashed or silent node 0 halts the
 ordering service, which is the documented behaviour of the comparison figures
 (the paper's fault figures exercise FireLedger, not the baselines).  The
 workload surface, shared pending pool and commit step come from
-:mod:`repro.baselines.replica`; cluster wiring lives in
-:func:`repro.core.cluster.run_cluster` via :class:`BFTSmartProtocol`,
-registered as ``"bftsmart"``.
+:mod:`repro.baselines.replica`; the protocol table builds a cluster of
+:class:`BFTSmartReplica` under the name ``"bftsmart"``.
 """
 
 from __future__ import annotations
 
-from repro.baselines.replica import LeaderDrivenProtocol, PooledReplicaMixin
+from repro.baselines.replica import PooledReplicaMixin
 
 PROPOSE = "SMART_PROPOSE"
 WRITE = "SMART_WRITE"
@@ -94,7 +93,7 @@ class BFTSmartReplica(PooledReplicaMixin):
         next_seq = 0
         while True:
             proposal = yield from self.context.wait_message(
-                PROPOSE, next_seq, sender=self.leader, timeout=self.timeout)
+                PROPOSE, next_seq, sender=self.leader, timeout=self.TIMEOUT)
             if proposal is None:
                 self.recorder.count("instances_timed_out")
                 continue
@@ -105,13 +104,13 @@ class BFTSmartReplica(PooledReplicaMixin):
             self.context.broadcast(WRITE, {"seq": next_seq}, size_bytes=_ACK_SIZE,
                                    include_self=True)
             writes = yield from self.context.collect_messages(
-                WRITE, next_seq, count=quorum, timeout=self.timeout)
+                WRITE, next_seq, count=quorum, timeout=self.TIMEOUT)
             if len(writes) < quorum:
                 continue
             self.context.broadcast(ACCEPT, {"seq": next_seq}, size_bytes=_ACK_SIZE,
                                    include_self=True)
             accepts = yield from self.context.collect_messages(
-                ACCEPT, next_seq, count=quorum, timeout=self.timeout)
+                ACCEPT, next_seq, count=quorum, timeout=self.TIMEOUT)
             if len(accepts) < quorum:
                 continue
             self._commit(next_seq, proposal.payload["tx_count"],
@@ -120,17 +119,3 @@ class BFTSmartReplica(PooledReplicaMixin):
             next_seq += 1
             # The f stragglers of every quorum step arrive after it completed.
             self.context.inbox.discard_below(next_seq)
-
-
-class BFTSmartProtocol(LeaderDrivenProtocol):
-    """Stable-leader PBFT-family ordering under the pluggable-protocol contract.
-
-    A silent node 0 halts the service because leader re-election is not
-    modelled.
-    """
-
-    name = "bftsmart"
-    replica_class = BFTSmartReplica
-
-    def __init__(self, instance_timeout: float = 1.0) -> None:
-        super().__init__(instance_timeout)

@@ -20,14 +20,14 @@ HotStuff's NEW-VIEW interrupt, which keeps the chain live across skipped
 views instead of cascading timeouts forever.
 
 The workload surface, shared pending pool and commit step come from
-:mod:`repro.baselines.replica`; cluster wiring lives in
-:func:`repro.core.cluster.run_cluster` via :class:`HotStuffProtocol`,
-registered as ``"hotstuff"``.
+:mod:`repro.baselines.replica`; the protocol table builds a cluster of
+:class:`HotStuffReplica` under the name ``"hotstuff"``.  A silent leader's
+views time out and exercise the NEW-VIEW skip path.
 """
 
 from __future__ import annotations
 
-from repro.baselines.replica import LeaderDrivenProtocol, PooledReplicaMixin
+from repro.baselines.replica import PooledReplicaMixin
 
 PROPOSAL = "HS_PROPOSAL"
 VOTE = "HS_VOTE"
@@ -72,7 +72,7 @@ class HotStuffReplica(PooledReplicaMixin):
                 # the leader proposes immediately (the NEW-VIEW path).
                 if view > 0 and seen_proposal_view == view - 1:
                     votes = yield from self.context.collect_messages(
-                        VOTE, view - 1, count=quorum, timeout=self.timeout)
+                        VOTE, view - 1, count=quorum, timeout=self.TIMEOUT)
                     if len(votes) >= quorum:
                         # Aggregate-signature verification of the QC.
                         yield from self.context.use_cpu(self.cost.verify_time(0))
@@ -88,7 +88,7 @@ class HotStuffReplica(PooledReplicaMixin):
                                        include_self=True)
 
             proposal = yield from self.context.wait_message(
-                PROPOSAL, view, sender=leader, timeout=self.timeout)
+                PROPOSAL, view, sender=leader, timeout=self.TIMEOUT)
             if proposal is None:
                 self.recorder.count("views_timed_out")
                 self.view += 1
@@ -116,16 +116,3 @@ class HotStuffReplica(PooledReplicaMixin):
                 self._commit(commit_view, tx_count, transactions,
                              self._leader_of(commit_view), proposed_at)
             self.view += 1
-
-
-class HotStuffProtocol(LeaderDrivenProtocol):
-    """Rotating-leader chained HotStuff under the pluggable-protocol contract.
-
-    A silent leader's views time out and exercise the NEW-VIEW skip path.
-    """
-
-    name = "hotstuff"
-    replica_class = HotStuffReplica
-
-    def __init__(self, view_timeout: float = 1.0) -> None:
-        super().__init__(view_timeout)

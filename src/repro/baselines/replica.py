@@ -1,24 +1,27 @@
 """What the leader-driven baseline protocols (HotStuff, BFT-SMaRt) share.
 
-:class:`PooledReplicaMixin` is the replica side: constructor state, the
-commit step, the duck-typed workload surface the clients in
+:class:`PooledReplicaMixin` is a replica's common part: constructor state,
+the commit step, ``start`` / ``metrics`` (the two hooks the cluster runner
+calls on every node), the duck-typed workload surface the clients in
 :mod:`repro.workload.clients` drive — a ``submit_transaction`` feeding the
 cluster-wide :class:`~repro.ledger.txpool.TxPool` plus delivered-work
 counters — and the batch-draining rule for ``fill_blocks=False`` configs.
 A replica reports what it does to its own
 :class:`~repro.metrics.recorder.MetricsRecorder`, exactly as a FLO node does.
-:class:`LeaderDrivenProtocol` is the protocol side: pool, cost model,
-replica construction and adversary silencing.
+:func:`replica_nodes` builds one cluster of a replica class: the shared
+pool, the cost model and adversary silencing.
 The two replica *loops* (a rotating-leader view loop, a stable-leader
 three-phase instance loop) share no control flow and stay in their modules.
 """
 
 from __future__ import annotations
 
+import random
 from typing import Optional, Sequence
 
 from repro.core.context import ProtocolContext
 from repro.crypto.cost_model import CryptoCostModel
+from repro.crypto.keys import KeyStore
 from repro.ledger.delivery import Delivery, DeliveryStream
 from repro.ledger.transaction import Transaction
 from repro.ledger.txpool import TxPool
@@ -26,9 +29,9 @@ from repro.metrics.recorder import (
     EVENT_BLOCK_PROPOSAL,
     EVENT_TENTATIVE_DECISION,
     MetricsRecorder,
+    NodeMetrics,
 )
 from repro.net.network import Network, discard
-from repro.protocols.base import ConsensusProtocol, NodeMetrics
 from repro.sim import Environment
 
 
@@ -38,7 +41,8 @@ class PooledReplicaMixin:
     its loop (``run``, or whatever :meth:`processes` names) and counts its
     signatures and leader timeouts on :attr:`recorder`."""
 
-    #: Network channel of the concrete protocol's traffic.
+    #: The protocol's name in the protocol table, which is also the network
+    #: channel of its traffic.
     CHANNEL = ""
     #: Mailbox key table of the concrete protocol's message kinds.
     KEY_FIELDS: dict = {}
@@ -48,16 +52,16 @@ class PooledReplicaMixin:
     HEADER_OVERHEAD = 0
     #: The counters the replica's recorder declares (a zero still shows).
     COUNTERS: tuple = ()
+    #: How long a replica waits for the leader (a view, an instance).
+    TIMEOUT = 1.0
 
     #: Fail-stop adversary model: a silent replica never runs its process.
-    #: Set by :meth:`silence`; :meth:`LeaderDrivenProtocol.start` skips
-    #: silent replicas.
+    #: Set by :meth:`silence`; :meth:`start` skips silent replicas.
     silent = False
 
     def __init__(self, env: Environment, network: Network, node_id: int,
                  f: int, batch_size: int, tx_size: int, cost: CryptoCostModel,
-                 timeout: float = 1.0, pool=None,
-                 fill_blocks: bool = True,
+                 pool=None, fill_blocks: bool = True,
                  horizon_rounds: Optional[int] = None) -> None:
         self.env = env
         self.network = network
@@ -66,8 +70,6 @@ class PooledReplicaMixin:
         self.batch_size = batch_size
         self.tx_size = tx_size
         self.cost = cost
-        #: How long a replica waits for the leader (a view, an instance).
-        self.timeout = timeout
         self.pool = pool
         self.fill_blocks = fill_blocks
         # The context binds the protocol's kinds to its inbox; traffic for
@@ -91,6 +93,21 @@ class PooledReplicaMixin:
     def processes(self) -> Sequence:
         """The generator(s) to run as this replica's simulation processes."""
         return (self.run(),)
+
+    def start(self) -> None:
+        """Launch the replica's process(es) (no-op for a silent replica)."""
+        if not self.silent:
+            for generator in self.processes():
+                self.env.process(generator)
+
+    def metrics(self, duration: float) -> NodeMetrics:
+        """The recorder's fold plus the shared pool's rejections (end state)."""
+        metrics = NodeMetrics.from_recorder(self.recorder, duration)
+        if self.pool is not None and self.pool.max_pending is not None:
+            # The pool is cluster-wide shared state: every replica reports the
+            # same figure, so it averages (not sums) across correct nodes.
+            metrics.means["tx_rejected"] = self.pool.rejected
+        return metrics
 
     def _commit(self, sequence: int, tx_count: int, transactions: tuple,
                 proposer: int, proposed_at: float) -> None:
@@ -141,56 +158,32 @@ class PooledReplicaMixin:
         return tx_count * self.tx_size + self.HEADER_OVERHEAD
 
 
-class LeaderDrivenProtocol(ConsensusProtocol):
-    """``ConsensusProtocol`` over one :class:`PooledReplicaMixin` subclass.
+def replica_nodes(replica_class: type, env: Environment, network: Network,
+                  keystore: KeyStore, config, rng: random.Random,
+                  adversary=None) -> list:
+    """One ``replica_class`` replica per ``config.n_nodes``.
 
-    A subclass names its replica class and takes the timeout under the
-    protocol's own name (``view_timeout`` ...).  The run's
-    adversary strategy decides which replicas stay silent (the equivocation
-    strategies degrade to fail-stop here); traffic-shaping strategies act
-    at the network seam without touching the protocol.
+    The baselines draw no randomness (``rng`` is the table's uniform
+    signature) and sign through the cost model, not the key store.  The
+    run's adversary strategy decides which replicas stay silent (the
+    equivocation strategies degrade to fail-stop here); traffic-shaping
+    strategies act at the network seam without touching the replicas.
     """
-
-    #: The :class:`PooledReplicaMixin` subclass to build per node.
-    replica_class: type = PooledReplicaMixin
-
-    def __init__(self, timeout: float) -> None:
-        if timeout <= 0:
-            raise ValueError("the protocol timeout must be positive")
-        self.timeout = timeout
-
-    def build_nodes(self, env, network, keystore, config, rng,
-                    adversary=None) -> list:
-        cost = CryptoCostModel(config.machine)
-        # FireLedger routes a client write to one node's least-loaded
-        # worker; the leader-driven baselines model clients submitting to the
-        # ordering service as a whole, so every replica feeds one pool and
-        # the proposing leader drains up to a batch at a time.
-        pool = TxPool(config.tx_size, max_pending=config.pool_max_pending)
-        replicas = [
-            self.replica_class(env, network, node_id, config.f,
-                               config.batch_size, config.tx_size, cost,
-                               timeout=self.timeout, pool=pool,
-                               fill_blocks=config.fill_blocks,
-                               horizon_rounds=config.effective_retention_rounds)
-            for node_id in range(config.n_nodes)
-        ]
-        if adversary is not None:
-            for replica in replicas:
-                if adversary.is_silent(replica.node_id, self.name):
-                    replica.silence(network)
-        return replicas
-
-    def start(self, nodes: Sequence) -> None:
-        for replica in nodes:
-            if not replica.silent:
-                for generator in replica.processes():
-                    replica.env.process(generator)
-
-    def node_metrics(self, node, duration: float) -> NodeMetrics:
-        metrics = super().node_metrics(node, duration)
-        if node.pool is not None and node.pool.max_pending is not None:
-            # The pool is cluster-wide shared state: every replica reports the
-            # same figure, so it averages (not sums) across correct nodes.
-            metrics.means["tx_rejected"] = node.pool.rejected
-        return metrics
+    cost = CryptoCostModel(config.machine)
+    # FireLedger routes a client write to one node's least-loaded worker;
+    # the leader-driven baselines model clients submitting to the ordering
+    # service as a whole, so every replica feeds one pool and the proposing
+    # leader drains up to a batch at a time.
+    pool = TxPool(config.tx_size, max_pending=config.pool_max_pending)
+    replicas = [
+        replica_class(env, network, node_id, config.f, config.batch_size,
+                      config.tx_size, cost, pool=pool,
+                      fill_blocks=config.fill_blocks,
+                      horizon_rounds=config.effective_retention_rounds)
+        for node_id in range(config.n_nodes)
+    ]
+    if adversary is not None:
+        for replica in replicas:
+            if adversary.is_silent(replica.node_id, replica_class.CHANNEL):
+                replica.silence(network)
+    return replicas

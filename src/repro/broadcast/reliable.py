@@ -126,9 +126,3 @@ class ReliableBroadcast:
         body = {"origin": origin, "tag": tag, "payload": state.payload}
         self.network.broadcast(self.node_id, self.channel, RB_READY, body,
                                size_bytes=state.payload_size, include_self=True)
-
-    # ------------------------------------------------------------- inspection
-    def has_delivered(self, origin: int, tag: Any) -> bool:
-        """Whether (origin, tag) has been delivered locally."""
-        state = self._states.get((origin, tag))
-        return bool(state and state.delivered)

@@ -2,31 +2,31 @@
 
 This is the entry point every benchmark, example and scenario uses.
 :func:`run_cluster` wires the simulation environment, network, key store and
-the chosen protocol's nodes together identically for **every** registered
-:class:`~repro.protocols.base.ConsensusProtocol` (FireLedger, HotStuff,
-BFT-SMaRt, and any future plugin): it optionally installs one fault schedule
-(timed crashes and recoveries, partition / loss / slow-link windows, Byzantine
-membership) and client workloads, runs the simulation for a configured
-duration and aggregates the protocol's per-node metric hooks into one unified
-:class:`ClusterResult`.
+the chosen protocol's nodes together identically for **every** protocol of
+the :mod:`repro.protocols` table (FireLedger, HotStuff, BFT-SMaRt): it
+optionally installs one fault schedule (timed crashes and recoveries,
+partition / loss / slow-link windows, Byzantine membership) and client
+workloads, runs the simulation for a configured duration and folds the
+nodes' own ``metrics(duration)`` into one unified :class:`ClusterResult`.
 
-The runner owns the delivery seam end-to-end: after the protocol builds its
-nodes, the runner subscribes each node's
+The runner owns the delivery seam end-to-end: after the node factory builds
+the nodes, the runner subscribes each node's
 :class:`~repro.ledger.delivery.DeliveryStream` to a per-node
 :class:`~repro.ledger.state.LedgerExecutor` (when execution is enabled), so
 no protocol implementation hand-wires execution.  ``config.lanes > 1``
-transparently wraps the chosen protocol in
-:class:`~repro.protocols.multiplexed.MultiplexedProtocol`.
+builds the nodes through :func:`~repro.protocols.multiplexed.build_lanes`.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional
 
 from repro.core.config import FireLedgerConfig
 from repro.crypto.keys import KeyStore
+from repro.metrics.recorder import NodeMetrics
 from repro.metrics.summary import LatencySummary, ThroughputSummary
 from repro.net.latency import LatencyModel, SingleDatacenterLatency
 from repro.net.network import Network, NetworkStats
@@ -130,7 +130,7 @@ class ClusterResult:
 
 
 def run_cluster(config: FireLedgerConfig,
-                protocol: "str | object" = "fireledger",
+                protocol: str = "fireledger",
                 duration: float = 3.0,
                 warmup: float = 0.5,
                 seed: int = 0,
@@ -140,12 +140,13 @@ def run_cluster(config: FireLedgerConfig,
                 latency_trim: float = 0.0,
                 setup: Optional[Callable[[Environment, Network, list], None]] = None,
                 backend: str = "sim") -> ClusterResult:
-    """Build, run and summarise one cluster under any registered protocol.
+    """Build, run and summarise one cluster under any protocol of the table.
 
-    ``protocol`` is a registry name (``"fireledger"``, ``"hotstuff"``,
-    ``"bftsmart"``) or a :class:`~repro.protocols.base.ConsensusProtocol`
-    instance.  The remaining parameters mirror the paper's evaluation levers
-    and apply to every protocol: ``config`` carries the Table 2 parameters,
+    ``protocol`` is a name of the :mod:`repro.protocols` table
+    (``"fireledger"``, ``"hotstuff"``, ``"bftsmart"``); the cluster size
+    floor is ``FireLedgerConfig``'s n >= 4, the same for every protocol.
+    The remaining parameters mirror the paper's evaluation levers and apply
+    to every protocol: ``config`` carries the Table 2 parameters,
     ``latency_model`` the deployment (single data-center by default;
     :class:`~repro.net.latency.GeoDistributedLatency` is Section 7.5's
     ten-region matrix), ``warmup`` excludes start-up effects from the
@@ -177,22 +178,17 @@ def run_cluster(config: FireLedgerConfig,
     asyncio timers and loopback TCP sockets (:mod:`repro.runtime`), with
     ``duration`` and ``warmup`` measured in real seconds.
     """
-    from repro import protocols as protocol_registry  # lazy: avoids a cycle
+    # Lazy: the table imports the node modules, which import this package.
+    from repro import protocols
 
-    impl = protocol_registry.resolve(protocol)
-    if config.lanes > 1 and not isinstance(
-            impl, protocol_registry.MultiplexedProtocol):
-        impl = protocol_registry.MultiplexedProtocol(impl, lanes=config.lanes)
+    build, label = protocols.get(protocol), protocol
+    if config.lanes > 1:
+        build = partial(protocols.build_lanes, build)
+        label = f"multiplexed({protocol}, lanes={config.lanes})"
     if duration <= 0:
         raise ValueError("duration must be positive")
     if warmup < 0 or warmup >= duration:
         raise ValueError("warmup must be within [0, duration)")
-    # FireLedgerConfig already enforces the BFT floor of 4; this guards
-    # protocols that declare a minimum above it.
-    if config.n_nodes < impl.min_nodes:
-        raise ValueError(f"protocol {impl.name!r} needs at least "
-                         f"{impl.min_nodes} nodes (got {config.n_nodes})")
-
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
 
@@ -238,8 +234,7 @@ def run_cluster(config: FireLedgerConfig,
         # Traffic-shaping strategies wrap the network before any node is
         # built, so every protocol message crosses the strategy's proxy.
         network = strategy.wrap_network(network)
-    nodes = impl.build_nodes(env, network, keystore, config, rng,
-                             adversary=strategy)
+    nodes = build(env, network, keystore, config, rng, adversary=strategy)
     # The delivery seam: attach one executor per node by subscribing it to
     # the node's stream — uniformly, whatever the protocol.  Protocols keep
     # their streams' earlier subscribers (metric recorders, lane merges)
@@ -252,8 +247,13 @@ def run_cluster(config: FireLedgerConfig,
         for node in nodes:
             node.executor = LedgerExecutor.from_config(config)
             node.delivery_stream.subscribe(node.executor.on_delivery)
-    impl.set_measurement_window(nodes, warmup)
-    impl.start(nodes)
+    # The measured window excludes [0, warmup) on every recorder; then start
+    # every node in build order.  Under lanes that is lane-major (every
+    # node's lane 0, then lane 1, ...): same-instant ties fire in start order.
+    for members in zip(*(getattr(node, "lanes", (node,)) for node in nodes)):
+        for member in members:
+            member.recorder.measure_start = warmup
+            member.start()
 
     # One source of crash events: the adversary's timed liveness phases
     # (churn) and the run's own schedule install the same way.
@@ -281,8 +281,8 @@ def run_cluster(config: FireLedgerConfig,
     # The paper reports every number "averaged over nodes": one fold of the
     # correct nodes' metrics (a multiplexed node has already folded its lanes
     # with the same function).
-    per_node = [impl.node_metrics(node, duration) for node in correct_nodes]
-    merged = protocol_registry.NodeMetrics.combine(per_node, average=True)
+    per_node = [node.metrics(duration) for node in correct_nodes]
+    merged = NodeMetrics.combine(per_node, average=True)
     if merged.latency_histogram is not None:
         # Streaming (bounded-memory) runs: part of the distribution was
         # folded into per-node histograms; their merge plus every node's
@@ -321,7 +321,7 @@ def run_cluster(config: FireLedgerConfig,
             breakdown.update(reporter.fairness())
 
     return ClusterResult(
-        protocol=impl.name,
+        protocol=label,
         config=config,
         duration=duration,
         throughput=ThroughputSummary(

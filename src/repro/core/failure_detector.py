@@ -29,11 +29,6 @@ class BenignFailureDetector:
         self._suspected: set[int] = set()
         self.invalidations = 0
 
-    @property
-    def suspected(self) -> frozenset[int]:
-        """Currently suspected nodes."""
-        return frozenset(self._suspected)
-
     def is_suspected(self, node_id: int) -> bool:
         """Whether the detector currently suspects ``node_id``."""
         return self.enabled and node_id in self._suspected

@@ -6,6 +6,9 @@ worker; decided blocks are released to clients by merging the workers' chains
 in a fixed round-robin order, which preserves a single total order across all
 workers at the price of head-of-line blocking when one worker lags (visible in
 the latency figures as ``workers`` grows).
+
+:func:`flo_nodes` is the ``fireledger`` entry of the protocol table
+(:mod:`repro.protocols`).
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from repro.core.fireledger import COUNTERS, FireLedgerWorker
 from repro.crypto.keys import KeyStore
 from repro.ledger.block import Block
 from repro.ledger.transaction import Transaction
-from repro.metrics.recorder import MetricsRecorder
+from repro.metrics.recorder import MetricsRecorder, NodeMetrics
 from repro.net.network import Network, discard
 from repro.ledger.delivery import Delivery, DeliveryStream, RoundRobinMerge
 from repro.sim import Environment
@@ -123,3 +126,34 @@ class FLONode:
     def delivered_transactions(self) -> int:
         """Transactions released to clients (the delivery stream's counter)."""
         return self.delivery_stream.transactions
+
+    def metrics(self, duration: float) -> NodeMetrics:
+        """The recorder's fold plus the workers' pool figures (end state)."""
+        metrics = NodeMetrics.from_recorder(self.recorder, duration)
+        if self.config.pool_max_pending is not None:
+            metrics.totals["tx_rejected"] = sum(
+                worker.txpool.rejected for worker in self.workers)
+            metrics.totals["tx_requeue_dropped"] = sum(
+                worker.txpool.requeue_dropped for worker in self.workers)
+        return metrics
+
+
+def flo_nodes(env: Environment, network: Network, keystore: KeyStore,
+              config: FireLedgerConfig, rng: random.Random,
+              adversary=None) -> list[FLONode]:
+    """One :class:`FLONode` per ``config.n_nodes``, seeded from ``rng``.
+
+    The run's adversary strategy may substitute misbehaving workers on its
+    Byzantine nodes and silence nodes whose process must never start.
+    """
+    worker_factory = None
+    if adversary is not None:
+        worker_factory = adversary.worker_factory()
+    return [
+        FLONode(env, network, node_id, config, keystore,
+                rng=random.Random(rng.randrange(2 ** 62)),
+                worker_factory=worker_factory,
+                silent=(adversary is not None
+                        and adversary.is_silent(node_id, "fireledger")))
+        for node_id in range(config.n_nodes)
+    ]

@@ -42,11 +42,6 @@ class AdaptiveTimer:
         """The timeout to use for the next WRB-deliver."""
         return self._timer
 
-    @property
-    def estimated_delay(self) -> float:
-        """Current EMA of observed delivery delays."""
-        return self._ema
-
     def record_success(self, observed_delay: float) -> float:
         """Fold an observed delivery delay into the EMA and shrink the timer."""
         if observed_delay < 0:

@@ -14,7 +14,7 @@ CPU time they would have consumed is charged to the simulation clock through
 from repro.crypto.cost_model import CryptoCostModel, MachineSpec
 from repro.crypto.hashing import hash_bytes, hash_fields
 from repro.crypto.keys import KeyPair, KeyStore
-from repro.crypto.signatures import InvalidSignatureError, Signature
+from repro.crypto.signatures import Signature
 from repro.crypto.vrf import proposer_permutation
 
 __all__ = [
@@ -25,6 +25,5 @@ __all__ = [
     "KeyPair",
     "KeyStore",
     "Signature",
-    "InvalidSignatureError",
     "proposer_permutation",
 ]

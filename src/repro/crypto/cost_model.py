@@ -187,7 +187,3 @@ class CryptoCostModel:
             raise ValueError("workers must be >= 1")
         effective_parallelism = min(workers, self.machine.cores)
         return effective_parallelism / self.block_sign_time(batch_size, tx_size)
-
-    def max_tps_from_signing(self, batch_size: int, tx_size: int, workers: int) -> float:
-        """Upper bound ``tps <= sps * beta`` from Section 7.1."""
-        return self.signatures_per_second(batch_size, tx_size, workers) * batch_size

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.crypto.signatures import Signature
 
@@ -12,25 +12,16 @@ class KeyPair:
     """The signing identity of one node.
 
     Only the holder of a :class:`KeyPair` can create genuine signatures for
-    its ``node_id``; the ``forge`` method exists so that Byzantine fault
-    injectors can *attempt* impersonation, which verification always rejects.
+    its ``node_id``; anything else claiming to be one is a ``genuine=False``
+    :class:`~repro.crypto.signatures.Signature`, which verification always
+    rejects.
     """
 
     node_id: int
-    signatures_created: int = field(default=0, repr=False)
 
     def sign(self, digest: str) -> Signature:
         """Produce a genuine signature over ``digest``."""
-        self.signatures_created += 1
         return Signature(signer=self.node_id, digest=digest, genuine=True)
-
-    def forge(self, victim_id: int, digest: str) -> Signature:
-        """Produce a forged signature claiming to be from ``victim_id``.
-
-        The returned signature never verifies; it exists to let tests and
-        fault injectors exercise the rejection paths.
-        """
-        return Signature(signer=victim_id, digest=digest, genuine=False)
 
 
 class KeyStore:
@@ -53,8 +44,3 @@ class KeyStore:
         if expected_signer not in self._keys:
             return False
         return signature.verify(expected_signer, digest)
-
-    @property
-    def total_signatures_created(self) -> int:
-        """Total genuine signatures produced across the cluster."""
-        return sum(key.signatures_created for key in self._keys.values())

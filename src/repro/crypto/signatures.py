@@ -5,10 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-class InvalidSignatureError(Exception):
-    """Raised when signature verification fails."""
-
-
 # Wire size of an ECDSA secp256k1 signature (r, s) in compact encoding.
 SIGNATURE_SIZE_BYTES = 64
 
@@ -34,18 +30,6 @@ class Signature:
         """Wire size of the signature."""
         return SIGNATURE_SIZE_BYTES
 
-    def covers(self, digest: str) -> bool:
-        """Whether this signature is over ``digest``."""
-        return self.digest == digest
-
     def verify(self, expected_signer: int, digest: str) -> bool:
         """Check the signature is genuine, by the right signer, over ``digest``."""
         return self.genuine and self.signer == expected_signer and self.digest == digest
-
-    def require_valid(self, expected_signer: int, digest: str) -> None:
-        """Raise :class:`InvalidSignatureError` unless :meth:`verify` passes."""
-        if not self.verify(expected_signer, digest):
-            raise InvalidSignatureError(
-                f"bad signature: claimed signer {self.signer} (expected "
-                f"{expected_signer}), genuine={self.genuine}"
-            )

@@ -12,7 +12,6 @@ adversary cannot predict it before the seed block exists.
 from __future__ import annotations
 
 import hashlib
-from typing import Sequence
 
 
 def _digest_stream(seed: str):
@@ -38,11 +37,3 @@ def proposer_permutation(n_nodes: int, seed: str) -> list[int]:
         j = next(stream) % (i + 1)
         order[i], order[j] = order[j], order[i]
     return order
-
-
-def rotate_schedule(base: Sequence[int], start_index: int) -> list[int]:
-    """Rotate a proposer schedule so that ``start_index`` comes first."""
-    if not base:
-        raise ValueError("schedule must not be empty")
-    start = start_index % len(base)
-    return list(base[start:]) + list(base[:start])

@@ -104,10 +104,6 @@ class Block:
         """Whether the block carries no transactions."""
         return self.batch.is_empty
 
-    def with_signature(self, signature: Signature) -> "Block":
-        """Return a copy carrying ``signature``."""
-        return Block(header=self.header, batch=self.batch, signature=signature)
-
     def body_matches_header(self) -> bool:
         """Whether the batch matches the header's Merkle root and counts."""
         return (self.batch.root == self.header.tx_root

@@ -137,11 +137,6 @@ class Blockchain:
         return self._blocks[-1]
 
     @property
-    def pruned_through(self) -> int:
-        """Newest pruned round (-1 when nothing has been pruned)."""
-        return self.summary.newest_round
-
-    @property
     def total_blocks(self) -> int:
         """Non-genesis blocks ever appended and kept: live + pruned."""
         live = sum(1 for b in self._blocks if b.round_number >= 0)
@@ -183,17 +178,6 @@ class Blockchain:
             if block.round_number == round_number:
                 return block
         return None
-
-    def is_pruned(self, round_number: int) -> bool:
-        """Whether the block at ``round_number`` was folded into the summary."""
-        return round_number <= self.summary.newest_round
-
-    def depth_of(self, round_number: int) -> int:
-        """Depth ``d(v^r) = r' - r`` of the block at ``round_number``.
-
-        Pure round arithmetic, so it stays correct for pruned rounds.
-        """
-        return self.height - round_number
 
     def is_definite(self, round_number: int) -> bool:
         """Whether the block at ``round_number`` is definite.

@@ -11,8 +11,7 @@ sources into one total order — FLO's workers and the multiplexed lanes both
 release through it.  The classes live here, at the bottom of the layer
 graph, so the protocol implementations in :mod:`repro.core` /
 :mod:`repro.baselines` can produce onto the stream without importing the
-protocol registry; the public contract is re-exported by
-:mod:`repro.protocols.base`.
+protocol table.
 """
 
 from __future__ import annotations

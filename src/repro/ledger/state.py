@@ -190,7 +190,7 @@ class LedgerExecutor:
         """Delivery-stream consumer: execute one released block.
 
         The cluster runner subscribes this to each node's
-        :class:`~repro.protocols.base.DeliveryStream`, so every protocol's
+        :class:`~repro.ledger.delivery.DeliveryStream`, so every protocol's
         commit path feeds the execution layer through the same seam.
         Subscription order preserves the pruning invariant: the executor is
         subscribed before any release bookkeeping that could unlock pruning

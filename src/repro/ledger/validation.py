@@ -49,18 +49,6 @@ def validate_block(block: Block, previous: Optional[Block],
             f"block r={block.round_number}: body does not match header tx root")
 
 
-def is_valid_block(block: Block, previous: Optional[Block],
-                   keystore: Optional[KeyStore] = None,
-                   expected_proposer: Optional[int] = None,
-                   check_body: bool = True) -> bool:
-    """Boolean convenience wrapper around :func:`validate_block`."""
-    try:
-        validate_block(block, previous, keystore, expected_proposer, check_body)
-    except ValidationError:
-        return False
-    return True
-
-
 def validate_chain(blocks: Sequence[Block], keystore: Optional[KeyStore] = None,
                    check_body: bool = True) -> None:
     """Validate that ``blocks`` form a hash-linked chain segment."""

@@ -13,6 +13,7 @@ from repro.metrics.recorder import (
     EVENT_HEADER_PROPOSAL,
     EVENT_TENTATIVE_DECISION,
     MetricsRecorder,
+    NodeMetrics,
 )
 from repro.metrics.summary import (
     LatencyHistogram,
@@ -23,6 +24,7 @@ from repro.metrics.summary import (
 
 __all__ = [
     "MetricsRecorder",
+    "NodeMetrics",
     "BLOCK_EVENTS",
     "EVENT_BLOCK_PROPOSAL",
     "EVENT_HEADER_PROPOSAL",

@@ -107,7 +107,7 @@ class MetricsRecorder:
         #: Measured window: ``[measure_start, end_time]``, ``end_time`` being
         #: the run's end, which every summary method takes as an argument.
         #: Set before the run starts (streaming folds test against it as
-        #: they happen) and by nothing but ``set_measurement_window``.
+        #: they happen) and by nothing but ``run_cluster``.
         self.measure_start: float = 0.0
         # --- streaming aggregates (populated only when horizon_rounds set) ---
         self.records_folded = 0
@@ -173,7 +173,7 @@ class MetricsRecorder:
     def on_delivery(self, delivery) -> None:
         """Delivery-stream consumer: record the block's E (release) event.
 
-        Subscribed to a node's :class:`~repro.protocols.base.DeliveryStream`,
+        Subscribed to a node's :class:`~repro.ledger.delivery.DeliveryStream`,
         so the recorder observes releases through the same seam as the
         execution layer instead of a hand-placed ``record_event`` call inside
         the protocol's merge loop.  ``delivery.source``/``delivery.sequence``
@@ -356,3 +356,111 @@ class MetricsRecorder:
                 counts[key] += 1
         return {key: sums[key] / counts[key] for key, _, _ in _STAGES
                 if key in sums}
+
+
+@dataclass
+class NodeMetrics:
+    """One node's contribution to the aggregated cluster result.
+
+    ``tps``/``bps``/``recoveries_per_second`` are rates over the node's
+    measurement window.  ``latency_samples`` are per-block commit latencies in
+    seconds.  The three dicts all end up in ``ClusterResult.breakdown`` but
+    aggregate differently (:meth:`combine`):
+
+    * ``stage_breakdown`` — per-round stage timings (FireLedger's ``A->B`` ...
+      ``D->E`` spans), averaged per key;
+    * ``totals`` — cluster-wide counters (round outcomes, recoveries, skipped
+      views, signature counts), summed per key;
+    * ``means`` — per-node quantities that every correct node observes
+      identically (a baseline's committed block/transaction counts), averaged
+      per key across nodes.
+    """
+
+    tps: float = 0.0
+    bps: float = 0.0
+    recoveries_per_second: float = 0.0
+    latency_samples: list[float] = field(default_factory=list)
+    #: Folded share of the latency distribution when the node's recorder ran
+    #: in streaming (bounded-memory) mode; merged with every node's raw
+    #: samples into one histogram-backed cluster summary.
+    latency_histogram: Optional[LatencyHistogram] = None
+    stage_breakdown: dict[str, float] = field(default_factory=dict)
+    totals: dict[str, float] = field(default_factory=dict)
+    means: dict[str, float] = field(default_factory=dict)
+
+    @classmethod
+    def from_recorder(cls, recorder: MetricsRecorder,
+                      duration: float) -> "NodeMetrics":
+        """Summarise one recorder over its measurement window.
+
+        The one fold of recorder data: transactions count where they are
+        released (E), blocks where they are decided (C), and the recorder's
+        counters are the ``totals``.  A node's ``metrics`` adds only *state
+        read at the end of the run* (a pool's rejection figure) on top —
+        anything that is an event goes through the recorder.
+        """
+        return cls(
+            tps=recorder.throughput_tps(duration, event=EVENT_FLO_DELIVERY),
+            bps=recorder.throughput_bps(duration,
+                                        event=EVENT_TENTATIVE_DECISION),
+            recoveries_per_second=recorder.recoveries_per_second(duration),
+            latency_samples=recorder.latency_samples(duration),
+            latency_histogram=recorder.latency_histogram,
+            stage_breakdown=recorder.breakdown(duration),
+            totals=dict(recorder.counters),
+            means={
+                "blocks_committed": recorder.count_with_event(
+                    EVENT_TENTATIVE_DECISION, duration),
+                "transactions_committed": recorder.tx_with_event(
+                    EVENT_FLO_DELIVERY, duration),
+            })
+
+    @classmethod
+    def combine(cls, parts: "Iterable[NodeMetrics]",
+                average: bool) -> "NodeMetrics":
+        """Fold several ``NodeMetrics`` into one — the only such fold.
+
+        ``average=True`` folds the correct nodes of a cluster (the paper
+        reports every number "averaged over nodes"): rates and ``means``
+        average.  ``average=False`` folds the lanes of one node, which are
+        parallel pipelines: rates and ``means`` add.  Either way
+        ``stage_breakdown`` spans average per key over the parts reporting
+        the key (they describe one protocol round, whoever ran it),
+        ``totals`` sum, raw latency samples concatenate and the parts'
+        histograms merge into a fresh one (None when no part streamed).
+        Every sum adds its terms in ``parts`` order, so a result is a pure
+        function of the run, not of the interpreter's ``sum``.
+        """
+        merged = cls()
+        count = 0
+        stage_counts: dict[str, int] = {}
+        mean_counts: dict[str, int] = {}
+        for part in parts:
+            count += 1
+            merged.tps += part.tps
+            merged.bps += part.bps
+            merged.recoveries_per_second += part.recoveries_per_second
+            merged.latency_samples.extend(part.latency_samples)
+            if part.latency_histogram is not None:
+                if merged.latency_histogram is None:
+                    merged.latency_histogram = LatencyHistogram(
+                        bin_width=part.latency_histogram.bin_width)
+                merged.latency_histogram.merge(part.latency_histogram)
+            for key, value in part.stage_breakdown.items():
+                merged.stage_breakdown[key] = (
+                    merged.stage_breakdown.get(key, 0.0) + value)
+                stage_counts[key] = stage_counts.get(key, 0) + 1
+            for key, value in part.totals.items():
+                merged.totals[key] = merged.totals.get(key, 0.0) + value
+            for key, value in part.means.items():
+                merged.means[key] = merged.means.get(key, 0.0) + value
+                mean_counts[key] = mean_counts.get(key, 0) + 1
+        for key, reporting in stage_counts.items():
+            merged.stage_breakdown[key] /= reporting
+        if average and count:
+            merged.tps /= count
+            merged.bps /= count
+            merged.recoveries_per_second /= count
+            for key, reporting in mean_counts.items():
+                merged.means[key] /= reporting
+        return merged

@@ -25,19 +25,6 @@ def percentile(samples: Sequence[float], q: float) -> float:
     return min(max(value, ordered[0]), ordered[-1])
 
 
-def cdf_points(samples: Sequence[float], points: int = 20) -> list[tuple[float, float]]:
-    """(latency, cumulative fraction) pairs for plotting a CDF."""
-    if not samples:
-        return []
-    ordered = sorted(samples)
-    step = max(1, len(ordered) // points)
-    curve = []
-    for index in range(0, len(ordered), step):
-        curve.append((ordered[index], (index + 1) / len(ordered)))
-    curve.append((ordered[-1], 1.0))
-    return curve
-
-
 @dataclass
 class LatencyHistogram:
     """Fixed-bin latency distribution for streaming (bounded-memory) metrics.

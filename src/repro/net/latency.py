@@ -100,10 +100,6 @@ class LatencyModel:
         return [row[dst] * (1.0 + jitter * g)
                 for dst, g in zip(receivers, _abs_gauss_block(rng, len(receivers)))]
 
-    def base_delay(self, src: int, dst: int) -> float:
-        """Deterministic component of the link delay (no jitter)."""
-        return self._rows[src][dst]
-
     def transfer_delay(self, src: int, dst: int, size_bytes: int) -> float:
         """Size-dependent serialisation time on the ``src -> dst`` path.
 

@@ -1,12 +1,11 @@
-"""Pluggable consensus protocols for the cluster runner.
+"""Consensus protocols for the cluster runner: one name -> node-factory table.
 
-One :class:`~repro.protocols.base.ConsensusProtocol` implementation per
-protocol, registered by name so ``run_cluster(config, protocol="hotstuff")``,
-scenario specs (``protocol = "bftsmart"``) and the ``--protocol`` sweep axis
-all resolve through the same registry.  Shipped protocols:
+``run_cluster(config, protocol="hotstuff")``, scenario specs
+(``protocol = "bftsmart"``) and the ``--protocol`` sweep axis all look a
+name up in :data:`~repro.protocols.base.PROTOCOLS`:
 
-* ``fireledger`` — the paper's protocol (FLO nodes running FireLedger
-  worker instances);
+* ``fireledger`` — the paper's protocol, FLO nodes running FireLedger
+  worker instances (:func:`repro.core.flo.flo_nodes`);
 * ``hotstuff``   — chained HotStuff with rotating leaders (Section 7.6),
   :mod:`repro.baselines.hotstuff`;
 * ``bftsmart``   — a BFT-SMaRt-style stable-leader ordering service,
@@ -17,44 +16,18 @@ lanes of the named protocol over one shared network and merges their delivery
 streams into a single total order (see :mod:`repro.protocols.multiplexed`);
 it is the one way in — lanes are not part of a protocol's name.
 
-Adding a protocol: implement the contract in :mod:`repro.protocols.base`
-and call :func:`register` (see ARCHITECTURE.md, "Protocol layer").
+Adding a protocol: write its node class and factory, and add one line to
+the table (see ARCHITECTURE.md, "Adding a protocol").
 """
 
-from repro.protocols.base import (
-    ConsensusProtocol,
-    Delivery,
-    DeliveryStream,
-    NodeMetrics,
-    get,
-    names,
-    register,
-    resolve,
-)
-# After protocols.base, which the baselines subclass: see the import order
-# note in repro/baselines/__init__.py.
-from repro.baselines.bftsmart import BFTSmartProtocol
-from repro.baselines.hotstuff import HotStuffProtocol
-from repro.protocols.fireledger import FireLedgerProtocol
-from repro.protocols.multiplexed import LaneNetwork, MultiplexedNode, MultiplexedProtocol
-
-register(FireLedgerProtocol())
-register(HotStuffProtocol())
-register(BFTSmartProtocol())
+from repro.protocols.base import PROTOCOLS, get, names
+from repro.protocols.multiplexed import LaneNetwork, MultiplexedNode, build_lanes
 
 __all__ = [
-    "ConsensusProtocol",
-    "Delivery",
-    "DeliveryStream",
-    "NodeMetrics",
-    "FireLedgerProtocol",
-    "HotStuffProtocol",
-    "BFTSmartProtocol",
+    "PROTOCOLS",
     "LaneNetwork",
     "MultiplexedNode",
-    "MultiplexedProtocol",
-    "register",
+    "build_lanes",
     "get",
     "names",
-    "resolve",
 ]

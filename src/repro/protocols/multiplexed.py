@@ -1,12 +1,14 @@
 """Multiplexed consensus lanes: M instances of one protocol, one total order.
 
 FireLedger's FLO already multiplexes *workers* of its own protocol; this
-module lifts the same idea to the protocol layer.  ``multiplexed(P, lanes=M)``
-runs M completely unmodified instances of any registered
-:class:`~repro.protocols.base.ConsensusProtocol` over the **one** shared
+module lifts the same idea to the protocol layer.  :func:`build_lanes` is a
+function over any node factory of the protocol table: it builds M completely
+unmodified clusters of that protocol ("lanes") over the **one** shared
 simulated network — the lanes contend for the same NICs, CPUs and links, so
-lane parallelism buys pipelining, not free hardware — and merges their
-delivery streams back into a single total order that feeds execution.
+lane parallelism buys pipelining, not free hardware — and merges each node's
+lane delivery streams back into a single total order that feeds execution.
+``run_cluster`` applies it whenever ``config.lanes > 1`` and labels the
+result ``multiplexed(P, lanes=M)``.
 
 Three pieces make that composition safe:
 
@@ -44,11 +46,11 @@ from __future__ import annotations
 
 import random
 from functools import partial
-from typing import Optional, Sequence
+from typing import Callable, Optional
 
 from repro.ledger.delivery import Delivery, DeliveryStream, RoundRobinMerge
+from repro.metrics.recorder import NodeMetrics
 from repro.net.message import MESSAGE_OVERHEAD_BYTES
-from repro.protocols.base import ConsensusProtocol, NodeMetrics
 
 #: Knuth's multiplicative hash constant (2^32 / phi); spreads consecutive
 #: sender ids evenly across lanes instead of striping them modulo M.
@@ -139,77 +141,15 @@ class MultiplexedNode:
     def delivered_transactions(self) -> int:
         return self.delivery_stream.transactions
 
-    @property
-    def pending_merge(self) -> int:
-        """Deliveries buffered behind the watermark (stalled-lane backlog)."""
-        return self._merge.pending
-
-
-class MultiplexedProtocol(ConsensusProtocol):
-    """``multiplexed(P, lanes=M)``: M lanes of protocol P, merged."""
-
-    min_nodes = 4
-
-    def __init__(self, base: ConsensusProtocol, lanes: int) -> None:
-        if lanes < 1:
-            raise ValueError("lanes must be >= 1")
-        if isinstance(base, MultiplexedProtocol):
-            raise ValueError("multiplexed lanes do not nest")
-        self.base = base
-        self.lanes = lanes
-        self.name = f"multiplexed({base.name}, lanes={lanes})"
-        self.min_nodes = base.min_nodes
-
-    def _lane_configs(self, config) -> list:
-        """Per-lane configs: ``lanes=1`` plus the split pool budget.
-
-        ``pool_max_pending`` is a cluster-global budget: each lane gets an
-        equal share (the first ``budget % M`` lanes absorb the remainder),
-        so adding lanes never adds aggregate pool capacity.
-        """
-        budget = config.pool_max_pending
-        if budget is None:
-            shares = [None] * self.lanes
-        else:
-            base_share, remainder = divmod(budget, self.lanes)
-            shares = [base_share + (1 if lane < remainder else 0)
-                      for lane in range(self.lanes)]
-        return [config.with_overrides(lanes=1, pool_max_pending=share)
-                for share in shares]
-
-    def build_nodes(self, env, network, keystore, config, rng,
-                    adversary=None) -> list[MultiplexedNode]:
-        per_lane_nodes = []
-        for lane, lane_config in enumerate(self._lane_configs(config)):
-            lane_network = LaneNetwork(network, lane)
-            lane_rng = random.Random(rng.randrange(2 ** 62))
-            per_lane_nodes.append(self.base.build_nodes(
-                env, lane_network, keystore, lane_config, lane_rng,
-                adversary=adversary))
-        return [MultiplexedNode(node_id,
-                                [lane[node_id] for lane in per_lane_nodes])
-                for node_id in range(config.n_nodes)]
-
-    def start(self, nodes: Sequence[MultiplexedNode]) -> None:
-        for lane in range(self.lanes):
-            self.base.start([node.lanes[lane] for node in nodes])
-
-    def set_measurement_window(self, nodes: Sequence[MultiplexedNode],
-                               warmup: float) -> None:
-        for lane in range(self.lanes):
-            self.base.set_measurement_window(
-                [node.lanes[lane] for node in nodes], warmup)
-
-    def node_metrics(self, node: MultiplexedNode, duration: float) -> NodeMetrics:
+    def metrics(self, duration: float) -> NodeMetrics:
         """The lanes' metrics, added up; plus per-lane rejections and skew.
 
         The lanes are parallel pipelines on one node, so they fold with
         :meth:`NodeMetrics.combine` ``average=False``: rates, ``totals`` and
-        ``means`` add (each key stays in the dict the base protocol chose,
-        so the cross-node fold still sums or averages it correctly).
+        ``means`` add (each key stays in the dict the lane's node chose, so
+        the cross-node fold still sums or averages it correctly).
         """
-        per_lane = [self.base.node_metrics(inner, duration)
-                    for inner in node.lanes]
+        per_lane = [inner.metrics(duration) for inner in self.lanes]
         merged = NodeMetrics.combine(per_lane, average=False)
         for lane, metrics in enumerate(per_lane):
             for source, target in ((metrics.totals, merged.totals),
@@ -220,5 +160,45 @@ class MultiplexedProtocol(ConsensusProtocol):
                    for metrics in per_lane]
         total_tx = sum(lane_tx)
         if total_tx > 0:
-            merged.means["lane_skew"] = max(lane_tx) / total_tx * self.lanes
+            merged.means["lane_skew"] = max(lane_tx) / total_tx * len(self.lanes)
         return merged
+
+
+def lane_configs(config) -> list:
+    """Per-lane configs: ``lanes=1`` plus the split pool budget.
+
+    ``pool_max_pending`` is a cluster-global budget: each of the
+    ``config.lanes`` lanes gets an equal share (the first ``budget % lanes``
+    lanes absorb the remainder), so adding lanes never adds aggregate pool
+    capacity.  A lane's config says one lane, so a lane never multiplexes
+    again.
+    """
+    lanes = config.lanes
+    budget = config.pool_max_pending
+    if budget is None:
+        shares = [None] * lanes
+    else:
+        base_share, remainder = divmod(budget, lanes)
+        shares = [base_share + (1 if lane < remainder else 0)
+                  for lane in range(lanes)]
+    return [config.with_overrides(lanes=1, pool_max_pending=share)
+            for share in shares]
+
+
+def build_lanes(build: Callable[..., list], env, network, keystore, config,
+                rng: random.Random, adversary=None) -> list[MultiplexedNode]:
+    """``config.lanes`` clusters of the node factory ``build``, one per lane,
+    merged per node into :class:`MultiplexedNode` s.
+
+    Each lane builds against its own :class:`LaneNetwork` and an rng seeded
+    from ``rng`` in lane order; the lane clusters are built (and started)
+    lane-major.
+    """
+    per_lane_nodes = []
+    for lane, lane_config in enumerate(lane_configs(config)):
+        lane_network = LaneNetwork(network, lane)
+        lane_rng = random.Random(rng.randrange(2 ** 62))
+        per_lane_nodes.append(build(env, lane_network, keystore, lane_config,
+                                    lane_rng, adversary=adversary))
+    return [MultiplexedNode(node_id, [lane[node_id] for lane in per_lane_nodes])
+            for node_id in range(config.n_nodes)]

@@ -1,8 +1,8 @@
 """Execute a :class:`~repro.scenarios.spec.ScenarioSpec` on the simulator.
 
 The runner translates the declarative spec into the concrete knobs of
-:func:`~repro.core.cluster.run_cluster`: protocol -> registered
-:class:`~repro.protocols.base.ConsensusProtocol`, topology -> latency
+:func:`~repro.core.cluster.run_cluster`: protocol -> a name of the
+:mod:`repro.protocols` table, topology -> latency
 model, workload -> ``fill_blocks`` / client population, fault schedule ->
 ``faults=`` (plus the spec's adversary bound to its Byzantine membership).
 It returns plain result-row dicts, so scenarios plug into the experiment

@@ -552,8 +552,8 @@ class ScenarioSpec(_Block):
 
     name: str
     description: str = ""
-    #: Consensus protocol the scenario runs under — any name registered in
-    #: :mod:`repro.protocols` (``fireledger``, ``hotstuff``, ``bftsmart``).
+    #: Consensus protocol the scenario runs under — any name of the
+    #: :mod:`repro.protocols` table (``fireledger``, ``hotstuff``, ``bftsmart``).
     #: The registry's ``protocol`` sweep axis overrides it per grid point.
     protocol: str = "fireledger"
     n_nodes: int = 4
@@ -590,16 +590,13 @@ class ScenarioSpec(_Block):
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("a scenario needs a name")
-        from repro import protocols  # lazy: the registry imports this module
+        from repro import protocols  # lazy: keeps spec importable standalone
+        from repro.core.config import max_faults
 
-        try:
-            impl = protocols.get(self.protocol)
-        except KeyError:
+        if self.protocol not in protocols.names():
             raise ValueError(f"unknown protocol {self.protocol!r}; "
-                             f"known: {', '.join(protocols.names())}") from None
-        if self.n_nodes < impl.min_nodes:
-            raise ValueError(f"{self.protocol} scenarios need n_nodes >= "
-                             f"{impl.min_nodes}")
+                             f"known: {', '.join(protocols.names())}")
+        max_faults(self.n_nodes)  # every protocol's floor: n >= 4
         if self.duration <= 0 or not 0 <= self.warmup < self.duration:
             raise ValueError("require duration > 0 and 0 <= warmup < duration")
         self.faults.validate(self.n_nodes)

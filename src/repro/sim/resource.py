@@ -28,16 +28,6 @@ class Resource:
         self._in_use = 0
         self._waiters: deque[tuple] = deque()  # (duration, then)
 
-    @property
-    def in_use(self) -> int:
-        """Number of slots currently held."""
-        return self._in_use
-
-    @property
-    def queue_length(self) -> int:
-        """Number of holds waiting for a slot."""
-        return len(self._waiters)
-
     def hold(self, duration: float,
              then: Optional[Callable[[Any], None]] = None) -> None:
         """Hold one slot for ``duration`` seconds, free it, call ``then``."""

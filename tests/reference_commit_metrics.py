@@ -4,8 +4,8 @@ Until every protocol reported through its node's
 :class:`~repro.metrics.recorder.MetricsRecorder`, a HotStuff / BFT-SMaRt
 replica kept one :class:`CommitRecord` per commit on ``self.committed`` (for
 the whole run, whatever ``[retention]`` said), counted signatures and leader
-timeouts on plain attributes, and ``LeaderDrivenProtocol.node_metrics``
-folded them with its own window filter.  :class:`CommitRecord` and
+timeouts on plain attributes, and the baselines' protocol class folded them
+with its own window filter.  :class:`CommitRecord` and
 :func:`node_metrics` are the parent commit's statements, verbatim (the method
 became a function: ``self.timeout_counter`` is the ``timeout_counter``
 argument); :class:`ReferenceReplica` is the state a replica's constructor and
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.protocols.base import NodeMetrics
+from repro.metrics.recorder import NodeMetrics
 
 
 @dataclass

@@ -4,11 +4,11 @@ a test oracle.
 Until ``combine``, "sum the totals, average the stage spans, merge the
 histograms" was written twice: :func:`cluster_fold` is the loop
 ``run_cluster`` ran over the correct nodes of a cluster (rates and ``means``
-average — the paper's "averaged over nodes"), :func:`lane_fold` the loop
-``MultiplexedProtocol.node_metrics`` ran over the lanes of one node (rates
-and ``means`` add, plus the ``lane<i>_tx_rejected`` / ``lane_skew`` lines that
-still live in ``protocols/multiplexed.py``).  Both are the parent commit's
-statements, verbatim, around the values they read and returned; the one
+average — the paper's "averaged over nodes"), :func:`lane_fold` the loop the
+lane wrapper ran over the lanes of one node (rates and ``means`` add, plus
+the ``lane<i>_tx_rejected`` / ``lane_skew`` lines that still live in
+``MultiplexedNode.metrics``).  Both are the parent commit's statements,
+verbatim, around the values they read and returned; the one
 liberty is :func:`_average`, which spells ``ThroughputSummary.average``'s
 ``sum(...) / count`` as the left-to-right additions ``sum`` performed on the
 interpreters that recorded ``results/`` (3.12's ``sum`` compensates floats,
@@ -19,7 +19,7 @@ unobservable: every float equal with ``==``, dict keys in the same order.
 from __future__ import annotations
 
 from repro.metrics.summary import LatencyHistogram
-from repro.protocols.base import NodeMetrics
+from repro.metrics.recorder import NodeMetrics
 
 
 def _average(values: list[float]) -> float:
@@ -85,7 +85,7 @@ def cluster_fold(per_node: list[NodeMetrics]) -> dict:
 
 
 def lane_fold(per_lane: list[NodeMetrics], lanes: int) -> NodeMetrics:
-    """``MultiplexedProtocol.node_metrics``'s fold of one node's lanes."""
+    """The lane wrapper's fold of one node's lanes."""
     merged = NodeMetrics()
     stage_totals: dict[str, float] = {}
     stage_counts: dict[str, int] = {}

@@ -80,19 +80,19 @@ class ReferenceResource:
     def __init__(self, env, capacity: int = 1) -> None:
         self.env = env
         self.capacity = capacity
-        self.in_use = 0
+        self._in_use = 0
         self._waiters: deque[Event] = deque()
 
     def try_acquire(self) -> bool:
-        if self.in_use < self.capacity and not self._waiters:
-            self.in_use += 1
+        if self._in_use < self.capacity and not self._waiters:
+            self._in_use += 1
             return True
         return False
 
     def acquire(self) -> Event:
         event = Event(self.env)
-        if self.in_use < self.capacity:
-            self.in_use += 1
+        if self._in_use < self.capacity:
+            self._in_use += 1
             event.succeed()
         else:
             self._waiters.append(event)
@@ -102,7 +102,7 @@ class ReferenceResource:
         if self._waiters:
             self._waiters.popleft().succeed()
         else:
-            self.in_use -= 1
+            self._in_use -= 1
 
     def hold(self, duration: float, then) -> None:
         """A callback holder as the quorum drain wrote one: a free slot arms

@@ -61,7 +61,7 @@ def test_bftsmart_write_quorum_counts_distinct_senders(write_senders, accepts):
     network = Network(env, 4, latency_model=SingleDatacenterLatency(),
                       rng=random.Random(0))
     replica = BFTSmartReplica(env, network, 1, f=1, batch_size=10, tx_size=512,
-                              cost=CryptoCostModel(C5_4XLARGE), timeout=0.5)
+                              cost=CryptoCostModel(C5_4XLARGE))
     env.process(replica.run_replica())
     network.send(0, 1, replica.CHANNEL, PROPOSE,
                  {"seq": 0, "tx_count": 10, "transactions": (), "proposed_at": 0.0})

@@ -11,7 +11,7 @@ from repro.metrics.recorder import (
     EVENT_HEADER_PROPOSAL,
     EVENT_TENTATIVE_DECISION,
 )
-from repro.metrics.summary import LatencySummary, cdf_points, percentile
+from repro.metrics.summary import LatencySummary, percentile
 
 
 # --------------------------------------------------------------------- config
@@ -119,9 +119,8 @@ def test_percentile_and_cdf():
     assert percentile(data, 100) == 5.0
     with pytest.raises(ValueError):
         percentile([], 50)
-    curve = cdf_points(data, points=5)
-    assert curve[-1] == (5.0, 1.0)
-    assert cdf_points([]) == []
+    # The inverse of the empirical CDF: one sample per quartile step.
+    assert [percentile(data, q) for q in (0, 25, 50, 75, 100)] == data
 
 
 def test_latency_summary_trimming():
@@ -134,7 +133,7 @@ def test_latency_summary_trimming():
 
 def test_throughput_summary_average():
     """A cluster's rates are the average over its nodes (the one fold)."""
-    from repro.protocols.base import NodeMetrics
+    from repro.metrics import NodeMetrics
 
     average = NodeMetrics.combine([NodeMetrics(tps=100, bps=1),
                                    NodeMetrics(tps=300, bps=3)], average=True)

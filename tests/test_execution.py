@@ -158,7 +158,7 @@ def test_shared_pool_carries_transactions_with_execution_on_or_off(env):
     for execute in (True, False):
         config = FireLedgerConfig(n_nodes=4, fill_blocks=False,
                                   execute_transactions=execute)
-        replicas = protocols.get("hotstuff").build_nodes(
+        replicas = protocols.get("hotstuff")(
             env, Network(env, 4), KeyStore(4), config, global_random.Random(1))
         assert all(replica.pool is replicas[0].pool for replica in replicas)
         tx = Transaction.create(client_id=1, size_bytes=64)

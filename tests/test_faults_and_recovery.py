@@ -1,5 +1,7 @@
 """Tests of Byzantine fault injection, the recovery procedure and the FD."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro import FireLedgerConfig, run_cluster
@@ -101,7 +103,7 @@ def test_failure_detector_never_suspects_more_than_f():
     detector = BenignFailureDetector(n_nodes=7, f=2, suspect_after=1)
     for node in (1, 2, 3, 4):
         detector.record_timeout(node)
-    assert len(detector.suspected) <= 2
+    assert len(detector._suspected) <= 2
 
 
 def test_failure_detector_clears_on_delivery_and_invalidation():
@@ -112,7 +114,7 @@ def test_failure_detector_clears_on_delivery_and_invalidation():
     assert not detector.is_suspected(2)
     detector.record_timeout(1)
     detector.invalidate()
-    assert not detector.suspected
+    assert not detector._suspected
     assert detector.invalidations == 1
 
 
@@ -129,7 +131,7 @@ def _signed(keystore, round_number, proposer, previous_digest, signer=None):
                         batch=Batch(filler_count=3, filler_tx_size=512,
                                     filler_nonce=round_number + 1))
     signer = proposer if signer is None else signer
-    return block.with_signature(keystore.key_for(signer).sign(block.digest))
+    return replace(block, signature=keystore.key_for(signer).sign(block.digest))
 
 
 def test_recovery_version_validity_is_validate_chain(env):

@@ -1,5 +1,6 @@
 """Tests of transactions, batches, blocks, the chain and the tx pool."""
 
+import dataclasses
 import random
 
 import pytest
@@ -18,7 +19,7 @@ from repro.ledger import (
     validate_block,
     validate_chain,
 )
-from repro.ledger.validation import distinct_proposers_window, is_valid_block
+from repro.ledger.validation import distinct_proposers_window
 
 
 def make_chain_blocks(count, keystore=None, proposers=None, batch_size=3):
@@ -31,7 +32,8 @@ def make_chain_blocks(count, keystore=None, proposers=None, batch_size=3):
         batch = Batch(filler_count=batch_size, filler_tx_size=512,
                       filler_nonce=round_number + 1)
         block = build_block(round_number, proposer, chain[-1].digest, batch=batch)
-        block = block.with_signature(keystore.key_for(proposer).sign(block.digest))
+        block = dataclasses.replace(
+            block, signature=keystore.key_for(proposer).sign(block.digest))
         chain.append(block)
         blocks.append(block)
     return blocks, keystore
@@ -74,7 +76,6 @@ def test_block_body_matches_header():
 def test_header_digest_is_memoised_outside_the_value():
     """The digest cache is an optimisation, not part of the header: equality,
     hashing, repr, ``replace`` and the wire format never see it."""
-    import dataclasses
     import pickle
 
     fresh = build_block(0, 1, make_genesis().digest).header
@@ -124,12 +125,6 @@ def test_validate_chain_accepts_valid_segment():
     validate_chain([make_genesis()] + blocks, keystore)
 
 
-def test_is_valid_block_boolean_wrapper():
-    blocks, keystore = make_chain_blocks(1)
-    assert is_valid_block(blocks[0], make_genesis(), keystore)
-    assert not is_valid_block(blocks[0], blocks[0], keystore)
-
-
 def test_distinct_proposers_window():
     blocks, _ = make_chain_blocks(4, proposers=[0, 1, 2, 3])
     assert distinct_proposers_window(blocks, window=2)
@@ -170,7 +165,6 @@ def test_blockchain_block_at_round_and_depth():
         chain.append(block)
     assert chain.block_at_round(2).round_number == 2
     assert chain.block_at_round(99) is None
-    assert chain.depth_of(1) == chain.height - 1
 
 
 def test_version_for_recovery_window():
@@ -194,10 +188,12 @@ def test_adopt_version_replaces_tentative_suffix():
     # Build an alternative suffix for rounds 4..5 linking to block 3.
     alt4 = build_block(4, 2, blocks[3].digest,
                        batch=Batch(filler_count=2, filler_tx_size=64, filler_nonce=77))
-    alt4 = alt4.with_signature(keystore.key_for(2).sign(alt4.digest))
+    alt4 = dataclasses.replace(
+        alt4, signature=keystore.key_for(2).sign(alt4.digest))
     alt5 = build_block(5, 3, alt4.digest,
                        batch=Batch(filler_count=2, filler_tx_size=64, filler_nonce=78))
-    alt5 = alt5.with_signature(keystore.key_for(3).sign(alt5.digest))
+    alt5 = dataclasses.replace(
+        alt5, signature=keystore.key_for(3).sign(alt5.digest))
     removed = chain.adopt_version(ChainVersion(sender=1, blocks=(alt4, alt5)))
 
     assert [b.round_number for b in removed] == [4]

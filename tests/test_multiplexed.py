@@ -14,13 +14,18 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import FireLedgerConfig, protocols, run_cluster
+from repro.core.flo import FLONode
+from repro.crypto.keys import KeyStore
 from repro.ledger.delivery import Delivery, DeliveryStream
+from repro.net.network import Network
 from repro.scenarios.spec import ScenarioSpec
 from repro.protocols.multiplexed import (
     MultiplexedNode,
-    MultiplexedProtocol,
+    build_lanes,
+    lane_configs,
     lane_of,
 )
+from repro.sim import Environment
 
 LANE_CONFIG = dict(n_nodes=4, workers=1, batch_size=10, tx_size=512,
                    execute_transactions=True)
@@ -73,11 +78,16 @@ def test_lanes_are_the_config_field_and_the_label_names_them():
 
 
 def test_multiplexed_does_not_nest():
-    base = protocols.get("fireledger")
-    with pytest.raises(ValueError, match="nest"):
-        MultiplexedProtocol(MultiplexedProtocol(base, lanes=2), lanes=2)
-    with pytest.raises(ValueError, match="lanes must be >= 1"):
-        MultiplexedProtocol(base, lanes=0)
+    """A lane's config says one lane, so a lane build's inner nodes are the
+    protocol's own nodes, never multiplexed again."""
+    config = FireLedgerConfig(**LANE_CONFIG, lanes=2)
+    env = Environment()
+    nodes = build_lanes(protocols.get("fireledger"), env, Network(env, 4),
+                        KeyStore(4), config, random.Random(1))
+    assert [node.node_id for node in nodes] == [0, 1, 2, 3]
+    for node in nodes:
+        assert [type(inner) for inner in node.lanes] == [FLONode, FLONode]
+        assert all(inner.config.lanes == 1 for inner in node.lanes)
 
 
 # ------------------------------------------------------------- lane routing
@@ -102,15 +112,14 @@ def test_lane_of_spreads_senders():
 
 # -------------------------------------------------------- pool budget split
 def test_pool_budget_splits_across_lanes():
-    impl = MultiplexedProtocol(protocols.get("fireledger"), lanes=4)
     config = FireLedgerConfig(n_nodes=4, pool_max_pending=10, lanes=4)
-    shares = [c.pool_max_pending for c in impl._lane_configs(config)]
+    shares = [c.pool_max_pending for c in lane_configs(config)]
     assert sum(shares) == 10          # a cluster-global budget, not per-lane
     assert shares == [3, 3, 2, 2]     # remainder goes to the first lanes
-    assert all(c.lanes == 1 for c in impl._lane_configs(config))
+    assert all(c.lanes == 1 for c in lane_configs(config))
     unbounded = FireLedgerConfig(n_nodes=4, lanes=4)
     assert [c.pool_max_pending
-            for c in impl._lane_configs(unbounded)] == [None] * 4
+            for c in lane_configs(unbounded)] == [None] * 4
 
 
 def test_pool_budget_must_cover_every_lane():
@@ -130,7 +139,7 @@ def test_merge_releases_in_lane_round_robin():
     lanes[2].emit("c0")
     assert [d.tag for d in merged] == [(0, "a0"), (1, "b0"), (2, "c0"),
                                        (0, "a1"), (1, "b1")]
-    assert node.pending_merge == 0
+    assert node._merge.pending == 0
     # Merged sequence numbers are the running total order index.
     assert [d.sequence for d in merged] == [1, 2, 3, 4, 5]
 
@@ -147,17 +156,17 @@ def test_stalled_lane_blocks_merge_but_only_buffers_others():
     lanes[2].emit("c1")
     # Only lane 0's head was released before the cursor hit silent lane 1.
     assert [d.tag for d in merged] == [(0, "a0")]
-    assert node.pending_merge == 3
+    assert node._merge.pending == 3
     # Lane 1 recovers: the merge drains up to lane 1's new watermark (the
     # cursor stalls on lane 1 again after one full round-robin pass).
     lanes[1].emit("b0")
     assert [d.tag for d in merged] == [(0, "a0"), (1, "b0"), (2, "c0"),
                                        (0, "a1")]
-    assert node.pending_merge == 1
+    assert node._merge.pending == 1
     lanes[1].emit("b1")
     assert [d.tag for d in merged] == [(0, "a0"), (1, "b0"), (2, "c0"),
                                        (0, "a1"), (1, "b1"), (2, "c1")]
-    assert node.pending_merge == 0
+    assert node._merge.pending == 0
 
 
 @settings(max_examples=50, deadline=None,
@@ -188,7 +197,7 @@ def test_merge_is_independent_of_arrival_interleaving(lane_counts, rng):
             lanes[lane].emit(tag)
         orders.append([d.tag for d in merged])
         total = sum(lane_counts)
-        assert len(merged) + node.pending_merge == total
+        assert len(merged) + node._merge.pending == total
     assert orders[0] == orders[1]
 
 

@@ -241,15 +241,15 @@ def test_geo_latency_much_larger_than_local():
     model = GeoDistributedLatency()
     rng = random.Random(0)
     # Nodes 0 and 2 are Tokyo and Frankfurt: ~100ms one way.
-    assert model.base_delay(0, 2) > 0.05
+    assert model._rows[0][2] > 0.05
     assert model.sample(0, 2, rng) > 0.05
     # A node is local to itself-region peer (wrap-around for node 10).
-    assert model.base_delay(0, 10) == pytest.approx(model.local_one_way)
+    assert model._rows[0][10] == pytest.approx(model.local_one_way)
 
 
 def test_geo_latency_symmetry():
     model = GeoDistributedLatency()
-    assert model.base_delay(1, 5) == model.base_delay(5, 1)
+    assert model._rows[1][5] == model._rows[5][1]
 
 
 # ------------------------------------------------------------ fault injection

@@ -1,0 +1,51 @@
+"""``src/`` is what the program calls: every function, method, property and
+class defined under ``src/repro`` is referenced somewhere else under
+``src/repro`` (a name, an attribute, a string such as a ``getattr`` key, or
+an ``@register`` decorator; ``__all__`` lists do not count), or is named
+below with the reason it stays.  A test-only helper belongs in ``tests/``."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+
+#: Defined under ``src/repro`` and referenced by nothing there, on purpose.
+ALLOWED = {
+    "run_process": "kernel contract, pinned by name on both backends",
+    "transactions_applied": "read by benchmarks/perf/measure.py",
+    "transactions_rejected": "read by benchmarks/perf/measure.py",
+    "transactions_stale": "read by benchmarks/perf/measure.py",
+    "resolve": "the figure benchmarks' lookup (benchmarks/conftest.py)",
+    "build_block": "read by benchmarks/perf/probes.py",
+    "definite_blocks": "read by examples/quickstart.py",
+    "tentative_blocks": "read by examples/quickstart.py",
+    "from_toml": "the README's way to load a TOML scenario file",
+    "scaled": "MachineSpec's copy-with-overrides for CPU ablations",
+}
+
+
+def test_every_definition_under_src_is_used_there():
+    defined, used = {}, set()
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        exported = {id(node) for stmt in tree.body if isinstance(stmt, ast.Assign)
+                    and any(getattr(t, "id", "") == "__all__" for t in stmt.targets)
+                    for node in ast.walk(stmt.value)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                defined.setdefault(node.name, f"{path.name}:{node.lineno}")
+                if any(getattr(decorator, "id", "") == "register"
+                       for decorator in node.decorator_list):
+                    used.add(node.name)
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and id(node) not in exported):
+                used.add(node.value)
+    unused = {name: where for name, where in defined.items()
+              if not name.startswith("__") and name not in used}
+    assert unused.keys() - ALLOWED.keys() == set(), unused
+    assert ALLOWED.keys() <= unused.keys(), "now used: drop it from ALLOWED"

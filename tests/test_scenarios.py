@@ -55,8 +55,8 @@ def test_wan_topology_latency_matrix_and_bandwidth():
         one_way_s={frozenset(("east", "west")): 0.040},
         local_one_way={"east": 0.0005},
         bandwidth_bps={frozenset(("east", "west")): 1_000_000.0})
-    assert model.base_delay(0, 1) == 0.0005          # intra-region
-    assert model.base_delay(0, 2) == 0.040           # cross-region
+    assert model._rows[0][1] == 0.0005          # intra-region
+    assert model._rows[0][2] == 0.040           # cross-region
     assert model.transfer_delay(0, 1, 10_000) == 0.0  # never capped locally
     assert model.transfer_delay(0, 2, 1_000_000) == pytest.approx(1.0)
     sample = model.sample(0, 2, random.Random(1))
@@ -65,7 +65,7 @@ def test_wan_topology_latency_matrix_and_bandwidth():
 
 def test_wan_topology_unknown_pairs_use_default():
     model = WanTopologyLatency(assignment=("a", "b"), default_one_way=0.07)
-    assert model.base_delay(0, 1) == 0.07
+    assert model._rows[0][1] == 0.07
 
 
 def test_topology_spec_assignment_exact_and_round_robin():
@@ -77,7 +77,7 @@ def test_topology_spec_assignment_exact_and_round_robin():
     assert topo.assignment(3) == ("x", "x", "y")      # counts match: fill
     assert topo.assignment(4) == ("x", "y", "x", "y")  # mismatch: round-robin
     model = topo.build(3)
-    assert model.base_delay(0, 2) == pytest.approx(0.025)
+    assert model._rows[0][2] == pytest.approx(0.025)
 
 
 def test_topology_spec_rejects_unknown_link_region():

@@ -146,12 +146,12 @@ def test_resource_limits_concurrency(env):
 
     def done(job_id):
         finished.append((job_id, env.now))
-        occupancy.append(resource.in_use)
+        occupancy.append(resource._in_use)
 
     for job_id in range(5):
         resource.hold(1.0, lambda _arg, job_id=job_id: done(job_id))
-        occupancy.append(resource.in_use)
-    assert resource.queue_length == 3
+        occupancy.append(resource._in_use)
+    assert len(resource._waiters) == 3
     env.run()
     assert max(occupancy) == 2
     assert finished == [(0, 1.0), (1, 1.0), (2, 2.0), (3, 2.0), (4, 3.0)]
@@ -166,12 +166,12 @@ def test_resource_use_helper_releases_on_completion(env):
 
     for _ in range(2):
         resource.hold(0.5, lambda _arg: seen.append(
-            (env.now, resource.in_use, resource.queue_length)))
+            (env.now, resource._in_use, len(resource._waiters))))
     env.run()
     # The first hold's slot passed straight to the queued one.
     assert seen == [(0.5, 1, 0), (1.0, 0, 0)]
     assert env.now == pytest.approx(1.0)
-    assert resource.in_use == 0
+    assert resource._in_use == 0
 
 
 def test_resource_release_without_acquire_rejected(env):
@@ -429,7 +429,7 @@ def _hold_trace(holders, capacity, reference):
         return len(resource._waiters)  # noqa: SLF001 - both keep a FIFO
 
     def resumed(index, requested):
-        trace.append((index, requested, env.now, resource.in_use, queued()))
+        trace.append((index, requested, env.now, resource._in_use, queued()))
 
     def process(index, ticks):
         requested = env.now
@@ -449,7 +449,7 @@ def _hold_trace(holders, capacity, reference):
                           lambda _arg: resumed(index, requested))
 
     def tick(remaining):
-        trace.append(("tick", env.now, resource.in_use, queued()))
+        trace.append(("tick", env.now, resource._in_use, queued()))
         if remaining:
             env.call_later(_TICK, tick, remaining - 1)
 
