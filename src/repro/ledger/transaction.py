@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import sys
 from dataclasses import dataclass, field, fields
 from functools import cached_property
+from operator import attrgetter
 from typing import Optional
 
 from repro.crypto.hashing import hash_fields, merkle_root
@@ -21,7 +23,7 @@ def reduce_to_fields(self):
     return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transaction:
     """A client request of ``size_bytes`` bytes, opaque or a structured transfer.
 
@@ -41,6 +43,12 @@ class Transaction:
     ``payload_seed`` makes the digest a function of the submitting workload's
     seeded RNG instead of the process-global id counter, so per-client
     transaction streams are reproducible across runs within one process.
+
+    Every realtime receiver unpickles its own copy of every transaction, so a
+    copy costs only its fields: no per-instance ``__dict__``, and
+    :meth:`__reduce__` rebuilds it through the slot setters
+    (:func:`_restore_transaction`), never through the generic slotted-dataclass
+    ``__setstate__`` and its ``fields()`` walk.
     """
 
     tx_id: int
@@ -91,6 +99,38 @@ class Transaction:
     def digest(self) -> str:
         """Digest identifying this transaction (Merkle leaf)."""
         return self.payload_digest
+
+    def __reduce__(self):
+        return _restore_transaction, _field_values(self)
+
+
+#: The fields of a transaction as a tuple, in declaration (slot) order.
+_field_values = attrgetter(*Transaction.__slots__)
+#: The ``__set__`` of each slot's member descriptor, in field order.
+_SLOT_SETTERS = tuple(vars(Transaction)[name].__set__
+                      for name in Transaction.__slots__)
+
+
+def _restore_transaction(tx_id, client_id, size_bytes, submitted_at,
+                         payload_digest, payload_seed, sender, recipient,
+                         amount, nonce) -> Transaction:
+    """Rebuild a pickled transaction from its field values.  The digest is
+    interned, so the copies one process unpickles share one string, much as
+    the simulated nodes share one transaction object."""
+    (set_tx_id, set_client_id, set_size, set_submitted_at, set_digest,
+     set_seed, set_sender, set_recipient, set_amount, set_nonce) = _SLOT_SETTERS
+    transaction = object.__new__(Transaction)
+    set_tx_id(transaction, tx_id)
+    set_client_id(transaction, client_id)
+    set_size(transaction, size_bytes)
+    set_submitted_at(transaction, submitted_at)
+    set_digest(transaction, sys.intern(payload_digest))
+    set_seed(transaction, payload_seed)
+    set_sender(transaction, sender)
+    set_recipient(transaction, recipient)
+    set_amount(transaction, amount)
+    set_nonce(transaction, nonce)
+    return transaction
 
 
 @dataclass(frozen=True)

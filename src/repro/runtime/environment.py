@@ -29,16 +29,41 @@ same observable contract as the simulator.
 The environment owns a private event loop (never the thread's default), and
 :class:`~repro.runtime.network.RealtimeNetwork` registers startup/shutdown
 hooks on it so servers bind before the deadline clock starts and sockets are
-torn down before ``run`` returns.
+torn down before ``run`` returns.  The loop sits on a :class:`_PreciseSelector`,
+so a timer fires when it is due, not at the next whole millisecond.
 """
 
 from __future__ import annotations
 
 import asyncio
+import select
+import selectors
 import threading
 from typing import Any, Awaitable, Callable, Optional
 
 from repro.sim.environment import Environment
+
+
+class _PreciseSelector(selectors.DefaultSelector):
+    """The platform selector (epoll on Linux), with timed waits that end when
+    they are due.
+
+    ``EpollSelector`` rounds a timeout *up* to whole milliseconds, so every
+    sub-millisecond wait of the loop — a CPU hold, a link delay, a client's
+    next arrival — lasted ~1.1 ms.  A positive timeout here is spent in
+    ``select.select`` on the epoll descriptor itself, which takes
+    microseconds and turns readable as soon as any registered socket is
+    ready; the ready events are then collected without waiting.  ``select``
+    cannot watch a descriptor numbered past FD_SETSIZE (1024), but this one
+    is created with the loop, before any of the cluster's sockets, so its
+    number stays far below that however many sockets the cluster opens.
+    """
+
+    def select(self, timeout: Optional[float] = None):
+        if timeout is not None and timeout > 0:
+            select.select((self.fileno(),), (), (), timeout)
+            timeout = 0
+        return super().select(timeout)
 
 
 class RealtimeEnvironment(Environment):
@@ -48,7 +73,7 @@ class RealtimeEnvironment(Environment):
                  "_shutdown_hooks", "_error", "_failure", "_stopping")
 
     def __init__(self) -> None:
-        self._loop = asyncio.new_event_loop()
+        self._loop = asyncio.SelectorEventLoop(_PreciseSelector())
         self._loop.set_exception_handler(self._on_loop_exception)
         self._frozen_now: Optional[float] = None
         # Assigns ``now``, which re-bases the wall clock (``_origin``).

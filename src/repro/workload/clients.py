@@ -17,7 +17,9 @@ end-to-end transaction delivery, and the declarative scenario layer
 from __future__ import annotations
 
 import random
+from bisect import bisect
 from itertools import accumulate
+from math import log
 from typing import Optional, Sequence, Union
 
 from repro.core.flo import FLONode
@@ -103,18 +105,35 @@ def _cumulative_weights(weights: Optional[Sequence[float]],
     return list(accumulate(weights))
 
 
+def _below(rng: random.Random, n: int) -> int:
+    """``rng.randrange(n)`` for ``n > 0``, drawn with the stdlib's own
+    arithmetic (``Random._randbelow``): ``getrandbits(n.bit_length())``
+    until a draw lands below ``n``.  The same value and the same RNG state,
+    without ``randrange``'s argument checks on every draw."""
+    getrandbits = rng.getrandbits
+    bits = n.bit_length()
+    value = getrandbits(bits)
+    while value >= n:
+        value = getrandbits(bits)
+    return value
+
+
 def _pick_node(rng: random.Random, nodes: Sequence,
                cum_weights: Optional[Sequence[float]]):
-    """Uniform or weighted node choice (shared by both client kinds)."""
+    """Uniform or weighted node choice (shared by both client kinds), drawn
+    exactly as ``rng.choice(nodes)`` / ``rng.choices(nodes,
+    cum_weights=cum_weights)`` draw it: an index below ``len(nodes)``, or
+    the running sums bisected at ``random() * total``."""
     if cum_weights is None:
-        return rng.choice(nodes)
-    return rng.choices(nodes, cum_weights=cum_weights, k=1)[0]
+        return nodes[_below(rng, len(nodes))]
+    return nodes[bisect(cum_weights, rng.random() * (cum_weights[-1] + 0.0),
+                        0, len(cum_weights) - 1)]
 
 
 def _next_transaction(client) -> Transaction:
     """The client's next write request, built once, here: a seeded payload
     identity, plus the transfer fields when the workload is structured."""
-    payload_seed = client.payload_rng.randrange(2 ** 62)
+    payload_seed = _below(client.payload_rng, 2 ** 62)
     transfer = (client.transfers.next_transfer()
                 if client.transfers is not None else ())
     return Transaction.create(client.client_id, client.tx_size, client.env.now,
@@ -163,12 +182,13 @@ class TransferModel:
 
     def next_transfer(self) -> tuple[int, int, int, int]:
         """``(sender, recipient, amount, nonce)`` of the next submission, in
-        :meth:`Transaction.create`'s positional order."""
+        :meth:`Transaction.create`'s positional order; the amount is
+        ``rng.randint(0, max_amount)``'s draw."""
         recipient = _pick_node(self.rng, self._accounts, self._cum_weights)
         nonce = self._nonce
         self._nonce += 1
-        return (self.sender, recipient,
-                self.rng.randint(0, self.max_amount), nonce)
+        return (self.sender, recipient, _below(self.rng, self.max_amount + 1),
+                nonce)
 
 
 class OpenLoopClient:
@@ -222,15 +242,18 @@ class OpenLoopClient:
 
         A declined ``submit_transaction`` (the node's pool is at its cap) is
         open-loop behaviour: the request is lost and counted, and the client
-        keeps its arrival schedule.
+        keeps its arrival schedule.  The gap to the next arrival is
+        ``rng.expovariate(rate)``'s draw.
         """
+        rng = self.rng
         if submit:
-            node = _pick_node(self.rng, self.nodes, self.cum_weights)
+            node = _pick_node(rng, self.nodes, self.cum_weights)
             if node.submit_transaction(_next_transaction(self)):
                 self.submitted_count += 1
             else:
                 self.rejected_count += 1
-        self.env.call_later(self.rng.expovariate(self.rate), self._arrive, True)
+        self.env.call_later(-log(1.0 - rng.random()) / self.rate, self._arrive,
+                            True)
 
 
 class ClosedLoopClient:

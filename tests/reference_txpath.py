@@ -15,8 +15,13 @@ they read and returned:
   ``LedgerState.apply_transaction`` with their ``getattr(..., "sender",
   None)`` reads and the ``digest`` property per transaction.
 
-The rewrite claims to be unobservable: the Hypothesis differential in
-``tests/test_properties.py`` compares digests, draws, ``rng.getstate()``,
+And the open-loop client's other draws as ``random.Random``'s methods made
+them, before ``workload/clients.py`` wrote out the same arithmetic:
+:func:`payload_seed` (``randrange(2 ** 62)``), :func:`transfer_amount`
+(``randint(0, max_amount)``) and :func:`arrival_gap` (``expovariate``).
+
+The rewrite claims to be unobservable: the Hypothesis differentials in
+``tests/test_properties.py`` compare digests, draws, ``rng.getstate()``,
 the root after every delivery (it folds each transaction's outcome), outcome
 counters, balances, conflicts and per-sender histograms with ``==``.
 """
@@ -55,6 +60,21 @@ def pick_node(rng: random.Random, nodes: Sequence,
     if weights is None:
         return rng.choice(nodes)
     return rng.choices(nodes, weights=weights, k=1)[0]
+
+
+def payload_seed(rng: random.Random) -> int:
+    """``_next_transaction``'s payload identity draw."""
+    return rng.randrange(2 ** 62)
+
+
+def transfer_amount(rng: random.Random, max_amount: int) -> int:
+    """``TransferModel.next_transfer``'s amount draw."""
+    return rng.randint(0, max_amount)
+
+
+def arrival_gap(rng: random.Random, rate: float) -> float:
+    """``OpenLoopClient._arrive``'s inter-arrival gap draw."""
+    return rng.expovariate(rate)
 
 
 class ReferenceState(LedgerState):

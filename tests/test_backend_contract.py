@@ -11,6 +11,10 @@ milliseconds) so the suite stays fast.
 import dataclasses
 import pickle
 import random
+import select
+import socket
+import statistics
+import threading
 from types import MemberDescriptorType
 
 import pytest
@@ -453,6 +457,86 @@ def test_realtime_requires_explicit_deadline():
             env.run()
     finally:
         env.close()
+
+
+def test_a_sub_millisecond_wait_reaches_the_selector_unrounded(monkeypatch):
+    """The loop's timed wait is ``select.select`` on the epoll descriptor,
+    handed the timer's own delay — ``epoll_wait`` would round it up to the
+    next whole millisecond."""
+    waits = []
+    wait = select.select
+
+    def spy(readers, writers, errors, timeout):
+        waits.append(timeout)
+        return wait(readers, writers, errors, timeout)
+
+    monkeypatch.setattr(select, "select", spy)
+    env = RealtimeEnvironment()
+    try:
+        # Five in a row, so a wait still reaches the selector when the host
+        # stalls the loop past one timer's deadline before it selects.
+        done = env.loop.create_future()
+        fired = []
+
+        def fire(_arg):
+            fired.append(None)
+            if len(fired) == 5:
+                done.set_result(None)
+            else:
+                env.call_later(0.0002, fire)
+
+        env.call_later(0.0002, fire)
+        env.loop.run_until_complete(done)
+    finally:
+        env.close()
+    assert waits and all(0 < timeout <= 0.0002 for timeout in waits)
+
+
+def test_a_ready_socket_ends_a_timed_wait_early():
+    """A wait for a timer 1 s away still ends as soon as a socket is ready."""
+    env = RealtimeEnvironment()
+    loop = env.loop
+    writer, reader = socket.socketpair()
+    woken = loop.create_future()
+    loop.add_reader(reader.fileno(), lambda: woken.done()
+                    or woken.set_result(loop.time()))
+    env.call_later(1.0, lambda _arg: None)
+    wake = threading.Timer(0.02, writer.send, (b"x",))
+    started = loop.time()
+    wake.start()
+    try:
+        loop.run_until_complete(woken)
+        assert woken.result() - started < 0.5
+    finally:
+        wake.join()
+        loop.remove_reader(reader.fileno())
+        writer.close()
+        reader.close()
+        env.close()
+
+
+def test_chained_sub_millisecond_timers_fire_when_due():
+    """A 0.2 ms timer re-armed from its own callback 100 times: the median
+    lateness stays well under the millisecond every wait used to be rounded
+    up to (1.1 ms on the epoll selector)."""
+    env = RealtimeEnvironment()
+    loop = env.loop
+    lateness = []
+    done = loop.create_future()
+
+    def fire(armed_at):
+        lateness.append(loop.time() - armed_at - 0.0002)
+        if len(lateness) == 100:
+            done.set_result(None)
+        else:
+            env.call_later(0.0002, fire, loop.time())
+
+    try:
+        env.call_later(0.0002, fire, loop.time())
+        loop.run_until_complete(done)
+    finally:
+        env.close()
+    assert statistics.median(lateness) < 0.0008
 
 
 def _public(cls):

@@ -487,6 +487,35 @@ def test_a_blocked_wait_wakes_its_process_once(monkeypatch):
     assert calls[0] == 2
 
 
+def test_a_received_transaction_costs_only_its_fields(monkeypatch):
+    """Every realtime receiver unpickles its own copy of every transaction,
+    and those copies are most of what a live run keeps in memory.  A copy
+    has no ``__dict__`` (slots), and it is rebuilt through the slot setters:
+    a slotted frozen dataclass left to the default would unpickle through
+    ``dataclasses._dataclass_setstate`` and a ``fields()`` walk per copy
+    (10.6 % of a profiled ``live-flash-crowd`` run)."""
+    import dataclasses
+    import pickle
+
+    frame = pickle.dumps(Batch(tuple(
+        Transaction.create(index % 4, 512, 0.0, index, *transfer)
+        for index, transfer in enumerate([(), (1, 2, 0, 0), (3, 0, 5, 1)]))))
+    walks = []
+    fields = dataclasses.fields
+
+    def counting(instance):
+        walks.append(type(instance).__name__)
+        return fields(instance)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(dataclasses, "fields", counting)
+        received = pickle.loads(frame)
+    assert walks == []
+    assert len(received.transactions) == 3
+    for transaction in received.transactions:
+        assert not hasattr(transaction, "__dict__")
+
+
 class _FirstReads:
     """Non-data descriptor over ``Batch.root`` recording which batches had
     their root read (kept alive, so no ``id`` is reused).  With the memo in

@@ -1,6 +1,7 @@
 """Tests of transactions, batches, blocks, the chain and the tx pool."""
 
 import dataclasses
+import pickle
 import random
 
 import pytest
@@ -50,6 +51,31 @@ def test_transaction_digest_unique():
     assert a.digest != b.digest
 
 
+@pytest.mark.parametrize("fields", [
+    (7, 0, 512),                                        # None seed and sender
+    (2 ** 70, 3, 2 ** 65, 1.5, "", 2 ** 64 + 1, 2 ** 66, 2 ** 67, 2 ** 68,
+     2 ** 69),                                          # ints past 64 bits
+    (8, 1, 64, 0.25, "", 11, 1, 2, 0, 0),               # a zero amount
+], ids=["opaque", "wide-ints", "zero-amount"])
+def test_a_transaction_survives_a_pickle_round_trip(fields):
+    original = Transaction(*fields)
+    copy = pickle.loads(pickle.dumps(original, pickle.HIGHEST_PROTOCOL))
+    assert copy == original and hash(copy) == hash(original)
+
+
+def test_unpickled_copies_share_one_digest_string():
+    """Every receiver of a frame unpickles its own transactions; their
+    digests are one interned string, as the simulated nodes share one
+    object."""
+    frame = pickle.dumps(Batch(tuple(Transaction.create(0, 512, 0.0, seed)
+                                     for seed in range(3))))
+    first, second = pickle.loads(frame), pickle.loads(frame)
+    assert first is not second
+    for left, right in zip(first.transactions, second.transactions):
+        assert left is not right
+        assert left.payload_digest is right.payload_digest
+
+
 def test_batch_counts_and_size():
     txs = tuple(Transaction.create(0, 512) for _ in range(3))
     batch = Batch(transactions=txs, filler_count=7, filler_tx_size=256, filler_nonce=1)
@@ -76,8 +102,6 @@ def test_block_body_matches_header():
 def test_header_digest_is_memoised_outside_the_value():
     """The digest cache is an optimisation, not part of the header: equality,
     hashing, repr, ``replace`` and the wire format never see it."""
-    import pickle
-
     fresh = build_block(0, 1, make_genesis().digest).header
     warm = build_block(0, 1, make_genesis().digest).header
     cold_frame = pickle.dumps(fresh)

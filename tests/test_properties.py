@@ -23,7 +23,13 @@ from repro.metrics.summary import LatencyHistogram, percentile
 from repro.net.network import Network
 from repro.protocols.multiplexed import MultiplexedNode
 from repro.sim import Environment
-from repro.workload.clients import _cumulative_weights, _pick_node
+from repro.workload.clients import (
+    OpenLoopClient,
+    TransferModel,
+    _cumulative_weights,
+    _pick_node,
+    hotspot_weights,
+)
 from tests import reference_commit_metrics, reference_txpath
 from tests.reference_fold import cluster_fold, lane_fold
 
@@ -505,6 +511,75 @@ def test_cumulative_weights_draw_the_old_picks(weights, seed, draws):
             == [reference_txpath.pick_node(slow, nodes, weights)
                 for _ in range(draws)])
     assert fast.getstate() == slow.getstate()
+
+
+class _Submissions:
+    """Stand-ins for an open-loop client's surroundings: nodes that accept
+    every transaction into one shared log, and the two members it reads of
+    its environment (``now``, and ``call_later`` recording each gap)."""
+
+    now = 0.0
+
+    def __init__(self, n_nodes):
+        self.log, self.gaps = [], []
+        self.nodes = [_LoggingNode(node_id, self.log)
+                      for node_id in range(n_nodes)]
+
+    def call_later(self, delay, fn, arg):
+        self.gaps.append(delay)
+
+
+class _LoggingNode:
+    def __init__(self, node_id, log):
+        self.node_id, self.log = node_id, log
+
+    def submit_transaction(self, transaction):
+        self.log.append((self.node_id, transaction))
+        return True
+
+
+@common_settings
+@given(st.none() | st.lists(st.floats(min_value=0.0, max_value=100.0),
+                            min_size=1, max_size=12).filter(lambda w: sum(w) > 0),
+       st.integers(min_value=0, max_value=2 ** 31),
+       st.integers(min_value=0, max_value=2 ** 70),
+       st.sampled_from([0.0, 0.5, 1.5]),
+       st.floats(min_value=0.01, max_value=1e6),
+       st.integers(min_value=1, max_value=40))
+def test_open_loop_draws_are_the_stdlib_draws(weights, seed, max_amount,
+                                              recipient_skew, rate, arrivals):
+    """An arrival written out with the stdlib's own arithmetic picks the same
+    node and recipient, draws the same payload seed, amount (past 64 bits
+    too) and gap, and leaves all three RNGs in the same state as
+    ``choices`` / ``randrange`` / ``randint`` / ``expovariate`` did."""
+    n_accounts = 9
+    harness = _Submissions(len(weights) if weights else 5)
+    client = OpenLoopClient(
+        harness, 3, harness.nodes, rate, rng=random.Random(seed),
+        weights=weights, transfers=TransferModel(
+            3, n_accounts, random.Random(seed + 1), max_amount,
+            recipient_skew))
+    for _ in range(arrivals):
+        client._arrive(True)
+
+    rng = random.Random(seed)
+    payload_rng = random.Random(rng.randrange(2 ** 62))
+    transfer_rng = random.Random(seed + 1)
+    accounts = list(range(n_accounts))
+    hot = hotspot_weights(n_accounts, recipient_skew) if recipient_skew else None
+    expected = []
+    for _ in range(arrivals):
+        node = reference_txpath.pick_node(rng, harness.nodes, weights)
+        expected.append((
+            node.node_id, reference_txpath.payload_seed(payload_rng),
+            reference_txpath.pick_node(transfer_rng, accounts, hot),
+            reference_txpath.transfer_amount(transfer_rng, max_amount),
+            reference_txpath.arrival_gap(rng, rate)))
+    assert [(node_id, tx.payload_seed, tx.recipient, tx.amount, gap)
+            for (node_id, tx), gap in zip(harness.log, harness.gaps)] == expected
+    assert client.rng.getstate() == rng.getstate()
+    assert client.payload_rng.getstate() == payload_rng.getstate()
+    assert client.transfers.rng.getstate() == transfer_rng.getstate()
 
 
 @common_settings
