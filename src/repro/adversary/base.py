@@ -7,18 +7,20 @@ included) on either backend, without protocol-code changes.
 The contract hooks the three seams every protocol already has:
 
 * **outbound traffic** — :meth:`AdversaryStrategy.wrap_network` may return a
-  proxy around the run's :class:`~repro.net.network.Network` that
-  intercepts ``send``/``broadcast`` from Byzantine senders (delay, drop,
-  reroute).  The default returns the network unchanged.
+  proxy around the run's :class:`~repro.net.network.Network` that holds
+  ``send``/``broadcast`` from Byzantine senders (delayed-release).  The
+  default returns the network unchanged.  Dropping traffic is not a proxy's
+  job: it is a window on the fault timeline (below).
 * **proposal construction** — :meth:`AdversaryStrategy.worker_factory`
   may return a FireLedger worker factory substituting a misbehaving
   worker class on Byzantine nodes (the equivocation family).  ``None``
   (the default) keeps the protocol's stock workers.
-* **process liveness** — :meth:`AdversaryStrategy.is_silent` marks nodes
-  whose protocol process never runs and whose inbound traffic is dropped
-  at the network layer (the fail-stop under-approximation the baselines
-  used to hardcode), and :meth:`AdversaryStrategy.timeline` may add timed
-  crash/recover phases (churn) to the run's fault timeline.
+* **the fault timeline** — :meth:`AdversaryStrategy.is_silent` marks nodes
+  that ``run_cluster`` never starts and whose inbound traffic it drops at
+  the network layer (the fail-stop under-approximation), and
+  :meth:`AdversaryStrategy.timeline` adds phases to the run's one
+  :class:`~repro.scenarios.faultplan.FaultSchedule`: timed crash/recover
+  cycles (churn) and one-way partition windows (selective omission).
 
 Strategies are registered by name (:func:`register` / :func:`get` /
 :func:`names`) and built either directly or from a scenario's
@@ -55,10 +57,10 @@ class AdversaryStrategy:
     def wrap_network(self, network):
         """Return the network the protocols should build against.
 
-        Traffic-shaping strategies return a proxy intercepting outbound
-        ``send``/``broadcast`` from Byzantine senders; everything else
-        returns ``network`` unchanged.  Called once, before the node
-        factory runs, so every protocol message crosses the proxy.
+        Delayed-release returns a proxy holding outbound ``send`` /
+        ``broadcast`` from Byzantine senders; everything else returns
+        ``network`` unchanged.  Called once, before the node factory runs,
+        so every protocol message crosses the proxy.
         """
         return network
 
@@ -74,22 +76,24 @@ class AdversaryStrategy:
     def is_silent(self, node_id: int, protocol_name: str) -> bool:
         """Whether ``node_id``'s protocol process should never run.
 
-        ``protocol_name`` is the protocol-table name of the node asking
-        (FLO nodes and baseline replicas both do).  A silent node also has
-        its inbound traffic dropped at the network layer, like a crashed
-        node — see :meth:`repro.baselines.replica.PooledReplicaMixin.silence`.
+        ``protocol_name`` is the run's protocol-table name.  ``run_cluster``
+        asks once per node, before it starts any: a silent node is not
+        started and its endpoint's bindings are cleared, so its inbound
+        traffic is dropped at the network layer like a crashed node's —
+        for every protocol, lanes included, with no protocol code involved.
         """
         return False
 
     def timeline(self, duration: float):
-        """Timed liveness events the strategy injects into a run.
+        """The fault phases the strategy adds to a run of ``duration`` seconds.
 
-        A :class:`~repro.scenarios.faultplan.FaultSchedule` of
-        ``crash``/``recover`` phases (churn cycles) for a run lasting
-        ``duration`` seconds, installed like the run's own fault schedule;
-        ``None`` (the default) injects nothing.
+        A tuple of :class:`~repro.scenarios.faultplan.FaultPhase` —
+        ``crash``/``recover`` cycles (churn), one-way ``partition`` windows
+        (selective omission) — that ``run_cluster`` puts ahead of the run's
+        own phases in its one fault schedule; ``()`` (the default) adds
+        nothing.
         """
-        return None
+        return ()
 
     # ------------------------------------------------------------- reporting
     def counters(self) -> dict[str, float]:

@@ -7,7 +7,7 @@ ROADMAP's attacker library calls "continuous join/leave".  Cycles are
 staggered per node so the cluster never loses every churning node at the
 same instant.
 
-The cycle compiles to ``crash``/``recover`` phases of a
+The cycle compiles to ``crash``/``recover`` phases of the run's one
 :class:`~repro.scenarios.faultplan.FaultSchedule` (:meth:`timeline`), so a
 run has one source of crash events and every protocol sees churn the same
 way it sees a scheduled outage.  Note
@@ -47,7 +47,7 @@ class ChurnStrategy(AdversaryStrategy):
 
     def timeline(self, duration: float):
         # Lazy: the scenario package imports this one to validate specs.
-        from repro.scenarios.faultplan import FaultSchedule, crash, recover
+        from repro.scenarios.faultplan import crash, recover
 
         phases = []
         self.departures = self.rejoins = 0
@@ -64,7 +64,7 @@ class ChurnStrategy(AdversaryStrategy):
                     self.departures += 1
                     self.rejoins += back <= duration
                     leave = back + self.up_time
-        return FaultSchedule(tuple(phases))
+        return tuple(phases)
 
     def counters(self) -> dict[str, float]:
         return {"adversary_departures": self.departures,

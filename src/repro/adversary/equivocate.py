@@ -35,7 +35,7 @@ class EquivocatingWorker(FireLedgerWorker):
     or via the piggyback path), it creates *two* validly signed headers
     for the round — the primary and an alternative built from the next
     pipelined body — and sends the primary to ``group_a``, the
-    alternative to ``group_b``.  Honest receivers each see one
+    alternative to everyone else.  Honest receivers each see one
     self-consistent proposal; the divergence only becomes visible when
     the halves compare chains, which is exactly the panic/recovery path
     under test.
@@ -43,15 +43,15 @@ class EquivocatingWorker(FireLedgerWorker):
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self.group_a, self.group_b = self._choose_split()
+        self.group_a = self._choose_split()
         self.equivocations = 0
 
-    def _choose_split(self) -> tuple[frozenset[int], frozenset[int]]:
-        """Bisect the cluster uniformly at random (the paper's attack)."""
+    def _choose_split(self) -> frozenset[int]:
+        """Bisect the cluster uniformly at random (the paper's attack); the
+        half that gets the primary header."""
         members = list(range(self.config.n_nodes))
         self.rng.shuffle(members)
-        half = len(members) // 2
-        return frozenset(members[:half]), frozenset(members[half:])
+        return frozenset(members[:len(members) // 2])
 
     def _make_conflicting_header(self, round_number: int,
                                  previous_digest: str) -> dict:
@@ -108,16 +108,15 @@ class EquivocatingWorker(FireLedgerWorker):
 class TargetedEquivocatingWorker(EquivocatingWorker):
     """Equivocator whose poisoned half is the next ``f`` proposers."""
 
-    def _choose_split(self) -> tuple[frozenset[int], frozenset[int]]:
+    def _choose_split(self) -> frozenset[int]:
         # Deterministic, rng-free: aim the conflicting header at the f
         # nodes that will propose right after this one in the rotation.
         schedule = self.schedule
         index = schedule.index(self.node_id)
-        targets = frozenset(schedule[(index + 1 + step) % len(schedule)]
-                            for step in range(max(self.config.f, 1)))
-        others = frozenset(node for node in schedule
-                           if node not in targets and node != self.node_id)
-        return others | {self.node_id}, targets
+        targets = {schedule[(index + 1 + step) % len(schedule)]
+                   for step in range(max(self.config.f, 1))}
+        return frozenset(node for node in schedule
+                         if node not in targets or node == self.node_id)
 
 
 class _EquivocationFamily(AdversaryStrategy):

@@ -3,9 +3,9 @@
 A silent node's protocol process never runs and its inbound traffic is
 dropped at the network layer, exactly like a crashed node — but unlike a
 crash it is *declared* Byzantine, so the honest side must spend timeouts
-and view changes discovering it.  This used to be hardcoded per baseline
-(``silent=`` constructor flags); it now applies uniformly to every
-registered protocol, FireLedger included.
+and view changes discovering it.  ``run_cluster`` silences the node
+(:meth:`~repro.adversary.base.AdversaryStrategy.is_silent`), the same way
+for every registered protocol, FireLedger included.
 """
 
 from __future__ import annotations

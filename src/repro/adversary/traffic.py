@@ -1,94 +1,73 @@
-"""Traffic-shaping adversaries: delayed-release and selective omission.
+"""Traffic adversaries: delayed-release and selective omission.
 
-Both work at the outbound-send seam: :meth:`wrap_network` returns a
-proxy around the run's network (simulated or realtime — only the public
-``send`` / ``broadcast`` / ``env.call_later`` surface is used) that
-intercepts traffic *from* Byzantine senders while their fault-schedule
-window is active.  Honest traffic, and Byzantine traffic outside the
-window, passes straight through.
-
-* ``delayed-release`` holds every outbound message for ``delay``
-  simulated seconds before handing it to the real network — the
-  classic timing attack against the OBBC fast path, whose adaptive
-  timer (:class:`~repro.core.timers.AdaptiveTimer`) must absorb the
-  extra latency or fall back.
+* ``delayed-release`` holds every outbound message of a Byzantine sender
+  for ``delay`` simulated seconds, while its fault-schedule window is
+  active, before handing it to the real network — the classic timing
+  attack against the OBBC fast path, whose adaptive timer
+  (:class:`~repro.core.timers.AdaptiveTimer`) must absorb the extra
+  latency or fall back.  It is the one strategy behind a network proxy
+  (:meth:`~repro.adversary.base.AdversaryStrategy.wrap_network`): a hold
+  sends at release time, so the late copy reserves the NICs and ingress
+  lanes then, where a ``slow`` window would reserve the receiver's ingress
+  lane at send time and queue every later message behind the late one.
 * ``selective-omission`` drops traffic to a chosen victim set only,
   starving specific peers of the Byzantine nodes' messages while the
   rest of the cluster sees them behave: the fairness spread
-  (per-sender commit latency) surfaces the starvation.
+  (per-sender commit latency) surfaces the starvation.  Each window is a
+  one-way partition on the run's fault timeline (:meth:`timeline`), so the
+  network drops those copies and counts them in ``msgs_dropped`` like any
+  other fault drop.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Sequence
 
 from repro.adversary.base import AdversaryStrategy, register
-from repro.net.message import MESSAGE_OVERHEAD_BYTES
 
 
-class _ShapedNetwork:
-    """Proxy network applying one strategy's outbound policy.
+class _HoldingNetwork:
+    """The network as a delayed-release run's nodes see it: ``send`` /
+    ``broadcast`` from an active Byzantine sender are re-issued on the real
+    network ``delay`` seconds later (lost if the sender has crashed by
+    then); everything else is the real network's."""
 
-    Everything except ``send``/``broadcast`` — endpoints, crash state,
-    stats, latency model, ``env`` — is delegated to the real network, so
-    protocol code (and the cluster wiring around it) runs unchanged.
-    """
-
-    def __init__(self, network, strategy: "_TrafficStrategy") -> None:
+    def __init__(self, network, strategy: "DelayedReleaseStrategy") -> None:
         self._network = network
         self._strategy = strategy
 
-    def send(self, sender: int, receiver: int, channel: str, kind: str,
-             payload, size_bytes: int = MESSAGE_OVERHEAD_BYTES):
-        network = self._network
-        if self._strategy.active(sender, network.env.now):
-            return self._strategy.shape_send(network, sender, receiver,
-                                             channel, kind, payload,
-                                             size_bytes)
-        return network.send(sender, receiver, channel, kind, payload,
-                            size_bytes)
+    def _hold(self, held, copies: int, send, sender: int, *args, **kwargs):
+        """``send(sender, ...)`` now, or ``delay`` seconds from now (then
+        returning ``held``) while ``sender``'s window is active."""
+        strategy, env = self._strategy, self._network.env
+        if not strategy.active(sender, env.now):
+            return send(sender, *args, **kwargs)
+        strategy.delayed_messages += copies
+        env.call_later(strategy.delay,
+                       lambda _arg: send(sender, *args, **kwargs))
+        return held
 
-    def broadcast(self, sender: int, channel: str, kind: str, payload,
-                  size_bytes: int = MESSAGE_OVERHEAD_BYTES,
-                  include_self: bool = False):
-        network = self._network
-        if self._strategy.active(sender, network.env.now):
-            return self._strategy.shape_broadcast(network, sender, channel,
-                                                  kind, payload, size_bytes,
-                                                  include_self)
-        return network.broadcast(sender, channel, kind, payload, size_bytes,
-                                 include_self=include_self)
+    def send(self, sender: int, *args, **kwargs):
+        return self._hold(None, 1, self._network.send, sender, *args, **kwargs)
+
+    def broadcast(self, sender: int, *args, include_self: bool = False,
+                  **kwargs):
+        return self._hold([], self._network.n_nodes - 1 + include_self,
+                          self._network.broadcast, sender, *args,
+                          include_self=include_self, **kwargs)
 
     def __getattr__(self, name):
         return getattr(self._network, name)
 
 
-class _TrafficStrategy(AdversaryStrategy):
-    """Base of the traffic shapers: installs :class:`_ShapedNetwork`."""
-
-    def wrap_network(self, network):
-        if not self.nodes:
-            return network
-        return _ShapedNetwork(network, self)
-
-    def shape_send(self, network, sender, receiver, channel, kind, payload,
-                   size_bytes):  # pragma: no cover - overridden
-        raise NotImplementedError
-
-    def shape_broadcast(self, network, sender, channel, kind, payload,
-                        size_bytes, include_self):  # pragma: no cover
-        raise NotImplementedError
-
-
 @register
-class DelayedReleaseStrategy(_TrafficStrategy):
+class DelayedReleaseStrategy(AdversaryStrategy):
     """Hold every Byzantine outbound message ``delay`` seconds, then send.
 
     The deferred transmission goes through the *real* network at release
     time, so it still pays NIC serialisation, link latency and the fault
-    controller's policies — the adversary only adds the hold.  A node
-    that crashes before release simply loses the message (the real
-    network's crashed-sender contract).
+    timeline's windows — the adversary only adds the hold.
     """
 
     name = "delayed-release"
@@ -101,40 +80,22 @@ class DelayedReleaseStrategy(_TrafficStrategy):
         self.delay = float(delay)
         self.delayed_messages = 0
 
-    def shape_send(self, network, sender, receiver, channel, kind, payload,
-                   size_bytes):
-        self.delayed_messages += 1
-
-        def _release(_arg) -> None:
-            network.send(sender, receiver, channel, kind, payload, size_bytes)
-
-        network.env.call_later(self.delay, _release)
-        return None
-
-    def shape_broadcast(self, network, sender, channel, kind, payload,
-                        size_bytes, include_self):
-        self.delayed_messages += network.n_nodes - 1 + (1 if include_self else 0)
-
-        def _release(_arg) -> None:
-            network.broadcast(sender, channel, kind, payload, size_bytes,
-                              include_self=include_self)
-
-        network.env.call_later(self.delay, _release)
-        return []
+    def wrap_network(self, network):
+        return _HoldingNetwork(network, self) if self.nodes else network
 
     def counters(self) -> dict[str, float]:
         return {"adversary_delayed_msgs": self.delayed_messages}
 
 
 @register
-class SelectiveOmissionStrategy(_TrafficStrategy):
+class SelectiveOmissionStrategy(AdversaryStrategy):
     """Drop Byzantine traffic to a victim set only.
 
-    ``victims`` defaults to the lowest-numbered honest node, chosen when
-    the strategy is bound to the network (membership is known but the
-    cluster size only arrives with the network).  Broadcasts are
-    decomposed into per-receiver sends so the victims can be skipped;
-    withheld copies are counted but never touch the wire.
+    ``victims`` defaults to the lowest-numbered node that is not Byzantine.
+    Every window of every Byzantine node is one ``partition`` phase that
+    cuts the node's copies to the victims and nothing else; a partition
+    draws nothing from the network's rng, so the run's other copies keep
+    their latency samples.
     """
 
     name = "selective-omission"
@@ -143,35 +104,17 @@ class SelectiveOmissionStrategy(_TrafficStrategy):
                  victims: Optional[Sequence[int]] = None) -> None:
         super().__init__(nodes, windows)
         self.victims = frozenset(victims) if victims is not None else None
-        self.withheld_messages = 0
 
-    def wrap_network(self, network):
-        if self.victims is None:
-            honest = sorted(set(range(network.n_nodes)) - self.nodes)
-            self.victims = frozenset(honest[:1])
-        return super().wrap_network(network)
+    def timeline(self, duration: float):
+        # Lazy: the scenario package imports this one to validate specs.
+        from repro.scenarios.faultplan import FaultPhase
 
-    def shape_send(self, network, sender, receiver, channel, kind, payload,
-                   size_bytes):
-        if receiver in self.victims:
-            self.withheld_messages += 1
-            return None
-        return network.send(sender, receiver, channel, kind, payload,
-                            size_bytes)
-
-    def shape_broadcast(self, network, sender, channel, kind, payload,
-                        size_bytes, include_self):
-        reached = []
-        for receiver in range(network.n_nodes):
-            if receiver == sender and not include_self:
-                continue
-            if receiver in self.victims:
-                self.withheld_messages += 1
-                continue
-            if network.send(sender, receiver, channel, kind, payload,
-                            size_bytes) is not None:
-                reached.append(receiver)
-        return reached
-
-    def counters(self) -> dict[str, float]:
-        return {"adversary_withheld_msgs": self.withheld_messages}
+        victims = self.victims
+        if victims is None:  # the lowest-numbered node that is not Byzantine
+            victims = {min(set(range(len(self.nodes) + 1)) - self.nodes)}
+        victims = tuple(sorted(victims))
+        return tuple(
+            FaultPhase(kind="partition", groups=((node,), victims),
+                       senders=(node,), receivers=victims, at=at, until=until)
+            for node in sorted(self.nodes)
+            for at, until in self.windows.get(node) or ((0.0, math.inf),))

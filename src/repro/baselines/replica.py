@@ -9,7 +9,7 @@ counters — and the batch-draining rule for ``fill_blocks=False`` configs.
 A replica reports what it does to its own
 :class:`~repro.metrics.recorder.MetricsRecorder`, exactly as a FLO node does.
 :func:`replica_nodes` builds one cluster of a replica class: the shared
-pool, the cost model and adversary silencing.
+pool and the cost model.
 The two replica *loops* (a rotating-leader view loop, a stable-leader
 three-phase instance loop) share no control flow and stay in their modules.
 """
@@ -55,10 +55,6 @@ class PooledReplicaMixin:
     #: How long a replica waits for the leader (a view, an instance).
     TIMEOUT = 1.0
 
-    #: Fail-stop adversary model: a silent replica never runs its process.
-    #: Set by :meth:`silence`; :meth:`start` skips silent replicas.
-    silent = False
-
     def __init__(self, env: Environment, network: Network, node_id: int,
                  f: int, batch_size: int, tx_size: int, cost: CryptoCostModel,
                  pool=None, fill_blocks: bool = True,
@@ -95,10 +91,9 @@ class PooledReplicaMixin:
         return (self.run(),)
 
     def start(self) -> None:
-        """Launch the replica's process(es) (no-op for a silent replica)."""
-        if not self.silent:
-            for generator in self.processes():
-                self.env.process(generator)
+        """Launch the replica's process(es)."""
+        for generator in self.processes():
+            self.env.process(generator)
 
     def metrics(self, duration: float) -> NodeMetrics:
         """The recorder's fold plus the shared pool's rejections (end state)."""
@@ -120,16 +115,6 @@ class PooledReplicaMixin:
             tag=(self.TAG, sequence, tx_count), transactions=transactions,
             tx_count=tx_count, proposer=proposer, proposed_at=proposed_at,
             time=now, sequence=sequence))
-
-    def silence(self, network) -> None:
-        """Turn this replica into a fail-stop (silent) node.
-
-        A silent replica drops traffic at the network layer (like a crashed
-        node would); buffering a whole run's broadcasts in a never-drained
-        inbox would only grow memory.
-        """
-        self.silent = True
-        network.endpoint(self.node_id).handlers.clear()
 
     def submit_transaction(self, transaction: Transaction) -> bool:
         """Client write request, queued on the cluster-wide pending pool.
@@ -163,11 +148,11 @@ def replica_nodes(replica_class: type, env: Environment, network: Network,
                   adversary=None) -> list:
     """One ``replica_class`` replica per ``config.n_nodes``.
 
-    The baselines draw no randomness (``rng`` is the table's uniform
-    signature) and sign through the cost model, not the key store.  The
-    run's adversary strategy decides which replicas stay silent (the
-    equivocation strategies degrade to fail-stop here); traffic-shaping
-    strategies act at the network seam without touching the replicas.
+    The baselines draw no randomness (``rng`` and ``adversary`` are the
+    table's uniform signature) and sign through the cost model, not the key
+    store.  Every adversary acts on a replica from outside: the runner
+    silences the fail-stop ones (the equivocation strategies degrade to
+    fail-stop here), and the traffic strategies act on the network.
     """
     cost = CryptoCostModel(config.machine)
     # FireLedger routes a client write to one node's least-loaded worker;
@@ -175,15 +160,10 @@ def replica_nodes(replica_class: type, env: Environment, network: Network,
     # service as a whole, so every replica feeds one pool and the proposing
     # leader drains up to a batch at a time.
     pool = TxPool(config.tx_size, max_pending=config.pool_max_pending)
-    replicas = [
+    return [
         replica_class(env, network, node_id, config.f, config.batch_size,
                       config.tx_size, cost, pool=pool,
                       fill_blocks=config.fill_blocks,
                       horizon_rounds=config.effective_retention_rounds)
         for node_id in range(config.n_nodes)
     ]
-    if adversary is not None:
-        for replica in replicas:
-            if adversary.is_silent(replica.node_id, replica_class.CHANNEL):
-                replica.silence(network)
-    return replicas

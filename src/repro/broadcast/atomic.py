@@ -83,8 +83,6 @@ class AtomicBroadcast:
         self._delivered_keys: set[tuple] = set()
         self._viewchange_votes: dict[int, set[int]] = {}
         self._request_counter = 0
-        self.delivered_count = 0
-        self.view_changes = 0
 
     # ------------------------------------------------------------------- api
     @property
@@ -211,7 +209,6 @@ class AtomicBroadcast:
             self.last_delivered_seq = seq
             self._delivered_keys.add(slot.request_key)
             self._pending.pop(slot.request_key, None)
-            self.delivered_count += 1
             origin = slot.request_key[0]
             self.deliver_callback(origin, slot.payload)
 
@@ -219,7 +216,6 @@ class AtomicBroadcast:
         if view <= self.view:
             return
         self.view = view
-        self.view_changes += 1
         # The new leader resumes proposing from just above anything it has
         # seen assigned, and re-proposes every request it knows about that is
         # not yet delivered (prepared ones regain a slot first by key order).

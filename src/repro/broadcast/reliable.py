@@ -55,7 +55,6 @@ class ReliableBroadcast:
         self.f = f
         self.deliver_callback = deliver_callback
         self._states: dict[tuple[int, Any], _BroadcastState] = {}
-        self.delivered_count = 0
 
     # ------------------------------------------------------------------- api
     def broadcast(self, tag: Any, payload: Any,
@@ -107,7 +106,6 @@ class ReliableBroadcast:
             self._maybe_ready(origin, tag, state)
         if len(state.ready_from) >= 2 * self.f + 1 and not state.delivered:
             state.delivered = True
-            self.delivered_count += 1
             self.deliver_callback(origin, tag, state.payload)
 
     # -------------------------------------------------------------- emitters

@@ -56,7 +56,6 @@ class BinaryConsensus:
         self.coordinator_base = coordinator_base
         self.phase_timeout = phase_timeout
         self.max_phases = max_phases
-        self.phases_used = 0
 
     # -------------------------------------------------------------- messaging
     def _payload(self, phase: int, value: int) -> dict:
@@ -78,8 +77,6 @@ class BinaryConsensus:
         quorum = n - self.f
 
         for phase in range(self.max_phases):
-            self.phases_used = phase + 1
-
             # --- EST step -------------------------------------------------
             self.context.broadcast(BBC_EST, self._payload(phase, estimate),
                                    size_bytes=_CONTROL_SIZE, include_self=True)

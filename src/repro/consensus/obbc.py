@@ -37,7 +37,6 @@ class OBBCResult:
 
     decision: int
     fast_path: bool
-    phases_used: int = 0
     votes_seen: dict[int, int] = field(default_factory=dict)
 
 
@@ -97,7 +96,7 @@ class OptimisticBinaryConsensus:
         instance requests evidence from its peers, adjusts its estimate
         toward the favoured value if any valid evidence arrives, and decides
         through the full :class:`~repro.consensus.bbc.BinaryConsensus`
-        (``fast_path=False``, ``phases_used`` from the fallback).
+        (``fast_path=False``).
 
         Each vote/evidence collection step waits at most ``collect_timeout``
         simulated seconds per message; a timeout abandons the collection loop
@@ -149,5 +148,4 @@ class OptimisticBinaryConsensus:
             coordinator_base=self.coordinator_base,
             phase_timeout=self.fallback_phase_timeout)
         decision = yield from fallback.propose(new_value)
-        return OBBCResult(decision=decision, fast_path=False,
-                          phases_used=fallback.phases_used, votes_seen=votes)
+        return OBBCResult(decision=decision, fast_path=False, votes_seen=votes)

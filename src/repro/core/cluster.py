@@ -5,8 +5,9 @@ This is the entry point every benchmark, example and scenario uses.
 the chosen protocol's nodes together identically for **every** protocol of
 the :mod:`repro.protocols` table (FireLedger, HotStuff, BFT-SMaRt): it
 optionally installs one fault schedule (timed crashes and recoveries,
-partition / loss / slow-link windows, Byzantine membership) and client
-workloads, runs the simulation for a configured duration and folds the
+partition / loss / slow-link windows, Byzantine membership, and the
+adversary strategy's own phases), silences fail-stop nodes and attaches
+client workloads, runs the simulation for a configured duration and folds the
 nodes' own ``metrics(duration)`` into one unified :class:`ClusterResult`.
 
 The runner owns the delivery seam end-to-end: after the node factory builds
@@ -166,7 +167,11 @@ def run_cluster(config: FireLedgerConfig,
     runner passes one carrying its spec's strategy parameters).  With
     Byzantine nodes and no explicit adversary the default strategy is
     ``equivocate`` — Section 7.4.2's equivocating proposer on FireLedger,
-    fail-stop silence on the baselines.
+    fail-stop silence on the baselines.  The strategy's own phases (churn's
+    crash/recover cycles, selective omission's one-way partitions) go ahead
+    of ``faults``' in one merged schedule, validated against the cluster
+    size and installed once; the nodes it declares silent are never
+    started and their endpoints route nothing.
 
     ``setup`` is a hook invoked after the nodes are built and started and
     the fault schedule is installed, but before the simulation runs; the
@@ -192,18 +197,28 @@ def run_cluster(config: FireLedgerConfig,
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
 
-    # Duck-typed: core does not import the scenario layer that defines it.
-    byzantine = frozenset()
-    fault_controller = windows = None
-    if faults is not None:
-        faults.validate(config.n_nodes)
-        byzantine = faults.byzantine_nodes
-        windows = faults.byzantine_windows()
-        if faults.link_phases:
-            # The network asks the schedule itself about every message.  A
-            # crash/recover- or membership-only timeline has nothing to say
-            # per message and leaves broadcasts on the fan-out fast path.
-            fault_controller = faults
+    # The adversary first: its phases join the run's one fault timeline.
+    byzantine = frozenset() if faults is None else faults.byzantine_nodes
+    phases = () if faults is None else faults.phases
+    strategy = None
+    if adversary is not None or byzantine:
+        from repro import adversary as adversary_lib
+
+        if isinstance(adversary, adversary_lib.AdversaryStrategy):
+            strategy = adversary
+        else:
+            strategy = adversary_lib.build(
+                adversary or adversary_lib.DEFAULT_STRATEGY, nodes=byzantine,
+                windows=faults and faults.byzantine_windows())
+        byzantine = byzantine or strategy.nodes
+        phases = strategy.timeline(duration) + phases
+    schedule = None
+    if phases:
+        # Lazy: the scenario package imports this module.
+        from repro.scenarios.faultplan import FaultSchedule
+
+        schedule = FaultSchedule(phases)
+        schedule.validate(config.n_nodes)
 
     rng = random.Random(seed)
     if latency_model is None:
@@ -214,27 +229,24 @@ def run_cluster(config: FireLedgerConfig,
         from repro.runtime import RealtimeEnvironment as env_class
         from repro.runtime import RealtimeNetwork as network_class
     env = env_class()
-    network = network_class(env, config.n_nodes, latency_model=latency_model,
-                            machine=config.machine, rng=network_rng,
-                            fault_controller=fault_controller)
+    # A timeline with no link window has nothing to say per message and
+    # leaves broadcasts on the fan-out fast path.
+    network = network_class(
+        env, config.n_nodes, latency_model=latency_model,
+        machine=config.machine, rng=network_rng,
+        fault_controller=schedule if schedule and schedule.link_phases else None)
     keystore = KeyStore(config.n_nodes)
 
-    strategy = None
-    if adversary is not None or byzantine:
-        from repro import adversary as adversary_lib
-
-        if isinstance(adversary, adversary_lib.AdversaryStrategy):
-            strategy = adversary
-        else:
-            strategy = adversary_lib.build(
-                adversary or adversary_lib.DEFAULT_STRATEGY, nodes=byzantine,
-                windows=windows)
-        if not byzantine:
-            byzantine = strategy.nodes
-        # Traffic-shaping strategies wrap the network before any node is
-        # built, so every protocol message crosses the strategy's proxy.
+    silent = ()
+    if strategy is not None:
+        silent = [node_id for node_id in range(config.n_nodes)
+                  if strategy.is_silent(node_id, protocol)]
         network = strategy.wrap_network(network)
     nodes = build(env, network, keystore, config, rng, adversary=strategy)
+    # A silent node is fail-stop: it routes nothing (drops like a crashed
+    # node instead of filling inboxes nothing drains) and never starts.
+    for node_id in silent:
+        network.endpoint(node_id).handlers.clear()
     # The delivery seam: attach one executor per node by subscribing it to
     # the node's stream — uniformly, whatever the protocol.  Protocols keep
     # their streams' earlier subscribers (metric recorders, lane merges)
@@ -253,13 +265,10 @@ def run_cluster(config: FireLedgerConfig,
     for members in zip(*(getattr(node, "lanes", (node,)) for node in nodes)):
         for member in members:
             member.recorder.measure_start = warmup
-            member.start()
-
-    # One source of crash events: the adversary's timed liveness phases
-    # (churn) and the run's own schedule install the same way.
-    for schedule in (strategy and strategy.timeline(duration), faults):
-        if schedule is not None:
-            schedule.install(env, network)
+            if member.node_id not in silent:
+                member.start()
+    if schedule is not None:
+        schedule.install(env, network)
     if setup is not None:
         setup(env, network, nodes)
 
@@ -273,8 +282,8 @@ def run_cluster(config: FireLedgerConfig,
             closer()
 
     excluded = set(byzantine)
-    if faults is not None:
-        excluded |= faults.excluded_nodes()
+    if schedule is not None:
+        excluded |= schedule.excluded_nodes()
     honest_nodes = [node for node in nodes if node.node_id not in excluded]
     correct_nodes = honest_nodes or nodes
 

@@ -27,7 +27,6 @@ class BenignFailureDetector:
         self.enabled = enabled
         self._timeout_streak: dict[int, int] = defaultdict(int)
         self._suspected: set[int] = set()
-        self.invalidations = 0
 
     def is_suspected(self, node_id: int) -> bool:
         """Whether the detector currently suspects ``node_id``."""
@@ -49,7 +48,5 @@ class BenignFailureDetector:
 
     def invalidate(self) -> None:
         """Drop the whole suspected list (skipped recent proposer / Byzantine proof)."""
-        if self._suspected or any(self._timeout_streak.values()):
-            self.invalidations += 1
         self._suspected.clear()
         self._timeout_streak.clear()

@@ -33,14 +33,12 @@ class FLONode:
     def __init__(self, env: Environment, network: Network, node_id: int,
                  config: FireLedgerConfig, keystore: KeyStore,
                  rng: Optional[random.Random] = None,
-                 worker_factory: Optional[Callable[..., FireLedgerWorker]] = None,
-                 silent: bool = False) -> None:
+                 worker_factory: Optional[Callable[..., FireLedgerWorker]] = None) -> None:
         self.env = env
         self.network = network
         self.node_id = node_id
         self.config = config
         self.keystore = keystore
-        self.silent = silent
         self.rng = rng or random.Random(node_id * 7919)
         self.recorder = MetricsRecorder(
             node_id, horizon_rounds=config.effective_retention_rounds,
@@ -60,14 +58,8 @@ class FLONode:
             # rounds stay live even past the retention window).
             worker.chain.released_through = -1
         # The workers bound their channels' kinds as they were built; traffic
-        # for anything else is nobody's.  A silent node keeps no bindings
-        # either: it drops everything at the network layer (like a crashed
-        # node would) instead of buffering a whole run's broadcasts in
-        # inboxes that are never drained.
-        endpoint = network.endpoint(node_id)
-        endpoint.router = discard
-        if silent:
-            endpoint.handlers.clear()
+        # for anything else is nobody's.
+        network.endpoint(node_id).router = discard
 
         # Definite blocks are released to clients in worker round-robin order.
         self._merge = RoundRobinMerge(config.workers, self._release)
@@ -83,9 +75,7 @@ class FLONode:
 
     # ------------------------------------------------------------------ wiring
     def start(self) -> None:
-        """Launch every worker's main process (no-op for a silent node)."""
-        if self.silent:
-            return
+        """Launch every worker's main process."""
         for worker in self.workers:
             self.env.process(worker.run())
 
@@ -144,7 +134,7 @@ def flo_nodes(env: Environment, network: Network, keystore: KeyStore,
     """One :class:`FLONode` per ``config.n_nodes``, seeded from ``rng``.
 
     The run's adversary strategy may substitute misbehaving workers on its
-    Byzantine nodes and silence nodes whose process must never start.
+    Byzantine nodes.
     """
     worker_factory = None
     if adversary is not None:
@@ -152,8 +142,6 @@ def flo_nodes(env: Environment, network: Network, keystore: KeyStore,
     return [
         FLONode(env, network, node_id, config, keystore,
                 rng=random.Random(rng.randrange(2 ** 62)),
-                worker_factory=worker_factory,
-                silent=(adversary is not None
-                        and adversary.is_silent(node_id, "fireledger")))
+                worker_factory=worker_factory)
         for node_id in range(config.n_nodes)
     ]

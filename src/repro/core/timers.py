@@ -31,8 +31,6 @@ class AdaptiveTimer:
         self.maximum = maximum
         self._ema = initial / max(multiplier, 1.0)
         self._timer = self._clamp(initial)
-        self.successes = 0
-        self.failures = 0
 
     def _clamp(self, value: float) -> float:
         return min(self.maximum, max(self.minimum, value))
@@ -46,13 +44,11 @@ class AdaptiveTimer:
         """Fold an observed delivery delay into the EMA and shrink the timer."""
         if observed_delay < 0:
             observed_delay = 0.0
-        self.successes += 1
         self._ema = self.alpha * observed_delay + (1 - self.alpha) * self._ema
         self._timer = self._clamp(self.multiplier * self._ema)
         return self._timer
 
     def record_failure(self) -> float:
         """Back off multiplicatively after an unsuccessful delivery."""
-        self.failures += 1
         self._timer = self._clamp(self._timer * 2.0)
         return self._timer

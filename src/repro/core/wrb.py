@@ -36,7 +36,6 @@ class WRBDelivery:
     proposer: int
     payload: Any                  # the delivered (header, signature), or None
     obbc: OBBCResult
-    pull_used: bool = False
 
     @property
     def delivered(self) -> bool:
@@ -144,8 +143,7 @@ class WeakReliableBroadcast:
         # from a node that voted for delivery (Algorithm 1, lines 22-24).
         payload = yield from self._pull(round_number, proposer)
         self.timer.record_failure()
-        return WRBDelivery(round_number, proposer, payload, result,
-                           pull_used=True)
+        return WRBDelivery(round_number, proposer, payload, result)
 
     # --------------------------------------------------------------- helpers
     def _pull(self, round_number: int, proposer: int):

@@ -74,7 +74,6 @@ class ChainSummary:
 
     blocks: int = 0
     transactions: int = 0
-    bytes: int = 0
     newest_round: int = -1
     rolling_digest: str = ""
 
@@ -83,7 +82,6 @@ class ChainSummary:
         if block.round_number >= 0:  # the genesis placeholder is not a block
             self.blocks += 1
             self.transactions += block.tx_count
-            self.bytes += block.size_bytes
         self.newest_round = max(self.newest_round, block.round_number)
         self.rolling_digest = hash_bytes(
             (self.rolling_digest + block.digest).encode("ascii"))

@@ -37,10 +37,8 @@ class TxPool:
         self.synthetic_client_id = synthetic_client_id
         self.max_pending = max_pending
         self._pending: deque[Transaction] = deque()
-        self.submitted = 0
         self.rejected = 0
         self.requeue_dropped = 0
-        self.synthetic_generated = 0
         self._batch_counter = 0
 
     def __len__(self) -> int:
@@ -63,7 +61,6 @@ class TxPool:
             self.rejected += 1
             return False
         self._pending.append(transaction)
-        self.submitted += 1
         return True
 
     def take_batch(self, batch_size: int, fill_random: bool = True) -> Batch:
@@ -83,7 +80,6 @@ class TxPool:
         filler = 0
         if fill_random:
             filler = batch_size - len(explicit)
-            self.synthetic_generated += filler
         self._batch_counter += 1
         nonce = self._batch_counter * (2 ** 48) + self.rng.randrange(2 ** 48)
         return Batch(transactions=tuple(explicit), filler_count=filler,

@@ -32,9 +32,10 @@ _EXECUTION_COLUMNS = (
 )
 
 #: What the "Adversary strategies" section shows of a row: the headline
-#: numbers, the oracle, and every per-strategy counter (by prefix).
+#: numbers, the fault drops (where selective omission shows), the oracle,
+#: and every per-strategy counter (by prefix).
 _ADVERSARY_COLUMNS = ("tps", "bps", "latency_p50_ms", "latency_p95_ms",
-                      "state_root", "state_deliveries")
+                      "msgs_dropped", "state_root", "state_deliveries")
 _ADVERSARY_COUNTER_PREFIX = "adversary_"
 
 
@@ -372,8 +373,8 @@ def render_adversary_section(results: Mapping[str, Sequence[Mapping]]) -> str:
 
     One line per row of a scenario with Byzantine nodes: the strategy
     driving them, the protocol it ran against, headline throughput/latency,
-    the strategy's own ``adversary_*`` counters and the state-agreement
-    oracle columns.
+    the network's fault drops, the strategy's own ``adversary_*`` counters
+    and the state-agreement oracle columns.
     """
     rows = _projected_rows(
         results, registry.ADVERSARY.columns[0],
@@ -395,8 +396,10 @@ def render_adversary_section(results: Mapping[str, Sequence[Mapping]]) -> str:
         "`selective-omission` starves a victim set, and `churn` cycles the",
         "adversary's nodes through crash/recover.  Per-strategy counters",
         "(`adversary_equivocations`, `adversary_delayed_msgs`,",
-        "`adversary_withheld_msgs`, `adversary_departures`...) quantify the",
-        "injected misbehaviour; `state_root` is the cross-node",
+        "`adversary_departures`...) quantify the injected misbehaviour;",
+        "the copies `selective-omission` withholds are fault drops on the",
+        "run's one timeline, counted in `msgs_dropped` (with those lost to",
+        "a crashed receiver).  `state_root` is the cross-node",
         "state-agreement oracle over the honest majority — identical roots",
         "mean safety held under the attack.",
         "",

@@ -6,10 +6,11 @@ its nodes.  A node factory has one signature,
 it turns the already-wired environment / network / key store into one node
 per ``config.n_nodes``, draws any per-node seed from ``rng``
 (``rng.randrange(2 ** 62)``) so runs stay deterministic per seed, and
-consults the run's bound
+may consult the run's bound
 :class:`~repro.adversary.base.AdversaryStrategy` (None on fault-free runs)
-for misbehaving workers (``worker_factory()``, FLO only) and for nodes whose
-process must never start (``is_silent(node_id, name)``).
+for misbehaving workers (``worker_factory()``, FLO only).  Silencing is not
+a factory's job: the runner never starts a node the strategy declares
+silent and clears its endpoint's bindings, for every protocol alike.
 
 Every node it returns owns:
 

@@ -223,10 +223,9 @@ class OpenLoopClient:
         self.payload_rng = random.Random(self.rng.randrange(2 ** 62))
         self.cum_weights = _cumulative_weights(weights, self.nodes)
         self.transfers = transfers
-        #: Accepted / pool-cap-rejected submission counts.  Counters, not
-        #: transaction lists, so a long soak run's clients stay O(1) memory.
+        #: Accepted submissions: a counter, not a transaction list, so a
+        #: long soak run's clients stay O(1) memory.
         self.submitted_count = 0
-        self.rejected_count = 0
 
     @property
     def rate(self) -> float:
@@ -241,7 +240,7 @@ class OpenLoopClient:
         """Submit (unless this is the chain's first link), arm the next.
 
         A declined ``submit_transaction`` (the node's pool is at its cap) is
-        open-loop behaviour: the request is lost and counted, and the client
+        open-loop behaviour: the request is lost, and the client
         keeps its arrival schedule.  The gap to the next arrival is
         ``rng.expovariate(rate)``'s draw.
         """
@@ -250,8 +249,6 @@ class OpenLoopClient:
             node = _pick_node(rng, self.nodes, self.cum_weights)
             if node.submit_transaction(_next_transaction(self)):
                 self.submitted_count += 1
-            else:
-                self.rejected_count += 1
         self.env.call_later(-log(1.0 - rng.random()) / self.rate, self._arrive,
                             True)
 
@@ -293,7 +290,6 @@ class ClosedLoopClient:
         self.cum_weights = _cumulative_weights(weights, self.nodes)
         self.transfers = transfers
         self.submitted_count = 0
-        self.rejected_count = 0
         self.completed = 0
 
     def start(self) -> None:
@@ -312,7 +308,6 @@ class ClosedLoopClient:
             node = _pick_node(self.rng, self.nodes, self.cum_weights)
             before = node.delivered_transactions
             if not node.submit_transaction(_next_transaction(self)):
-                self.rejected_count += 1
                 yield self.env.timeout(self.poll_interval)
                 continue
             self.submitted_count += 1

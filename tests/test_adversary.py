@@ -2,20 +2,26 @@
 
 The tentpole claim: any registered strategy composes with any registered
 protocol (including multiplexed lanes) through the three contract seams —
-outbound traffic shaping, proposal construction, process liveness — with
+outbound traffic holds, proposal construction, the fault timeline — with
 zero protocol-code changes, and honest nodes always keep state-root
-agreement.  Plus the compatibility guarantees: ``scenario:byzantine-minority``
-reproduces its committed metric rows, and the ``--adversary`` axis
-canonicalises so committed records resume unchanged.
+agreement.  Selective omission is a window on the run's one fault timeline:
+``tests/reference_traffic.py`` keeps the network proxy it replaced as the
+oracle of a differential test.  Plus the compatibility guarantees:
+``scenario:byzantine-minority`` reproduces its committed metric rows, and
+the ``--adversary`` axis canonicalises so committed records resume
+unchanged.
 """
 
 from __future__ import annotations
 
+import math
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro import FireLedgerConfig, run_cluster
+from repro import FireLedgerConfig, FLONode, run_cluster
 from repro import adversary
 from repro.adversary import (
     AdversaryStrategy,
@@ -23,17 +29,22 @@ from repro.adversary import (
     TargetedEquivocatingWorker,
 )
 from repro.baselines.hotstuff import HotStuffReplica
+from repro.baselines.replica import PooledReplicaMixin
 from repro.experiments import registry, sweep
 from repro.experiments.harness import ExperimentScale
 from repro.scenarios import FaultSchedule, byzantine, library, run_scenario
+from tests import reference_traffic
 
 
+#: What each strategy leaves in a run's result: a counter of its own, or —
+#: for selective omission, whose withheld copies are fault drops — the
+#: network's ``msgs_dropped``.
 STRATEGY_COUNTERS = {
     "equivocate": "adversary_equivocations",
     "targeted-equivocate": "adversary_equivocations",
     "silent": "adversary_silenced_nodes",
     "delayed-release": "adversary_delayed_msgs",
-    "selective-omission": "adversary_withheld_msgs",
+    "selective-omission": "msgs_dropped",
     "churn": "adversary_departures",
 }
 
@@ -99,7 +110,10 @@ def test_every_strategy_composes_with_every_protocol(strategy, protocol,
     else:
         assert result.state_deliveries > 0
     counter = STRATEGY_COUNTERS[strategy]
-    assert counter in result.breakdown
+    if counter == "msgs_dropped":
+        assert result.network.messages_dropped > 0
+    else:
+        assert counter in result.breakdown
     # Every strategy counter carries the reserved prefix.
     for key in adversary.build(strategy, nodes=frozenset({3})).counters():
         assert key.startswith("adversary_")
@@ -113,8 +127,7 @@ def test_equivocation_substitutes_workers_on_fireledger_only():
     baseline = _run("equivocate", protocol="hotstuff")
     # No proposer-equivocation seam on the baselines: degrade to fail-stop.
     assert baseline.breakdown["adversary_equivocations"] == 0
-    assert not any(replica.node_id == 3 and not replica.silent
-                   for replica in baseline.nodes)
+    assert not baseline.nodes[3].network.endpoint(3).handlers
 
 
 def test_targeted_equivocator_aims_at_next_proposers():
@@ -123,15 +136,41 @@ def test_targeted_equivocator_aims_at_next_proposers():
     assert isinstance(worker, TargetedEquivocatingWorker)
     assert worker.equivocations > 0
     # The poisoned half is exactly the next f proposers (f=1 at n=4).
-    assert len(worker.group_b) == 1
+    assert len(set(range(4)) - worker.group_a) == 1
     assert 3 in worker.group_a
 
 
 def test_silent_strategy_silences_fireledger_node():
     result = _run("silent")
     assert result.breakdown["adversary_silenced_nodes"] == 1
-    assert result.nodes[3].silent
+    assert not result.nodes[3].network.endpoint(3).handlers
     assert result.tps > 0  # the other three nodes keep committing
+
+
+@pytest.mark.parametrize("protocol,lanes", [
+    ("fireledger", 1),
+    ("hotstuff", 1),
+    ("bftsmart", 1),
+    ("fireledger", 2),
+])
+def test_a_silent_node_has_no_handlers_and_starts_no_process(
+        protocol, lanes, monkeypatch):
+    """``run_cluster`` silences a node for every protocol alike: it never
+    starts any of the node's members (its lane nodes, under lanes) and its
+    endpoint routes nothing; every other member starts exactly once."""
+    started = []
+    for node_class in (FLONode, PooledReplicaMixin):
+        def spy(node, start=node_class.start):
+            started.append(node.node_id)
+            start(node)
+        monkeypatch.setattr(node_class, "start", spy)
+    result = _run("silent", protocol=protocol, lanes=lanes)
+    assert sorted(started) == sorted([0, 1, 2] * lanes)
+    for node in result.nodes:
+        for member in getattr(node, "lanes", (node,)):
+            handlers = member.network.endpoint(node.node_id).handlers
+            assert bool(handlers) == (node.node_id != 3)
+    assert result.tps > 0
 
 
 def test_delayed_release_slows_but_preserves_safety():
@@ -141,10 +180,72 @@ def test_delayed_release_slows_but_preserves_safety():
 
 
 def test_selective_omission_defaults_to_lowest_honest_victim():
-    strategy = adversary.build("selective-omission", nodes=frozenset({3}))
-    result = _run(strategy)
-    assert strategy.victims == frozenset({0})
-    assert result.breakdown["adversary_withheld_msgs"] > 0
+    strategy = adversary.build("selective-omission", nodes=frozenset({0, 3}))
+    (phase,) = [phase for phase in strategy.timeline(1.0)
+                if phase.senders == (3,)]
+    assert (phase.kind, phase.groups) == ("partition", ((3,), (1,)))
+    assert phase.receivers == (1,)
+    assert (phase.at, phase.until) == (0.0, math.inf)
+    result = _run(adversary.build("selective-omission", nodes=frozenset({3})))
+    assert result.network.messages_dropped > 0
+    assert "adversary_withheld_msgs" not in result.breakdown
+
+
+def test_an_omission_victim_outside_the_cluster_is_an_error():
+    """The victims are phases of the run's timeline, so the schedule's
+    node-id check rejects one the cluster does not have."""
+    strategy = adversary.build("selective-omission", nodes=frozenset({3}),
+                               victims=(9,))
+    with pytest.raises(ValueError, match=r"node\(s\) \[9\] outside a 4-node"):
+        _run(strategy)
+
+
+def _observed(result) -> dict:
+    """Everything a run reports but its send and drop counts."""
+    breakdown = dict(result.breakdown)
+    breakdown.pop("adversary_withheld_msgs", None)
+    return {"throughput": result.throughput, "latency": result.latency,
+            "per_node_tps": result.per_node_tps,
+            "per_node_bps": result.per_node_bps, "breakdown": breakdown,
+            "state_root": result.state_root,
+            "state_deliveries": result.state_deliveries,
+            "delivered": result.network.messages_delivered}
+
+
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2 ** 16),
+       protocol=st.sampled_from(["fireledger", "hotstuff", "bftsmart"]),
+       lanes=st.sampled_from([1, 2]),
+       victims=st.sets(st.integers(0, 2), min_size=1),
+       window=st.one_of(
+           st.none(),
+           st.tuples(st.integers(0, 900), st.integers(1, 600)).map(
+               lambda span: (span[0] / 1000 + 1e-7,
+                             (span[0] + span[1]) / 1000 + 1e-7))))
+def test_omission_windows_drop_what_the_proxy_withheld(seed, protocol, lanes,
+                                                       victims, window):
+    """Differential against the proxy omission it replaced: every number a
+    run reports is ``==``, and the copies the proxy withheld are exactly the
+    timeline's drops (so also counted as sent).  Window bounds sit off the
+    sim's round-number instants: a partition window is closed at ``until``
+    where the proxy's ``active`` was half-open, so a copy sent exactly then
+    is the one place the two differ."""
+    windows = None if window is None else {3: (window,)}
+
+    def run(strategy_class):
+        strategy = strategy_class(nodes=frozenset({3}), windows=windows,
+                                  victims=victims)
+        return strategy, _run(strategy, protocol=protocol, lanes=lanes,
+                              seed=seed)
+
+    reference, before = run(reference_traffic.SelectiveOmissionStrategy)
+    _, after = run(adversary.SelectiveOmissionStrategy)
+    withheld = reference.withheld_messages
+    assert _observed(after) == _observed(before)
+    assert before.network.messages_dropped == 0
+    assert after.network.messages_dropped == withheld
+    assert (after.network.messages_sent
+            == before.network.messages_sent + withheld)
 
 
 def test_churn_cycles_departures_and_rejoins():

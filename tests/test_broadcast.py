@@ -28,7 +28,6 @@ def test_reliable_broadcast_delivers_to_all_correct_nodes():
     env.run()
     for node_id in range(4):
         assert delivered[node_id] == [(0, "alert", {"round": 3})]
-        assert endpoints[node_id].delivered_count == 1
 
 
 def test_reliable_broadcast_delivers_despite_crashed_sender_after_send():

@@ -2,7 +2,9 @@
 class defined under ``src/repro`` is referenced somewhere else under
 ``src/repro`` (a name, an attribute, a string such as a ``getattr`` key, or
 an ``@register`` decorator; ``__all__`` lists do not count), or is named
-below with the reason it stays.  A test-only helper belongs in ``tests/``."""
+below with the reason it stays.  A test-only helper belongs in ``tests/``.
+Likewise every attribute ``src/repro`` writes is read there: state only a
+test looks at is observed through behaviour instead."""
 
 import ast
 from pathlib import Path
@@ -49,3 +51,34 @@ def test_every_definition_under_src_is_used_there():
               if not name.startswith("__") and name not in used}
     assert unused.keys() - ALLOWED.keys() == set(), unused
     assert ALLOWED.keys() <= unused.keys(), "now used: drop it from ALLOWED"
+
+
+#: Attributes ``src/repro`` assigns and never reads, on purpose.
+ALLOWED_WRITE_ONLY = {
+    "messages_sent": "read by benchmarks/perf/measure.py",
+    "messages_delivered": "read by benchmarks/perf/measure.py",
+    "late_deliveries": "the recorder's horizon-too-tight detector "
+                       "(tests/test_retention.py reads it)",
+    "daemon": "a stdlib Thread setter",
+}
+
+
+def test_every_attribute_src_writes_is_read_there():
+    """An ``ast.Attribute`` stored under ``src/repro`` (``self.x = ...``,
+    ``self.x += ...``) is loaded there too — as an attribute or a string
+    such as a ``getattr`` key — or is named in ``ALLOWED_WRITE_ONLY``."""
+    written, read = {}, set()
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):
+                if isinstance(node.ctx, ast.Store):
+                    written.setdefault(node.attr, f"{path.name}:{node.lineno}")
+                else:
+                    read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    write_only = {name: where for name, where in written.items()
+                  if not name.startswith("__") and name not in read}
+    assert write_only.keys() - ALLOWED_WRITE_ONLY.keys() == set(), write_only
+    assert ALLOWED_WRITE_ONLY.keys() <= write_only.keys(), (
+        "now read: drop it from ALLOWED_WRITE_ONLY")
