@@ -62,17 +62,20 @@ class _SlotState:
 class AtomicBroadcast:
     """One node's endpoint of the atomic broadcast service."""
 
+    #: How long a request may stay undelivered before this node votes for a
+    #: view change; FireLedger's recovery waits for versions in multiples of
+    #: it too.
+    REQUEST_TIMEOUT = 0.5
+
     def __init__(self, env: Environment, network: Network, node_id: int,
                  channel: str, f: int,
-                 deliver_callback: Callable[[int, Any], None],
-                 request_timeout: float = 0.25) -> None:
+                 deliver_callback: Callable[[int, Any], None]) -> None:
         self.env = env
         self.network = network
         self.node_id = node_id
         self.channel = channel
         self.f = f
         self.deliver_callback = deliver_callback
-        self.request_timeout = request_timeout
 
         self.view = 0
         self.next_seq = 0            # only meaningful at the leader
@@ -239,7 +242,8 @@ class AtomicBroadcast:
             votes.add(self.node_id)
             self.network.broadcast(self.node_id, self.channel, AB_VIEWCHANGE,
                                    {"view": target}, include_self=True)
-            # Keep watching: re-arm with exponential backoff.
-            self.env.timeout(self.request_timeout * 2).add_callback(_check)
+            # Keep watching: re-arm every 2 x REQUEST_TIMEOUT (a fixed period,
+            # not a backoff).
+            self.env.timeout(self.REQUEST_TIMEOUT * 2).add_callback(_check)
 
-        self.env.timeout(self.request_timeout).add_callback(_check)
+        self.env.timeout(self.REQUEST_TIMEOUT).add_callback(_check)

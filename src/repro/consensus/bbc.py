@@ -45,17 +45,20 @@ _CONTROL_SIZE = 112
 class BinaryConsensus:
     """One invocation of binary consensus for a given (worker, round) tag."""
 
+    #: Bound on the COORD step's wait; an EST / AUX collection waits four
+    #: times as long per message.
+    PHASE_TIMEOUT = 0.05
+    #: Phases before a (pathological) run adopts its current estimate.
+    MAX_PHASES = 64
+
     def __init__(self, context: ProtocolContext, f: int, tag: object,
-                 coordinator_base: int = 0, phase_timeout: float = 0.05,
-                 max_phases: int = 64) -> None:
+                 coordinator_base: int = 0) -> None:
         self.context = context
         self.f = f
         self.tag = tag
         #: Deterministic offset for the rotating coordinator (e.g. the round
         #: number), so every node agrees on who coordinates each phase.
         self.coordinator_base = coordinator_base
-        self.phase_timeout = phase_timeout
-        self.max_phases = max_phases
 
     # -------------------------------------------------------------- messaging
     def _payload(self, phase: int, value: int) -> dict:
@@ -76,7 +79,7 @@ class BinaryConsensus:
         n = self.context.n_nodes
         quorum = n - self.f
 
-        for phase in range(self.max_phases):
+        for phase in range(self.MAX_PHASES):
             # --- EST step -------------------------------------------------
             self.context.broadcast(BBC_EST, self._payload(phase, estimate),
                                    size_bytes=_CONTROL_SIZE, include_self=True)
@@ -118,7 +121,7 @@ class BinaryConsensus:
                 estimate = aux_counts.most_common(1)[0][0]
 
         # Pathological fall-through: adopt the current estimate so the caller
-        # can make progress; in practice max_phases is never approached.
+        # can make progress; in practice MAX_PHASES is never approached.
         self._announce(estimate)
         return estimate
 
@@ -156,7 +159,7 @@ class BinaryConsensus:
         senders: set[int] = set()
         while len(values) < quorum:
             message = yield from self._wait_step(kind, phase,
-                                                 self.phase_timeout * 4)
+                                                 self.PHASE_TIMEOUT * 4)
             if message is None:
                 # Timed out: return what we have; the caller tolerates short
                 # collections (it only uses them for counting).
@@ -174,7 +177,7 @@ class BinaryConsensus:
 
     def _await_coordinator(self, coordinator: int, phase: int, decided_votes: Counter):
         """Wait for the coordinator's value (bounded by the phase timeout)."""
-        deadline = self.context.now + self.phase_timeout
+        deadline = self.context.now + self.PHASE_TIMEOUT
         while True:
             remaining = deadline - self.context.now
             if remaining <= 0:

@@ -44,17 +44,14 @@ class OptimisticBinaryConsensus:
     """One OBBC instance, keyed by a ``tag`` (typically ``(worker, round)``)."""
 
     def __init__(self, context: ProtocolContext, f: int, tag: Any,
-                 coordinator_base: int = 0,
-                 evidence_validator: Optional[Callable[[Any], bool]] = None,
-                 collect_timeout: float = 1.0,
-                 fallback_phase_timeout: float = 0.05) -> None:
+                 collect_timeout: float, coordinator_base: int = 0,
+                 evidence_validator: Optional[Callable[[Any], bool]] = None) -> None:
         self.context = context
         self.f = f
         self.tag = tag
         self.coordinator_base = coordinator_base
         self.evidence_validator = evidence_validator or (lambda evidence: evidence is not None)
         self.collect_timeout = collect_timeout
-        self.fallback_phase_timeout = fallback_phase_timeout
         self.favoured_value = 1
 
     # -------------------------------------------------------------- messaging
@@ -145,7 +142,6 @@ class OptimisticBinaryConsensus:
 
         fallback = BinaryConsensus(
             self.context, self.f, tag=("bbc", self.tag),
-            coordinator_base=self.coordinator_base,
-            phase_timeout=self.fallback_phase_timeout)
+            coordinator_base=self.coordinator_base)
         decision = yield from fallback.propose(new_value)
         return OBBCResult(decision=decision, fast_path=False, votes_seen=votes)

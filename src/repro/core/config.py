@@ -17,7 +17,9 @@ def max_faults(n_nodes: int) -> int:
 
 @dataclass(frozen=True)
 class FireLedgerConfig:
-    """All tunables of one cluster (Table 2 plus implementation knobs)."""
+    """The knobs a caller sets for one cluster (Table 2, the ablations'
+    switches, workload and memory); protocol constants such as the WRB timer
+    live in the module that reads them."""
 
     #: Cluster size ``n`` (Table 2: 4, 7 or 10; 100 in the scalability test).
     n_nodes: int = 4
@@ -32,34 +34,11 @@ class FireLedgerConfig:
     #: VM class the nodes run on.
     machine: MachineSpec = field(default=M5_XLARGE)
 
-    # --- WRB / OBBC timers ------------------------------------------------
-    #: Initial WRB delivery timer (tau); adapted by the EMA rule afterwards.
-    initial_timer: float = 0.5
-    #: EMA window N of Section 6.1.1.
-    timer_ema_window: int = 10
-    #: Safety multiplier applied on top of the EMA estimate.
-    timer_multiplier: float = 4.0
-    #: Lower/upper clamps on the adaptive timer.
-    min_timer: float = 0.05
-    max_timer: float = 4.0
-    #: Phase timeout of the fallback binary consensus.
-    fallback_phase_timeout: float = 0.05
-    #: Timeout of the recovery atomic broadcast before a view change.
-    recovery_timeout: float = 0.5
-
     # --- optimisations (Section 6.1.1) -------------------------------------
     #: Separate the data path (block bodies) from the consensus path (headers).
     separate_headers: bool = True
-    #: Maximum bodies disseminated but not yet consumed by a proposal.
-    max_outstanding_bodies: int = 2
-    #: Flow control (Section 7.2): when the data-path backlog on this node's
-    #: NIC exceeds this many seconds, the proposer publishes an empty block
-    #: instead of pushing yet another full body into an overloaded network.
-    flow_control_backlog: float = 0.05
     #: Enable the benign failure detector.
     failure_detector: bool = True
-    #: Suspicion threshold in timed-out rounds before a node is suspected.
-    suspect_after_timeouts: int = 2
     #: Re-draw the proposer permutation every this many rounds (0 = plain
     #: round-robin, the default).
     permute_every: int = 0

@@ -17,13 +17,11 @@ from collections import defaultdict
 class BenignFailureDetector:
     """Suspected-node bookkeeping for one FireLedger worker."""
 
-    def __init__(self, n_nodes: int, f: int, suspect_after: int = 2,
-                 enabled: bool = True) -> None:
-        if suspect_after < 1:
-            raise ValueError("suspect_after must be >= 1")
-        self.n_nodes = n_nodes
+    #: Consecutive timed-out deliveries before a node is suspected.
+    SUSPECT_AFTER = 2
+
+    def __init__(self, f: int, enabled: bool = True) -> None:
         self.f = f
-        self.suspect_after = suspect_after
         self.enabled = enabled
         self._timeout_streak: dict[int, int] = defaultdict(int)
         self._suspected: set[int] = set()
@@ -37,7 +35,7 @@ class BenignFailureDetector:
         if not self.enabled:
             return
         self._timeout_streak[node_id] += 1
-        if self._timeout_streak[node_id] >= self.suspect_after:
+        if self._timeout_streak[node_id] >= self.SUSPECT_AFTER:
             if len(self._suspected) < self.f or node_id in self._suspected:
                 self._suspected.add(node_id)
 

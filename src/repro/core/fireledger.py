@@ -43,7 +43,12 @@ from repro.core.wrb import (
 from repro.crypto.cost_model import CryptoCostModel
 from repro.crypto.keys import KeyStore
 from repro.crypto.vrf import proposer_permutation
-from repro.ledger.block import Block, BlockHeader, header_for_batch
+from repro.ledger.block import (
+    SIGNED_HEADER_SIZE_BYTES,
+    Block,
+    BlockHeader,
+    header_for_batch,
+)
 from repro.ledger.chain import Blockchain, ChainVersion
 from repro.ledger.transaction import Batch, Transaction
 from repro.ledger.txpool import TxPool
@@ -70,6 +75,13 @@ BODY_RESP = "BODY_RESP"
 #: The counters a FireLedger node's recorder declares (a zero still shows).
 COUNTERS = ("fast_path_rounds", "fallback_rounds", "failed_rounds",
             "recoveries", "signatures")
+
+#: Bodies disseminated ahead of the proposals that consume them.
+MAX_OUTSTANDING_BODIES = 2
+#: Flow control (Section 7.2): past this many seconds of data-path backlog on
+#: the node's NIC, a proposer publishes an empty block instead of pushing yet
+#: another full body into an overloaded network.
+FLOW_CONTROL_BACKLOG = 0.05
 
 
 class FireLedgerWorker:
@@ -103,11 +115,8 @@ class FireLedgerWorker:
                                 retention_rounds=config.effective_retention_rounds)
         self.txpool = TxPool(config.tx_size, self.rng,
                              max_pending=config.pool_max_pending)
-        self.timer = AdaptiveTimer(config.initial_timer, config.timer_ema_window,
-                                   config.timer_multiplier, config.min_timer,
-                                   config.max_timer)
-        self.detector = BenignFailureDetector(config.n_nodes, config.f,
-                                              config.suspect_after_timeouts,
+        self.timer = AdaptiveTimer()
+        self.detector = BenignFailureDetector(config.f,
                                               enabled=config.failure_detector)
         self.context = ProtocolContext(env, network, node_id, self.channel,
                                        KEY_FIELDS,
@@ -120,13 +129,11 @@ class FireLedgerWorker:
         self.wrb = WeakReliableBroadcast(
             self.context, config.f, self.timer,
             payload_validator=self._validate_signed_header,
-            acceptance_check=self._await_body if config.separate_headers else None,
-            fallback_phase_timeout=config.fallback_phase_timeout)
+            acceptance_check=self._await_body if config.separate_headers else None)
         self.rb = ReliableBroadcast(network, node_id, self.channel, config.f,
                                     self._on_panic_delivered)
         self.ab = AtomicBroadcast(env, network, node_id, self.channel, config.f,
-                                  self._on_version_delivered,
-                                  request_timeout=config.recovery_timeout)
+                                  self._on_version_delivered)
         # Everything arriving on this worker's channel, by kind.  The context
         # already bound its KEY_FIELDS kinds (WRB headers, pull and evidence
         # responses, BBC_DECIDED ...) straight to the inbox; the kinds below
@@ -258,7 +265,7 @@ class FireLedgerWorker:
     def _serve_evidence(self, message: Message) -> None:
         round_number = message.payload.get("tag")
         evidence = self._evidence_by_round.get(round_number)
-        size = 128 if evidence is None else 128 + 256
+        size = 128 if evidence is None else 128 + SIGNED_HEADER_SIZE_BYTES
         self.network.send(self.node_id, message.sender, self.channel, OBBC_EV_RESP,
                           {"tag": round_number, "evidence": evidence}, size)
 
@@ -296,7 +303,8 @@ class FireLedgerWorker:
         if evidence is None:
             return
         self.network.send(self.node_id, message.sender, self.channel, WRB_PULL_RESP,
-                          {"round": round_number, "payload": evidence}, 128 + 256)
+                          {"round": round_number, "payload": evidence},
+                          128 + SIGNED_HEADER_SIZE_BYTES)
 
     # ======================================================================
     # proposing
@@ -349,15 +357,15 @@ class FireLedgerWorker:
         """Root of the next body to propose (refilling the pipeline)."""
         while not self._ready_bodies:
             self._prepare_body()
-        if len(self._ready_bodies) < self.config.max_outstanding_bodies:
+        if len(self._ready_bodies) < MAX_OUTSTANDING_BODIES:
             self._prepare_body()
         return self._ready_bodies[0]
 
     def _maybe_restock_bodies(self) -> None:
         """Prepare another body when the pipeline and the NIC have room."""
         endpoint = self.network.endpoint(self.node_id)
-        if (len(self._ready_bodies) < self.config.max_outstanding_bodies
-                and endpoint.nic_backlog <= self.config.flow_control_backlog):
+        if (len(self._ready_bodies) < MAX_OUTSTANDING_BODIES
+                and endpoint.nic_backlog <= FLOW_CONTROL_BACKLOG):
             self._prepare_body()
 
     def _consume_ready_root(self, root: str) -> None:
@@ -705,8 +713,8 @@ class FireLedgerWorker:
                     del cache[stale_round]
         while len(self._decided_roots) > retention:
             self._drop_body(self._decided_roots.popleft())
-        body_cap = max(2 * retention, 4 * self.config.n_nodes
-                       * self.config.max_outstanding_bodies)
+        body_cap = max(2 * retention,
+                       4 * self.config.n_nodes * MAX_OUTSTANDING_BODIES)
         for _ in range(len(self._body_order)):
             if len(self._body_order) <= body_cap:
                 break
@@ -745,7 +753,7 @@ class FireLedgerWorker:
                 break
             waiter = self._version_event
             yield self.env.any_of(
-                [waiter], self.config.recovery_timeout * deadline_factor)
+                [waiter], self.ab.REQUEST_TIMEOUT * deadline_factor)
             deadline_factor = min(deadline_factor + 1, 8)
 
         selected = fresh[:quorum]
@@ -780,7 +788,7 @@ class FireLedgerWorker:
         if any(block.signature is None or block.proposer < 0 for block in blocks):
             return False
         try:
-            validate_chain(blocks, self.keystore, check_body=False)
+            validate_chain(blocks, self.keystore)
         except ValidationError:
             return False
         return distinct_proposers_window(blocks, self.config.f + 1)

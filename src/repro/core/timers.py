@@ -16,24 +16,23 @@ from __future__ import annotations
 class AdaptiveTimer:
     """EMA-driven timeout with multiplicative backoff on failures."""
 
-    def __init__(self, initial: float, ema_window: int = 10,
-                 multiplier: float = 4.0, minimum: float = 0.002,
-                 maximum: float = 4.0) -> None:
-        if initial <= 0:
-            raise ValueError("initial timer must be positive")
-        if ema_window < 1:
-            raise ValueError("ema_window must be >= 1")
-        if minimum <= 0 or maximum < minimum:
-            raise ValueError("require 0 < minimum <= maximum")
-        self.alpha = 2.0 / (ema_window + 1)
-        self.multiplier = multiplier
-        self.minimum = minimum
-        self.maximum = maximum
-        self._ema = initial / max(multiplier, 1.0)
-        self._timer = self._clamp(initial)
+    #: Timer (tau) of the first WRB-deliver, before any delay was observed.
+    INITIAL = 0.5
+    #: EMA window N of Section 6.1.1.
+    EMA_WINDOW = 10
+    #: Safety multiplier applied on top of the EMA estimate.
+    MULTIPLIER = 4.0
+    #: Lower / upper clamps on the timer.
+    MINIMUM = 0.05
+    MAXIMUM = 4.0
+
+    def __init__(self) -> None:
+        self.alpha = 2.0 / (self.EMA_WINDOW + 1)
+        self._ema = self.INITIAL / self.MULTIPLIER
+        self._timer = self._clamp(self.INITIAL)
 
     def _clamp(self, value: float) -> float:
-        return min(self.maximum, max(self.minimum, value))
+        return min(self.MAXIMUM, max(self.MINIMUM, value))
 
     @property
     def current(self) -> float:
@@ -45,7 +44,7 @@ class AdaptiveTimer:
         if observed_delay < 0:
             observed_delay = 0.0
         self._ema = self.alpha * observed_delay + (1 - self.alpha) * self._ema
-        self._timer = self._clamp(self.multiplier * self._ema)
+        self._timer = self._clamp(self.MULTIPLIER * self._ema)
         return self._timer
 
     def record_failure(self) -> float:

@@ -18,6 +18,7 @@ from repro.consensus.obbc import KEY_FIELDS as OBBC_KEY_FIELDS
 from repro.consensus.obbc import OBBCResult, OptimisticBinaryConsensus
 from repro.core.context import ProtocolContext
 from repro.core.timers import AdaptiveTimer
+from repro.ledger.block import SIGNED_HEADER_SIZE_BYTES
 
 WRB_HEADER = "HEADER"
 WRB_PULL_REQ = "WRB_REQ"
@@ -48,6 +49,9 @@ class WeakReliableBroadcast:
 
     Parameters
     ----------
+    timer:
+        The worker's :class:`~repro.core.timers.AdaptiveTimer`; it bounds the
+        wait for the header and, per message, the OBBC vote collection.
     payload_validator:
         Synchronous check ``(round, proposer, payload) -> bool`` verifying the
         proposer's signature over the payload; also used to validate evidence
@@ -61,23 +65,19 @@ class WeakReliableBroadcast:
 
     def __init__(self, context: ProtocolContext, f: int, timer: AdaptiveTimer,
                  payload_validator: Callable[[int, int, Any], bool],
-                 acceptance_check: Optional[Callable[[Any, float], Any]] = None,
-                 fallback_phase_timeout: float = 0.05,
-                 header_size_bytes: int = 256) -> None:
+                 acceptance_check: Optional[Callable[[Any, float], Any]] = None) -> None:
         self.context = context
         self.f = f
         self.timer = timer
         self.payload_validator = payload_validator
         self.acceptance_check = acceptance_check
-        self.fallback_phase_timeout = fallback_phase_timeout
-        self.header_size_bytes = header_size_bytes
 
     # ------------------------------------------------------------------ push
     def broadcast(self, round_number: int, payload: Any) -> None:
         """WRB-broadcast: push the payload to every node (Algorithm 1, line 3)."""
         self.context.broadcast(WRB_HEADER,
                                {"round": round_number, "payload": payload},
-                               size_bytes=self.header_size_bytes,
+                               size_bytes=SIGNED_HEADER_SIZE_BYTES,
                                include_self=True)
 
     # --------------------------------------------------------------- deliver
@@ -125,8 +125,7 @@ class WeakReliableBroadcast:
             coordinator_base=proposer + 1,
             evidence_validator=lambda ev: (
                 ev is not None and self.payload_validator(round_number, proposer, ev)),
-            collect_timeout=max(self.timer.current, 0.05),
-            fallback_phase_timeout=self.fallback_phase_timeout)
+            collect_timeout=self.timer.current)
         result = yield from obbc.propose(vote, evidence=evidence,
                                          piggyback=piggyback,
                                          piggyback_size=piggyback_size)

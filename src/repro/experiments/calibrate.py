@@ -25,20 +25,23 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.experiments.harness import ExperimentScale
 
 
+#: The scenario both backends run.
+SCENARIO = "paper-lan"
+
+
 def calibrate_backends(scale: "Optional[ExperimentScale]" = None,
-                       scenario: str = "paper-lan",
                        **axis_overrides) -> list[dict]:
     """Measure live-vs-sim throughput and latency deltas for one scenario.
 
-    Runs ``scenario`` (default ``paper-lan``) once on the discrete-event
-    backend and once on the realtime asyncio/TCP backend, then reports one
-    comparison row.  Wall-clock sensitive: the live half runs in real time
-    and must not share the machine with concurrent sweep workers.
+    Runs ``SCENARIO`` once on the discrete-event backend and once on the
+    realtime asyncio/TCP backend, then reports one comparison row.
+    Wall-clock sensitive: the live half runs in real time and must not share
+    the machine with concurrent sweep workers.
     """
     from repro.scenarios import library
     from repro.scenarios.runner import run_scenario
 
-    spec = library.get(scenario)
+    spec = library.get(SCENARIO)
     (sim,) = run_scenario(spec, scale, backend="sim", **axis_overrides)
     (live,) = run_scenario(spec, scale, backend="realtime", **axis_overrides)
 

@@ -10,7 +10,7 @@ from repro.ledger.block import Block, BlockHeader, build_block, header_for_batch
 from repro.ledger.chain import Blockchain, ChainSummary, ChainVersion
 from repro.ledger.transaction import Batch, Transaction
 from repro.ledger.txpool import TxPool
-from repro.ledger.validation import ValidationError, validate_block, validate_chain
+from repro.ledger.validation import ValidationError, validate_chain
 
 __all__ = [
     "Transaction",
@@ -25,6 +25,5 @@ __all__ = [
     "ChainVersion",
     "TxPool",
     "ValidationError",
-    "validate_block",
     "validate_chain",
 ]

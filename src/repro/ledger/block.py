@@ -18,6 +18,8 @@ from repro.ledger.transaction import Batch, Transaction, reduce_to_fields
 
 #: Serialised size of the fixed header fields (round, proposer, digests, ...).
 HEADER_BASE_SIZE_BYTES = 192
+#: Wire size of a header together with its proposer's signature.
+SIGNED_HEADER_SIZE_BYTES = HEADER_BASE_SIZE_BYTES + SIGNATURE_SIZE_BYTES
 
 
 @dataclass(frozen=True)
@@ -48,7 +50,7 @@ class BlockHeader:
     @property
     def size_bytes(self) -> int:
         """Wire size of the header plus its signature."""
-        return HEADER_BASE_SIZE_BYTES + SIGNATURE_SIZE_BYTES
+        return SIGNED_HEADER_SIZE_BYTES
 
 
 @dataclass(frozen=True)
@@ -103,11 +105,6 @@ class Block:
     def is_empty(self) -> bool:
         """Whether the block carries no transactions."""
         return self.batch.is_empty
-
-    def body_matches_header(self) -> bool:
-        """Whether the batch matches the header's Merkle root and counts."""
-        return (self.batch.root == self.header.tx_root
-                and self.batch.tx_count == self.header.tx_count)
 
 
 def header_for_batch(round_number: int, proposer: int, previous_digest: str,

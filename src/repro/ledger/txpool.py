@@ -24,9 +24,11 @@ class TxPool:
     ``None`` (the default) keeps the pool unbounded, the paper's behaviour.
     """
 
+    #: Client id of the synthetic filler, which a requeue never returns.
+    SYNTHETIC_CLIENT_ID = -1
+
     def __init__(self, default_tx_size: int = 512,
                  rng: Optional[random.Random] = None,
-                 synthetic_client_id: int = -1,
                  max_pending: Optional[int] = None) -> None:
         if default_tx_size <= 0:
             raise ValueError("default_tx_size must be positive")
@@ -34,7 +36,6 @@ class TxPool:
             raise ValueError("max_pending must be >= 1 (or None)")
         self.default_tx_size = default_tx_size
         self.rng = rng or random.Random(0)
-        self.synthetic_client_id = synthetic_client_id
         self.max_pending = max_pending
         self._pending: deque[Transaction] = deque()
         self.rejected = 0
@@ -94,7 +95,7 @@ class TxPool:
         observe the loss and retry, as after any rejected write).
         """
         for transaction in reversed(transactions):
-            if transaction.client_id == self.synthetic_client_id:
+            if transaction.client_id == self.SYNTHETIC_CLIENT_ID:
                 continue
             if self.is_full:
                 self.requeue_dropped += 1

@@ -240,24 +240,26 @@ class WanTopologyLatency(LatencyModel):
     delays come from ``one_way_s`` (keyed by ``frozenset({a, b})``, seconds);
     pairs absent from the matrix fall back to ``default_one_way``.
     Intra-region delay is the region's entry in ``local_one_way`` (or
-    ``default_local_one_way``).  ``bandwidth_bps`` optionally caps cross-region
+    ``DEFAULT_LOCAL_ONE_WAY``).  ``bandwidth_bps`` optionally caps cross-region
     links: :meth:`transfer_delay` then charges ``size / bandwidth`` per
     message on that link, modelling thin WAN pipes independently of the
     per-node NIC model.  All lookups are precomputed into dense n x n
     matrices, so the per-message cost matches the paper-preset models.
     """
 
+    #: Intra-region one-way delay of a region ``local_one_way`` leaves out.
+    DEFAULT_LOCAL_ONE_WAY = 0.25e-3
+
     def __init__(self, assignment: Sequence[str],
                  one_way_s: Optional[Mapping[frozenset, float]] = None,
                  local_one_way: Optional[Mapping[str, float]] = None,
                  default_one_way: float = 0.040,
-                 default_local_one_way: float = 0.25e-3,
                  bandwidth_bps: Optional[Mapping[frozenset, float]] = None,
                  default_bandwidth_bps: Optional[float] = None,
                  jitter: float = 0.08) -> None:
         if not assignment:
             raise ValueError("assignment must place at least one node")
-        if default_one_way < 0 or default_local_one_way < 0:
+        if default_one_way < 0:
             raise ValueError("delays must be non-negative")
         self.assignment = tuple(assignment)
         self.regions = tuple(dict.fromkeys(self.assignment))
@@ -273,7 +275,7 @@ class WanTopologyLatency(LatencyModel):
                 a, b = self.assignment[src], self.assignment[dst]
                 if a == b:
                     self._rows[src][dst] = local_one_way.get(
-                        a, default_local_one_way)
+                        a, self.DEFAULT_LOCAL_ONE_WAY)
                     continue  # intra-region links are never bandwidth-capped
                 key = frozenset((a, b))
                 self._rows[src][dst] = one_way_s.get(key, default_one_way)

@@ -83,18 +83,7 @@ def run_scenario(spec: ScenarioSpec,
         retention_rounds=spec.retention.chain_rounds,
         pool_max_pending=spec.pool.max_pending,
         lanes=spec.lanes.count)
-    config_overrides = dict(spec.config_overrides)
-    # An override shadowing a first-class spec field would desynchronise the
-    # actual run from the recorded row / sweep axes; the memory knobs are the
-    # exception (config_overrides may retune what retention/pool set).
-    clash = sorted(set(config_overrides)
-                   & {"n_nodes", "workers", "batch_size", "tx_size",
-                      "fill_blocks", "execute_transactions", "lanes"})
-    if clash:
-        raise ValueError(
-            f"config_overrides may not shadow first-class scenario fields "
-            f"{clash}; set them on the spec itself")
-    config_kwargs.update(config_overrides)
+    config_kwargs.update(spec.config_overrides)
     config = FireLedgerConfig(**config_kwargs)
 
     schedule = spec.faults

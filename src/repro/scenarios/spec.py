@@ -585,13 +585,25 @@ class ScenarioSpec(_Block):
     lanes: LanesSpec = field(default_factory=LanesSpec,
                              metadata={"shorthand": "count"})
     #: Extra ``FireLedgerConfig`` fields, e.g. ``(("permute_every", 16),)``.
+    #: None may shadow a field the spec sets (the run would not match its
+    #: row) but the memory knobs ``retention_rounds`` / ``pool_max_pending``.
     config_overrides: tuple[tuple[str, Any], ...] = ()
 
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("a scenario needs a name")
         from repro import protocols  # lazy: keeps spec importable standalone
-        from repro.core.config import max_faults
+        from repro.core.config import FireLedgerConfig, max_faults
+
+        overridden = {name for name, _ in self.config_overrides}
+        unknown = sorted(overridden - {f.name for f in fields(FireLedgerConfig)})
+        if unknown:
+            raise ValueError(f"unknown config_overrides keys: {unknown}")
+        clash = sorted(overridden & {"n_nodes", "workers", "batch_size", "tx_size",
+                                     "fill_blocks", "execute_transactions", "lanes"})
+        if clash:
+            raise ValueError(f"config_overrides may not shadow first-class "
+                             f"scenario fields {clash}; set them on the spec")
 
         if self.protocol not in protocols.names():
             raise ValueError(f"unknown protocol {self.protocol!r}; "

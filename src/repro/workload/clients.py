@@ -263,18 +263,19 @@ class ClosedLoopClient:
     through block bodies, which the saturated-mode ledger elides).
     """
 
+    #: Seconds between two looks at the target's delivery counter (and the
+    #: back-off after a declined submission).
+    POLL_INTERVAL = 0.01
+
     def __init__(self, env: Environment, client_id: int, nodes: Sequence[FLONode],
                  think_time: float = 0.0, tx_size: int = 512,
                  rng: Optional[random.Random] = None,
-                 poll_interval: float = 0.01,
                  weights: Optional[Sequence[float]] = None,
                  transfers: Optional[TransferModel] = None) -> None:
         if tx_size <= 0:
             raise ValueError("tx_size must be positive")
         if think_time < 0:
             raise ValueError("think_time must be non-negative")
-        if poll_interval <= 0:
-            raise ValueError("poll_interval must be positive")
         if not nodes:
             raise ValueError("need at least one node to submit to")
         self.env = env
@@ -286,7 +287,6 @@ class ClosedLoopClient:
         # See OpenLoopClient: payload identities derive from the client's
         # seeded RNG, not the process-global transaction id counter.
         self.payload_rng = random.Random(self.rng.randrange(2 ** 62))
-        self.poll_interval = poll_interval
         self.cum_weights = _cumulative_weights(weights, self.nodes)
         self.transfers = transfers
         self.submitted_count = 0
@@ -308,11 +308,11 @@ class ClosedLoopClient:
             node = _pick_node(self.rng, self.nodes, self.cum_weights)
             before = node.delivered_transactions
             if not node.submit_transaction(_next_transaction(self)):
-                yield self.env.timeout(self.poll_interval)
+                yield self.env.timeout(self.POLL_INTERVAL)
                 continue
             self.submitted_count += 1
             while node.delivered_transactions <= before:
-                yield self.env.timeout(self.poll_interval)
+                yield self.env.timeout(self.POLL_INTERVAL)
             self.completed += 1
             if self.think_time:
                 yield self.env.timeout(self.rng.expovariate(1.0 / self.think_time))

@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from repro.broadcast import AtomicBroadcast, ReliableBroadcast
 from repro.sim import Environment
 from tests.conftest import make_network
@@ -68,14 +70,13 @@ def test_reliable_broadcast_delivers_each_message_once():
     assert all(len(msgs) == 1 for msgs in delivered.values())
 
 
-def wire_atomic_broadcast(env, network, f=1, timeout=0.2):
+def wire_atomic_broadcast(env, network, f=1):
     delivered = {i: [] for i in range(network.n_nodes)}
     endpoints = []
     for node_id in range(network.n_nodes):
         ab = AtomicBroadcast(env, network, node_id, "ab", f,
                              lambda origin, payload, nid=node_id:
-                             delivered[nid].append((origin, payload)),
-                             request_timeout=timeout)
+                             delivered[nid].append((origin, payload)))
         endpoints.append(ab)
         network.endpoint(node_id).router = ab.on_message
     return endpoints, delivered
@@ -103,10 +104,11 @@ def test_atomic_broadcast_delivers_own_request():
     assert (2, "hello") in delivered[2]
 
 
-def test_atomic_broadcast_survives_leader_crash():
+def test_atomic_broadcast_survives_leader_crash(monkeypatch):
+    monkeypatch.setattr(AtomicBroadcast, "REQUEST_TIMEOUT", 0.1)
     env = Environment()
     network = make_network(env, 4)
-    endpoints, delivered = wire_atomic_broadcast(env, network, timeout=0.1)
+    endpoints, delivered = wire_atomic_broadcast(env, network)
     network.crash(0)  # node 0 is the initial leader (view 0)
     endpoints[1].broadcast("post-crash")
     env.run(until=5.0)
@@ -122,3 +124,31 @@ def test_atomic_broadcast_deduplicates_requests():
     endpoints[3].broadcast("only-once")
     env.run(until=2.0)
     assert delivered[0].count((3, "only-once")) == 1
+
+
+def test_atomic_broadcast_rearms_view_change_at_a_fixed_period():
+    """An undelivered request votes for a view change after REQUEST_TIMEOUT,
+    then every 2 x REQUEST_TIMEOUT — a fixed period, not an exponential
+    backoff (pinned: changing it moves every fault row)."""
+    env = Environment()
+    network = make_network(env, 4)
+    endpoints, delivered = wire_atomic_broadcast(env, network)
+    for crashed in (0, 2, 3):  # the leader and two peers: no quorum
+        network.crash(crashed)
+    votes = []
+    send = network.broadcast
+
+    def spy(sender, channel, kind, payload, **kwargs):
+        if kind == "AB_VIEWCHANGE":
+            votes.append(env.now)
+        return send(sender, channel, kind, payload, **kwargs)
+
+    network.broadcast = spy
+    endpoints[1].broadcast("stuck")
+    timeout = AtomicBroadcast.REQUEST_TIMEOUT
+    env.run(until=8 * timeout)
+    assert not delivered[1]
+    # The origin watches its request twice (on broadcast and on receiving
+    # its own AB_REQUEST); both watchers keep the same period.
+    assert sorted(set(votes)) == pytest.approx(
+        [timeout, 3 * timeout, 5 * timeout, 7 * timeout])

@@ -29,8 +29,7 @@ def run_obbc(env, network, votes, evidence_for=frozenset(), f=1, tag=0):
         obbc = OptimisticBinaryConsensus(contexts[node_id], f, tag=tag,
                                          coordinator_base=1,
                                          evidence_validator=evidence_validator,
-                                         collect_timeout=0.2,
-                                         fallback_phase_timeout=0.05)
+                                         collect_timeout=0.2)
         evidence = "proof" if node_id in evidence_for else None
         result = yield from obbc.propose(votes[node_id], evidence=evidence)
         results[node_id] = result
@@ -108,8 +107,7 @@ def test_obbc_evidence_fallback_converges_on_favoured_value():
         obbc = OptimisticBinaryConsensus(contexts[node_id], 1, tag=0,
                                          coordinator_base=1,
                                          evidence_validator=evidence_validator,
-                                         collect_timeout=0.2,
-                                         fallback_phase_timeout=0.05)
+                                         collect_timeout=0.2)
         results[node_id] = yield from obbc.propose(value, evidence=evidence)
 
     def serve_evidence(node_id):
@@ -157,7 +155,7 @@ def test_obbc_rejects_invalid_proposals():
     env = Environment()
     network = make_network(env, 4)
     context = ProtocolContext(env, network, 0, "x", KEY_FIELDS)
-    obbc = OptimisticBinaryConsensus(context, 1, tag=0)
+    obbc = OptimisticBinaryConsensus(context, 1, tag=0, collect_timeout=1.0)
     with pytest.raises(ValueError):
         env.run_process(obbc.propose(2))
     with pytest.raises(ValueError):
@@ -176,7 +174,7 @@ def test_bbc_unanimous_input_decides_that_value():
 
     def node(node_id):
         bbc = BinaryConsensus(contexts[node_id], f=1, tag="r1",
-                              coordinator_base=0, phase_timeout=0.05)
+                              coordinator_base=0)
         results[node_id] = yield from bbc.propose(1)
 
     for node_id in range(4):
@@ -193,7 +191,7 @@ def test_bbc_split_input_agrees():
 
     def node(node_id, value):
         bbc = BinaryConsensus(contexts[node_id], f=1, tag="r2",
-                              coordinator_base=2, phase_timeout=0.05)
+                              coordinator_base=2)
         results[node_id] = yield from bbc.propose(value)
 
     for node_id, value in enumerate([0, 1, 0, 1]):
@@ -217,8 +215,7 @@ def test_bbc_certificate_terminates_late_joiner():
     env.timeout(0.01).add_callback(certificate_sender)
 
     def late_node():
-        bbc = BinaryConsensus(context, f=1, tag="r3", coordinator_base=0,
-                              phase_timeout=0.05)
+        bbc = BinaryConsensus(context, f=1, tag="r3", coordinator_base=0)
         return (yield from bbc.propose(0))
 
     result = env.run_process(late_node(), until=10.0)
@@ -232,3 +229,26 @@ def test_bbc_rejects_non_binary_value():
     bbc = BinaryConsensus(context, f=1, tag="r4")
     with pytest.raises(ValueError):
         env.run_process(bbc.propose(5))
+
+
+def test_bbc_timeouts_are_its_class_constants(monkeypatch):
+    """A lone node's fallback spends exactly the class constants' waits: each
+    phase collects ESTs for 4 x PHASE_TIMEOUT, waits PHASE_TIMEOUT for the
+    coordinator and collects AUXes for 4 x PHASE_TIMEOUT; after MAX_PHASES
+    it adopts its estimate."""
+    monkeypatch.setattr(BinaryConsensus, "PHASE_TIMEOUT", 0.1)
+    monkeypatch.setattr(BinaryConsensus, "MAX_PHASES", 2)
+    env = Environment()
+    network = make_network(env, 4)
+    for crashed in (1, 2, 3):
+        network.crash(crashed)
+    context = ProtocolContext(env, network, 0, "bbc", KEY_FIELDS)
+    bbc = BinaryConsensus(context, f=1, tag="alone", coordinator_base=1)
+
+    def alone():
+        decision = yield from bbc.propose(1)
+        return decision, env.now
+
+    decision, decided_at = env.run_process(alone(), until=10.0)
+    assert decision == 1
+    assert 2 * 0.9 <= decided_at < 2 * 0.9 + 0.01

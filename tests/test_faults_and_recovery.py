@@ -92,22 +92,25 @@ def test_rescinded_blocks_are_replaced_not_duplicated(byzantine_result):
 
 # --------------------------------------------------------- failure detector
 def test_failure_detector_suspects_after_threshold():
-    detector = BenignFailureDetector(n_nodes=4, f=1, suspect_after=2)
-    detector.record_timeout(3)
+    detector = BenignFailureDetector(f=1)
+    for _ in range(BenignFailureDetector.SUSPECT_AFTER - 1):
+        detector.record_timeout(3)
     assert not detector.is_suspected(3)
     detector.record_timeout(3)
     assert detector.is_suspected(3)
 
 
-def test_failure_detector_never_suspects_more_than_f():
-    detector = BenignFailureDetector(n_nodes=7, f=2, suspect_after=1)
+def test_failure_detector_never_suspects_more_than_f(monkeypatch):
+    monkeypatch.setattr(BenignFailureDetector, "SUSPECT_AFTER", 1)
+    detector = BenignFailureDetector(f=2)
     for node in (1, 2, 3, 4):
         detector.record_timeout(node)
     assert len(detector._suspected) <= 2
 
 
-def test_failure_detector_clears_on_delivery_and_invalidation():
-    detector = BenignFailureDetector(n_nodes=4, f=1, suspect_after=1)
+def test_failure_detector_clears_on_delivery_and_invalidation(monkeypatch):
+    monkeypatch.setattr(BenignFailureDetector, "SUSPECT_AFTER", 1)
+    detector = BenignFailureDetector(f=1)
     detector.record_timeout(2)
     assert detector.is_suspected(2)
     detector.record_delivery(2)
@@ -120,8 +123,9 @@ def test_failure_detector_clears_on_delivery_and_invalidation():
     assert detector.is_suspected(1)  # the streak restarted from zero
 
 
-def test_failure_detector_disabled():
-    detector = BenignFailureDetector(n_nodes=4, f=1, suspect_after=1, enabled=False)
+def test_failure_detector_disabled(monkeypatch):
+    monkeypatch.setattr(BenignFailureDetector, "SUSPECT_AFTER", 1)
+    detector = BenignFailureDetector(f=1, enabled=False)
     detector.record_timeout(2)
     detector.record_timeout(2)
     assert not detector.is_suspected(2)
@@ -160,16 +164,16 @@ def test_recovery_version_validity_is_validate_chain(env):
         with pytest.raises(ValidationError, match={
                 "link": "previous digest", "round": "does not extend",
                 "signature": "does not verify"}[reason]):
-            validate_chain((first, block), keystore, check_body=False)
+            validate_chain((first, block), keystore)
         assert not worker._version_valid(ChainVersion(1, (first, block)))
 
     unsigned = build_block(1, 1, first.digest)
     assert not worker._version_valid(ChainVersion(1, (first, unsigned)))
     assert not worker._version_valid(ChainVersion(1, (genesis, first)))
-    # validate_block skips the signature of a negative proposer (its genesis
+    # validate_chain skips the signature of a negative proposer (its genesis
     # excuse): a block claiming one is no decided block, whoever signed it.
     no_proposer = _signed(keystore, 1, -1, first.digest, signer=3)
-    validate_chain((first, no_proposer), keystore, check_body=False)
+    validate_chain((first, no_proposer), keystore)
     assert not worker._version_valid(ChainVersion(1, (first, no_proposer)))
     repeated = _signed(keystore, 1, 0, first.digest)      # f + 1 = 2 window
     assert not worker._version_valid(ChainVersion(1, (first, repeated)))

@@ -9,7 +9,6 @@ import pytest
 from repro.crypto.keys import KeyStore
 from repro.ledger import (
     Batch,
-    Block,
     Blockchain,
     ChainVersion,
     Transaction,
@@ -17,7 +16,6 @@ from repro.ledger import (
     ValidationError,
     build_block,
     make_genesis,
-    validate_block,
     validate_chain,
 )
 from repro.ledger.validation import distinct_proposers_window
@@ -90,15 +88,6 @@ def test_batch_roots_differ_by_nonce():
     assert a.root != b.root
 
 
-def test_block_body_matches_header():
-    batch = Batch(filler_count=5, filler_tx_size=512, filler_nonce=3)
-    block = build_block(0, 1, make_genesis().digest, batch=batch)
-    assert block.body_matches_header()
-    tampered = Block(header=block.header,
-                     batch=Batch(filler_count=6, filler_tx_size=512, filler_nonce=3))
-    assert not tampered.body_matches_header()
-
-
 def test_header_digest_is_memoised_outside_the_value():
     """The digest cache is an optimisation, not part of the header: equality,
     hashing, repr, ``replace`` and the wire format never see it."""
@@ -124,24 +113,18 @@ def test_header_digest_is_memoised_outside_the_value():
 def test_validate_block_signature_and_linkage():
     blocks, keystore = make_chain_blocks(2)
     genesis = make_genesis()
-    validate_block(blocks[0], genesis, keystore)
-    validate_block(blocks[1], blocks[0], keystore)
-    with pytest.raises(ValidationError):
-        validate_block(blocks[1], genesis, keystore)  # wrong predecessor
+    validate_chain([genesis, blocks[0]], keystore)
+    validate_chain(blocks, keystore)
+    with pytest.raises(ValidationError, match="previous digest"):
+        validate_chain([genesis, blocks[1]], keystore)  # wrong predecessor
 
 
 def test_validate_block_rejects_unsigned():
     genesis = make_genesis()
     block = build_block(0, 0, genesis.digest,
                         batch=Batch(filler_count=1, filler_tx_size=64, filler_nonce=1))
-    with pytest.raises(ValidationError):
-        validate_block(block, genesis, KeyStore(4))
-
-
-def test_validate_block_rejects_wrong_proposer():
-    blocks, keystore = make_chain_blocks(1)
-    with pytest.raises(ValidationError):
-        validate_block(blocks[0], make_genesis(), keystore, expected_proposer=3)
+    with pytest.raises(ValidationError, match="unsigned"):
+        validate_chain([genesis, block], KeyStore(4))
 
 
 def test_validate_chain_accepts_valid_segment():
@@ -260,7 +243,7 @@ def test_txpool_no_fill_mode_returns_partial_batches():
 def test_txpool_requeue_keeps_only_client_transactions():
     pool = TxPool(default_tx_size=512)
     client_tx = Transaction.create(client_id=3, size_bytes=512)
-    synthetic = Transaction.create(client_id=pool.synthetic_client_id, size_bytes=512)
+    synthetic = Transaction.create(client_id=TxPool.SYNTHETIC_CLIENT_ID, size_bytes=512)
     pool.requeue([client_tx, synthetic])
     assert pool.pending == 1
 

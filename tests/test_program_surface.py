@@ -4,12 +4,17 @@ class defined under ``src/repro`` is referenced somewhere else under
 an ``@register`` decorator; ``__all__`` lists do not count), or is named
 below with the reason it stays.  A test-only helper belongs in ``tests/``.
 Likewise every attribute ``src/repro`` writes is read there: state only a
-test looks at is observed through behaviour instead."""
+test looks at is observed through behaviour instead, and every
+``FireLedgerConfig`` field is a knob some caller sets."""
 
 import ast
+from dataclasses import fields
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+from repro.core.config import FireLedgerConfig
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "repro"
 
 #: Defined under ``src/repro`` and referenced by nothing there, on purpose.
 ALLOWED = {
@@ -82,3 +87,27 @@ def test_every_attribute_src_writes_is_read_there():
     assert write_only.keys() - ALLOWED_WRITE_ONLY.keys() == set(), write_only
     assert ALLOWED_WRITE_ONLY.keys() <= write_only.keys(), (
         "now read: drop it from ALLOWED_WRITE_ONLY")
+
+
+#: ``FireLedgerConfig`` fields no caller outside the tests passes, on purpose.
+ALLOWED_UNSET = {
+    "permute_every": "switches the proposer permutation on; "
+                     "tests/test_retention.py covers it",
+}
+
+
+def test_every_config_field_has_a_caller():
+    """Every ``FireLedgerConfig`` field is passed by keyword somewhere under
+    ``src/repro`` (outside ``core/config.py``), ``benchmarks/`` or
+    ``examples/``, or is named in ``ALLOWED_UNSET``: a value no caller sets
+    is a constant of the module that reads it."""
+    passed = set()
+    for root in (SRC, ROOT / "benchmarks", ROOT / "examples"):
+        for path in sorted(root.rglob("*.py")):
+            if path == SRC / "core" / "config.py":
+                continue
+            passed.update(node.arg for node in ast.walk(ast.parse(path.read_text()))
+                          if isinstance(node, ast.keyword))
+    unset = {field.name for field in fields(FireLedgerConfig)} - passed
+    assert unset - ALLOWED_UNSET.keys() == set(), unset
+    assert ALLOWED_UNSET.keys() <= unset, "now passed: drop it from ALLOWED_UNSET"

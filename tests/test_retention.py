@@ -628,14 +628,13 @@ def test_mini_soak_scenario_bounds_state_and_counts_rejections():
 def test_config_overrides_cannot_shadow_first_class_fields():
     from repro.scenarios.runner import run_scenario
 
-    spec = ScenarioSpec.from_dict({
-        "name": "shadowed",
-        "duration": 0.3,
-        "warmup": 0.05,
-        "config_overrides": {"n_nodes": 7},
-    })
     with pytest.raises(ValueError, match="first-class"):
-        run_scenario(spec)
+        ScenarioSpec.from_dict({
+            "name": "shadowed",
+            "duration": 0.3,
+            "warmup": 0.05,
+            "config_overrides": {"n_nodes": 7},
+        })
     # Retuning the memory knobs through overrides stays allowed.
     tuned = ScenarioSpec.from_dict({
         "name": "tuned",
@@ -646,6 +645,14 @@ def test_config_overrides_cannot_shadow_first_class_fields():
     })
     (row,) = run_scenario(tuned)
     assert row["tps"] > 0
+
+
+def test_config_overrides_must_name_config_fields():
+    """A misspelled (or removed) ``FireLedgerConfig`` field fails when the
+    spec is parsed, like an unknown key of any other block."""
+    with pytest.raises(ValueError, match="initial_timr"):
+        ScenarioSpec.from_dict({"name": "typo",
+                                "config_overrides": {"initial_timr": 0.2}})
 
 
 def test_soak_scenario_is_shipped_and_registered():

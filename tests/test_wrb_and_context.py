@@ -14,6 +14,8 @@ from repro.core.timers import AdaptiveTimer
 from repro.core.wrb import KEY_FIELDS, WeakReliableBroadcast
 from repro.crypto.cost_model import M5_XLARGE
 from repro.crypto.keys import KeyStore
+from repro.crypto.signatures import SIGNATURE_SIZE_BYTES
+from repro.ledger.block import HEADER_BASE_SIZE_BYTES, build_block, make_genesis
 from repro.ledger.transaction import Batch, Transaction
 from repro.net.latency import SingleDatacenterLatency
 from repro.net.message import Message
@@ -455,10 +457,12 @@ def test_discard_below_drops_buffered_rounds_under_the_watermark():
 
 
 # -------------------------------------------------------------------- timers
-def test_adaptive_timer_tracks_ema_and_backoff():
-    timer = AdaptiveTimer(initial=0.5, ema_window=3, multiplier=4.0,
-                          minimum=0.001, maximum=10.0)
+def test_adaptive_timer_tracks_ema_and_backoff(monkeypatch):
+    monkeypatch.setattr(AdaptiveTimer, "EMA_WINDOW", 3)
+    monkeypatch.setattr(AdaptiveTimer, "MINIMUM", 0.001)
+    timer = AdaptiveTimer()
     initial = timer.current
+    assert initial == AdaptiveTimer.INITIAL
     timer.record_failure()
     assert timer.current == pytest.approx(initial * 2)
     for _ in range(50):
@@ -467,22 +471,13 @@ def test_adaptive_timer_tracks_ema_and_backoff():
 
 
 def test_adaptive_timer_clamps():
-    timer = AdaptiveTimer(initial=0.5, minimum=0.1, maximum=1.0)
+    timer = AdaptiveTimer()
     for _ in range(10):
         timer.record_failure()
-    assert timer.current == 1.0
+    assert timer.current == AdaptiveTimer.MAXIMUM
     for _ in range(100):
         timer.record_success(0.0)
-    assert timer.current == 0.1
-
-
-def test_adaptive_timer_validation():
-    with pytest.raises(ValueError):
-        AdaptiveTimer(initial=0.0)
-    with pytest.raises(ValueError):
-        AdaptiveTimer(initial=1.0, ema_window=0)
-    with pytest.raises(ValueError):
-        AdaptiveTimer(initial=1.0, minimum=2.0, maximum=1.0)
+    assert timer.current == AdaptiveTimer.MINIMUM
 
 
 # ----------------------------------------------------------------------- WRB
@@ -493,10 +488,23 @@ def wire_wrb(env, network, validator=None):
     endpoints = []
     for node_id in range(network.n_nodes):
         context = build_context(env, network, node_id)
-        timer = AdaptiveTimer(initial=0.3)
+        timer = AdaptiveTimer()
         endpoints.append(WeakReliableBroadcast(context, f=1, timer=timer,
                                                payload_validator=validator))
     return endpoints
+
+
+def test_wrb_ships_a_header_at_its_signed_wire_size():
+    """A WRB-broadcast header travels at the size a signed ``BlockHeader``
+    reports — one name, ``SIGNED_HEADER_SIZE_BYTES``, for both."""
+    env = Environment()
+    network = make_network(env, 4)
+    endpoints = wire_wrb(env, network)
+    header = build_block(0, 0, make_genesis().digest).header
+    endpoints[0].broadcast(0, {"valid": True})
+    assert network.stats.messages_of_kind("HEADER") == 4
+    assert network.stats.bytes_sent == 4 * header.size_bytes
+    assert header.size_bytes == HEADER_BASE_SIZE_BYTES + SIGNATURE_SIZE_BYTES
 
 
 def test_wrb_delivers_broadcast_payload_everywhere():
