@@ -10,7 +10,9 @@ comparator (Figure 17) and as FireLedger's own recovery-layer consensus:
   traditional BFT);
 * ``2f + 1`` writes trigger an ``ACCEPT`` round, and ``2f + 1`` accepts commit
   the batch;
-* consecutive consensus instances are pipelined up to a small window.
+* the leader proposes one instance at a time, as Mod-SMaRt runs its
+  consensus instances sequentially, and looks for its commit every
+  ``LEADER_POLL`` seconds before proposing the next.
 
 Replica authentication uses MAC vectors (cheap) plus one leader signature per
 batch, which matches BFT-SMaRt's cost profile.
@@ -33,9 +35,6 @@ ACCEPT = "SMART_ACCEPT"
 
 _ACK_SIZE = 148
 _HEADER_OVERHEAD = 224
-#: Consensus instances the leader keeps in flight.  Mod-SMaRt runs its
-#: consensus instances sequentially, so the window is 1.
-PIPELINE_WINDOW = 1
 
 
 class BFTSmartReplica(PooledReplicaMixin):
@@ -50,6 +49,8 @@ class BFTSmartReplica(PooledReplicaMixin):
 
     #: The stable leader (re-election is not modelled).
     leader = 0
+    #: How often the leader looks for its instance's commit (seconds).
+    LEADER_POLL = 0.0005
 
     def processes(self):
         """The replica loop, plus the batching loop on the stable leader."""
@@ -59,32 +60,30 @@ class BFTSmartReplica(PooledReplicaMixin):
 
     # ---------------------------------------------------------------- leader
     def run_leader(self):
-        """Leader process: keep up to ``PIPELINE_WINDOW`` instances in flight."""
+        """Leader process: propose one instance, wait for its local commit.
+
+        The commit is observed by the replica loop; sequence numbers commit
+        contiguously from 0, so ``seq`` has committed exactly when more than
+        ``seq`` commits were delivered.  The leader looks every
+        ``LEADER_POLL`` seconds (a timer, not a wake-up, until it holds).
+        """
+        stream = self.delivery_stream
         seq = 0
-        inflight: dict[int, float] = {}
         while True:
-            while len(inflight) < PIPELINE_WINDOW:
-                tx_count, transactions = self._next_batch()
-                yield from self.context.use_cpu(
-                    self.cost.block_sign_time(tx_count, self.tx_size))
-                self.recorder.count("signatures")
-                payload = {"seq": seq, "tx_count": tx_count,
-                           "transactions": transactions,
-                           "proposed_at": self.env.now}
-                self.context.broadcast(PROPOSE, payload,
-                                       size_bytes=self._batch_bytes(tx_count),
-                                       include_self=True)
-                inflight[seq] = self.env.now
-                seq += 1
-            # Wait for the oldest in-flight instance to commit locally before
-            # opening a new slot (the commit is observed by the replica loop).
-            # Sequence numbers commit contiguously from 0, so ``seq`` has
-            # committed exactly when more than ``seq`` commits were delivered.
-            oldest = min(inflight)
-            if oldest < self.delivery_stream.deliveries:
-                del inflight[oldest]
-                continue
-            yield self.env.timeout(0.0005)
+            tx_count, transactions = self._next_batch()
+            yield from self.context.use_cpu(
+                self.cost.block_sign_time(tx_count, self.tx_size))
+            self.recorder.count("signatures")
+            payload = {"seq": seq, "tx_count": tx_count,
+                       "transactions": transactions,
+                       "proposed_at": self.env.now}
+            self.context.broadcast(PROPOSE, payload,
+                                   size_bytes=self._batch_bytes(tx_count),
+                                   include_self=True)
+            if stream.deliveries <= seq:
+                yield self.env.poll(self.LEADER_POLL,
+                                    lambda: stream.deliveries > seq)
+            seq += 1
 
     # --------------------------------------------------------------- replica
     def run_replica(self):

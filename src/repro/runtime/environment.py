@@ -12,10 +12,10 @@ environment is constructed; timers (``call_later`` / ``schedule_event`` /
 ones when due *now* (see ``_arm``).
 Everything layered on the kernel primitives —
 :class:`~repro.sim.process.Process` generators,
-:class:`~repro.sim.resource.Resource` CPU slots, ``any_of`` conditions, the
-network's final delivery step — is inherited unchanged: those only ever talk
-to ``call_later``/``schedule_event``/``now`` and the deadline pair, so the
-same protocol code drives either backend.
+:class:`~repro.sim.resource.Resource` CPU slots, ``any_of`` conditions,
+``poll`` timers, the network's final delivery step — is inherited unchanged:
+those only ever talk to ``call_later``/``schedule_event``/``now`` and the
+deadline pair, so the same protocol code drives either backend.
 
 The one difference from the simulated kernel, by necessity:
 ``run(until=...)`` requires an explicit deadline — a wall clock never "runs

@@ -23,6 +23,29 @@ _CALLBACK_POOL_MAX = 4096
 _WITHDRAWN_FLOOR = 100
 
 
+class _Poll:
+    """The re-arming timer behind :meth:`Environment.poll`.
+
+    The timer holds the bound ``tick`` and references run one way (timer ->
+    poll -> event), so a poll is freed by reference count once it fires.
+    """
+
+    __slots__ = ("env", "period", "ready", "event")
+
+    def __init__(self, env: "Environment", period: float,
+                 ready: Callable[[], bool], event: Event) -> None:
+        self.env = env
+        self.period = period
+        self.ready = ready
+        self.event = event
+
+    def tick(self, _arg: Any) -> None:
+        if self.ready():
+            self.event.succeed_now()
+        else:
+            self.env.call_later(self.period, self.tick)
+
+
 class Environment:
     """Discrete-event simulation environment.
 
@@ -118,6 +141,25 @@ class Environment:
             return
         self._sequence += 1
         heapq.heappush(self._queue, (when, self._sequence, timer))
+
+    def poll(self, period: float, ready: Callable[[], bool]) -> Event:
+        """An event that fires at the first tick ``period``, ``2 * period``,
+        ... from now at which ``ready()`` holds.
+
+        The same grid, queue slots and sequence numbers as a process looping
+        ``while not ready(): yield env.timeout(period)`` after a first
+        failed check, without resuming the process on an empty tick: each
+        tick is one pooled :meth:`call_later` that re-arms itself, and the
+        tick that finds ``ready()`` true fires the event in place
+        (``succeed_now``), so the waiter resumes at that tick's queue
+        position.  Raises :class:`ValueError` unless ``period`` is positive
+        (a zero period would re-check one instant forever).
+        """
+        if period <= 0:
+            raise ValueError(f"poll period must be positive, got {period!r}")
+        event = Event(self)
+        self.call_later(period, _Poll(self, period, ready, event).tick)
+        return event
 
     def process(self, generator: Generator) -> Process:
         """Start a new process from ``generator``."""

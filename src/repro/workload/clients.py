@@ -311,8 +311,10 @@ class ClosedLoopClient:
                 yield self.env.timeout(self.POLL_INTERVAL)
                 continue
             self.submitted_count += 1
-            while node.delivered_transactions <= before:
-                yield self.env.timeout(self.POLL_INTERVAL)
+            if node.delivered_transactions <= before:
+                yield self.env.poll(
+                    self.POLL_INTERVAL,
+                    lambda: node.delivered_transactions > before)
             self.completed += 1
             if self.think_time:
                 yield self.env.timeout(self.rng.expovariate(1.0 / self.think_time))

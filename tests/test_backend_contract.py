@@ -546,8 +546,9 @@ def _public(cls):
 def test_both_backends_expose_the_same_kernel_members():
     """The kernel contract is what the program calls, on both backends:
     adding a member means editing this test (and implementing it twice)."""
-    contract = {"now", "event", "timeout", "call_later", "process", "any_of",
-                "schedule_event", "schedule_batch", "run", "run_process"}
+    contract = {"now", "event", "timeout", "call_later", "poll", "process",
+                "any_of", "schedule_event", "schedule_batch", "run",
+                "run_process"}
     assert _public(Environment) == contract
     assert _public(RealtimeEnvironment) - contract == {
         "loop", "stopping", "add_startup_hook", "add_shutdown_hook", "close"}

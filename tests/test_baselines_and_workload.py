@@ -1,6 +1,8 @@
 """Tests of the HotStuff / BFT-SMaRt baselines and the client workload."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines.bftsmart import ACCEPT, PROPOSE, WRITE, BFTSmartReplica
 from repro.core.cluster import run_cluster
@@ -10,8 +12,10 @@ from repro.crypto.cost_model import C5_4XLARGE, CryptoCostModel
 from repro.crypto.keys import KeyStore
 from repro.net.latency import SingleDatacenterLatency
 from repro.net.network import Network
+from repro.scenarios import FaultSchedule, WorkloadSpec, crash, loss
 from repro.sim import Environment
 from repro.workload import ClientWorkload
+from tests import reference_poll
 import random
 
 DURATION = 1.0
@@ -126,3 +130,68 @@ def test_client_rate_must_be_positive():
     env = Environment()
     with pytest.raises(ValueError):
         ClientWorkload(env, [], n_clients=1, rate_per_client=0)
+
+
+# ------------------------------------------------- a poll is not a wake-up
+def _polled_run(reference, protocol, n_nodes, batch_size,
+                fill_blocks, shape, phase, seed):
+    """Everything one run reports, its client counters and the kernel's
+    ``_sequence``, on the poll or on the timeout loops it replaced."""
+    kernels, workloads = [], []
+
+    def setup(env, network, nodes):
+        kernels.append(env)
+        if shape != "saturated":
+            workloads.append(WorkloadSpec(
+                shape=shape, n_clients=6, rate_per_client=300.0,
+                think_time=0.005).build(env, nodes, seed=seed))
+
+    config = FireLedgerConfig(n_nodes=n_nodes, workers=1,
+                              batch_size=batch_size, tx_size=512,
+                              fill_blocks=fill_blocks,
+                              execute_transactions=True)
+    with pytest.MonkeyPatch.context() as patch:
+        if reference:
+            reference_poll.use_reference(patch)
+        result = run_cluster(config, protocol=protocol, duration=0.6,
+                             warmup=0.1, seed=seed,
+                             faults=FaultSchedule(phase), setup=setup)
+    clients = [(w.total_submitted, w.total_completed) for w in workloads]
+    return {"throughput": result.throughput, "latency": result.latency,
+            "per_node_tps": result.per_node_tps,
+            "per_node_bps": result.per_node_bps,
+            "breakdown": result.breakdown, "network": result.network,
+            "state_root": result.state_root,
+            "state_deliveries": result.state_deliveries,
+            "clients": clients,
+            "sequence": kernels[0]._sequence}  # noqa: SLF001
+
+
+_PHASES = st.one_of(
+    st.just(()),
+    st.builds(lambda node, at: (crash(node, at=at / 100),),
+              st.integers(0, 3), st.integers(5, 50)),
+    st.builds(lambda rate, start, span: (
+        loss(rate / 10, start=start / 100, end=(start + span) / 100),),
+        st.integers(1, 5), st.integers(0, 40), st.integers(5, 30)))
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2 ** 16),
+       protocol=st.sampled_from(["bftsmart", "bftsmart", "hotstuff",
+                                 "fireledger"]),
+       n_nodes=st.sampled_from([4, 7]),
+       batch_size=st.sampled_from([1, 10, 100]),
+       fill_blocks=st.booleans(),
+       shape=st.sampled_from(["saturated", "open-loop", "closed-loop"]),
+       phase=_PHASES)
+def test_a_poll_is_the_timeout_loop_it_replaced(seed, protocol, n_nodes,
+                                                batch_size, fill_blocks, shape,
+                                                phase):
+    """Differential against ``tests/reference_poll.py``: with the BFT-SMaRt
+    leader and the closed-loop client waiting through ``Environment.poll``
+    instead of waking every tick, every number a run reports — rows,
+    ``state_root``, client counters — and the kernel's ``_sequence`` are
+    ``==``, fault-free or under one crash or loss phase."""
+    args = (protocol, n_nodes, batch_size, fill_blocks, shape, phase, seed)
+    assert _polled_run(False, *args) == _polled_run(True, *args)

@@ -401,7 +401,7 @@ def _benchmark_workload_work(monkeypatch, name, duration, warmup) -> tuple:
         ("lan-saturated", 0.4, 0.1, (25897, 11125, 11111, 0, 9299)),
         ("scale-n64", 0.4, 0.1, (214927, 124265, 124216, 0, 7800)),
         ("flash-crowd-lanes4", 0.3, 0.1, (34665, 9164, 9138, 0, 7495)),
-        ("bftsmart-lan", 2.0, 0.5, (9068, 2804, 2801, 0, 5312)),
+        ("bftsmart-lan", 2.0, 0.5, (9068, 2804, 2801, 0, 2009)),
         ("crash-recover", 2.2, 0.2, (39375, 16765, 14976, 1787, 14969)),
     )])
 def test_benchmark_workload_counters_are_pinned(monkeypatch, name, duration,
@@ -425,12 +425,51 @@ def test_benchmark_workload_counters_are_pinned(monkeypatch, name, duration,
     (no process per body) and a blocked wait's message hold was armed from
     its condition (one wake-up per blocked wait): 15 380 -> 9 299,
     29 104 -> 7 800, 12 279 -> 7 495, 6 323 -> 5 312 and 25 400 -> 14 969,
-    every other column unchanged.
+    every other column unchanged.  ``bftsmart-lan``'s resume column moved
+    once more when the leader's commit poll became ``Environment.poll``
+    (an empty 0.5 ms tick re-arms a timer instead of resuming the leader):
+    5 312 -> 2 009, kernel entries and messages unchanged.
     """
     first = _benchmark_workload_work(monkeypatch, name, duration, warmup)
     assert first == _benchmark_workload_work(monkeypatch, name, duration,
                                              warmup)
     assert first == pinned
+
+
+def test_the_bftsmart_leader_proposes_on_the_first_tick_after_a_commit(
+        monkeypatch):
+    """The model the leader's poll encodes, on ``bftsmart-lan``: after
+    broadcasting instance k at ``t_k`` the leader looks for its local commit
+    at ``t_k + LEADER_POLL``, ``t_k + 2 * LEADER_POLL``, ... (each tick one
+    period after the last) and starts instance k + 1 — its batch, then its
+    signature — at the first tick at or after instance k's commit."""
+    from repro.baselines.bftsmart import BFTSmartReplica
+
+    period = BFTSmartReplica.LEADER_POLL
+    commits, starts = {}, []
+    next_batch = BFTSmartReplica._next_batch  # noqa: SLF001
+
+    def timed_batch(replica):
+        starts.append(replica.env.now)
+        return next_batch(replica)
+
+    def watch_leader(env, network, nodes):
+        nodes[0].delivery_stream.subscribe(
+            lambda delivery: commits.setdefault(
+                delivery.sequence, (delivery.proposed_at, delivery.time)))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(BFTSmartReplica, "_next_batch", timed_batch)
+        observe_run_cluster(patch, watch_leader)
+        runner.run_scenario(_cut_spec("bftsmart-lan", 2.0, 0.5), seed=7)
+    assert len(commits) == 78 and starts[0] == 0.0
+    ticks = []
+    for seq, (proposed, committed) in sorted(commits.items()):
+        tick = proposed + period
+        while tick < committed:
+            tick += period
+        ticks.append(tick)
+    assert starts[1:] == ticks
 
 
 def test_a_received_body_spawns_no_process(monkeypatch):

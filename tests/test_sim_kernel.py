@@ -556,3 +556,127 @@ def test_withdrawn_deadlines_are_compacted_out_of_the_queue(env):
     assert withdrawn <= 100
     env.run()
     assert len(fired) == 50 and fired == sorted(fired)
+
+
+# --------------------------------------------------------------------------
+# A poll is a re-arming timer: the queue slots, sequence numbers and resume
+# positions of the ``env.timeout`` re-check loop it replaced, without the
+# empty wake-ups.
+
+from repro.runtime import RealtimeEnvironment  # noqa: E402
+
+_PERIOD = 0.25
+
+
+def _poll_trace(kernel, poll, timers, flips):
+    """``(now, what)`` in fire order, and the kernel's ``_sequence``, for a
+    process that waits three times for a counter to pass 0, 1, 2 — through
+    ``env.poll`` or through the ``timeout`` loop — beside ``timers``:
+    ``(delay, nested delay)`` pairs whose fire schedules one more timer.  A
+    timer's fire steps the counter when it is the trace's n-th entry, for
+    each n in ``flips``."""
+    env = kernel()
+    trace, count = [], [0]
+
+    def fire(label):
+        trace.append((env.now, label))
+        if len(trace) in flips:
+            count[0] += 1
+
+    def timer(arg):
+        index, nested = arg
+        fire(index)
+        env.call_later(nested, fire, ("nested", index))
+
+    def waiter():
+        for passed in range(3):
+            if count[0] <= passed:
+                if poll:
+                    yield env.poll(_PERIOD, lambda: count[0] > passed)
+                else:
+                    while count[0] <= passed:
+                        yield env.timeout(_PERIOD)
+            trace.append((env.now, ("resumed", passed)))
+
+    for index, (delay, nested) in enumerate(timers):
+        env.call_later(delay, timer, (index, nested))
+    env.process(waiter())
+    env.run(until=4.0)
+    return trace, env._sequence  # noqa: SLF001
+
+
+@settings(max_examples=80, deadline=None)
+@given(timers=st.lists(st.tuples(_DELAYS, _DELAYS), max_size=12),
+       flips=st.sets(st.integers(1, 24), max_size=4))
+def test_a_poll_ticks_where_the_timeout_loop_woke(timers, flips):
+    """Same trace — every resume at the same instant, between the same
+    same-instant entries — and the same ``_sequence``, on both kernels."""
+    for kernel in (Environment, ReferenceEnvironment):
+        assert (_poll_trace(kernel, True, timers, flips)
+                == _poll_trace(kernel, False, timers, flips))
+
+
+def test_a_poll_that_never_holds_ticks_forever_and_resumes_nobody(env):
+    checks, resumed = [], []
+
+    def waiter():
+        yield env.poll(_PERIOD, lambda: checks.append(env.now))
+        resumed.append(env.now)
+
+    env.process(waiter())
+    env.run(until=10.0)
+    assert checks == [_PERIOD * tick for tick in range(1, 41)]
+    assert resumed == []
+    assert len(env._queue) == 1  # noqa: SLF001 - the next tick, re-armed
+
+
+@pytest.mark.parametrize("period", [0.0, -0.25])
+def test_a_poll_period_must_be_positive(env, period):
+    with pytest.raises(ValueError, match="positive"):
+        env.poll(period, lambda: True)
+    assert not env._queue and not env._bucket  # noqa: SLF001
+
+
+@pytest.mark.parametrize("kernel", [Environment, ReferenceEnvironment])
+def test_a_fired_poll_is_freed_by_reference_count_alone(kernel):
+    """With the cyclic GC off, the poll — seen through the predicate and the
+    event only it holds — lives while it ticks and is gone once its waking
+    tick has run, observed from a later timer, mid-run."""
+    env = kernel()
+    ready, alive = [False], []
+
+    def predicate():
+        return ready[0]
+
+    def probe(_arg):
+        alive.append([ref() is not None for ref in refs])
+
+    with gc_paused():
+        event = env.poll(_PERIOD, predicate)
+        refs = [weakref.ref(predicate), weakref.ref(event)]
+        del predicate, event
+        env.call_later(0.6, lambda _arg: ready.__setitem__(0, True))
+        env.call_later(0.6, probe)   # ticks at 0.25 and 0.5 were empty
+        env.call_later(1.0, probe)   # the tick at 0.75 fired the event
+        env.run()
+    assert alive == [[True, True], [False, False]]
+
+
+def test_a_realtime_poll_fires_soon_after_its_condition_holds():
+    """The realtime backend inherits ``poll``: built from ``call_later`` and
+    ``Event``, it resumes its waiter within a few periods of the flip."""
+    env = RealtimeEnvironment()
+    ready, resumed = [False], []
+
+    def waiter():
+        yield env.poll(0.002, lambda: ready[0])
+        resumed.append(env.now)
+
+    try:
+        env.process(waiter())
+        env.call_later(0.05, lambda _arg: ready.__setitem__(0, True))
+        env.run(until=0.5)
+    finally:
+        env.close()
+    assert len(resumed) == 1
+    assert 0.05 <= resumed[0] < 0.15
