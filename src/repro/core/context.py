@@ -18,7 +18,7 @@ from typing import Any, Callable, Mapping, Optional
 from repro.core.mailbox import Mailbox
 from repro.net.message import MESSAGE_OVERHEAD_BYTES, Message
 from repro.net.network import Network
-from repro.sim import Environment, Event
+from repro.sim import Environment, Event, Wait
 
 
 class PanicInterrupt(Exception):
@@ -116,7 +116,7 @@ class ProtocolContext:
         self.network = network
         self.node_id = node_id
         self.channel = channel
-        self.inbox = Mailbox(env, key_fields)
+        self.inbox = Mailbox(key_fields)
         network.bind(node_id, channel,
                      {kind: self.inbox.putter(kind) for kind in key_fields})
         self.interrupt_check = interrupt_check
@@ -127,6 +127,10 @@ class ProtocolContext:
         # instead of per received message.
         self._endpoint = network.endpoints[node_id]
         self._message_cpu = network.machine.message_processing_cpu
+        #: A received message's CPU hold, run by the blocked wait it wins.
+        self._hold_message = (
+            partial(self._endpoint.cpu.hold, self._message_cpu)
+            if self._message_cpu > 0 else None)
 
     # ------------------------------------------------------------------ time
     @property
@@ -142,8 +146,7 @@ class ProtocolContext:
     # ------------------------------------------------------------------ wake
     def notify_interrupt(self) -> None:
         """Wake any blocked wait so it can re-check the interrupt condition."""
-        if not self._wake_event.triggered:
-            self._wake_event.succeed()
+        self._wake_event.succeed()  # always pending: replaced below
         self._wake_event = self.env.event()
 
     def _pending_interrupt(self) -> Any:
@@ -192,46 +195,32 @@ class ProtocolContext:
         inbox = self.inbox
         message = inbox.take(keys, sender)
         if message is not None:
-            # Fast path: the message is already buffered — skip the
-            # wait-event/AnyOf/timeout machinery entirely.
+            # Fast path: the message is already buffered.
             yield from self.use_cpu(self._message_cpu)
             return message
-        deadline = None if timeout is None else self.env.now + timeout
+        env = self.env
+        deadline = None if timeout is None else env.now + timeout
         while True:
-            get_event = inbox.wait(keys, sender)
             remaining = (None if deadline is None
-                         else max(0.0, deadline - self.env.now))
-            condition = self.env.any_of([get_event, self._wake_event],
-                                        remaining)
-            woken = Event(self.env)
-            condition.add_callback(partial(self._wait_over, get_event, woken))
-            yield woken
-            result = condition.value
-            if get_event in result:
-                return result[get_event]
-            # The wait is still registered with the mailbox; withdraw it so a
-            # later message does not vanish into an abandoned event.
-            inbox.cancel(get_event)
+                         else max(0.0, deadline - env.now))
+            # One object races the message, the wake event and the deadline;
+            # a winning message's CPU hold runs before the one wake-up.
+            wait = Wait(env, self._wake_event, remaining, self._hold_message,
+                        message)
+            if message is None:
+                inbox.expect(keys, sender, wait.offer)
+            message = yield wait
+            if message is not None:
+                return message
+            # Re-file a message that reached the wait after it was decided.
+            inbox.withdraw(wait.offered)
             panic = self._pending_interrupt()
             if panic:
                 raise PanicInterrupt(panic)
-            if deadline is not None and self.env.now >= deadline:
+            if deadline is not None and env.now >= deadline:
                 return None
-            # Otherwise we were woken spuriously; loop and wait again.
-
-    def _wait_over(self, get_event: Event, woken: Event,
-                   condition: Event) -> None:
-        """A blocked wait's condition fired.  If the message won, its
-        ``message_processing_cpu`` hold (deserialisation, dispatch,
-        bookkeeping on the receiving worker's thread) is armed here, at the
-        condition's queue position, and the hold's end wakes the process; a
-        timeout or a wake event wakes it at once.  Either way the process
-        wakes once, as the quorum drain wakes it once per engagement."""
-        hold = self._message_cpu
-        if hold > 0 and get_event in condition.value:
-            self._endpoint.cpu.hold(hold, woken.succeed_now)
-        else:
-            woken.succeed_now()
+            # Woken spuriously: wait again, for a re-filed message first.
+            message = inbox.take(keys, sender)
 
     def drain_messages(self, kind: str, key: Any,
                        collected: dict[int, Message], count: int):

@@ -451,7 +451,7 @@ class FireLedgerWorker:
         if remaining <= 0:
             return False
         event = self._body_event(header.tx_root)
-        yield self.env.any_of([event], remaining)
+        yield self.env.wait(event, remaining)
         available = self.has_body(header.tx_root)
         if available:
             self._stamp_proposal(header)
@@ -502,8 +502,7 @@ class FireLedgerWorker:
         version = ChainVersion(sender=origin, blocks=tuple(payload["blocks"]))
         self._version_seq += 1
         self._version_log.append((self._version_seq, origin, version))
-        if not self._version_event.triggered:
-            self._version_event.succeed()
+        self._version_event.succeed()  # always pending: replaced below
         self._version_event = self.env.event()
         # Seeing a peer's recovery version means a recovery wave is under way;
         # join it even if this node's own proof threshold did not fire, so the
@@ -667,7 +666,7 @@ class FireLedgerWorker:
             self.network.broadcast(self.node_id, self.channel, BODY_REQ,
                                    {"root": header.tx_root}, 128)
             event = self._body_event(header.tx_root)
-            yield self.env.any_of([event], self.timer.current * attempts)
+            yield self.env.wait(event, self.timer.current * attempts)
             batch = self._bodies.get(header.tx_root)
         return Block(header=header, batch=batch, signature=payload["signature"])
 
@@ -751,9 +750,8 @@ class FireLedgerWorker:
                      and self._version_valid(entry[2])]
             if len(fresh) >= quorum:
                 break
-            waiter = self._version_event
-            yield self.env.any_of(
-                [waiter], self.ab.REQUEST_TIMEOUT * deadline_factor)
+            yield self.env.wait(self._version_event,
+                                self.ab.REQUEST_TIMEOUT * deadline_factor)
             deadline_factor = min(deadline_factor + 1, 8)
 
         selected = fresh[:quorum]

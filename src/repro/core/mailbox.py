@@ -11,8 +11,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Callable, Mapping, Optional
 
-from repro.sim.events import Event
-
 
 def round_of(instance: Any) -> Optional[int]:
     """Round ordinal of an instance: an ``int`` is its own, a ``(label, int)``
@@ -32,11 +30,12 @@ class Mailbox:
     BFT-SMaRt ``seq``, HotStuff ``view`` — or to ``(instance field, step
     field)`` where one instance runs several steps of a kind (BBC ``phase``).
     ``putter(kind)`` is the router entry point for one kind (``put`` takes
-    any declared kind).  ``take`` / ``wait`` serve the oldest message of one
-    bucket, or of two (BBC waits for "this step's message *or* a
-    ``DECIDED``, whichever arrived first": bucket heads are compared by an
-    arrival counter).  A ``sender`` filter leaves other senders' messages in
-    the bucket.  A context has one waiting process, hence one waiter slot.
+    any declared kind).  ``take`` serves the oldest message of one bucket,
+    or of two (BBC waits for "this step's message *or* a ``DECIDED``,
+    whichever arrived first": bucket heads are compared by an arrival
+    counter).  A ``sender`` filter leaves other senders' messages in the
+    bucket.  A context has one waiting process, hence one waiter slot, which
+    ``expect`` fills with a hand-off (a :meth:`~repro.sim.events.Wait.offer`).
 
     ``discard_below(r)`` drops every buffered instance whose round is under
     ``r``; protocols call it whenever they advance.  The watermark is *not*
@@ -46,18 +45,17 @@ class Mailbox:
     the recovery carries the rewound round and must find that traffic.
     """
 
-    __slots__ = ("env", "_key_fields", "_buckets", "_rounds", "_arrivals", "_waiter")
+    __slots__ = ("_key_fields", "_buckets", "_rounds", "_arrivals", "_waiter")
 
-    def __init__(self, env, key_fields: Mapping[str, Any]) -> None:
-        self.env = env
+    def __init__(self, key_fields: Mapping[str, Any]) -> None:
         self._key_fields = key_fields
         #: (kind, key) -> deque[(arrival, message)], oldest first.
         self._buckets: dict[tuple, deque] = {}
         #: round ordinal -> the bucket keys filed under it.
         self._rounds: dict[int, list[tuple]] = {}
         self._arrivals = 0
-        #: (event, bucket keys, sender filter) of the blocked wait, if any.
-        self._waiter: Optional[tuple[Event, tuple, Optional[int]]] = None
+        #: (hand-off, bucket keys, sender filter) of the blocked wait, if any.
+        self._waiter: Optional[tuple] = None
 
     def __len__(self) -> int:
         return sum(len(bucket) for bucket in self._buckets.values())
@@ -81,10 +79,10 @@ class Mailbox:
                           else (instance, payload[step]))
             waiter = mailbox._waiter
             if waiter is not None:
-                event, keys, sender = waiter
+                offer, keys, sender = waiter
                 if bucket_key in keys and sender in (None, message.sender):
                     mailbox._waiter = None
-                    event.succeed(message)
+                    offer(message)
                     return
             bucket = buckets.get(bucket_key)
             if bucket is None:
@@ -128,26 +126,20 @@ class Mailbox:
         self._buckets[source].remove(oldest)
         return oldest[1]
 
-    def wait(self, keys: tuple, sender: Optional[int] = None) -> Event:
-        """An event firing with the next message under any of ``keys``; the
-        caller consumes its value or hands the event back to :meth:`cancel`."""
+    def expect(self, keys: tuple, sender: Optional[int],
+               offer: Callable[[Any], None]) -> None:
+        """Hand the next message filed under any of ``keys`` (from
+        ``sender``, if given) to ``offer`` instead of a bucket."""
         if self._waiter is not None:
             raise RuntimeError("a mailbox serves one waiting process at a time")
-        event = Event(self.env)
-        message = self.take(keys, sender)
-        if message is not None:
-            event.succeed(message)
-        else:
-            self._waiter = (event, keys, sender)
-        return event
+        self._waiter = (offer, keys, sender)
 
-    def cancel(self, event: Event) -> None:
-        """Withdraw an abandoned wait; a message that raced the cancel is
-        re-filed as the newest arrival, so the next wait sees it."""
-        if event.triggered:
-            self.put(event.value)
-        elif self._waiter is not None and self._waiter[0] is event:
-            self._waiter = None
+    def withdraw(self, late=None) -> None:
+        """Clear the waiter slot; re-file ``late``, a message handed to an
+        already decided wait, as the newest arrival."""
+        self._waiter = None
+        if late is not None:
+            self.put(late)
 
     def discard_below(self, ordinal: int) -> None:
         """Drop every buffered instance whose round is under ``ordinal``."""

@@ -8,11 +8,11 @@ a property here where the simulator has a slot, ``call_later``,
 ``_arm_deadline`` / ``_withdraw``).  Time is the
 event loop's monotonic clock, re-based so ``now`` starts at zero when the
 environment is constructed; timers (``call_later`` / ``schedule_event`` /
-``timeout`` / an ``any_of`` deadline) become loop handles, ``call_soon``
+``timeout`` / a ``Wait`` deadline) become loop handles, ``call_soon``
 ones when due *now* (see ``_arm``).
 Everything layered on the kernel primitives —
 :class:`~repro.sim.process.Process` generators,
-:class:`~repro.sim.resource.Resource` CPU slots, ``any_of`` conditions,
+:class:`~repro.sim.resource.Resource` CPU slots, ``Wait`` races,
 ``poll`` timers, the network's final delivery step — is inherited unchanged:
 those only ever talk to ``call_later``/``schedule_event``/``now`` and the
 deadline pair, so the same protocol code drives either backend.
@@ -148,7 +148,7 @@ class RealtimeEnvironment(Environment):
             return self._loop.call_soon(fn, *args)
         return self._loop.call_later(delay, fn, *args)
 
-    #: An ``any_of`` deadline is a loop handle, withdrawn by cancelling it.
+    #: A ``Wait`` deadline is a loop handle, withdrawn by cancelling it.
     _arm_deadline = _arm
 
     def _withdraw(self, deadline: asyncio.Handle) -> None:

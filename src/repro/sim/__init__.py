@@ -3,8 +3,8 @@
 This subpackage provides the minimal process-based simulation machinery that
 the rest of the library is built on: an :class:`~repro.sim.environment.Environment`
 that advances virtual time, generator-based processes, triggerable events,
-timeouts, the one composite wait condition (:class:`AnyOf`) and counted
-resources (:class:`~repro.sim.resource.Resource`).
+timeouts, the one blocked-wait object (:class:`Wait`) and counted resources
+(:class:`~repro.sim.resource.Resource`).
 
 Protocol code reads like straight-line pseudo-code ("wait until a valid
 message has been received or the timer has expired"), in the style of SimPy's
@@ -20,7 +20,7 @@ events are ordered by ``(time, insertion sequence)``.
 """
 
 from repro.sim.environment import Environment
-from repro.sim.events import AnyOf, Event, Timeout
+from repro.sim.events import Event, Timeout, Wait
 from repro.sim.process import Process
 from repro.sim.resource import Resource
 
@@ -28,7 +28,7 @@ __all__ = [
     "Environment",
     "Event",
     "Timeout",
-    "AnyOf",
+    "Wait",
     "Process",
     "Resource",
 ]

@@ -4,16 +4,16 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import Any, Callable, Generator, Optional
 
 from repro.sim.events import (
     PENDING,
-    AnyOf,
     Deadline,
     Event,
     ScheduledBatch,
     ScheduledCallback,
     Timeout,
+    Wait,
 )
 from repro.sim.process import Process
 
@@ -60,7 +60,7 @@ class Environment:
     :class:`ScheduledCallback` timers created by :meth:`call_later`, the
     :class:`ScheduledBatch` delivery trains created by :meth:`schedule_batch`
     (one heap slot for a whole broadcast fan-out), and the :class:`Deadline`
-    an ``any_of(events, timeout)`` owns.  A withdrawn deadline neither fires
+    a :class:`Wait` owns.  A withdrawn deadline neither fires
     nor moves the clock: it is dropped at the head, and once withdrawn
     entries are over a floor and half the queue, the queue is rebuilt
     without them (asyncio's cancelled-handle rule; keys are unique, so the
@@ -165,11 +165,11 @@ class Environment:
         """Start a new process from ``generator``."""
         return Process(self, generator)
 
-    def any_of(self, events: Iterable[Event],
-               timeout: Optional[float] = None) -> AnyOf:
-        """Composite event firing when any of ``events`` fires, or after
-        ``timeout`` seconds if none has."""
-        return AnyOf(self, events, timeout)
+    def wait(self, event: Optional[Event] = None,
+             timeout: Optional[float] = None) -> Wait:
+        """An event firing once ``event`` fires or ``timeout`` seconds from
+        now, whichever comes first (a :class:`Wait`)."""
+        return Wait(self, event, timeout)
 
     def _arm_deadline(self, delay: float, fn: Callable[[], None]) -> Deadline:
         """Queue ``fn()`` ``delay`` seconds from now as a withdrawable entry."""

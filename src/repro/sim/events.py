@@ -9,7 +9,7 @@ out of ``Environment.run``.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.sim.environment import Environment
@@ -67,21 +67,6 @@ class Event:
             callback(self)
         else:
             self.callbacks.append(callback)
-
-    def discard_callback(self, callback: Callable[["Event"], None]) -> None:
-        """Unregister ``callback`` if still pending (no-op otherwise).
-
-        Long-lived events (a worker's wake event, a body-arrival event) are
-        waited on through composite conditions over and over; a condition
-        that fired through a *different* child must deregister itself here,
-        or the pending event's callback list — and every condition object it
-        references — grows for the whole run.
-        """
-        if self.callbacks is not None:
-            try:
-                self.callbacks.remove(callback)
-            except ValueError:
-                pass
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "triggered" if self.triggered else "pending"
@@ -146,9 +131,10 @@ class ScheduledBatch:
 
 
 class Deadline:
-    """The withdrawable timer an :class:`AnyOf` owns: withdrawn (``fn`` set
-    to ``None``) when a child wins, then dropped by the kernel unfired.
-    Never pooled, so a stale reference cannot withdraw another timer."""
+    """The withdrawable timer a :class:`Wait` owns: withdrawn (``fn`` set
+    to ``None``) when something else decides the wait, then dropped by the
+    kernel unfired.  Never pooled, so a stale reference cannot withdraw
+    another timer."""
 
     __slots__ = ("fn",)
 
@@ -161,8 +147,8 @@ class Timeout(Event):
 
     Unlike a plain :class:`Event`, a timeout only becomes *triggered* when the
     simulation clock reaches its fire time (the environment finalises it just
-    before running its callbacks), so composite conditions built around it do
-    not fire early.
+    before running its callbacks), so a :class:`Wait` watching it does not
+    decide early.
     """
 
     def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
@@ -176,44 +162,74 @@ class Timeout(Event):
         raise RuntimeError("Timeout events trigger themselves")
 
 
-class AnyOf(Event):
-    """Composite event that fires when *any* child event fires, or once its
-    own ``timeout`` elapses.
+class Wait(Event):
+    """One blocked wait: a hand-off (:meth:`offer`), the dispatch of the
+    ``watched`` event or a withdrawable :class:`Deadline`, whichever comes
+    first, resumes the waiter with the handed-off value (else ``None``).
 
-    Its value maps each child that has fired by then to that child's value.
-    The deadline is armed first — the queue slot an ``env.timeout(timeout)``
-    child would take — and withdrawn as soon as a child wins.
+    The event's dispatch and the deadline decide in place, a hand-off one
+    ``call_later(0)`` hop later, and the wait fires one hop after that: the
+    slots of a handed-off event and a condition over it
+    (``tests/reference_wait.py``), so every queue position is theirs.  A
+    value handed off after the decision only lands in :attr:`offered`, for
+    the caller to re-file.  Decided, the wait withdraws its deadline and
+    leaves the watched event (a context's long-lived wake event).
+    ``offered`` decides it at once, as a fired ``watched`` does;
+    ``hold(then)`` runs between a winning hand-off and the resume (the
+    receiving core's processing).
     """
 
-    def __init__(self, env: "Environment", events: Iterable[Event],
-                 timeout: Optional[float] = None) -> None:
-        super().__init__(env)
-        self.events = list(events)
+    __slots__ = ("offered", "_watched", "_deadline", "_hold", "_decided")
+
+    def __init__(self, env: "Environment", watched: Optional[Event] = None,
+                 timeout: Optional[float] = None,
+                 hold: Optional[Callable] = None, offered: Any = None) -> None:
+        self.env = env  # Event.__init__ inline: one per blocked wait
+        self.callbacks = []
+        self._value = PENDING
+        self.offered = offered
+        self._hold = hold
+        self._decided = False
+        self._watched = None
         self._deadline = (None if timeout is None
                           else env._arm_deadline(timeout, self._expire))  # noqa: SLF001
-        if not self.events and timeout is None:
-            self.succeed({})
-            return
-        for event in self.events:
-            if event.triggered:
-                self._child_fired(event)
-            else:
-                event.add_callback(self._child_fired)
+        if offered is not None or (watched is not None
+                                   and watched._value is not PENDING):
+            self._decide()
+        elif watched is not None:
+            self._watched = watched
+            watched.callbacks.append(self._decide)  # pending: not dispatched
+
+    def offer(self, value: Any) -> None:
+        """Hand ``value`` (not ``None``) to the wait, at most once."""
+        self.offered = value
+        if not self._decided:
+            self.env.call_later(0.0, self._decide)
 
     def _expire(self) -> None:
         self._deadline = None
-        self._child_fired(None)
+        self._decide()
 
-    def _child_fired(self, _event: Optional[Event]) -> None:
-        if self._value is not PENDING:
+    def _decide(self, _arg: Any = None) -> None:
+        if self._decided:
             return
-        self.succeed({e: e._value for e in self.events
-                      if e._value is not PENDING})
+        self._decided = True
         deadline = self._deadline
         if deadline is not None:
             self._deadline = None
-            self.env._withdraw(deadline)  # noqa: SLF001 - the condition owns it
-        # Deregister from children that have not fired (see discard_callback).
-        for event in self.events:
-            if event._value is PENDING:
-                event.discard_callback(self._child_fired)
+            self.env._withdraw(deadline)  # noqa: SLF001 - the wait owns it
+        watched = self._watched
+        if watched is not None and watched.callbacks is not None:
+            # Leave a long-lived watched event, or its callback list grows
+            # with every wait it outlives.
+            watched.callbacks.remove(self._decide)
+        self._watched = None
+        # What was handed off by now wins; a later offer does not.
+        won = self.offered
+        if won is not None and self._hold is not None:
+            self.env.call_later(0.0, self._hold, self._fire)
+        else:
+            self.env.call_later(0.0, self.succeed_now, won)
+
+    def _fire(self, _arg: Any) -> None:
+        self.succeed_now(self.offered)

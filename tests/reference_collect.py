@@ -10,7 +10,8 @@ test oracles.
 * **The two-wake-up blocking wait.**  :func:`reference_wait_message` is
   ``ProtocolContext.wait_message`` before a blocked wait armed its message's
   CPU hold from the wait's condition: the process woke when the condition
-  fired, then again when its own ``use_cpu`` hold ended.
+  fired, then again when its own ``use_cpu`` hold ended.  Its condition and
+  mailbox event are ``tests/reference_wait.py``'s.
 * **The body check as a process.**  :func:`reference_on_body` is
   ``FireLedgerWorker._on_body`` when every received body started a
   ``_verify_and_store_body`` process that held a core, then stored.
@@ -26,6 +27,7 @@ mailbox leftovers, same CPU occupancy at every instant, same result rows.
 from __future__ import annotations
 
 from repro.core.context import PanicInterrupt
+from tests.reference_wait import AnyOf, mailbox_cancel, mailbox_wait
 
 
 def reference_wait_message(context, kind, key, sender=None, timeout=None,
@@ -41,22 +43,22 @@ def reference_wait_message(context, kind, key, sender=None, timeout=None,
     if message is not None:
         yield from context.use_cpu(context._message_cpu)
         return message
-    deadline = None if timeout is None else context.env.now + timeout
+    env = context.env
+    deadline = None if timeout is None else env.now + timeout
     while True:
-        get_event = inbox.wait(keys, sender)
+        get_event = mailbox_wait(env, inbox, keys, sender)
         remaining = (None if deadline is None
-                     else max(0.0, deadline - context.env.now))
-        result = yield context.env.any_of([get_event, context._wake_event],
-                                          remaining)
+                     else max(0.0, deadline - env.now))
+        result = yield AnyOf(env, [get_event, context._wake_event], remaining)
         if get_event in result:
             message = result[get_event]
             yield from context.use_cpu(context._message_cpu)
             return message
-        inbox.cancel(get_event)
+        mailbox_cancel(inbox, get_event)
         panic = context._pending_interrupt()
         if panic:
             raise PanicInterrupt(panic)
-        if deadline is not None and context.env.now >= deadline:
+        if deadline is not None and env.now >= deadline:
             return None
 
 

@@ -1,7 +1,7 @@
 """The pre-batching simulation kernel, kept as a test oracle.
 
 :class:`ReferenceEnvironment` schedules every entry — zero-delay timers,
-same-instant events, each copy of a broadcast, an ``any_of`` deadline — as
+same-instant events, each copy of a broadcast, a ``Wait`` deadline — as
 its own heap slot keyed ``(time, sequence)``.  That is the plain-heap order
 the shipped :class:`~repro.sim.environment.Environment` promises its
 same-instant bucket and delivery trains reproduce, so running the same

@@ -120,21 +120,42 @@ def test_same_instant_work_runs_in_issue_order(backend):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_an_any_of_deadline_fires_only_if_no_child_won(backend):
+def test_a_wait_deadline_fires_only_if_its_event_did_not(backend):
     env = make_env(backend)
     try:
         child, fired = env.event(), []
-        won = env.any_of([child], HORIZON * 0.5)
-        lost = env.any_of([env.event()], HORIZON * 0.3)
-        for name, condition in (("won", won), ("lost", lost)):
-            condition.add_callback(
-                lambda event, name=name: fired.append((name, event.value,
+        won = env.wait(child, HORIZON * 0.5)
+        lost = env.wait(env.event(), HORIZON * 0.3)
+        for name, wait in (("won", won), ("lost", lost)):
+            wait.add_callback(
+                lambda event, name=name: fired.append((name, child.triggered,
                                                        env.now)))
         env.call_later(HORIZON * 0.1, lambda _arg: child.succeed("x"))
         env.run(until=HORIZON)
         assert [(name, value) for name, value, _now in fired] == [
-            ("won", {child: "x"}), ("lost", {})]
+            ("won", True), ("lost", True)]
         assert HORIZON * 0.1 <= fired[0][2] < HORIZON * 0.3 <= fired[1][2]
+    finally:
+        close_env(env)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_a_hand_off_before_the_decision_wins(backend):
+    """A zero deadline and a hand-off in one instant: the deadline is queued
+    first and decides first, but a value handed off before that decision
+    still wins; one handed off after it loses and stays in ``offered``."""
+    env = make_env(backend)
+    try:
+        fired = []
+        early, late = env.wait(timeout=0.0), env.wait(timeout=0.0)
+        early.offer("early")
+        env.call_later(0.0, lambda _arg: late.offer("late"))
+        for wait in (early, late):
+            wait.add_callback(lambda event: fired.append(
+                (event.value, event.offered)))
+        env.call_later(HORIZON * 0.1, lambda _arg: fired.append("later"))
+        env.run(until=HORIZON)
+        assert fired == [("early", "early"), (None, "late"), "later"]
     finally:
         close_env(env)
 
@@ -158,7 +179,7 @@ def test_store_roundtrip_through_kernel_primitives(backend):
     backend: the seam every protocol depends on."""
     env = make_env(backend)
     try:
-        store = Mailbox(env, {"BLOCK": "round"})
+        store = Mailbox({"BLOCK": "round"})
         got = []
 
         def producer(env, store):
@@ -167,7 +188,9 @@ def test_store_roundtrip_through_kernel_primitives(backend):
                               payload={"round": 3}))
 
         def consumer(env, store, got):
-            item = yield store.wait((("BLOCK", 3),))
+            wait = env.wait()
+            store.expect((("BLOCK", 3),), None, wait.offer)
+            item = yield wait
             got.append((item, env.now))
 
         Process(env, producer(env, store))
@@ -547,7 +570,7 @@ def test_both_backends_expose_the_same_kernel_members():
     """The kernel contract is what the program calls, on both backends:
     adding a member means editing this test (and implementing it twice)."""
     contract = {"now", "event", "timeout", "call_later", "poll", "process",
-                "any_of", "schedule_event", "schedule_batch", "run",
+                "wait", "schedule_event", "schedule_batch", "run",
                 "run_process"}
     assert _public(Environment) == contract
     assert _public(RealtimeEnvironment) - contract == {
@@ -561,7 +584,7 @@ def test_both_backends_expose_the_same_kernel_members():
     assert isinstance(vars(Environment)["now"], MemberDescriptorType)
     assert vars(RealtimeEnvironment)["now"].fset is not None
     assert _public(Event) == {"triggered", "value", "succeed", "succeed_now",
-                              "add_callback", "discard_callback"}
+                              "add_callback"}
 
 
 def test_realtime_delivers_over_loopback_tcp():

@@ -12,11 +12,19 @@ exactly (floats included: zero tolerance), plus the cross-node state root.
 
 from __future__ import annotations
 
-import pytest
+import dataclasses
 
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro.core.cluster import run_cluster
+from repro.core.config import FireLedgerConfig
+from repro.scenarios import FaultSchedule, WorkloadSpec, byzantine, crash, loss
 from repro.scenarios.library import SCENARIOS
 from repro.scenarios.runner import run_scenario
-from repro.sim import Environment
+from repro.sim import Environment, Process, Wait
+from tests import reference_wait
 from tests.reference_collect import use_reference as use_reference_collect
 from tests.reference_kernel import ReferenceEnvironment, use_reference
 
@@ -116,3 +124,80 @@ def test_reference_kernel_expands_batches_per_copy():
     batched.run()
     reference.run()
     assert fired == ["a", "b", "c", "a", "b", "c"]
+
+
+# ------------------------------------------------ a blocked wait is one object
+def _waited_run(reference, protocol, n_nodes, shape, fault, seed):
+    """Everything one run reports, the kernel's ``_sequence`` and the
+    ``(now, process)`` trace of every resume — a process numbered by its
+    first resume — with blocked waits built from ``tests/reference_wait.py``
+    or as one ``Wait``."""
+    kernels, workloads, trace, order = [], [], [], {}
+    resume = Process._resume  # noqa: SLF001 - tracing resumes is the test
+
+    def traced(process, event):
+        trace.append((process.env.now, order.setdefault(process, len(order))))
+        resume(process, event)
+
+    def setup(env, network, nodes):
+        kernels.append(env)
+        if shape != "saturated":
+            workloads.append(WorkloadSpec(
+                shape=shape, n_clients=6, rate_per_client=300.0,
+                think_time=0.005).build(env, nodes, seed=seed))
+
+    phases = {"none": (), "crash": (crash(1, at=0.2),),
+              "loss": (loss(0.3, start=0.1, end=0.3),),
+              "equivocator": (byzantine(n_nodes - 1),)}[fault]
+    config = FireLedgerConfig(n_nodes=n_nodes, workers=1, batch_size=10,
+                              tx_size=512, fill_blocks=shape == "saturated")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Process, "_resume", traced)
+        if reference:
+            reference_wait.use_reference(patch)
+        result = run_cluster(config, protocol=protocol, duration=0.6,
+                             warmup=0.1, seed=seed,
+                             faults=FaultSchedule(phases), setup=setup)
+    fields = {field.name: getattr(result, field.name)
+              for field in dataclasses.fields(result) if field.name != "nodes"}
+    return {**fields, "trace": trace,
+            "clients": [(w.total_submitted, w.total_completed)
+                        for w in workloads],
+            "sequence": kernels[0]._sequence}  # noqa: SLF001
+
+
+@settings(max_examples=16, deadline=None)
+@given(seed=st.integers(0, 2 ** 16),
+       protocol=st.sampled_from(["fireledger", "bftsmart", "hotstuff"]),
+       n_nodes=st.sampled_from([4, 7]),
+       shape=st.sampled_from(["saturated", "open-loop", "closed-loop"]),
+       fault=st.sampled_from(["none", "crash", "loss", "equivocator"]))
+@example(seed=7, protocol="fireledger", n_nodes=4, shape="saturated",
+         fault="equivocator")
+def test_a_blocked_wait_is_the_event_per_wait_machinery_it_replaced(
+        seed, protocol, n_nodes, shape, fault):
+    """Differential against ``tests/reference_wait.py``: with every blocked
+    wait one ``Wait`` instead of a mailbox event, an ``AnyOf``, a ``woken``
+    event and a ``partial``, every result field, ``state_root``,
+    ``Environment._sequence`` and the resume trace are ``==`` — fault-free,
+    under a crash, a loss phase, or an equivocator whose panics end waits
+    through the wake event."""
+    args = (protocol, n_nodes, shape, fault, seed)
+    assert _waited_run(False, *args) == _waited_run(True, *args)
+
+
+def test_an_equivocator_ends_blocked_waits_through_the_wake_event(monkeypatch):
+    """The differential's equivocator example does exercise the wake path:
+    some blocked ``wait_message`` is decided by its context's wake event."""
+    woken = []
+    decide = Wait._decide  # noqa: SLF001 - which side decided is the test
+
+    def traced(wait, arg=None):
+        # Only wait_message passes a hold; only a watched event passes itself.
+        if arg is not None and wait._hold is not None:  # noqa: SLF001
+            woken.append(arg)
+        decide(wait, arg)
+
+    monkeypatch.setattr(Wait, "_decide", traced)
+    _waited_run(False, "fireledger", 4, "saturated", "equivocator", 7)
+    assert woken

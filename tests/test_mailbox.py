@@ -61,9 +61,10 @@ OPERATIONS = st.one_of(
     # Through the kind's bound putter (the router's entry point) or ``put``.
     st.tuples(st.just("put"), bucket_keys(), SENDERS, st.booleans()),
     st.tuples(st.just("take"), wait_specs()),
+    # A blocked wait: take, else leave a hand-off in the waiter slot.
     st.tuples(st.just("wait"), wait_specs()),
     st.tuples(st.just("consume")),
-    # A timed-out wait is cancelled whether or not a message raced it.
+    # A timed-out wait is withdrawn whether or not a message raced it.
     st.tuples(st.just("cancel")),
     # Any order: FireLedger's recovery moves the watermark backwards.
     st.tuples(st.just("discard_below"), st.integers(min_value=0, max_value=4)),
@@ -73,11 +74,14 @@ OPERATIONS = st.one_of(
 @settings(max_examples=400, deadline=None)
 @given(st.lists(OPERATIONS, max_size=60))
 def test_mailbox_hands_out_what_the_predicate_scan_did(operations):
+    """The hand-off API (``take``, then ``expect``; ``withdraw`` re-filing a
+    message handed to a wait that had already timed out) against the
+    predicate scan's getter events."""
     env = Environment()
-    mailbox = Mailbox(env, KEY_FIELDS)
+    mailbox = Mailbox(KEY_FIELDS)
     putters = {kind: mailbox.putter(kind) for kind in KEY_FIELDS}
     oracle = ReferenceMailbox(env, KEY_FIELDS)
-    waiting = None  # (mailbox event, oracle event) of the one blocked wait
+    waiting = None  # (what was handed off, oracle event) of the blocked wait
     for operation in operations:
         name = operation[0]
         if name == "put":
@@ -90,19 +94,25 @@ def test_mailbox_hands_out_what_the_predicate_scan_did(operations):
             assert mailbox.take(keys, sender) is oracle.take(keys, sender)
         elif name == "wait" and waiting is None:
             keys, sender = operation[1]
-            waiting = (mailbox.wait(keys, sender), oracle.wait(keys, sender))
+            handed = []
+            message = mailbox.take(keys, sender)
+            if message is None:
+                mailbox.expect(keys, sender, handed.append)
+            else:
+                handed.append(message)
+            waiting = (handed, oracle.wait(keys, sender))
         elif name == "discard_below":
             mailbox.discard_below(operation[1])
             oracle.discard_below(operation[1])
         elif waiting is not None:
             ours, theirs = waiting
-            assert ours.triggered == theirs.triggered
+            assert bool(ours) == theirs.triggered
             if name == "cancel":
-                mailbox.cancel(ours)
+                mailbox.withdraw(ours[0] if ours else None)
                 oracle.cancel(theirs)
                 waiting = None
-            elif name == "consume" and ours.triggered:
-                assert ours.value is theirs.value
+            elif name == "consume" and ours:
+                assert ours == [theirs.value]
                 waiting = None
         assert len(mailbox) == len(oracle)
 

@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.mailbox import Mailbox
 from repro.net.message import Message
-from repro.sim import Environment, Resource
+from repro.sim import Environment, Resource, Wait
 from tests.conftest import gc_paused
 
 
@@ -82,17 +82,18 @@ def test_processes_can_wait_for_each_other(env):
     assert proc.value == 21
 
 
-def test_any_of_returns_first_event(env):
+def test_a_wait_fires_at_whichever_of_event_and_deadline_comes_first(env):
     def waiter():
-        fast = env.timeout(1.0, value="fast")
-        slow = env.timeout(5.0, value="slow")
-        result = yield env.any_of([fast, slow])
-        return list(result.values())
+        first = yield env.wait(env.timeout(1.0, value="fast"), 5.0)
+        fired = [(first, env.now)]
+        second = yield env.wait(env.timeout(5.0, value="slow"), 2.0)
+        fired.append((second, env.now))
+        return fired
 
     proc = env.process(waiter())
     env.run()
-    assert proc.value == ["fast"]
-    assert env.now == 5.0  # the slow timeout still fires eventually
+    assert proc.value == [(None, 1.0), (None, 3.0)]
+    assert env.now == 6.0  # the slow timeout still fires eventually
 
 
 def test_run_until_stops_the_clock(env):
@@ -108,26 +109,26 @@ def test_run_until_in_the_past_rejected(env):
         env.run(until=0.5)
 
 
-def test_mailbox_key_skips_non_matching(env):
-    mailbox = Mailbox(env, {"N": "parity"})
+def test_mailbox_key_skips_non_matching():
+    mailbox = Mailbox({"N": "parity"})
     numbers = [Message(sender=value, channel="c", kind="N",
-                       payload={"parity": value % 2}) for value in (1, 2, 3)]
-    for message in numbers:
+                       payload={"parity": value % 2}) for value in (1, 2, 3, 5, 6)]
+    for message in numbers[:3]:
         mailbox.put(message)
+    assert mailbox.take((("N", 0),)) is numbers[1]
+    # A blocked wait's hand-off is passed over by what does not match it.
+    handed = []
+    mailbox.expect((("N", 0),), None, handed.append)
+    for message in numbers[3:]:
+        mailbox.put(message)
+    assert handed == [numbers[4]]
+    assert len(mailbox) == 3
+    assert ([mailbox.take((("N", 1),)) for _ in range(4)]
+            == [numbers[0], numbers[2], numbers[3], None])
 
-    def consumer():
-        even = yield mailbox.wait((("N", 0),))
-        return even
 
-    proc = env.process(consumer())
-    env.run()
-    assert proc.value is numbers[1]
-    assert len(mailbox) == 2
-    assert [mailbox.take((("N", 1),)) for _ in range(3)] == [numbers[0], numbers[2], None]
-
-
-def test_mailbox_take_serves_the_older_of_two_buckets(env):
-    mailbox = Mailbox(env, {"X": "k", "Y": "k"})
+def test_mailbox_take_serves_the_older_of_two_buckets():
+    mailbox = Mailbox({"X": "k", "Y": "k"})
     keys = (("X", 1), ("Y", 1))
     assert mailbox.take(keys) is None
     first = Message(sender=1, channel="c", kind="Y", payload={"k": 1})
@@ -186,35 +187,45 @@ def test_resource_capacity_must_be_positive(env):
 
 
 def test_fired_condition_detaches_from_pending_children(env):
-    """A long-lived event must not accumulate callbacks from dead conditions.
+    """A long-lived event must not accumulate callbacks from dead waits.
 
-    Every wait_message builds an AnyOf over the worker's persistent wake
-    event; before the detach fix each fired condition stayed registered on
-    the never-firing child forever, growing memory linearly with run length.
+    Every blocked ``wait_message`` watches the context's persistent wake
+    event.  A wait its deadline decides leaves it; so does one decided
+    before it ever watched it — a re-wait that finds a message already in
+    hand, where the composite condition it replaced still registered on
+    every later pending child (50 such waits left 50 dead callbacks).
     """
     wake = env.event()  # long-lived, never fires
 
     def waiter():
         for _ in range(50):
-            yield env.any_of([env.timeout(0.01), wake])
+            yield env.wait(wake, 0.01)
+        for index in range(50):
+            yield Wait(env, wake, 0.01, offered=index)
+        for index in range(50):
+            wait = Wait(env, wake, 0.01)
+            wait.offer(index)
+            yield wait
 
     env.process(waiter())
     env.run()
     assert len(wake.callbacks) == 0
+    assert env.now == pytest.approx(0.5)  # the offered waits' deadlines lost
 
 
 def test_condition_detach_preserves_late_child_semantics(env):
+    """A wait its deadline decides leaves its event to fire later, for the
+    event's other callbacks."""
     values = []
 
     def waiter():
-        fast = env.timeout(0.1, value="fast")
         slow = env.timeout(1.0, value="slow")
-        result = yield env.any_of([fast, slow])
-        values.append(list(result.values()))
+        slow.add_callback(lambda event: values.append((event.value, env.now)))
+        values.append(((yield env.wait(slow, 0.1)), env.now))
 
     env.process(waiter())
     env.run()
-    assert values == [["fast"]]
+    assert values == [(None, 0.1), ("slow", 1.0)]
     assert env.now == pytest.approx(1.0)  # the slow timeout still fires
 
 
@@ -396,7 +407,7 @@ def test_a_fired_train_is_freed_by_reference_count_alone(kernel, drive):
 
 # --------------------------------------------------------------------------
 # A wait costs one kernel entry: ``Resource.hold`` against the grant-event
-# resource it replaced, and withdrawn ``any_of`` deadlines against deadlines
+# resource it replaced, and withdrawn ``Wait`` deadlines against deadlines
 # left to fire (tests/reference_kernel.py).
 
 from types import SimpleNamespace  # noqa: E402
@@ -474,7 +485,7 @@ def test_hold_matches_the_grant_event_resource(capacity, holders):
 
 def _wait_log(kernel, waits, timers, floor):
     """Play ``waits`` — ``(start tick, deadline ticks or None, win tick or
-    None)`` — as ``any_of`` conditions over one event each; log every
+    None)`` — as ``Environment.wait`` over one event each; log every
     callback with the clock.  Explicit timeouts and plain timers at
     ``timers`` ticks share the queue, so neither dropping deadlines nor
     rebuilding the queue may shift them."""
@@ -486,10 +497,9 @@ def _wait_log(kernel, waits, timers, floor):
     def arm(index):
         _start, timeout, win = waits[index]
         child = env.event()
-        condition = env.any_of(
-            [child], None if timeout is None else timeout * _TICK)
-        condition.add_callback(lambda event: log.append(
-            ("fired", index, env.now, child in event.value)))
+        wait = env.wait(child, None if timeout is None else timeout * _TICK)
+        wait.add_callback(lambda _event: log.append(
+            ("fired", index, env.now, child.triggered)))
         env.timeout(_TICK).add_callback(
             lambda _event: log.append(("timeout", index, env.now)))
         if win is not None:
@@ -521,18 +531,18 @@ def test_withdrawn_deadlines_match_deadlines_left_to_fire(floor, waits,
 
 def test_a_withdrawn_deadline_neither_fires_nor_moves_the_clock(env):
     child = env.event()
-    condition = env.any_of([child], 5.0)
+    wait = env.wait(child, 5.0)
     env.call_later(1.0, lambda _arg: child.succeed("won"))
     env.run()
-    assert condition.value == {child: "won"}
+    assert wait.value is None and child.value == "won"
     assert env.now == 1.0  # the deadline at 5.0 was dropped, not popped
     assert not env._queue and env._withdrawn == 0  # noqa: SLF001
 
 
 def test_an_unwon_deadline_fires_with_no_child_value(env):
-    condition = env.any_of([env.event()], 2.0)
+    wait = env.wait(env.event(), 2.0)
     env.run()
-    assert condition.value == {}
+    assert wait.value is None
     assert env.now == 2.0
 
 
@@ -543,7 +553,7 @@ def test_withdrawn_deadlines_are_compacted_out_of_the_queue(env):
     fired = []
     children = [env.event() for _ in range(300)]
     for index, child in enumerate(children):
-        env.any_of([child], 10.0 + (index * 37 % 300))
+        env.wait(child, 10.0 + (index * 37 % 300))
         if index % 6 == 0:
             env.call_later(10.0 + (index * 53 % 300),
                            lambda _arg: fired.append(env.now))
@@ -680,3 +690,79 @@ def test_a_realtime_poll_fires_soon_after_its_condition_holds():
         env.close()
     assert len(resumed) == 1
     assert 0.05 <= resumed[0] < 0.15
+
+
+# --------------------------------------------------------------------------
+# A blocked wait is one object: a ``Wait`` takes the same-instant slots the
+# handed-off event and the ``AnyOf`` over it and the watched event took
+# (tests/reference_wait.py), on either kernel.
+
+from tests.reference_wait import AnyOf  # noqa: E402
+
+
+def _race_log(kernel, one_object, timeout, wait_first, in_hand, handed_at,
+              watched_at):
+    """Race one wait against a chain of zero-delay ticks.  Tick 0 (t = 1)
+    starts the wait — before or after it schedules tick 1, ``timeout or
+    0`` later — with the value already in hand or not; the value is handed
+    off at tick ``handed_at`` and the watched event fires at tick
+    ``watched_at`` (either may be ``None``).  Logged: every tick, the fire
+    (time, value won, value handed off by then) and what was handed off by
+    the end."""
+    env = kernel()
+    log, offer, offered = [], [], []
+    watched = env.event()
+    value = ("handed", 0) if in_hand else None
+
+    def start():
+        if one_object:
+            wait = Wait(env, watched, timeout, offered=value)
+            offer.append(wait.offer)
+            offered.append(lambda: wait.offered)
+            wait.add_callback(lambda event: log.append(
+                ("fired", env.now, event.value, event.offered)))
+            return
+        handed = env.event()
+        if in_hand:
+            handed.succeed(value)
+        condition = AnyOf(env, [handed, watched], timeout)
+        offer.append(handed.succeed)
+        offered.append(lambda: handed._value if handed.triggered else None)
+        condition.add_callback(lambda event: log.append(
+            ("fired", env.now, event.value.get(handed), offered[0]())))
+
+    def tick(n):
+        log.append(("tick", n, env.now))
+        if n == 0:
+            if wait_first:
+                start()
+            env.call_later(timeout or 0.0, tick, 1)
+            if not wait_first:
+                start()
+        else:
+            if n < 6:
+                env.call_later(0.0, tick, n + 1)
+        if n == handed_at and not in_hand:
+            offer[0](("handed", n))
+        if n == watched_at:
+            watched.succeed(("watched", n))
+
+    env.call_later(1.0, tick, 0)
+    env.run()
+    log.append(("end", offered[0]()))
+    return log
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel=st.sampled_from([Environment, ReferenceEnvironment]),
+       timeout=st.sampled_from([None, 0.0, 1.0]),
+       wait_first=st.booleans(), in_hand=st.booleans(),
+       handed_at=st.none() | st.integers(0, 6),
+       watched_at=st.none() | st.integers(0, 6))
+def test_a_wait_takes_the_slots_of_the_event_and_condition_it_replaced(
+        kernel, timeout, wait_first, in_hand, handed_at, watched_at):
+    """A hand-off, the watched event and the deadline in one instant, in
+    every order: the wait is decided by the same one, fires at the same
+    tick, and a value handed off after the decision stays in ``offered``."""
+    args = (timeout, wait_first, in_hand, handed_at, watched_at)
+    assert _race_log(kernel, True, *args) == _race_log(kernel, False, *args)

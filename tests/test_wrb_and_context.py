@@ -21,12 +21,14 @@ from repro.net.latency import SingleDatacenterLatency
 from repro.net.message import Message
 from repro.net.network import Network
 from repro.sim import Environment
+from tests import reference_wait
 from tests.conftest import make_network
 from tests.reference_collect import (
     reference_collect,
     reference_on_body,
     reference_wait_message,
 )
+from tests.reference_kernel import ReferenceEnvironment
 
 #: Key table of the ad-hoc kinds the context tests send.
 TEST_KEYS = {"A": "v", "B": "v", "VOTE": "round", "OLD": "round", "NEW": "round"}
@@ -107,7 +109,7 @@ def test_wait_message_raises_panic_interrupt():
 
 def test_wait_message_requeues_message_racing_the_timeout():
     """A message landing between the timeout firing and the wait's withdrawal
-    must not vanish into the abandoned event (``Mailbox.cancel`` re-files
+    must not vanish into the abandoned wait (``Mailbox.withdraw`` re-files
     it): the wait still times out, but the next wait sees it."""
     env = Environment()
     network = make_network(env, 4)
@@ -129,8 +131,8 @@ def test_wait_message_requeues_message_racing_the_timeout():
         context.inbox.put(racer)
 
     # This timer is created *after* the wait's own timeout, so at t=1.0 the
-    # heap pops the wait timeout first (the AnyOf fires empty-handed), then
-    # this put satisfies the still-registered wait — exactly the race.
+    # heap pops the wait timeout first (the wait is decided empty-handed),
+    # then this put reaches the still-registered wait — exactly the race.
     env.timeout(0.5).add_callback(racing_put)
     env.run(until=3.0)
 
@@ -142,9 +144,126 @@ def test_mailbox_refuses_a_second_concurrent_waiter():
     env = Environment()
     network = make_network(env, 4)
     context = build_context(env, network, 0, key_fields=TEST_KEYS)
-    context.inbox.wait((("A", 1),))
+    context.inbox.expect((("A", 1),), None, [].append)
     with pytest.raises(RuntimeError):
-        context.inbox.wait((("B", 1),))
+        context.inbox.expect((("B", 1),), None, [].append)
+
+
+# A blocked wait races a message against the deadline and the wake event;
+# every race is played on both kernels, through the one ``Wait`` and through
+# the event-per-wait oracle (tests/reference_wait.py).
+RACES = pytest.mark.parametrize("kernel, reference", [
+    (Environment, False), (ReferenceEnvironment, False),
+    (Environment, True), (ReferenceEnvironment, True)])
+
+
+def _racing_context(monkeypatch, kernel, reference, interrupt_check=None):
+    if reference:
+        reference_wait.use_reference(monkeypatch)
+    env = kernel()
+    network = make_network(env, 4)
+    context = build_context(env, network, 0, key_fields=TEST_KEYS,
+                            interrupt_check=interrupt_check)
+    return env, context, network.machine.message_processing_cpu
+
+
+def _racer(sender=1):
+    return Message(sender=sender, channel="wrb", kind="A", payload={"v": 1})
+
+
+@RACES
+@pytest.mark.parametrize("message_first", [True, False])
+def test_a_message_and_the_deadline_at_one_instant(monkeypatch, kernel,
+                                                   reference, message_first):
+    """A message delivered at the deadline's instant but queued ahead of it
+    wins although the deadline decides the wait: it was handed off before
+    the decision.  Queued behind it, it loses, is re-filed and is served by
+    the next wait."""
+    env, context, cpu = _racing_context(monkeypatch, kernel, reference)
+    racer, outcomes = _racer(), []
+
+    def waiter():
+        for _ in range(2):
+            message = yield from context.wait_message("A", 1, timeout=1.0)
+            outcomes.append((message, env.now))
+
+    if message_first:
+        env.call_later(1.0, lambda _arg: context.inbox.put(racer))
+    env.process(waiter())
+    env.run(until=0.5)
+    if not message_first:
+        env.call_later(0.5, lambda _arg: context.inbox.put(racer))
+    env.run()
+    expected = ([(racer, 1.0 + cpu), (None, pytest.approx(2.0 + cpu))]
+                if message_first else [(None, 1.0), (racer, 1.0 + cpu)])
+    assert outcomes == expected
+
+
+@RACES
+@pytest.mark.parametrize("panic", [True, False])
+@pytest.mark.parametrize("message_hop", [0, 1])
+def test_a_message_and_the_wake_at_one_instant(monkeypatch, kernel, reference,
+                                               panic, message_hop):
+    """A message handed off by the callback that wakes the wait, before the
+    wake event's dispatch decides it, wins.  One handed off a hop later
+    loses to the wake and is re-filed: a pending panic is raised and leaves
+    it buffered; a spurious wake waits again and is served it at once."""
+    pending = []
+    env, context, cpu = _racing_context(
+        monkeypatch, kernel, reference,
+        interrupt_check=lambda: pending[-1] if pending else None)
+    racer, outcomes = _racer(), []
+
+    def waiter():
+        try:
+            message = yield from context.wait_message("A", 1, timeout=5.0)
+        except PanicInterrupt as interrupt:
+            outcomes.append((interrupt.panic, env.now))
+        else:
+            outcomes.append((message, env.now))
+
+    def wake(_arg):
+        if panic:
+            pending.append("proof")
+        context.notify_interrupt()
+        if message_hop:
+            env.call_later(0.0, lambda _arg: context.inbox.put(racer))
+        else:
+            context.inbox.put(racer)
+
+    env.call_later(1.0, wake)
+    env.process(waiter())
+    env.run()
+    if message_hop and panic:
+        assert outcomes == [("proof", 1.0)]
+        assert context.inbox.take((("A", 1),)) is racer
+    else:
+        assert outcomes == [(racer, 1.0 + cpu)]
+
+
+@RACES
+def test_a_message_handed_off_after_the_decision_is_the_newest_arrival(
+        monkeypatch, kernel, reference):
+    """Two messages of one bucket land just behind the wait's deadline: the
+    first reaches the decided wait, the second the bucket.  The first is
+    re-filed when the waiter resumes, behind the second."""
+    env, context, _cpu = _racing_context(monkeypatch, kernel, reference)
+    first, second, outcomes = _racer(1), _racer(2), []
+
+    def waiter():
+        for _ in range(3):
+            message = yield from context.wait_message("A", 1, timeout=1.0)
+            outcomes.append(message)
+
+    def deliver(_arg):
+        context.inbox.put(first)
+        context.inbox.put(second)
+
+    env.process(waiter())
+    env.run(until=0.5)
+    env.call_later(0.5, deliver)
+    env.run()
+    assert outcomes == [None, second, first]
 
 
 def test_collect_messages_stops_at_count_or_timeout():
