@@ -33,15 +33,18 @@ def c5_rows(bench_scale) -> dict:
     return figures.c5_comparison(("hotstuff", "bftsmart"), bench_scale)
 
 
-def run_and_report(benchmark, experiment, scale, title=None, **kwargs):
+def run_and_report(benchmark, experiment, scale, title=None,
+                   axis_values=None):
     """Run a registered experiment once under pytest-benchmark, print its rows.
 
-    ``experiment`` is a registry name (``"fig07"``) or a registered driver
-    callable; extra keyword arguments are forwarded to the driver.
+    ``experiment`` is a registry name (``"fig07"``); ``axis_values``
+    overrides the defaults of its grid's axes, as ``--cluster-sizes`` etc.
+    do on the command line.
     """
-    spec = registry.resolve(experiment)
-    rows = benchmark.pedantic(lambda: spec.func(scale, **kwargs),
-                              rounds=1, iterations=1)
+    spec = registry.get(experiment)
+    rows = benchmark.pedantic(
+        lambda: spec.run(scale, axis_values=axis_values),
+        rounds=1, iterations=1)
     print(f"\n=== {title or spec.title} ===")
     print(format_rows(rows))
     return rows

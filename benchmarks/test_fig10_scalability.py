@@ -19,5 +19,6 @@ def test_fig10_scalability(benchmark, bench_scale):
                             batch_sizes=(1000,) if not full else (10, 100, 1000),
                             tx_sizes=(512,))
     rows = run_and_report(benchmark, "fig10", scale,
-                          f"Figure 10 - scalability (n={n_nodes})", n_nodes=n_nodes)
+                          f"Figure 10 - scalability (n={n_nodes})",
+                          axis_values={"cluster_size": (n_nodes,)})
     assert rows

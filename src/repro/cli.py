@@ -162,23 +162,17 @@ def _resolve_scales(args: argparse.Namespace) -> list[ExperimentScale]:
             for seed in (args.seed or (scale.seed,))]
 
 
-def _effective_scales(spec, scales: list[ExperimentScale],
-                      args: argparse.Namespace, out) -> list[ExperimentScale]:
-    """Strip duration/warmup overrides for drivers that pin their own.
+def _note_pinned(spec, args: argparse.Namespace, out) -> None:
+    """Say that a driver which pins its own run ignores ``--duration``.
 
     Scenario fault-phase times are absolute simulated seconds, so a scenario
     spec pins its run length; honouring ``--duration`` would silently skip
-    scheduled faults, and hashing the ignored override into ``config_id``
-    would make the identical run look like a new configuration.
+    scheduled faults.  Its ``config_id`` hashes only the seed.
     """
-    if not spec.pins_duration:
-        return scales
-    if args.duration is not None or args.warmup is not None:
+    if spec.pins_duration and (args.duration is not None
+                               or args.warmup is not None):
         print(f"note: {spec.name} pins its own simulated duration/warmup; "
               f"ignoring --duration/--warmup", file=out)
-    preset = SCALES[args.scale]()
-    return [replace(scale, duration=preset.duration, warmup=preset.warmup)
-            for scale in scales]
 
 
 def _axis_values(args: argparse.Namespace) -> dict[str, tuple]:
@@ -213,16 +207,14 @@ def _cmd_run(args: argparse.Namespace, out) -> int:
             # With --all, apply each axis override only to the drivers that
             # have that axis; table1 etc. run at their fixed configuration.
             applicable = {axis: vals for axis, vals in axis_values.items()
-                          if axis in spec.axes}
+                          if axis in spec.grid}
         try:
-            # Truncates past per-axis limits (e.g. fig10 consumes at most two
-            # worker counts), so the recorded parameters match what ran.
             applicable = spec.normalize_axis_values(applicable)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        plans.append((spec, _effective_scales(spec, scales, args, out),
-                      applicable))
+        _note_pinned(spec, args, out)
+        plans.append((spec, scales, applicable))
 
     outcomes = parallel.run_planned(
         plans, None if args.no_record else args.results_dir, args.scale,
@@ -270,7 +262,8 @@ def _cmd_sweep(args: argparse.Namespace, out) -> int:
         print(f"error: sweep needs at least one grid axis ({flags} or --seed)",
               file=sys.stderr)
         return 2
-    scales = _effective_scales(spec, _resolve_scales(args), args, out)
+    _note_pinned(spec, args, out)
+    scales = _resolve_scales(args)
     try:
         (planned,) = parallel.run_planned(
             [(spec, scales, axes)], args.results_dir, args.scale,
@@ -307,7 +300,7 @@ def _cmd_report(args: argparse.Namespace, out) -> int:
 
 def _cmd_list(out) -> int:
     rows = [{"name": spec.name,
-             "axes": ", ".join(sorted(spec.axes)) or "-",
+             "axes": ", ".join(sorted(spec.grid)) or "-",
              "title": spec.title}
             for spec in registry.specs()]
     print(format_rows(rows, columns=["name", "axes", "title"]), file=out)

@@ -1,32 +1,19 @@
-"""Experiment drivers: one function per table/figure of the paper's evaluation.
+"""Experiments: one point function over one grid per table/figure of the paper.
 
-Every driver takes a ``scale`` argument (default well below the paper's three
-minute runs) so the full suite finishes quickly on a laptop, and returns a
-list of result rows (plain dictionaries).  Drivers are looked up by short
-stable names (``table1``, ``fig05`` ... ``fig17``) through
-:mod:`repro.experiments.registry`, swept over parameter grids by
+Every registered experiment is a point function — ``point(scale, **fields)``
+runs one grid point and returns its rows (plain dictionaries) — plus one
+ordered grid of the axes it accepts and their default values at a scale
+(default well below the paper's three-minute runs, so the full suite
+finishes quickly on a laptop).  Experiments are looked up by short stable
+names (``table1``, ``fig05`` ... ``fig17``, ``scenario:<name>``) and run
+through :mod:`repro.experiments.registry` (``registry.get(name).run(scale,
+axis_values=...)``), planned over seeds and grids by
 :mod:`repro.experiments.sweep`, and driven from the command line via
 ``python -m repro run|sweep|report``; ``EXPERIMENTS.md`` at the repo root is
 the rendered record of a recorded run (regenerate it with
 ``python -m repro report``).
 """
 
-from repro.experiments.figures import (
-    figure05_signature_rate,
-    figure06_bps_single_dc,
-    figure07_tps_single_dc,
-    figure08_latency_cdf,
-    figure09_latency_breakdown,
-    figure10_scalability,
-    figure11_crash_failures,
-    figure12_byzantine_failures,
-    figure13_bps_multi_dc,
-    figure14_tps_multi_dc,
-    figure15_latency_multi_dc,
-    figure16_vs_hotstuff,
-    figure17_vs_bftsmart,
-    table1_costs,
-)
 from repro.experiments.harness import ExperimentScale, format_rows
 from repro.experiments.registry import ExperimentSpec
 from repro.experiments import registry, sweep
@@ -37,18 +24,4 @@ __all__ = [
     "format_rows",
     "registry",
     "sweep",
-    "table1_costs",
-    "figure05_signature_rate",
-    "figure06_bps_single_dc",
-    "figure07_tps_single_dc",
-    "figure08_latency_cdf",
-    "figure09_latency_breakdown",
-    "figure10_scalability",
-    "figure11_crash_failures",
-    "figure12_byzantine_failures",
-    "figure13_bps_multi_dc",
-    "figure14_tps_multi_dc",
-    "figure15_latency_multi_dc",
-    "figure16_vs_hotstuff",
-    "figure17_vs_bftsmart",
 ]

@@ -1,24 +1,24 @@
-"""One driver per table/figure of the paper's evaluation (Section 7).
+"""One point function per table/figure of the paper's evaluation (Section 7).
 
 The paper's evaluation is one parameter grid (Table 2: cluster size n x
-workers w x batch b x tx size s) and Figures 5-15 are projections of it, so
-each of them is a *declaration*: :func:`swept` names the ordered
-``ExperimentScale`` tuples the figure iterates (outermost first) and
-:func:`cluster_figure` adds what every point shares — fixed
-``FireLedgerConfig`` fields, the measured window, the deployment, the fault
-plan — around a function that turns one finished run into one row.  The
-registry reads the sweepable axes off the same declaration (``driver.grid``
-/ ``driver.caps``), so a grid is stated once.  Rows are plain dicts
-mirroring the quantity the paper plots; ``expectation`` strings summarise
-the shape the paper reports so that the benchmark output can be eyeballed
-against it.  Drivers are registered under short names (``fig05`` ...
-``fig17``, ``table1``) in :mod:`repro.experiments.registry`;
+workers w x batch b x tx size s) and Figures 5-17 are projections of it, so
+each figure here is a *point*: ``point(scale, **fields)`` runs one grid
+point, its fields named like the ``FireLedgerConfig`` fields they set, and
+returns its rows.  The ordered grid a figure runs over — which axes it
+accepts, outermost first, and their default values — is declared with its
+registration in :mod:`repro.experiments.registry`, whose
+``ExperimentSpec.run`` expands it with one ``itertools.product``.
+:func:`cluster_figure` builds the point of a figure whose every point is one
+FireLedger cluster run.  Rows are plain dicts mirroring the quantity the
+paper plots; ``expectation`` strings summarise the shape the paper reports
+so that the benchmark output can be eyeballed against it.
 ``EXPERIMENTS.md`` at the repo root records a run side by side with the
 paper's numbers and is regenerated with ``python -m repro report``.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Callable, Optional, Sequence
 
@@ -45,68 +45,21 @@ def _byzantine_last(config: FireLedgerConfig) -> FaultSchedule:
     return FaultSchedule((byzantine(config.n_nodes - 1),))
 
 
-#: ``ExperimentScale`` sweep tuple -> the configuration field it varies.
-_GRID_FIELDS = {"cluster_sizes": "n_nodes", "batch_sizes": "batch_size",
-                "tx_sizes": "tx_size", "workers_sweep": "workers"}
-#: fig10/11/12 iterate ``workers_sweep[:2]`` to bound simulation cost.
-_TWO_WORKER_COUNTS = {"workers_sweep": 2}
-
-
-def swept(*grid: str, caps: Optional[dict] = None,
-          n_nodes: Optional[int] = None) -> Callable:
-    """Declare a driver as one point function run over a grid.
-
-    ``grid`` names the ``ExperimentScale`` tuples to iterate, outermost
-    first; ``caps`` bounds how many values of a tuple are consumed.  The
-    decorated ``point(scale, **fields)`` returns one row; the driver that
-    replaces it takes ``scale`` and returns every row of
-    ``itertools.product`` over the grid.  With ``n_nodes`` the cluster size
-    is not a grid tuple but a scalar keyword of the driver (Figure 10 runs
-    one large cluster, whatever ``scale.cluster_sizes`` says).
-    """
-    caps = caps or {}
-
-    def declare(point: Callable[..., dict]) -> Callable[..., list]:
-        def rows(scale: Optional[ExperimentScale], **pinned) -> list[dict]:
-            scale = _scale(scale)
-            values = (getattr(scale, name)[:caps.get(name)] for name in grid)
-            return [point(scale, **pinned,
-                          **{_GRID_FIELDS[name]: value
-                             for name, value in zip(grid, combo)})
-                    for combo in itertools.product(*values)]
-
-        if n_nodes is None:
-            def driver(scale: Optional[ExperimentScale] = None) -> list[dict]:
-                return rows(scale)
-        else:
-            def driver(scale: Optional[ExperimentScale] = None,
-                       n_nodes: int = n_nodes) -> list[dict]:
-                return rows(scale, n_nodes=n_nodes)
-        # Not functools.wraps: __wrapped__ would make the registry read the
-        # point function's signature instead of the driver's.
-        driver.__name__ = driver.__qualname__ = point.__name__
-        driver.__doc__ = point.__doc__
-        driver.grid, driver.caps = grid, caps
-        return driver
-
-    return declare
-
-
-def cluster_figure(*grid: str, caps: Optional[dict] = None,
-                   n_nodes: Optional[int] = None, geo: bool = False,
-                   window: Optional[Callable] = None,
+def cluster_figure(geo: bool = False, window: Optional[Callable] = None,
                    faults: Optional[Callable] = None,
                    latency_trim: float = 0.0, **fixed) -> Callable:
-    """Declare a figure whose every grid point is one FireLedger cluster run.
+    """Build the point of a figure whose every point is one FireLedger run.
 
-    ``fixed`` are the ``FireLedgerConfig`` fields the figure holds constant;
-    ``window(scale)`` the ``(duration, warmup)`` it measures (the scale's by
-    default); ``geo`` the paper's ten-region deployment; ``faults(config,
-    scale)`` the run's fault plan.  The decorated ``row(config, result)``
-    turns one finished run into one result row.
+    ``fixed`` are the ``FireLedgerConfig`` fields the figure holds constant
+    (the grid sets the others); ``window(scale)`` the ``(duration,
+    warmup)`` it measures (the scale's by default); ``geo`` the paper's
+    ten-region deployment; ``faults(config, scale)`` the run's fault plan.
+    The decorated ``row(config, result)`` turns the finished run into the
+    point's one row.
     """
     def declare(row: Callable[..., dict]) -> Callable[..., list]:
-        def point(scale: ExperimentScale, **varied) -> dict:
+        @functools.wraps(row)
+        def point(scale: ExperimentScale, **varied) -> list[dict]:
             config = FireLedgerConfig(**fixed, **varied)
             duration, warmup = (window(scale) if window
                                 else (scale.duration, scale.warmup))
@@ -115,10 +68,9 @@ def cluster_figure(*grid: str, caps: Optional[dict] = None,
                 latency_model=GeoDistributedLatency() if geo else None,
                 faults=faults(config, scale) if faults else None,
                 latency_trim=latency_trim)
-            return row(config, result)
+            return [row(config, result)]
 
-        point.__name__, point.__doc__ = row.__name__, row.__doc__
-        return swept(*grid, caps=caps, n_nodes=n_nodes)(point)
+        return point
 
     return declare
 
@@ -179,21 +131,20 @@ def table1_costs(scale: Optional[ExperimentScale] = None) -> list[dict]:
 # ---------------------------------------------------------------------------
 # Figure 5 — signature generation rate
 # ---------------------------------------------------------------------------
-@swept("batch_sizes", "tx_sizes", "workers_sweep")
 def figure05_signature_rate(scale: ExperimentScale, batch_size: int,
-                            tx_size: int, workers: int) -> dict:
+                            tx_size: int, workers: int) -> list[dict]:
     """Signatures per second on one VM vs workers, batch size and tx size."""
     sps = CryptoCostModel(M5_XLARGE).signatures_per_second(
         batch_size, tx_size, workers)
-    return {"batch_size": batch_size, "tx_size": tx_size, "workers": workers,
-            "sps": round(sps, 1), "max_tps_bound": round(sps * batch_size, 1)}
+    return [{"batch_size": batch_size, "tx_size": tx_size, "workers": workers,
+             "sps": round(sps, 1),
+             "max_tps_bound": round(sps * batch_size, 1)}]
 
 
 # ---------------------------------------------------------------------------
 # Figures 6/7 — single data-center throughput
 # ---------------------------------------------------------------------------
-@cluster_figure("cluster_sizes", "workers_sweep",
-                batch_size=1, tx_size=512, fill_blocks=False)
+@cluster_figure(batch_size=1, tx_size=512, fill_blocks=False)
 def figure06_bps_single_dc(config, result) -> dict:
     """Blocks per second vs workers for n in {4,7,10} (empty blocks, Figure 6)."""
     return {"n": config.n_nodes, "workers": config.workers,
@@ -201,7 +152,7 @@ def figure06_bps_single_dc(config, result) -> dict:
             "expectation": "bps grows with workers, shrinks with n"}
 
 
-@cluster_figure("cluster_sizes", "batch_sizes", "tx_sizes", "workers_sweep")
+@cluster_figure()
 def figure07_tps_single_dc(config, result) -> dict:
     """Transactions per second across the Table 2 grid (Figure 7)."""
     return {"n": config.n_nodes, "batch": config.batch_size,
@@ -212,7 +163,7 @@ def figure07_tps_single_dc(config, result) -> dict:
 # ---------------------------------------------------------------------------
 # Figures 8/9 — latency and its breakdown
 # ---------------------------------------------------------------------------
-@cluster_figure("cluster_sizes", "workers_sweep", "batch_sizes", tx_size=512)
+@cluster_figure(tx_size=512)
 def figure08_latency_cdf(config, result) -> dict:
     """Block delivery latency CDF for sigma=512 (Figure 8)."""
     return {"n": config.n_nodes, "workers": config.workers,
@@ -223,7 +174,7 @@ def figure08_latency_cdf(config, result) -> dict:
             "expectation": "latency grows with workers and batch size"}
 
 
-@cluster_figure("cluster_sizes", "workers_sweep", batch_size=1000, tx_size=512)
+@cluster_figure(batch_size=1000, tx_size=512)
 def figure09_latency_breakdown(config, result) -> dict:
     """Relative time between the A..E events of a round (Figure 9)."""
     # The breakdown also carries protocol counters (round outcomes,
@@ -240,8 +191,7 @@ def figure09_latency_breakdown(config, result) -> dict:
 # ---------------------------------------------------------------------------
 # Figure 10 — scalability to n = 100
 # ---------------------------------------------------------------------------
-@cluster_figure("batch_sizes", "workers_sweep", caps=_TWO_WORKER_COUNTS,
-                n_nodes=100, tx_size=512,
+@cluster_figure(tx_size=512,
                 window=lambda scale: (max(scale.duration / 2, 0.2),
                                       scale.warmup / 2))
 def figure10_scalability(config, result) -> dict:
@@ -255,8 +205,7 @@ def figure10_scalability(config, result) -> dict:
 # ---------------------------------------------------------------------------
 # Figures 11/12 — failures
 # ---------------------------------------------------------------------------
-@cluster_figure("cluster_sizes", "batch_sizes", "workers_sweep",
-                caps=_TWO_WORKER_COUNTS, tx_size=512,
+@cluster_figure(tx_size=512,
                 faults=lambda config, scale: _crash_last_f(
                     config, at=scale.warmup / 2))
 def figure11_crash_failures(config, result) -> dict:
@@ -268,8 +217,7 @@ def figure11_crash_failures(config, result) -> dict:
             "expectation": "tens of thousands of tps despite crashes"}
 
 
-@cluster_figure("cluster_sizes", "batch_sizes", "workers_sweep",
-                caps=_TWO_WORKER_COUNTS, tx_size=512,
+@cluster_figure(tx_size=512,
                 faults=lambda config, scale: _byzantine_last(config))
 def figure12_byzantine_failures(config, result) -> dict:
     """Throughput and recoveries/sec under an equivocating node (Figure 12)."""
@@ -288,8 +236,7 @@ def figure12_byzantine_failures(config, result) -> dict:
 _WAN = {"geo": True, "window": lambda scale: (scale.duration * 2, scale.warmup)}
 
 
-@cluster_figure("cluster_sizes", "workers_sweep", **_WAN,
-                batch_size=1, tx_size=512, fill_blocks=False)
+@cluster_figure(**_WAN, batch_size=1, tx_size=512, fill_blocks=False)
 def figure13_bps_multi_dc(config, result) -> dict:
     """Blocks per second in the ten-region deployment (Figure 13)."""
     return {"n": config.n_nodes, "workers": config.workers,
@@ -297,8 +244,7 @@ def figure13_bps_multi_dc(config, result) -> dict:
             "expectation": "well under 10% of the single-DC bps"}
 
 
-@cluster_figure("cluster_sizes", "batch_sizes", "workers_sweep", **_WAN,
-                tx_size=512)
+@cluster_figure(**_WAN, tx_size=512)
 def figure14_tps_multi_dc(config, result) -> dict:
     """Transactions per second in the geo deployment, sigma=512 (Figure 14)."""
     return {"n": config.n_nodes, "batch": config.batch_size,
@@ -307,8 +253,7 @@ def figure14_tps_multi_dc(config, result) -> dict:
             "expectation": "around 30K tps at the paper's best configuration"}
 
 
-@cluster_figure("cluster_sizes", "workers_sweep", "batch_sizes", **_WAN,
-                tx_size=512, latency_trim=0.05)
+@cluster_figure(**_WAN, tx_size=512, latency_trim=0.05)
 def figure15_latency_multi_dc(config, result) -> dict:
     """Block latency in the geo deployment (Figure 15; 5% outliers trimmed)."""
     return {"n": config.n_nodes, "workers": config.workers,
@@ -325,12 +270,15 @@ _C5_EXPECTATION = {
     "hotstuff": "FLO 1.2x-3x the throughput; HotStuff lower latency at large n",
     "bftsmart": "FLO 1.4x-7x the throughput; gap narrows as transactions grow",
 }
+#: The cluster sizes and transaction sizes Figures 16 and 17 plot.
+C5_CLUSTER_SIZES = (4, 10, 16)
+C5_TX_SIZES = (128, 512, 1024)
 
 
 def c5_comparison(baselines: Sequence[str],
                   scale: Optional[ExperimentScale] = None,
-                  cluster_sizes: tuple[int, ...] = (4, 10, 16),
-                  tx_sizes: tuple[int, ...] = (128, 512, 1024),
+                  cluster_sizes: tuple[int, ...] = C5_CLUSTER_SIZES,
+                  tx_sizes: tuple[int, ...] = C5_TX_SIZES,
                   ) -> dict[str, list[dict]]:
     """FLO vs each of ``baselines`` on c5.4xlarge machines, b = 1000.
 
@@ -367,17 +315,15 @@ def c5_comparison(baselines: Sequence[str],
     return rows
 
 
-def figure16_vs_hotstuff(scale: Optional[ExperimentScale] = None,
-                         cluster_sizes: tuple[int, ...] = (4, 10, 16),
-                         tx_sizes: tuple[int, ...] = (128, 512, 1024)) -> list[dict]:
+def figure16_vs_hotstuff(scale: ExperimentScale, n_nodes: int,
+                         tx_size: int) -> list[dict]:
     """FLO vs HotStuff on c5.4xlarge machines (Figure 16)."""
-    return c5_comparison(("hotstuff",), scale, cluster_sizes,
-                         tx_sizes)["hotstuff"]
+    return c5_comparison(("hotstuff",), scale, (n_nodes,),
+                         (tx_size,))["hotstuff"]
 
 
-def figure17_vs_bftsmart(scale: Optional[ExperimentScale] = None,
-                         cluster_sizes: tuple[int, ...] = (4, 10, 16),
-                         tx_sizes: tuple[int, ...] = (128, 512, 1024)) -> list[dict]:
+def figure17_vs_bftsmart(scale: ExperimentScale, n_nodes: int,
+                         tx_size: int) -> list[dict]:
     """FLO vs BFT-SMaRt on c5.4xlarge machines (Figure 17)."""
-    return c5_comparison(("bftsmart",), scale, cluster_sizes,
-                         tx_sizes)["bftsmart"]
+    return c5_comparison(("bftsmart",), scale, (n_nodes,),
+                         (tx_size,))["bftsmart"]

@@ -28,7 +28,6 @@ import gc
 import resource
 import sys
 import tracemalloc
-from typing import Optional
 
 from repro.core.cluster import run_cluster
 from repro.core.config import FireLedgerConfig
@@ -40,7 +39,7 @@ from repro.ledger.chain import PRUNE_SLACK
 POINT = {"workers": 1, "batch_size": 100, "tx_size": 512}
 #: Retention window used by the bounded variant.
 RETENTION_ROUNDS = 64
-#: Simulated durations swept to expose growth-in-run-length.
+#: Simulated durations run to expose growth-in-run-length.
 DURATIONS = (0.5, 1.0, 2.0, 4.0)
 
 
@@ -92,10 +91,8 @@ def _run_point(n_nodes: int, duration: float, seed: int,
     }
 
 
-def memory_footprint(scale: Optional[ExperimentScale] = None,
-                     n_nodes: int = 4) -> list[dict]:
+def memory_footprint(scale: ExperimentScale, n_nodes: int) -> list[dict]:
     """Live state and peak memory, retention off vs on, over run length."""
-    scale = scale or ExperimentScale()
     rows = []
     # Bounded first: ru_maxrss is a process-wide high-water mark, so running
     # the unbounded variant first would imprint its peak on every

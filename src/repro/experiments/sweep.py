@@ -58,6 +58,19 @@ def config_id(experiment: str, scale: ExperimentScale, params: Mapping,
     return digest[:16]
 
 
+def point_id(spec: ExperimentSpec, scale: ExperimentScale,
+             params: Mapping) -> str:
+    """:func:`config_id` of one point of ``spec``.
+
+    A spec that pins its own run length reads only the seed off the scale,
+    so only the seed is hashed: the same scenario run under another preset
+    is the same configuration.
+    """
+    if spec.pins_duration:
+        scale = ExperimentScale(seed=scale.seed)
+    return config_id(spec.name, scale, params, defaults=spec.axis_defaults)
+
+
 def file_stem(experiment: str) -> str:
     """Filesystem-safe stem for an experiment name.
 
@@ -110,8 +123,7 @@ def make_record(spec: ExperimentSpec, scale: ExperimentScale, scale_label: str,
     record = {
         "experiment": spec.name,
         "title": spec.title,
-        "config_id": config_id(spec.name, scale, params,
-                               defaults=spec.axis_defaults),
+        "config_id": point_id(spec, scale, params),
         "scale": scale_label,
         "seed": scale.seed,
         "params": dict(params),
@@ -136,8 +148,7 @@ def plan_sweep(spec: ExperimentSpec, scales: Sequence[ExperimentScale],
     seen = set(done)
     for scale in scales:
         for point in grid_points(axes):
-            cid = config_id(spec.name, scale, point,
-                            defaults=spec.axis_defaults)
+            cid = point_id(spec, scale, point)
             label = ", ".join(f"{k}={v}" for k, v in
                               sorted({**point, "seed": scale.seed}.items()))
             yield scale, point, label, cid not in seen

@@ -113,7 +113,7 @@ def merged_rows(records: Sequence[Mapping]) -> list[dict]:
             prefix["seed"] = record.get("seed")
         record_rows = record.get("rows", [])
         for key in sorted(record.get("params", {})):
-            # Driver rows echo a swept axis under its own column(s); a
+            # Driver rows echo an axis under its own column(s); a
             # param already visible there is not repeated as a prefix column
             # (e.g. a fig10 sweep's cluster_size duplicating the rows' 'n').
             axis = registry.AXES.get(key)
@@ -276,11 +276,10 @@ def render_experiment_section(name: str, records: Sequence[Mapping]) -> str:
         lines += [description, ""]
     scenario = _scenario_spec(name)
     if scenario is not None:
-        swept = {axis.keyword: axis for axis in registry.AXES.values()
-                 if axis.keyword}
+        flags = {axis.keyword: axis.flag for axis in registry.AXES.values()}
         for key, text in scenario.summary().items():
-            note = (f" (default; sweep with `{swept[key].flag}`)"
-                    if key in swept else "")
+            note = (f" (default; sweep with `{flags[key]}`)"
+                    if key in flags else "")
             lines.append(f"- **{key.capitalize()}:** {text}{note}")
         lines += [
             f"- **Run:** {scenario.duration:g}s simulated "

@@ -9,13 +9,9 @@ resume / ``--jobs`` / report machinery.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import Optional
 
 from repro.scenarios import faultplan
-
-if TYPE_CHECKING:  # runtime import would cycle through the registry
-    from repro.experiments.harness import ExperimentScale
-from repro.scenarios.runner import run_scenario
 from repro.scenarios.spec import (
     ExecutionSpec,
     LanesSpec,
@@ -242,19 +238,3 @@ def lookup(name: str) -> Optional[ScenarioSpec]:
     """Like :func:`get` but returns None for non-scenario names."""
     key = name[len(PREFIX):] if name.startswith(PREFIX) else name
     return SCENARIOS.get(key)
-
-
-def driver_for(spec: ScenarioSpec) -> Callable[..., list]:
-    """A registry-compatible driver function bound to one scenario.
-
-    The function's ``__name__``/``__doc__`` feed the registry's
-    function-name lookup and the report's description line.
-    """
-    def _driver(scale: "Optional[ExperimentScale]" = None,
-                **axis_overrides) -> list[dict]:
-        return run_scenario(spec, scale=scale, **axis_overrides)
-
-    _driver.__name__ = "scenario_" + spec.name.replace("-", "_")
-    _driver.__qualname__ = _driver.__name__
-    _driver.__doc__ = spec.description or f"Scenario {spec.name}."
-    return _driver

@@ -179,8 +179,8 @@ class TopologySpec(_Block):
     * ``"regions"`` — explicit :attr:`regions` + :attr:`links`, compiled to a
       :class:`~repro.net.latency.WanTopologyLatency`.  When the cluster size
       equals the topology's total node count, nodes fill regions in order;
-      otherwise they are placed round-robin so the same topology can be swept
-      over cluster sizes.
+      otherwise they are placed round-robin so the same topology can run at
+      any cluster size.
     """
 
     kind: str = "lan"

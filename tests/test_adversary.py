@@ -325,7 +325,7 @@ def test_adversary_axis_canonicalises_to_committed_config_id():
 
 def test_registry_exposes_adversary_axis():
     spec = registry.get("scenario:adversary-gauntlet")
-    assert registry.ADVERSARY.name in spec.axes
+    assert registry.ADVERSARY.name in spec.grid
     assert spec.axis_defaults[registry.ADVERSARY.name] == "equivocate"
 
 

@@ -227,8 +227,7 @@ def test_run_all_skips_inapplicable_axes(monkeypatch, tmp_path, capsys):
             calls.setdefault(_name, []).append((scale, kwargs))
             return [{"driver": _name}]
         monkeypatch.setitem(registry._REGISTRY, spec.name,  # noqa: SLF001
-                            dataclasses.replace(spec, func=stub,
-                                                axes=spec.axes))
+                            dataclasses.replace(spec, point=stub))
     rc = main(["run", "--all", "--scale", "quick", "--no-record",
                "--duration", "0.2", "--warmup", "0.05",
                "--cluster-sizes", "4", "--batch-sizes", "10",
@@ -242,13 +241,14 @@ def test_run_all_skips_inapplicable_axes(monkeypatch, tmp_path, capsys):
     assert all(len(received) == 1 for received in calls.values())
     (table_scale, table_kwargs), = calls["table1"]
     assert table_kwargs == {} and table_scale.batch_sizes != (10,)
-    (fig07_scale, fig07_kwargs), = calls["fig07"]
-    assert fig07_kwargs == {}
-    assert (fig07_scale.cluster_sizes, fig07_scale.batch_sizes,
-            fig07_scale.tx_sizes, fig07_scale.workers_sweep) == (
-                (4,), (10,), (512,), (1,))
+    (_, fig07_kwargs), = calls["fig07"]
+    assert fig07_kwargs == {"n_nodes": 4, "batch_size": 10, "tx_size": 512,
+                            "workers": 1}
+    # An axis a scenario has but was not given runs the spec's own value.
     (_, scenario_kwargs), = calls["scenario:paper-lan"]
-    assert scenario_kwargs == {"n_nodes": 4, "workers": 1}
+    assert scenario_kwargs == {"adversary": "equivocate", "backend": "sim",
+                               "n_nodes": 4, "lanes": 1,
+                               "protocol": "fireledger", "workers": 1}
 
 
 def test_run_requires_exactly_one_target(tmp_path, capsys):
@@ -395,7 +395,6 @@ def test_one_axis_declaration_reaches_cli_registry_and_report(
         "block_batch", "--block-batches", "K,K", "throw-away test axis",
         keyword="batch_size", columns=("batch",)))
     monkeypatch.setattr(registry, "_REGISTRY", {})
-    monkeypatch.setattr(registry, "_BY_FUNC_NAME", {})
     registry._register_all()  # noqa: SLF001 - re-derive from the patched table
 
     args = build_parser().parse_args(
@@ -410,7 +409,7 @@ def test_one_axis_declaration_reaches_cli_registry_and_report(
     assert "adversary, backend, block_batch, cluster_size" in listing
 
     spec = registry.get("scenario:paper-lan")
-    assert "block_batch" not in registry.get("fig07").axes
+    assert "block_batch" not in registry.get("fig07").grid
     scale = ExperimentScale()
     bare = sweep.config_id(spec.name, scale, {}, defaults=spec.axis_defaults)
     assert sweep.config_id(spec.name, scale, {"block_batch": 1000},

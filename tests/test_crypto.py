@@ -12,7 +12,7 @@ from repro.crypto import (
 )
 from repro.crypto.cost_model import C5_4XLARGE, M5_XLARGE
 from repro.crypto.hashing import merkle_root
-from repro.experiments.figures import figure05_signature_rate
+from repro.experiments import registry
 from repro.experiments.harness import ExperimentScale
 
 
@@ -95,7 +95,7 @@ def test_tps_bound_scales_with_batch():
     """Figure 5's ``tps <= sps * beta`` column (Section 7.1) grows with the
     batch at every transaction size and worker count."""
     bounds: dict = {}
-    for row in figure05_signature_rate(ExperimentScale.quick()):
+    for row in registry.get("fig05").run(ExperimentScale.quick()):
         assert row["max_tps_bound"] == pytest.approx(
             row["sps"] * row["batch_size"], rel=1e-3)
         bounds.setdefault((row["tx_size"], row["workers"]), []).append(

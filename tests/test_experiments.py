@@ -2,15 +2,7 @@
 
 import pytest
 
-from repro.experiments import (
-    ExperimentScale,
-    figure05_signature_rate,
-    figure06_bps_single_dc,
-    figure12_byzantine_failures,
-    figure16_vs_hotstuff,
-    format_rows,
-    table1_costs,
-)
+from repro.experiments import ExperimentScale, format_rows, registry
 
 TINY = ExperimentScale(duration=0.3, warmup=0.05, workers_sweep=(1,),
                        cluster_sizes=(4,), batch_sizes=(10,), tx_sizes=(512,))
@@ -24,9 +16,10 @@ def test_experiment_scale_presets():
 
 
 def test_figure05_rows_follow_cost_model_shape():
-    rows = figure05_signature_rate(ExperimentScale(batch_sizes=(10, 1000),
-                                                   tx_sizes=(512,),
-                                                   workers_sweep=(1, 4, 8)))
+    rows = registry.get("fig05").run(
+        ExperimentScale(), axis_values={"batch_size": (10, 1000),
+                                        "tx_size": (512,),
+                                        "workers": (1, 4, 8)})
     by_key = {(r["batch_size"], r["workers"]): r["sps"] for r in rows}
     # More workers help up to the core count, bigger blocks sign slower.
     assert by_key[(10, 4)] > by_key[(10, 1)]
@@ -35,13 +28,13 @@ def test_figure05_rows_follow_cost_model_shape():
 
 
 def test_figure06_produces_positive_bps():
-    rows = figure06_bps_single_dc(TINY)
+    rows = registry.get("fig06").run(TINY)
     assert rows
     assert all(row["bps"] > 0 for row in rows)
 
 
 def test_table1_reports_all_three_modes():
-    rows = table1_costs(TINY)
+    rows = registry.get("table1").run(TINY)
     assert [row["mode"] for row in rows] == ["fault-free", "omission/crash", "byzantine"]
     fault_free = rows[0]
     # One vote broadcast per node per round (n-1 wire messages plus loopback)
@@ -52,15 +45,15 @@ def test_table1_reports_all_three_modes():
 
 
 def test_figure12_reports_recoveries():
-    rows = figure12_byzantine_failures(TINY)
+    rows = registry.get("fig12").run(TINY)
     assert rows
     assert all("recoveries_per_sec" in row for row in rows)
 
 
 def test_figure16_compares_flo_and_hotstuff():
-    rows = figure16_vs_hotstuff(ExperimentScale(duration=0.4, warmup=0.1,
-                                                workers_sweep=(4,)),
-                                cluster_sizes=(4,), tx_sizes=(512,))
+    rows = registry.get("fig16").run(
+        ExperimentScale(duration=0.4, warmup=0.1, workers_sweep=(4,)),
+        axis_values={"cluster_size": (4,), "tx_size": (512,)})
     assert len(rows) == 1
     row = rows[0]
     assert row["flo_tps"] > 0

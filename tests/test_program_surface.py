@@ -22,7 +22,6 @@ ALLOWED = {
     "transactions_applied": "read by benchmarks/perf/measure.py",
     "transactions_rejected": "read by benchmarks/perf/measure.py",
     "transactions_stale": "read by benchmarks/perf/measure.py",
-    "resolve": "the figure benchmarks' lookup (benchmarks/conftest.py)",
     "build_block": "read by benchmarks/perf/probes.py",
     "definite_blocks": "read by examples/quickstart.py",
     "tentative_blocks": "read by examples/quickstart.py",

@@ -319,24 +319,18 @@ def test_fig16_fig17_reproduce_pre_refactor_numbers():
     """The rewired comparison figures stay within tolerance of the numbers
     the retired HotStuffCluster/BFTSmartCluster wiring produced (captured at
     quick scale before the protocol-API refactor)."""
-    from repro.experiments.figures import (
-        figure16_vs_hotstuff,
-        figure17_vs_bftsmart,
-    )
-
     scale = ExperimentScale.quick()
     expected_hotstuff = {4: 51250, 10: 28000}
     expected_bftsmart = {4: 55000, 10: 31000}
     expected_flo = {4: 370000, 10: 98000}
 
-    for row in figure16_vs_hotstuff(scale, cluster_sizes=(4, 10),
-                                    tx_sizes=(512,)):
+    grid = {"cluster_size": (4, 10), "tx_size": (512,)}
+    for row in registry.get("fig16").run(scale, axis_values=grid):
         assert row["hotstuff_tps"] == pytest.approx(
             expected_hotstuff[row["n"]], rel=0.2)
         assert row["flo_tps"] == pytest.approx(expected_flo[row["n"]], rel=0.2)
         assert row["flo_over_hotstuff"] > 1.0
-    for row in figure17_vs_bftsmart(scale, cluster_sizes=(4, 10),
-                                    tx_sizes=(512,)):
+    for row in registry.get("fig17").run(scale, axis_values=grid):
         assert row["bftsmart_tps"] == pytest.approx(
             expected_bftsmart[row["n"]], rel=0.2)
         assert row["flo_over_bftsmart"] > 1.0

@@ -386,8 +386,22 @@ def test_every_library_scenario_is_registered():
     for name in library.names():
         spec = registry.get("scenario:" + name)
         assert spec.title == f"Scenario — {name}"
-        assert set(spec.axes) == {"cluster_size", "workers", "protocol",
+        assert set(spec.grid) == {"cluster_size", "workers", "protocol",
                                   "lanes", "backend", "adversary"}
+
+
+def test_a_scenario_grid_default_is_the_spec_itself():
+    """A scenario's point gets every axis, given or not, so its grid
+    defaults must change nothing: overriding a library spec with them is
+    the identity, and the run's backend defaults to the simulator."""
+    for name in library.names():
+        spec = library.get(name)
+        grid = registry.get("scenario:" + name).grid
+        fields = {registry.AXES[axis].keyword: default(None)
+                  for axis, default in grid.items()}
+        assert fields.pop("backend") == ("sim",)
+        assert spec.with_overrides(**{keyword: value for keyword, (value,)
+                                      in fields.items()}) == spec
 
 
 def test_scenario_sweep_and_resume(tmp_path):

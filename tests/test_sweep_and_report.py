@@ -2,7 +2,9 @@
 
 import inspect
 import json
+from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -20,6 +22,7 @@ from repro.experiments.sweep import (
     run_point,
 )
 from repro.metrics import report
+from tests import reference_registry
 from tests.conftest import SCENARIO_ROW_LEAD
 
 TINY = ExperimentScale(duration=0.3, warmup=0.05, workers_sweep=(1,),
@@ -33,18 +36,17 @@ def test_registry_covers_every_driver_in_figures():
     """Every ``figureNN_*``/``table1`` driver must be registered."""
     drivers = {name for name, obj in inspect.getmembers(figures, inspect.isfunction)
                if name.startswith("figure") or name.startswith("table")}
-    registered_from_figures = {spec.func.__name__ for spec in registry.specs()
-                               if spec.func.__module__ == figures.__name__}
+    registered_from_figures = {spec.point.__name__ for spec in registry.specs()
+                               if spec.point.__module__ == figures.__name__}
     assert drivers == registered_from_figures
     # Non-figure drivers (the memory-footprint driver) ride the same registry.
     assert "memfootprint" in registry.names()
 
 
-def test_registry_lookup_by_name_and_function_name():
-    spec = registry.get("fig07")
-    assert spec.func is figures.figure07_tps_single_dc
-    assert registry.get("figure07_tps_single_dc") is spec
-    assert registry.resolve(figures.figure07_tps_single_dc) is spec
+def test_registry_lookup_by_name():
+    assert registry.get("fig07").point is figures.figure07_tps_single_dc
+    with pytest.raises(KeyError):
+        registry.get("figure07_tps_single_dc")  # a name, not a function
 
 
 def test_registry_unknown_name_raises_with_suggestions():
@@ -56,7 +58,7 @@ def test_spec_metadata_is_usable():
     for spec in registry.specs():
         assert spec.title
         assert spec.description
-        for axis in spec.axes:
+        for axis in spec.grid:
             assert axis in registry.AXES
 
 
@@ -68,24 +70,92 @@ def test_spec_run_scale_axis_override():
 
 
 def test_spec_run_scalar_kwarg_axis_concatenates():
-    # fig10 takes n_nodes as a scalar keyword; two values -> two runs merged.
+    # fig10's cluster size defaults to n = 100; two values -> two runs merged.
     scale = ExperimentScale(duration=0.2, warmup=0.05, workers_sweep=(1,),
                             batch_sizes=(100,), tx_sizes=(512,))
     rows = registry.get("fig10").run(scale, axis_values={"cluster_size": (4, 7)})
     assert {row["n"] for row in rows} == {4, 7}
 
 
-def test_spec_normalize_truncates_past_axis_limit():
-    # fig10's driver consumes at most two worker counts (workers_sweep[:2]);
-    # the binding's limit makes the recorded override match what runs.
-    spec = registry.get("fig10")
-    normalized = spec.normalize_axis_values({"workers": (1, 4, 8)})
-    assert normalized["workers"] == (1, 4)
-    scale = ExperimentScale(duration=0.2, warmup=0.05, workers_sweep=(1,),
-                            batch_sizes=(100,), tx_sizes=(512,))
-    rows = spec.run(scale, axis_values={"cluster_size": (4,),
-                                        "workers": (1, 4, 8)})
-    assert {row["workers"] for row in rows} == {1, 4}
+@pytest.mark.parametrize("name", ["fig10", "fig11", "fig12"])
+def test_run_and_sweep_plan_the_same_points(name, monkeypatch, tmp_path):
+    """Two worker counts bound a figure's *default*, not what it is given:
+    ``run`` and ``sweep`` plan the same points for explicit values, all of
+    them.  A planning rule, so the point function is a stub."""
+    planned: dict[str, list] = {}
+    command = None
+
+    def stub(scale, **fields):
+        planned.setdefault(command, []).append(fields)
+        return [{"n": fields["n_nodes"]}]
+
+    spec = registry.get(name)
+    monkeypatch.setitem(registry._REGISTRY, name,  # noqa: SLF001
+                        replace(spec, point=stub))
+    for command in ("run", "sweep"):
+        assert main([command, name, "--cluster-sizes", "4",
+                     "--batch-sizes", "1000", "--workers", "1,4,8",
+                     "--scale", "quick",
+                     "--results-dir", str(tmp_path / command)]) == 0
+    assert planned["run"] == planned["sweep"] == [
+        {"n_nodes": 4, "batch_size": 1000, "workers": workers}
+        for workers in (1, 4, 8)]
+
+
+#: Values an axis is overridden with in the differential: one, then two.
+_OVERRIDES = {"cluster_size": (4, 7), "batch_size": (10, 100),
+              "tx_size": (512, 1024), "workers": (1, 4)}
+
+
+def _recording_run_cluster(calls: list):
+    """A ``run_cluster`` stub: records what a call asked for and returns a
+    canned result whose every number depends on the call's position, so a
+    row paired with the wrong run differs."""
+    def run_cluster(config, protocol="fireledger", duration=3.0, warmup=0.5,
+                    seed=0, latency_model=None, faults=None,
+                    latency_trim=0.0, **rest):
+        assert not rest
+        calls.append((config, protocol, duration, warmup, seed,
+                      type(latency_model).__name__,
+                      faults.phases if faults else None, latency_trim))
+        k = len(calls)
+        return SimpleNamespace(
+            tps=1000.0 * k, bps=10.0 * k, fast_path_rounds=8 * k,
+            fallback_rounds=k, failed_rounds=k + 1, recoveries=k,
+            recoveries_per_second=k / 3,
+            latency=SimpleNamespace(p50=k / 997, p95=k / 499, p99=k / 331,
+                                    mean=k / 701),
+            breakdown={"A->B": 1.0 * k, "B->C": 2.0, "signatures": 3 * k},
+            network=SimpleNamespace(messages_of_kind=lambda kind: 5 * k))
+    return run_cluster
+
+
+@pytest.mark.parametrize("label", ["quick", "default", "full"])
+@pytest.mark.parametrize("name", list(reference_registry.DRIVERS))
+def test_one_grid_runs_what_the_binding_modes_ran(name, label, monkeypatch):
+    """Differential against ``tests/reference_registry.py``: every figure and
+    Table 1, at every preset, bare and with each axis overridden by one and
+    by two values, makes the same ``run_cluster`` calls in the same order
+    (configuration, protocol, window, seed, deployment, faults, trim) and
+    returns ``==`` rows.  No simulation runs: ``run_cluster`` is a stub."""
+    spec = registry.get(name)
+    assert set(spec.grid) == set(reference_registry.driver_axes(
+        reference_registry.DRIVERS[name]))
+    scale = _preset(label, 7)
+    cases = [{}] + [{axis: _OVERRIDES[axis][:count]} for axis in spec.grid
+                    for count in (1, 2)]
+    for axis_values in cases:
+        shipped_calls, reference_calls = [], []
+        monkeypatch.setattr(figures, "run_cluster",
+                            _recording_run_cluster(shipped_calls))
+        shipped = spec.run(scale, axis_values=axis_values)
+        monkeypatch.setattr(figures, "run_cluster",
+                            _recording_run_cluster(reference_calls))
+        reference = reference_registry.run(name, scale, axis_values)
+        assert shipped_calls == reference_calls, axis_values
+        assert shipped == reference, axis_values
+        assert [list(row) for row in shipped] == [list(row)
+                                                  for row in reference]
 
 
 def test_spec_run_rejects_unknown_axis():
@@ -371,6 +441,25 @@ def test_run_and_sweep_record_one_grain(tmp_path, capsys):
     assert main(["run", *flags, "--force", "--workers", "2"]) == 0
     assert len(results_path(tmp_path, "scenario:paper-lan")
                .read_text().splitlines()) == 3
+
+
+def test_a_scenario_under_another_preset_is_already_recorded(
+        monkeypatch, tmp_path, capsys):
+    """A scenario reads only the seed off the scale, so its run under
+    ``--scale quick`` is the configuration the default-preset run recorded:
+    one record, not two.  An identity rule, so the point is a stub."""
+    name = "scenario:paper-lan"
+    ran = []
+    monkeypatch.setitem(registry._REGISTRY, name,  # noqa: SLF001
+                        replace(registry.get(name),
+                                point=lambda scale, **fields: ran.append(
+                                    scale.seed) or [{"tps": 1}]))
+    flags = [name, "--results-dir", str(tmp_path)]
+    assert main(["run", *flags]) == 0
+    assert main(["run", *flags, "--scale", "quick"]) == 0
+    assert "already recorded" in capsys.readouterr().out
+    assert ran == [7]
+    assert len(results_path(tmp_path, name).read_text().splitlines()) == 1
 
 
 def test_committed_results_are_one_record_per_configuration():
