@@ -12,7 +12,7 @@ evidence it saw (OBBC-Validity).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from repro.consensus.bbc import KEY_FIELDS as BBC_KEY_FIELDS, BinaryConsensus
@@ -37,7 +37,8 @@ class OBBCResult:
 
     decision: int
     fast_path: bool
-    votes_seen: dict[int, int] = field(default_factory=dict)
+    #: The fast path's unanimous quorum, bit ``i`` for node ``i`` (else 0).
+    voters: int = 0
 
 
 class OptimisticBinaryConsensus:
@@ -55,14 +56,6 @@ class OptimisticBinaryConsensus:
         self.favoured_value = 1
 
     # -------------------------------------------------------------- messaging
-    def broadcast_vote(self, value: int, piggyback: Any = None,
-                       piggyback_size: int = 0) -> None:
-        """Broadcast this node's vote (with optional piggybacked data)."""
-        payload = {"tag": self.tag, "value": value, "piggyback": piggyback}
-        self.context.broadcast(OBBC_VOTE, payload,
-                               size_bytes=_VOTE_BASE_SIZE + piggyback_size,
-                               include_self=True)
-
     def _collect(self, kind: str, count: int):
         """Collect this instance's ``kind`` messages from ``count`` distinct
         senders: drain what is buffered, then wait (at most
@@ -88,8 +81,8 @@ class OptimisticBinaryConsensus:
         Returns an :class:`OBBCResult`.  ``result.fast_path`` is True when
         the first ``n - f`` votes collected were unanimously ``value`` — the
         single-communication-step decision, whose unanimous vote set doubles
-        as a termination certificate for peers that fell back (it is returned
-        in ``votes_seen`` for the caller to serve on demand).  Otherwise the
+        as a termination certificate for peers that fell back (its voters are
+        returned in ``voters`` for the caller to serve on demand).  Otherwise the
         instance requests evidence from its peers, adjusts its estimate
         toward the favoured value if any valid evidence arrives, and decides
         through the full :class:`~repro.consensus.bbc.BinaryConsensus`
@@ -112,19 +105,22 @@ class OptimisticBinaryConsensus:
         if value != self.favoured_value and evidence is not None:
             raise ValueError("non-favoured proposals must not carry evidence")
 
-        self.broadcast_vote(value, piggyback, piggyback_size)
+        self.context.broadcast(
+            OBBC_VOTE, {"tag": self.tag, "value": value, "piggyback": piggyback},
+            size_bytes=_VOTE_BASE_SIZE + piggyback_size, include_self=True)
 
         # --- fast path: collect n - f votes -------------------------------
         quorum = self.context.n_nodes - self.f
         ballots = yield from self._collect(OBBC_VOTE, quorum)
-        votes = {sender: message.payload["value"]
-                 for sender, message in ballots.items()}
-        if len(votes) >= quorum and set(votes.values()) == {value}:
+        if len(ballots) >= quorum and {message.payload["value"] for message
+                                       in ballots.values()} == {value}:
             # Fast decision.  The unanimous vote set doubles as a certificate
             # that lets any peer that later falls back to the full BBC
             # terminate without our continued participation (the role of
-            # lines OB26-OB27 in Algorithm 4); the caller serves it on demand.
-            return OBBCResult(decision=value, fast_path=True, votes_seen=votes)
+            # lines OB26-OB27 in Algorithm 4); the caller serves it on demand
+            # from the voter bitmask, ``1 << sender`` summed over the ballots.
+            return OBBCResult(decision=value, fast_path=True,
+                              voters=sum(map((1).__lshift__, ballots)))
 
         # --- evidence exchange (lines OB11-OB18) ---------------------------
         self.context.broadcast(OBBC_EV_REQ, {"tag": self.tag},
@@ -144,4 +140,4 @@ class OptimisticBinaryConsensus:
             self.context, self.f, tag=("bbc", self.tag),
             coordinator_base=self.coordinator_base)
         decision = yield from fallback.propose(new_value)
-        return OBBCResult(decision=decision, fast_path=False, votes_seen=votes)
+        return OBBCResult(decision=decision, fast_path=False)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
+from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Optional
 
@@ -82,6 +83,16 @@ MAX_OUTSTANDING_BODIES = 2
 #: the node's NIC, a proposer publishes an empty block instead of pushing yet
 #: another full body into an overloaded network.
 FLOW_CONTROL_BACKLOG = 0.05
+
+
+@dataclass(slots=True)
+class FastCertificate:
+    """A fast-decided round: its value, and as node bitmasks its unanimous
+    voters and the peers served it (which go wherever the certificate goes)."""
+
+    value: int
+    voters: int
+    served: int = 0
 
 
 class FireLedgerWorker:
@@ -159,7 +170,7 @@ class FireLedgerWorker:
         self._ready_bodies: deque[str] = deque()
         self._body_ready_at: dict[str, float] = {}
         self._evidence_by_round: dict[int, dict] = {}
-        self._fast_certs: dict[int, dict] = {}
+        self._fast_certs: dict[int, FastCertificate] = {}
 
         # --- round state ------------------------------------------------------
         self.round = 0
@@ -235,8 +246,10 @@ class FireLedgerWorker:
 
     def _store_body(self, payload: dict, _arg: Any = None) -> None:
         root, batch = payload["root"], payload["batch"]
-        if batch.root != root:
-            return  # corrupted body; ignore it
+        if batch.root == root:  # else corrupted: ignore it
+            self._keep_body(root, batch)
+
+    def _keep_body(self, root: str, batch: Batch) -> None:
         self._bodies[root] = batch
         self._body_order.append(root)
         event = self._body_events.pop(root, None)
@@ -248,10 +261,7 @@ class FireLedgerWorker:
         return root in self._bodies
 
     def _body_event(self, root: str):
-        if root in self._bodies:
-            event = self.env.event()
-            event.succeed()
-            return event
+        """The event a body not yet stored triggers when it is."""
         return self._body_events.setdefault(root, self.env.event())
 
     def _serve_body(self, message: Message) -> None:
@@ -274,28 +284,26 @@ class FireLedgerWorker:
 
         If this node already decided a round on the OBBC fast path and a peer
         is running the fallback BBC for that round (we see its BBC traffic or
-        its evidence request), reply with the unanimous vote set so the peer
-        can terminate — the lazily-served equivalent of Algorithm 4's
-        lines OB26-OB27.
+        its evidence request), reply once with the unanimous vote set, rebuilt
+        from the voter bitmask, so the peer can terminate — the lazily-served
+        equivalent of Algorithm 4's lines OB26-OB27.
         """
         payload = message.payload
         if not isinstance(payload, dict):
             return
         round_number = round_of(payload.get("tag"))
-        if round_number is None:
-            return
         certificate = self._fast_certs.get(round_number)
-        if certificate is None:
+        peer = 1 << message.sender
+        if certificate is None or certificate.served & peer:
             return
-        served = certificate.setdefault("served_to", set())
-        if message.sender in served:
-            return
-        served.add(message.sender)
+        certificate.served |= peer
+        voters, value = certificate.voters, certificate.value
+        votes = dict.fromkeys([node for node in range(voters.bit_length())
+                               if voters >> node & 1], value)
         self.network.send(self.node_id, message.sender, self.channel, BBC_DECIDED,
-                          {"tag": ("bbc", round_number),
-                           "value": certificate["value"],
-                           "certificate": certificate["votes"]},
-                          size_bytes=128 + 16 * len(certificate["votes"]))
+                          {"tag": ("bbc", round_number), "value": value,
+                           "certificate": votes},
+                          size_bytes=128 + 16 * len(votes))
 
     def _serve_pull(self, message: Message) -> None:
         round_number = message.payload.get("round")
@@ -321,11 +329,7 @@ class FireLedgerWorker:
                                        fill_random=self.config.fill_blocks)
         root = batch.root
         self._charge_background(self._body_hash_cost(batch))
-        self._bodies[root] = batch
-        self._body_order.append(root)
-        event = self._body_events.pop(root, None)
-        if event is not None and not event.triggered:
-            event.succeed()
+        self._keep_body(root, batch)
         self._ready_bodies.append(root)
         if self.config.separate_headers:
             self._disseminate_body(root, batch)
@@ -537,15 +541,12 @@ class FireLedgerWorker:
 
     def _skip_recent_proposers(self) -> bool:
         """Algorithm 2, lines b1-b3; returns whether anyone was skipped."""
-        skipped = False
-        guard = 0
-        while self._current_proposer() in self.recent_proposers:
+        skipped = 0
+        while (self._current_proposer() in self.recent_proposers
+               and skipped <= len(self.schedule)):
             self._advance_proposer()
-            skipped = True
-            guard += 1
-            if guard > len(self.schedule):
-                break
-        return skipped
+            skipped += 1
+        return skipped > 0
 
     def _refresh_schedule(self) -> None:
         """Optionally re-draw the proposer permutation from a definite block hash."""
@@ -588,8 +589,8 @@ class FireLedgerWorker:
                                                skip_wait=skip_wait)
         self.recorder.record_round_outcome(delivery.obbc.fast_path, delivery.delivered)
         if delivery.obbc.fast_path:
-            self._fast_certs[round_number] = {"value": delivery.obbc.decision,
-                                              "votes": delivery.obbc.votes_seen}
+            self._fast_certs[round_number] = FastCertificate(
+                delivery.obbc.decision, delivery.obbc.voters)
 
         if not delivery.delivered:
             # Lines 16-20: switch proposer and retry the same round.

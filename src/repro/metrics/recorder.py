@@ -21,7 +21,10 @@ fold by E, a stage span X→Y by Y.  The named counters are the exception by
 contract: whole-run totals, because Table 1 divides them by each other.
 
 Memory model: by default every :class:`BlockRecord` is kept for the whole run
-(exact percentiles, the figure drivers' mode).  With ``horizon_rounds`` set,
+(exact percentiles, the figure drivers' mode); slotted, one is 291 B with its
+five events (340 B with a ``__dict__``).  A decided round also keeps its block
+and, if fast-decided, a three-int ``core/fireledger.py::FastCertificate`` (an
+n - f entry vote dict before: 1 345 B at n = 32).  With ``horizon_rounds`` set,
 the recorder *streams*: a record is folded into windowed aggregates — per-
 event counters/transaction totals, per-span sums for the breakdown, and a
 fixed-bin :class:`~repro.metrics.summary.LatencyHistogram` for the A→E span —
@@ -66,7 +69,7 @@ def stale_fold_grace(horizon_rounds: int) -> int:
     return max(4 * horizon_rounds, horizon_rounds + 16)
 
 
-@dataclass
+@dataclass(slots=True)
 class BlockRecord:
     """Timestamps and size of one (worker, round) block at one node."""
 

@@ -13,18 +13,21 @@ exactly (floats included: zero tolerance), plus the cross-node state root.
 from __future__ import annotations
 
 import dataclasses
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.consensus.bbc import BBC_DECIDED
 from repro.core.cluster import run_cluster
 from repro.core.config import FireLedgerConfig
+from repro.net.network import Network
 from repro.scenarios import FaultSchedule, WorkloadSpec, byzantine, crash, loss
 from repro.scenarios.library import SCENARIOS
 from repro.scenarios.runner import run_scenario
 from repro.sim import Environment, Process, Wait
-from tests import reference_wait
+from tests import reference_certs, reference_wait
 from tests.reference_collect import use_reference as use_reference_collect
 from tests.reference_kernel import ReferenceEnvironment, use_reference
 
@@ -201,3 +204,57 @@ def test_an_equivocator_ends_blocked_waits_through_the_wake_event(monkeypatch):
     monkeypatch.setattr(Wait, "_decide", traced)
     _waited_run(False, "fireledger", 4, "saturated", "equivocator", 7)
     assert woken
+
+
+# ------------------------------------------- a decided round keeps an int
+def _certified_run(monkeypatch, reference: bool, name: str, **kwargs):
+    """A scenario's rows and every fast-path certificate served in it, as
+    ``(sender, receiver, tag, value, votes)``, with the dict certificate of
+    ``tests/reference_certs.py`` or the shipped bitmask one."""
+    served = []
+    send = Network.send
+
+    def traced(network, sender, receiver, channel, kind, payload, *args,
+               **options):
+        if kind == BBC_DECIDED and "certificate" in payload:
+            served.append((sender, receiver, payload["tag"], payload["value"],
+                           payload["certificate"]))
+        return send(network, sender, receiver, channel, kind, payload, *args,
+                    **options)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Network, "send", traced)
+        if reference:
+            reference_certs.use_reference(patch)
+        rows = run_scenario(SCENARIOS[name], **kwargs)
+    return rows, served
+
+
+@pytest.mark.parametrize("name,kwargs,count", [
+    pytest.param("adversary-gauntlet", {"adversary": "equivocate"}, 48,
+                 id="adversary-gauntlet-equivocate"),
+    pytest.param("byzantine-minority", {}, 30, id="byzantine-minority"),
+])
+def test_a_bitmask_certificate_serves_what_the_vote_dict_served(
+        monkeypatch, name, kwargs, count):
+    """Differential against ``tests/reference_certs.py``: a fast-decided
+    round kept as a voter bitmask serves the same certificates — same peer,
+    same round, same votes — as the vote dict did, and every row is ``==``.
+
+    The trap is the served-once record: it must be replaced with the
+    certificate when a retried round is fast-decided again (and rewound and
+    evicted with it).  Kept apart from the certificate, it survives the
+    replacement and swallows the re-decided round's serves: on
+    ``adversary-gauntlet`` x ``equivocate`` (seed 7) 48 served became 42
+    (and tps 192.9 became 150.0).  A row need not show it, so the count is
+    pinned, and so is a re-serve of one round to one peer.
+    """
+    rows, served = _certified_run(monkeypatch, False, name, **kwargs)
+    reference_rows, reference_served = _certified_run(monkeypatch, True, name,
+                                                      **kwargs)
+    _assert_identical(rows, reference_rows)
+    assert served == reference_served
+    assert len(served) == count
+    if name == "adversary-gauntlet":
+        serves = Counter(entry[:3] for entry in served)
+        assert max(serves.values()) > 1  # a replaced certificate, re-served
