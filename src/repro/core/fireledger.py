@@ -19,6 +19,7 @@ atomic broadcast endpoints used by the panic path, and the main round loop:
 
 from __future__ import annotations
 
+import math
 import random
 from collections import deque
 from dataclasses import dataclass
@@ -66,7 +67,7 @@ from repro.metrics.recorder import (
     MetricsRecorder,
 )
 from repro.net.message import Message
-from repro.net.network import Network
+from repro.net.network import Network, discard
 from repro.sim import Environment
 
 BODY = "BODY"
@@ -520,10 +521,12 @@ class FireLedgerWorker:
     # the main round loop (Algorithm 2)
     # ======================================================================
     def run(self):
-        """The worker's main process."""
+        """The worker's main process.  It ends at the first round boundary
+        it reaches crashed, and no recovery restarts it."""
         yield from self.prime_bodies()
         while True:
             if self.network.is_crashed(self.node_id):
+                self._stop_filing()
                 return
             try:
                 if self._pending_panics:
@@ -532,6 +535,19 @@ class FireLedgerWorker:
                 yield from self._run_round()
             except PanicInterrupt:
                 yield from self._recover()
+
+    def _stop_filing(self) -> None:
+        """Once :meth:`run` has returned nothing reads the inbox: drop what
+        it holds, and drop every kind that would be filed there (votes and
+        the headers riding on them included) instead of filing it.  The
+        handlers that answer peers stay bound; a fallback step is still
+        offered the fast-path certificate."""
+        self.network.bind(self.node_id, self.channel, {
+            **dict.fromkeys(KEY_FIELDS, discard),
+            **dict.fromkeys((BBC_EST, BBC_COORD, BBC_AUX),
+                            self._serve_fast_certificate),
+        })
+        self.context.inbox.discard_below(math.inf)
 
     def _current_proposer(self) -> int:
         return self.schedule[self.proposer_pointer % len(self.schedule)]

@@ -23,8 +23,16 @@ def reduce_to_fields(self):
     return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
+class _WeakReferable:
+    """A slotted base whose one slot is ``__weakref__``: what
+    ``dataclass(weakref_slot=True)`` (Python 3.11+) would add, on 3.10 too,
+    and outside the ten field slots."""
+
+    __slots__ = ("__weakref__",)
+
+
 @dataclass(frozen=True, slots=True)
-class Transaction:
+class Transaction(_WeakReferable):
     """A client request of ``size_bytes`` bytes, opaque or a structured transfer.
 
     The paper's evaluation uses randomly generated transactions whose content
@@ -44,11 +52,15 @@ class Transaction:
     seeded RNG instead of the process-global id counter, so per-client
     transaction streams are reproducible across runs within one process.
 
-    Every realtime receiver unpickles its own copy of every transaction, so a
-    copy costs only its fields: no per-instance ``__dict__``, and
+    A transaction costs only its fields: no per-instance ``__dict__``, and
     :meth:`__reduce__` rebuilds it through the slot setters
     (:func:`_restore_transaction`), never through the generic slotted-dataclass
-    ``__setstate__`` and its ``fields()`` walk.
+    ``__setstate__`` and its ``fields()`` walk.  It can be weakly referenced:
+    the realtime network keeps a weak digest -> transaction table so that a
+    node receiving a transaction another in-process node framed gets that
+    object back, all ten fields matched, rather than a private copy
+    (:mod:`repro.runtime.network`).  Plain :mod:`pickle` still rebuilds a
+    fresh copy.
     """
 
     tx_id: int
@@ -115,8 +127,7 @@ def _restore_transaction(tx_id, client_id, size_bytes, submitted_at,
                          payload_digest, payload_seed, sender, recipient,
                          amount, nonce) -> Transaction:
     """Rebuild a pickled transaction from its field values.  The digest is
-    interned, so the copies one process unpickles share one string, much as
-    the simulated nodes share one transaction object."""
+    interned, so the copies one process unpickles share one string."""
     (set_tx_id, set_client_id, set_size, set_submitted_at, set_digest,
      set_seed, set_sender, set_recipient, set_amount, set_nonce) = _SLOT_SETTERS
     transaction = object.__new__(Transaction)

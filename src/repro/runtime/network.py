@@ -32,20 +32,83 @@ arrival holds it until the delay is up.  Copies bound for a crashed receiver
 count as dropped at the transport.  ``crash`` closes the node's sockets and
 discards queued frames; ``recover`` rebinds the same port with an empty
 backlog.
+
+Every receiver unpickles its own payload — dicts, batches, headers and
+signatures are never shared, so each node re-derives their memoised roots
+and digests from what it received.  Transactions are the exception, as on
+the simulator, where every node holds the one object a client built: all
+nodes of a cluster run in one process, so the network keeps a weak
+digest -> :class:`~repro.ledger.transaction.Transaction` table of what it
+framed, and a received transaction whose ten fields match (value and type)
+the framed one resolves to that object.  It is frozen, so sharing it lets no
+node alias mutable state; a copy that differs in any field — a Byzantine
+forgery of a known digest — stays a private copy.  The frames are the bytes
+``pickle.dumps`` writes, and plain :mod:`pickle` elsewhere still rebuilds
+fresh copies.
 """
 
 from __future__ import annotations
 
+import copyreg
+import io
 import pickle
+import weakref
 from functools import partial
 from typing import Optional
 
+from repro.ledger.transaction import (
+    Transaction,
+    _field_values,
+    _restore_transaction,
+)
 from repro.net.message import Message
 from repro.net.network import BaseEndpoint, BaseNetwork
 from repro.runtime.environment import RealtimeEnvironment
 from repro.runtime.transport import NodeTransport
 
 _PICKLE = pickle.HIGHEST_PROTOCOL
+#: Where the digest sits among the fields a transaction is restored from.
+_DIGEST = Transaction.__slots__.index("payload_digest")
+
+
+class _TransactionTable:
+    """One network's framed transactions, by digest, held weakly: an entry
+    lives exactly as long as some node still holds its transaction."""
+
+    __slots__ = ("_kept",)
+
+    def __init__(self) -> None:
+        self._kept: weakref.WeakValueDictionary[str, Transaction] = (
+            weakref.WeakValueDictionary())
+
+    def reduce(self, transaction: Transaction):
+        """A pickler's ``dispatch_table`` entry: register ``transaction``,
+        then reduce it exactly as :meth:`Transaction.__reduce__` does."""
+        self._kept[transaction.payload_digest] = transaction
+        return _restore_transaction, _field_values(transaction)
+
+    def restore(self, *fields) -> Transaction:
+        """An unpickler's ``_restore_transaction``: the registered object when
+        every field matches it in value and type, else a fresh copy."""
+        kept = self._kept.get(fields[_DIGEST])
+        if kept is not None:
+            kept_fields = _field_values(kept)
+            if (kept_fields == fields
+                    and tuple(map(type, kept_fields)) == tuple(map(type, fields))):
+                return kept
+        return _restore_transaction(*fields)
+
+
+class _PayloadUnpickler(pickle.Unpickler):
+    """Unpickles one payload, rebuilding transactions through ``restore``."""
+
+    def __init__(self, data: bytes, restore) -> None:
+        super().__init__(io.BytesIO(data))
+        self._restore = restore
+
+    def find_class(self, module: str, name: str):
+        found = super().find_class(module, name)
+        return self._restore if found is _restore_transaction else found
 
 
 class RealtimeEndpoint(BaseEndpoint):
@@ -87,6 +150,11 @@ class RealtimeNetwork(BaseNetwork):
         for endpoint, transport in zip(self.endpoints, self.transports):
             endpoint.transport = transport
         self._ports: list[Optional[int]] = [None] * n_nodes
+        self._transactions = _TransactionTable()
+        #: The payload pickler's reducers: ``pickle``'s own, and the table's
+        #: for transactions.
+        self._dispatch_table = {**copyreg.dispatch_table,
+                                Transaction: self._transactions.reduce}
         env.add_startup_hook(self._start)
         env.add_shutdown_hook(self._stop)
 
@@ -112,12 +180,27 @@ class RealtimeNetwork(BaseNetwork):
         self._spawn(self.transports[node_id].start())
 
     # -------------------------------------------------------------- transport
+    def _pickle_payload(self, payload) -> bytes:
+        """``pickle.dumps(payload, HIGHEST_PROTOCOL)``, registering every
+        transaction it frames in the network's table."""
+        buffer = io.BytesIO()
+        pickler = pickle.Pickler(buffer, _PICKLE)
+        pickler.dispatch_table = self._dispatch_table
+        pickler.dump(payload)
+        return buffer.getvalue()
+
+    def _unpickle_payload(self, payload_bytes: bytes):
+        """Rebuild a received payload, its transactions through the table."""
+        return _PayloadUnpickler(payload_bytes,
+                                 self._transactions.restore).load()
+
     def _transmit_copies(self, message: Message, receivers: list[int],
                          delays: list[float]) -> None:
         """Pickle the shared payload once; each receiver unpickles its own
-        copy, so — unlike the simulator's shared-envelope delivery — no two
-        nodes can alias mutable state."""
-        payload_bytes = pickle.dumps(message.payload, _PICKLE)
+        payload (only its transactions resolve to shared objects), so —
+        unlike the simulator's shared-envelope delivery — no two nodes can
+        alias mutable state."""
+        payload_bytes = self._pickle_payload(message.payload)
         for receiver, delay in zip(receivers, delays):
             self._transmit(message, receiver, delay, payload_bytes)
 
@@ -131,7 +214,7 @@ class RealtimeNetwork(BaseNetwork):
             self.stats.messages_dropped += 1
             return
         if payload_bytes is None:
-            payload_bytes = pickle.dumps(message.payload, _PICKLE)
+            payload_bytes = self._pickle_payload(message.payload)
         frame = pickle.dumps(
             (message.sender, receiver, message.channel, message.kind,
              message.size_bytes, message.sent_at, delay, payload_bytes),
@@ -147,7 +230,8 @@ class RealtimeNetwork(BaseNetwork):
         if endpoint.crashed:
             self.stats.messages_dropped += 1
             return
-        message = Message(sender, channel, kind, pickle.loads(payload_bytes),
+        message = Message(sender, channel, kind,
+                          self._unpickle_payload(payload_bytes),
                           size_bytes, sent_at)
         remaining = (sent_at + delay) - self.env.now
         self.env.call_later(max(0.0, remaining),

@@ -9,6 +9,7 @@ milliseconds) so the suite stays fast.
 """
 
 import dataclasses
+import gc
 import pickle
 import random
 import select
@@ -604,5 +605,125 @@ def test_realtime_delivers_over_loopback_tcp():
         assert message.sender == 0 and message.route == ("consensus", "vote")
         assert network.stats.messages_delivered == 1
         assert network.endpoint(1).bytes_received >= 128
+    finally:
+        env.close()
+
+
+# ------------------------------------------- realtime: one object per transaction
+def _transfer(seed, **changes):
+    return dataclasses.replace(
+        Transaction.create(1, 512, 0.25, seed, 1, 2, 5, 3), **changes)
+
+
+@pytest.mark.parametrize("payload", [
+    pytest.param(lambda: {"tag": ("obbc", 3), "vote": 1, "piggyback": None},
+                 id="vote"),
+    pytest.param(lambda: b"opaque", id="bytes"),
+    pytest.param(lambda: {"root": "r", "batch": Batch(
+        (_transfer(1), Transaction.create(0, 256, 0.5, 2)), 4, 512, 9)},
+                 id="body"),
+    pytest.param(lambda: [_transfer(3)] * 2 + [(_transfer(3),)], id="repeats"),
+])
+def test_the_network_frames_what_pickle_dumps_writes(payload):
+    """A payload framed through the network's transaction table is the
+    byte string ``pickle.dumps(payload, HIGHEST_PROTOCOL)`` is, with or
+    without transactions, and framing one payload leaves nothing that
+    changes the next."""
+    env = RealtimeEnvironment()
+    try:
+        network = make_network("realtime", env, 2)
+        first, second = payload(), payload()
+        for value in (first, second, first):
+            assert (network._pickle_payload(value)
+                    == pickle.dumps(value, pickle.HIGHEST_PROTOCOL))
+    finally:
+        env.close()
+
+
+def _broadcast_and_collect(network, env, payload):
+    """Broadcast ``payload`` from node 0 over loopback TCP; the payloads
+    nodes 1 and 2 were handed."""
+    received = []
+    for node_id in (1, 2):
+        network.endpoint(node_id).router = (
+            lambda message: received.append(message.payload))
+    env.call_later(0.0, lambda _arg: network.broadcast(
+        0, "data", "body", payload=payload, size_bytes=1024))
+    env.run(until=0.5)
+    return received
+
+
+def test_a_received_transaction_is_the_one_the_network_framed():
+    """Every receiver of a framed transaction is handed the sender's object,
+    never a private copy, while the containers around it are the receiver's
+    own."""
+    env = RealtimeEnvironment()
+    try:
+        network = make_network("realtime", env, 3)
+        batch = Batch((_transfer(1), _transfer(2)))
+        received = _broadcast_and_collect(network, env, {"batch": batch})
+        assert len(received) == 2
+        for payload in received:
+            assert payload["batch"] == batch and payload["batch"] is not batch
+            for got, sent in zip(payload["batch"].transactions,
+                                 batch.transactions):
+                assert got is sent
+    finally:
+        env.close()
+
+
+@pytest.mark.parametrize("changes", [
+    {"amount": 6}, {"amount": 5.0}, {"nonce": 4}, {"submitted_at": 0.5},
+    {"tx_id": 10 ** 20}, {"payload_seed": None}, {"recipient": None,
+                                                  "sender": None},
+], ids=["amount", "amount-type", "nonce", "submitted-at", "tx-id", "seed",
+        "opaque"])
+def test_a_forged_transaction_never_aliases_the_framed_one(changes):
+    """A frame carrying a framed transaction's digest with any one field
+    changed — in value or only in type — unpickles to a distinct object
+    holding the fields it carried."""
+    env = RealtimeEnvironment()
+    try:
+        network = make_network("realtime", env, 2)
+        honest = _transfer(7)
+        frame = network._pickle_payload((honest,))
+        assert network._unpickle_payload(frame)[0] is honest
+        forged = dataclasses.replace(honest, **changes)
+        assert forged.payload_digest == honest.payload_digest
+        (got,) = network._unpickle_payload(
+            pickle.dumps((forged,), pickle.HIGHEST_PROTOCOL))
+        assert got is not honest and got is not forged
+        for field in dataclasses.fields(Transaction):
+            value = getattr(got, field.name)
+            assert value == getattr(forged, field.name)
+            assert type(value) is type(getattr(forged, field.name))
+        # The honest frame still resolves to the honest object.
+        assert network._unpickle_payload(frame)[0] is honest
+    finally:
+        env.close()
+
+
+def test_a_transaction_nobody_holds_leaves_the_table():
+    """The table holds its transactions weakly: once the sender and every
+    receiver drop one, its entry goes, and a later frame of it unpickles
+    to a fresh copy."""
+    env = RealtimeEnvironment()
+    try:
+        network = make_network("realtime", env, 3)
+        sent = [_transfer(1)]
+        digest = sent[0].payload_digest
+        received = _broadcast_and_collect(network, env, {"batch": Batch(
+            tuple(sent))})
+        table = network._transactions._kept
+        assert [payload["batch"].transactions[0] for payload in received] \
+            == sent * 2 and list(table) == [digest]
+        assert table[digest] is sent[0]
+        frame = network._pickle_payload((sent[0],))
+        sent.clear()
+        received.clear()
+        gc.collect()
+        assert len(table) == 0
+        (copy,) = network._unpickle_payload(frame)
+        assert copy.payload_digest == digest and digest not in table
     finally:
         env.close()

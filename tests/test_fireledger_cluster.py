@@ -436,6 +436,30 @@ def test_benchmark_workload_counters_are_pinned(monkeypatch, name, duration,
     assert first == pinned
 
 
+def test_a_worker_that_stopped_at_its_crash_files_nothing(monkeypatch):
+    """A worker's ``run`` returns at the first round boundary it reaches
+    crashed, and no recovery restarts it; the network must then drop, not
+    file, the votes, headers and fallback steps peers keep sending it.
+
+    The ``crash-recover`` schedule (node 3 down over [1, 2) s), cut to 3 s.
+    With the default ``MAX_PHASES`` node 3's worker is still inside round
+    442's fallback at its recovery and never returns (a lagging node, not a
+    stopped one); one phase lets the fallback end while the node is down.
+    Filed, the 3 s run left 1 861 messages in that inbox."""
+    from repro.consensus.bbc import BinaryConsensus
+
+    with monkeypatch.context() as patch:
+        patch.setattr(BinaryConsensus, "MAX_PHASES", 1)
+        results = observe_run_cluster(patch, lambda *_: None)
+        runner.run_scenario(_cut_spec("crash-recover", 3.0, 0.2), seed=7)
+    (worker,) = results[0].nodes[3].workers
+    assert worker.round == 443 and len(worker.context.inbox) == 0
+    # The handlers that answer peers stay bound.
+    handlers = worker.network.endpoint(3).handlers
+    assert handlers[worker.channel, "BODY_REQ"] == worker._serve_body
+    assert handlers[worker.channel, "BBC_EST"] == worker._serve_fast_certificate
+
+
 def test_the_bftsmart_leader_proposes_on_the_first_tick_after_a_commit(
         monkeypatch):
     """The model the leader's poll encodes, on ``bftsmart-lan``: after
@@ -527,9 +551,9 @@ def test_a_blocked_wait_wakes_its_process_once(monkeypatch):
 
 
 def test_a_received_transaction_costs_only_its_fields(monkeypatch):
-    """Every realtime receiver unpickles its own copy of every transaction,
-    and those copies are most of what a live run keeps in memory.  A copy
-    has no ``__dict__`` (slots), and it is rebuilt through the slot setters:
+    """A transaction plain pickle rebuilds (a realtime receiver's copy of
+    one no in-process node framed) costs only its fields.  A copy has no
+    ``__dict__`` (slots), and it is rebuilt through the slot setters:
     a slotted frozen dataclass left to the default would unpickle through
     ``dataclasses._dataclass_setstate`` and a ``fields()`` walk per copy
     (10.6 % of a profiled ``live-flash-crowd`` run)."""

@@ -62,9 +62,9 @@ def test_a_transaction_survives_a_pickle_round_trip(fields):
 
 
 def test_unpickled_copies_share_one_digest_string():
-    """Every receiver of a frame unpickles its own transactions; their
-    digests are one interned string, as the simulated nodes share one
-    object."""
+    """Plain pickle — anything outside the realtime network's transaction
+    table, or a received copy that matches no framed transaction — rebuilds
+    its own transactions; their digests are one interned string."""
     frame = pickle.dumps(Batch(tuple(Transaction.create(0, 512, 0.0, seed)
                                      for seed in range(3))))
     first, second = pickle.loads(frame), pickle.loads(frame)

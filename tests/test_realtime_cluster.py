@@ -6,10 +6,13 @@ every protocol plus multiplexed lanes reaches cross-node state-root
 agreement live, with zero protocol-code changes.
 """
 
+from collections import defaultdict
+
 import pytest
 
 from repro.scenarios import library
 from repro.scenarios.runner import run_scenario
+from tests.conftest import observe_run_cluster
 
 
 @pytest.mark.parametrize("protocol,lanes", [
@@ -57,3 +60,29 @@ def test_calibrate_driver_reports_live_vs_sim_deltas():
     assert row["tps_ratio"] == pytest.approx(
         row["tps_live"] / row["tps_sim"], rel=1e-2)
     assert row["p50_live_ms"] > 0
+
+
+def test_a_live_cluster_keeps_one_object_per_transaction(monkeypatch):
+    """On the realtime backend, as on the simulator, every node holds the
+    one object the client built: across all nodes' chains, received bodies
+    and pools there is exactly one ``Transaction`` per distinct digest."""
+    with monkeypatch.context() as patch:
+        results = observe_run_cluster(patch, lambda *_: None)
+        (row,) = run_scenario(library.get("flash-crowd"), backend="realtime")
+    assert row["state_root"] and row["state_deliveries"] > 0
+    objects = defaultdict(set)
+    holders = defaultdict(set)
+    for node in results[0].nodes:
+        for worker in node.workers:
+            held = [transaction for block in worker.chain.blocks
+                    for transaction in block.transactions]
+            held += [transaction for batch in worker._bodies.values()
+                     for transaction in batch.transactions]
+            held += worker.txpool._pending
+            for transaction in held:
+                objects[transaction.payload_digest].add(id(transaction))
+                holders[transaction.payload_digest].add(node.node_id)
+    assert objects
+    assert all(len(ids) == 1 for ids in objects.values())
+    # Not vacuous: the data path shipped them to every node.
+    assert any(len(nodes) == 4 for nodes in holders.values())
