@@ -4,11 +4,11 @@
 from __future__ import annotations
 
 import random
+from bisect import insort
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import accumulate, repeat
-from typing import Any, Callable, Mapping, Optional
+from typing import Any, Callable, Mapping, Optional, Sequence
 
 from repro.crypto.cost_model import M5_XLARGE, MachineSpec
 from repro.net.latency import LatencyModel, SingleDatacenterLatency
@@ -105,8 +105,9 @@ class Endpoint(BaseEndpoint):
     def reset_lanes(self) -> None:
         """Clear all queued NIC occupancy (both directions, both lanes).
 
-        Mutates the lane dicts in place: the :class:`Network` broadcast fast
-        path holds direct references to them for the endpoint's lifetime.
+        Mutates the lane dicts in place: :meth:`Network._reserve` reads the
+        ingress ones through ``Network._rx_lanes``, references it holds for
+        the endpoint's lifetime.
         """
         tx = self._tx_free_at
         tx["bulk"] = tx["ctrl"] = 0.0
@@ -118,25 +119,6 @@ class Endpoint(BaseEndpoint):
         return (size_bytes / self.machine.egress_bandwidth
                 + size_bytes * self.machine.network_stack_per_byte
                 + self.machine.network_stack_per_message)
-
-    @staticmethod
-    def _lane(size_bytes: int) -> str:
-        return "bulk" if size_bytes > BULK_MESSAGE_THRESHOLD else "ctrl"
-
-    def reserve_nic(self, size_bytes: int) -> float:
-        """Reserve egress (send-side) time for a payload; returns its end time."""
-        lane = self._lane(size_bytes)
-        start = max(self.env.now, self._tx_free_at[lane])
-        self._tx_free_at[lane] = start + self._transfer_cost(size_bytes)
-        self.bytes_sent += size_bytes
-        return self._tx_free_at[lane]
-
-    def reserve_ingress(self, size_bytes: int, not_before: float) -> float:
-        """Reserve receive-side processing time; returns the completion time."""
-        lane = self._lane(size_bytes)
-        start = max(not_before, self._rx_free_at[lane])
-        self._rx_free_at[lane] = start + self._transfer_cost(size_bytes)
-        return self._rx_free_at[lane]
 
     @property
     def nic_backlog(self) -> float:
@@ -197,6 +179,9 @@ class BaseNetwork:
         self.endpoints = [self.endpoint_class(env, node_id, machine)
                           for node_id in range(n_nodes)]
         self._deliver = self._make_completer()
+        # Each sender's receivers: everyone else, in id order.
+        ids = tuple(range(n_nodes))
+        self._receivers = [ids[:sender] + ids[sender + 1:] for sender in ids]
 
     # ----------------------------------------------------------------- nodes
     def endpoint(self, node_id: int):
@@ -282,13 +267,20 @@ class BaseNetwork:
                   include_self: bool = False) -> list[int]:
         """Send the same payload to every other node (clique dissemination).
 
-        One envelope, one copy per receiver, in receiver order, each drawing
-        from the shared rng in the fixed ``should_drop`` / ``sample`` /
-        ``extra_delay`` order.  Returns the ids of the receivers whose copy
-        is in flight: crashed senders return ``[]``; dropped copies are
-        excluded and, as in :meth:`send`, count as sent *and* dropped without
-        reaching the backend.  With ``include_self`` the loopback copy sits
-        at its receiver-order slot.
+        One envelope, one copy per receiver, in receiver order.  Returns the
+        ids of the receivers whose copy is in flight: crashed senders return
+        ``[]``; dropped copies are excluded and, as in :meth:`send`, count as
+        sent *and* dropped without reaching the backend.  With
+        ``include_self`` the loopback copy sits at its receiver-order slot.
+
+        Without a fault controller no copy drops: one
+        :meth:`~repro.net.latency.LatencyModel.sample_block` call draws every
+        link latency (the rng stream of per-copy ``sample`` calls), plus
+        ``transfer_delay`` per copy where the model charges one.  With a
+        controller each copy draws from the shared rng in the fixed
+        ``should_drop`` / ``sample`` / ``extra_delay`` order
+        (:meth:`_link_delay`).  Either way the survivors go to the backend as
+        one :meth:`_transmit_copies` call.
         """
         if not 0 <= sender < self.n_nodes:
             raise ValueError(f"invalid endpoint id sender={sender}")
@@ -297,28 +289,38 @@ class BaseNetwork:
         env = self.env
         now = env.now
         message = Message(sender, channel, kind, payload, size_bytes, now)
-        reached: list[int] = []
-        remote: list[int] = []
-        delays: list[float] = []
-        for receiver in range(self.n_nodes):
-            if receiver == sender:
-                if include_self:
-                    env.call_later(0.0, partial(self._deliver, message),
-                                   receiver)
-                    reached.append(receiver)
-                continue
-            delay = self._link_delay(message, receiver, now)
-            if delay is None:
-                self.stats.messages_dropped += 1
-                continue
-            remote.append(receiver)
-            delays.append(delay)
-            reached.append(receiver)
-        if remote:
-            self._transmit_copies(message, remote, delays)
+        receivers = self._receivers[sender]
+        if self.fault_controller is None:
+            model = self.latency_model
+            delays = model.sample_block(sender, receivers, self.rng)
+            # Models that keep the base class's zero transfer_delay (every
+            # link latency-bound only) skip the per-copy call.
+            if type(model).transfer_delay is not LatencyModel.transfer_delay:
+                transfer = model.transfer_delay
+                wire_bytes = message.size_bytes
+                delays = [delay + transfer(sender, receiver, wire_bytes)
+                          for receiver, delay in zip(receivers, delays)]
+        else:
+            surviving: list[int] = []
+            delays = []
+            for receiver in receivers:
+                delay = self._link_delay(message, receiver, now)
+                if delay is None:
+                    self.stats.messages_dropped += 1
+                    continue
+                surviving.append(receiver)
+                delays.append(delay)
+            receivers = surviving
+        if include_self:
+            env.call_later(0.0, partial(self._deliver, message), sender)
+        if receivers:
+            self._transmit_copies(message, receivers, delays)
         copies = self.n_nodes if include_self else self.n_nodes - 1
         if copies:
             self.stats.record_send(channel, kind, message.size_bytes, copies)
+        reached = list(receivers)
+        if include_self:
+            insort(reached, sender)
         return reached
 
     def _link_delay(self, message: Message, receiver: int,
@@ -340,7 +342,7 @@ class BaseNetwork:
 
     def _make_completer(self) -> Callable[[Message, int], None]:
         """Build the final delivery step, the same for every backend and
-        every send shape (unicast, loopback, both fan-out paths).
+        every send shape (unicast, loopback, fan-out).
 
         One call per delivered copy — the hottest function in the simulator
         — hence a closure: the endpoint list and the stats are cell loads.
@@ -376,8 +378,8 @@ class BaseNetwork:
         """Move one unicast ``message``; it is due ``delay`` seconds from now."""
         raise NotImplementedError
 
-    def _transmit_copies(self, message: Message, receivers: list[int],
-                         delays: list[float]) -> None:
+    def _transmit_copies(self, message: Message, receivers: Sequence[int],
+                         delays: Sequence[float]) -> None:
         """Move one broadcast's surviving copies (one envelope)."""
         raise NotImplementedError
 
@@ -404,100 +406,38 @@ class Network(BaseNetwork):
 
     def __init__(self, env: Environment, n_nodes: int, **options) -> None:
         super().__init__(env, n_nodes, **options)
-        # Broadcast fast-path caches: the per-endpoint ingress lane dicts
-        # (stable for an endpoint's lifetime — reset_lanes mutates in place)
-        # and each sender's receiver sequence (everyone else, in id order).
+        # The per-endpoint ingress lane dicts, stable for an endpoint's
+        # lifetime (reset_lanes mutates them in place).
         self._rx_lanes = [endpoint._rx_free_at for endpoint in self.endpoints]
-        ids = tuple(range(n_nodes))
-        self._receivers = [ids[:sender] + ids[sender + 1:] for sender in ids]
 
-    def _arrival(self, message: Message, receiver: int, delay: float) -> float:
-        """Reserve the sender's NIC lane, then the receiver's ingress lane."""
-        size = message.size_bytes
-        serialisation_done = self.endpoints[message.sender].reserve_nic(size)
-        return self.endpoints[receiver].reserve_ingress(
-            size, not_before=serialisation_done + delay)
+    def _reserve(self, message: Message, receivers: Sequence[int],
+                 delays: Sequence[float]) -> list[float]:
+        """Reserve NIC and ingress lane time for copies of ``message``;
+        returns each copy's arrival time, in receiver order.
 
-    def _transmit(self, message: Message, receiver: int, delay: float) -> None:
-        self.env.call_later(
-            self._arrival(message, receiver, delay) - self.env.now,
-            partial(self._deliver, message), receiver)
-
-    def _transmit_copies(self, message: Message, receivers: list[int],
-                         delays: list[float]) -> None:
-        """One delivery train for all copies of the broadcast."""
-        times = [self._arrival(message, receiver, delay)
-                 for receiver, delay in zip(receivers, delays)]
-        self.env.schedule_batch(times, receivers,
-                                partial(self._deliver, message))
-
-    def broadcast(self, sender: int, channel: str, kind: str, payload: Any,
-                  size_bytes: int = MESSAGE_OVERHEAD_BYTES,
-                  include_self: bool = False) -> list[int]:
-        """:meth:`BaseNetwork.broadcast`, with a fan-out fast path.
-
-        Without a fault controller, instead of ``n`` independent per-copy
-        steps the fan-out builds the one envelope, reserves the sender's NIC
-        lane by one precomputed increment per copy (all copies are the same
-        size, and every endpoint runs the same machine spec, so ingress
-        costs match too), samples all link latencies in one
-        :meth:`~repro.net.latency.LatencyModel.sample_block` call, and hands
-        the whole fan-out to the kernel as a single
-        :meth:`~repro.sim.environment.Environment.schedule_batch` delivery
-        train over the receiver ids — one queue entry per broadcast instead
-        of one per copy, and nothing allocated per copy but its arrival
-        time.  With a fault controller installed the shared per-copy loop
-        runs, so the ``should_drop`` / ``sample`` / ``extra_delay``
-        interleaving on the shared rng is unchanged; so it does on a
-        one-node network, where there is no fan-out to batch.
+        The sender's NIC serialises the copies one after another on the
+        message's lane: copy ``i`` is out ``i + 1`` transfer costs after the
+        lane frees (not before now), a running sum.  Its floor is that time
+        plus its link delay; the receiver's ingress lane then takes it from
+        the later of the floor and the lane's own free time, for one more
+        transfer cost (every endpoint runs the same machine spec).  A unicast
+        is the one-copy case.
         """
-        if self.fault_controller is not None or self.n_nodes == 1:
-            return super().broadcast(sender, channel, kind, payload,
-                                     size_bytes, include_self)
-        if not 0 <= sender < self.n_nodes:
-            raise ValueError(f"invalid endpoint id sender={sender}")
-        source = self.endpoints[sender]
-        if source.crashed:
-            return []
-        env = self.env
-        now = env.now
-        model = self.latency_model
-        # Skip the per-copy transfer_delay call entirely for models that keep
-        # the base class's zero-cost default (every link latency-bound only).
-        transfer = None
-        if type(model).transfer_delay is not LatencyModel.transfer_delay:
-            transfer = model.transfer_delay
-        n = self.n_nodes
-
-        message = Message(sender, channel, kind, payload, size_bytes, now)
         wire_bytes = message.size_bytes
         lane = "bulk" if wire_bytes > BULK_MESSAGE_THRESHOLD else "ctrl"
+        source = self.endpoints[message.sender]
         cost = source._transfer_cost(wire_bytes)
         tx_free = source._tx_free_at
         free_at = tx_free[lane]
+        now = self.env.now
         if free_at < now:
             free_at = now
-
-        receivers = self._receivers[sender]
-        delays = model.sample_block(sender, receivers, self.rng)
         rx_lanes = self._rx_lanes
-        # Per-copy arrival floors in two C-level passes: the sender's NIC
-        # frees one `cost` later per copy (a prefix sum), then each copy
-        # adds its sampled link delay (and per-link transfer time on
-        # bandwidth-capped WAN models).
-        floors = list(accumulate(repeat(cost, n - 1), initial=free_at))
-        del floors[0]
-        tx_free[lane] = floors[-1]
-        if transfer is None:
-            floors = [f + d for f, d in zip(floors, delays)]
-        else:
-            floors = [f + d + transfer(sender, r, wire_bytes)
-                      for f, d, r in zip(floors, delays, receivers)]
-        # What is left per copy is the model itself: the receiver's ingress
-        # lane is reserved, which fixes the arrival time.
         times: list[float] = []
         times_append = times.append
-        for receiver, not_before in zip(receivers, floors):
+        for receiver, delay in zip(receivers, delays):
+            free_at += cost
+            not_before = free_at + delay
             rx = rx_lanes[receiver]
             prior = rx[lane]
             if not_before < prior:
@@ -505,12 +445,17 @@ class Network(BaseNetwork):
             received_at = not_before + cost
             rx[lane] = received_at
             times_append(received_at)
-        deliver = partial(self._deliver, message)
-        env.schedule_batch(times, receivers, deliver)
-        if include_self:
-            env.call_later(0.0, deliver, sender)
-        source.bytes_sent += (n - 1) * wire_bytes
-        self.stats.record_send(channel, kind, wire_bytes,
-                               n if include_self else n - 1)
-        # The self copy sits at its receiver-order slot in the result.
-        return list(range(n)) if include_self else list(receivers)
+        tx_free[lane] = free_at
+        source.bytes_sent += len(times) * wire_bytes
+        return times
+
+    def _transmit(self, message: Message, receiver: int, delay: float) -> None:
+        self.env.call_later(
+            self._reserve(message, (receiver,), (delay,))[0] - self.env.now,
+            partial(self._deliver, message), receiver)
+
+    def _transmit_copies(self, message: Message, receivers: Sequence[int],
+                         delays: Sequence[float]) -> None:
+        """One delivery train for all copies of the broadcast."""
+        self.env.schedule_batch(self._reserve(message, receivers, delays),
+                                receivers, partial(self._deliver, message))

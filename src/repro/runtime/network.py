@@ -54,7 +54,7 @@ import io
 import pickle
 import weakref
 from functools import partial
-from typing import Optional
+from typing import Optional, Sequence
 
 from repro.ledger.transaction import (
     Transaction,
@@ -194,8 +194,8 @@ class RealtimeNetwork(BaseNetwork):
         return _PayloadUnpickler(payload_bytes,
                                  self._transactions.restore).load()
 
-    def _transmit_copies(self, message: Message, receivers: list[int],
-                         delays: list[float]) -> None:
+    def _transmit_copies(self, message: Message, receivers: Sequence[int],
+                         delays: Sequence[float]) -> None:
         """Pickle the shared payload once; each receiver unpickles its own
         payload (only its transactions resolve to shared objects), so —
         unlike the simulator's shared-envelope delivery — no two nodes can

@@ -23,11 +23,19 @@ from repro.consensus.bbc import BBC_DECIDED
 from repro.core.cluster import run_cluster
 from repro.core.config import FireLedgerConfig
 from repro.net.network import Network
-from repro.scenarios import FaultSchedule, WorkloadSpec, byzantine, crash, loss
+from repro.scenarios import (
+    FaultSchedule,
+    WorkloadSpec,
+    byzantine,
+    crash,
+    loss,
+    slow,
+)
 from repro.scenarios.library import SCENARIOS
 from repro.scenarios.runner import run_scenario
 from repro.sim import Environment, Process, Wait
-from tests import reference_certs, reference_wait
+from tests import reference_certs, reference_network, reference_wait
+from tests.conftest import observe_run_cluster
 from tests.reference_collect import use_reference as use_reference_collect
 from tests.reference_kernel import ReferenceEnvironment, use_reference
 
@@ -258,3 +266,38 @@ def test_a_bitmask_certificate_serves_what_the_vote_dict_served(
     if name == "adversary-gauntlet":
         serves = Counter(entry[:3] for entry in served)
         assert max(serves.values()) > 1  # a replaced certificate, re-served
+
+
+# ------------------------------------------------- one way out of a node
+def _networked_run(monkeypatch, reference: bool, name: str, **overrides):
+    """A scenario's rows and the kernel's ``_sequence``, on the shipped
+    network or on ``tests/reference_network.py``'s two-path one."""
+    kernels = []
+    with monkeypatch.context() as patch:
+        observe_run_cluster(patch, lambda env, network, nodes:
+                            kernels.append(env))
+        if reference:
+            reference_network.use_reference(patch)
+        rows = run_scenario(SCENARIOS[name], **overrides)
+    return rows, kernels[0]._sequence  # noqa: SLF001
+
+
+@pytest.mark.parametrize("name,overrides", [
+    pytest.param("adversary-gauntlet", {"adversary": "selective-omission"},
+                 id="adversary-gauntlet-selective-omission"),
+    pytest.param("geo-5region", {"faults": FaultSchedule((
+        slow(0.02, start=0.3, end=0.9, senders=(2, 3)),))},
+                 id="geo-5region-slow"),
+])
+def test_a_controlled_run_is_the_two_path_network_it_replaced(
+        monkeypatch, name, overrides):
+    """Differential against ``tests/reference_network.py`` on the fault
+    controller's path: one-way partition windows (selective omission) and a
+    ``slow`` window over bandwidth-capped links.  Every row field,
+    ``state_root`` and ``Environment._sequence`` are ``==``."""
+    rows, sequence = _networked_run(monkeypatch, False, name, **overrides)
+    reference_rows, reference_sequence = _networked_run(
+        monkeypatch, True, name, **overrides)
+    _assert_identical(rows, reference_rows)
+    assert sequence == reference_sequence
+    assert rows[0]["state_root"]

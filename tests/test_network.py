@@ -3,12 +3,16 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.net import GeoDistributedLatency, SingleDatacenterLatency
-from repro.net.network import BULK_MESSAGE_THRESHOLD
+from repro.net.latency import WanTopologyLatency
+from repro.net.network import BULK_MESSAGE_THRESHOLD, Network
 from repro.scenarios.faultplan import FaultSchedule, loss, partition, slow
 from repro.sim import Environment
 from tests.conftest import make_network
+from tests.reference_network import NullController, ReferenceNetwork
 
 
 def collect_inbox(network, node_id):
@@ -178,7 +182,7 @@ def test_broadcast_excludes_dropped_messages(env, network):
 
 
 def test_broadcast_returns_receiver_ids_the_caller_may_keep(env, network):
-    """The fan-out fast path reads each sender's receiver sequence from a
+    """A fan-out reads each sender's receiver sequence from a
     per-network cache; what it returns is the caller's own list."""
     reached = network.broadcast(1, "test", "HELLO", None)
     assert reached == [0, 2, 3]
@@ -191,16 +195,24 @@ def test_broadcast_returns_receiver_ids_the_caller_may_keep(env, network):
 
 
 def test_broadcast_matches_send_loop_semantics(env):
-    """The fan-out fast path times deliveries like n sequential sends."""
+    """A fan-out times deliveries like n sequential sends.  Both reserve
+    through one step, so the lanes they leave are exactly equal; a unicast's
+    ``call_later(t - now)`` may land one ulp from ``t``, hence ``approx`` on
+    arrival times."""
     size = BULK_MESSAGE_THRESHOLD * 4
     env_b, env_s = Environment(), Environment()
     fanout = make_network(env_b, 5)
     serial = make_network(env_s, 5)
     got_b = [record_arrivals(env_b, fanout, node) for node in range(1, 5)]
     got_s = [record_arrivals(env_s, serial, node) for node in range(1, 5)]
+
+    def lanes(network):
+        return [(e._tx_free_at, e._rx_free_at) for e in network.endpoints]
+
     fanout.broadcast(0, "t", "BODY", None, size_bytes=size)
     for receiver in range(1, 5):
         serial.send(0, receiver, "t", "BODY", None, size_bytes=size)
+    assert lanes(fanout) == lanes(serial)
     env_b.run()
     env_s.run()
     for batched, single in zip(got_b, got_s):
@@ -341,3 +353,121 @@ def test_sample_block_matches_sequential_samples():
         seq = [model.sample(0, receiver, b) for receiver in receivers]
         assert block == seq
         assert a.getstate() == b.getstate()
+
+
+# ------------------------------------------- one way out: the former two paths
+_NODE = st.integers(0, 11)
+_SIZE = st.sampled_from([0, 600, BULK_MESSAGE_THRESHOLD,
+                         BULK_MESSAGE_THRESHOLD + 1, 300_000])
+_OPS = st.lists(st.one_of(
+    st.tuples(st.just("send"), _NODE, _NODE, _SIZE),
+    st.tuples(st.just("broadcast"), _NODE, _SIZE, st.booleans()),
+    st.tuples(st.just("crash"), _NODE),
+    st.tuples(st.just("recover"), _NODE),
+    st.tuples(st.just("advance"), st.sampled_from([0.0, 2e-5, 1e-3, 0.03])),
+), max_size=40)
+_WINDOW = st.sampled_from([(0.0, float("inf")), (0.0, 0.001), (0.001, 0.04),
+                           (0.03, float("inf"))])
+_SOME = st.one_of(st.none(), st.lists(_NODE, min_size=1, max_size=4))
+
+
+@st.composite
+def _link_phase(draw):
+    start, end = draw(_WINDOW)
+    kind = draw(st.sampled_from(["loss", "partition", "slow"]))
+    if kind == "partition":
+        split = draw(st.integers(1, 11))
+        return partition([range(split), range(split, 12)], start, end)
+    if kind == "loss":
+        return loss(draw(st.sampled_from([0.25, 1.0])), start, end,
+                    draw(_SOME), draw(_SOME))
+    return slow(draw(st.sampled_from([1e-4, 0.02])), start, end,
+                draw(_SOME), draw(_SOME))
+
+
+def _latency_model(name, n):
+    if name == "lan":
+        return SingleDatacenterLatency()
+    if name == "geo":
+        return GeoDistributedLatency()
+    # Bandwidth-capped cross-region links, as in scenario:geo-5region.
+    regions = ("virginia", "frankfurt", "singapore")
+    return WanTopologyLatency(
+        [regions[node % 3] for node in range(n)],
+        one_way_s={frozenset(("virginia", "frankfurt")): 0.044},
+        bandwidth_bps={frozenset(("virginia", "singapore")): 250 * 125_000.0},
+        default_bandwidth_bps=150 * 125_000.0)
+
+
+def _played(network_class, n, model, controller, seed, ops):
+    """Play ``ops`` on a fresh network; everything a caller can observe."""
+    env = Environment()
+    network = network_class(env, n, latency_model=_latency_model(model, n),
+                            rng=random.Random(seed),
+                            fault_controller=controller)
+    delivered = {node: [] for node in range(n)}
+    for node in range(n):
+        network.endpoint(node).router = (
+            lambda message, log=delivered[node]:
+            log.append((message.sender, message.kind, env.now)))
+    returned = []
+    for index, op in enumerate(ops):
+        name, args = op[0], op[1:]
+        if name == "send":
+            sender, receiver, size = args
+            returned.append(network.send(sender % n, receiver % n, "t",
+                                         f"s{index}", {"i": index}, size))
+        elif name == "broadcast":
+            sender, size, include_self = args
+            returned.append(network.broadcast(sender % n, "t", f"b{index}",
+                                              None, size, include_self))
+        elif name == "crash":
+            network.crash(args[0] % n)
+        elif name == "recover":
+            network.recover(args[0] % n)
+        else:
+            env.run(until=env.now + args[0])
+    env.run()
+    return {"returned": returned, "stats": network.stats,
+            "endpoints": [(e.bytes_sent, e.bytes_received, e._tx_free_at,
+                           e._rx_free_at, e.crashed)
+                          for e in network.endpoints],
+            "rng": network.rng.getstate(), "delivered": delivered,
+            "sequence": env._sequence}  # noqa: SLF001
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(2, 12), model=st.sampled_from(["lan", "geo", "wan"]),
+       phases=st.one_of(st.none(), st.lists(_link_phase(), min_size=1,
+                                            max_size=3)),
+       seed=st.integers(0, 2 ** 16), ops=_OPS)
+def test_one_send_path_matches_the_two_it_replaced(n, model, phases, seed,
+                                                   ops):
+    """Differential against ``tests/reference_network.py``: with one draw
+    step and one reservation step for every send shape, every return value,
+    ``stats``, per-endpoint bytes and lane state, ``rng.getstate()`` and each
+    receiver's ``(sender, kind, time)`` deliveries are ``==`` — fault-free
+    (the oracle's fan-out fast path) and under loss, partition and slow
+    windows (its per-copy path).  On bandwidth-capped links the oracle's
+    fast path added ``transfer_delay`` in another order, so there the
+    expected values are its per-copy path's, under a null controller."""
+    schedule = None if phases is None else FaultSchedule(tuple(phases))
+    oracle_controller = schedule
+    if schedule is None and model == "wan":
+        oracle_controller = NullController()
+    got = _played(Network, n, model, schedule, seed, ops)
+    want = _played(ReferenceNetwork, n, model, oracle_controller, seed, ops)
+    assert got == want
+
+
+def test_a_capped_fan_out_adds_the_transfer_delay_to_the_link_delay():
+    """What the differential's null controller stands for: on a capped link
+    a fan-out copy's floor is ``NIC-free time + (sample + transfer_delay)``,
+    as a unicast's always was, not the former fast path's ``(NIC-free time
+    + sample) + transfer_delay``."""
+    ops = [("broadcast", node % 9, 300_000, False) for node in range(60)]
+    got = _played(Network, 9, "wan", None, 5, ops)
+    per_copy = _played(ReferenceNetwork, 9, "wan", NullController(), 5, ops)
+    fast_path = _played(ReferenceNetwork, 9, "wan", None, 5, ops)
+    assert got == per_copy
+    assert got["delivered"] != fast_path["delivered"]
