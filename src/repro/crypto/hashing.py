@@ -42,6 +42,7 @@ def merkle_root(leaves: Iterable[str]) -> str:
     Used for block transaction digests so that a block header commits to the
     exact transaction set without embedding it.
     """
+    sha256 = hashlib.sha256
     level = [leaf for leaf in leaves]
     if not level:
         return GENESIS_DIGEST
@@ -49,7 +50,7 @@ def merkle_root(leaves: Iterable[str]) -> str:
         if len(level) % 2 == 1:
             level.append(level[-1])
         level = [
-            hash_bytes((level[i] + level[i + 1]).encode("ascii"))
+            sha256((level[i] + level[i + 1]).encode("ascii")).hexdigest()
             for i in range(0, len(level), 2)
         ]
     return level[0]

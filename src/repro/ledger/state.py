@@ -34,16 +34,11 @@ bias: 1.0 for a perfectly fair rotation, ``n`` for a single static leader).
 from __future__ import annotations
 
 from collections import deque
+from hashlib import sha256
 from typing import Iterable, Optional, Sequence
 
 from repro.crypto.hashing import hash_fields
 from repro.metrics.summary import LatencyHistogram
-
-#: Per-transaction outcomes of :meth:`LedgerState.apply_transaction`.
-APPLIED = "applied"
-STALE = "stale"
-INVALID = "invalid"
-OPAQUE = "opaque"
 
 #: Deliveries of (index, tag, root) history an executor retains for the
 #: cross-node common-prefix comparison.  Nodes frozen by a crash fall behind
@@ -77,39 +72,72 @@ class LedgerState:
         self.applied = 0
         self.stale = 0
         self.invalid = 0
-        self.opaque = 0
 
-    def balance_of(self, account: int) -> int:
-        return self._balances.get(account, self.initial_balance)
+    def apply_block(self, transactions: Sequence, now: float,
+                    sender_latency: dict[int, LatencyHistogram]
+                    ) -> tuple[str, int]:
+        """Apply one delivered block's transactions in order, in one loop.
 
-    def apply_transaction(self, transaction) -> str:
-        """Apply one delivered transaction; returns its outcome.
+        Each transaction has one outcome:
 
         * ``opaque`` — no transfer fields (saturated-mode payloads);
         * ``stale`` — ``nonce < expected``: a replay or duplicate, rejected;
         * ``invalid`` — fresh nonce but insufficient balance; the nonce is
           still consumed (the sender "paid for" the failed attempt), which
           keeps the outcome independent of any later balance changes;
-        * ``applied`` — balance moved, nonce advanced to ``nonce + 1``.
+        * ``applied`` — balance moved, nonce advanced to ``nonce + 1``, and
+          the commit latency ``now - submitted_at`` folded into the sender's
+          histogram in ``sender_latency``.
+
+        Returns the outcomes rendered as the root fold hashes them — each
+        ``repr((digest, outcome))``, concatenated — and the block's account
+        conflicts: every sender or recipient a transfer touches that an
+        earlier transfer of the same block touched already.
         """
-        sender = transaction.sender
-        if sender is None:
-            self.opaque += 1
-            return OPAQUE
-        expected = self._nonces.get(sender, 0)
-        if transaction.nonce < expected:
-            self.stale += 1
-            return STALE
-        self._nonces[sender] = transaction.nonce + 1
-        balance = self.balance_of(sender)
-        if transaction.amount > balance:
-            self.invalid += 1
-            return INVALID
-        self._balances[sender] = balance - transaction.amount
-        recipient = transaction.recipient
-        self._balances[recipient] = self.balance_of(recipient) + transaction.amount
-        self.applied += 1
-        return APPLIED
+        balances = self._balances
+        nonces = self._nonces
+        initial = self.initial_balance
+        touched: set[int] = set()
+        touch = touched.add
+        rendered: list[str] = []
+        render = rendered.append
+        applied = stale = invalid = 0
+        for transaction in transactions:
+            digest = transaction.payload_digest
+            sender = transaction.sender
+            if sender is None:
+                render(f"({digest!r}, 'opaque')")
+                continue
+            recipient = transaction.recipient
+            touch(sender)
+            touch(recipient)
+            nonce = transaction.nonce
+            if nonce < nonces.get(sender, 0):
+                stale += 1
+                render(f"({digest!r}, 'stale')")
+                continue
+            nonces[sender] = nonce + 1
+            amount = transaction.amount
+            balance = balances.get(sender, initial)
+            if amount > balance:
+                invalid += 1
+                render(f"({digest!r}, 'invalid')")
+                continue
+            balances[sender] = balance - amount
+            balances[recipient] = balances.get(recipient, initial) + amount
+            applied += 1
+            render(f"({digest!r}, 'applied')")
+            histogram = sender_latency.get(sender)
+            if histogram is None:
+                histogram = sender_latency[sender] = LatencyHistogram()
+            histogram.add(now - transaction.submitted_at)
+        self.applied += applied
+        self.stale += stale
+        self.invalid += invalid
+        # Two accounts per transfer; each one already in ``touched`` when
+        # added is a conflict.
+        conflicts = 2 * (applied + stale + invalid) - len(touched)
+        return "".join(rendered), conflicts
 
 
 class LedgerExecutor:
@@ -157,32 +185,20 @@ class LedgerExecutor:
         saturated-mode blocks still contribute their size to the root;
         ``transactions`` are the explicit ones actually executed.
         """
-        outcomes = []
-        touched: set[int] = set()
-        conflicts = 0
-        apply_transaction = self.state.apply_transaction
-        for transaction in transactions:
-            outcome = apply_transaction(transaction)
-            outcomes.append((transaction.payload_digest, outcome))
-            sender = transaction.sender
-            if sender is None:
-                continue
-            for account in (sender, transaction.recipient):
-                if account in touched:
-                    conflicts += 1
-                else:
-                    touched.add(account)
-            if outcome == APPLIED:
-                histogram = self._sender_latency.get(sender)
-                if histogram is None:
-                    histogram = self._sender_latency[sender] = LatencyHistogram()
-                histogram.add(now - transaction.submitted_at)
+        outcomes, conflicts = self.state.apply_block(
+            transactions, now, self._sender_latency)
         self.conflicts += conflicts
         if proposer is not None:
             count = len(transactions) if tx_count is None else tx_count
             self._proposer_tx[proposer] = self._proposer_tx.get(proposer, 0) + count
-        self.state_root = hash_fields("exec", self.state_root, tag,
-                                      tx_count, outcomes)
+        # The text ``hash_fields("exec", root, tag, tx_count, outcomes)``
+        # hashes for the list of ``(digest, outcome)`` pairs, written out: a
+        # tuple tag (a lane's ``(lane, tag)``) is flattened one level.
+        tag_text = ("".join(map(repr, tag)) if isinstance(tag, (list, tuple))
+                    else repr(tag))
+        self.state_root = sha256(
+            f"'exec'|{self.state_root!r}|{tag_text}|{tx_count!r}|{outcomes}|"
+            .encode("utf-8")).hexdigest()
         self.deliveries += 1
         self._history.append((tag, self.state_root))
 

@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import sys
 from dataclasses import dataclass, field, fields
 from functools import cached_property
+from hashlib import sha256 as _sha256
 from operator import attrgetter
 from typing import Optional
 
@@ -31,7 +31,7 @@ class _WeakReferable:
     __slots__ = ("__weakref__",)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Transaction(_WeakReferable):
     """A client request of ``size_bytes`` bytes, opaque or a structured transfer.
 
@@ -52,13 +52,17 @@ class Transaction(_WeakReferable):
     seeded RNG instead of the process-global id counter, so per-client
     transaction streams are reproducible across runs within one process.
 
-    A transaction costs only its fields: no per-instance ``__dict__``, and
-    :meth:`__reduce__` rebuilds it through the slot setters
-    (:func:`_restore_transaction`), never through the generic slotted-dataclass
-    ``__setstate__`` and its ``fields()`` walk.  It can be weakly referenced:
-    the realtime network keeps a weak digest -> transaction table so that a
-    node receiving a transaction another in-process node framed gets that
-    object back, all ten fields matched, rather than a private copy
+    A transaction costs only its fields: no per-instance ``__dict__``.  One
+    is built per client write, so the constructor validates, derives the
+    digest and writes the ten slots through their member descriptors
+    (:data:`_SLOT_SETTERS`) in one frame; assignment after construction
+    still raises ``FrozenInstanceError``.  :meth:`__reduce__` rebuilds it
+    through the same slot setters (:func:`_restore_transaction`), never
+    through the generic slotted-dataclass ``__setstate__`` and its
+    ``fields()`` walk.  It can be weakly referenced: the realtime network
+    keeps a weak digest -> transaction table so that a node receiving a
+    transaction another in-process node framed gets that object back, all
+    ten fields matched, rather than a private copy
     (:mod:`repro.runtime.network`).  Plain :mod:`pickle` still rebuilds a
     fresh copy.
     """
@@ -77,26 +81,44 @@ class Transaction(_WeakReferable):
     amount: int = 0
     nonce: int = 0
 
-    def __post_init__(self) -> None:
-        if self.size_bytes <= 0:
+    def __init__(self, tx_id: int, client_id: int, size_bytes: int,
+                 submitted_at: float = 0.0, payload_digest: str = "",
+                 payload_seed: Optional[int] = None,
+                 sender: Optional[int] = None,
+                 recipient: Optional[int] = None,
+                 amount: int = 0, nonce: int = 0) -> None:
+        if size_bytes <= 0:
             raise ValueError("transactions must have positive size")
-        if self.sender is not None:
-            if self.recipient is None:
+        if sender is not None:
+            if recipient is None:
                 raise ValueError("a transfer needs a recipient")
-            if self.amount < 0 or self.nonce < 0:
+            if amount < 0 or nonce < 0:
                 raise ValueError("transfer amount and nonce must be >= 0")
-        if not self.payload_digest:
+        if not payload_digest:
             # The string ``hash_fields("tx", identity, client, size[, sender,
             # recipient, amount, nonce])`` would build, written out for its
-            # scalar fields: one digest per submitted transaction.
-            identity = (self.payload_seed if self.payload_seed is not None
-                        else self.tx_id)
-            text = f"'tx'|{identity!r}|{self.client_id!r}|{self.size_bytes!r}|"
-            if self.sender is not None:
-                text += (f"{self.sender!r}|{self.recipient!r}|"
-                         f"{self.amount!r}|{self.nonce!r}|")
-            object.__setattr__(self, "payload_digest", hashlib.sha256(
-                text.encode("utf-8")).hexdigest())
+            # scalar fields: one digest per submitted transaction.  A given
+            # digest is kept, as ``dataclasses.replace`` hands it back.
+            identity = tx_id if payload_seed is None else payload_seed
+            if sender is None:
+                text = f"'tx'|{identity!r}|{client_id!r}|{size_bytes!r}|"
+            else:
+                text = (f"'tx'|{identity!r}|{client_id!r}|{size_bytes!r}|"
+                        f"{sender!r}|{recipient!r}|{amount!r}|{nonce!r}|")
+            payload_digest = _sha256(text.encode("utf-8")).hexdigest()
+        (set_tx_id, set_client_id, set_size, set_submitted_at, set_digest,
+         set_seed, set_sender, set_recipient, set_amount,
+         set_nonce) = _SLOT_SETTERS
+        set_tx_id(self, tx_id)
+        set_client_id(self, client_id)
+        set_size(self, size_bytes)
+        set_submitted_at(self, submitted_at)
+        set_digest(self, payload_digest)
+        set_seed(self, payload_seed)
+        set_sender(self, sender)
+        set_recipient(self, recipient)
+        set_amount(self, amount)
+        set_nonce(self, nonce)
 
     @classmethod
     def create(cls, client_id: int, size_bytes: int, now: float = 0.0,
@@ -169,7 +191,7 @@ class Batch:
     @cached_property
     def size_bytes(self) -> int:
         """Total wire size of the batch (memoised like :attr:`root`)."""
-        explicit = sum(tx.size_bytes for tx in self.transactions)
+        explicit = sum([tx.size_bytes for tx in self.transactions])
         return explicit + self.filler_count * self.filler_tx_size
 
     @property

@@ -75,9 +75,9 @@ class TxPool:
         """
         if batch_size < 0:
             raise ValueError("batch_size must be non-negative")
-        explicit: list[Transaction] = []
-        while self._pending and len(explicit) < batch_size:
-            explicit.append(self._pending.popleft())
+        popleft = self._pending.popleft
+        explicit = [popleft()
+                    for _ in range(min(batch_size, len(self._pending)))]
         filler = 0
         if fill_random:
             filler = batch_size - len(explicit)

@@ -48,14 +48,19 @@ class LatencyHistogram:
 
     def add(self, value: float) -> None:
         """Fold one latency sample into the histogram."""
-        index = min(int(value / self.bin_width), self.max_bins - 1)
-        if index < 0:
+        index = int(value / self.bin_width)
+        if index >= self.max_bins:
+            index = self.max_bins - 1
+        elif index < 0:
             index = 0
-        self.counts[index] = self.counts.get(index, 0) + 1
+        counts = self.counts
+        counts[index] = counts.get(index, 0) + 1
         self.count += 1
         self.total += value
-        self.min_value = min(self.min_value, value)
-        self.max_value = max(self.max_value, value)
+        if value < self.min_value:
+            self.min_value = value
+        if value > self.max_value:
+            self.max_value = value
 
     def extend(self, values: Iterable[float]) -> None:
         for value in values:

@@ -22,9 +22,10 @@ Three pieces make that composition safe:
 
 * **Deterministic workload slicing**.  A client write is assigned to lane
   ``hash(sender) % M`` (Knuth multiplicative hash; ``client_id`` when no
-  sender), so one sender's nonce stream stays lane-local and the relaxed
-  nonce rule of :mod:`repro.ledger.state` keeps its per-sender ordering
-  guarantees unchanged.
+  sender; :meth:`MultiplexedNode.submit_transaction`), so one sender's
+  nonce stream stays lane-local and the relaxed nonce rule of
+  :mod:`repro.ledger.state` keeps its per-sender ordering guarantees
+  unchanged.
 
 * **Watermark round-robin merge**.  Per node, the lanes' delivery streams
   feed one :class:`~repro.ledger.delivery.RoundRobinMerge` — the same merge
@@ -46,7 +47,7 @@ from __future__ import annotations
 
 import random
 from functools import partial
-from typing import Callable, Optional
+from typing import Callable
 
 from repro.ledger.delivery import Delivery, DeliveryStream, RoundRobinMerge
 from repro.metrics.recorder import NodeMetrics
@@ -58,29 +59,25 @@ _HASH_MULTIPLIER = 2654435761
 _HASH_MASK = 2 ** 32 - 1
 
 
-def lane_of(sender: Optional[int], client_id: int, lanes: int) -> int:
-    """The lane a transaction belongs to: a pure function of its sender.
-
-    Keyed on ``sender`` so one account's nonce stream is ordered by a single
-    lane; opaque (senderless) payloads key on ``client_id`` instead.
-    """
-    key = client_id if sender is None else sender
-    return ((key * _HASH_MULTIPLIER) & _HASH_MASK) % lanes
-
-
 class LaneNetwork:
     """One lane's view of the shared :class:`~repro.net.network.Network`.
 
     Send, broadcast and bind prefix the channel with ``l<lane>!``.
     Everything else — endpoints, crash state, stats, latency model, fault
-    controller, ``n_nodes`` — is delegated to the real network, so protocol
-    code runs byte-for-byte unchanged inside a lane (it sees the prefixed
-    name only in ``message.channel``, which no protocol reads).
+    controller, ``n_nodes`` — is the real network's, so protocol code runs
+    byte-for-byte unchanged inside a lane (it sees the prefixed name only in
+    ``message.channel``, which no protocol reads).  The three names a lane
+    reads every round and the network never rebinds (``endpoint``,
+    ``is_crashed``, ``n_nodes``) are bound at construction; the rest is
+    delegated on each read, so state the network replaces stays current.
     """
 
     def __init__(self, network, lane: int) -> None:
         self._network = network
         self._prefix = f"l{lane}!"
+        self.endpoint = network.endpoint
+        self.is_crashed = network.is_crashed
+        self.n_nodes = network.n_nodes
 
     def bind(self, node_id: int, channel: str, handlers) -> None:
         self._network.bind(node_id, self._prefix + channel, handlers)
@@ -131,10 +128,19 @@ class MultiplexedNode:
 
     # ---------------------------------------------------------------- client
     def submit_transaction(self, transaction) -> bool:
-        """Route a client write to its sender's lane (see :func:`lane_of`)."""
-        lane = lane_of(transaction.sender, transaction.client_id,
-                       len(self.lanes))
-        return self.lanes[lane].submit_transaction(transaction)
+        """Route a client write to its lane: a pure function of its sender.
+
+        Keyed on ``sender`` so one account's nonce stream is ordered by a
+        single lane; opaque (senderless) payloads key on ``client_id``
+        instead.  The key's Knuth multiplicative hash, modulo the lane
+        count, is the lane.
+        """
+        key = transaction.sender
+        if key is None:
+            key = transaction.client_id
+        lanes = self.lanes
+        return lanes[((key * _HASH_MULTIPLIER) & _HASH_MASK)
+                     % len(lanes)].submit_transaction(transaction)
 
     # ------------------------------------------------------------ inspection
     @property

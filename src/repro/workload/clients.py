@@ -105,39 +105,63 @@ def _cumulative_weights(weights: Optional[Sequence[float]],
     return list(accumulate(weights))
 
 
-def _below(rng: random.Random, n: int) -> int:
-    """``rng.randrange(n)`` for ``n > 0``, drawn with the stdlib's own
-    arithmetic (``Random._randbelow``): ``getrandbits(n.bit_length())``
-    until a draw lands below ``n``.  The same value and the same RNG state,
-    without ``randrange``'s argument checks on every draw."""
-    getrandbits = rng.getrandbits
-    bits = n.bit_length()
-    value = getrandbits(bits)
-    while value >= n:
-        value = getrandbits(bits)
-    return value
+def _next_write(client) -> tuple:
+    """``(node, transaction)``: every draw one client write makes, in one
+    frame shared by both client kinds.
 
-
-def _pick_node(rng: random.Random, nodes: Sequence,
-               cum_weights: Optional[Sequence[float]]):
-    """Uniform or weighted node choice (shared by both client kinds), drawn
-    exactly as ``rng.choice(nodes)`` / ``rng.choices(nodes,
-    cum_weights=cum_weights)`` draw it: an index below ``len(nodes)``, or
-    the running sums bisected at ``random() * total``."""
+    The draws are ``random.Random``'s own arithmetic, written out, in the
+    order its methods made them: the target node as ``rng.choice(nodes)``
+    or ``rng.choices(nodes, cum_weights=...)``, the payload identity as
+    ``payload_rng.randrange(2 ** 62)``, and for a structured workload the
+    recipient and the amount from the transfer model's RNG as ``choice`` /
+    ``choices`` over the accounts and ``randint(0, max_amount)``.  An index
+    below ``n`` is ``Random._randbelow``: ``getrandbits(n.bit_length())``
+    until a draw lands below ``n``; a weighted pick bisects the running sums
+    at ``random() * total``.  Same values, same RNG states, none of those
+    methods' argument checks or frames.
+    """
+    rng = client.rng
+    nodes = client.nodes
+    cum_weights = client.cum_weights
     if cum_weights is None:
-        return nodes[_below(rng, len(nodes))]
-    return nodes[bisect(cum_weights, rng.random() * (cum_weights[-1] + 0.0),
-                        0, len(cum_weights) - 1)]
-
-
-def _next_transaction(client) -> Transaction:
-    """The client's next write request, built once, here: a seeded payload
-    identity, plus the transfer fields when the workload is structured."""
-    payload_seed = _below(client.payload_rng, 2 ** 62)
-    transfer = (client.transfers.next_transfer()
-                if client.transfers is not None else ())
-    return Transaction.create(client.client_id, client.tx_size, client.env.now,
-                              payload_seed, *transfer)
+        count = len(nodes)
+        bits = count.bit_length()
+        index = rng.getrandbits(bits)
+        while index >= count:
+            index = rng.getrandbits(bits)
+    else:
+        index = bisect(cum_weights, rng.random() * (cum_weights[-1] + 0.0),
+                       0, len(cum_weights) - 1)
+    getrandbits = client.payload_rng.getrandbits
+    payload_seed = getrandbits(63)
+    while payload_seed >= 2 ** 62:
+        payload_seed = getrandbits(63)
+    transfers = client.transfers
+    if transfers is None:
+        return nodes[index], Transaction.create(
+            client.client_id, client.tx_size, client.env.now, payload_seed)
+    getrandbits = transfers.rng.getrandbits
+    cum_weights = transfers.cum_weights
+    if cum_weights is None:
+        count = transfers.n_accounts
+        bits = count.bit_length()
+        recipient = getrandbits(bits)
+        while recipient >= count:
+            recipient = getrandbits(bits)
+    else:
+        recipient = bisect(cum_weights,
+                           transfers.rng.random() * (cum_weights[-1] + 0.0),
+                           0, len(cum_weights) - 1)
+    count = transfers.max_amount + 1
+    bits = count.bit_length()
+    amount = getrandbits(bits)
+    while amount >= count:
+        amount = getrandbits(bits)
+    nonce = transfers.nonce
+    transfers.nonce = nonce + 1
+    return nodes[index], Transaction.create(
+        client.client_id, client.tx_size, client.env.now, payload_seed,
+        transfers.sender, recipient, amount, nonce)
 
 
 def hotspot_weights(n_nodes: int, skew: float) -> list[float]:
@@ -160,7 +184,8 @@ class TransferModel:
     counters collide — deliberate stale-nonce contention the account machine
     must reject exactly once.  ``recipient_skew`` concentrates recipients on
     low-numbered accounts (Zipf-like, account 0 hottest), creating the
-    read-write conflicts a hotspot workload is meant to exhibit.
+    read-write conflicts a hotspot workload is meant to exhibit.  The
+    client's :func:`_next_write` draws each transfer from this model's RNG.
     """
 
     def __init__(self, client_id: int, n_accounts: int, rng: random.Random,
@@ -172,23 +197,14 @@ class TransferModel:
         if recipient_skew < 0:
             raise ValueError("recipient_skew must be non-negative")
         self.sender = client_id % n_accounts
+        self.n_accounts = n_accounts
         self.rng = rng
         self.max_amount = max_amount
-        self._accounts = list(range(n_accounts))
-        self._cum_weights = _cumulative_weights(
+        self.cum_weights = _cumulative_weights(
             hotspot_weights(n_accounts, recipient_skew)
-            if recipient_skew else None, self._accounts)
-        self._nonce = 0
-
-    def next_transfer(self) -> tuple[int, int, int, int]:
-        """``(sender, recipient, amount, nonce)`` of the next submission, in
-        :meth:`Transaction.create`'s positional order; the amount is
-        ``rng.randint(0, max_amount)``'s draw."""
-        recipient = _pick_node(self.rng, self._accounts, self._cum_weights)
-        nonce = self._nonce
-        self._nonce += 1
-        return (self.sender, recipient, _below(self.rng, self.max_amount + 1),
-                nonce)
+            if recipient_skew else None, range(n_accounts))
+        #: The nonce of the next transfer.
+        self.nonce = 0
 
 
 class OpenLoopClient:
@@ -227,11 +243,6 @@ class OpenLoopClient:
         #: long soak run's clients stay O(1) memory.
         self.submitted_count = 0
 
-    @property
-    def rate(self) -> float:
-        """Current arrival rate (transactions/second)."""
-        return self.shape.rate(self.env.now)
-
     def start(self) -> None:
         """Arm the arrival chain from the next zero-delay slot."""
         self.env.call_later(0.0, self._arrive, False)
@@ -242,15 +253,15 @@ class OpenLoopClient:
         A declined ``submit_transaction`` (the node's pool is at its cap) is
         open-loop behaviour: the request is lost, and the client
         keeps its arrival schedule.  The gap to the next arrival is
-        ``rng.expovariate(rate)``'s draw.
+        ``rng.expovariate(rate)``'s draw at the rate in force now.
         """
-        rng = self.rng
+        env = self.env
         if submit:
-            node = _pick_node(rng, self.nodes, self.cum_weights)
-            if node.submit_transaction(_next_transaction(self)):
+            node, transaction = _next_write(self)
+            if node.submit_transaction(transaction):
                 self.submitted_count += 1
-        self.env.call_later(-log(1.0 - rng.random()) / self.rate, self._arrive,
-                            True)
+        env.call_later(-log(1.0 - self.rng.random()) / self.shape.rate(env.now),
+                       self._arrive, True)
 
 
 class ClosedLoopClient:
@@ -305,9 +316,9 @@ class ClosedLoopClient:
         request.
         """
         while True:
-            node = _pick_node(self.rng, self.nodes, self.cum_weights)
+            node, transaction = _next_write(self)
             before = node.delivered_transactions
-            if not node.submit_transaction(_next_transaction(self)):
+            if not node.submit_transaction(transaction):
                 yield self.env.timeout(self.POLL_INTERVAL)
                 continue
             self.submitted_count += 1

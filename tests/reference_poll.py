@@ -26,11 +26,7 @@ from functools import partial
 from repro.baselines.bftsmart import PROPOSE, BFTSmartReplica
 from repro.baselines.replica import replica_nodes
 from repro.protocols.base import PROTOCOLS
-from repro.workload.clients import (
-    ClosedLoopClient,
-    _next_transaction,
-    _pick_node,
-)
+from repro.workload.clients import ClosedLoopClient, _next_write
 
 #: Consensus instances the leader kept in flight.
 PIPELINE_WINDOW = 1
@@ -68,9 +64,9 @@ class ReferenceClosedLoopClient(ClosedLoopClient):
 
     def run(self):
         while True:
-            node = _pick_node(self.rng, self.nodes, self.cum_weights)
+            node, transaction = _next_write(self)
             before = node.delivered_transactions
-            if not node.submit_transaction(_next_transaction(self)):
+            if not node.submit_transaction(transaction):
                 yield self.env.timeout(self.POLL_INTERVAL)
                 continue
             self.submitted_count += 1

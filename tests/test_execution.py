@@ -174,12 +174,12 @@ def test_shared_pool_carries_transactions_with_execution_on_or_off(env):
 def test_payload_identities_are_seeded_not_global(env):
     """A client's payload stream derives from its seeded RNG: rebuilding the
     client reproduces it exactly, regardless of global `random` usage."""
-    from repro.workload.clients import OpenLoopClient, _next_transaction
+    from repro.workload.clients import OpenLoopClient, _next_write
 
     def payload_stream():
         client = OpenLoopClient(env, 0, [object()], 100.0,
                                 rng=global_random.Random(42))
-        return [_next_transaction(client).payload_seed for _ in range(5)]
+        return [_next_write(client)[1].payload_seed for _ in range(5)]
 
     first = payload_stream()
     global_random.random()  # perturb the process-global stream

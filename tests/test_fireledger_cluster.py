@@ -646,9 +646,10 @@ class _FirstReads:
 
 
 def _hashing_work(monkeypatch, name, duration, warmup) -> tuple:
-    """``(merkle_root calls, distinct batches whose root was read,
-    hash_fields + hash_bytes calls)`` of one cut-down benchmark workload,
-    counted the way the benchmark's ``crypto.hash_calls`` is: by profile."""
+    """``(merkle_root calls, distinct batches whose root was read, SHA-256
+    digests computed)`` of one cut-down benchmark workload, counted by
+    profile: the last is the calls of the ``hashlib.sha256`` constructor,
+    whichever helper (or none) makes them."""
     spec = _cut_spec(name, duration, warmup)
     reads = _FirstReads(vars(Batch)["root"])
     profile = cProfile.Profile()
@@ -662,15 +663,15 @@ def _hashing_work(monkeypatch, name, duration, warmup) -> tuple:
     calls = Counter()
     for (path, _line, function), (_cc, ncalls, *_rest) in \
             pstats.Stats(profile).stats.items():
-        if Path(path).name == "hashing.py":
+        if Path(path).name == "hashing.py" or path == "~":
             calls[function] += ncalls
     return (calls["merkle_root"], len(reads.batches),
-            calls["hash_fields"] + calls["hash_bytes"])
+            calls["<built-in method _hashlib.openssl_sha256>"])
 
 
 @pytest.mark.parametrize("name,duration,warmup,pinned", [
     pytest.param(name, *rest, id=name) for name, *rest in (
-        ("flash-crowd-lanes4", 0.3, 0.1, (532, 532, 16261)),
+        ("flash-crowd-lanes4", 0.3, 0.1, (532, 532, 29872)),
         ("lan-saturated", 0.4, 0.1, (626, 626, 3460)),
     )])
 def test_a_body_is_hashed_once_per_object(monkeypatch, name, duration, warmup,
@@ -680,12 +681,84 @@ def test_a_body_is_hashed_once_per_object(monkeypatch, name, duration, warmup,
     frozen batch, so ``merkle_root`` calls equal the distinct batches whose
     root anyone read (at commit c851f49 every read re-derived it: 2 467
     calls for 532 batches on the flash-crowd point, 3 004 for 626 on the
-    saturated one).  The generic
-    digest calls left on the transaction path are pinned with them; like the
-    work counters above they repeat exactly, so the tolerance is zero.
+    saturated one).  The SHA-256 digests the run computes are pinned with
+    them; like the work counters above they repeat exactly, so the tolerance
+    is zero.  That column counted ``hash_fields`` + ``hash_bytes`` calls
+    (16 261 and 3 460) until the execution root and the Merkle tree's inner
+    nodes hashed their text directly (500 and 1 208 such calls left); the
+    digests computed did not move: 29 872 and 3 460 at commit b0661fe too.
     """
     first = _hashing_work(monkeypatch, name, duration, warmup)
     assert first == _hashing_work(monkeypatch, name, duration, warmup)
     merkle_calls, batches_read, _digest_calls = first
     assert merkle_calls == batches_read > 0
     assert first == pinned
+
+
+def _transaction_path_calls(name, duration, warmup) -> tuple:
+    """``(arrivals, arrival-span calls, executed transactions, delivery-span
+    calls)`` of one cut-down benchmark workload, seed 7.
+
+    A span opens when the profiler sees a Python-level call of its root —
+    ``OpenLoopClient._arrive`` (arrival: draws, the transaction, the pool
+    insert, the next arrival armed) or ``LedgerExecutor.on_delivery``
+    (delivery: execution and the root fold) — and closes when that frame
+    returns; every Python-level call inside, the root's own included, counts.
+    C calls do not.  The cyclic GC is paused, as in a benchmark repeat."""
+    from repro.ledger.state import LedgerExecutor
+    from repro.workload.clients import OpenLoopClient
+
+    roots = {OpenLoopClient._arrive.__code__: "arrival",
+             LedgerExecutor.on_delivery.__code__: "delivery"}
+    counts = Counter()
+    open_span = []
+
+    def profile(frame, event, _arg):
+        if event == "call":
+            if open_span:
+                counts[open_span[1]] += 1
+            elif frame.f_code in roots:
+                span = roots[frame.f_code]
+                open_span[:] = [frame, span]
+                counts[span] += 1
+                if span == "arrival":
+                    counts["arrivals"] += 1
+                else:
+                    counts["executed"] += len(
+                        frame.f_locals["delivery"].transactions)
+        elif event == "return" and open_span and frame is open_span[0]:
+            open_span.clear()
+
+    spec = _cut_spec(name, duration, warmup)
+    with gc_paused():  # no collection's finalizers run inside a span
+        sys.setprofile(profile)
+        try:
+            runner.run_scenario(spec, seed=7)
+        finally:
+            sys.setprofile(None)
+    return (counts["arrivals"], counts["arrival"], counts["executed"],
+            counts["delivery"])
+
+
+def test_a_transaction_costs_a_pinned_number_of_calls():
+    """Python-level calls on the two per-transaction spans of a 0.1 sim-s
+    ``flash-crowd-lanes4`` cut: 11 632 arrivals (16 of them a client's first,
+    which submits nothing) and 25 991 transactions executed over 553
+    node-deliveries.
+
+    An arrival is 10 calls: ``_arrive``, the one draw frame
+    ``_next_write``, ``Transaction.create`` and its ``__init__``, the rate
+    shape, the lane node's and the lane's ``submit_transaction``, the pool's
+    ``submit`` and ``is_full``, and ``call_later``.  A delivery is
+    ``on_delivery``, ``apply_delivery`` and ``LedgerState.apply_block``, plus
+    one ``LatencyHistogram.add`` per applied transfer (7 608) and one
+    ``LatencyHistogram`` built per sender first seen (64 constructor calls).
+    At commit b0661fe the same spans took 220 768 and 50 538 calls: a
+    generated ``__init__`` plus ``__post_init__``, ``_pick_node`` /
+    ``_below`` / ``next_transfer`` per draw, ``lane_of``, and
+    ``apply_transaction`` / ``balance_of`` / one ``hash_fields`` per
+    transaction or delivery.  The counts repeat exactly, so the tolerance
+    is zero: a change that puts a frame back on either span fails here.
+    """
+    counts = _transaction_path_calls("flash-crowd-lanes4", 0.1, 0.05)
+    assert counts == (11632, 116208, 25991, 9331)

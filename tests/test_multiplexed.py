@@ -19,13 +19,14 @@ from repro.crypto.keys import KeyStore
 from repro.ledger.delivery import Delivery, DeliveryStream
 from repro.net.network import Network
 from repro.scenarios.spec import ScenarioSpec
+from repro.ledger.transaction import Transaction
 from repro.protocols.multiplexed import (
     MultiplexedNode,
     build_lanes,
     lane_configs,
-    lane_of,
 )
 from repro.sim import Environment
+from tests.reference_txpath import lane_of as reference_lane_of
 
 LANE_CONFIG = dict(n_nodes=4, workers=1, batch_size=10, tx_size=512,
                    execute_transactions=True)
@@ -36,6 +37,11 @@ class _StubLane:
 
     def __init__(self):
         self.delivery_stream = DeliveryStream()
+        self.submitted = []
+
+    def submit_transaction(self, transaction):
+        self.submitted.append(transaction)
+        return True
 
     def emit(self, tag, tx_count=1):
         self.delivery_stream.deliver(Delivery(tag=tag, tx_count=tx_count))
@@ -91,6 +97,20 @@ def test_multiplexed_does_not_nest():
 
 
 # ------------------------------------------------------------- lane routing
+def lane_of(sender, client_id, lanes):
+    """The lane a ``MultiplexedNode`` of ``lanes`` lanes routes a write of
+    ``sender`` / ``client_id`` to, checked against the formula it inlines
+    (``tests/reference_txpath.py::lane_of``)."""
+    node = MultiplexedNode(0, [_StubLane() for _ in range(lanes)])
+    transaction = Transaction(0, client_id, 64, sender=sender,
+                              recipient=None if sender is None else 0)
+    assert node.submit_transaction(transaction)
+    routed, = [lane for lane, inner in enumerate(node.lanes)
+               if inner.submitted == [transaction]]
+    assert routed == reference_lane_of(sender, client_id, lanes)
+    return routed
+
+
 def test_lane_of_is_deterministic_and_sender_local():
     for lanes in (1, 2, 4, 7):
         for sender in range(50):

@@ -1,7 +1,9 @@
 """Property-based tests (hypothesis) of core data structures and invariants."""
 
+import pickle
 import random
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
+from itertools import accumulate
 from types import SimpleNamespace
 
 from hypothesis import HealthCheck, given, settings
@@ -27,7 +29,7 @@ from repro.workload.clients import (
     OpenLoopClient,
     TransferModel,
     _cumulative_weights,
-    _pick_node,
+    _next_write,
     hotspot_weights,
 )
 from tests import reference_commit_metrics, reference_txpath
@@ -383,6 +385,11 @@ transfer_streams = st.lists(
     min_size=0, max_size=60)
 
 
+def balance_of(state, account):
+    """An account's balance: its entry, or the genesis balance."""
+    return state._balances.get(account, state.initial_balance)  # noqa: SLF001
+
+
 def make_transfers(stream):
     return [Transaction.create(client_id=sender, size_bytes=8,
                                payload_seed=index, sender=sender,
@@ -419,18 +426,18 @@ def test_agreed_delivery_order_yields_identical_state_roots(stream, shuffle_seed
     apply_stream(second, ordering, seed=block_seed)
     assert first.state_root == second.state_root
     assert first.deliveries == second.deliveries
-    for counter in ("applied", "stale", "invalid", "opaque"):
+    for counter in ("applied", "stale", "invalid"):
         assert getattr(first.state, counter) == getattr(second.state, counter)
     deliveries, root = verify_state_agreement([first, second])
     assert deliveries == first.deliveries
     assert root == first.state_root
     # Money is conserved under every ordering and every block partition.
-    total = sum(first.state.balance_of(account)
+    total = sum(balance_of(first.state, account)
                 for account in range(N_ACCOUNTS))
     assert total == N_ACCOUNTS * INITIAL_BALANCE
-    # Outcomes partition the stream exactly.
+    # Outcomes partition the stream (all transfers) exactly.
     state = first.state
-    assert state.applied + state.stale + state.invalid + state.opaque == len(stream)
+    assert state.applied + state.stale + state.invalid == len(stream)
 
 
 @common_settings
@@ -443,13 +450,13 @@ def test_replayed_transfers_are_rejected_exactly_once(stream, block_seed):
     apply_stream(executor, transfers, seed=block_seed)
     applied, invalid = executor.state.applied, executor.state.invalid
     stale = executor.state.stale
-    balances = [executor.state.balance_of(a) for a in range(N_ACCOUNTS)]
+    balances = [balance_of(executor.state, a) for a in range(N_ACCOUNTS)]
     apply_stream(executor, transfers, seed=block_seed + 1)
     # The replay applied/invalidated nothing and went stale wholesale.
     assert executor.state.applied == applied
     assert executor.state.invalid == invalid
     assert executor.state.stale == stale + len(transfers)
-    assert [executor.state.balance_of(a) for a in range(N_ACCOUNTS)] == balances
+    assert [balance_of(executor.state, a) for a in range(N_ACCOUNTS)] == balances
 
 
 @common_settings
@@ -505,12 +512,17 @@ def test_cumulative_weights_draw_the_old_picks(weights, seed, draws):
     """Accumulating the weights once changes no pick and leaves the RNG in
     the same state, so everything drawn after a pick is unchanged too."""
     nodes = list(range(len(weights) if weights else 7))
-    cum_weights = _cumulative_weights(weights, nodes)
-    fast, slow = random.Random(seed), random.Random(seed)
-    assert ([_pick_node(fast, nodes, cum_weights) for _ in range(draws)]
-            == [reference_txpath.pick_node(slow, nodes, weights)
+    assert _cumulative_weights(weights, nodes) == (
+        None if weights is None else list(accumulate(weights)))
+    harness = _Submissions(len(nodes))
+    client = OpenLoopClient(harness, 0, harness.nodes, 1.0,
+                            rng=random.Random(seed), weights=weights)
+    slow = random.Random(seed)
+    slow.randrange(2 ** 62)  # the client's payload stream seed
+    assert ([_next_write(client)[0] for _ in range(draws)]
+            == [reference_txpath.pick_node(slow, harness.nodes, weights)
                 for _ in range(draws)])
-    assert fast.getstate() == slow.getstate()
+    assert client.rng.getstate() == slow.getstate()
 
 
 class _Submissions:
@@ -582,22 +594,102 @@ def test_open_loop_draws_are_the_stdlib_draws(weights, seed, max_amount,
     assert client.transfers.rng.getstate() == transfer_rng.getstate()
 
 
+#: Digests as a caller may hand them in: quotes, backslashes and non-ASCII
+#: text render differently under ``repr`` than a hex digest does.
+awkward_digests = st.text(alphabet=st.sampled_from(
+    "0123456789abcdef'\"\\|()\u00e9\u4e2d\U0001f600 \n"), max_size=12)
+
+
+def _built(cls, args, kwargs):
+    """``cls(*args, **kwargs)``, or the text of the ``ValueError`` it raised."""
+    try:
+        return cls(*args, **kwargs)
+    except ValueError as error:
+        return f"ValueError: {error}"
+
+
+def _assignment_error(transaction):
+    try:
+        transaction.amount = 1
+    except FrozenInstanceError as error:
+        return str(error)
+    return None
+
+
 @common_settings
-@given(st.lists(st.none() | st.tuples(
-           st.integers(min_value=0, max_value=N_ACCOUNTS - 1),   # sender
-           st.integers(min_value=0, max_value=N_ACCOUNTS - 1),   # recipient
-           st.integers(min_value=0, max_value=150),              # amount
-           st.integers(min_value=0, max_value=6)),               # nonce
+@given(st.integers(min_value=0, max_value=2 ** 70),
+       st.integers(min_value=-3, max_value=2 ** 70),
+       st.integers(min_value=-2, max_value=2 ** 40),
+       st.floats(allow_nan=False, allow_infinity=False),
+       st.just("") | awkward_digests,
+       st.none() | st.integers(min_value=0, max_value=2 ** 80),
+       st.none() | st.integers(min_value=-2, max_value=2 ** 70),
+       st.none() | st.integers(min_value=-2, max_value=2 ** 70),
+       st.integers(min_value=-2, max_value=2 ** 70),
+       st.integers(min_value=-2, max_value=2 ** 70),
+       st.integers(min_value=0, max_value=10), awkward_digests)
+def test_one_constructor_is_the_generated_init_and_post_init(
+        tx_id, client_id, size_bytes, submitted_at, digest, payload_seed,
+        sender, recipient, amount, nonce, keywords, forged_digest):
+    """The hand-written ``Transaction.__init__`` builds what the dataclass's
+    generated ``__init__`` plus ``__post_init__`` built, positional or by
+    keyword: the same fields and digest (a given digest is kept), the same
+    ``ValueError`` texts, ``==`` / ``hash`` / ``repr``, the same pickle
+    round trip, ``dataclasses.replace`` with and without a digest, and the
+    same ``FrozenInstanceError``."""
+    values = (tx_id, client_id, size_bytes, submitted_at, digest,
+              payload_seed, sender, recipient, amount, nonce)
+    names = Transaction.__slots__
+    args = values[:keywords]
+    kwargs = dict(zip(names[keywords:], values[keywords:]))
+    new = _built(Transaction, args, kwargs)
+    old = _built(reference_txpath.Transaction, args, kwargs)
+    if isinstance(old, str):
+        assert new == old
+        return
+    fields_of = reference_txpath._field_values  # noqa: SLF001
+    assert fields_of(new) == fields_of(old)
+    assert new.digest == old.digest == new.payload_digest
+    if digest:
+        assert new.payload_digest == digest
+    assert new == Transaction(*values) and not new != Transaction(*values)
+    assert hash(new) == hash(old) == hash(Transaction(*values))
+    assert repr(new) == repr(old)
+    assert not hasattr(new, "__dict__")
+    copy = pickle.loads(pickle.dumps(new))
+    assert copy == new and type(copy) is Transaction
+    assert fields_of(copy) == fields_of(pickle.loads(pickle.dumps(old)))
+    assert fields_of(replace(new, nonce=abs(nonce) + 1)) == fields_of(
+        replace(old, nonce=abs(nonce) + 1))  # a forgery keeps its digest
+    if forged_digest:
+        assert fields_of(replace(new, payload_digest=forged_digest)) == \
+            fields_of(replace(old, payload_digest=forged_digest))
+    assert _assignment_error(new) == _assignment_error(old) is not None
+    assert fields_of(new) == values[:4] + (new.payload_digest,) + values[5:]
+
+
+@common_settings
+@given(st.lists(st.tuples(
+           st.none() | st.tuples(
+               st.integers(min_value=0, max_value=N_ACCOUNTS - 1),  # sender
+               st.integers(min_value=0, max_value=N_ACCOUNTS - 1),  # recipient
+               st.integers(min_value=0, max_value=150),             # amount
+               st.integers(min_value=0, max_value=6)),              # nonce
+           st.just("") | awkward_digests),                          # digest
            max_size=60),
        st.integers(min_value=0, max_value=2 ** 31))
 def test_executor_loop_is_the_old_reflective_loop(stream, block_seed):
     """Blocks of opaque payloads and transfers between four shared senders
-    execute to the same roots, counters, conflicts, balances and per-sender
-    histograms through the direct-read loop and the ``getattr`` one."""
+    (self-transfers included; digests derived or handed in, quotes,
+    backslashes and non-ASCII included) execute to the same roots after
+    every delivery, counters, conflicts, balances and per-sender histograms
+    through the one-loop ``LedgerState.apply_block`` and the
+    tuple-per-outcome ``apply_transaction`` loop it replaced, under plain,
+    tuple and ``(lane, tag)`` tags."""
     transactions = [
-        Transaction.create(index % 3, 8, index * 0.001, index,
-                           *(transfer or ()))
-        for index, transfer in enumerate(stream)]
+        Transaction(index, index % 3, 8, index * 0.001, digest, index,
+                    *(transfer or ()))
+        for index, (transfer, digest) in enumerate(stream)]
     executor = LedgerExecutor(N_ACCOUNTS, INITIAL_BALANCE, n_nodes=4)
     oracle = reference_txpath.ReferenceExecutor(N_ACCOUNTS, INITIAL_BALANCE,
                                                 n_nodes=4)
@@ -606,19 +698,26 @@ def test_executor_loop_is_the_old_reflective_loop(stream, block_seed):
     while index < len(transactions):
         size = rng.randint(1, 7)
         block = tuple(transactions[index:index + size])
+        tag = (("block", delivery), (delivery % 4, f"d'{delivery}\u00e9"),
+               f"{delivery}", [delivery, None])[delivery % 4]
+        tx_count = (len(block) + delivery % 2, None)[delivery % 5 == 4]
         for target in (executor, oracle):
-            target.apply_delivery(("block", delivery), block,
-                                  tx_count=len(block) + delivery % 2,
+            target.apply_delivery(tag, block, tx_count=tx_count,
                                   proposer=delivery % 4, now=1.0 + delivery)
+        assert executor.state_root == oracle.state_root
         index += size
         delivery += 1
-    assert executor.state_root == oracle.state_root
     assert list(executor._history) == list(oracle._history)
     assert executor.conflicts == oracle.conflicts
     assert executor.deliveries == oracle.deliveries == delivery
+    opaque = vars(oracle.state).pop("opaque")
+    assert opaque == sum(transfer is None for transfer, _digest in stream)
     assert vars(executor.state) == vars(oracle.state)
     assert executor._proposer_tx == oracle._proposer_tx
-    assert executor._sender_latency == oracle._sender_latency
+    assert ([(sender, vars(histogram))
+             for sender, histogram in executor._sender_latency.items()]
+            == [(sender, vars(histogram))
+                for sender, histogram in oracle._sender_latency.items()])
     assert executor.fairness() == oracle.fairness()
 
 
