@@ -24,8 +24,9 @@ the per-baseline ``silent`` flags did before the adversary layer existed.
 from __future__ import annotations
 
 from repro.adversary.base import AdversaryStrategy, register
-from repro.core.fireledger import FireLedgerWorker
-from repro.core.wrb import WRB_HEADER
+from repro.core.fireledger import FireLedgerWorker, SignedHeader
+from repro.core.wrb import WRB_HEADER, Header
+from repro.ledger.block import header_for_batch
 
 
 class EquivocatingWorker(FireLedgerWorker):
@@ -54,20 +55,17 @@ class EquivocatingWorker(FireLedgerWorker):
         return frozenset(members[:len(members) // 2])
 
     def _make_conflicting_header(self, round_number: int,
-                                 previous_digest: str) -> dict:
+                                 previous_digest: str) -> SignedHeader:
         """A second, validly signed header for the same round."""
-        from repro.ledger.block import header_for_batch
-
         self._prepare_body()
         alternative_root = self._ready_bodies[-1]
         batch = self._bodies[alternative_root]
         header = header_for_batch(round_number, self.node_id, previous_digest,
                                   batch, worker_id=self.worker_id,
                                   created_at=self.env.now)
-        signature = self.keys.sign(header.digest)
-        return {"header": header, "signature": signature}
+        return SignedHeader((header, self.keys.sign(header.digest)))
 
-    def _equivocate(self, round_number: int, primary: dict,
+    def _equivocate(self, round_number: int, primary: SignedHeader,
                     previous_digest: str) -> None:
         secondary = self._make_conflicting_header(round_number, previous_digest)
         self.equivocations += 1
@@ -76,16 +74,15 @@ class EquivocatingWorker(FireLedgerWorker):
                 payload = primary
             else:
                 payload = primary if receiver in self.group_a else secondary
-            self.network.send(self.node_id, receiver, self.channel, WRB_HEADER,
-                              {"round": round_number, "payload": payload},
-                              size_bytes=payload["header"].size_bytes)
+            self.context.send(receiver,
+                              Header.of(WRB_HEADER, round_number, payload))
 
     def _run_round(self):
         original_broadcast = self.wrb.broadcast
 
         def _byzantine_broadcast(round_number, payload):
             self._equivocate(round_number, payload,
-                             payload["header"].previous_digest)
+                             payload.header.previous_digest)
 
         self.wrb.broadcast = _byzantine_broadcast
         try:
@@ -98,7 +95,7 @@ class EquivocatingWorker(FireLedgerWorker):
         def _provide(delivered_payload):
             if delivered_payload is None:
                 return None
-            previous = delivered_payload["header"].digest
+            previous = delivered_payload.header.digest
             primary = self._make_header(current_round + 1, previous)
             self._equivocate(current_round + 1, primary, previous)
             return None

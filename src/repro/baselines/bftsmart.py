@@ -27,24 +27,40 @@ workload surface, shared pending pool and commit step come from
 
 from __future__ import annotations
 
-from repro.baselines.replica import PooledReplicaMixin
+from repro.baselines.replica import PooledReplicaMixin, Proposal
+from repro.net.message import Control
 
 PROPOSE = "SMART_PROPOSE"
 WRITE = "SMART_WRITE"
 ACCEPT = "SMART_ACCEPT"
 
-_ACK_SIZE = 148
-_HEADER_OVERHEAD = 224
+
+class SmartPropose(Proposal):
+    """``SMART_PROPOSE``: the leader's batch for sequence number ``round``,
+    224 bytes of framing."""
+
+    __slots__ = ()
+    KINDS = (PROPOSE,)
+    FRAMING = 224
+
+
+class SmartAck(Control):
+    """``SMART_WRITE`` / ``SMART_ACCEPT``: a replica's all-to-all,
+    MAC-authenticated acknowledgement of sequence number ``round``."""
+
+    __slots__ = ()
+    KINDS = (WRITE, ACCEPT)
+    SIZE = 148
 
 
 class BFTSmartReplica(PooledReplicaMixin):
     """One replica of the BFT-SMaRt-style ordering service."""
 
     CHANNEL = "bftsmart"
-    #: Mailbox key table: every message belongs to one consensus instance.
-    KEY_FIELDS = {PROPOSE: "seq", WRITE: "seq", ACCEPT: "seq"}
+    #: Every message belongs to one consensus instance and is filed by it.
+    INBOX = (SmartPropose, SmartAck)
+    PROPOSAL = SmartPropose
     TAG = "smart"
-    HEADER_OVERHEAD = _HEADER_OVERHEAD
     COUNTERS = ("instances_timed_out", "signatures")
 
     #: The stable leader (re-election is not modelled).
@@ -70,16 +86,7 @@ class BFTSmartReplica(PooledReplicaMixin):
         stream = self.delivery_stream
         seq = 0
         while True:
-            tx_count, transactions = self._next_batch()
-            yield from self.context.use_cpu(
-                self.cost.block_sign_time(tx_count, self.tx_size))
-            self.recorder.count("signatures")
-            payload = {"seq": seq, "tx_count": tx_count,
-                       "transactions": transactions,
-                       "proposed_at": self.env.now}
-            self.context.broadcast(PROPOSE, payload,
-                                   size_bytes=self._batch_bytes(tx_count),
-                                   include_self=True)
+            yield from self._propose(seq)
             if stream.deliveries <= seq:
                 yield self.env.poll(self.LEADER_POLL,
                                     lambda: stream.deliveries > seq)
@@ -97,24 +104,23 @@ class BFTSmartReplica(PooledReplicaMixin):
                 self.recorder.count("instances_timed_out")
                 continue
             # Verify the leader's signature over the batch (hashes the body).
+            proposal = proposal.payload
             yield from self.context.use_cpu(
-                self.cost.block_verify_time(proposal.payload["tx_count"],
-                                            self.tx_size))
-            self.context.broadcast(WRITE, {"seq": next_seq}, size_bytes=_ACK_SIZE,
+                self.cost.block_verify_time(proposal.tx_count, self.tx_size))
+            self.context.broadcast(SmartAck.of(WRITE, next_seq),
                                    include_self=True)
             writes = yield from self.context.collect_messages(
                 WRITE, next_seq, count=quorum, timeout=self.TIMEOUT)
             if len(writes) < quorum:
                 continue
-            self.context.broadcast(ACCEPT, {"seq": next_seq}, size_bytes=_ACK_SIZE,
+            self.context.broadcast(SmartAck.of(ACCEPT, next_seq),
                                    include_self=True)
             accepts = yield from self.context.collect_messages(
                 ACCEPT, next_seq, count=quorum, timeout=self.TIMEOUT)
             if len(accepts) < quorum:
                 continue
-            self._commit(next_seq, proposal.payload["tx_count"],
-                         proposal.payload.get("transactions", ()),
-                         self.leader, proposal.payload["proposed_at"])
+            self._commit(next_seq, proposal.tx_count, proposal.transactions,
+                         self.leader, proposal.proposed_at)
             next_seq += 1
             # The f stragglers of every quorum step arrive after it completed.
             self.context.inbox.discard_below(next_seq)

@@ -27,25 +27,42 @@ views time out and exercise the NEW-VIEW skip path.
 
 from __future__ import annotations
 
-from repro.baselines.replica import PooledReplicaMixin
+from repro.baselines.replica import PooledReplicaMixin, Proposal
+from repro.net.message import Control
 
 PROPOSAL = "HS_PROPOSAL"
 VOTE = "HS_VOTE"
 
-_VOTE_SIZE = 180
-_HEADER_OVERHEAD = 256
 #: Number of chained QCs required before a block is final (three-chain rule).
 COMMIT_DEPTH = 3
+
+
+class HotStuffProposal(Proposal):
+    """``HS_PROPOSAL``: view ``round``'s block, shipped whole, 256 bytes of
+    framing."""
+
+    __slots__ = ()
+    KINDS = (PROPOSAL,)
+    FRAMING = 256
+
+
+class HotStuffVote(Control):
+    """``HS_VOTE``: a replica's signed vote for view ``round``, sent to the
+    next leader."""
+
+    __slots__ = ()
+    KINDS = (VOTE,)
+    SIZE = 180
 
 
 class HotStuffReplica(PooledReplicaMixin):
     """One HotStuff replica."""
 
     CHANNEL = "hotstuff"
-    #: Mailbox key table: proposals and votes belong to one view.
-    KEY_FIELDS = {PROPOSAL: "view", VOTE: "view"}
+    #: Proposals and votes, filed per view.
+    INBOX = (HotStuffProposal, HotStuffVote)
+    PROPOSAL = HotStuffProposal
     TAG = "hs"
-    HEADER_OVERHEAD = _HEADER_OVERHEAD
     COUNTERS = ("views_timed_out", "signatures")
 
     view = 0
@@ -57,7 +74,7 @@ class HotStuffReplica(PooledReplicaMixin):
     def run(self):
         """Main replica process: one iteration per view."""
         quorum = self.network.n_nodes - self.f
-        proposals: dict[int, tuple[float, int, tuple]] = {}
+        proposals: dict[int, HotStuffProposal] = {}
         seen_proposal_view = -1
         while True:
             view = self.view
@@ -76,16 +93,7 @@ class HotStuffReplica(PooledReplicaMixin):
                     if len(votes) >= quorum:
                         # Aggregate-signature verification of the QC.
                         yield from self.context.use_cpu(self.cost.verify_time(0))
-                tx_count, transactions = self._next_batch()
-                yield from self.context.use_cpu(
-                    self.cost.block_sign_time(tx_count, self.tx_size))
-                self.recorder.count("signatures")
-                payload = {"view": view, "tx_count": tx_count,
-                           "transactions": transactions,
-                           "proposed_at": self.env.now}
-                self.context.broadcast(PROPOSAL, payload,
-                                       size_bytes=self._batch_bytes(tx_count),
-                                       include_self=True)
+                yield from self._propose(view)
 
             proposal = yield from self.context.wait_message(
                 PROPOSAL, view, sender=leader, timeout=self.TIMEOUT)
@@ -97,22 +105,21 @@ class HotStuffReplica(PooledReplicaMixin):
 
             # Verify the proposal (hash the body, check the leader signature
             # and the embedded QC) and vote.
+            proposal = proposal.payload
             yield from self.context.use_cpu(
-                self.cost.block_verify_time(proposal.payload["tx_count"],
-                                            self.tx_size))
+                self.cost.block_verify_time(proposal.tx_count, self.tx_size))
             yield from self.context.use_cpu(self.cost.sign_time(0))
             self.recorder.count("signatures")
-            proposals[view] = (proposal.payload["proposed_at"],
-                                     proposal.payload["tx_count"],
-                                     proposal.payload.get("transactions", ()))
-            next_leader = self._leader_of(view + 1)
-            self.context.send(next_leader, VOTE, {"view": view}, size_bytes=_VOTE_SIZE)
+            proposals[view] = proposal
+            self.context.send(self._leader_of(view + 1), HotStuffVote.of(VOTE, view))
 
             # Three-chain commit: the proposal for view v carries the QC chain
             # that finalises the block proposed COMMIT_DEPTH views earlier.
             commit_view = view - COMMIT_DEPTH
             if commit_view in proposals:
-                proposed_at, tx_count, transactions = proposals.pop(commit_view)
-                self._commit(commit_view, tx_count, transactions,
-                             self._leader_of(commit_view), proposed_at)
+                committed = proposals.pop(commit_view)
+                self._commit(commit_view, committed.tx_count,
+                             committed.transactions,
+                             self._leader_of(commit_view),
+                             committed.proposed_at)
             self.view += 1

@@ -31,25 +31,48 @@ from repro.metrics.recorder import (
     MetricsRecorder,
     NodeMetrics,
 )
+from repro.net.message import HEAD, Record
 from repro.net.network import Network, discard
 from repro.sim import Environment
 
 
+class Proposal(Record):
+    """A leader's batch for one instance (a HotStuff view, a BFT-SMaRt
+    sequence number), filed per instance: its transactions plus the
+    protocol's ``FRAMING`` bytes.  Each baseline declares its own subclass
+    (its kind and framing)."""
+
+    __slots__ = ()
+    FIELDS = (*HEAD, "tx_count", "transactions", "proposed_at")
+    #: Per-batch framing bytes of the protocol's wire format.
+    FRAMING = 0
+
+    @classmethod
+    def of(cls, instance: int, tx_count: int, transactions: tuple,
+           proposed_at: float, tx_size: int) -> "Proposal":
+        kind = cls.KINDS[0]
+        return tuple.__new__(cls, (
+            kind, (kind, instance), instance,
+            tx_count * tx_size + cls.FRAMING, tx_count, transactions,
+            proposed_at))
+
+
 class PooledReplicaMixin:
-    """A concrete replica sets :attr:`CHANNEL`, :attr:`KEY_FIELDS`, :attr:`TAG`,
-    :attr:`HEADER_OVERHEAD` and :attr:`COUNTERS`, calls :meth:`_commit` from
-    its loop (``run``, or whatever :meth:`processes` names) and counts its
-    signatures and leader timeouts on :attr:`recorder`."""
+    """A concrete replica sets :attr:`CHANNEL`, :attr:`INBOX`,
+    :attr:`PROPOSAL`, :attr:`TAG` and :attr:`COUNTERS`, proposes through
+    :meth:`_propose`, calls :meth:`_commit` from its loop (``run``, or
+    whatever :meth:`processes` names) and counts its other signatures and
+    its leader timeouts on :attr:`recorder`."""
 
     #: The protocol's name in the protocol table, which is also the network
     #: channel of its traffic.
     CHANNEL = ""
-    #: Mailbox key table of the concrete protocol's message kinds.
-    KEY_FIELDS: dict = {}
+    #: The record types of every message the protocol sends (all filed).
+    INBOX: tuple = ()
+    #: The protocol's :class:`Proposal` record.
+    PROPOSAL: type = Proposal
     #: Leading element of the protocol's delivery tags.
     TAG = ""
-    #: Per-batch framing bytes of the concrete protocol's wire format.
-    HEADER_OVERHEAD = 0
     #: The counters the replica's recorder declares (a zero still shows).
     COUNTERS: tuple = ()
     #: How long a replica waits for the leader (a view, an instance).
@@ -71,7 +94,7 @@ class PooledReplicaMixin:
         # The context binds the protocol's kinds to its inbox; traffic for
         # anything else is nobody's.
         self.context = ProtocolContext(env, network, node_id, self.CHANNEL,
-                                       self.KEY_FIELDS)
+                                       self.INBOX)
         network.endpoint(node_id).router = discard
         #: One record per commit, keyed by its slot in the total order (the
         #: sequence stands where a FireLedger round does; "worker" is 0).
@@ -139,8 +162,17 @@ class PooledReplicaMixin:
         batch = self.pool.take_batch(self.batch_size, fill_random=False)
         return batch.tx_count, batch.transactions
 
-    def _batch_bytes(self, tx_count: int) -> int:
-        return tx_count * self.tx_size + self.HEADER_OVERHEAD
+    def _propose(self, instance: int):
+        """Sign the next batch and broadcast it as ``instance``'s proposal
+        (process generator)."""
+        tx_count, transactions = self._next_batch()
+        yield from self.context.use_cpu(
+            self.cost.block_sign_time(tx_count, self.tx_size))
+        self.recorder.count("signatures")
+        self.context.broadcast(
+            self.PROPOSAL.of(instance, tx_count, transactions, self.env.now,
+                             self.tx_size),
+            include_self=True)
 
 
 def replica_nodes(replica_class: type, env: Environment, network: Network,

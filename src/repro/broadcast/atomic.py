@@ -32,9 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
-from repro.net.message import MESSAGE_OVERHEAD_BYTES, Message
-from repro.net.network import Network
-from repro.sim import Environment
+from repro.core.context import ProtocolContext
+from repro.net.message import HEAD, MESSAGE_OVERHEAD_BYTES, Message, Record
 
 AB_REQUEST = "AB_REQUEST"
 AB_PREPREPARE = "AB_PREPREPARE"
@@ -44,13 +43,30 @@ AB_VIEWCHANGE = "AB_VIEWCHANGE"
 AB_KINDS = (AB_REQUEST, AB_PREPREPARE, AB_PREPARE, AB_COMMIT, AB_VIEWCHANGE)
 
 
+class Order(Record):
+    """One step of ordering the request ``key`` (origin, counter) in
+    ``view`` at sequence number ``seq`` (``None`` where a step has none):
+    ``AB_REQUEST`` / ``AB_PREPREPARE`` carry its record ``payload`` at the
+    payload's size, the other kinds are control messages."""
+
+    __slots__ = ()
+    KINDS = AB_KINDS
+    FIELDS = (*HEAD, "view", "seq", "key", "payload")
+
+    @classmethod
+    def of(cls, kind: str, view: Optional[int] = None, seq: Optional[int] = None,
+           key: Optional[tuple] = None, payload: Optional[Record] = None) -> "Order":
+        size = MESSAGE_OVERHEAD_BYTES if payload is None else payload.size_bytes
+        return tuple.__new__(cls, (kind, (kind, seq), None, size, view, seq,
+                                   key, payload))
+
+
 @dataclass
 class _SlotState:
     """Per sequence-number bookkeeping."""
 
     request_key: Optional[tuple] = None
     payload: Any = None
-    payload_size: int = MESSAGE_OVERHEAD_BYTES
     view: int = 0
     prepares: set = field(default_factory=set)
     commits: set = field(default_factory=set)
@@ -67,13 +83,11 @@ class AtomicBroadcast:
     #: it too.
     REQUEST_TIMEOUT = 0.5
 
-    def __init__(self, env: Environment, network: Network, node_id: int,
-                 channel: str, f: int,
+    def __init__(self, context: ProtocolContext, f: int,
                  deliver_callback: Callable[[int, Any], None]) -> None:
-        self.env = env
-        self.network = network
-        self.node_id = node_id
-        self.channel = channel
+        self.context = context
+        self.env = context.env
+        self.node_id = context.node_id
         self.f = f
         self.deliver_callback = deliver_callback
 
@@ -81,7 +95,7 @@ class AtomicBroadcast:
         self.next_seq = 0            # only meaningful at the leader
         self.last_delivered_seq = -1
         self._slots: dict[int, _SlotState] = {}
-        self._pending: dict[tuple, tuple[Any, int]] = {}   # key -> (payload, size)
+        self._pending: dict[tuple, Record] = {}             # key -> payload
         self._assigned: set[tuple] = set()                  # keys given a slot
         self._delivered_keys: set[tuple] = set()
         self._viewchange_votes: dict[int, set[int]] = {}
@@ -91,16 +105,15 @@ class AtomicBroadcast:
     @property
     def leader(self) -> int:
         """The leader of the current view."""
-        return self.view % self.network.n_nodes
+        return self.view % self.context.n_nodes
 
-    def broadcast(self, payload: Any, size_bytes: int = MESSAGE_OVERHEAD_BYTES) -> None:
-        """Atomically broadcast ``payload`` (delivered by all correct nodes, in order)."""
+    def broadcast(self, payload: Record) -> None:
+        """Atomically broadcast the record ``payload`` at its wire size
+        (delivered by all correct nodes, in order)."""
         self._request_counter += 1
         key = (self.node_id, self._request_counter)
-        body = {"key": key, "payload": payload}
-        self._pending[key] = (payload, size_bytes)
-        self.network.broadcast(self.node_id, self.channel, AB_REQUEST, body,
-                               size_bytes=size_bytes, include_self=True)
+        self._pending[key] = payload
+        self._send(Order.of(AB_REQUEST, key=key, payload=payload))
         self._arm_timer(key)
         if self.node_id == self.leader:
             self._propose_pending()
@@ -118,11 +131,10 @@ class AtomicBroadcast:
         handler(message)
 
     def _on_request(self, message: Message) -> None:
-        body = message.payload
-        key = body["key"]
+        key = message.payload.key
         if key in self._delivered_keys or key in self._assigned:
             return
-        self._pending[key] = (body["payload"], message.size_bytes)
+        self._pending[key] = message.payload.payload
         # Watch this request too: if the leader never orders it, every correct
         # node (not only the origin) must be able to vote for a view change.
         self._arm_timer(key)
@@ -130,45 +142,39 @@ class AtomicBroadcast:
             self._propose_pending()
 
     def _on_preprepare(self, message: Message) -> None:
-        body = message.payload
-        if body["view"] < self.view:
+        order = message.payload
+        if order.view < self.view:
             return
-        if body["view"] > self.view:
-            self._enter_view(body["view"])
+        if order.view > self.view:
+            self._enter_view(order.view)
         if message.sender != self.leader:
             return
-        seq = body["seq"]
-        slot = self._slots.setdefault(seq, _SlotState())
-        if slot.request_key is not None and slot.request_key != body["key"]:
+        slot = self._slots.setdefault(order.seq, _SlotState())
+        if slot.request_key is not None and slot.request_key != order.key:
             # Conflicting proposal for an already-populated slot in this view:
             # ignore (a correct leader never does this).
-            if slot.view == body["view"]:
+            if slot.view == order.view:
                 return
-        slot.request_key = body["key"]
-        slot.payload = body["payload"]
-        slot.payload_size = message.size_bytes
-        slot.view = body["view"]
-        self._assigned.add(body["key"])
-        ack = {"view": self.view, "seq": seq, "key": body["key"]}
-        self.network.broadcast(self.node_id, self.channel, AB_PREPARE, ack,
-                               include_self=True)
+        slot.request_key = order.key
+        slot.payload = order.payload
+        slot.view = order.view
+        self._assigned.add(order.key)
+        self._send(Order.of(AB_PREPARE, self.view, order.seq, order.key))
 
     def _on_prepare(self, message: Message) -> None:
-        body = message.payload
-        if body["view"] != self.view:
+        order = message.payload
+        if order.view != self.view:
             return
-        slot = self._slots.setdefault(body["seq"], _SlotState())
+        slot = self._slots.setdefault(order.seq, _SlotState())
         slot.prepares.add(message.sender)
         if (not slot.prepared and slot.request_key is not None
                 and len(slot.prepares) >= 2 * self.f):
             slot.prepared = True
-            ack = {"view": self.view, "seq": body["seq"], "key": slot.request_key}
-            self.network.broadcast(self.node_id, self.channel, AB_COMMIT, ack,
-                                   include_self=True)
+            self._send(Order.of(AB_COMMIT, self.view, order.seq,
+                                slot.request_key))
 
     def _on_commit(self, message: Message) -> None:
-        body = message.payload
-        slot = self._slots.setdefault(body["seq"], _SlotState())
+        slot = self._slots.setdefault(message.payload.seq, _SlotState())
         slot.commits.add(message.sender)
         if (not slot.committed and slot.request_key is not None
                 and len(slot.commits) >= 2 * self.f + 1):
@@ -176,8 +182,7 @@ class AtomicBroadcast:
             self._deliver_ready()
 
     def _on_viewchange(self, message: Message) -> None:
-        body = message.payload
-        target_view = body["view"]
+        target_view = message.payload.view
         if target_view <= self.view:
             return
         votes = self._viewchange_votes.setdefault(target_view, set())
@@ -186,21 +191,21 @@ class AtomicBroadcast:
             self._enter_view(target_view)
 
     # -------------------------------------------------------------- internals
+    def _send(self, order: Order) -> None:
+        self.context.broadcast(order, include_self=True)
+
     def _propose_pending(self) -> None:
-        for key, (payload, size) in sorted(self._pending.items()):
+        for key, payload in sorted(self._pending.items()):
             if key in self._assigned or key in self._delivered_keys:
                 continue
             seq = self.next_seq
             self.next_seq += 1
             self._assigned.add(key)
-            body = {"view": self.view, "seq": seq, "key": key, "payload": payload}
             slot = self._slots.setdefault(seq, _SlotState())
             slot.request_key = key
             slot.payload = payload
-            slot.payload_size = size
             slot.view = self.view
-            self.network.broadcast(self.node_id, self.channel, AB_PREPREPARE, body,
-                                   size_bytes=size, include_self=True)
+            self._send(Order.of(AB_PREPREPARE, self.view, seq, key, payload))
 
     def _deliver_ready(self) -> None:
         while True:
@@ -228,8 +233,7 @@ class AtomicBroadcast:
                                 self.last_delivered_seq + 1)
             for seq, slot in self._slots.items():
                 if slot.request_key is not None and not slot.delivered:
-                    self._pending.setdefault(slot.request_key,
-                                             (slot.payload, slot.payload_size))
+                    self._pending.setdefault(slot.request_key, slot.payload)
                     self._assigned.discard(slot.request_key)
             self._propose_pending()
 
@@ -240,8 +244,7 @@ class AtomicBroadcast:
             target = self.view + 1
             votes = self._viewchange_votes.setdefault(target, set())
             votes.add(self.node_id)
-            self.network.broadcast(self.node_id, self.channel, AB_VIEWCHANGE,
-                                   {"view": target}, include_self=True)
+            self._send(Order.of(AB_VIEWCHANGE, target))
             # Keep watching: re-arm every 2 x REQUEST_TIMEOUT (a fixed period,
             # not a backoff).
             self.env.timeout(self.REQUEST_TIMEOUT * 2).add_callback(_check)

@@ -27,23 +27,51 @@ from collections import Counter
 from typing import Optional
 
 from repro.core.context import ProtocolContext
+from repro.net.message import HEAD, Record
 
 BBC_EST = "BBC_EST"
 BBC_COORD = "BBC_COORD"
 BBC_AUX = "BBC_AUX"
 BBC_DECIDED = "BBC_DECIDED"
 
-#: Mailbox key table: the step messages are keyed per phase, ``DECIDED``
-#: per instance (it terminates whatever phase the receiver is in).
-KEY_FIELDS = {BBC_EST: ("tag", "phase"), BBC_COORD: ("tag", "phase"),
-              BBC_AUX: ("tag", "phase"), BBC_DECIDED: "tag"}
 
-#: Small wire size of a binary-consensus control message.
-_CONTROL_SIZE = 112
+class Step(Record):
+    """``BBC_EST`` / ``BBC_COORD`` / ``BBC_AUX``: a value at one step of
+    ``phase``, filed per ``(tag, phase)`` (``tag`` is ``("bbc", round)``)."""
+
+    __slots__ = ()
+    KINDS = (BBC_EST, BBC_COORD, BBC_AUX)
+    FIELDS = (*HEAD, "phase", "value")
+    SIZE = 112
+
+    @classmethod
+    def of(cls, kind: str, tag: tuple, phase: int, value: int) -> "Step":
+        return tuple.__new__(cls, (kind, (kind, (tag, phase)), tag[1],
+                                   cls.SIZE, phase, value))
+
+
+class Decided(Record):
+    """``BBC_DECIDED``: a decided value, filed per ``tag`` (it ends any phase);
+    with a fast-path ``certificate`` (voter -> value) 128 + 16 B per vote."""
+
+    __slots__ = ()
+    KINDS = (BBC_DECIDED,)
+    FIELDS = (*HEAD, "value", "certificate")
+
+    @classmethod
+    def of(cls, tag: tuple, value: int, certificate: Optional[dict] = None):
+        size = Step.SIZE if certificate is None else 128 + 16 * len(certificate)
+        return tuple.__new__(cls, (BBC_DECIDED, (BBC_DECIDED, tag), tag[1],
+                                   size, value, certificate))
+
+
+#: What a BBC instance waits for.
+INBOX = (Step, Decided)
 
 
 class BinaryConsensus:
-    """One invocation of binary consensus for a given (worker, round) tag."""
+    """One invocation of binary consensus; its ``tag`` is ``("bbc", round)``
+    (the channel names the worker)."""
 
     #: Bound on the COORD step's wait; an EST / AUX collection waits four
     #: times as long per message.
@@ -61,8 +89,9 @@ class BinaryConsensus:
         self.coordinator_base = coordinator_base
 
     # -------------------------------------------------------------- messaging
-    def _payload(self, phase: int, value: int) -> dict:
-        return {"tag": self.tag, "phase": phase, "value": value}
+    def _step(self, kind: str, phase: int, value: int) -> None:
+        self.context.broadcast(Step.of(kind, self.tag, phase, value),
+                               include_self=True)
 
     def _wait_step(self, kind: str, phase: int, timeout: float):
         """Next ``kind`` message of ``phase`` or ``DECIDED``, whichever arrived first."""
@@ -81,8 +110,7 @@ class BinaryConsensus:
 
         for phase in range(self.MAX_PHASES):
             # --- EST step -------------------------------------------------
-            self.context.broadcast(BBC_EST, self._payload(phase, estimate),
-                                   size_bytes=_CONTROL_SIZE, include_self=True)
+            self._step(BBC_EST, phase, estimate)
             estimates, decision = yield from self._collect(
                 BBC_EST, phase, quorum, decided_votes)
             if decision is not None:
@@ -96,8 +124,7 @@ class BinaryConsensus:
             # --- COORD step -----------------------------------------------
             coordinator = (self.coordinator_base + phase) % n
             if coordinator == self.context.node_id:
-                self.context.broadcast(BBC_COORD, self._payload(phase, estimate),
-                                       size_bytes=_CONTROL_SIZE, include_self=True)
+                self._step(BBC_COORD, phase, estimate)
             coord_value, decision = yield from self._await_coordinator(
                 coordinator, phase, decided_votes)
             if decision is not None:
@@ -106,8 +133,7 @@ class BinaryConsensus:
                 estimate = coord_value
 
             # --- AUX step ---------------------------------------------------
-            self.context.broadcast(BBC_AUX, self._payload(phase, estimate),
-                                   size_bytes=_CONTROL_SIZE, include_self=True)
+            self._step(BBC_AUX, phase, estimate)
             aux_values, decision = yield from self._collect(
                 BBC_AUX, phase, quorum, decided_votes)
             if decision is not None:
@@ -127,14 +153,12 @@ class BinaryConsensus:
 
     # --------------------------------------------------------------- helpers
     def _announce(self, value: int) -> None:
-        self.context.broadcast(BBC_DECIDED, {"tag": self.tag, "value": value},
-                               size_bytes=_CONTROL_SIZE, include_self=True)
+        self.context.broadcast(Decided.of(self.tag, value), include_self=True)
 
     def _check_decided(self, message, decided_votes: Counter) -> Optional[int]:
         if message.kind != BBC_DECIDED:
             return None
-        value = message.payload["value"]
-        certificate = message.payload.get("certificate")
+        value, certificate = message.payload.value, message.payload.certificate
         if certificate is not None:
             # A certificate is the unanimous vote set behind an OBBC fast
             # decision; it is self-validating (>= n - f identical votes), so a
@@ -172,7 +196,7 @@ class BinaryConsensus:
             if message.sender in senders:
                 continue
             senders.add(message.sender)
-            values.append(message.payload["value"])
+            values.append(message.payload.value)
         return values, None
 
     def _await_coordinator(self, coordinator: int, phase: int, decided_votes: Counter):
@@ -189,4 +213,4 @@ class BinaryConsensus:
             if decision is not None:
                 return None, decision
             if message.kind == BBC_COORD and message.sender == coordinator:
-                return message.payload["value"], None
+                return message.payload.value, None

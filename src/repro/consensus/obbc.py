@@ -15,20 +15,58 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
-from repro.consensus.bbc import KEY_FIELDS as BBC_KEY_FIELDS, BinaryConsensus
+from repro.consensus import bbc
+from repro.consensus.bbc import BinaryConsensus
 from repro.core.context import ProtocolContext
-from repro.net.message import Message
+from repro.ledger.block import SIGNED_HEADER_SIZE_BYTES
+from repro.net.message import HEAD, Control, Message, Record
 
 OBBC_VOTE = "OBBC_VOTE"
 OBBC_EV_REQ = "OBBC_EV_REQ"
 OBBC_EV_RESP = "OBBC_EV_RESP"
 
-#: Mailbox key table (``OBBC_EV_REQ`` is served by the node's dispatcher and
-#: never buffered); includes the fallback's kinds.
-KEY_FIELDS = {**BBC_KEY_FIELDS, OBBC_VOTE: "tag", OBBC_EV_RESP: "tag"}
 
-_VOTE_BASE_SIZE = 112
-_EV_REQ_SIZE = 100
+class Vote(Record):
+    """``OBBC_VOTE``: a node's bit for round ``tag``, 112 bytes plus the
+    ``piggyback`` record riding on it (the next header, Section 5.1)."""
+
+    __slots__ = ()
+    KINDS = (OBBC_VOTE,)
+    FIELDS = (*HEAD, "value", "piggyback")
+
+    @classmethod
+    def of(cls, tag: int, value: int, piggyback: Optional[Record] = None):
+        size = 112 if piggyback is None else 112 + piggyback.size_bytes
+        return tuple.__new__(cls, (OBBC_VOTE, (OBBC_VOTE, tag), tag, size,
+                                   value, piggyback))
+
+
+class EvidenceRequest(Control):
+    """``OBBC_EV_REQ``: a node falling back asks its peers for evidence for
+    round ``round``; served on arrival, never filed."""
+
+    __slots__ = ()
+    KINDS = (OBBC_EV_REQ,)
+    SIZE = 100
+
+
+class Evidence(Record):
+    """``OBBC_EV_RESP``: a peer's ``evidence`` for round ``tag``'s favoured
+    value, or ``None``: 128 bytes, plus a signed header."""
+
+    __slots__ = ()
+    KINDS = (OBBC_EV_RESP,)
+    FIELDS = (*HEAD, "evidence")
+
+    @classmethod
+    def of(cls, tag: int, evidence: Any):
+        size = 128 if evidence is None else 128 + SIGNED_HEADER_SIZE_BYTES
+        return tuple.__new__(cls, (OBBC_EV_RESP, (OBBC_EV_RESP, tag), tag,
+                                   size, evidence))
+
+
+#: What an OBBC instance waits for, its fallback's records included.
+INBOX = (Vote, Evidence, *bbc.INBOX)
 
 
 @dataclass
@@ -42,7 +80,8 @@ class OBBCResult:
 
 
 class OptimisticBinaryConsensus:
-    """One OBBC instance, keyed by a ``tag`` (typically ``(worker, round)``)."""
+    """One OBBC instance, keyed by a ``tag``: the round (the channel names
+    the worker)."""
 
     def __init__(self, context: ProtocolContext, f: int, tag: Any,
                  collect_timeout: float, coordinator_base: int = 0,
@@ -74,8 +113,8 @@ class OptimisticBinaryConsensus:
         return received
 
     # ------------------------------------------------------------------- run
-    def propose(self, value: int, evidence: Any = None, piggyback: Any = None,
-                piggyback_size: int = 0):
+    def propose(self, value: int, evidence: Any = None,
+                piggyback: Optional[Record] = None):
         """Run OBBC; a process generator, drive it with ``yield from``.
 
         Returns an :class:`OBBCResult`.  ``result.fast_path`` is True when
@@ -105,14 +144,13 @@ class OptimisticBinaryConsensus:
         if value != self.favoured_value and evidence is not None:
             raise ValueError("non-favoured proposals must not carry evidence")
 
-        self.context.broadcast(
-            OBBC_VOTE, {"tag": self.tag, "value": value, "piggyback": piggyback},
-            size_bytes=_VOTE_BASE_SIZE + piggyback_size, include_self=True)
+        self.context.broadcast(Vote.of(self.tag, value, piggyback),
+                               include_self=True)
 
         # --- fast path: collect n - f votes -------------------------------
         quorum = self.context.n_nodes - self.f
         ballots = yield from self._collect(OBBC_VOTE, quorum)
-        if len(ballots) >= quorum and {message.payload["value"] for message
+        if len(ballots) >= quorum and {message.payload.value for message
                                        in ballots.values()} == {value}:
             # Fast decision.  The unanimous vote set doubles as a certificate
             # that lets any peer that later falls back to the full BBC
@@ -123,11 +161,10 @@ class OptimisticBinaryConsensus:
                               voters=sum(map((1).__lshift__, ballots)))
 
         # --- evidence exchange (lines OB11-OB18) ---------------------------
-        self.context.broadcast(OBBC_EV_REQ, {"tag": self.tag},
-                               size_bytes=_EV_REQ_SIZE, include_self=False)
+        self.context.broadcast(EvidenceRequest.of(OBBC_EV_REQ, self.tag))
         # This node's own evidence is the first of the n - f.
         responses = yield from self._collect(OBBC_EV_RESP, quorum - 1)
-        evidences = [evidence] + [message.payload.get("evidence")
+        evidences = [evidence] + [message.payload.evidence
                                   for message in responses.values()]
 
         new_value = value

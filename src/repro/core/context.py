@@ -1,8 +1,9 @@
 """Protocol execution context.
 
-Every protocol module (WRB, OBBC, BBC, FireLedger itself, the baselines) talks
-to the outside world through a :class:`ProtocolContext`: it sends and receives
-messages on one channel of the shared network, charges CPU time to the node's
+Every protocol module (WRB, OBBC, BBC, the reactive broadcasts, FireLedger
+itself, the baselines) talks to the outside world through a
+:class:`ProtocolContext`: it sends records and receives messages on one
+channel of the shared network, charges CPU time to the node's
 core pool, and exposes *interruptible* waits.  Interruptibility reproduces the
 paper's "panic thread": when a valid inconsistency proof is reliably delivered
 while the main protocol is blocked waiting for traffic, the wait raises
@@ -13,10 +14,10 @@ recovery procedure (Section 6.1.2).
 from __future__ import annotations
 
 from functools import partial
-from typing import Any, Callable, Mapping, Optional
+from typing import Any, Callable, Iterable, Optional
 
 from repro.core.mailbox import Mailbox
-from repro.net.message import MESSAGE_OVERHEAD_BYTES, Message
+from repro.net.message import Message, Record
 from repro.net.network import Network
 from repro.sim import Environment, Event, Wait
 
@@ -98,11 +99,12 @@ class ProtocolContext:
         The local node.
     channel:
         Channel name namespacing this protocol's traffic.
-    key_fields:
-        The protocol's ``KEY_FIELDS`` table; ``inbox`` is the keyed
-        :class:`~repro.core.mailbox.Mailbox` over it.  The context binds
-        every kind of the table on its channel to its ``inbox.putter``; a
-        protocol that serves a kind itself binds that kind again
+    records:
+        The record types the protocol waits for (each protocol module's
+        ``INBOX``).  The context binds every kind they declare on its
+        channel to ``inbox``, the keyed
+        :class:`~repro.core.mailbox.Mailbox`; a protocol that serves a kind
+        itself binds that kind again
         (:meth:`~repro.net.network.BaseNetwork.bind`).
     interrupt_check:
         Optional callable returning a truthy "panic" object when the protocol
@@ -110,15 +112,16 @@ class ProtocolContext:
     """
 
     def __init__(self, env: Environment, network: Network, node_id: int,
-                 channel: str, key_fields: Mapping[str, Any],
+                 channel: str, records: Iterable[type[Record]],
                  interrupt_check: Optional[Callable[[], Any]] = None) -> None:
         self.env = env
         self.network = network
         self.node_id = node_id
         self.channel = channel
-        self.inbox = Mailbox(key_fields)
-        network.bind(node_id, channel,
-                     {kind: self.inbox.putter(kind) for kind in key_fields})
+        self.inbox = Mailbox()
+        network.bind(node_id, channel, dict.fromkeys(
+            [kind for record in records for kind in record.KINDS],
+            self.inbox.put))
         self.interrupt_check = interrupt_check
         #: Event triggered whenever a panic becomes pending; waits watch it.
         self._wake_event = env.event()
@@ -155,17 +158,17 @@ class ProtocolContext:
         return self.interrupt_check()
 
     # ----------------------------------------------------------------- sends
-    def send(self, receiver: int, kind: str, payload: Any,
-             size_bytes: int = MESSAGE_OVERHEAD_BYTES) -> None:
-        """Send one message on this context's channel."""
-        self.network.send(self.node_id, receiver, self.channel, kind, payload, size_bytes)
+    def send(self, receiver: int, record: Record) -> None:
+        """Send ``record`` on this context's channel, as its kind and at its
+        wire size."""
+        self.network.send(self.node_id, receiver, self.channel, record.kind,
+                          record, record.size_bytes)
 
-    def broadcast(self, kind: str, payload: Any,
-                  size_bytes: int = MESSAGE_OVERHEAD_BYTES,
-                  include_self: bool = False) -> None:
-        """Broadcast a message to every other node on this channel."""
-        self.network.broadcast(self.node_id, self.channel, kind, payload,
-                               size_bytes, include_self=include_self)
+    def broadcast(self, record: Record, include_self: bool = False) -> None:
+        """Broadcast ``record`` to every other node on this channel."""
+        self.network.broadcast(self.node_id, self.channel, record.kind,
+                               record, record.size_bytes,
+                               include_self=include_self)
 
     # ------------------------------------------------------------------- cpu
     def use_cpu(self, duration: float):

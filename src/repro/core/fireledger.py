@@ -28,31 +28,31 @@ from typing import Any, Callable, Optional
 
 from repro.broadcast.atomic import AB_KINDS, AtomicBroadcast
 from repro.broadcast.reliable import RB_KINDS, ReliableBroadcast
-from repro.consensus.bbc import BBC_AUX, BBC_COORD, BBC_DECIDED, BBC_EST
-from repro.consensus.obbc import OBBC_EV_REQ, OBBC_EV_RESP, OBBC_VOTE
+from repro.consensus.bbc import Decided, Step
+from repro.consensus.obbc import (
+    OBBC_EV_REQ,
+    OBBC_VOTE,
+    Evidence,
+    EvidenceRequest,
+)
+from repro.core import wrb
 from repro.core.config import FireLedgerConfig
 from repro.core.context import PanicInterrupt, ProtocolContext
 from repro.core.failure_detector import BenignFailureDetector
-from repro.core.mailbox import round_of
 from repro.core.timers import AdaptiveTimer
 from repro.core.wrb import (
-    KEY_FIELDS,
     WRB_HEADER,
     WRB_PULL_REQ,
     WRB_PULL_RESP,
+    Header,
     WeakReliableBroadcast,
 )
 from repro.crypto.cost_model import CryptoCostModel
 from repro.crypto.keys import KeyStore
 from repro.crypto.vrf import proposer_permutation
-from repro.ledger.block import (
-    SIGNED_HEADER_SIZE_BYTES,
-    Block,
-    BlockHeader,
-    header_for_batch,
-)
+from repro.ledger.block import Block, BlockHeader, header_for_batch
 from repro.ledger.chain import Blockchain, ChainVersion
-from repro.ledger.transaction import Batch, Transaction
+from repro.ledger.transaction import Batch
 from repro.ledger.txpool import TxPool
 from repro.ledger.validation import (
     ValidationError,
@@ -66,7 +66,7 @@ from repro.metrics.recorder import (
     EVENT_TENTATIVE_DECISION,
     MetricsRecorder,
 )
-from repro.net.message import Message
+from repro.net.message import HEAD, Message, Record
 from repro.net.network import Network, discard
 from repro.sim import Environment
 
@@ -84,6 +84,54 @@ MAX_OUTSTANDING_BODIES = 2
 #: the node's NIC, a proposer publishes an empty block instead of pushing yet
 #: another full body into an overloaded network.
 FLOW_CONTROL_BACKLOG = 0.05
+
+
+class SignedHeader(Record):
+    """The payload a FireLedger proposer WRB-broadcasts: a block ``header``
+    and its ``signature`` over the header digest."""
+
+    __slots__ = ()
+    FIELDS = ("header", "signature")
+
+
+class Body(Record):
+    """``BODY`` / ``BODY_REQ`` / ``BODY_RESP``: the block body with Merkle
+    root ``root`` on the data path — pushed, asked for by a node that lacks
+    it (128 bytes, no ``batch``) or sent back; a body is its batch plus 64
+    bytes."""
+
+    __slots__ = ()
+    KINDS = (BODY, BODY_REQ, BODY_RESP)
+    FIELDS = (*HEAD, "root", "batch")
+
+    @classmethod
+    def of(cls, kind: str, root: str, batch: Optional[Batch] = None) -> "Body":
+        size = 128 if batch is None else batch.size_bytes + 64
+        return tuple.__new__(cls, (kind, (kind, root), None, size, root, batch))
+
+
+class PanicProof(Record):
+    """What a node reliably broadcasts on a chain inconsistency (Algorithm 2,
+    lines b7/b12): the ``received`` and the ``local`` signed header that
+    conflict at ``round``; 768 bytes."""
+
+    __slots__ = ()
+    FIELDS = ("round", "received", "local")
+    size_bytes = 768
+
+
+class Version(Record):
+    """The chain version a recovering node atomically broadcasts
+    (Algorithm 3): its ``blocks`` from the wave's ``recovery_round``; their
+    size, at least 256 bytes."""
+
+    __slots__ = ()
+    FIELDS = ("recovery_round", "blocks", "size_bytes")
+
+    @classmethod
+    def of(cls, recovery_round: int, version: ChainVersion) -> "Version":
+        return tuple.__new__(cls, (recovery_round, version.blocks,
+                                   max(version.size_bytes, 256)))
 
 
 @dataclass(slots=True)
@@ -131,25 +179,25 @@ class FireLedgerWorker:
         self.detector = BenignFailureDetector(config.f,
                                               enabled=config.failure_detector)
         self.context = ProtocolContext(env, network, node_id, self.channel,
-                                       KEY_FIELDS,
+                                       wrb.INBOX,
                                        interrupt_check=self._pending_panic)
-        # The inbox entry points of the two kinds that pass through the
-        # worker on their way there (votes, and headers they carry).
-        self._put_vote = self.context.inbox.putter(OBBC_VOTE)
-        self._put_header = self.context.inbox.putter(WRB_HEADER)
+        #: The inbox entry point of the kinds that pass through the worker on
+        #: their way there (votes, the headers they carry, fallback steps).
+        self._put = self.context.inbox.put
         self._cpu = network.endpoint(node_id).cpu
         self.wrb = WeakReliableBroadcast(
             self.context, config.f, self.timer,
             payload_validator=self._validate_signed_header,
             acceptance_check=self._await_body if config.separate_headers else None)
-        self.rb = ReliableBroadcast(network, node_id, self.channel, config.f,
+        self.rb = ReliableBroadcast(self.context, config.f,
                                     self._on_panic_delivered)
-        self.ab = AtomicBroadcast(env, network, node_id, self.channel, config.f,
+        self.ab = AtomicBroadcast(self.context, config.f,
                                   self._on_version_delivered)
         # Everything arriving on this worker's channel, by kind.  The context
-        # already bound its KEY_FIELDS kinds (WRB headers, pull and evidence
-        # responses, BBC_DECIDED ...) straight to the inbox; the kinds below
-        # are served by the worker or pass through it on the way there.
+        # already bound the kinds of the records WRB waits for (headers, pull
+        # and evidence responses, BBC_DECIDED ...) straight to the inbox; the
+        # kinds below are served by the worker or pass through it on the way
+        # there.
         network.bind(node_id, self.channel, {
             OBBC_VOTE: self._on_vote,
             **dict.fromkeys(RB_KINDS, self.rb.on_message),
@@ -159,8 +207,7 @@ class FireLedgerWorker:
             BODY_REQ: self._serve_body,
             OBBC_EV_REQ: self._on_evidence_request,
             WRB_PULL_REQ: self._serve_pull,
-            **dict.fromkeys((BBC_EST, BBC_COORD, BBC_AUX),
-                            self._on_fallback_step),
+            **dict.fromkeys(Step.KINDS, self._on_fallback_step),
         })
 
         # --- data path state -------------------------------------------------
@@ -170,7 +217,7 @@ class FireLedgerWorker:
         self._decided_roots: deque[str] = deque()
         self._ready_bodies: deque[str] = deque()
         self._body_ready_at: dict[str, float] = {}
-        self._evidence_by_round: dict[int, dict] = {}
+        self._evidence_by_round: dict[int, SignedHeader] = {}
         self._fast_certs: dict[int, FastCertificate] = {}
 
         # --- round state ------------------------------------------------------
@@ -182,7 +229,7 @@ class FireLedgerWorker:
         self._last_definite_emitted = -1
 
         # --- recovery state ---------------------------------------------------
-        self._pending_panics: list[tuple[int, dict]] = []
+        self._pending_panics: list[tuple[int, Any]] = []
         self._version_log: list[tuple[int, int, ChainVersion]] = []
         self._version_seq = 0
         self._version_watermark = -1
@@ -195,11 +242,13 @@ class FireLedgerWorker:
     # ======================================================================
     def _on_vote(self, message: Message) -> None:
         """An OBBC vote — one per peer per round, nearly all the traffic; the
-        next proposer's header may ride on it."""
-        piggyback = message.payload.get("piggyback")
+        next proposer's :class:`~repro.core.wrb.Header` may ride on it, and
+        is filed as a HEADER message of its own."""
+        piggyback = message.payload.piggyback
         if piggyback is not None:
-            self._ingest_piggyback(message.sender, piggyback)
-        self._put_vote(message)
+            self._put(Message(message.sender, self.channel, WRB_HEADER,
+                              piggyback, sent_at=self.env.now))
+        self._put(message)
 
     def _on_evidence_request(self, message: Message) -> None:
         self._serve_evidence(message)
@@ -209,24 +258,17 @@ class FireLedgerWorker:
         """A peer's fallback BBC step: offer it the fast-path certificate (if
         this node decided the round that way), then file the message."""
         self._serve_fast_certificate(message)
-        self.context.inbox.put(message)
-
-    def _ingest_piggyback(self, sender: int, piggyback: dict) -> None:
-        """Re-file a piggybacked header as a synthetic WRB HEADER message."""
-        self._put_header(Message(
-            sender, self.channel, WRB_HEADER,
-            {"round": piggyback["round"], "payload": piggyback["payload"]},
-            sent_at=self.env.now))
+        self._put(message)
 
     # ----------------------------------------------------------- data path
     def _on_body(self, message: Message) -> None:
-        payload = message.payload
-        if payload["root"] in self._bodies:
+        body = message.payload
+        if body.root in self._bodies:
             return
         # Checked from a zero-delay timer, behind everything this instant
         # already queued: arming the hold here would give its timer an
         # earlier sequence number and reorder equal-time ties.
-        self.env.call_later(0.0, self._check_body, payload)
+        self.env.call_later(0.0, self._check_body, body)
 
     def _body_hash_cost(self, batch: Batch) -> float:
         """Merkle re-hash time for ``batch`` (profiled full-body fast path)."""
@@ -235,20 +277,19 @@ class FireLedgerWorker:
             return costs.body_hash
         return self.cost.hash_time(batch.size_bytes)
 
-    def _check_body(self, payload: dict) -> None:
+    def _check_body(self, body: Body) -> None:
         """Re-hash a received body to check its Merkle root — the
         receiver-side share of the Figure 5 cost model — as one CPU hold
         whose end stores it."""
-        cost = self._body_hash_cost(payload["batch"])
+        cost = self._body_hash_cost(body.batch)
         if cost > 0:
-            self._cpu.hold(cost, partial(self._store_body, payload))
+            self._cpu.hold(cost, partial(self._store_body, body))
         else:
-            self._store_body(payload)
+            self._store_body(body)
 
-    def _store_body(self, payload: dict, _arg: Any = None) -> None:
-        root, batch = payload["root"], payload["batch"]
-        if batch.root == root:  # else corrupted: ignore it
-            self._keep_body(root, batch)
+    def _store_body(self, body: Body, _arg: Any = None) -> None:
+        if body.batch.root == body.root:  # else corrupted: ignore it
+            self._keep_body(body.root, body.batch)
 
     def _keep_body(self, root: str, batch: Batch) -> None:
         self._bodies[root] = batch
@@ -266,19 +307,16 @@ class FireLedgerWorker:
         return self._body_events.setdefault(root, self.env.event())
 
     def _serve_body(self, message: Message) -> None:
-        root = message.payload.get("root")
+        root = message.payload.root
         batch = self._bodies.get(root)
         if batch is None:
             return
-        self.network.send(self.node_id, message.sender, self.channel, BODY_RESP,
-                          {"root": root, "batch": batch}, batch.size_bytes + 64)
+        self.context.send(message.sender, Body.of(BODY_RESP, root, batch))
 
     def _serve_evidence(self, message: Message) -> None:
-        round_number = message.payload.get("tag")
-        evidence = self._evidence_by_round.get(round_number)
-        size = 128 if evidence is None else 128 + SIGNED_HEADER_SIZE_BYTES
-        self.network.send(self.node_id, message.sender, self.channel, OBBC_EV_RESP,
-                          {"tag": round_number, "evidence": evidence}, size)
+        round_number = message.payload.round
+        self.context.send(message.sender, Evidence.of(
+            round_number, self._evidence_by_round.get(round_number)))
 
     def _serve_fast_certificate(self, message: Message) -> None:
         """Answer a fallback participant with the fast-path decision certificate.
@@ -289,10 +327,9 @@ class FireLedgerWorker:
         from the voter bitmask, so the peer can terminate — the lazily-served
         equivalent of Algorithm 4's lines OB26-OB27.
         """
-        payload = message.payload
-        if not isinstance(payload, dict):
+        if type(message.payload) not in (Step, EvidenceRequest):
             return
-        round_number = round_of(payload.get("tag"))
+        round_number = message.payload.round
         certificate = self._fast_certs.get(round_number)
         peer = 1 << message.sender
         if certificate is None or certificate.served & peer:
@@ -301,19 +338,16 @@ class FireLedgerWorker:
         voters, value = certificate.voters, certificate.value
         votes = dict.fromkeys([node for node in range(voters.bit_length())
                                if voters >> node & 1], value)
-        self.network.send(self.node_id, message.sender, self.channel, BBC_DECIDED,
-                          {"tag": ("bbc", round_number), "value": value,
-                           "certificate": votes},
-                          size_bytes=128 + 16 * len(votes))
+        self.context.send(message.sender,
+                          Decided.of(("bbc", round_number), value, votes))
 
     def _serve_pull(self, message: Message) -> None:
-        round_number = message.payload.get("round")
+        round_number = message.payload.round
         evidence = self._evidence_by_round.get(round_number)
         if evidence is None:
             return
-        self.network.send(self.node_id, message.sender, self.channel, WRB_PULL_RESP,
-                          {"round": round_number, "payload": evidence},
-                          128 + SIGNED_HEADER_SIZE_BYTES)
+        self.context.send(message.sender,
+                          Header.of(WRB_PULL_RESP, round_number, evidence))
 
     # ======================================================================
     # proposing
@@ -343,9 +377,7 @@ class FireLedgerWorker:
         return root
 
     def _disseminate_body(self, root: str, batch: Batch) -> None:
-        self.network.broadcast(self.node_id, self.channel, BODY,
-                               {"root": root, "batch": batch},
-                               batch.size_bytes + 64)
+        self.context.broadcast(Body.of(BODY, root, batch))
 
     def prime_bodies(self):
         """Process: pre-disseminate the first block body (data path warm-up).
@@ -396,7 +428,8 @@ class FireLedgerWorker:
                 return self._bodies[root]
         return Batch()
 
-    def _make_header(self, round_number: int, previous_digest: str) -> dict:
+    def _make_header(self, round_number: int,
+                     previous_digest: str) -> SignedHeader:
         """Create and sign the header for ``round_number`` on top of ``previous_digest``."""
         batch = self._select_proposal_batch()
         header = header_for_batch(round_number, self.node_id, previous_digest,
@@ -405,7 +438,7 @@ class FireLedgerWorker:
         signature = self.keys.sign(header.digest)
         self._charge_background(self._round_costs.header_sign)
         self.recorder.count("signatures")
-        payload = {"header": header, "signature": signature}
+        payload = SignedHeader((header, signature))
         self._evidence_by_round[round_number] = payload
         self.recorder.record_event(self.worker_id, round_number,
                                    EVENT_BLOCK_PROPOSAL, header.created_at,
@@ -420,10 +453,9 @@ class FireLedgerWorker:
     def _validate_signed_header(self, round_number: int, proposer: int,
                                 payload: Any) -> bool:
         """Synchronous signature/identity validation of a header payload."""
-        if not isinstance(payload, dict):
+        if type(payload) is not SignedHeader:
             return False
-        header = payload.get("header")
-        signature = payload.get("signature")
+        header, signature = payload
         if header is None or signature is None:
             return False
         if header.round_number != round_number or header.proposer != proposer:
@@ -442,9 +474,9 @@ class FireLedgerWorker:
         self.recorder.record_event(self.worker_id, header.round_number,
                                    EVENT_HEADER_PROPOSAL, now)
 
-    def _await_body(self, payload: Any, deadline: float):
+    def _await_body(self, payload: SignedHeader, deadline: float):
         """Generator acceptance check: charge verification CPU, wait for the body."""
-        header = payload["header"]
+        header = payload.header
         yield from self.context.use_cpu(self._round_costs.header_verify)
         if not self.config.separate_headers or header.tx_count == 0:
             self._stamp_proposal(header)
@@ -470,10 +502,10 @@ class FireLedgerWorker:
             return self._pending_panics[-1]
         return None
 
-    def _on_panic_delivered(self, origin: int, tag: Any, proof: dict) -> None:
+    def _on_panic_delivered(self, origin: int, tag: Any, proof: Any) -> None:
         if not self._valid_proof(proof):
             return
-        round_number = proof["round"]
+        round_number = proof.round
         if round_number <= self._recovered_through:
             return
         self._pending_panics.append((round_number, proof))
@@ -481,16 +513,12 @@ class FireLedgerWorker:
 
     def _valid_proof(self, proof: Any) -> bool:
         """Check a panic proof: two validly signed, conflicting headers."""
-        if not isinstance(proof, dict):
+        if type(proof) is not PanicProof or proof.round is None:
             return False
-        first = proof.get("received")
-        second = proof.get("local")
-        round_number = proof.get("round")
-        if first is None or second is None or round_number is None:
-            return False
-        for item in (first, second):
-            header = item.get("header")
-            signature = item.get("signature")
+        for item in (proof.received, proof.local):
+            if type(item) is not SignedHeader:
+                return False
+            header, signature = item
             if header is None:
                 return False
             if header.proposer < 0:
@@ -502,9 +530,9 @@ class FireLedgerWorker:
         return True
 
     def _on_version_delivered(self, origin: int, payload: Any) -> None:
-        if not isinstance(payload, dict) or payload.get("type") != "version":
+        if type(payload) is not Version:
             return
-        version = ChainVersion(sender=origin, blocks=tuple(payload["blocks"]))
+        version = ChainVersion(sender=origin, blocks=tuple(payload.blocks))
         self._version_seq += 1
         self._version_log.append((self._version_seq, origin, version))
         self._version_event.succeed()  # always pending: replaced below
@@ -512,7 +540,7 @@ class FireLedgerWorker:
         # Seeing a peer's recovery version means a recovery wave is under way;
         # join it even if this node's own proof threshold did not fire, so the
         # wave collects its n - f versions promptly and no participant stalls.
-        recovery_round = payload.get("recovery_round", -1)
+        recovery_round = payload.recovery_round
         if recovery_round > self._recovered_through and not self._pending_panics:
             self._pending_panics.append((recovery_round, {"joined": origin}))
             self.context.notify_interrupt()
@@ -543,9 +571,9 @@ class FireLedgerWorker:
         handlers that answer peers stay bound; a fallback step is still
         offered the fast-path certificate."""
         self.network.bind(self.node_id, self.channel, {
-            **dict.fromkeys(KEY_FIELDS, discard),
-            **dict.fromkeys((BBC_EST, BBC_COORD, BBC_AUX),
-                            self._serve_fast_certificate),
+            **dict.fromkeys([kind for record in wrb.INBOX
+                             for kind in record.KINDS], discard),
+            **dict.fromkeys(Step.KINDS, self._serve_fast_certificate),
         })
         self.context.inbox.discard_below(math.inf)
 
@@ -587,8 +615,8 @@ class FireLedgerWorker:
         if proposer == self.node_id and self.full_mode:
             payload = self._make_header(round_number, self.chain.head.digest)
             if not self.config.separate_headers:
-                self._disseminate_body(payload["header"].tx_root,
-                                       self._bodies[payload["header"].tx_root])
+                root = payload.header.tx_root
+                self._disseminate_body(root, self._bodies[root])
             self.wrb.broadcast(round_number, payload)
 
         # Piggyback: the *next* proposer ships its header for round r+1 on its
@@ -618,15 +646,14 @@ class FireLedgerWorker:
         self.detector.record_delivery(proposer)
         self.full_mode = False
         payload = delivery.payload
-        header: BlockHeader = payload["header"]
+        header: BlockHeader = payload.header
         self._evidence_by_round.setdefault(round_number, payload)
 
         # Lines b4-b10: validate the chain linkage; any inconsistency is a
         # cryptographically attributable proof of misbehaviour.
         if not self._chain_consistent(header, proposer):
             proof = self._build_proof(round_number, payload)
-            self.rb.broadcast(("panic", round_number, self.node_id), proof,
-                              size_bytes=768)
+            self.rb.broadcast(("panic", round_number, self.node_id), proof)
             self._pending_panics.append((round_number, proof))
             yield from self._recover()
             return
@@ -650,10 +677,9 @@ class FireLedgerWorker:
         def _provide(delivered_payload):
             if delivered_payload is None:
                 return None
-            previous = delivered_payload["header"].digest
-            payload = self._make_header(current_round + 1, previous)
-            piggyback = {"round": current_round + 1, "payload": payload}
-            return piggyback, payload["header"].size_bytes
+            payload = self._make_header(current_round + 1,
+                                        delivered_payload.header.digest)
+            return Header.of(WRB_HEADER, current_round + 1, payload)
         return _provide
 
     def _chain_consistent(self, header: BlockHeader, proposer: int) -> bool:
@@ -661,31 +687,29 @@ class FireLedgerWorker:
                 and header.round_number == self.chain.height + 1
                 and header.proposer == proposer)
 
-    def _build_proof(self, round_number: int, received_payload: dict) -> dict:
+    def _build_proof(self, round_number: int,
+                     received_payload: SignedHeader) -> PanicProof:
         local_head = self.chain.head
         local_payload = self._evidence_by_round.get(local_head.round_number)
         if local_payload is None:
-            local_payload = {"header": local_head.header,
-                             "signature": local_head.signature
-                             or self.keys.sign(local_head.digest)}
-        return {"round": round_number, "received": received_payload,
-                "local": local_payload}
+            local_payload = SignedHeader((
+                local_head.header,
+                local_head.signature or self.keys.sign(local_head.digest)))
+        return PanicProof((round_number, received_payload, local_payload))
 
-    def _assemble_block(self, payload: dict):
-        header: BlockHeader = payload["header"]
+    def _assemble_block(self, payload: SignedHeader):
+        header, signature = payload
         if header.tx_count == 0:
-            return Block(header=header, batch=Batch(),
-                         signature=payload["signature"])
+            return Block(header=header, batch=Batch(), signature=signature)
         batch = self._bodies.get(header.tx_root)
         attempts = 0
         while batch is None:
             attempts += 1
-            self.network.broadcast(self.node_id, self.channel, BODY_REQ,
-                                   {"root": header.tx_root}, 128)
+            self.context.broadcast(Body.of(BODY_REQ, header.tx_root))
             event = self._body_event(header.tx_root)
             yield self.env.wait(event, self.timer.current * attempts)
             batch = self._bodies.get(header.tx_root)
-        return Block(header=header, batch=batch, signature=payload["signature"])
+        return Block(header=header, batch=batch, signature=signature)
 
     def _emit_definite(self) -> None:
         definite_height = self.chain.definite_height
@@ -754,10 +778,8 @@ class FireLedgerWorker:
         self._pending_panics.clear()
         self.recorder.record_recovery(self.env.now)
 
-        version = self.chain.version_for_recovery(recovery_round)
-        payload = {"type": "version", "recovery_round": recovery_round,
-                   "blocks": version.blocks}
-        self.ab.broadcast(payload, size_bytes=max(version.size_bytes, 256))
+        self.ab.broadcast(Version.of(
+            recovery_round, self.chain.version_for_recovery(recovery_round)))
 
         quorum = self.config.n_nodes - self.config.f
         deadline_factor = 1

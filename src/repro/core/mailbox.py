@@ -2,40 +2,30 @@
 
 Every quorum step waits for ``n - f`` of ``n`` messages, so ``f`` valid
 stragglers arrive after every step.  The mailbox files each message under
-``(kind, key)`` on arrival — no predicate ever runs over what is buffered —
-and drops the buckets of finished rounds when the protocol says so.
+the ``(kind, instance)`` bucket its record declares on arrival — no predicate
+ever runs over what is buffered — and drops the buckets of finished rounds
+when the protocol says so.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Mapping, Optional
-
-
-def round_of(instance: Any) -> Optional[int]:
-    """Round ordinal of an instance: an ``int`` is its own, a ``(label, int)``
-    pair (BBC's ``("bbc", round)``) orders by the ``int``; else ``None``."""
-    if type(instance) is int:
-        return instance
-    if type(instance) is tuple and len(instance) == 2 and type(instance[1]) is int:
-        return instance[1]
-    return None
+from typing import Any, Callable, Optional
 
 
 class Mailbox:
-    """A protocol context's inbox, bucketed by ``(kind, key)``.
+    """A protocol context's inbox, bucketed by ``(kind, instance)``.
 
-    ``key_fields`` (each protocol module's ``KEY_FIELDS``) maps a kind to the
-    payload field holding its instance — OBBC/BBC ``tag``, WRB ``round``,
-    BFT-SMaRt ``seq``, HotStuff ``view`` — or to ``(instance field, step
-    field)`` where one instance runs several steps of a kind (BBC ``phase``).
-    ``putter(kind)`` is the router entry point for one kind (``put`` takes
-    any declared kind).  ``take`` serves the oldest message of one bucket,
-    or of two (BBC waits for "this step's message *or* a ``DECIDED``,
-    whichever arrived first": bucket heads are compared by an arrival
-    counter).  A ``sender`` filter leaves other senders' messages in the
-    bucket.  A context has one waiting process, hence one waiter slot, which
-    ``expect`` fills with a hand-off (a :meth:`~repro.sim.events.Wait.offer`).
+    A message is filed under the ``bucket`` its record carries — OBBC by
+    round, BBC by ``(("bbc", round), phase)`` (``DECIDED`` per instance: it
+    ends whatever phase the receiver is in), WRB by round, a baseline by its
+    view or sequence number — and indexed by the record's ``round``.
+    ``take`` serves the oldest message of one bucket, or of two (BBC waits
+    for "this step's message *or* a ``DECIDED``, whichever arrived first":
+    bucket heads are compared by an arrival counter).  A ``sender`` filter
+    leaves other senders' messages in the bucket.  A context has one waiting
+    process, hence one waiter slot, which ``expect`` fills with a hand-off (a
+    :meth:`~repro.sim.events.Wait.offer`).
 
     ``discard_below(r)`` drops every buffered instance whose round is under
     ``r``; protocols call it whenever they advance.  The watermark is *not*
@@ -45,11 +35,10 @@ class Mailbox:
     the recovery carries the rewound round and must find that traffic.
     """
 
-    __slots__ = ("_key_fields", "_buckets", "_rounds", "_arrivals", "_waiter")
+    __slots__ = ("_buckets", "_rounds", "_arrivals", "_waiter")
 
-    def __init__(self, key_fields: Mapping[str, Any]) -> None:
-        self._key_fields = key_fields
-        #: (kind, key) -> deque[(arrival, message)], oldest first.
+    def __init__(self) -> None:
+        #: (kind, instance) -> deque[(arrival, message)], oldest first.
         self._buckets: dict[tuple, deque] = {}
         #: round ordinal -> the bucket keys filed under it.
         self._rounds: dict[int, list[tuple]] = {}
@@ -60,49 +49,26 @@ class Mailbox:
     def __len__(self) -> int:
         return sum(len(bucket) for bucket in self._buckets.values())
 
-    def putter(self, kind: str) -> Callable[[Any], None]:
-        """The router entry point for ``kind``: a ``put`` with the kind's key
-        field(s) resolved here, once, instead of per message.  It files a
-        message under ``(kind, key)``, or hands it to the blocked wait it
-        satisfies."""
-        fields = self._key_fields[kind]
-        step = None
-        if type(fields) is not str:
-            fields, step = fields
-        buckets = self._buckets
-        mailbox = self
-
-        def put(message) -> None:
-            payload = message.payload
-            instance = payload[fields]
-            bucket_key = (kind, instance if step is None
-                          else (instance, payload[step]))
-            waiter = mailbox._waiter
-            if waiter is not None:
-                offer, keys, sender = waiter
-                if bucket_key in keys and sender in (None, message.sender):
-                    mailbox._waiter = None
-                    offer(message)
-                    return
-            bucket = buckets.get(bucket_key)
-            if bucket is None:
-                bucket = buckets[bucket_key] = deque()
-                ordinal = round_of(instance)
-                if ordinal is not None:
-                    mailbox._rounds.setdefault(ordinal, []).append(bucket_key)
-            mailbox._arrivals += 1
-            bucket.append((mailbox._arrivals, message))
-
-        return put
-
     def put(self, message) -> None:
-        """File ``message`` through its kind's :meth:`putter` (the cold path:
-        a re-filed race, a message a handler inspected first).
-
-        A message of an undeclared kind is dropped: nothing can wait for it.
-        """
-        if message.kind in self._key_fields:
-            self.putter(message.kind)(message)
+        """File ``message`` under its record's bucket, or hand it to the
+        blocked wait it satisfies (what the context binds its kinds to)."""
+        payload = message.payload
+        bucket_key = payload.bucket
+        waiter = self._waiter
+        if waiter is not None:
+            offer, keys, sender = waiter
+            if bucket_key in keys and sender in (None, message.sender):
+                self._waiter = None
+                offer(message)
+                return
+        bucket = self._buckets.get(bucket_key)
+        if bucket is None:
+            bucket = self._buckets[bucket_key] = deque()
+            ordinal = payload.round
+            if ordinal is not None:
+                self._rounds.setdefault(ordinal, []).append(bucket_key)
+        self._arrivals += 1
+        bucket.append((self._arrivals, message))
 
     def take(self, keys: tuple, sender: Optional[int] = None):
         """Pop the oldest buffered message under any of ``keys``, or ``None``."""

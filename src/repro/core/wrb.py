@@ -14,19 +14,46 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
-from repro.consensus.obbc import KEY_FIELDS as OBBC_KEY_FIELDS
+from repro.consensus import obbc
 from repro.consensus.obbc import OBBCResult, OptimisticBinaryConsensus
 from repro.core.context import ProtocolContext
 from repro.core.timers import AdaptiveTimer
 from repro.ledger.block import SIGNED_HEADER_SIZE_BYTES
+from repro.net.message import HEAD, Control, Record
 
 WRB_HEADER = "HEADER"
 WRB_PULL_REQ = "WRB_REQ"
 WRB_PULL_RESP = "WRB_RESP"
 
-#: Mailbox key table (``WRB_REQ`` is served by the node's dispatcher and never
-#: buffered); includes the delivery vote's OBBC/BBC kinds.
-KEY_FIELDS = {**OBBC_KEY_FIELDS, WRB_HEADER: "round", WRB_PULL_RESP: "round"}
+
+class Header(Record):
+    """``HEADER`` / ``WRB_RESP``: round ``round``'s message from its
+    proposer, filed per round — pushed by the proposer (or riding on its
+    vote) at a signed header's size, or answering a pull, 128 bytes more."""
+
+    __slots__ = ()
+    KINDS = (WRB_HEADER, WRB_PULL_RESP)
+    FIELDS = (*HEAD, "payload")
+    SIZES = {WRB_HEADER: SIGNED_HEADER_SIZE_BYTES,
+             WRB_PULL_RESP: 128 + SIGNED_HEADER_SIZE_BYTES}
+
+    @classmethod
+    def of(cls, kind: str, round_number: int, payload: Any) -> "Header":
+        return tuple.__new__(cls, (kind, (kind, round_number), round_number,
+                                   cls.SIZES[kind], payload))
+
+
+class PullRequest(Control):
+    """``WRB_REQ``: a node that must deliver round ``round``'s message but
+    never received it asks its peers for a copy; served on arrival, never
+    filed."""
+
+    __slots__ = ()
+    KINDS = (WRB_PULL_REQ,)
+
+
+#: What a WRB endpoint waits for, its delivery vote's records included.
+INBOX = (Header, *obbc.INBOX)
 
 
 @dataclass
@@ -75,9 +102,7 @@ class WeakReliableBroadcast:
     # ------------------------------------------------------------------ push
     def broadcast(self, round_number: int, payload: Any) -> None:
         """WRB-broadcast: push the payload to every node (Algorithm 1, line 3)."""
-        self.context.broadcast(WRB_HEADER,
-                               {"round": round_number, "payload": payload},
-                               size_bytes=SIGNED_HEADER_SIZE_BYTES,
+        self.context.broadcast(Header.of(WRB_HEADER, round_number, payload),
                                include_self=True)
 
     # --------------------------------------------------------------- deliver
@@ -87,11 +112,11 @@ class WeakReliableBroadcast:
         """WRB-deliver (process generator); returns a :class:`WRBDelivery`.
 
         ``piggyback_provider`` is invoked with the delivered payload right
-        before the OBBC vote is broadcast and returns the data (and its wire
-        size) to piggyback on that vote — FireLedger uses it to ship the next
-        round's header (Section 5.1).  ``skip_wait`` implements the benign
-        failure detector: vote against delivery immediately instead of waiting
-        for a suspected proposer.
+        before the OBBC vote is broadcast and returns the record (or
+        ``None``) to piggyback on that vote — FireLedger uses it to ship the
+        next round's :class:`Header` (Section 5.1).  ``skip_wait`` implements
+        the benign failure detector: vote against delivery immediately
+        instead of waiting for a suspected proposer.
         """
         payload = None
         wait_started = self.context.now
@@ -103,7 +128,7 @@ class WeakReliableBroadcast:
                     WRB_HEADER, round_number, sender=proposer, timeout=remaining)
                 if message is None:
                     break
-                candidate = message.payload["payload"]
+                candidate = message.payload.payload
                 if not self.payload_validator(round_number, proposer, candidate):
                     continue
                 if self.acceptance_check is not None:
@@ -114,21 +139,17 @@ class WeakReliableBroadcast:
 
         vote = 1 if payload is not None else 0
         evidence = payload if payload is not None else None
-        piggyback, piggyback_size = None, 0
-        if piggyback_provider is not None:
-            provided = piggyback_provider(payload)
-            if provided is not None:
-                piggyback, piggyback_size = provided
+        piggyback = (None if piggyback_provider is None
+                     else piggyback_provider(payload))
 
-        obbc = OptimisticBinaryConsensus(
+        instance = OptimisticBinaryConsensus(
             self.context, self.f, tag=round_number,
             coordinator_base=proposer + 1,
             evidence_validator=lambda ev: (
                 ev is not None and self.payload_validator(round_number, proposer, ev)),
             collect_timeout=self.timer.current)
-        result = yield from obbc.propose(vote, evidence=evidence,
-                                         piggyback=piggyback,
-                                         piggyback_size=piggyback_size)
+        result = yield from instance.propose(vote, evidence=evidence,
+                                             piggyback=piggyback)
 
         if result.decision == 0:
             self.timer.record_failure()
@@ -150,11 +171,11 @@ class WeakReliableBroadcast:
         attempt = 0
         while True:
             attempt += 1
-            self.context.broadcast(WRB_PULL_REQ, {"round": round_number})
+            self.context.broadcast(PullRequest.of(WRB_PULL_REQ, round_number))
             message = yield from self.context.wait_message(
                 WRB_PULL_RESP, round_number, timeout=self.timer.current * attempt)
             if message is None:
                 continue
-            candidate = message.payload["payload"]
+            candidate = message.payload.payload
             if self.payload_validator(round_number, proposer, candidate):
                 return candidate

@@ -1,7 +1,8 @@
-"""Network message envelope."""
+"""Network message envelope, and the record every protocol payload is."""
 
 from __future__ import annotations
 
+from collections import _tuplegetter
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -16,7 +17,8 @@ class Message:
     ``channel`` namespaces the traffic (e.g. ``"fl/0"`` for FireLedger worker
     0, ``"hotstuff"`` for the baseline) so several protocol instances can share
     one network.  ``kind`` is the protocol-level message type (``"HEADER"``,
-    ``"VOTE"`` ...), and ``payload`` an arbitrary, protocol-defined object;
+    ``"VOTE"`` ...), and ``payload`` the protocol's :class:`Record` (the
+    network itself carries any object);
     ``route`` is the ``(channel, kind)`` key an endpoint's routing table is
     looked up by.
 
@@ -54,3 +56,58 @@ class Message:
 
 #: The ``__set__`` of each slot's member descriptor, in field order.
 _SLOT_SETTERS = tuple(vars(Message)[name].__set__ for name in Message.__slots__)
+
+
+#: The fields a message record starts with — what the context, the mailbox
+#: and the network read: its ``kind``, the ``bucket`` a receiver's mailbox
+#: files it under (``(kind, instance)``), the ``round`` ordinal
+#: :meth:`~repro.core.mailbox.Mailbox.discard_below` compares (``None``:
+#: never dropped by round) and its wire ``size_bytes``.
+HEAD = ("kind", "bucket", "round", "size_bytes")
+
+
+class Record(tuple):
+    """An immutable record: a tuple whose items :attr:`FIELDS` names.
+
+    Every protocol payload is one, declared once next to the protocol that
+    sends it.  A *message* record starts with the :data:`HEAD` fields and
+    lists in :attr:`KINDS` the kinds it is sent as (kinds of one shape share
+    a record, such as BBC's ``EST`` / ``COORD`` / ``AUX``); its ``of``
+    classmethod is its one builder and states its wire-size rule.  Other
+    records (a signed header, a panic proof) are values inside a message.
+
+    A tuple, not a slotted dataclass: it is immutable without a Python
+    ``__setattr__`` (every receiver of a broadcast aliases one), a field read
+    is a C-level item getter, the one ``namedtuple`` fields use, and it
+    pickles and unpickles without a Python-level call (the realtime backend
+    frames every payload).  A builder is the one Python frame a record costs.
+    """
+
+    __slots__ = ()
+    #: The names of the items, in order.
+    FIELDS: tuple[str, ...] = ()
+    #: The message kinds sent with this shape (none for a value record).
+    KINDS: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        for index, name in enumerate(cls.FIELDS):
+            setattr(cls, name, _tuplegetter(index, None))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(map("{}={!r}".format, self.FIELDS, self))
+        return f"{type(self).__name__}({fields})"
+
+
+class Control(Record):
+    """A message record naming one round and nothing more, at a fixed
+    ``SIZE``: a request served on arrival, an acknowledgement."""
+
+    __slots__ = ()
+    FIELDS = HEAD
+    SIZE = MESSAGE_OVERHEAD_BYTES
+
+    @classmethod
+    def of(cls, kind: str, round_number: int) -> "Control":
+        return tuple.__new__(cls, (kind, (kind, round_number), round_number,
+                                   cls.SIZE))

@@ -12,6 +12,7 @@ from repro.core.cluster import run_cluster
 from repro.core.config import FireLedgerConfig
 from repro.crypto.keys import KeyStore
 from repro.net.latency import SingleDatacenterLatency
+from repro.net.message import HEAD, Record
 from repro.net.network import Network
 from repro.scenarios import runner
 from repro.sim import Environment
@@ -33,6 +34,20 @@ def make_network(env: Environment, n_nodes: int = 4, seed: int = 0) -> Network:
     """A single data-center network with a deterministic RNG."""
     return Network(env, n_nodes, latency_model=SingleDatacenterLatency(),
                    rng=random.Random(seed))
+
+
+class Item(Record):
+    """An ad-hoc test message, filed under ``instance`` (and ordered by it
+    when it is an int); ``n`` tells copies apart."""
+
+    __slots__ = ()
+    KINDS = ("A", "B", "N", "X", "Y", "VOTE", "OLD", "NEW")
+    FIELDS = (*HEAD, "n")
+
+    @classmethod
+    def of(cls, kind, instance, n=None):
+        ordinal = instance if type(instance) is int else None
+        return tuple.__new__(cls, (kind, (kind, instance), ordinal, 96, n))
 
 
 @contextmanager

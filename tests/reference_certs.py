@@ -19,23 +19,22 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.consensus.bbc import BBC_DECIDED, BinaryConsensus
+from repro.consensus.bbc import BinaryConsensus, Decided, Step
 from repro.consensus.obbc import (
-    _EV_REQ_SIZE,
-    _VOTE_BASE_SIZE,
     OBBC_EV_REQ,
     OBBC_EV_RESP,
     OBBC_VOTE,
+    EvidenceRequest,
     OBBCResult,
     OptimisticBinaryConsensus,
+    Vote,
 )
 from repro.core import fireledger
-from repro.core.mailbox import round_of
 from repro.net.message import Message
 
 
 def reference_propose(self, value: int, evidence: Any = None,
-                      piggyback: Any = None, piggyback_size: int = 0):
+                      piggyback: Any = None):
     """``OptimisticBinaryConsensus.propose`` when it returned the vote dict."""
     if value not in (0, 1):
         raise ValueError("OBBC values must be 0 or 1")
@@ -44,22 +43,19 @@ def reference_propose(self, value: int, evidence: Any = None,
     if value != self.favoured_value and evidence is not None:
         raise ValueError("non-favoured proposals must not carry evidence")
 
-    payload = {"tag": self.tag, "value": value, "piggyback": piggyback}
-    self.context.broadcast(OBBC_VOTE, payload,
-                           size_bytes=_VOTE_BASE_SIZE + piggyback_size,
+    self.context.broadcast(Vote.of(self.tag, value, piggyback),
                            include_self=True)
 
     quorum = self.context.n_nodes - self.f
     ballots = yield from self._collect(OBBC_VOTE, quorum)
-    votes = {sender: message.payload["value"]
+    votes = {sender: message.payload.value
              for sender, message in ballots.items()}
     if len(votes) >= quorum and set(votes.values()) == {value}:
         return OBBCResult(decision=value, fast_path=True, voters=votes)
 
-    self.context.broadcast(OBBC_EV_REQ, {"tag": self.tag},
-                           size_bytes=_EV_REQ_SIZE, include_self=False)
+    self.context.broadcast(EvidenceRequest.of(OBBC_EV_REQ, self.tag))
     responses = yield from self._collect(OBBC_EV_RESP, quorum - 1)
-    evidences = [evidence] + [message.payload.get("evidence")
+    evidences = [evidence] + [message.payload.evidence
                               for message in responses.values()]
 
     new_value = value
@@ -81,12 +77,9 @@ def reference_certificate(value: int, votes: dict) -> dict:
 
 def reference_serve_fast_certificate(self, message: Message) -> None:
     """``FireLedgerWorker._serve_fast_certificate`` on the dict certificate."""
-    payload = message.payload
-    if not isinstance(payload, dict):
+    if type(message.payload) not in (Step, EvidenceRequest):
         return
-    round_number = round_of(payload.get("tag"))
-    if round_number is None:
-        return
+    round_number = message.payload.round
     certificate = self._fast_certs.get(round_number)
     if certificate is None:
         return
@@ -94,11 +87,8 @@ def reference_serve_fast_certificate(self, message: Message) -> None:
     if message.sender in served:
         return
     served.add(message.sender)
-    self.network.send(self.node_id, message.sender, self.channel, BBC_DECIDED,
-                      {"tag": ("bbc", round_number),
-                       "value": certificate["value"],
-                       "certificate": certificate["votes"]},
-                      size_bytes=128 + 16 * len(certificate["votes"]))
+    self.context.send(message.sender, Decided.of(
+        ("bbc", round_number), certificate["value"], certificate["votes"]))
 
 
 def use_reference(monkeypatch) -> None:

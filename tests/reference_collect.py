@@ -79,11 +79,10 @@ def reference_collect(context, kind, key, count, timeout=None):
 
 def reference_on_body(worker, message) -> None:
     """``FireLedgerWorker._on_body`` as it was before the check was a hold."""
-    payload = message.payload
-    root = payload["root"]
-    if root in worker._bodies:
+    body = message.payload
+    if body.root in worker._bodies:
         return
-    worker.env.process(_verify_and_store_body(worker, root, payload["batch"]))
+    worker.env.process(_verify_and_store_body(worker, body.root, body.batch))
 
 
 def _verify_and_store_body(worker, root, batch):

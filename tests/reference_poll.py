@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from functools import partial
 
-from repro.baselines.bftsmart import PROPOSE, BFTSmartReplica
+from repro.baselines.bftsmart import BFTSmartReplica
 from repro.baselines.replica import replica_nodes
 from repro.protocols.base import PROTOCOLS
 from repro.workload.clients import ClosedLoopClient, _next_write
@@ -40,16 +40,7 @@ class ReferenceBFTSmartReplica(BFTSmartReplica):
         inflight: dict[int, float] = {}
         while True:
             while len(inflight) < PIPELINE_WINDOW:
-                tx_count, transactions = self._next_batch()
-                yield from self.context.use_cpu(
-                    self.cost.block_sign_time(tx_count, self.tx_size))
-                self.recorder.count("signatures")
-                payload = {"seq": seq, "tx_count": tx_count,
-                           "transactions": transactions,
-                           "proposed_at": self.env.now}
-                self.context.broadcast(PROPOSE, payload,
-                                       size_bytes=self._batch_bytes(tx_count),
-                                       include_self=True)
+                yield from self._propose(seq)
                 inflight[seq] = self.env.now
                 seq += 1
             oldest = min(inflight)

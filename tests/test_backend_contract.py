@@ -20,8 +20,9 @@ from types import MemberDescriptorType
 
 import pytest
 
+from repro.consensus.obbc import Vote
 from repro.core.config import FireLedgerConfig
-from repro.core.fireledger import BODY, FireLedgerWorker
+from repro.core.fireledger import BODY, Body, FireLedgerWorker
 from repro.core.mailbox import Mailbox
 from repro.crypto.keys import KeyStore
 from repro.ledger.block import header_for_batch
@@ -30,6 +31,7 @@ from repro.net.message import MESSAGE_OVERHEAD_BYTES, Message
 from repro.net.network import Network
 from repro.runtime import RealtimeEnvironment, RealtimeNetwork
 from repro.sim import Environment, Event, Process
+from tests.conftest import Item
 
 BACKENDS = ("sim", "realtime")
 
@@ -37,6 +39,26 @@ BACKENDS = ("sim", "realtime")
 #: seconds.  Large enough for loopback scheduling jitter, small enough to
 #: keep the parametrized suite cheap.
 HORIZON = 0.12
+
+
+#: Real seconds a realtime run may take to reach the event it waits for.
+STORED_WITHIN = 5.0
+
+
+class _Reached(Exception):
+    """Raised by the callback of the event a run waits for: an exception
+    from a callback is the one way either backend's ``run`` ends early."""
+
+
+def run_until(env, event, cap):
+    """Run ``env`` until ``event`` triggers, or to ``cap`` at the latest."""
+    def reached(_event):
+        raise _Reached
+    event.add_callback(reached)
+    try:
+        env.run(until=cap)
+    except _Reached:
+        pass
 
 
 def make_env(backend):
@@ -180,24 +202,24 @@ def test_store_roundtrip_through_kernel_primitives(backend):
     backend: the seam every protocol depends on."""
     env = make_env(backend)
     try:
-        store = Mailbox({"BLOCK": "round"})
+        store = Mailbox()
         got = []
 
         def producer(env, store):
             yield env.timeout(HORIZON * 0.2)
-            store.put(Message(sender=0, channel="c", kind="BLOCK",
-                              payload={"round": 3}))
+            store.put(Message(sender=0, channel="c", kind="A",
+                              payload=Item.of("A", 3)))
 
         def consumer(env, store, got):
             wait = env.wait()
-            store.expect((("BLOCK", 3),), None, wait.offer)
+            store.expect((("A", 3),), None, wait.offer)
             item = yield wait
             got.append((item, env.now))
 
         Process(env, producer(env, store))
         Process(env, consumer(env, store, got))
         env.run(until=HORIZON)
-        assert got and got[0][0].payload == {"round": 3}
+        assert got and got[0][0].payload == Item.of("A", 3)
         assert got[0][1] >= HORIZON * 0.2
     finally:
         close_env(env)
@@ -366,7 +388,12 @@ def test_a_digest_memo_never_crosses_the_wire(backend):
     a frame carries no sender's answer, so a receiver still derives the root
     from the transactions it was handed, and a body that does not match the
     root it was sent under is dropped on both backends — on the realtime one
-    even when the sender pre-filled the memo with the root it claims."""
+    even when the sender pre-filled the memo with the root it claims.
+
+    The run lasts until the control body is stored (capped at
+    ``STORED_WITHIN`` real seconds): both bodies travel on one FIFO link and
+    are checked on one CPU resource, so by then the forged body's check has
+    run too."""
     def transfers(seed):
         return tuple(Transaction.create(1, 512, 0.0, seed + index)
                      for index in range(3))
@@ -392,12 +419,12 @@ def test_a_digest_memo_never_crosses_the_wire(backend):
         def send_bodies(_arg):
             for root, batch in ((header.tx_root, forged),
                                 (control.root, control)):
-                network.send(0, 1, receiver.channel, BODY,
-                             {"root": root, "batch": batch},
-                             batch.size_bytes + 64)
+                body = Body.of(BODY, root, batch)
+                network.send(0, 1, receiver.channel, BODY, body,
+                             body.size_bytes)
 
         env.call_later(0.0, send_bodies)
-        env.run(until=HORIZON)
+        run_until(env, receiver._body_event(control.root), STORED_WITHIN)  # noqa: SLF001
         assert receiver.has_body(control.root)  # bodies do arrive
         assert not receiver.has_body(header.tx_root)
     finally:
@@ -616,11 +643,10 @@ def _transfer(seed, **changes):
 
 
 @pytest.mark.parametrize("payload", [
-    pytest.param(lambda: {"tag": ("obbc", 3), "vote": 1, "piggyback": None},
-                 id="vote"),
+    pytest.param(lambda: Vote.of(3, 1), id="vote"),
     pytest.param(lambda: b"opaque", id="bytes"),
-    pytest.param(lambda: {"root": "r", "batch": Batch(
-        (_transfer(1), Transaction.create(0, 256, 0.5, 2)), 4, 512, 9)},
+    pytest.param(lambda: Body.of(BODY, "r", Batch(
+        (_transfer(1), Transaction.create(0, 256, 0.5, 2)), 4, 512, 9)),
                  id="body"),
     pytest.param(lambda: [_transfer(3)] * 2 + [(_transfer(3),)], id="repeats"),
 ])

@@ -4,7 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines.bftsmart import ACCEPT, PROPOSE, WRITE, BFTSmartReplica
+from repro.baselines.bftsmart import (
+    ACCEPT,
+    PROPOSE,
+    WRITE,
+    BFTSmartReplica,
+    SmartAck,
+    SmartPropose,
+)
 from repro.core.cluster import run_cluster
 from repro.core.config import FireLedgerConfig
 from repro.core.flo import FLONode
@@ -68,9 +75,9 @@ def test_bftsmart_write_quorum_counts_distinct_senders(write_senders, accepts):
                               cost=CryptoCostModel(C5_4XLARGE))
     env.process(replica.run_replica())
     network.send(0, 1, replica.CHANNEL, PROPOSE,
-                 {"seq": 0, "tx_count": 10, "transactions": (), "proposed_at": 0.0})
+                 SmartPropose.of(0, 10, (), 0.0, 512))
     for sender in write_senders:
-        network.send(sender, 1, replica.CHANNEL, WRITE, {"seq": 0})
+        network.send(sender, 1, replica.CHANNEL, WRITE, SmartAck.of(WRITE, 0))
     env.run(until=0.4)
     assert network.stats.messages_of_kind(ACCEPT) == accepts * 4
 

@@ -5,7 +5,8 @@ import random
 import pytest
 
 from repro.consensus import BinaryConsensus, OptimisticBinaryConsensus
-from repro.consensus.obbc import KEY_FIELDS
+from repro.consensus.bbc import Decided
+from repro.consensus.obbc import INBOX, Evidence
 from repro.core.context import ProtocolContext
 from repro.sim import Environment
 from tests.conftest import make_network
@@ -13,7 +14,7 @@ from tests.conftest import make_network
 
 def build_contexts(env, network, channel="obbc"):
     """One ProtocolContext per node (each binds its kinds to its inbox)."""
-    return [ProtocolContext(env, network, node_id, channel, KEY_FIELDS)
+    return [ProtocolContext(env, network, node_id, channel, INBOX)
             for node_id in range(network.n_nodes)]
 
 
@@ -117,8 +118,8 @@ def test_obbc_evidence_fallback_converges_on_favoured_value():
         context = contexts[node_id]
 
         def serve(message):
-            context.send(message.sender, "OBBC_EV_RESP",
-                         {"tag": message.payload["tag"], "evidence": "proof"})
+            context.send(message.sender,
+                         Evidence.of(message.payload.round, "proof"))
         return serve
 
     votes = [1, 1, 0, 0]
@@ -155,7 +156,7 @@ def test_obbc_fallback_without_served_evidence_still_agrees():
 def test_obbc_rejects_invalid_proposals():
     env = Environment()
     network = make_network(env, 4)
-    context = ProtocolContext(env, network, 0, "x", KEY_FIELDS)
+    context = ProtocolContext(env, network, 0, "x", INBOX)
     obbc = OptimisticBinaryConsensus(context, 1, tag=0, collect_timeout=1.0)
     with pytest.raises(ValueError):
         env.run_process(obbc.propose(2))
@@ -174,7 +175,7 @@ def test_bbc_unanimous_input_decides_that_value():
     results = [None] * 4
 
     def node(node_id):
-        bbc = BinaryConsensus(contexts[node_id], f=1, tag="r1",
+        bbc = BinaryConsensus(contexts[node_id], f=1, tag=("bbc", 1),
                               coordinator_base=0)
         results[node_id] = yield from bbc.propose(1)
 
@@ -191,7 +192,7 @@ def test_bbc_split_input_agrees():
     results = [None] * 4
 
     def node(node_id, value):
-        bbc = BinaryConsensus(contexts[node_id], f=1, tag="r2",
+        bbc = BinaryConsensus(contexts[node_id], f=1, tag=("bbc", 2),
                               coordinator_base=2)
         results[node_id] = yield from bbc.propose(value)
 
@@ -206,17 +207,16 @@ def test_bbc_certificate_terminates_late_joiner():
     """A node that missed the fast path can decide from a single certificate."""
     env = Environment()
     network = make_network(env, 4)
-    context = ProtocolContext(env, network, 0, "bbc", KEY_FIELDS)
+    context = ProtocolContext(env, network, 0, "bbc", INBOX)
 
     def certificate_sender(_event):
-        network.send(1, 0, "bbc", "BBC_DECIDED",
-                     {"tag": "r3", "value": 1,
-                      "certificate": {0: 1, 1: 1, 2: 1}})
+        certificate = Decided.of(("bbc", 3), 1, {0: 1, 1: 1, 2: 1})
+        network.send(1, 0, "bbc", certificate.kind, certificate)
 
     env.timeout(0.01).add_callback(certificate_sender)
 
     def late_node():
-        bbc = BinaryConsensus(context, f=1, tag="r3", coordinator_base=0)
+        bbc = BinaryConsensus(context, f=1, tag=("bbc", 3), coordinator_base=0)
         return (yield from bbc.propose(0))
 
     result = env.run_process(late_node(), until=10.0)
@@ -226,8 +226,8 @@ def test_bbc_certificate_terminates_late_joiner():
 def test_bbc_rejects_non_binary_value():
     env = Environment()
     network = make_network(env, 4)
-    context = ProtocolContext(env, network, 0, "bbc", KEY_FIELDS)
-    bbc = BinaryConsensus(context, f=1, tag="r4")
+    context = ProtocolContext(env, network, 0, "bbc", INBOX)
+    bbc = BinaryConsensus(context, f=1, tag=("bbc", 4))
     with pytest.raises(ValueError):
         env.run_process(bbc.propose(5))
 
@@ -243,8 +243,8 @@ def test_bbc_timeouts_are_its_class_constants(monkeypatch):
     network = make_network(env, 4)
     for crashed in (1, 2, 3):
         network.crash(crashed)
-    context = ProtocolContext(env, network, 0, "bbc", KEY_FIELDS)
-    bbc = BinaryConsensus(context, f=1, tag="alone", coordinator_base=1)
+    context = ProtocolContext(env, network, 0, "bbc", INBOX)
+    bbc = BinaryConsensus(context, f=1, tag=("bbc", 0), coordinator_base=1)
 
     def alone():
         decision = yield from bbc.propose(1)

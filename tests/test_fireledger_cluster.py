@@ -22,7 +22,7 @@ from repro.scenarios import runner
 from repro.scenarios.faultplan import FaultSchedule, crash
 from repro.metrics.recorder import EVENT_TENTATIVE_DECISION
 from repro.sim import Process
-from tests.conftest import gc_paused, observe_run_cluster
+from tests.conftest import Item, gc_paused, observe_run_cluster
 
 DURATION = 0.6
 WARMUP = 0.1
@@ -531,7 +531,7 @@ def test_a_blocked_wait_wakes_its_process_once(monkeypatch):
     network = Network(env, 2)
     message_cpu = network.machine.message_processing_cpu
     assert message_cpu > 0
-    context = ProtocolContext(env, network, 0, "c", {"A": "v"})
+    context = ProtocolContext(env, network, 0, "c", (Item,))
 
     def waiter():
         message = yield from context.wait_message("A", 1, timeout=1.0)
@@ -541,7 +541,7 @@ def test_a_blocked_wait_wakes_its_process_once(monkeypatch):
     with _counted_resumes(monkeypatch) as calls:
         process = env.process(waiter())
         env.call_later(0.01, lambda _arg: arrivals.append(
-            (network.send(1, 0, "c", "A", {"v": 1}), env.now)))
+            (network.send(1, 0, "c", "A", Item.of("A", 1)), env.now)))
         env.run()
     (sent, sent_at), = arrivals
     message, finished = process.value

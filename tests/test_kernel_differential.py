@@ -224,9 +224,9 @@ def _certified_run(monkeypatch, reference: bool, name: str, **kwargs):
 
     def traced(network, sender, receiver, channel, kind, payload, *args,
                **options):
-        if kind == BBC_DECIDED and "certificate" in payload:
-            served.append((sender, receiver, payload["tag"], payload["value"],
-                           payload["certificate"]))
+        if kind == BBC_DECIDED and payload.certificate is not None:
+            served.append((sender, receiver, payload.bucket[1], payload.value,
+                           payload.certificate))
         return send(network, sender, receiver, channel, kind, payload, *args,
                     **options)
 

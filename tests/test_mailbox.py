@@ -1,4 +1,5 @@
-"""The keyed mailbox against its predicate-scan oracle, and its boundedness."""
+"""The record-keyed mailbox against the two inboxes it replaced, and its
+boundedness."""
 
 import dataclasses
 
@@ -6,60 +7,68 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.bftsmart import WRITE, SmartAck
+from repro.baselines.hotstuff import VOTE, HotStuffVote
+from repro.consensus.bbc import BBC_EST, Decided, Step
+from repro.consensus.obbc import Vote
 from repro.core.context import ProtocolContext
-from repro.core.mailbox import Mailbox, round_of
+from repro.core.mailbox import Mailbox
+from repro.core.wrb import WRB_HEADER, Header
 from repro.net.message import Message
 from repro.scenarios import library
 from repro.scenarios.runner import run_scenario
 from repro.sim import Environment
-from tests.reference_mailbox import ReferenceMailbox
+from tests.reference_mailbox import KEY_FIELDS, KeyedMailbox, ReferenceMailbox
 
-#: The shapes ``src/`` uses: a plain instance key (OBBC ``tag``, WRB
-#: ``round``), a per-phase key and the per-instance ``DECIDED`` BBC pairs it
-#: with.  BBC tags are ``("bbc", round)`` pairs, the others bare rounds.
-KEY_FIELDS = {"VOTE": "tag", "HEADER": "round",
-              "EST": ("tag", "phase"), "DECIDED": "tag"}
+#: The shapes ``src/`` files, by kind: ``(the record a sender builds, the
+#: dict it sent before records)`` for a drawn ``(round, phase)``.  A plain
+#: round (OBBC, WRB, the baselines), a per-phase BBC step and the
+#: per-instance ``DECIDED`` BBC pairs it with; BBC tags are ``("bbc",
+#: round)`` pairs.
+SHAPES = {
+    "OBBC_VOTE": (lambda r, p: Vote.of(r, 1),
+                  lambda r, p: {"tag": r, "value": 1, "piggyback": None}),
+    "HEADER": (lambda r, p: Header.of(WRB_HEADER, r, None),
+               lambda r, p: {"round": r, "payload": None}),
+    "BBC_EST": (lambda r, p: Step.of(BBC_EST, ("bbc", r), p, 0),
+                lambda r, p: {"tag": ("bbc", r), "phase": p, "value": 0}),
+    "BBC_DECIDED": (lambda r, p: Decided.of(("bbc", r), 1),
+                    lambda r, p: {"tag": ("bbc", r), "value": 1}),
+    "HS_VOTE": (lambda r, p: HotStuffVote.of(VOTE, r),
+                lambda r, p: {"view": r}),
+    "SMART_WRITE": (lambda r, p: SmartAck.of(WRITE, r),
+                    lambda r, p: {"seq": r}),
+}
 
 ROUNDS = st.integers(min_value=0, max_value=3)
 SENDERS = st.integers(min_value=0, max_value=2)
+INSTANCES = st.tuples(st.sampled_from(sorted(SHAPES)), ROUNDS,
+                      st.integers(0, 1))
 
 
-@st.composite
-def bucket_keys(draw):
-    """``(kind, key)`` of one bucket."""
-    kind = draw(st.sampled_from(sorted(KEY_FIELDS)))
-    if kind == "EST":
-        return kind, (("bbc", draw(ROUNDS)), draw(st.integers(0, 1)))
-    if kind == "DECIDED":
-        return kind, ("bbc", draw(ROUNDS))
-    return kind, draw(ROUNDS)
-
-
-def message_for(bucket_key, sender):
-    kind, key = bucket_key
-    if kind == "EST":
-        payload = {"tag": key[0], "phase": key[1]}
-    elif kind == "HEADER":
-        payload = {"round": key}
-    else:
-        payload = {"tag": key}
-    return Message(sender=sender, channel="c", kind=kind,
-                   payload=payload)
+def bucket_key(kind, round_number, phase):
+    """``(kind, instance)`` of one bucket, as a waiting protocol names it."""
+    if kind == "BBC_EST":
+        return kind, (("bbc", round_number), phase)
+    if kind == "BBC_DECIDED":
+        return kind, ("bbc", round_number)
+    return kind, round_number
 
 
 @st.composite
 def wait_specs(draw):
     """``(keys, sender)``: one bucket, BBC's step-or-DECIDED pair, or a
     sender-filtered bucket."""
-    first = draw(bucket_keys())
-    if first[0] == "EST" and draw(st.booleans()):
-        return (first, ("DECIDED", first[1][0])), None
+    kind, round_number, phase = draw(INSTANCES)
+    first = bucket_key(kind, round_number, phase)
+    if kind == "BBC_EST" and draw(st.booleans()):
+        return (first, ("BBC_DECIDED", ("bbc", round_number))), None
     return (first,), draw(st.none() | SENDERS)
 
 
 OPERATIONS = st.one_of(
-    # Through the kind's bound putter (the router's entry point) or ``put``.
-    st.tuples(st.just("put"), bucket_keys(), SENDERS, st.booleans()),
+    # The keyed mailbox filed through the kind's bound putter or ``put``.
+    st.tuples(st.just("put"), INSTANCES, SENDERS, st.booleans()),
     st.tuples(st.just("take"), wait_specs()),
     # A blocked wait: take, else leave a hand-off in the waiter slot.
     st.tuples(st.just("wait"), wait_specs()),
@@ -75,53 +84,70 @@ OPERATIONS = st.one_of(
 @given(st.lists(OPERATIONS, max_size=60))
 def test_mailbox_hands_out_what_the_predicate_scan_did(operations):
     """The hand-off API (``take``, then ``expect``; ``withdraw`` re-filing a
-    message handed to a wait that had already timed out) against the
-    predicate scan's getter events."""
+    message handed to a wait that had already timed out) on record payloads,
+    against the ``KEY_FIELDS`` mailbox and the predicate scan's getter
+    events on the dict payloads the same messages were: the same messages
+    handed out in the same order, the same buckets filed in the same order
+    and indexed under the same rounds, the same buckets dropped by
+    ``discard_below``."""
     env = Environment()
-    mailbox = Mailbox(KEY_FIELDS)
-    putters = {kind: mailbox.putter(kind) for kind in KEY_FIELDS}
+    mailbox = Mailbox()
+    keyed = KeyedMailbox(KEY_FIELDS)
+    putters = {kind: keyed.putter(kind) for kind in SHAPES}
     oracle = ReferenceMailbox(env, KEY_FIELDS)
-    waiting = None  # (what was handed off, oracle event) of the blocked wait
+    twins = {}  # id(record message) -> the dict-payload message it was
+
+    def twin(message):
+        return None if message is None else twins[id(message)]
+
+    sent = []  # keeps every message alive, so no id is reused
+    waiting = None  # (handed, handed by keyed, oracle event) of the wait
     for operation in operations:
         name = operation[0]
         if name == "put":
-            _, bucket_key, sender, bound = operation
-            message = message_for(bucket_key, sender)
-            (putters[message.kind] if bound else mailbox.put)(message)
-            oracle.put(message)
+            _, (kind, round_number, phase), sender, bound = operation
+            record, legacy = SHAPES[kind]
+            message = Message(sender, "c", kind, record(round_number, phase))
+            old = Message(sender, "c", kind, legacy(round_number, phase))
+            twins[id(message)] = old
+            sent.append(message)
+            mailbox.put(message)
+            (putters[kind] if bound else keyed.put)(old)
+            oracle.put(old)
         elif name == "take":
             keys, sender = operation[1]
-            assert mailbox.take(keys, sender) is oracle.take(keys, sender)
+            assert (twin(mailbox.take(keys, sender)) is keyed.take(keys, sender)
+                    is oracle.take(keys, sender))
         elif name == "wait" and waiting is None:
             keys, sender = operation[1]
-            handed = []
-            message = mailbox.take(keys, sender)
-            if message is None:
-                mailbox.expect(keys, sender, handed.append)
-            else:
-                handed.append(message)
-            waiting = (handed, oracle.wait(keys, sender))
+            handed = ([], [])
+            for inbox, hand in zip((mailbox, keyed), handed):
+                message = inbox.take(keys, sender)
+                if message is None:
+                    inbox.expect(keys, sender, hand.append)
+                else:
+                    hand.append(message)
+            waiting = (*handed, oracle.wait(keys, sender))
         elif name == "discard_below":
-            mailbox.discard_below(operation[1])
-            oracle.discard_below(operation[1])
+            for inbox in (mailbox, keyed, oracle):
+                inbox.discard_below(operation[1])
         elif waiting is not None:
-            ours, theirs = waiting
+            ours, keyeds, theirs = waiting
+            assert list(map(twin, ours)) == keyeds
             assert bool(ours) == theirs.triggered
             if name == "cancel":
                 mailbox.withdraw(ours[0] if ours else None)
+                keyed.withdraw(keyeds[0] if keyeds else None)
                 oracle.cancel(theirs)
                 waiting = None
             elif name == "consume" and ours:
-                assert ours == [theirs.value]
+                assert keyeds == [theirs.value]
                 waiting = None
-        assert len(mailbox) == len(oracle)
-
-
-def test_round_of_orders_the_tag_shapes_in_use():
-    assert round_of(7) == 7
-    assert round_of(("bbc", 7)) == 7
-    assert round_of("r1") is None
-    assert round_of(("bbc", "seven")) is None
+        assert len(mailbox) == len(keyed) == len(oracle)
+        assert [(key, [(arrival, twin(message)) for arrival, message in bucket])
+                for key, bucket in mailbox._buckets.items()] == [
+            (key, list(bucket)) for key, bucket in keyed._buckets.items()]
+        assert mailbox._rounds == keyed._rounds
 
 
 @pytest.mark.parametrize("protocol", ["fireledger", "hotstuff", "bftsmart"])

@@ -481,7 +481,7 @@ def test_a_worker_binds_every_kind_its_layers_define(keystore):
 
 
 @pytest.mark.parametrize("protocol", ["hotstuff", "bftsmart"])
-def test_a_baseline_replica_binds_its_key_fields(protocol, keystore):
+def test_a_baseline_replica_binds_its_inbox_kinds(protocol, keystore):
     from repro.net.network import Network, discard
     from repro.sim import Environment
 
@@ -491,7 +491,8 @@ def test_a_baseline_replica_binds_its_key_fields(protocol, keystore):
         env, network, keystore, FireLedgerConfig(n_nodes=4), random.Random(1))
     for replica in replicas:
         endpoint = network.endpoint(replica.node_id)
-        assert replica.KEY_FIELDS
+        assert replica.INBOX
         assert set(endpoint.handlers) == {
-            (replica.CHANNEL, kind) for kind in replica.KEY_FIELDS}
+            (replica.CHANNEL, kind)
+            for record in replica.INBOX for kind in record.KINDS}
         assert endpoint.router is discard

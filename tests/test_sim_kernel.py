@@ -8,7 +8,7 @@ import pytest
 from repro.core.mailbox import Mailbox
 from repro.net.message import Message
 from repro.sim import Environment, Resource, Wait
-from tests.conftest import gc_paused
+from tests.conftest import Item, gc_paused
 
 
 def test_timeout_fires_at_the_right_time(env):
@@ -110,9 +110,10 @@ def test_run_until_in_the_past_rejected(env):
 
 
 def test_mailbox_key_skips_non_matching():
-    mailbox = Mailbox({"N": "parity"})
+    mailbox = Mailbox()
     numbers = [Message(sender=value, channel="c", kind="N",
-                       payload={"parity": value % 2}) for value in (1, 2, 3, 5, 6)]
+                       payload=Item.of("N", value % 2))
+               for value in (1, 2, 3, 5, 6)]
     for message in numbers[:3]:
         mailbox.put(message)
     assert mailbox.take((("N", 0),)) is numbers[1]
@@ -128,11 +129,11 @@ def test_mailbox_key_skips_non_matching():
 
 
 def test_mailbox_take_serves_the_older_of_two_buckets():
-    mailbox = Mailbox({"X": "k", "Y": "k"})
+    mailbox = Mailbox()
     keys = (("X", 1), ("Y", 1))
     assert mailbox.take(keys) is None
-    first = Message(sender=1, channel="c", kind="Y", payload={"k": 1})
-    second = Message(sender=2, channel="c", kind="X", payload={"k": 1})
+    first = Message(sender=1, channel="c", kind="Y", payload=Item.of("Y", 1))
+    second = Message(sender=2, channel="c", kind="X", payload=Item.of("X", 1))
     mailbox.put(first)
     mailbox.put(second)
     assert mailbox.take(keys, sender=3) is None

@@ -9,9 +9,15 @@ from hypothesis import strategies as st
 
 from repro.core.config import FireLedgerConfig
 from repro.core.context import PanicInterrupt, ProtocolContext
-from repro.core.fireledger import BODY, FireLedgerWorker
+from repro.core.fireledger import BODY, Body, FireLedgerWorker
 from repro.core.timers import AdaptiveTimer
-from repro.core.wrb import KEY_FIELDS, WeakReliableBroadcast
+from repro.core.wrb import (
+    INBOX,
+    WRB_HEADER,
+    WRB_PULL_RESP,
+    Header,
+    WeakReliableBroadcast,
+)
 from repro.crypto.cost_model import M5_XLARGE
 from repro.crypto.keys import KeyStore
 from repro.crypto.signatures import SIGNATURE_SIZE_BYTES
@@ -22,7 +28,7 @@ from repro.net.message import Message
 from repro.net.network import Network
 from repro.sim import Environment
 from tests import reference_wait
-from tests.conftest import make_network
+from tests.conftest import Item, make_network
 from tests.reference_collect import (
     reference_collect,
     reference_on_body,
@@ -30,13 +36,13 @@ from tests.reference_collect import (
 )
 from tests.reference_kernel import ReferenceEnvironment
 
-#: Key table of the ad-hoc kinds the context tests send.
-TEST_KEYS = {"A": "v", "B": "v", "VOTE": "round", "OLD": "round", "NEW": "round"}
+def send_item(network, sender, kind, instance, receiver=0):
+    network.send(sender, receiver, "wrb", kind, Item.of(kind, instance))
 
 
 def build_context(env, network, node_id, channel="wrb", interrupt_check=None,
-                  key_fields=KEY_FIELDS):
-    return ProtocolContext(env, network, node_id, channel, key_fields,
+                  records=INBOX):
+    return ProtocolContext(env, network, node_id, channel, records,
                            interrupt_check=interrupt_check)
 
 
@@ -44,7 +50,7 @@ def build_context(env, network, node_id, channel="wrb", interrupt_check=None,
 def test_wait_message_timeout_returns_none():
     env = Environment()
     network = make_network(env, 4)
-    context = build_context(env, network, 0, key_fields=TEST_KEYS)
+    context = build_context(env, network, 0, records=(Item,))
 
     def waiter():
         return (yield from context.wait_message("A", 1, timeout=0.5))
@@ -56,15 +62,15 @@ def test_wait_message_timeout_returns_none():
 def test_wait_message_matches_kind_key_and_sender():
     env = Environment()
     network = make_network(env, 4)
-    context = build_context(env, network, 0, key_fields=TEST_KEYS)
-    network.send(1, 0, "wrb", "A", {"v": 2})
-    network.send(1, 0, "wrb", "B", {"v": 1})
-    network.send(2, 0, "wrb", "B", {"v": 2})
-    network.send(3, 0, "wrb", "B", {"v": 2})
+    context = build_context(env, network, 0, records=(Item,))
+    send_item(network, 1, "A", 2)
+    send_item(network, 1, "B", 1)
+    send_item(network, 2, "B", 2)
+    send_item(network, 3, "B", 2)
 
     def waiter():
         message = yield from context.wait_message("B", 2, sender=3, timeout=1.0)
-        return message.kind, message.payload["v"], message.sender
+        return message.kind, message.payload.round, message.sender
 
     assert env.run_process(waiter()) == ("B", 2, 3)
     # The wrong-sender message of the same bucket stays buffered, like the
@@ -76,7 +82,7 @@ def test_wait_message_matches_kind_key_and_sender():
 def test_undeclared_kinds_are_dropped_at_put():
     env = Environment()
     network = make_network(env, 4)
-    context = build_context(env, network, 0, key_fields=TEST_KEYS)
+    context = build_context(env, network, 0, records=(Item,))
     network.send(1, 0, "wrb", "NOISE", {"v": 1})
     env.run()
     assert len(context.inbox) == 0
@@ -86,7 +92,7 @@ def test_wait_message_raises_panic_interrupt():
     env = Environment()
     network = make_network(env, 4)
     pending = []
-    context = build_context(env, network, 0, key_fields=TEST_KEYS,
+    context = build_context(env, network, 0, records=(Item,),
                             interrupt_check=lambda: pending[-1] if pending else None)
 
     def waiter():
@@ -113,7 +119,7 @@ def test_wait_message_requeues_message_racing_the_timeout():
     it): the wait still times out, but the next wait sees it."""
     env = Environment()
     network = make_network(env, 4)
-    context = build_context(env, network, 0, key_fields=TEST_KEYS)
+    context = build_context(env, network, 0, records=(Item,))
     outcomes = []
 
     def waiter():
@@ -125,7 +131,7 @@ def test_wait_message_requeues_message_racing_the_timeout():
     env.process(waiter())
     env.run(until=0.5)  # the wait (and its internal timeout) is registered
 
-    racer = Message(sender=1, channel="wrb", kind="A", payload={"v": 1})
+    racer = Message(sender=1, channel="wrb", kind="A", payload=Item.of("A", 1))
 
     def racing_put(_event):
         context.inbox.put(racer)
@@ -143,7 +149,7 @@ def test_wait_message_requeues_message_racing_the_timeout():
 def test_mailbox_refuses_a_second_concurrent_waiter():
     env = Environment()
     network = make_network(env, 4)
-    context = build_context(env, network, 0, key_fields=TEST_KEYS)
+    context = build_context(env, network, 0, records=(Item,))
     context.inbox.expect((("A", 1),), None, [].append)
     with pytest.raises(RuntimeError):
         context.inbox.expect((("B", 1),), None, [].append)
@@ -162,13 +168,14 @@ def _racing_context(monkeypatch, kernel, reference, interrupt_check=None):
         reference_wait.use_reference(monkeypatch)
     env = kernel()
     network = make_network(env, 4)
-    context = build_context(env, network, 0, key_fields=TEST_KEYS,
+    context = build_context(env, network, 0, records=(Item,),
                             interrupt_check=interrupt_check)
     return env, context, network.machine.message_processing_cpu
 
 
 def _racer(sender=1):
-    return Message(sender=sender, channel="wrb", kind="A", payload={"v": 1})
+    return Message(sender=sender, channel="wrb", kind="A",
+                   payload=Item.of("A", 1))
 
 
 @RACES
@@ -269,9 +276,9 @@ def test_a_message_handed_off_after_the_decision_is_the_newest_arrival(
 def test_collect_messages_stops_at_count_or_timeout():
     env = Environment()
     network = make_network(env, 4)
-    context = build_context(env, network, 0, key_fields=TEST_KEYS)
+    context = build_context(env, network, 0, records=(Item,))
     for sender in (1, 2, 3):
-        network.send(sender, 0, "wrb", "VOTE", {"round": 0})
+        send_item(network, sender, "VOTE", 0)
 
     def collector():
         votes = yield from context.collect_messages("VOTE", 0, count=3, timeout=1.0)
@@ -285,9 +292,9 @@ def test_collect_messages_counts_distinct_senders():
     """One replica sending twice must not complete a quorum by itself."""
     env = Environment()
     network = make_network(env, 4)
-    context = build_context(env, network, 0, key_fields=TEST_KEYS)
+    context = build_context(env, network, 0, records=(Item,))
     for sender in (1, 1, 1, 2):
-        network.send(sender, 0, "wrb", "VOTE", {"round": 0})
+        send_item(network, sender, "VOTE", 0)
 
     def collector():
         votes = yield from context.collect_messages("VOTE", 0, count=3, timeout=1.0)
@@ -301,10 +308,10 @@ def test_collecting_buffered_messages_wakes_the_process_once():
     process start), not one wake-up per vote."""
     env = Environment()
     network = make_network(env, 8)
-    context = build_context(env, network, 0, key_fields=TEST_KEYS)
+    context = build_context(env, network, 0, records=(Item,))
     for sender in range(1, 6):
         context.inbox.put(Message(sender=sender, channel="wrb",
-                                  kind="VOTE", payload={"round": 0}))
+                                  kind="VOTE", payload=Item.of("VOTE", 0)))
 
     def collector():
         votes = yield from context.collect_messages("VOTE", 0, count=5)
@@ -355,7 +362,7 @@ def _run_collection(schedule, collect):
     network = Network(env, 4, latency_model=SingleDatacenterLatency(),
                       machine=machine, rng=random.Random(0))
     panics = []
-    context = build_context(env, network, 0, key_fields=TEST_KEYS,
+    context = build_context(env, network, 0, records=(Item,),
                             interrupt_check=lambda: panics[-1] if panics else None)
     cpu = network.endpoint(0).cpu
     trace = []
@@ -367,7 +374,7 @@ def _run_collection(schedule, collect):
     def arrive(arrival):
         index, _, sender, instance = arrival
         context.inbox.put(Message(sender=sender, channel="wrb", kind="VOTE",
-                                  payload={"round": instance, "n": index}))
+                                  payload=Item.of("VOTE", instance, index)))
         observe("arrival")
 
     def sibling(start, ticks, hops):
@@ -392,7 +399,7 @@ def _run_collection(schedule, collect):
         try:
             messages = yield from collect(context, "VOTE", 0, schedule["count"],
                                           schedule["timeout"])
-            outcome = [(message.sender, message.payload["n"])
+            outcome = [(message.sender, message.payload.n)
                        for message in messages]
         except PanicInterrupt as interrupt:
             outcome = ("panic", interrupt.panic)
@@ -414,8 +421,7 @@ def _run_collection(schedule, collect):
     leftovers = []
     for instance in (0, 1):
         while (message := context.inbox.take((("VOTE", instance),))) is not None:
-            leftovers.append((instance, message.sender,
-                              message.payload["n"]))
+            leftovers.append((instance, message.sender, message.payload.n))
     return (process.value if process.triggered else "blocked"), leftovers, trace
 
 
@@ -505,7 +511,7 @@ def _run_body_checks(schedule, handler_for):
         _, body, corrupted = arrival
         claimed = _BODIES[(body + corrupted) % len(_BODIES)].root
         handler(Message(sender=1, channel=worker.channel, kind=BODY,
-                        payload={"root": claimed, "batch": _BODIES[body]}))
+                        payload=Body.of(BODY, claimed, _BODIES[body])))
         observe("arrival")
 
     def sibling(start, ticks, hops):
@@ -557,17 +563,17 @@ def test_a_body_check_as_a_hold_is_unobservable(schedule):
 def test_discard_below_drops_buffered_rounds_under_the_watermark():
     env = Environment()
     network = make_network(env, 4)
-    context = build_context(env, network, 0, key_fields=TEST_KEYS)
-    network.send(1, 0, "wrb", "OLD", {"round": 1})
-    network.send(2, 0, "wrb", "NEW", {"round": 9})
+    context = build_context(env, network, 0, records=(Item,))
+    send_item(network, 1, "OLD", 1)
+    send_item(network, 2, "NEW", 9)
     env.run()
     context.inbox.discard_below(5)
     assert len(context.inbox) == 1
     # A straggler under the watermark is filed until the next call: after a
     # rewind (FireLedger recovery) the call carries a lower round and must
     # still find the re-opened rounds' traffic.
-    network.send(1, 0, "wrb", "OLD", {"round": 3})
-    network.send(1, 0, "wrb", "OLD", {"round": 4})
+    send_item(network, 1, "OLD", 3)
+    send_item(network, 1, "OLD", 4)
     env.run()
     context.inbox.discard_below(4)
     assert len(context.inbox) == 2
@@ -673,16 +679,16 @@ def test_wrb_pull_phase_fetches_missing_payload():
 
     # The proposer's push reaches only nodes 0-2; node 3 must pull it after
     # the delivery bit is decided.
+    push = Header.of(WRB_HEADER, 0, payload)
     for receiver in (0, 1, 2):
-        network.send(0, receiver, "wrb", "HEADER", {"round": 0, "payload": payload},
-                     size_bytes=256)
+        network.send(0, receiver, "wrb", push.kind, push, push.size_bytes)
 
     served = {"count": 0}
 
     def serve_pull(node_id, message):
         served["count"] += 1
-        network.send(node_id, message.sender, "wrb", "WRB_RESP",
-                     {"round": 0, "payload": payload})
+        network.send(node_id, message.sender, "wrb", WRB_PULL_RESP,
+                     Header.of(WRB_PULL_RESP, 0, payload))
 
     # Nodes 0-2 answer pull requests like the worker does.
     for node_id in (0, 1, 2):
