@@ -229,8 +229,8 @@ def run_cluster(config: FireLedgerConfig,
         from repro.runtime import RealtimeEnvironment as env_class
         from repro.runtime import RealtimeNetwork as network_class
     env = env_class()
-    # A timeline with no link window has nothing to say per message and
-    # leaves broadcasts on the fan-out fast path.
+    # A timeline with no link window has nothing to say per send: the
+    # network asks nothing and every broadcast takes the fan-out branch.
     network = network_class(
         env, config.n_nodes, latency_model=latency_model,
         machine=config.machine, rng=network_rng,

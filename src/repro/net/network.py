@@ -135,28 +135,31 @@ class BaseNetwork:
     """Fully connected message-passing network between ``n_nodes`` endpoints.
 
     The contract, stated once for every backend: endpoint lookup and crash
-    state, the ``send`` / ``broadcast`` return contracts, the fault-drop
-    decision and rng draw order, the ``stats`` accounting, the routing
-    table (:meth:`bind`) and the final delivery step.  A backend supplies its
+    state, the ``send`` / ``broadcast`` return contracts, the fault question
+    and rng draw order, the ``stats`` accounting, the routing table
+    (:meth:`bind`) and the final delivery step.  A backend supplies its
     endpoint class plus "move this envelope to these receivers after these
     delays" (:meth:`_transmit`, :meth:`_transmit_copies`) and may hook
     :meth:`_on_crash` / :meth:`_on_recover`.
 
     One :class:`~repro.net.message.Message` envelope is built per ``send``
     or ``broadcast``; it names no receiver, so the receiver id rides beside
-    it on every path — to the fault controller, to the backend's movers and
-    to the final delivery step — and every receiver of a broadcast is handed
-    the same immutable object.
+    it on every path — to a copy's fault ``fate``, to the backend's movers
+    and to the final delivery step — and every receiver of a broadcast is
+    handed the same immutable object.
 
-    A fault controller — anything answering ``should_drop(message, receiver,
-    now, rng)`` and ``extra_delay(message, receiver, now, rng)``; a run's
-    :class:`~repro.scenarios.faultplan.FaultSchedule` is one — may drop a
-    copy or add delay; drops are decided *before* anything reaches the
-    backend, so injected losses never consume egress capacity.  Crashed
-    endpoints neither send nor receive, and in-flight messages to a node
-    that crashes before delivery are counted as dropped.  Links are
-    otherwise reliable (no loss, no duplication, no reordering beyond what
-    differing latencies produce), matching the system model of Section 3.1.
+    A fault controller (a run's
+    :class:`~repro.scenarios.faultplan.FaultSchedule`) is asked once per
+    ``broadcast`` or non-loopback ``send`` of a live sender:
+    ``link_fault(sender, now)`` is ``None`` when no fault touches the
+    copies, else a ``fate(receiver, rng)`` each copy meets — ``None`` to
+    drop it, else the delay it adds.
+    Drops are decided *before* anything reaches the backend, so injected
+    losses never consume egress capacity.  Crashed endpoints neither send
+    nor receive, and in-flight messages to a node that crashes before
+    delivery are counted as dropped.  Links are otherwise reliable (no
+    loss, no duplication, no reordering beyond what differing latencies
+    produce), matching the system model of Section 3.1.
     """
 
     #: Endpoint type the backend attaches per node.
@@ -255,7 +258,9 @@ class BaseNetwork:
             env.call_later(0.0, partial(self._deliver, message), receiver)
             return message
 
-        delay = self._link_delay(message, receiver, now)
+        fault = self.fault_controller
+        fate = None if fault is None else fault.link_fault(sender, now)
+        delay = self._link_delay(message, receiver, fate)
         if delay is None:
             self.stats.messages_dropped += 1
             return None
@@ -273,14 +278,13 @@ class BaseNetwork:
         sent *and* dropped without reaching the backend.  With
         ``include_self`` the loopback copy sits at its receiver-order slot.
 
-        Without a fault controller no copy drops: one
+        When no fault touches the sender's copies (no fault controller, or
+        its ``link_fault`` answers ``None``) no copy drops: one
         :meth:`~repro.net.latency.LatencyModel.sample_block` call draws every
         link latency (the rng stream of per-copy ``sample`` calls), plus
-        ``transfer_delay`` per copy where the model charges one.  With a
-        controller each copy draws from the shared rng in the fixed
-        ``should_drop`` / ``sample`` / ``extra_delay`` order
-        (:meth:`_link_delay`).  Either way the survivors go to the backend as
-        one :meth:`_transmit_copies` call.
+        ``transfer_delay`` per copy where the model charges one.  Otherwise
+        each copy meets its ``fate`` (:meth:`_link_delay`).  Either way the
+        survivors go to the backend as one :meth:`_transmit_copies` call.
         """
         if not 0 <= sender < self.n_nodes:
             raise ValueError(f"invalid endpoint id sender={sender}")
@@ -290,7 +294,9 @@ class BaseNetwork:
         now = env.now
         message = Message(sender, channel, kind, payload, size_bytes, now)
         receivers = self._receivers[sender]
-        if self.fault_controller is None:
+        fault = self.fault_controller
+        fate = None if fault is None else fault.link_fault(sender, now)
+        if fate is None:
             model = self.latency_model
             delays = model.sample_block(sender, receivers, self.rng)
             # Models that keep the base class's zero transfer_delay (every
@@ -304,7 +310,7 @@ class BaseNetwork:
             surviving: list[int] = []
             delays = []
             for receiver in receivers:
-                delay = self._link_delay(message, receiver, now)
+                delay = self._link_delay(message, receiver, fate)
                 if delay is None:
                     self.stats.messages_dropped += 1
                     continue
@@ -324,21 +330,19 @@ class BaseNetwork:
         return reached
 
     def _link_delay(self, message: Message, receiver: int,
-                    now: float) -> Optional[float]:
-        """One copy's fate: ``None`` if the fault controller drops it, else
-        its link delay.  Draws from the shared rng in the fixed
-        ``should_drop`` / ``sample`` / ``extra_delay`` order."""
-        fault = self.fault_controller
+                    fate: Optional[Callable]) -> Optional[float]:
+        """One copy's link delay, or ``None`` if its ``fate`` drops it.
+        Draws from the shared rng in a fixed order: the fate's loss draws,
+        then ``sample``, then ``+ transfer_delay + extra``."""
         rng = self.rng
-        if fault is not None and fault.should_drop(message, receiver, now, rng):
+        extra = 0.0 if fate is None else fate(receiver, rng)
+        if extra is None:
             return None
         model = self.latency_model
         sender = message.sender
-        delay = (model.sample(sender, receiver, rng)
-                 + model.transfer_delay(sender, receiver, message.size_bytes))
-        if fault is not None:
-            delay += fault.extra_delay(message, receiver, now, rng)
-        return delay
+        return (model.sample(sender, receiver, rng)
+                + model.transfer_delay(sender, receiver, message.size_bytes)
+                + extra)
 
     def _make_completer(self) -> Callable[[Message, int], None]:
         """Build the final delivery step, the same for every backend and

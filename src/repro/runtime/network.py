@@ -1,17 +1,17 @@
 """Real TCP network: :class:`~repro.net.network.BaseNetwork` over sockets.
 
 Same contract as the simulated :class:`~repro.net.network.Network` — the
-send/broadcast return contracts, fault-drop decision, stats accounting,
-crash state and final delivery step are inherited, one statement for both
-backends — but a message physically crosses a loopback TCP connection
-between two asyncio tasks (see :mod:`repro.runtime.transport`) instead of
-riding the simulator's queue.
+send/broadcast return contracts, the one fault question per send or
+broadcast, stats accounting, crash state and final delivery step are
+inherited, one statement for both backends — but a message physically
+crosses a loopback TCP connection between two asyncio tasks (see
+:mod:`repro.runtime.transport`) instead of riding the simulator's queue.
 
 What stays modeled and what becomes real:
 
 * **Propagation latency** stays modeled.  Loopback delivers in microseconds;
   to keep WAN scenarios meaningful the sender samples the latency model (plus
-  the fault controller's ``extra_delay``) exactly as the simulator does and
+  the delay a copy's fault ``fate`` adds) exactly as the simulator does and
   ships the sampled delay inside the frame; the receiver holds the message
   until ``sent_at + delay`` before handing it to the endpoint.  Real socket
   transit time is absorbed into that hold (or adds to it when the wire is

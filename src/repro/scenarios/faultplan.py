@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from repro.net.network import Network
 from repro.sim import Environment
@@ -24,7 +24,7 @@ from repro.sim import Environment
 PHASE_KINDS = ("crash", "recover", "partition", "loss", "slow", "byzantine")
 _WINDOW_KINDS = frozenset({"partition", "loss", "slow", "byzantine"})
 _NODE_KINDS = frozenset({"crash", "recover", "byzantine"})
-#: The window kinds the network consults per message.
+#: The window kinds the network consults per send.
 _LINK_KINDS = frozenset({"partition", "loss", "slow"})
 
 
@@ -87,35 +87,6 @@ class FaultPhase:
                                      for group in kwargs["groups"])
         return cls(**kwargs)
 
-    # ------------------------------------------------------ per-message tests
-    def _applies(self, message, receiver: int, now: float) -> bool:
-        """Whether the window is open (both ends inclusive) and ``message``
-        to ``receiver`` passes the ``senders`` / ``receivers`` filters."""
-        if not self.at <= now <= self.until:
-            return False
-        if self.senders is not None and message.sender not in self.senders:
-            return False
-        return self.receivers is None or receiver in self.receivers
-
-    def drops(self, message, receiver: int, now: float,
-              rng: random.Random) -> bool:
-        """Whether this phase drops ``message`` to ``receiver``: a
-        ``partition`` drops what crosses its groups, a ``loss`` window draws
-        once from ``rng`` per matching copy; nothing else drops."""
-        if self.kind == "partition":
-            return (self._applies(message, receiver, now)
-                    and not any(message.sender in group
-                                and receiver in group
-                                for group in self.groups))
-        return (self.kind == "loss" and self._applies(message, receiver, now)
-                and rng.random() < self.loss_rate)
-
-    def delay(self, message, receiver: int, now: float) -> float:
-        """Seconds a ``slow`` window adds to ``message`` (else 0)."""
-        if self.kind == "slow" and self._applies(message, receiver, now):
-            return self.extra_delay
-        return 0.0
-
     def summary(self) -> str:
         """One human-readable clause for reports."""
         if self.kind in ("crash", "recover"):
@@ -144,9 +115,10 @@ class FaultSchedule:
 
     * crash/recover events are scheduled on the run's clock
       (:meth:`install`), so the same node can crash, recover and crash again;
-    * the network asks the schedule itself about every message while a
-      partition / loss / slow window exists (:meth:`should_drop`,
-      :meth:`extra_delay`, each a walk over :attr:`link_phases`);
+    * while a partition / loss / slow window exists the network asks the
+      schedule itself one question per send or broadcast
+      (:meth:`link_fault`), and each copy of a sender some open window
+      admits its ``fate``;
     * :attr:`byzantine_nodes` / :meth:`byzantine_windows` bind the run's
       adversary strategy at cluster build, and :meth:`excluded_nodes` keeps
       faulty nodes out of the correct-node metrics.
@@ -222,25 +194,46 @@ class FaultSchedule:
     @cached_property
     def link_phases(self) -> tuple[FaultPhase, ...]:
         """The partition / loss / slow windows, in declaration order.  A
-        schedule without one has nothing to say per message, and
+        schedule without one has nothing to say per send, and
         ``run_cluster`` then leaves the network on its fault-free path."""
         return tuple(phase for phase in self.phases
                      if phase.kind in _LINK_KINDS)
 
-    def should_drop(self, message, receiver: int, now: float,
-                    rng: random.Random) -> bool:
-        """Whether any window drops ``message``'s copy to ``receiver``.  The
-        first drop wins: later loss windows do not draw from ``rng`` for a
-        copy already lost."""
-        return any(phase.drops(message, receiver, now, rng)
-                   for phase in self.link_phases)
+    def link_fault(self, sender: int, now: float
+                   ) -> Optional[Callable[[int, random.Random], Optional[float]]]:
+        """The network's one question per ``send`` or ``broadcast``: ``None``
+        when no window open at ``now`` (both ends inclusive) admits
+        ``sender``'s copies, else ``fate(receiver, rng)`` — ``None`` for a
+        dropped copy, otherwise the seconds the slow windows add to it.
 
-    def extra_delay(self, message, receiver: int, now: float,
-                    rng: random.Random) -> float:
-        """Seconds the slow windows add to ``message``'s copy to ``receiver``
-        (they add up)."""
-        return sum(phase.delay(message, receiver, now)
-                   for phase in self.link_phases)
+        The admitted windows apply in declaration order to each copy their
+        ``receivers`` filter admits: a partition drops a copy whose receiver
+        shares no group with the sender, a loss window draws once from
+        ``rng``; the first drop wins (later loss windows draw nothing for a
+        copy already lost) and slow delays add up.
+        """
+        rules = [(phase, {node for group in phase.groups if sender in group
+                          for node in group})
+                 for phase in self.link_phases
+                 if phase.at <= now <= phase.until
+                 and (phase.senders is None or sender in phase.senders)]
+        if not rules:
+            return None
+
+        def fate(receiver: int, rng: random.Random) -> Optional[float]:
+            extra = 0.0
+            for phase, same_side in rules:
+                if phase.receivers is not None and receiver not in phase.receivers:
+                    continue
+                kind = phase.kind
+                if (kind == "partition" and receiver not in same_side
+                        or kind == "loss" and rng.random() < phase.loss_rate):
+                    return None
+                if kind == "slow":
+                    extra += phase.extra_delay
+            return extra
+
+        return fate
 
     # ------------------------------------------------------------ installation
     def install(self, env: Environment, network: Network) -> None:

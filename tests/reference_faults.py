@@ -1,21 +1,92 @@
-"""Reference fault controllers: the per-window classes the network consulted
-before :class:`~repro.scenarios.faultplan.FaultSchedule` answered
-``should_drop`` / ``extra_delay`` itself.
+"""Reference fault controllers: the two-method contract the network asked
+per copy before :meth:`~repro.scenarios.faultplan.FaultSchedule.link_fault`
+answered once per send or broadcast.
 
-The former ``repro.net.faults`` (four controller classes) and
-``FaultSchedule.controller()`` (the compile step joining a schedule to them),
-kept verbatim as the oracle of ``tests/test_scenarios.py``'s differential
-test: same drop decisions, same delays, same rng stream.  One mechanical
-edit since: an envelope no longer names a receiver, so each method takes
-``receiver`` as an argument where it read ``message.receiver``.
+Two generations, both kept as oracles of ``tests/test_scenarios.py``'s
+differential test (same drop decisions, same delays, same rng stream):
+
+* :func:`walk` — the schedule's own per-copy walk: ``FaultPhase._applies`` /
+  ``drops`` / ``delay`` and ``FaultSchedule.should_drop`` / ``extra_delay``,
+  verbatim, on subclasses (:class:`WalkedPhase`, :class:`WalkedSchedule`).
+  ``tests/reference_network.py`` wraps a run's schedule in it.
+* the four controller classes of the former ``repro.net.faults`` and
+  ``FaultSchedule.controller()`` (:func:`controller`, the compile step
+  joining a schedule to them), which the walk replaced.  One mechanical
+  edit since: an envelope no longer names a receiver, so each method takes
+  ``receiver`` as an argument where it read ``message.receiver``.  Their
+  :class:`PartitionFault` ignores a partition's ``senders`` / ``receivers``
+  filters, so it stands only for partitions without them — selective
+  omission's one-way partitions are :func:`walk`'s to answer.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import fields
 from typing import Iterable, Optional, Sequence
 
 from repro.net.message import Message
+from repro.scenarios.faultplan import FaultPhase, FaultSchedule
+
+
+class WalkedPhase(FaultPhase):
+    """A :class:`FaultPhase` with the per-copy tests it carried."""
+
+    # ------------------------------------------------------ per-message tests
+    def _applies(self, message, receiver: int, now: float) -> bool:
+        """Whether the window is open (both ends inclusive) and ``message``
+        to ``receiver`` passes the ``senders`` / ``receivers`` filters."""
+        if not self.at <= now <= self.until:
+            return False
+        if self.senders is not None and message.sender not in self.senders:
+            return False
+        return self.receivers is None or receiver in self.receivers
+
+    def drops(self, message, receiver: int, now: float,
+              rng: random.Random) -> bool:
+        """Whether this phase drops ``message`` to ``receiver``: a
+        ``partition`` drops what crosses its groups, a ``loss`` window draws
+        once from ``rng`` per matching copy; nothing else drops."""
+        if self.kind == "partition":
+            return (self._applies(message, receiver, now)
+                    and not any(message.sender in group
+                                and receiver in group
+                                for group in self.groups))
+        return (self.kind == "loss" and self._applies(message, receiver, now)
+                and rng.random() < self.loss_rate)
+
+    def delay(self, message, receiver: int, now: float) -> float:
+        """Seconds a ``slow`` window adds to ``message`` (else 0)."""
+        if self.kind == "slow" and self._applies(message, receiver, now):
+            return self.extra_delay
+        return 0.0
+
+
+class WalkedSchedule(FaultSchedule):
+    """A :class:`FaultSchedule` answering the two per-copy questions by a
+    walk over its link windows (its phases are :class:`WalkedPhase`)."""
+
+    def should_drop(self, message, receiver: int, now: float,
+                    rng: random.Random) -> bool:
+        """Whether any window drops ``message``'s copy to ``receiver``.  The
+        first drop wins: later loss windows do not draw from ``rng`` for a
+        copy already lost."""
+        return any(phase.drops(message, receiver, now, rng)
+                   for phase in self.link_phases)
+
+    def extra_delay(self, message, receiver: int, now: float,
+                    rng: random.Random) -> float:
+        """Seconds the slow windows add to ``message``'s copy to ``receiver``
+        (they add up)."""
+        return sum(phase.delay(message, receiver, now)
+                   for phase in self.link_phases)
+
+
+def walk(schedule: FaultSchedule) -> WalkedSchedule:
+    """``schedule`` as the two-method controller that walks it per copy."""
+    return WalkedSchedule(tuple(
+        WalkedPhase(**{f.name: getattr(phase, f.name) for f in fields(phase)})
+        for phase in schedule.phases))
 
 
 class FaultController:

@@ -12,6 +12,13 @@ The code is verbatim; the only mechanical edits are that the fast path calls
 ``BaseNetwork.broadcast``) where it called ``super().broadcast``, and that the
 endpoint is a subclass carrying the three removed methods.
 
+It also keeps the two-method fault contract it asked per copy
+(``should_drop``, then ``sample``, then ``extra_delay``): :meth:`send` and
+:meth:`_link_delay` are the former ``BaseNetwork`` ones, and a run's
+:class:`~repro.scenarios.faultplan.FaultSchedule` is wrapped in the per-copy
+walk it answered with (``tests/reference_faults.py::walk``), where the
+shipped network asks the schedule once per send or broadcast.
+
 The shipped network draws and reserves one way for both: a copy's floor is
 ``NIC-free time + (sample + transfer_delay)``.  That is the per-copy path's
 addition order; the fast path added ``(NIC-free time + sample) +
@@ -26,12 +33,14 @@ from __future__ import annotations
 
 from functools import partial
 from itertools import accumulate, repeat
-from typing import Any
+from typing import Any, Optional
 
 from repro.net.latency import LatencyModel
 from repro.net.message import MESSAGE_OVERHEAD_BYTES, Message
 from repro.net.network import BULK_MESSAGE_THRESHOLD, BaseNetwork, Endpoint
+from repro.scenarios.faultplan import FaultSchedule
 from repro.sim import Environment
+from tests import reference_faults
 
 
 class NullController:
@@ -78,12 +87,65 @@ class ReferenceNetwork(BaseNetwork):
 
     def __init__(self, env: Environment, n_nodes: int, **options) -> None:
         super().__init__(env, n_nodes, **options)
+        if type(self.fault_controller) is FaultSchedule:
+            self.fault_controller = reference_faults.walk(self.fault_controller)
         # Broadcast fast-path caches: the per-endpoint ingress lane dicts
         # (stable for an endpoint's lifetime — reset_lanes mutates in place)
         # and each sender's receiver sequence (everyone else, in id order).
         self._rx_lanes = [endpoint._rx_free_at for endpoint in self.endpoints]
         ids = tuple(range(n_nodes))
         self._receivers = [ids[:sender] + ids[sender + 1:] for sender in ids]
+
+    def send(self, sender: int, receiver: int, channel: str, kind: str,
+             payload: Any, size_bytes: int = MESSAGE_OVERHEAD_BYTES) -> Optional[Message]:
+        """Send one message; returns its envelope, or ``None`` if dropped.
+
+        ``None`` means the message never left: either the sender has crashed
+        (nothing is recorded in ``stats``) or the fault controller dropped it
+        (recorded as one message sent *and* one dropped).  A fault-controller
+        drop is decided *before* the backend reserves or queues anything:
+        dropped traffic consumes neither egress nor ingress time, so an
+        injected loss cannot delay the sender's subsequent messages.  A
+        non-``None`` return only promises the message is in flight — the
+        receiver may still crash before the delivery completes.
+        """
+        if not 0 <= sender < self.n_nodes or not 0 <= receiver < self.n_nodes:
+            raise ValueError(f"invalid endpoint ids sender={sender} receiver={receiver}")
+        if self.endpoints[sender].crashed:
+            return None
+        env = self.env
+        now = env.now
+        message = Message(sender, channel, kind, payload, size_bytes, now)
+        self.stats.record_send(channel, kind, message.size_bytes)
+
+        if sender == receiver:
+            # Local loopback: no NIC, no propagation, delivered immediately.
+            env.call_later(0.0, partial(self._deliver, message), receiver)
+            return message
+
+        delay = self._link_delay(message, receiver, now)
+        if delay is None:
+            self.stats.messages_dropped += 1
+            return None
+        self._transmit(message, receiver, delay)
+        return message
+
+    def _link_delay(self, message: Message, receiver: int,
+                    now: float) -> Optional[float]:
+        """One copy's fate: ``None`` if the fault controller drops it, else
+        its link delay.  Draws from the shared rng in the fixed
+        ``should_drop`` / ``sample`` / ``extra_delay`` order."""
+        fault = self.fault_controller
+        rng = self.rng
+        if fault is not None and fault.should_drop(message, receiver, now, rng):
+            return None
+        model = self.latency_model
+        sender = message.sender
+        delay = (model.sample(sender, receiver, rng)
+                 + model.transfer_delay(sender, receiver, message.size_bytes))
+        if fault is not None:
+            delay += fault.extra_delay(message, receiver, now, rng)
+        return delay
 
     def _arrival(self, message: Message, receiver: int, delay: float) -> float:
         """Reserve the sender's NIC lane, then the receiver's ingress lane."""

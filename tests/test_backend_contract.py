@@ -78,19 +78,22 @@ def close_env(env):
 
 
 class DropTo:
-    """A fault controller is duck-typed — ``should_drop`` and ``extra_delay``
-    are the whole contract, and the receiver is an argument of both (an
-    envelope names none).  Drops every message addressed to the given
-    receivers; adds no delay."""
+    """A fault controller answers one question per send or broadcast,
+    ``link_fault(sender, now)``: ``None`` when no fault touches the copies,
+    else a ``fate(receiver, rng)`` each copy meets — ``None`` drops it, a
+    number is the delay it adds (the receiver is an argument: an envelope
+    names none).  This one touches every sender's copies: it drops those
+    addressed to the given receivers and adds no delay, so ``DropTo()``
+    drops nothing but still takes the per-copy branch."""
 
     def __init__(self, *receivers):
         self.receivers = receivers
 
-    def should_drop(self, message, receiver, now, rng):
-        return receiver in self.receivers
+    def link_fault(self, sender, now):
+        return self.fate
 
-    def extra_delay(self, message, receiver, now, rng):
-        return 0.0
+    def fate(self, receiver, rng):
+        return None if receiver in self.receivers else 0.0
 
 
 # ------------------------------------------------------------------- timers

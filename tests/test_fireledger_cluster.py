@@ -762,3 +762,67 @@ def test_a_transaction_costs_a_pinned_number_of_calls():
     """
     counts = _transaction_path_calls("flash-crowd-lanes4", 0.1, 0.05)
     assert counts == (11632, 116208, 25991, 9331)
+
+
+def _fault_questions(duration, warmup) -> tuple:
+    """``(sends + broadcasts of a live sender to another node, link_fault
+    asks, asks some window admitted, copies of those asks, fate calls)`` on
+    ``adversary-gauntlet`` x ``selective-omission`` cut to ``duration``
+    sim-s, seed 7 — counted by a profile hook, so nothing is wrapped."""
+    from repro.net.network import BaseNetwork
+    from repro.scenarios.faultplan import FaultSchedule
+    from repro.scenarios.library import SCENARIOS
+
+    ask = FaultSchedule.link_fault.__code__
+    (fate,) = [code for code in ask.co_consts
+               if getattr(code, "co_name", None) == "fate"]
+    sends = {BaseNetwork.send.__code__: "send",
+             BaseNetwork.broadcast.__code__: "broadcast"}
+    counts = Counter()
+    copies = []
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code in sends:
+            local = frame.f_locals
+            network, sender = local["self"], local["sender"]
+            remote = sends[code] == "broadcast" or local["receiver"] != sender
+            if remote and not network.endpoints[sender].crashed:
+                counts["sends"] += 1
+                copies[:] = [1 if sends[code] == "send"
+                             else network.n_nodes - 1]
+        elif event == "call" and code is ask:
+            counts["asks"] += 1
+        elif event == "return" and code is ask and arg is not None:
+            counts["admitted"] += 1
+            counts["admitted copies"] += copies[0]
+        elif event == "call" and code is fate:
+            counts["fates"] += 1
+
+    spec = replace(SCENARIOS["adversary-gauntlet"], duration=duration,
+                   warmup=warmup)
+    sys.setprofile(profile)
+    try:
+        runner.run_scenario(spec, seed=7, adversary="selective-omission")
+    finally:
+        sys.setprofile(None)
+    return (counts["sends"], counts["asks"], counts["admitted"],
+            counts["admitted copies"], counts["fates"])
+
+
+def test_a_send_asks_the_fault_schedule_once():
+    """The network asks a run's schedule one question per send or
+    broadcast of a live sender (``FaultSchedule.link_fault``), and a copy
+    meets a ``fate`` only when some open window admits its sender.  On a
+    0.3 sim-s ``adversary-gauntlet`` x ``selective-omission`` cut, 423 sends
+    and broadcasts ask 423 times; the two Byzantine senders' 130 admitted
+    asks (75 broadcasts, 55 sends) carry 505 copies, which are the 505
+    ``fate`` calls, and the copies of the other 293 meet no fate.  At commit 8987e70 the same cut asked per copy,
+    twice: 1 653 ``should_drop`` and 1 570 ``extra_delay`` calls, each a
+    walk over every link window (3 264 ``drops``, 3 140 ``delay``).  The
+    counts repeat exactly, so the tolerance is zero."""
+    counts = _fault_questions(0.3, 0.1)
+    sends, asks, _admitted, admitted_copies, fates = counts
+    assert asks == sends
+    assert fates == admitted_copies
+    assert counts == (423, 423, 130, 505, 505)

@@ -270,16 +270,18 @@ def test_a_bitmask_certificate_serves_what_the_vote_dict_served(
 
 # ------------------------------------------------- one way out of a node
 def _networked_run(monkeypatch, reference: bool, name: str, **overrides):
-    """A scenario's rows and the kernel's ``_sequence``, on the shipped
-    network or on ``tests/reference_network.py``'s two-path one."""
-    kernels = []
+    """A scenario's rows, the kernel's ``_sequence`` and the network rng's
+    final state, on the shipped network or on ``tests/reference_network.py``'s
+    two-path one."""
+    runs = []
     with monkeypatch.context() as patch:
         observe_run_cluster(patch, lambda env, network, nodes:
-                            kernels.append(env))
+                            runs.append((env, network)))
         if reference:
             reference_network.use_reference(patch)
         rows = run_scenario(SCENARIOS[name], **overrides)
-    return rows, kernels[0]._sequence  # noqa: SLF001
+    ((env, network),) = runs
+    return rows, env._sequence, network.rng.getstate()  # noqa: SLF001
 
 
 @pytest.mark.parametrize("name,overrides", [
@@ -288,16 +290,23 @@ def _networked_run(monkeypatch, reference: bool, name: str, **overrides):
     pytest.param("geo-5region", {"faults": FaultSchedule((
         slow(0.02, start=0.3, end=0.9, senders=(2, 3)),))},
                  id="geo-5region-slow"),
+    pytest.param("byzantine-minority", {}, id="byzantine-minority"),
 ])
 def test_a_controlled_run_is_the_two_path_network_it_replaced(
         monkeypatch, name, overrides):
     """Differential against ``tests/reference_network.py`` on the fault
-    controller's path: one-way partition windows (selective omission) and a
-    ``slow`` window over bandwidth-capped links.  Every row field,
-    ``state_root`` and ``Environment._sequence`` are ``==``."""
-    rows, sequence = _networked_run(monkeypatch, False, name, **overrides)
-    reference_rows, reference_sequence = _networked_run(
+    controller's path, asked once per send there and walked per copy by
+    the oracle: one-way partition windows (selective omission), a ``slow``
+    window over bandwidth-capped links, and a loss window that opens and
+    closes mid-run (``byzantine-minority``: 0.4-0.8 s, so broadcasts switch
+    between the fan-out and the per-copy branch).  Every row field,
+    ``state_root``, ``Environment._sequence`` and ``rng.getstate()`` are
+    ``==``."""
+    rows, sequence, rng_state = _networked_run(monkeypatch, False, name,
+                                               **overrides)
+    reference_rows, reference_sequence, reference_rng_state = _networked_run(
         monkeypatch, True, name, **overrides)
     _assert_identical(rows, reference_rows)
     assert sequence == reference_sequence
+    assert rng_state == reference_rng_state
     assert rows[0]["state_root"]

@@ -9,7 +9,13 @@ from hypothesis import strategies as st
 from repro.net import GeoDistributedLatency, SingleDatacenterLatency
 from repro.net.latency import WanTopologyLatency
 from repro.net.network import BULK_MESSAGE_THRESHOLD, Network
-from repro.scenarios.faultplan import FaultSchedule, loss, partition, slow
+from repro.scenarios.faultplan import (
+    FaultPhase,
+    FaultSchedule,
+    loss,
+    partition,
+    slow,
+)
 from repro.sim import Environment
 from tests.conftest import make_network
 from tests.reference_network import NullController, ReferenceNetwork
@@ -374,10 +380,19 @@ _SOME = st.one_of(st.none(), st.lists(_NODE, min_size=1, max_size=4))
 @st.composite
 def _link_phase(draw):
     start, end = draw(_WINDOW)
-    kind = draw(st.sampled_from(["loss", "partition", "slow"]))
+    kind = draw(st.sampled_from(["loss", "partition", "one-way", "slow"]))
     if kind == "partition":
         split = draw(st.integers(1, 11))
         return partition([range(split), range(split, 12)], start, end)
+    if kind == "one-way":
+        # Selective omission's shape: one node's copies to its victims (low
+        # ids, so that they exist on the small networks drawn too).
+        node = draw(st.integers(0, 3))
+        victims = tuple(draw(st.lists(st.integers(0, 3).filter(
+            lambda v: v != node), min_size=1, max_size=3, unique=True)))
+        return FaultPhase(kind="partition", groups=((node,), victims),
+                          senders=(node,), receivers=victims, at=start,
+                          until=end)
     if kind == "loss":
         return loss(draw(st.sampled_from([0.25, 1.0])), start, end,
                     draw(_SOME), draw(_SOME))
@@ -448,7 +463,9 @@ def test_one_send_path_matches_the_two_it_replaced(n, model, phases, seed,
     ``stats``, per-endpoint bytes and lane state, ``rng.getstate()`` and each
     receiver's ``(sender, kind, time)`` deliveries are ``==`` — fault-free
     (the oracle's fan-out fast path) and under loss, partition and slow
-    windows (its per-copy path).  On bandwidth-capped links the oracle's
+    windows, selective omission's one-way partitions among them (its
+    per-copy path, asking the schedule's per-copy walk where the shipped
+    network asks once per send).  On bandwidth-capped links the oracle's
     fast path added ``transfer_delay`` in another order, so there the
     expected values are its per-copy path's, under a null controller."""
     schedule = None if phases is None else FaultSchedule(tuple(phases))

@@ -200,18 +200,27 @@ _FILTERS = st.none() | st.lists(_NODES, max_size=3, unique=True)
 @st.composite
 def _timeline_phases(draw):
     """Any phase a timeline may hold: the three link windows (with sender /
-    receiver filters) and the kinds the network must not be asked about."""
+    receiver filters), selective omission's one-way partition, and the
+    kinds the network must not be asked about."""
     at = draw(st.sampled_from(_INSTANTS[:-1]))
     until = draw(st.sampled_from([t for t in _INSTANTS if t > at]
                                  + [float("inf")]))
-    kind = draw(st.sampled_from(["partition", "loss", "slow", "crash",
-                                 "byzantine"]))
+    kind = draw(st.sampled_from(["partition", "one-way", "loss", "slow",
+                                 "crash", "byzantine"]))
     if kind == "partition":
         # Groups need not cover the cluster: an unlisted node is cut off.
         labels = draw(st.lists(st.integers(0, 2), min_size=5, max_size=5))
         groups = [[node for node, label in enumerate(labels) if label == g]
                   for g in (0, 1)]
         return partition(groups, start=at, end=until)
+    if kind == "one-way":
+        # What ``SelectiveOmission.timeline`` declares per Byzantine node.
+        node = draw(_NODES)
+        victims = tuple(draw(st.lists(_NODES.filter(lambda v: v != node),
+                                      min_size=1, max_size=3, unique=True)))
+        return FaultPhase(kind="partition", groups=((node,), victims),
+                          senders=(node,), receivers=victims, at=at,
+                          until=until)
     if kind == "loss":
         return loss(draw(st.sampled_from([0.3, 0.7, 1.0])), start=at,
                     end=until, senders=draw(_FILTERS),
@@ -231,26 +240,45 @@ def _timeline_phases(draw):
        seed=st.integers(0, 2 ** 16))
 def test_fault_schedule_answers_like_the_reference_controllers(
         phases, stream, seed):
-    """``FaultSchedule.should_drop`` / ``extra_delay`` against the controller
-    classes they replaced (``tests/reference_faults.py``): same drops, same
-    delays, and the same rng stream — a loss window draws once per matching
-    message, and not at all once an earlier window has dropped it."""
+    """``FaultSchedule.link_fault`` against the per-copy walk it replaced
+    (``tests/reference_faults.py::walk``): a copy's ``fate`` drops what
+    ``should_drop`` dropped and otherwise adds what ``extra_delay`` added,
+    with the same rng stream — a loss window draws once per matching copy,
+    and not at all once an earlier window has dropped it.  Where the answer
+    is ``None`` the walk neither drops, delays nor draws.  The walk itself
+    answers like the controller classes it replaced wherever those can
+    speak: their ``PartitionFault`` has no sender / receiver filters."""
     try:
         schedule = FaultSchedule(tuple(phases))
     except ValueError:  # overlapping byzantine windows for one node
         return
+    walked = reference_faults.walk(schedule)
     reference = reference_faults.controller(schedule)
     assert bool(schedule.link_phases) == (reference is not None)
     if reference is None:
         reference = reference_faults.FaultController()
-    ours, theirs = random.Random(seed), random.Random(seed)
+    filtered = any(phase.kind == "partition" and (
+        phase.senders is not None or phase.receivers is not None)
+        for phase in schedule.phases)
+    ours, walks, theirs = (random.Random(seed) for _ in range(3))
     for sender, receiver, now in stream:
         message = Message(sender=sender, channel="c", kind="K", payload=None)
-        dropped = schedule.should_drop(message, receiver, now, ours)
-        assert dropped == reference.should_drop(message, receiver, now, theirs)
-        assert (schedule.extra_delay(message, receiver, now, ours)
-                == reference.extra_delay(message, receiver, now, theirs))
-        assert ours.getstate() == theirs.getstate()
+        dropped = walked.should_drop(message, receiver, now, walks)
+        extra = walked.extra_delay(message, receiver, now, walks)
+        fate = schedule.link_fault(sender, now)
+        if fate is None:
+            assert (dropped, extra) == (False, 0.0)
+        else:
+            got = fate(receiver, ours)
+            assert (got is None) == dropped
+            assert dropped or got == extra
+        assert ours.getstate() == walks.getstate()
+        if not filtered:
+            assert dropped == reference.should_drop(message, receiver, now,
+                                                    theirs)
+            assert extra == reference.extra_delay(message, receiver, now,
+                                                  theirs)
+            assert walks.getstate() == theirs.getstate()
 
 
 def test_run_cluster_consults_the_schedule_only_for_link_windows(monkeypatch):
