@@ -14,12 +14,12 @@ recovery procedure (Section 6.1.2).
 from __future__ import annotations
 
 from functools import partial
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Iterable, Optional, Sequence
 
 from repro.core.mailbox import Mailbox
 from repro.net.message import Message, Record
 from repro.net.network import Network
-from repro.sim import Environment, Event, Wait
+from repro.sim import Environment, Event, Resource, Wait
 
 
 class PanicInterrupt(Exception):
@@ -38,22 +38,35 @@ class _QuorumDrain:
     :meth:`ProtocolContext.wait_message` every message already buffered costs
     a process wake-up only to end its ``message_processing_cpu`` hold.  The
     drain replays those iterations from kernel callbacks, step for step:
-    interrupt check, ``inbox.take``, one ``cpu.hold`` — the same hold timer
-    ``use_cpu`` arms, queued behind busy cores the same way, so every
-    same-instant tie resolves as for the process — whose end frees the slot
-    and records the sender.  Each message keeps its own hold: one hold of
-    ``k * message_cpu`` would stop the worker re-queueing behind its
-    siblings at every boundary and moves contended runs.  It ends when
-    ``count`` is reached, the bucket is empty or an interrupt is pending; the
+    panic check, take the bucket's oldest message, one CPU hold whose
+    end frees the core and records the sender.  Each message keeps its own
+    hold: one hold of ``k * message_cpu`` would stop the worker re-queueing
+    behind its siblings at every boundary and moves contended runs.  It ends
+    when ``count`` is reached, the bucket is empty or a panic is pending; the
     caller's next ``wait_message`` deals with the latter two.
+
+    A step is one frame.  It reads the bucket and the pending-panic list as
+    data, and when a core is free it arms the hold itself: the same one
+    timer :meth:`~repro.sim.resource.Resource.hold` arms, whose callback —
+    :meth:`step` again — frees the core exactly as ``Resource.release``
+    does (the next queued hold started from a zero-delay ``_start`` hop).
+    With every core busy the hold queues in the resource like any other, so
+    every kernel entry, sequence number and same-instant tie is the one
+    ``Resource.hold`` would make; ``tests/reference_collect.py`` keeps the
+    drain over ``Resource.hold`` as the oracle.
     """
 
-    __slots__ = ("context", "keys", "collected", "count", "message", "done")
+    __slots__ = ("env", "cpu", "hold", "buckets", "key", "panics",
+                 "collected", "count", "message", "done")
 
-    def __init__(self, context: "ProtocolContext", keys: tuple,
+    def __init__(self, context: "ProtocolContext", key: tuple,
                  collected: dict, count: int) -> None:
-        self.context = context
-        self.keys = keys
+        self.env = context.env
+        self.cpu = context._endpoint.cpu
+        self.hold = context._message_cpu
+        self.buckets = context.inbox._buckets  # noqa: SLF001 - one bucket, read in place
+        self.key = key
+        self.panics = context.panics
         self.collected = collected
         self.count = count
         #: The message whose CPU hold is in flight.
@@ -61,31 +74,43 @@ class _QuorumDrain:
         #: What the collecting process waits on once a hold is in flight.
         self.done: Optional[Event] = None
 
-    def advance(self) -> bool:
-        """Consume buffered messages until one's CPU hold has to elapse
-        (``True``: :meth:`_held` carries on) or the drain is over (``False``)."""
-        context = self.context
+    def step(self, cpu: Optional[Resource] = None) -> bool:
+        """End the hold in flight, if any — ``cpu`` is passed when this drain
+        armed it and must free the core — and record its sender; then
+        consume buffered messages until one's hold has to elapse (``True``)
+        or the drain is over (``False``; a waiting process is woken)."""
+        if cpu is not None:
+            # Resource.release, for the hold this drain armed itself.
+            waiters = cpu._waiters  # noqa: SLF001
+            if waiters:
+                self.env.call_later(0.0, cpu._start, waiters.popleft())  # noqa: SLF001
+            else:
+                cpu._in_use -= 1  # noqa: SLF001
         collected = self.collected
-        hold = context._message_cpu
-        interrupted = context.interrupt_check
-        while len(collected) < self.count:
-            if interrupted is not None and interrupted():
+        message = self.message
+        if message is not None:
+            collected.setdefault(message.sender, message)
+        hold = self.hold
+        while len(collected) < self.count and not self.panics:
+            bucket = self.buckets.get(self.key)
+            if not bucket:
                 break
-            message = context.inbox.take(self.keys)
-            if message is None:
-                break
+            message = bucket.popleft()[1]
             if hold > 0:
                 self.message = message
-                context._endpoint.cpu.hold(hold, self._held)
+                cpu = self.cpu
+                if cpu._in_use < cpu.capacity:  # noqa: SLF001
+                    cpu._in_use += 1  # noqa: SLF001
+                    self.env.call_later(hold, self.step, cpu)
+                else:
+                    # Queued like any hold: Resource.release ends it and
+                    # calls step(None).
+                    cpu._waiters.append((hold, self.step))  # noqa: SLF001
                 return True
             collected.setdefault(message.sender, message)
-        return False
-
-    def _held(self, _arg: Any) -> None:
-        message = self.message
-        self.collected.setdefault(message.sender, message)
-        if not self.advance():
+        if self.done is not None:
             self.done.succeed_now()
+        return False
 
 
 class ProtocolContext:
@@ -106,14 +131,16 @@ class ProtocolContext:
         :class:`~repro.core.mailbox.Mailbox`; a protocol that serves a kind
         itself binds that kind again
         (:meth:`~repro.net.network.BaseNetwork.bind`).
-    interrupt_check:
-        Optional callable returning a truthy "panic" object when the protocol
-        should abandon its current wait.
+    panics:
+        The pending panics, a list its owner appends to and filters in place
+        (never rebinds: every wait reads this object).  While it is not
+        empty, a wait abandons with :class:`PanicInterrupt` carrying its
+        newest entry.
     """
 
     def __init__(self, env: Environment, network: Network, node_id: int,
                  channel: str, records: Iterable[type[Record]],
-                 interrupt_check: Optional[Callable[[], Any]] = None) -> None:
+                 panics: Sequence = ()) -> None:
         self.env = env
         self.network = network
         self.node_id = node_id
@@ -122,7 +149,7 @@ class ProtocolContext:
         network.bind(node_id, channel, dict.fromkeys(
             [kind for record in records for kind in record.KINDS],
             self.inbox.put))
-        self.interrupt_check = interrupt_check
+        self.panics = panics
         #: Event triggered whenever a panic becomes pending; waits watch it.
         self._wake_event = env.event()
         # Hot-path constants: the endpoint never changes for a node's
@@ -153,9 +180,8 @@ class ProtocolContext:
         self._wake_event = self.env.event()
 
     def _pending_interrupt(self) -> Any:
-        if self.interrupt_check is None:
-            return None
-        return self.interrupt_check()
+        panics = self.panics
+        return panics[-1] if panics else None
 
     # ----------------------------------------------------------------- sends
     def send(self, receiver: int, record: Record) -> None:
@@ -232,8 +258,8 @@ class ProtocolContext:
         ``count`` senders; returns early when the bucket runs empty or an
         interrupt is pending, which the caller's next :meth:`wait_message`
         handles.  One process wake-up however many messages were buffered."""
-        drain = _QuorumDrain(self, ((kind, key),), collected, count)
-        if drain.advance():
+        drain = _QuorumDrain(self, (kind, key), collected, count)
+        if drain.step():
             drain.done = self.env.event()
             yield drain.done
 

@@ -31,7 +31,6 @@ from repro.broadcast.reliable import RB_KINDS, ReliableBroadcast
 from repro.consensus.bbc import Decided, Step
 from repro.consensus.obbc import (
     OBBC_EV_REQ,
-    OBBC_VOTE,
     Evidence,
     EvidenceRequest,
 )
@@ -178,11 +177,13 @@ class FireLedgerWorker:
         self.timer = AdaptiveTimer()
         self.detector = BenignFailureDetector(config.f,
                                               enabled=config.failure_detector)
+        #: Panics awaiting recovery; every wait of the context reads this
+        #: list, so it is only ever changed in place.
+        self._pending_panics: list[tuple[int, Any]] = []
         self.context = ProtocolContext(env, network, node_id, self.channel,
-                                       wrb.INBOX,
-                                       interrupt_check=self._pending_panic)
-        #: The inbox entry point of the kinds that pass through the worker on
-        #: their way there (votes, the headers they carry, fallback steps).
+                                       wrb.INBOX, panics=self._pending_panics)
+        #: The inbox entry point of the fallback steps, which pass through
+        #: the worker on their way there.
         self._put = self.context.inbox.put
         self._cpu = network.endpoint(node_id).cpu
         self.wrb = WeakReliableBroadcast(
@@ -194,12 +195,11 @@ class FireLedgerWorker:
         self.ab = AtomicBroadcast(self.context, config.f,
                                   self._on_version_delivered)
         # Everything arriving on this worker's channel, by kind.  The context
-        # already bound the kinds of the records WRB waits for (headers, pull
-        # and evidence responses, BBC_DECIDED ...) straight to the inbox; the
-        # kinds below are served by the worker or pass through it on the way
-        # there.
+        # already bound the kinds of the records WRB waits for (votes and the
+        # headers riding on them, pull and evidence responses, BBC_DECIDED
+        # ...) straight to the inbox; the kinds below are served by the
+        # worker or pass through it on the way there.
         network.bind(node_id, self.channel, {
-            OBBC_VOTE: self._on_vote,
             **dict.fromkeys(RB_KINDS, self.rb.on_message),
             **dict.fromkeys(AB_KINDS, self.ab.on_message),
             BODY: self._on_body,
@@ -229,7 +229,6 @@ class FireLedgerWorker:
         self._last_definite_emitted = -1
 
         # --- recovery state ---------------------------------------------------
-        self._pending_panics: list[tuple[int, Any]] = []
         self._version_log: list[tuple[int, int, ChainVersion]] = []
         self._version_seq = 0
         self._version_watermark = -1
@@ -240,16 +239,6 @@ class FireLedgerWorker:
     # message handlers (bound by kind in __init__, called by the network's
     # final delivery step)
     # ======================================================================
-    def _on_vote(self, message: Message) -> None:
-        """An OBBC vote — one per peer per round, nearly all the traffic; the
-        next proposer's :class:`~repro.core.wrb.Header` may ride on it, and
-        is filed as a HEADER message of its own."""
-        piggyback = message.payload.piggyback
-        if piggyback is not None:
-            self._put(Message(message.sender, self.channel, WRB_HEADER,
-                              piggyback, sent_at=self.env.now))
-        self._put(message)
-
     def _on_evidence_request(self, message: Message) -> None:
         self._serve_evidence(message)
         self._serve_fast_certificate(message)
@@ -497,11 +486,6 @@ class FireLedgerWorker:
     # ======================================================================
     # panic / recovery plumbing
     # ======================================================================
-    def _pending_panic(self):
-        if self._pending_panics:
-            return self._pending_panics[-1]
-        return None
-
     def _on_panic_delivered(self, origin: int, tag: Any, proof: Any) -> None:
         if not self._valid_proof(proof):
             return
@@ -808,8 +792,8 @@ class FireLedgerWorker:
         self.full_mode = True
         self.detector.invalidate()
         self._recovered_through = recovery_round
-        self._pending_panics = [entry for entry in self._pending_panics
-                                if entry[0] > recovery_round]
+        self._pending_panics[:] = [entry for entry in self._pending_panics
+                                   if entry[0] > recovery_round]
         self._bound_caches()
         self.context.inbox.discard_below(self.round)
 

@@ -12,6 +12,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Callable, Optional
 
+from repro.net.message import Message
+
 
 class Mailbox:
     """A protocol context's inbox, bucketed by ``(kind, instance)``.
@@ -49,10 +51,19 @@ class Mailbox:
     def __len__(self) -> int:
         return sum(len(bucket) for bucket in self._buckets.values())
 
-    def put(self, message) -> None:
+    def put(self, message, rider: bool = True) -> None:
         """File ``message`` under its record's bucket, or hand it to the
-        blocked wait it satisfies (what the context binds its kinds to)."""
+        blocked wait it satisfies (what the context binds its kinds to).
+
+        A record riding on the message's own (a vote's piggybacked header)
+        is filed first, as a message of its own from the same sender on the
+        same channel; ``rider=False`` skips that for a message whose rider
+        was filed when it arrived (:meth:`withdraw`)."""
         payload = message.payload
+        piggyback = payload.piggyback
+        if piggyback is not None and rider:
+            self.put(Message(message.sender, message.channel, piggyback.kind,
+                             piggyback, sent_at=message.sent_at))
         bucket_key = payload.bucket
         waiter = self._waiter
         if waiter is not None:
@@ -105,7 +116,7 @@ class Mailbox:
         already decided wait, as the newest arrival."""
         self._waiter = None
         if late is not None:
-            self.put(late)
+            self.put(late, rider=False)
 
     def discard_below(self, ordinal: int) -> None:
         """Drop every buffered instance whose round is under ``ordinal``."""

@@ -87,7 +87,9 @@ class LedgerState:
           keeps the outcome independent of any later balance changes;
         * ``applied`` — balance moved, nonce advanced to ``nonce + 1``, and
           the commit latency ``now - submitted_at`` folded into the sender's
-          histogram in ``sender_latency``.
+          histogram in ``sender_latency`` — once per sender per block, in
+          the sender's order, so every sum is the one sample-by-sample
+          folding makes.
 
         Returns the outcomes rendered as the root fold hashes them — each
         ``repr((digest, outcome))``, concatenated — and the block's account
@@ -101,6 +103,7 @@ class LedgerState:
         touch = touched.add
         rendered: list[str] = []
         render = rendered.append
+        waits: dict[int, list[float]] = {}
         applied = stale = invalid = 0
         for transaction in transactions:
             digest = transaction.payload_digest
@@ -127,10 +130,16 @@ class LedgerState:
             balances[recipient] = balances.get(recipient, initial) + amount
             applied += 1
             render(f"({digest!r}, 'applied')")
+            sender_waits = waits.get(sender)
+            if sender_waits is None:
+                waits[sender] = [now - transaction.submitted_at]
+            else:
+                sender_waits.append(now - transaction.submitted_at)
+        for sender, sender_waits in waits.items():
             histogram = sender_latency.get(sender)
             if histogram is None:
                 histogram = sender_latency[sender] = LatencyHistogram()
-            histogram.add(now - transaction.submitted_at)
+            histogram.extend(sender_waits)
         self.applied += applied
         self.stale += stale
         self.invalid += invalid

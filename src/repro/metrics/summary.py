@@ -48,23 +48,29 @@ class LatencyHistogram:
 
     def add(self, value: float) -> None:
         """Fold one latency sample into the histogram."""
-        index = int(value / self.bin_width)
-        if index >= self.max_bins:
-            index = self.max_bins - 1
-        elif index < 0:
-            index = 0
-        counts = self.counts
-        counts[index] = counts.get(index, 0) + 1
-        self.count += 1
-        self.total += value
-        if value < self.min_value:
-            self.min_value = value
-        if value > self.max_value:
-            self.max_value = value
+        self.extend((value,))
 
     def extend(self, values: Iterable[float]) -> None:
+        """Fold samples in order — :meth:`add` for each, in one frame."""
+        width, last = self.bin_width, self.max_bins - 1
+        counts = self.counts
+        total, low, high = self.total, self.min_value, self.max_value
+        folded = 0
         for value in values:
-            self.add(value)
+            index = int(value / width)
+            if index > last:
+                index = last
+            elif index < 0:
+                index = 0
+            counts[index] = counts.get(index, 0) + 1
+            total += value
+            if value < low:
+                low = value
+            if value > high:
+                high = value
+            folded += 1
+        self.count += folded
+        self.total, self.min_value, self.max_value = total, low, high
 
     def merge(self, other: "LatencyHistogram") -> None:
         """Fold another histogram (same bin width) into this one."""

@@ -88,6 +88,10 @@ class Record(tuple):
     FIELDS: tuple[str, ...] = ()
     #: The message kinds sent with this shape (none for a value record).
     KINDS: tuple[str, ...] = ()
+    #: A record riding on this one, which a receiving mailbox files first as
+    #: a message of its own: OBBC's ``Vote`` declares it as a field (the next
+    #: header, Section 5.1); every other record carries none.
+    piggyback = None
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)

@@ -18,6 +18,10 @@ class Resource:
     zero-delay timer.  The library uses this to model a node's CPU
     (capacity = number of cores), so that signature generation throughput
     saturates at the core count exactly as in Figure 5 of the paper.
+
+    The quorum drain (``core/context.py::_QuorumDrain.step``) takes and
+    frees a free slot for its holds itself, with this bookkeeping inline;
+    a hold it queues goes through ``_waiters`` and ``_start`` unchanged.
     """
 
     def __init__(self, env: "Environment", capacity: int = 1) -> None:

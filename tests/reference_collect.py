@@ -15,18 +15,35 @@ test oracles.
 * **The body check as a process.**  :func:`reference_on_body` is
   ``FireLedgerWorker._on_body`` when every received body started a
   ``_verify_and_store_body`` process that held a core, then stored.
+* **The vote path before it was fused.**  :class:`ReferenceQuorumDrain` is
+  the quorum drain when each step was ``advance`` (an interrupt-check call,
+  ``Mailbox.take``, ``Resource.hold``) and each hold ended in
+  ``Resource.release`` calling ``_held``; :func:`reference_on_vote` is
+  ``FireLedgerWorker._on_vote``, the handler that filed a vote's
+  piggybacked header before the mailbox filed riders itself.
 
 :func:`use_reference` turns the drain into a no-op — which leaves exactly
 the per-message loop in *every* collection site of ``src/`` ("drain what is
-buffered, then wait for one" minus the drain) — and swaps the other two
-back in, so a whole cluster can run the old way.  The replacements claim to
-be unobservable: same finish times, same messages in the same order, same
-mailbox leftovers, same CPU occupancy at every instant, same result rows.
+buffered, then wait for one" minus the drain) — and swaps the others back
+in, so a whole cluster can run the old way.  :func:`use_reference_drain`
+swaps in only the vote path (the drain over ``Resource.hold`` and
+``_on_vote``), which wakes processes exactly where the shipped drain does.
+The replacements claim to be unobservable: same finish times, same messages
+in the same order, same mailbox leftovers, same CPU occupancy at every
+instant, same result rows.
 """
 
 from __future__ import annotations
 
+from functools import partial
+from typing import Any, Optional
+
+from repro.consensus.obbc import OBBC_VOTE
 from repro.core.context import PanicInterrupt
+from repro.core.fireledger import FireLedgerWorker
+from repro.core.wrb import WRB_HEADER
+from repro.net.message import Message
+from repro.sim import Event
 from tests.reference_wait import AnyOf, mailbox_cancel, mailbox_wait
 
 
@@ -96,6 +113,83 @@ def _verify_and_store_body(worker, root, batch):
         event.succeed()
 
 
+class ReferenceQuorumDrain:
+    """``core/context.py::_QuorumDrain`` as it was over ``Resource.hold``
+    (verbatim, but for the interrupt check: the context's
+    ``interrupt_check`` callable is now its ``_pending_interrupt``)."""
+
+    __slots__ = ("context", "keys", "collected", "count", "message", "done")
+
+    def __init__(self, context, keys: tuple,
+                 collected: dict, count: int) -> None:
+        self.context = context
+        self.keys = keys
+        self.collected = collected
+        self.count = count
+        #: The message whose CPU hold is in flight.
+        self.message: Optional[Message] = None
+        #: What the collecting process waits on once a hold is in flight.
+        self.done: Optional[Event] = None
+
+    def advance(self) -> bool:
+        """Consume buffered messages until one's CPU hold has to elapse
+        (``True``: :meth:`_held` carries on) or the drain is over (``False``)."""
+        context = self.context
+        collected = self.collected
+        hold = context._message_cpu
+        interrupted = context._pending_interrupt
+        while len(collected) < self.count:
+            if interrupted is not None and interrupted():
+                break
+            message = context.inbox.take(self.keys)
+            if message is None:
+                break
+            if hold > 0:
+                self.message = message
+                context._endpoint.cpu.hold(hold, self._held)
+                return True
+            collected.setdefault(message.sender, message)
+        return False
+
+    def _held(self, _arg: Any) -> None:
+        message = self.message
+        self.collected.setdefault(message.sender, message)
+        if not self.advance():
+            self.done.succeed_now()
+
+
+def reference_drain_messages(self, kind, key, collected, count):
+    """``ProtocolContext.drain_messages`` over :class:`ReferenceQuorumDrain`."""
+    drain = ReferenceQuorumDrain(self, ((kind, key),), collected, count)
+    if drain.advance():
+        drain.done = self.env.event()
+        yield drain.done
+
+
+def reference_on_vote(worker, message) -> None:
+    """``FireLedgerWorker._on_vote``: an OBBC vote — one per peer per round,
+    nearly all the traffic; the next proposer's :class:`~repro.core.wrb.Header`
+    may ride on it, and is filed as a HEADER message of its own.  The vote
+    itself is filed as the mailbox of that time filed it, riderless."""
+    piggyback = message.payload.piggyback
+    if piggyback is not None:
+        worker._put(Message(message.sender, worker.channel, WRB_HEADER,
+                            piggyback, sent_at=worker.env.now))
+    worker._put(message, rider=False)
+
+
+def _bind_on_vote(monkeypatch) -> None:
+    """Bind every worker built from now on to :func:`reference_on_vote`."""
+    build = FireLedgerWorker.__init__
+
+    def built(worker, *args, **kwargs):
+        build(worker, *args, **kwargs)
+        worker.network.bind(worker.node_id, worker.channel,
+                            {OBBC_VOTE: partial(reference_on_vote, worker)})
+
+    monkeypatch.setattr(FireLedgerWorker, "__init__", built)
+
+
 def _no_drain(self, kind, key, collected, count):
     return
     yield  # pragma: no cover - makes this a generator
@@ -103,10 +197,21 @@ def _no_drain(self, kind, key, collected, count):
 
 def use_reference(monkeypatch) -> None:
     """Receive the old way everywhere for the rest of a test: one wake-up
-    per collected message, two per blocked wait, a process per body."""
+    per collected message, two per blocked wait, a process per body, the
+    worker's vote handler."""
     monkeypatch.setattr("repro.core.context.ProtocolContext.drain_messages",
                         _no_drain)
     monkeypatch.setattr("repro.core.context.ProtocolContext.wait_message",
                         reference_wait_message)
     monkeypatch.setattr("repro.core.fireledger.FireLedgerWorker._on_body",
                         reference_on_body)
+    _bind_on_vote(monkeypatch)
+
+
+def use_reference_drain(monkeypatch) -> None:
+    """Walk the vote path the old way for the rest of a test: the drain's
+    steps over ``Mailbox.take`` and ``Resource.hold``, the worker's vote
+    handler.  Processes wake where they do on the shipped path."""
+    monkeypatch.setattr("repro.core.context.ProtocolContext.drain_messages",
+                        reference_drain_messages)
+    _bind_on_vote(monkeypatch)

@@ -6,6 +6,7 @@ import pytest
 
 from repro import FireLedgerConfig, run_cluster
 from repro.adversary import EquivocatingWorker, build as build_adversary
+from repro.consensus.obbc import OBBC_VOTE, Vote
 from repro.core.failure_detector import BenignFailureDetector
 from repro.core.fireledger import FireLedgerWorker
 from repro.crypto.keys import KeyStore
@@ -17,6 +18,7 @@ from repro.ledger import (
     make_genesis,
     validate_chain,
 )
+from repro.net.message import Message
 from repro.net.network import Network
 from repro.scenarios.faultplan import FaultSchedule, byzantine
 
@@ -177,3 +179,38 @@ def test_recovery_version_validity_is_validate_chain(env):
     assert not worker._version_valid(ChainVersion(1, (first, no_proposer)))
     repeated = _signed(keystore, 1, 0, first.digest)      # f + 1 = 2 window
     assert not worker._version_valid(ChainVersion(1, (first, repeated)))
+
+
+def test_a_panic_after_a_recovery_stops_the_quorum_drain(env):
+    """The worker's pending-panic list is the one object every wait of its
+    context reads, so a recovery filters it in place.  Rebound to a new
+    list there, it left the context reading the old one: a panic pending
+    after a completed recovery went unseen, and the quorum drain consumed
+    every buffered vote instead of stopping at its next step."""
+    network = Network(env, 4)
+    worker = FireLedgerWorker(env, network, 0, 0,
+                              FireLedgerConfig(n_nodes=4, workers=1),
+                              KeyStore(4))
+    # A recovery that completes at once: n - f valid (empty) versions.
+    worker._version_log.extend((seq, origin, ChainVersion(0, ()))
+                               for seq, origin in enumerate((1, 2, 3)))
+    worker._pending_panics.append((0, "proof"))
+    recovery = env.process(worker._recover())
+    env.run(until=0.001)
+    assert recovery.triggered and worker._recovered_through == 0
+    assert not worker._pending_panics
+
+    round_number = worker.round
+    for sender in (1, 2, 3):
+        worker.context.inbox.put(Message(sender, worker.channel, OBBC_VOTE,
+                                         Vote.of(round_number, 1)))
+    collected = {}
+    hold = network.machine.message_processing_cpu
+    # Mid-way through the first vote's CPU hold, a recovery wave is joined.
+    env.call_later(hold / 2, lambda _arg: worker._pending_panics.append(
+        (round_number + 5, {"joined": 1})))
+    drain = env.process(worker.context.drain_messages(OBBC_VOTE, round_number,
+                                                      collected, 3))
+    env.run(until=env.now + 10 * hold)
+    assert drain.triggered and list(collected) == [1]
+    assert len(worker.context.inbox) == 2

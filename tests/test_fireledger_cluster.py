@@ -751,8 +751,11 @@ def test_a_transaction_costs_a_pinned_number_of_calls():
     shape, the lane node's and the lane's ``submit_transaction``, the pool's
     ``submit`` and ``is_full``, and ``call_later``.  A delivery is
     ``on_delivery``, ``apply_delivery`` and ``LedgerState.apply_block``, plus
-    one ``LatencyHistogram.add`` per applied transfer (7 608) and one
-    ``LatencyHistogram`` built per sender first seen (64 constructor calls).
+    one ``LatencyHistogram.extend`` per sender with an applied transfer in
+    the block (1 513) and one ``LatencyHistogram`` built per sender first
+    seen (64 constructor calls).  Until a block folded each sender's
+    latencies at once, the delivery span took 9 331 calls: one
+    ``LatencyHistogram.add`` per applied transfer (7 608).
     At commit b0661fe the same spans took 220 768 and 50 538 calls: a
     generated ``__init__`` plus ``__post_init__``, ``_pick_node`` /
     ``_below`` / ``next_transfer`` per draw, ``lane_of``, and
@@ -761,7 +764,88 @@ def test_a_transaction_costs_a_pinned_number_of_calls():
     is zero: a change that puts a frame back on either span fails here.
     """
     counts = _transaction_path_calls("flash-crowd-lanes4", 0.1, 0.05)
-    assert counts == (11632, 116208, 25991, 9331)
+    assert counts == (11632, 116208, 25991, 3236)
+
+
+def _vote_path_calls(duration, warmup) -> tuple:
+    """``(vote copies delivered, receive-span calls)`` of ``scale-n64`` cut
+    to ``duration`` sim-s, seed 7.
+
+    A received vote's span opens at the network's ``complete`` of an
+    ``OBBC_VOTE`` copy (the filing, its piggybacked header's included), and
+    at each quorum-drain step: the kernel callback ending one drained vote's
+    CPU hold (or the ``Resource.release`` ending a drain hold that queued)
+    and the drain's first step.  Every Python-level call inside counts, the
+    root's own included, except what runs under ``Process._resume`` — the
+    collector's wake-up, which the resume pins count.  C calls do not.  The
+    cyclic GC is paused, as in a benchmark repeat."""
+    from repro.consensus.obbc import OBBC_VOTE
+    from repro.core.context import _QuorumDrain
+    from repro.net.network import BaseNetwork
+    from repro.sim import Resource
+
+    (complete,) = [code for code in BaseNetwork._make_completer.__code__.co_consts
+                   if getattr(code, "co_name", None) == "complete"]
+    step, release = _QuorumDrain.step.__code__, Resource.release.__code__
+    resume = Process._resume.__code__  # noqa: SLF001
+    counts = Counter()
+    spans = []  # (frame, counting) of the open span and what it suspended
+
+    def opens(frame, code):
+        if code is step:
+            return True
+        if code is complete:
+            if frame.f_locals["message"].kind == OBBC_VOTE:
+                counts["votes"] += 1
+                return True
+        elif code is release:
+            then = frame.f_locals["then"]
+            return getattr(then, "__func__", None) is _QuorumDrain.step
+        return False
+
+    def profile(frame, event, _arg):
+        if event == "call":
+            code = frame.f_code
+            if spans and spans[-1][1]:
+                if code is resume:
+                    spans.append((frame, False))
+                else:
+                    counts["calls"] += 1
+            elif opens(frame, code):
+                spans.append((frame, True))
+                counts["calls"] += 1
+        elif event == "return" and spans and frame is spans[-1][0]:
+            spans.pop()
+
+    spec = _cut_spec("scale-n64", duration, warmup)
+    with gc_paused():
+        sys.setprofile(profile)
+        try:
+            runner.run_scenario(spec, seed=7)
+        finally:
+            sys.setprofile(None)
+    return counts["votes"], counts["calls"]
+
+
+def test_a_received_vote_costs_a_pinned_number_of_calls():
+    """Python-level calls on the receive span of a 0.2 sim-s ``scale-n64``
+    cut (see ``_vote_path_calls``): 57 344 vote copies delivered, 195 649
+    calls.
+
+    A delivered vote is ``complete`` and the mailbox's ``put``; one that
+    the quorum drain consumes adds a ``step`` — the callback that ends its
+    CPU hold, frees the core, records the sender and takes the next — and
+    the ``call_later`` arming its hold: 39 026 steps, 38 184 holds.  The
+    rest is 896 piggybacked headers (a ``put`` each; 898 constructors, their
+    ``Message`` among them), 1 115 votes handed to a blocked wait
+    (``offer``) and 842 drains that woke their collector (``succeed_now``).
+    At commit 667c6fa the same span took 440 460 calls:
+    ``_on_vote`` per copy, and per drained vote ``advance``, the
+    ``_pending_panic`` check, ``Mailbox.take``, ``Resource.hold``,
+    ``Resource.release`` and ``_held``.  The counts repeat exactly, so the
+    tolerance is zero: a frame put back on the vote path fails here.
+    """
+    assert _vote_path_calls(0.2, 0.1) == (57344, 195649)
 
 
 def _fault_questions(duration, warmup) -> tuple:

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from repro.consensus.bbc import BBC_DECIDED
 from repro.core.cluster import run_cluster
 from repro.core.config import FireLedgerConfig
+from repro.core.context import _QuorumDrain
 from repro.net.network import Network
 from repro.scenarios import (
     FaultSchedule,
@@ -33,10 +34,11 @@ from repro.scenarios import (
 )
 from repro.scenarios.library import SCENARIOS
 from repro.scenarios.runner import run_scenario
-from repro.sim import Environment, Process, Wait
+from repro.sim import Environment, Process, Resource, Wait
 from tests import reference_certs, reference_network, reference_wait
 from tests.conftest import observe_run_cluster
 from tests.reference_collect import use_reference as use_reference_collect
+from tests.reference_collect import use_reference_drain
 from tests.reference_kernel import ReferenceEnvironment, use_reference
 
 
@@ -309,4 +311,53 @@ def test_a_controlled_run_is_the_two_path_network_it_replaced(
     _assert_identical(rows, reference_rows)
     assert sequence == reference_sequence
     assert rng_state == reference_rng_state
+    assert rows[0]["state_root"]
+
+
+# ------------------------------------------------ a vote's path, fused
+def _vote_path_run(monkeypatch, reference: bool):
+    """The rows of ``paper-lan`` at the benchmark's ``lan-saturated`` shape
+    (n = 4, w = 4 workers sharing each node's four cores, b = 100,
+    saturated, executed; seed 7), its kernel's ``_sequence``, the ``(now,
+    process)`` trace of every resume, and how many drain holds queued
+    behind busy cores — on the fused vote path or on
+    ``tests/reference_collect.py``'s."""
+    kernels, trace, order, queued = [], [], {}, []
+    resume = Process._resume  # noqa: SLF001 - tracing resumes is the test
+    start = Resource._start  # noqa: SLF001 - so is seeing a queued hold
+
+    def traced(process, event):
+        trace.append((process.env.now, order.setdefault(process, len(order))))
+        resume(process, event)
+
+    def started(resource, waiter):
+        queued.append(getattr(waiter[1], "__func__", None) is _QuorumDrain.step)
+        start(resource, waiter)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Process, "_resume", traced)
+        patch.setattr(Resource, "_start", started)
+        observe_run_cluster(patch, lambda env, *_: kernels.append(env))
+        if reference:
+            use_reference_drain(patch)
+        rows = run_scenario(SCENARIOS["paper-lan"], seed=7, batch_size=100)
+    return rows, kernels[0]._sequence, trace, sum(queued)  # noqa: SLF001
+
+
+def test_a_contended_vote_path_is_the_one_it_fused(monkeypatch):
+    """Differential against the vote path as it was: the worker's
+    ``_on_vote`` filing a vote's piggybacked header, the drain stepping
+    through ``Mailbox.take`` and ``Resource.hold``, its holds ended by
+    ``Resource.release`` (``tests/reference_collect.py``).  With four
+    workers per node on four cores, drain holds queue behind busy cores
+    (the resource's waiter queue and its ``_start`` hop); every row field,
+    ``state_root``, ``Environment._sequence`` and the resume trace are
+    ``==``."""
+    rows, sequence, trace, queued = _vote_path_run(monkeypatch, False)
+    reference_rows, reference_sequence, reference_trace, _ = _vote_path_run(
+        monkeypatch, True)
+    assert queued > 0
+    _assert_identical(rows, reference_rows)
+    assert sequence == reference_sequence
+    assert trace == reference_trace
     assert rows[0]["state_root"]

@@ -170,3 +170,29 @@ def test_mailboxes_stay_bounded_over_a_long_run(protocol, monkeypatch):
     assert row["tps"] > 0
     assert len(contexts) == spec.n_nodes
     assert max(len(context.inbox) for context in contexts) <= 4 * spec.n_nodes
+
+
+def test_a_vote_files_the_header_riding_on_it_first_and_once():
+    """A vote is bound straight to the mailbox, which files the next
+    proposer's header riding on it first — a ``HEADER`` message of its own,
+    from the vote's sender on its channel, sent when the vote was — then the
+    vote.  A vote handed to an already decided wait and re-filed by
+    ``withdraw`` does not file its header a second time."""
+    header = Header.of(WRB_HEADER, 6, "signed header")
+    vote = Message(2, "fl/0", "OBBC_VOTE", Vote.of(5, 1, header), sent_at=0.25)
+    keys = (("OBBC_VOTE", 5), (WRB_HEADER, 6))
+    mailbox = Mailbox()
+    mailbox.put(vote)
+    filed = mailbox.take(keys)
+    assert (filed.sender, filed.channel, filed.kind, filed.payload,
+            filed.sent_at) == (2, "fl/0", WRB_HEADER, header, 0.25)
+    assert mailbox.take(keys) is vote and len(mailbox) == 0
+
+    offered = []
+    mailbox.expect(keys[:1], None, offered.append)
+    mailbox.put(vote)
+    assert offered == [vote] and len(mailbox) == 1  # the header
+    mailbox.withdraw(vote)
+    assert [mailbox.take(keys).kind for _ in range(2)] == [WRB_HEADER,
+                                                           "OBBC_VOTE"]
+    assert len(mailbox) == 0

@@ -40,10 +40,10 @@ def send_item(network, sender, kind, instance, receiver=0):
     network.send(sender, receiver, "wrb", kind, Item.of(kind, instance))
 
 
-def build_context(env, network, node_id, channel="wrb", interrupt_check=None,
+def build_context(env, network, node_id, channel="wrb", panics=(),
                   records=INBOX):
     return ProtocolContext(env, network, node_id, channel, records,
-                           interrupt_check=interrupt_check)
+                           panics=panics)
 
 
 # ------------------------------------------------------------------- context
@@ -93,7 +93,7 @@ def test_wait_message_raises_panic_interrupt():
     network = make_network(env, 4)
     pending = []
     context = build_context(env, network, 0, records=(Item,),
-                            interrupt_check=lambda: pending[-1] if pending else None)
+                            panics=pending)
 
     def waiter():
         try:
@@ -163,13 +163,13 @@ RACES = pytest.mark.parametrize("kernel, reference", [
     (Environment, True), (ReferenceEnvironment, True)])
 
 
-def _racing_context(monkeypatch, kernel, reference, interrupt_check=None):
+def _racing_context(monkeypatch, kernel, reference, panics=()):
     if reference:
         reference_wait.use_reference(monkeypatch)
     env = kernel()
     network = make_network(env, 4)
     context = build_context(env, network, 0, records=(Item,),
-                            interrupt_check=interrupt_check)
+                            panics=panics)
     return env, context, network.machine.message_processing_cpu
 
 
@@ -216,9 +216,8 @@ def test_a_message_and_the_wake_at_one_instant(monkeypatch, kernel, reference,
     loses to the wake and is re-filed: a pending panic is raised and leaves
     it buffered; a spurious wake waits again and is served it at once."""
     pending = []
-    env, context, cpu = _racing_context(
-        monkeypatch, kernel, reference,
-        interrupt_check=lambda: pending[-1] if pending else None)
+    env, context, cpu = _racing_context(monkeypatch, kernel, reference,
+                                        panics=pending)
     racer, outcomes = _racer(), []
 
     def waiter():
@@ -363,7 +362,7 @@ def _run_collection(schedule, collect):
                       machine=machine, rng=random.Random(0))
     panics = []
     context = build_context(env, network, 0, records=(Item,),
-                            interrupt_check=lambda: panics[-1] if panics else None)
+                            panics=panics)
     cpu = network.endpoint(0).cpu
     trace = []
 
@@ -427,10 +426,18 @@ def _run_collection(schedule, collect):
 
 @settings(max_examples=300, deadline=None)
 @given(_SCHEDULES)
+@example({"cores": 1, "message_cpu": 3 * _TICK, "count": 2, "timeout": None,
+          "arrivals": [(0, 1, 0), (0, 1, 0)], "siblings": [(3, 1, 1)],
+          "panic_at": None})
 def test_quorum_drain_is_unobservable(schedule):
     """``collect_messages`` (drain, then wait) against the per-message loop
     it replaced: same senders in the same order, same finish time, same
-    leftovers, same CPU occupancy and mailbox size at every step."""
+    leftovers, same CPU occupancy and mailbox size at every step.
+
+    The example is a drain hold ending while a sibling's hold is queued:
+    freeing the core must start the sibling from ``Resource``'s zero-delay
+    ``_start`` hop, or its timer is armed ahead of the tick armed at that
+    instant and the two swap places one tick later."""
     drained = _run_collection(
         schedule, lambda context, *args: context.collect_messages(*args))
     looped = _run_collection(schedule, reference_collect)
